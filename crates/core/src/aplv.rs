@@ -424,13 +424,6 @@ impl ConflictVector {
         self.bits[j.index() / 64] &= !(1 << (j.index() % 64));
     }
 
-    /// Clears every bit, keeping the covered length — the O(N/64) bulk
-    /// reset the probe workspace uses to recycle its event mask between
-    /// probes.
-    pub fn clear_all(&mut self) {
-        self.bits.iter_mut().for_each(|w| *w = 0);
-    }
-
     /// Reads bit `j` (`c_{i,j}`); out-of-range indices read as 0.
     pub fn get(&self, j: LinkId) -> bool {
         if j.index() >= self.len {

@@ -22,9 +22,7 @@
 //! [`DrtpManager::reestablish_backup`]).
 
 use crate::multiplex::{ActivationPool, FailureModel};
-use crate::{
-    ConflictVector, ConnectionId, ConnectionState, DrtpError, DrtpManager, RouteMaintenance,
-};
+use crate::{ConnectionId, ConnectionState, DrtpError, DrtpManager};
 use drt_net::{Bandwidth, LinkId, NodeId, SrlgId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -597,7 +595,6 @@ impl DrtpManager {
         for &l in &failed_links {
             self.failed[l.index()] = true;
         }
-        self.note_links_failed(&failed_links);
 
         let mut report = RecoveryReport {
             failed_links: failed_links.clone(),
@@ -637,7 +634,6 @@ impl DrtpManager {
             let c = self.conns.get_mut(id).expect("exists");
             c.clear_backups();
             c.set_state(ConnectionState::Failed);
-            self.note_backups_cleared(*id);
             report.lost.push(*id);
         }
 
@@ -670,7 +666,6 @@ impl DrtpManager {
                 }
                 let removed = conn.remove_backup(idx);
                 self.incidence.remove_backup(removed.links(), id);
-                self.note_backup_removed(id, idx);
                 if dedicated {
                     self.release_route_prime(removed.links(), bw);
                 } else {
@@ -736,12 +731,11 @@ impl DrtpManager {
             }
         }
         // The promoted backup route is the connection's new primary; the
-        // remaining backups (and their cached masks) are all gone.
+        // remaining backups are all gone.
         self.incidence
             .add_primary(conn.backups()[win_idx].links(), id);
         conn.promote_backup(win_idx);
         self.conns.insert(id, conn);
-        self.note_backups_cleared(id);
     }
 
     /// A byzantine router's *false* failure report for a healthy link,
@@ -851,7 +845,6 @@ impl DrtpManager {
                 for &l in &report.failed_links {
                     self.failed[l.index()] = false;
                 }
-                self.note_links_repaired(&report.failed_links);
                 self.hops_changed(&report.failed_links);
                 self.telemetry
                     .add("restart.spurious_switchovers", report.switched.len() as u64);
@@ -899,7 +892,6 @@ impl DrtpManager {
         for &l in &unit {
             self.failed[l.index()] = false;
         }
-        self.note_links_repaired(&unit);
         self.hops_changed(&unit);
         Ok(())
     }
@@ -932,14 +924,8 @@ impl DrtpManager {
         ws: &mut ProbeWorkspace,
     ) {
         ws.begin(self.net.num_links());
-        let incremental = self.maintenance == RouteMaintenance::Incremental;
         for &l in failed_links {
             ws.mark_stamp[l.index()] = ws.gen;
-            if incremental {
-                ws.event_mask.set(l);
-            }
-        }
-        for &l in failed_links {
             ws.affected
                 .extend_from_slice(self.incidence.primaries_on(l));
         }
@@ -953,20 +939,10 @@ impl DrtpManager {
             let bw = conn.qos().bandwidth;
             let mut won = None;
             for (idx, b) in conn.backups().iter().enumerate() {
-                // Incremental mode replaces the per-link scan with two
-                // popcounts over the backup's cached dense mask — against
-                // the standing failed mirror and this event's mask. The
-                // masks hold exactly the backup's link set (invariant
-                // 1d), so both forms decide identically and consume `rng`
-                // the same way.
-                let usable = if incremental {
-                    let mask = self.backup_mask(id, idx);
-                    mask.and_count(self.failed_cv()) == 0 && mask.and_count(&ws.event_mask) == 0
-                } else {
-                    b.links()
-                        .iter()
-                        .all(|l| !self.failed[l.index()] && ws.mark_stamp[l.index()] != ws.gen)
-                };
+                let usable = b
+                    .links()
+                    .iter()
+                    .all(|l| !self.failed[l.index()] && ws.mark_stamp[l.index()] != ws.gen);
                 if !usable {
                     continue;
                 }
@@ -1028,10 +1004,6 @@ pub struct ProbeWorkspace {
     /// A link is failed-in-this-probe iff its mark stamp == gen — the O(1)
     /// membership test replacing linear `failed_links.contains` scans.
     mark_stamp: Vec<u32>,
-    /// Dense form of this probe's failed set, so incremental-mode
-    /// usability checks are popcounts against the cached backup masks.
-    /// Zeroed (O(N/64)) at the start of every probe.
-    event_mask: ConflictVector,
     /// Ids of the connections whose primary the probed unit disables.
     affected: Vec<ConnectionId>,
     /// Per affected connection, the backup index that activated (if any).
@@ -1052,7 +1024,6 @@ impl ProbeWorkspace {
             pool_stamp: Vec::new(),
             pool: Vec::new(),
             mark_stamp: Vec::new(),
-            event_mask: ConflictVector::zeros(0),
             affected: Vec::new(),
             decisions: Vec::new(),
         }
@@ -1064,11 +1035,6 @@ impl ProbeWorkspace {
             self.pool_stamp.resize(num_links, 0);
             self.pool.resize(num_links, Bandwidth::ZERO);
             self.mark_stamp.resize(num_links, 0);
-        }
-        if self.event_mask.len() < num_links {
-            self.event_mask = ConflictVector::zeros(num_links);
-        } else {
-            self.event_mask.clear_all();
         }
         self.gen = match self.gen.checked_add(1) {
             Some(g) => g,

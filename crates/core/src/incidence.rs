@@ -14,7 +14,12 @@
 //! maintained *by delta* at the same admit/register/promote/teardown choke
 //! points that already keep the dense [`crate::ConflictState`] digests in
 //! lockstep with the sparse APLVs, so a probe touches only the O(affected)
-//! connections incident to the failed unit.
+//! connections incident to the failed unit. It is one of the manager's
+//! four derived structures (APLVs, conflict digests, this index, and the
+//! per-source shortest-path trees behind the hop table); the index only
+//! *finds* the affected connections — whether a backup is still usable
+//! is read off its route against the failed-link array, with no
+//! per-backup state to keep in step.
 //!
 //! Only *carrying* connections are indexed: a connection torn down by a
 //! failure leaves the index in the same mutation that marks it

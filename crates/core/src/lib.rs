@@ -79,7 +79,6 @@ mod link_state;
 mod manager;
 pub mod multiplex;
 pub mod orchestrator;
-mod route_cache;
 pub mod routing;
 pub mod telemetry;
 mod types;
@@ -91,6 +90,5 @@ pub use error::DrtpError;
 pub use incidence::IncidenceIndex;
 pub use link_state::{CapacityError, LinkResources};
 pub use manager::{DrtpManager, EstablishReport, ManagerView, StateSnapshot, ViewDistortion};
-pub use route_cache::RouteMaintenance;
 pub use telemetry::{Histogram, Telemetry};
 pub use types::{ConnectionId, QosRequirement};

@@ -1,14 +1,14 @@
 //! The DR-connection manager.
 
 use crate::multiplex::{MultiplexConfig, SparePolicy};
-use crate::route_cache::RouteCache;
 use crate::routing::{RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::{
     Aplv, ConflictState, ConflictVector, ConnectionId, ConnectionState, DrConnection, DrtpError,
-    IncidenceIndex, LinkResources, RouteMaintenance, Telemetry,
+    IncidenceIndex, LinkResources, Telemetry,
 };
 use drt_net::algo::{AllPairsHops, DynamicSpt};
 use drt_net::{Bandwidth, LinkId, Network, Route};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -38,10 +38,8 @@ pub struct DrtpManager {
     pub(crate) hops: AllPairsHops,
     /// One repairable shortest-path tree per node (unit cost over alive
     /// links), the source the incremental hop-table maintenance patches
-    /// rows from. Empty in [`RouteMaintenance::Baseline`] mode.
+    /// rows from.
     pub(crate) spt: Vec<DynamicSpt>,
-    pub(crate) route_cache: RouteCache,
-    pub(crate) maintenance: RouteMaintenance,
     pub(crate) distortion: Option<ViewDistortion>,
     pub(crate) telemetry: Telemetry,
 }
@@ -318,7 +316,6 @@ impl DrtpManager {
             .nodes()
             .map(|src| DynamicSpt::build(&net, src, |_| Some(1.0)))
             .collect();
-        let route_cache = RouteCache::new(net.num_links());
         DrtpManager {
             net,
             cfg,
@@ -330,43 +327,8 @@ impl DrtpManager {
             conns: BTreeMap::new(),
             hops,
             spt,
-            route_cache,
-            maintenance: RouteMaintenance::default(),
             distortion: None,
             telemetry: Telemetry::default(),
-        }
-    }
-
-    /// The active [`RouteMaintenance`] mode.
-    pub fn route_maintenance(&self) -> RouteMaintenance {
-        self.maintenance
-    }
-
-    /// Switches between incremental and baseline route maintenance.
-    ///
-    /// Entering [`RouteMaintenance::Incremental`] rebuilds the dynamic
-    /// shortest-path trees from the current failed set; entering
-    /// [`RouteMaintenance::Baseline`] drops them (the baseline recomputes
-    /// the hop table wholesale instead). The hop table itself is
-    /// identical in both modes, so switching mid-run changes *how*
-    /// derived state is maintained, never its value.
-    pub fn set_route_maintenance(&mut self, mode: RouteMaintenance) {
-        if self.maintenance == mode {
-            return;
-        }
-        self.maintenance = mode;
-        match mode {
-            RouteMaintenance::Incremental => {
-                let failed = &self.failed;
-                self.spt = self
-                    .net
-                    .nodes()
-                    .map(|src| {
-                        DynamicSpt::build(&self.net, src, |l| (!failed[l.index()]).then_some(1.0))
-                    })
-                    .collect();
-            }
-            RouteMaintenance::Baseline => self.spt.clear(),
         }
     }
 
@@ -602,8 +564,6 @@ impl DrtpManager {
         self.incidence.add_primary(pair.primary.links(), req.id);
         for backup in &pair.backups {
             self.incidence.add_backup(backup.links(), req.id);
-            self.note_backup_installed(req.id, backup.links());
-            self.remember_candidate(backup);
         }
         let conn = DrConnection::new(
             req.id,
@@ -676,32 +636,24 @@ impl DrtpManager {
         };
         let primary = conn.primary().clone();
         let existing = conn.backups().to_vec();
-        // Fast path: a cached candidate that survives ground-truth
-        // validation installs without consulting the scheme at all — no
-        // search, no control messages.
-        if let Some(cached) = self.take_cached_backup(&req, &primary, &existing, avoid) {
-            let bw = req.bandwidth();
-            self.register_backup(&cached, primary.links(), bw);
-            self.incidence.add_backup(cached.links(), id);
-            self.note_backup_installed(id, cached.links());
-            self.conns
-                .get_mut(&id)
-                .expect("checked above")
-                .install_backup(cached, false);
-            return Ok(RoutingOverhead::ZERO);
-        }
-        let mut masked = self.failed.clone();
-        for &l in avoid {
-            if l.index() < masked.len() {
-                masked[l.index()] = true;
+        // The masked copy is only built when there is something to mask.
+        let failed = if avoid.is_empty() {
+            Cow::Borrowed(&self.failed[..])
+        } else {
+            let mut masked = self.failed.clone();
+            for &l in avoid {
+                if l.index() < masked.len() {
+                    masked[l.index()] = true;
+                }
             }
-        }
+            Cow::Owned(masked)
+        };
         let view = ManagerView {
             net: &self.net,
             links: &self.links,
             aplvs: &self.aplvs,
             conflict: &self.conflict,
-            failed: &masked,
+            failed: &failed,
             hops: &self.hops,
             distortion: self.distortion.as_ref(),
         };
@@ -718,8 +670,6 @@ impl DrtpManager {
         let bw = req.bandwidth();
         self.register_backup(&backup, primary.links(), bw);
         self.incidence.add_backup(backup.links(), id);
-        self.note_backup_installed(id, backup.links());
-        self.remember_candidate(&backup);
         self.conns
             .get_mut(&id)
             .expect("checked above")
@@ -779,8 +729,6 @@ impl DrtpManager {
             .to_vec();
         self.register_backup(&backup, &primary_lset, bw);
         self.incidence.add_backup(backup.links(), id);
-        self.note_backup_installed(id, backup.links());
-        self.remember_candidate(&backup);
         self.conns
             .get_mut(&id)
             .expect("checked above")
@@ -827,7 +775,6 @@ impl DrtpManager {
                 self.unregister_backup(b, primary.links(), bw);
             }
         }
-        self.note_backups_cleared(id);
         Ok(backups.len())
     }
 
@@ -842,7 +789,6 @@ impl DrtpManager {
             .conns
             .remove(&id)
             .ok_or(DrtpError::UnknownConnection(id))?;
-        self.note_connection_released(id);
         if conn.state() == ConnectionState::Failed {
             // A failed connection's resources were already reclaimed when
             // the failure was processed.
@@ -904,10 +850,6 @@ impl DrtpManager {
         if let Some(l) = self.incidence.first_divergence(&rebuilt) {
             panic!("link-incidence index diverged from connection table on {l}");
         }
-        // 1d. The route cache's dense masks mirror the failed set and the
-        //     connection table, and no cached candidate crosses a failed
-        //     link.
-        self.audit_route_cache();
         // 1e. The (incrementally maintained) hop table is bit-for-bit what
         //     a full filtered recompute produces.
         let failed = &self.failed;
@@ -916,7 +858,7 @@ impl DrtpManager {
             panic!("hop table diverged from a full recompute at {s} -> {d}");
         }
         // 1f. Every dynamic shortest-path tree structurally certifies its
-        //     distances under the current failed set (incremental mode).
+        //     distances under the current failed set.
         for spt in &self.spt {
             if let Some(n) = spt.certify(&self.net, |l| (!failed[l.index()]).then_some(1.0)) {
                 panic!(
@@ -1015,36 +957,29 @@ impl DrtpManager {
     }
 
     /// Recomputes the all-pairs hop table wholesale (one BFS per node) —
-    /// the [`RouteMaintenance::Baseline`] maintenance path, kept public as
-    /// the reference arm the incremental repair is proven bit-for-bit
-    /// equivalent to by tests and benchmarked against.
+    /// kept public as the reference the incremental repair in
+    /// `hops_changed` is proven bit-for-bit equivalent to by tests.
     pub fn recompute_hops_baseline(&mut self) {
         let failed = &self.failed;
         self.hops = AllPairsHops::compute_filtered(&self.net, |l| !failed[l.index()]);
     }
 
     /// Refreshes the hop table after the links in `changed` flipped
-    /// between alive and failed. In [`RouteMaintenance::Incremental`] mode
-    /// each node's dynamic shortest-path tree is *repaired* with the delta
-    /// and only the rows whose tree actually moved are rewritten; in
-    /// [`RouteMaintenance::Baseline`] mode this falls back to the full
-    /// recompute. Both arms yield bit-identical tables (invariant 1e).
+    /// between alive and failed: each node's dynamic shortest-path tree is
+    /// *repaired* with the delta and only the rows whose tree actually
+    /// moved are rewritten. The result is bit-identical to
+    /// [`DrtpManager::recompute_hops_baseline`] (invariant 1e).
     pub(crate) fn hops_changed(&mut self, changed: &[LinkId]) {
-        match self.maintenance {
-            RouteMaintenance::Baseline => self.recompute_hops_baseline(),
-            RouteMaintenance::Incremental => {
-                if changed.is_empty() {
-                    return;
-                }
-                let failed = &self.failed;
-                let cost = |l: LinkId| (!failed[l.index()]).then_some(1.0);
-                for spt in &mut self.spt {
-                    if spt.update_links(&self.net, changed, cost) {
-                        // Unit costs make distances exact hop counts.
-                        self.hops
-                            .set_row(spt.source(), |dst| spt.distance(dst).map(|d| d as u32));
-                    }
-                }
+        if changed.is_empty() {
+            return;
+        }
+        let failed = &self.failed;
+        let cost = |l: LinkId| (!failed[l.index()]).then_some(1.0);
+        for spt in &mut self.spt {
+            if spt.update_links(&self.net, changed, cost) {
+                // Unit costs make distances exact hop counts.
+                self.hops
+                    .set_row(spt.source(), |dst| spt.distance(dst).map(|d| d as u32));
             }
         }
     }

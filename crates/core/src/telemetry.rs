@@ -250,8 +250,7 @@ impl Telemetry {
         out
     }
 
-    /// The snapshot as a single JSON object (sorted keys, integers only)
-    /// — the form the bench report embeds.
+    /// The snapshot as a single JSON object (sorted keys, integers only).
     pub fn to_json(&self) -> String {
         let mut parts = Vec::new();
         let counters: Vec<String> = self

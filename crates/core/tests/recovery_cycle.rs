@@ -179,6 +179,39 @@ fn node_crash_during_pending_batch_retries_reaches_closed_quiescence() {
 /// (the selection crosses the avoided link) and the pending entry backs
 /// off across the expiry boundary; afterwards the same selection is
 /// accepted.
+/// Figure 3's lesson applied to DRTP's reconfiguration step: a backup
+/// found by `reestablish_backup` is costed against the backups already
+/// registered, exactly as at admission, so two connections sharing a
+/// primary are never multiplexed onto the same backup links while a
+/// conflict-free detour exists.
+#[test]
+fn reprotection_avoids_conflicts_like_admission() {
+    let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(100)).unwrap());
+    let mut mgr = DrtpManager::new(Arc::clone(&net));
+    let mut scheme = DLsr::new();
+    let req = |id| RouteRequest::new(ConnectionId::new(id), NodeId::new(3), NodeId::new(5), BW);
+    mgr.request_connection(&mut scheme, req(0)).unwrap();
+    mgr.drop_backups(ConnectionId::new(0)).unwrap();
+    mgr.request_connection(&mut scheme, req(1)).unwrap();
+    mgr.reestablish_backup(&mut scheme, ConnectionId::new(0))
+        .unwrap();
+
+    let backup_of = |id| {
+        let conn = mgr.connection(ConnectionId::new(id)).unwrap();
+        conn.backup().expect("protected").clone()
+    };
+    let (b0, b1) = (backup_of(0), backup_of(1));
+    assert_eq!(b0.overlap(&b1), 0, "re-established {b0} overlaps {b1}");
+    for link in net.links() {
+        assert!(
+            mgr.aplv(link.id()).max_count() <= 1,
+            "deterministic conflict on {}",
+            link.id()
+        );
+    }
+    mgr.assert_invariants();
+}
+
 #[test]
 fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
     let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());

@@ -9,8 +9,7 @@
 //! and without countermeasures. All report recovery latency,
 //! `P_act-bk`, and degradation, deterministically per seed.
 //!
-//! Usage: `campaign [--quick] [--seed N] [--regime NAME] [--jobs N]
-//! [--bench-json [PATH]]`
+//! Usage: `campaign [--quick] [--seed N] [--regime NAME] [--jobs N]`
 //!
 //! * `--quick`        reduced horizon and event counts (CI);
 //! * `--seed N`       master seed for every sweep (default 7);
@@ -20,9 +19,7 @@
 //!   `flash-crowd`, `regional-storm`), or the restart one
 //!   (`restart-storm`);
 //! * `--jobs N`       worker threads for the sweeps (default 1); the
-//!   output is byte-identical for every job count;
-//! * `--bench-json [PATH]` run the bench harness instead of the sweeps
-//!   and write its JSON report (default `BENCH_routing.json`).
+//!   output is byte-identical for every job count.
 
 use drt_experiments::adversarial::{
     merged_telemetry, render as render_adversarial, run_adversarial_jobs, AdversarialConfig,
@@ -70,8 +67,7 @@ fn main() {
     let mut seed: Option<u64> = None;
     let mut regime: Option<RegimeArg> = None;
     let mut jobs: usize = 1;
-    let mut bench_json: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
@@ -99,46 +95,12 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--bench-json" => {
-                // Optional path operand; defaults to BENCH_routing.json.
-                let path = match args.peek() {
-                    Some(p) if !p.starts_with("--") => args.next().unwrap(),
-                    _ => "BENCH_routing.json".to_string(),
-                };
-                bench_json = Some(path);
-            }
             other => {
                 eprintln!("campaign: unknown argument {other:?}");
-                eprintln!(
-                    "usage: campaign [--quick] [--seed N] [--regime NAME] \
-                     [--jobs N] [--bench-json [PATH]]"
-                );
+                eprintln!("usage: campaign [--quick] [--seed N] [--regime NAME] [--jobs N]");
                 std::process::exit(2);
             }
         }
-    }
-
-    if let Some(path) = bench_json {
-        let jobs = if jobs <= 1 { 8 } else { jobs };
-        eprintln!("bench: timing routing hot paths and the end-to-end campaign (jobs {jobs}) ...");
-        let report = drt_experiments::bench::run(quick, seed.unwrap_or(7), jobs);
-        std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {
-            eprintln!("campaign: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        for t in &report.targets {
-            eprintln!("  {:<22} {:>12.0} ns/op", t.name, t.median_ns);
-        }
-        eprintln!(
-            "  end-to-end: sparse+serial {:.2}s vs dense+{} jobs {:.2}s ({:.2}x, {} cpu(s))",
-            report.sparse_serial_s,
-            report.jobs,
-            report.dense_jobs_s,
-            report.speedup(),
-            report.cpus
-        );
-        eprintln!("bench: wrote {path}");
-        return;
     }
 
     let cfg = if quick {

@@ -87,11 +87,6 @@ pub struct CampaignRow {
     pub retransmissions: u64,
     /// Signalling transactions that exhausted their retries.
     pub exhausted: u64,
-    /// Re-establishments served from the mirror's backup-candidate cache
-    /// (validated by mask popcount, no scheme search).
-    pub cache_hits: u64,
-    /// Re-establishments that fell through to the routing scheme.
-    pub cache_misses: u64,
     /// The failure units losing the most connections in the closing probe
     /// sweep (worst first) — names the fragile links behind `p_act_bk`.
     pub worst_links: Vec<drt_core::failure::LinkImpact>,
@@ -131,20 +126,6 @@ pub fn stream_campaign(
     cfg: &ExperimentConfig,
     ccfg: &CampaignConfig,
     jobs: usize,
-    emit: impl FnMut(CampaignRow),
-) {
-    stream_campaign_with(cfg, ccfg, jobs, || SchemeKind::DLsr.instantiate(), emit);
-}
-
-/// [`stream_campaign`] with a caller-supplied scheme factory (one scheme
-/// per worker). The bench harness uses this to time the sparse-baseline
-/// cost engine end to end; the routes selected — and hence the rows —
-/// are identical as long as the schemes select identically.
-pub fn stream_campaign_with(
-    cfg: &ExperimentConfig,
-    ccfg: &CampaignConfig,
-    jobs: usize,
-    mk_scheme: impl Fn() -> Box<dyn drt_core::routing::RoutingScheme> + Sync,
     mut emit: impl FnMut(CampaignRow),
 ) {
     // When the loss rates don't fill the requested workers, the closing
@@ -155,7 +136,7 @@ pub fn stream_campaign_with(
     crate::par::for_each_ordered(
         jobs,
         ccfg.loss_rates.clone(),
-        mk_scheme,
+        || SchemeKind::DLsr.instantiate(),
         |scheme, loss| run_at_loss(cfg, ccfg, scheme.as_mut(), loss, sweep_jobs),
         |_, row| emit(row),
     );
@@ -202,8 +183,6 @@ fn run_at_loss(
         probe_degraded: 0,
         retransmissions: 0,
         exhausted: 0,
-        cache_hits: 0,
-        cache_misses: 0,
         worst_links: Vec::new(),
     };
 
@@ -349,8 +328,6 @@ fn run_at_loss(
     row.worst_links = sweep.worst_links(3);
     row.retransmissions = sim.counters().retransmitted().0;
     row.exhausted = sim.exhausted().map(|(_, n)| n).sum();
-    row.cache_hits = mirror.telemetry().counter("cache.hits");
-    row.cache_misses = mirror.telemetry().counter("cache.misses");
     row
 }
 
@@ -398,7 +375,7 @@ pub fn render_header(net: &Network) -> String {
         net.num_links()
     );
     out.push_str(&format!(
-        "{:>6} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>5} {:>5}\n",
+        "{:>6} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6}\n",
         "loss%",
         "estab",
         "degr",
@@ -412,9 +389,7 @@ pub fn render_header(net: &Network) -> String {
         "P_act-bk",
         "probeD",
         "retx",
-        "exh",
-        "cHit",
-        "cMiss"
+        "exh"
     ));
     out
 }
@@ -422,7 +397,7 @@ pub fn render_header(net: &Network) -> String {
 /// One table line for `r`.
 pub fn render_row(r: &CampaignRow) -> String {
     format!(
-        "{:>6.1} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>5} {:>5}\n",
+        "{:>6.1} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6}\n",
         r.loss * 100.0,
         r.established,
         r.degraded_setup,
@@ -439,8 +414,6 @@ pub fn render_row(r: &CampaignRow) -> String {
         r.probe_degraded,
         r.retransmissions,
         r.exhausted,
-        r.cache_hits,
-        r.cache_misses,
     )
 }
 

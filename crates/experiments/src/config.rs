@@ -68,7 +68,7 @@ impl ExperimentConfig {
     }
 
     /// A reduced configuration (shorter horizon, fewer snapshots) for CI
-    /// and criterion benches. Same topology and rates, so trends persist.
+    /// and benchmarks. Same topology and rates, so trends persist.
     pub fn quick(degree: f64) -> Self {
         ExperimentConfig {
             duration: SimDuration::from_minutes(100),

@@ -10,8 +10,6 @@
 //!   recorded scenario file, exactly as the paper prescribes;
 //! * [`fault_tolerance`] — Figure 4 (`P_act-bk` vs. λ);
 //! * [`capacity`] — Figure 5 (capacity overhead vs. λ);
-//! * [`bench`] — wall-clock timings of the routing hot paths
-//!   (`campaign --bench-json`);
 //! * [`availability`] — dynamic failure/repair replay cross-validating
 //!   Figure 4's static estimator and exercising DRTP's reconfiguration;
 //! * [`overhead`] — the route-discovery overhead comparison discussed in
@@ -49,7 +47,6 @@
 
 pub mod adversarial;
 pub mod availability;
-pub mod bench;
 pub mod campaign;
 pub mod capacity;
 pub mod config;

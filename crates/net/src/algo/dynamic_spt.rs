@@ -105,8 +105,7 @@ impl DynamicSpt {
 
     /// Recomputes the whole tree from scratch — the reference the
     /// incremental repair is proven bit-for-bit equivalent to by the
-    /// delta-trace property tests, and the before-arm of the `spt_repair`
-    /// benchmark.
+    /// delta-trace property tests.
     pub fn rebuild_baseline(&mut self, net: &Network, cost: impl FnMut(LinkId) -> Option<f64>) {
         let n = net.num_nodes();
         with_scratch(|ws| {

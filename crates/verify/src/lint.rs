@@ -16,7 +16,6 @@
 //! | `raw-spoof` | experiments crate minus the adversarial module | `.inject_false_report(`, `.spoof_failure_report(` — byzantine lies belong to the adversarial sweep, where both arms share workload substreams and every lie is counted in telemetry; a stray spoof elsewhere silently skews an honest-regime table |
 //! | `journal-choke` | protocol crate minus `journal.rs` / `router.rs` | raw router-mutator calls (`.gate_walk(`, `.reserve_primary(`, …) — every state mutation must go through the `Journals` choke point so the write-ahead journal records it before it acts; a bypassed mutation silently breaks crash recovery |
 //! | `spf-alloc` | SPF-threaded algo files | `BinaryHeap::new`, `vec![None;`, `vec![false;` — hot search paths must reuse the generation-stamped `SpfWorkspace` instead of allocating per call |
-//! | `spf-cache` | core crate minus `route_cache.rs` | raw `.route_cache.` field access — every mutation of the backup-candidate cache and its masks must go through the `route_cache.rs` choke wrappers (`note_*`, `take_cached_backup`, `remember_candidate`) so delta-invalidation can never be skipped at a call site |
 //! | `probe-alloc` | failure-analysis files | `.collect()`, `Vec::with_capacity` — the per-probe loop must reuse the generation-stamped `ProbeWorkspace`; one-shot setup/report code waives |
 //! | `float-eq` | whole workspace | `==` / `!=` against a float literal — bandwidth accounting must not rely on exact float equality |
 //!
@@ -26,7 +25,7 @@
 //! |------|--------|---------|
 //! | `nondet-taint` | [`crate::taint`] | a routing/protocol/experiment function that *indirectly* reaches an ambient nondeterminism source, with the full call chain |
 //! | `rng-substream` | [`crate::semantic`] | a parallel-driver closure consuming an RNG it did not derive per unit |
-//! | `baseline-parity` | [`crate::semantic`] | a `*_baseline` function no test or bench references |
+//! | `baseline-parity` | [`crate::semantic`] | a `*_baseline` function no test references |
 //! | `stale-waiver` | [`run_on`] | a `lint:allow(…)` comment that suppresses nothing (or names an unknown rule) |
 //!
 //! Test code is exempt from every rule except waiver collection:
@@ -103,14 +102,6 @@ fn scope_spf(path: &str) -> bool {
         || path.ends_with("crates/net/src/algo/dynamic_spt.rs")
 }
 
-fn scope_spf_cache(path: &str) -> bool {
-    // `route_cache.rs` *is* the choke point: every candidate-cache and
-    // mask mutation lives there, next to the audit that checks them.
-    // The rest of the core crate goes through the note_*/take_*
-    // wrappers so invalidation can never be forgotten at a call site.
-    path.contains("crates/core/src") && !path.ends_with("route_cache.rs")
-}
-
 fn scope_probe(path: &str) -> bool {
     // The files `ProbeWorkspace` is threaded through; setup and report
     // code (unit enumeration, destructive injection, rankings) waives.
@@ -119,7 +110,7 @@ fn scope_probe(path: &str) -> bool {
 
 /// The legacy rule table. `float-eq` is additionally special-cased in
 /// [`scan_source`] (it is a token-shape check, not a substring).
-pub const RULES: [Rule; 9] = [
+pub const RULES: [Rule; 8] = [
     Rule {
         name: "nondet",
         why: "ambient randomness / wall-clock reads break reproducibility; \
@@ -186,17 +177,6 @@ pub const RULES: [Rule; 9] = [
               per search; cold paths waive with a justification",
         patterns: &["BinaryHeap::new", "vec![None;", "vec![false;"],
         in_scope: scope_spf,
-    },
-    Rule {
-        name: "spf-cache",
-        why: "the backup-candidate route cache is delta-invalidated: its \
-              masks and candidate lists are only correct if every mutation \
-              funnels through the route_cache.rs choke point (note_* / \
-              take_cached_backup / remember_candidate), where the audit \
-              can cross-check them; a raw field access elsewhere can \
-              install a stale route after the links under it failed",
-        patterns: &[".route_cache."],
-        in_scope: scope_spf_cache,
     },
     Rule {
         name: "probe-alloc",
@@ -476,7 +456,7 @@ pub struct RuleDoc {
 }
 
 /// The `--explain` table.
-pub const RULE_DOCS: [RuleDoc; 14] = [
+pub const RULE_DOCS: [RuleDoc; 13] = [
     RuleDoc {
         name: "nondet",
         scope: "everywhere but crates/sim/src/rng.rs",
@@ -535,23 +515,6 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
         fix: "reuse the workspace arrays/heap; waive cold paths with a rationale",
     },
     RuleDoc {
-        name: "spf-cache",
-        scope: "crates/core/src minus route_cache.rs",
-        why: "the backup-candidate cache's correctness claim is \"a cached \
-              route never crosses a failed link\"; that holds only because \
-              every mutation of the cache and its conflict-vector masks \
-              goes through the route_cache.rs choke point, where the \
-              invariant audit rebuilds and cross-checks them. A raw \
-              `.route_cache.` access elsewhere can skip invalidation and \
-              the stale route only surfaces as a dead backup after the \
-              next failure",
-        fix: "call the choke wrappers instead: note_backup_installed / \
-              note_backup_removed / note_backups_cleared / \
-              note_links_failed / note_links_repaired / \
-              note_connection_released / remember_candidate / \
-              take_cached_backup",
-    },
-    RuleDoc {
         name: "probe-alloc",
         scope: "failure.rs / analysis.rs",
         why: "per-probe collection defeats the generation-stamped ProbeWorkspace",
@@ -595,8 +558,7 @@ pub const RULE_DOCS: [RuleDoc; 14] = [
         why: "baselines exist to prove the optimised path bit-for-bit \
               equivalent; an unreferenced baseline is dead code wearing a \
               safety vest",
-        fix: "reference it from an equivalence proptest or a criterion/bench \
-              target, or delete it",
+        fix: "reference it from an equivalence proptest, or delete it",
     },
     RuleDoc {
         name: "stale-waiver",

@@ -14,9 +14,9 @@
 //! * [`baseline_parity`] — **baseline-parity.** Every `*_baseline()`
 //!   function is the paper-faithful twin of an optimised path and only
 //!   stays trustworthy while something *executes* it: the rule requires
-//!   each one to be referenced from at least one test or bench target
-//!   (equivalence proptest, criterion twin, …), so baselines cannot rot
-//!   into dead unverified code.
+//!   each one to be referenced from at least one test target (an
+//!   equivalence proptest), so baselines cannot rot into dead unverified
+//!   code.
 //!
 //! The third semantic rule, the **stale-waiver audit**, lives in the
 //! orchestrator ([`crate::lint::run_on`]) because it needs the complete
@@ -234,8 +234,8 @@ pub fn baseline_parity(ws: &Workspace) -> Vec<Finding> {
                 line: f.line,
                 excerpt: ws.line_text(f.file, f.line).to_string(),
                 detail: vec![format!(
-                    "`{}` is a paper-faithful baseline but no test or bench references it; \
-                     add an equivalence proptest or a criterion twin (or delete the baseline)",
+                    "`{}` is a paper-faithful baseline but no test references it; \
+                     add an equivalence proptest (or delete the baseline)",
                     f.qual
                 )],
             });

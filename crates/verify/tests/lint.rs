@@ -155,26 +155,6 @@ fn spf_alloc_scoped_to_workspace_threaded_algo_files() {
 }
 
 #[test]
-fn spf_cache_confined_to_its_choke_module() {
-    let src = "fn f(mgr: &mut DrtpManager) {\n    mgr.route_cache.candidates.clear();\n}\n";
-    assert_eq!(
-        rules_fired("crates/core/src/manager.rs", src),
-        ["spf-cache"]
-    );
-    assert_eq!(
-        rules_fired("crates/core/src/failure.rs", src),
-        ["spf-cache"]
-    );
-    // The choke module itself owns the fields; outside the core crate
-    // the name means nothing.
-    assert!(rules_fired("crates/core/src/route_cache.rs", src).is_empty());
-    assert!(rules_fired("crates/experiments/src/campaign.rs", src).is_empty());
-    // The wrapper calls the rest of the crate uses never match.
-    let routed = "self.note_links_failed(&failed);\nlet hit = self.take_cached_backup(&req, &primary, &existing, avoid);\n";
-    assert!(rules_fired("crates/core/src/failure.rs", routed).is_empty());
-}
-
-#[test]
 fn probe_alloc_scoped_to_failure_analysis_files() {
     let src = "let affected: Vec<ConnectionId> = conns.values().map(|c| c.id()).collect();\nlet mut decisions = Vec::with_capacity(affected.len());\n";
     let fired = rules_fired("crates/core/src/failure.rs", src);

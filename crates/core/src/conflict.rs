@@ -15,10 +15,10 @@
 //!   release touches only the affected `(i, j)` bits;
 //! * the cached `‖APLV_i‖₁` scalar per link.
 //!
-//! With the primary's `LSET` densified once per request
-//! ([`ConflictVector::from_links`]), D-LSR's cost becomes a popcount over
-//! `CV_i ∩ LSET_P` — `O(N/64)` words instead of `O(|LSET|·log |APLV|)` map
-//! probes — and P-LSR's cost an array read.
+//! D-LSR's cost is then [`ConflictVector::overlap`] — one bit test of
+//! `CV_i` per link of the primary, `O(|LSET_P|)` reads of an `N/8`-byte
+//! bitset rather than of the `16·N`-byte dense APLV — and P-LSR's cost an
+//! array read.
 
 use crate::{Aplv, ConflictVector};
 use drt_net::LinkId;

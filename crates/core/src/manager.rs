@@ -3,8 +3,8 @@
 use crate::multiplex::{MultiplexConfig, SparePolicy};
 use crate::routing::{RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::{
-    Aplv, ConflictState, ConflictVector, ConnectionId, ConnectionState, DrConnection, DrtpError,
-    IncidenceIndex, LinkResources, Telemetry,
+    Aplv, ConflictState, ConnectionId, ConnectionState, DrConnection, DrtpError, IncidenceIndex,
+    LinkResources, Telemetry,
 };
 use drt_net::algo::{AllPairsHops, DynamicSpt};
 use drt_net::{Bandwidth, LinkId, Network, Route};
@@ -249,9 +249,9 @@ impl<'a> ManagerView<'a> {
     }
 
     /// `Σ_{j ∈ lset} c_{l,j}` — D-LSR's conflict count of `l` against a
-    /// primary link set, recomputed from the sparse APLV. This is the
-    /// pre-incremental baseline path, kept for equivalence tests and the
-    /// routing benchmarks; hot callers use
+    /// primary link set, derived from the APLV's counts. This is the
+    /// baseline path ([`crate::routing::DLsr::sparse_baseline`]), kept for
+    /// equivalence tests and ablations; hot callers use
     /// [`ManagerView::conflict_overlap`].
     pub fn conflict_count(&self, l: LinkId, primary_lset: &[LinkId]) -> u32 {
         if self.lie(l).is_some_and(|d| d.deflate_conflicts) {
@@ -260,19 +260,14 @@ impl<'a> ManagerView<'a> {
         self.aplvs[l.index()].conflicts_with(primary_lset)
     }
 
-    /// D-LSR's conflict count of `l` against a primary link set already
-    /// densified via [`ConflictVector::from_links`] — a popcount over
-    /// `CV_l ∩ LSET_P` on the incrementally maintained bitset.
-    pub fn conflict_overlap(&self, l: LinkId, primary_lset: &ConflictVector) -> u32 {
+    /// D-LSR's conflict count of `l` against a primary link set: one bit
+    /// test per primary link on the incrementally maintained `CV_l` —
+    /// O(|LSET_P|) whatever the size of the network.
+    pub fn conflict_overlap(&self, l: LinkId, primary_lset: &[LinkId]) -> u32 {
         if self.lie(l).is_some_and(|d| d.deflate_conflicts) {
             return 0;
         }
-        self.conflict.cv(l).and_count(primary_lset)
-    }
-
-    /// Densifies a primary link set for [`ManagerView::conflict_overlap`].
-    pub fn densify_lset(&self, lset: &[LinkId]) -> ConflictVector {
-        ConflictVector::from_links(self.net.num_links(), lset)
+        self.conflict.cv(l).overlap(primary_lset)
     }
 
     /// `true` when `l` is alive and can admit a primary of size `bw` from

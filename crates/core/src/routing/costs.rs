@@ -58,15 +58,14 @@ pub(crate) fn lsr_backup(
 ) -> Result<Route, DrtpError> {
     let eps = epsilon(view.net().num_links());
     let bw = req.bandwidth();
-    let mut q_links: BTreeSet<LinkId> = primary.links().iter().copied().collect();
-    for r in avoid {
-        q_links.extend(r.links().iter().copied());
-    }
+    // The Q-links are a couple of routes: scanning their slices beats
+    // building a set per call.
+    let on_own_route = |l| primary.contains_link(l) || avoid.iter().any(|r| r.contains_link(l));
     shortest_path(view.net(), req.src, req.dst, |l| {
         if !view.alive(l) {
             return None;
         }
-        let q = if q_links.contains(&l) || !view.usable_for_backup(l, bw) {
+        let q = if on_own_route(l) || !view.usable_for_backup(l, bw) {
             Q
         } else {
             0.0

@@ -5,7 +5,7 @@ use crate::routing::costs::{
 };
 use crate::routing::{RoutePair, RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::{DrtpError, ManagerView};
-use drt_net::Route;
+use drt_net::{LinkId, Route};
 
 /// The deterministic link-state routing scheme.
 ///
@@ -27,12 +27,11 @@ use drt_net::Route;
 /// [`RoutingOverhead`]).
 ///
 /// The cost term is evaluated on the manager's incrementally maintained
-/// dense conflict bitsets: the primary's `LSET` is densified once per
-/// request and every relaxed link pays one word-wise popcount
-/// (`CV_i ∩ LSET_P`) instead of per-element sparse-map probes. The
-/// pre-incremental path is preserved behind
-/// [`DLsr::sparse_baseline`] so benchmarks and equivalence tests can
-/// compare the two; both produce identical costs, hence identical routes.
+/// conflict bitsets: every relaxed link pays one bit test of `CV_i` per
+/// link of the primary — O(|LSET_P|), independent of the network's size.
+/// [`DLsr::sparse_baseline`] reads the same term off the dense APLV counts
+/// instead, so ablations and equivalence tests can compare the two; both
+/// produce identical costs, hence identical routes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DLsr {
     sparse: bool,
@@ -44,10 +43,10 @@ impl DLsr {
         DLsr::default()
     }
 
-    /// Creates the scheme with the pre-incremental cost evaluation that
-    /// walks the sparse APLV maps on every relaxation — the baseline the
-    /// routing benchmarks measure the incremental engine against. Routes
-    /// are identical to [`DLsr::new`]; only the evaluation cost differs.
+    /// Creates the scheme with the cost evaluation that reads the APLV
+    /// counts on every relaxation — the baseline the incremental conflict
+    /// bitsets are measured against. Routes are identical to
+    /// [`DLsr::new`]; only the evaluation cost differs.
     pub fn sparse_baseline() -> Self {
         DLsr { sparse: true }
     }
@@ -56,6 +55,15 @@ impl DLsr {
     /// links: link id (4) + available bandwidth (4) + the conflict vector.
     fn entry_bytes(num_links: usize) -> u64 {
         8 + num_links.div_ceil(8) as u64
+    }
+
+    /// `Σ_{L_j ∈ LSET_P} c_{l,j}` for one candidate backup link `l`.
+    fn conflict_term(&self, view: &ManagerView<'_>, l: LinkId, lset: &[LinkId]) -> f64 {
+        f64::from(if self.sparse {
+            view.conflict_count(l, lset)
+        } else {
+            view.conflict_overlap(l, lset)
+        })
     }
 }
 
@@ -70,17 +78,9 @@ impl RoutingScheme for DLsr {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
-        let primary_lset = primary.links().to_vec();
-        let lset_cv = view.densify_lset(&primary_lset);
-        let backups = if self.sparse {
-            lsr_backups(view, req, &primary, |l| {
-                view.conflict_count(l, &primary_lset) as f64
-            })?
-        } else {
-            lsr_backups(view, req, &primary, |l| {
-                view.conflict_overlap(l, &lset_cv) as f64
-            })?
-        };
+        let backups = lsr_backups(view, req, &primary, |l| {
+            self.conflict_term(view, l, primary.links())
+        })?;
         let overhead = lsa_overhead(
             view.net().num_links(),
             changed_links(&primary, &backups),
@@ -101,17 +101,9 @@ impl RoutingScheme for DLsr {
         primary: &Route,
         existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
-        let primary_lset = primary.links().to_vec();
-        let lset_cv = view.densify_lset(&primary_lset);
-        let backup = if self.sparse {
-            lsr_backup(view, req, primary, existing, |l| {
-                view.conflict_count(l, &primary_lset) as f64
-            })?
-        } else {
-            lsr_backup(view, req, primary, existing, |l| {
-                view.conflict_overlap(l, &lset_cv) as f64
-            })?
-        };
+        let backup = lsr_backup(view, req, primary, existing, |l| {
+            self.conflict_term(view, l, primary.links())
+        })?;
         let overhead = lsa_overhead(
             view.net().num_links(),
             backup.len(),

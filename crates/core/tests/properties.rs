@@ -201,26 +201,23 @@ proptest! {
                 let sparse_cv = view.aplv(l).conflict_vector(n);
                 for j in 0..n {
                     let probe = LinkId::new(j as u32);
-                    let unit = view.densify_lset(&[probe]);
                     prop_assert_eq!(
-                        view.conflict_overlap(l, &unit) == 1,
+                        view.conflict_overlap(l, &[probe]) == 1,
                         sparse_cv.get(probe),
                         "CV bit ({}, {}) diverged", l, probe
                     );
                 }
             }
-            // The dense D-LSR overlap cost equals the sparse conflict
-            // count on every live primary LSET.
-            let ids: Vec<ConnectionId> = live.clone();
-            for id in ids {
+            // The bitset D-LSR overlap cost equals the APLV-derived
+            // conflict count on every live primary LSET.
+            for &id in &live {
                 let Some(conn) = mgr.connection(id) else { continue; };
-                let lset = conn.primary().links().to_vec();
-                let dense = view.densify_lset(&lset);
+                let lset = conn.primary().links();
                 for i in 0..n {
                     let l = LinkId::new(i as u32);
                     prop_assert_eq!(
-                        view.conflict_overlap(l, &dense),
-                        view.conflict_count(l, &lset),
+                        view.conflict_overlap(l, lset),
+                        view.conflict_count(l, lset),
                         "D-LSR cost term diverged on {}", l
                     );
                 }

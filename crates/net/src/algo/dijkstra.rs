@@ -141,13 +141,31 @@ impl SpfWorkspace {
     }
 
     /// Runs Dijkstra from `src` with per-link costs given by `cost`,
-    /// replacing whatever search the workspace held before.
+    /// replacing whatever search the workspace held before, and settles
+    /// every node reachable from `src`.
     ///
     /// Links for which `cost` returns `None` are excluded from the search.
     /// Negative costs are treated as zero (Dijkstra's invariant requires
     /// non-negative costs; the routing schemes of the paper only produce
     /// non-negative ones).
-    pub fn run(&mut self, net: &Network, src: NodeId, mut cost: impl FnMut(LinkId) -> Option<f64>) {
+    pub fn run(&mut self, net: &Network, src: NodeId, cost: impl FnMut(LinkId) -> Option<f64>) {
+        self.search(net, src, None, cost);
+    }
+
+    /// The one Dijkstra loop. With a `target` the search stops as soon as
+    /// that node is settled: its label and those of every node on its
+    /// parent chain are final at that point (a parent is always settled
+    /// before it hands out a label, and settled labels never change), so
+    /// the distance and route read for `target` are those of the full run,
+    /// tie-breaks included. Nodes still in the heap keep tentative labels,
+    /// which [`SpfWorkspace::settled`] hides from every query.
+    fn search(
+        &mut self,
+        net: &Network,
+        src: NodeId,
+        target: Option<NodeId>,
+        mut cost: impl FnMut(LinkId) -> Option<f64>,
+    ) {
         let n = net.num_nodes();
         self.begin(n, src);
         if src.index() < n {
@@ -167,6 +185,9 @@ impl SpfWorkspace {
                 continue;
             }
             self.done[i] = true;
+            if target == Some(node) {
+                break;
+            }
             for &lid in net.out_links(node) {
                 let Some(step) = cost(lid) else { continue };
                 let step = step.max(0.0);
@@ -191,16 +212,24 @@ impl SpfWorkspace {
         }
     }
 
+    /// `true` when node index `i` was settled (popped with its final
+    /// label) by the current search. After a full [`SpfWorkspace::run`]
+    /// that is every reached node; after a search that stopped at its
+    /// target it excludes the nodes left in the heap.
+    fn settled(&self, i: usize) -> bool {
+        i < self.stamp.len() && self.stamp[i] == self.gen && self.done[i]
+    }
+
     /// The source of the workspace's current search.
     pub fn source(&self) -> NodeId {
         self.source
     }
 
     /// Cost of the cheapest route to `node` in the current search, or
-    /// `None` if unreachable.
+    /// `None` if unreachable (or not settled before the search stopped).
     pub fn distance(&self, node: NodeId) -> Option<f64> {
         let i = node.index();
-        (i < self.stamp.len() && self.stamp[i] == self.gen).then(|| self.dist[i])
+        self.settled(i).then(|| self.dist[i])
     }
 
     /// Reconstructs the cheapest route of the current search to `dest`, or
@@ -222,15 +251,13 @@ impl SpfWorkspace {
     }
 
     /// The tree link that reaches `node` in the current search, or `None`
-    /// for the source and unreached nodes. Together with
+    /// for the source and unsettled nodes. Together with
     /// [`SpfWorkspace::distance`] this lets callers copy a finished search
     /// out into their own storage (the dynamic-SPT engine builds its
     /// repairable tree this way).
     pub fn parent_link(&self, node: NodeId) -> Option<LinkId> {
         let i = node.index();
-        (i < self.stamp.len() && self.stamp[i] == self.gen)
-            .then(|| self.parent_link[i])
-            .flatten()
+        self.settled(i).then(|| self.parent_link[i]).flatten()
     }
 
     /// Copies the current search out as an owned [`ShortestPathTree`] for
@@ -240,8 +267,8 @@ impl SpfWorkspace {
         let mut dist: Vec<Option<f64>> = vec![None; n];
         // lint:allow(spf-alloc) — cold path: owned-tree parent array
         let mut parent_link: Vec<Option<LinkId>> = vec![None; n];
-        for i in 0..n.min(self.stamp.len()) {
-            if self.stamp[i] == self.gen {
+        for i in 0..n {
+            if self.settled(i) {
                 dist[i] = Some(self.dist[i]);
                 parent_link[i] = self.parent_link[i];
             }
@@ -313,7 +340,8 @@ pub fn shortest_path(
 
 /// [`shortest_path`] into a caller-managed [`SpfWorkspace`] — the zero-
 /// allocation variant threaded through Yen spur searches and the disjoint-
-/// pair algorithms.
+/// pair algorithms. The search stops once `dst` is settled, so afterwards
+/// the workspace answers only for the nodes settled up to then.
 pub fn shortest_path_in(
     ws: &mut SpfWorkspace,
     net: &Network,
@@ -321,7 +349,7 @@ pub fn shortest_path_in(
     dst: NodeId,
     cost: impl FnMut(LinkId) -> Option<f64>,
 ) -> Option<(f64, Route)> {
-    ws.run(net, src, cost);
+    ws.search(net, src, Some(dst), cost);
     let d = ws.distance(dst)?;
     let route = ws.route_to(net, dst)?;
     Some((d, route))
@@ -430,19 +458,55 @@ mod tests {
 
     #[test]
     fn workspace_reuse_matches_fresh_runs() {
-        // Interleave searches over two different networks through ONE
-        // workspace; each result must equal a fresh single-use run.
+        // Interleave targeted and full searches over two different networks
+        // through ONE workspace; each result must equal a fresh single-use
+        // run.
         let small = topology::ring(5, CAP).unwrap();
         let big = topology::mesh(4, 4, CAP).unwrap();
         let mut ws = SpfWorkspace::new();
         for round in 0..3 {
             for (net, dst) in [(&small, 3), (&big, 15)] {
                 let src = NodeId::new(round % 2);
-                let got = shortest_path_in(&mut ws, net, src, NodeId::new(dst), |_| Some(1.0));
-                let fresh = shortest_path(net, src, NodeId::new(dst), |_| Some(1.0));
+                let dst = NodeId::new(dst);
+                let got = shortest_path_in(&mut ws, net, src, dst, |_| Some(1.0));
+                let fresh = shortest_path(net, src, dst, |_| Some(1.0));
                 assert_eq!(got, fresh);
+
+                ws.run(net, src, |_| Some(1.0));
+                let tree = shortest_path_tree(net, src, |_| Some(1.0));
+                for node in net.nodes() {
+                    assert_eq!(ws.distance(node), tree.distance(node));
+                    assert_eq!(ws.route_to(net, node), tree.route_to(net, node));
+                }
+                assert_eq!(ws.distance(dst).zip(ws.route_to(net, dst)), fresh);
             }
         }
+    }
+
+    #[test]
+    fn targeted_search_hides_unsettled_labels() {
+        // 0 -> 1 on a ring: settling the source labels both neighbours, the
+        // tie pops node 1 first and the search stops, so node 5 is left in
+        // the heap with a tentative label no query may report.
+        let net = topology::ring(6, CAP).unwrap();
+        let mut ws = SpfWorkspace::new();
+        let (cost, route) =
+            shortest_path_in(&mut ws, &net, NodeId::new(0), NodeId::new(1), |_| Some(1.0)).unwrap();
+        assert_eq!((cost, route.len()), (1.0, 1));
+        assert_eq!(ws.distance(NodeId::new(0)), Some(0.0));
+        assert_eq!(ws.distance(NodeId::new(1)), Some(1.0));
+        let tree = ws.extract_tree(net.num_nodes());
+        for i in 2..6u32 {
+            let node = NodeId::new(i);
+            assert_eq!(ws.distance(node), None, "tentative dist at {i}");
+            assert_eq!(ws.parent_link(node), None, "tentative parent at {i}");
+            assert!(ws.route_to(&net, node).is_none());
+            assert_eq!(tree.distance(node), None);
+            assert!(tree.route_to(&net, node).is_none());
+        }
+        // The full run through the same workspace settles it.
+        ws.run(&net, NodeId::new(0), |_| Some(1.0));
+        assert_eq!(ws.distance(NodeId::new(5)), Some(1.0));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property-based tests for the network substrate.
 
 use drt_net::algo::{
-    bellman_ford, k_shortest_paths, shortest_path_hops, shortest_path_tree, suurballe,
-    AllPairsHops, DistanceTable,
+    bellman_ford, k_shortest_paths, shortest_path_hops, shortest_path_in, shortest_path_tree,
+    suurballe, AllPairsHops, DistanceTable, SpfWorkspace,
 };
-use drt_net::{topology, Bandwidth, NodeId};
+use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId};
 use proptest::prelude::*;
 
 const CAP: Bandwidth = Bandwidth::from_mbps(100);
@@ -17,8 +17,77 @@ fn arb_connected_net() -> impl Strategy<Value = drt_net::Network> {
     })
 }
 
+/// Random duplex pairs over a fixed node set: sparse draws leave several
+/// components (and isolated nodes), dense ones connect everything.
+fn arb_any_net() -> impl Strategy<Value = drt_net::Network> {
+    (
+        2usize..=14,
+        prop::collection::vec((0u32..14, 0u32..14), 0..=30),
+    )
+        .prop_map(|(n, pairs)| {
+            let mut b = NetworkBuilder::with_nodes(n);
+            for (a, z) in pairs {
+                let (a, z) = (NodeId::new(a % n as u32), NodeId::new(z % n as u32));
+                if a != z && !b.has_link(a, z) {
+                    b.add_duplex_link(a, z, CAP)
+                        .expect("fresh distinct endpoints");
+                }
+            }
+            b.build()
+        })
+}
+
+/// One cost class per link, cycled over the link ids: excluded, free,
+/// Q-scale penalties (where a unit step is below one ulp of the sum), and
+/// small multiples of 0.5 that tie often.
+fn cost_of(classes: &[u8], l: LinkId) -> Option<f64> {
+    match classes[l.index() % classes.len()] {
+        0 => None,
+        1 | 2 => Some(0.0),
+        3 => Some(1e9),
+        4 => Some(1e9 + 1.0),
+        c => Some(f64::from(c % 4) * 0.5),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn targeted_search_equals_full_search(
+        connected in arb_connected_net(),
+        any_net in arb_any_net(),
+        classes in prop::collection::vec(0u8..12, 1..=40),
+    ) {
+        // One workspace serves every targeted and full search of the case.
+        let mut ws = SpfWorkspace::new();
+        for net in [&connected, &any_net] {
+            for src in net.nodes() {
+                let full = shortest_path_tree(net, src, |l| cost_of(&classes, l));
+                for dst in net.nodes() {
+                    let got = shortest_path_in(&mut ws, net, src, dst, |l| cost_of(&classes, l));
+                    let want = full.distance(dst).zip(full.route_to(net, dst));
+                    prop_assert_eq!(
+                        got.as_ref().map(|(c, r)| (c.to_bits(), r.links())),
+                        want.as_ref().map(|(c, r)| (c.to_bits(), r.links())),
+                        "{} -> {}", src, dst
+                    );
+                    // Whatever the early stop left settled is final.
+                    for node in net.nodes() {
+                        if let Some(d) = ws.distance(node) {
+                            prop_assert_eq!(Some(d.to_bits()), full.distance(node).map(f64::to_bits));
+                            prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
+                        }
+                    }
+                }
+                ws.run(net, src, |l| cost_of(&classes, l));
+                for node in net.nodes() {
+                    prop_assert_eq!(ws.distance(node), full.distance(node));
+                    prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
+                }
+            }
+        }
+    }
 
     #[test]
     fn generated_networks_are_connected(net in arb_connected_net()) {

@@ -16,6 +16,12 @@
 //! * `max_j a_{i,j}` — the spare-sizing requirement of Section 5 (enough
 //!   spare for the worst single link failure).
 //!
+//! All three live in the [`Aplv`] itself and move with the counts:
+//! `register` / `unregister` already see every 0→1 / 1→0 transition, so
+//! they flip the bit of `CV_i` there and then. D-LSR's cost term reads
+//! the `⌈N/8⌉`-byte bitset, never the `16·N`-byte count array — which is
+//! the whole of what the bitset buys (DESIGN.md §11).
+//!
 //! This implementation additionally accumulates, per `j`, the *bandwidth*
 //! of the contending backups, so spare sizing stays correct even when
 //! connections have heterogeneous bandwidths (the paper assumes uniform
@@ -70,6 +76,10 @@ enum BwMode {
 /// correctness is mode-independent and cross-checked by the manager's
 /// invariant audit.
 ///
+/// The conflict vector `CV_i` is kept next to the counts: bit `j` is set
+/// exactly while `a_{i,j} > 0`, flipped at the count transitions, so
+/// [`Aplv::conflicts_with`] is one bit test per link of the primary.
+///
 /// # Example
 ///
 /// The worked example of the paper's Figure 1: backups `B₁` and `B₃` run
@@ -96,6 +106,9 @@ enum BwMode {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Aplv {
     entries: Vec<AplvEntry>,
+    /// `CV_i`: bit `j` set iff `entries[j].count > 0`. Grown on demand
+    /// like `entries`, or pre-sized by [`Aplv::with_num_links`].
+    cv: ConflictVector,
     l1: u64,
     /// `hist[c]` = number of entries with `count == c`, for `c ≥ 1`
     /// (index 0 is unused). Supports the O(1) running maximum.
@@ -116,14 +129,27 @@ pub struct Aplv {
 /// `Mixed` over a since-released registration, but both must agree on
 /// every derived quantity — which is exactly what the invariant audit
 /// needs cross-checked.
+///
+/// The conflict bits are derived state too, and `a_{i,j} > 0` is their
+/// specification: equality additionally requires bit `j` to say exactly
+/// that on *both* sides, for every `j` either vector covers. A drifted
+/// bit therefore makes an `Aplv` unequal to its own rebuild — the audit
+/// that used to be the manager's invariant 1b.
 impl PartialEq for Aplv {
     fn eq(&self, other: &Self) -> bool {
         let n = self.entries.len().max(other.entries.len());
+        let bits = self.cv.len().max(other.cv.len());
         let elem = |a: &Aplv, i: usize| a.entries.get(i).copied().unwrap_or_default();
         self.l1 == other.l1
             && self.max_count == other.max_count
             && self.required_spare() == other.required_spare()
-            && (0..n).all(|i| elem(self, i) == elem(other, i))
+            && (0..n.max(bits)).all(|i| {
+                let e = elem(self, i);
+                let j = LinkId::new(i as u32);
+                e == elem(other, i)
+                    && self.cv.get(j) == (e.count > 0)
+                    && other.cv.get(j) == (e.count > 0)
+            })
     }
 }
 
@@ -133,6 +159,15 @@ impl Aplv {
     /// Creates an empty APLV (no backups registered).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty APLV whose conflict bits already cover `num_links` links,
+    /// so registrations never regrow them.
+    pub fn with_num_links(num_links: usize) -> Self {
+        Aplv {
+            cv: ConflictVector::zeros(num_links),
+            ..Self::default()
+        }
     }
 
     /// The element for `j`, growing the dense vector as needed.
@@ -180,22 +215,9 @@ impl Aplv {
     }
 
     /// Registers a backup whose primary has link set `primary_lset` and
-    /// bandwidth `bw`: increments `a_{i,j}` for every `j ∈ primary_lset`.
+    /// bandwidth `bw`: increments `a_{i,j}` for every `j ∈ primary_lset`,
+    /// setting `c_{i,j}` where the count leaves 0.
     pub fn register(&mut self, primary_lset: &[LinkId], bw: Bandwidth) {
-        self.register_with(primary_lset, bw, |_| {});
-    }
-
-    /// Like [`Aplv::register`], but invokes `became_set(j)` for every `j`
-    /// whose count transitions 0 → 1 — the exact moments the dense
-    /// conflict-vector bit `c_{i,j}` flips on. This is the delta hook the
-    /// incremental conflict engine uses to keep its bitsets in lockstep
-    /// without rescanning the map.
-    pub fn register_with(
-        &mut self,
-        primary_lset: &[LinkId],
-        bw: Bandwidth,
-        mut became_set: impl FnMut(LinkId),
-    ) {
         if !primary_lset.is_empty() {
             self.note_bw(bw);
         }
@@ -207,34 +229,23 @@ impl Aplv {
             self.l1 += 1;
             self.hist_up(c);
             if c == 0 {
-                became_set(j);
+                if j.index() >= self.cv.len() {
+                    self.cv.resize(j.index() + 1);
+                }
+                self.cv.set(j);
             }
         }
     }
 
     /// Removes a previously registered backup (same `primary_lset` and
-    /// `bw` as at registration).
+    /// `bw` as at registration), clearing `c_{i,j}` where the count
+    /// returns to 0.
     ///
     /// # Panics
     ///
     /// Panics if the registration is not present — that indicates corrupted
     /// bookkeeping, which must never be silently ignored.
     pub fn unregister(&mut self, primary_lset: &[LinkId], bw: Bandwidth) {
-        self.unregister_with(primary_lset, bw, |_| {});
-    }
-
-    /// Like [`Aplv::unregister`], but invokes `became_clear(j)` for every
-    /// `j` whose count transitions 1 → 0 — the moments `c_{i,j}` flips off.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Aplv::unregister`].
-    pub fn unregister_with(
-        &mut self,
-        primary_lset: &[LinkId],
-        bw: Bandwidth,
-        mut became_clear: impl FnMut(LinkId),
-    ) {
         for &j in primary_lset {
             let e = self
                 .entries
@@ -249,7 +260,7 @@ impl Aplv {
             self.hist_down(c);
             if cleared {
                 assert!(new_bw.is_zero(), "aplv bandwidth residue at {j}");
-                became_clear(j);
+                self.cv.clear(j);
             }
         }
     }
@@ -304,9 +315,10 @@ impl Aplv {
 
     /// Number of links `j` for which `c_{i,j} = 1` (i.e. `a_{i,j} > 0`)
     /// **and** `j` is in the given primary link set — D-LSR's per-link cost
-    /// term `Σ_{L_j ∈ LSET_{P_x}} c_{i,j}`.
+    /// term `Σ_{L_j ∈ LSET_{P_x}} c_{i,j}`: one bit test of `CV_i` per
+    /// link of the primary (links beyond anything registered read 0).
     pub fn conflicts_with(&self, primary_lset: &[LinkId]) -> u32 {
-        primary_lset.iter().filter(|j| self.count(**j) > 0).count() as u32
+        self.cv.overlap(primary_lset)
     }
 
     /// Returns `true` when no backups are registered.
@@ -324,15 +336,12 @@ impl Aplv {
             .map(|(j, e)| (LinkId::new(j as u32), e.count, e.bandwidth))
     }
 
-    /// Extracts the Conflict Vector (`CV_i`) of D-LSR: one bit per link of
-    /// a network with `num_links` links.
+    /// The Conflict Vector (`CV_i`) of D-LSR as advertised in a network
+    /// with `num_links` links: a copy of the maintained bits, cut or
+    /// zero-extended to that length.
     pub fn conflict_vector(&self, num_links: usize) -> ConflictVector {
-        let mut cv = ConflictVector::zeros(num_links);
-        for (j, _, _) in self.iter() {
-            if j.index() < num_links {
-                cv.set(j);
-            }
-        }
+        let mut cv = self.cv.clone();
+        cv.resize(num_links);
         cv
     }
 }
@@ -368,7 +377,7 @@ impl fmt::Display for Aplv {
 /// assert!(cv.get(LinkId::new(2)));
 /// assert_eq!(cv.ones(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ConflictVector {
     bits: Vec<u64>,
     len: usize,
@@ -386,6 +395,18 @@ impl ConflictVector {
     /// Number of links the vector covers (`N`).
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Changes the number of links covered: new bits read 0, bits at or
+    /// beyond `num_links` are dropped.
+    pub fn resize(&mut self, num_links: usize) {
+        self.bits.resize(num_links.div_ceil(64), 0);
+        if let (Some(last), used @ 1..) = (self.bits.last_mut(), num_links % 64) {
+            // Keep the unused high bits of the last word zero, so a later
+            // growth cannot resurrect a dropped bit and `ones` stays exact.
+            *last &= (1 << used) - 1;
+        }
+        self.len = num_links;
     }
 
     /// Returns `true` when the vector covers zero links.
@@ -604,16 +625,45 @@ mod tests {
     }
 
     #[test]
-    fn register_with_reports_bit_transitions() {
-        let mut aplv = Aplv::new();
-        let mut on = Vec::new();
-        aplv.register_with(&[l(1), l(2)], BW, |j| on.push(j));
-        aplv.register_with(&[l(2), l(3)], BW, |j| on.push(j));
-        assert_eq!(on, vec![l(1), l(2), l(3)]); // second l(2) is 1→2, no flip
-        let mut off = Vec::new();
-        aplv.unregister_with(&[l(1), l(2)], BW, |j| off.push(j));
-        assert_eq!(off, vec![l(1)]); // l(2) drops 2→1, bit stays set
-        aplv.unregister_with(&[l(2), l(3)], BW, |j| off.push(j));
-        assert_eq!(off, vec![l(1), l(2), l(3)]);
+    fn resize_drops_and_zero_extends() {
+        let mut cv = ConflictVector::zeros(140);
+        cv.set(l(3));
+        cv.set(l(69));
+        cv.set(l(139));
+        cv.resize(69);
+        assert_eq!((cv.len(), cv.ones()), (69, 1));
+        // Growing again must not resurrect the dropped bits.
+        cv.resize(200);
+        assert!(cv.get(l(3)) && !cv.get(l(69)) && !cv.get(l(139)));
+        assert_eq!(cv.ones(), 1);
+        cv.resize(0);
+        assert!(cv.is_empty() && cv.ones() == 0);
+    }
+
+    /// The audit still bites: `count(j) > 0` is the specification of bit
+    /// `j`, so an `Aplv` whose bit and count disagree — either way — is
+    /// unequal to the one rebuilt from its registrations, which is what
+    /// `assert_invariants` compares it with.
+    #[test]
+    fn drifted_conflict_bit_breaks_equality_with_rebuild() {
+        let rebuilt = {
+            let mut a = Aplv::new();
+            a.register(&[l(3), l(70)], BW);
+            a
+        };
+        let mut live = Aplv::with_num_links(140);
+        live.register(&[l(3), l(70)], BW);
+        assert_eq!(live, rebuilt);
+        assert_eq!(rebuilt, live);
+
+        live.cv.clear(l(70)); // count 1, bit 0
+        assert_ne!(live, rebuilt);
+        assert_ne!(rebuilt, live);
+        live.cv.set(l(70));
+        assert_eq!(live, rebuilt);
+
+        live.cv.set(l(139)); // count 0 (beyond every entry), bit 1
+        assert_ne!(live, rebuilt);
+        assert_ne!(rebuilt, live);
     }
 }

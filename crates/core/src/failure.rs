@@ -22,7 +22,7 @@
 //! [`DrtpManager::reestablish_backup`]).
 
 use crate::multiplex::{ActivationPool, FailureModel};
-use crate::{ConnectionId, ConnectionState, DrtpError, DrtpManager};
+use crate::{ConnectionId, ConnectionState, DrtpError, DrtpManager, LinkResources};
 use drt_net::{Bandwidth, LinkId, NodeId, SrlgId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -616,24 +616,11 @@ impl DrtpManager {
             if won.is_some() {
                 continue;
             }
-            let conn = self.conns.get(id).expect("probed connection exists");
-            let bw = conn.qos().bandwidth;
-            let primary = conn.primary().clone();
-            let backups = conn.backups().to_vec();
-            let dedicated = conn.backup_is_dedicated();
-            self.release_route_prime(primary.links(), bw);
-            self.incidence.remove_primary(primary.links(), *id);
-            for b in &backups {
-                self.incidence.remove_backup(b.links(), *id);
-                if dedicated {
-                    self.release_route_prime(b.links(), bw);
-                } else {
-                    self.unregister_backup(b, primary.links(), bw);
-                }
-            }
-            let c = self.conns.get_mut(id).expect("exists");
-            c.clear_backups();
-            c.set_state(ConnectionState::Failed);
+            let mut conn = self.conns.remove(id).expect("probed connection exists");
+            self.detach_all(&conn);
+            conn.clear_backups();
+            conn.set_state(ConnectionState::Failed);
+            self.conns.insert(*id, conn);
             report.lost.push(*id);
         }
 
@@ -665,12 +652,7 @@ impl DrtpManager {
                     continue;
                 }
                 let removed = conn.remove_backup(idx);
-                self.incidence.remove_backup(removed.links(), id);
-                if dedicated {
-                    self.release_route_prime(removed.links(), bw);
-                } else {
-                    self.unregister_backup(&removed, conn.primary().links(), bw);
-                }
+                self.detach_backup(id, &removed, conn.primary().links(), bw, dedicated);
             }
             if conn.backups().is_empty() {
                 report.unprotected.push(id);
@@ -690,10 +672,9 @@ impl DrtpManager {
         Ok(report)
     }
 
-    /// Switches a contention winner onto backup `win_idx`: the old
-    /// primary's reservations and every backup registration are released,
-    /// the winning backup's activation bandwidth converts into a primary
-    /// reservation, and the connection record promotes. Shared by
+    /// Switches a contention winner onto backup `win_idx`: the old primary
+    /// and every backup are detached, the winning route is attached as
+    /// the new primary, and the connection record promotes. Shared by
     /// [`DrtpManager::inject_event`] (real failures) and
     /// [`DrtpManager::inject_false_report`] (spoofed ones — the switch is
     /// identical, only the link's true state differs).
@@ -702,38 +683,18 @@ impl DrtpManager {
         // routes can be walked by reference — no per-winner route clones
         // on the recovery hot path.
         let mut conn = self.conns.remove(&id).expect("probed connection exists");
-        let bw = conn.qos().bandwidth;
-        let dedicated = conn.backup_is_dedicated();
-
-        self.release_route_prime(conn.primary().links(), bw);
-        self.incidence.remove_primary(conn.primary().links(), id);
-        for b in conn.backups() {
-            self.incidence.remove_backup(b.links(), id);
-        }
-        if dedicated {
-            // The promoted backup keeps its hard reservations as the
-            // new primary; the remaining backups are released.
-            for (i, b) in conn.backups().iter().enumerate() {
-                if i != win_idx {
-                    self.release_route_prime(b.links(), bw);
-                }
-            }
+        self.detach_all(&conn);
+        // The promoted backup route is the connection's new primary: a
+        // dedicated one takes back the hard reservation it just released,
+        // a multiplexed one converts activation bandwidth from the pools.
+        let take = if conn.backup_is_dedicated() {
+            LinkResources::admit_primary
         } else {
-            // All backups leave the spare pools; the promoted one then
-            // converts activation bandwidth into a primary reservation.
-            for b in conn.backups() {
-                self.unregister_backup(b, conn.primary().links(), bw);
-            }
-            for &l in conn.backups()[win_idx].links() {
-                self.links[l.index()]
-                    .promote_from_pools(bw)
-                    .expect("activation pools cover decided winners");
-            }
-        }
-        // The promoted backup route is the connection's new primary; the
-        // remaining backups are all gone.
-        self.incidence
-            .add_primary(conn.backups()[win_idx].links(), id);
+            LinkResources::promote_from_pools
+        };
+        let promoted = conn.backups()[win_idx].links();
+        self.attach_primary(id, promoted, conn.qos().bandwidth, take)
+            .expect("activation pools cover decided winners");
         conn.promote_backup(win_idx);
         self.conns.insert(id, conn);
     }
@@ -974,8 +935,7 @@ impl DrtpManager {
     }
 
     /// The full-scan reference implementation of the failure-analysis
-    /// paths, for equivalence tests and benchmarks (the counterpart of
-    /// `DLsr::sparse_baseline` for the probe side).
+    /// paths, for equivalence tests and benchmarks.
     pub fn naive_baseline(&self) -> NaiveFailureAnalysis<'_> {
         NaiveFailureAnalysis { mgr: self }
     }

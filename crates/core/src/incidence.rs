@@ -11,11 +11,11 @@
 //! [`IncidenceIndex`] keeps, per link, the sorted list of connection ids
 //! whose primary crosses it and (as a multiset — a connection may hold
 //! several backups over one link) whose backups cross it. The index is
-//! maintained *by delta* at the same admit/register/promote/teardown choke
-//! points that already keep the dense [`crate::ConflictState`] digests in
-//! lockstep with the sparse APLVs, so a probe touches only the O(affected)
-//! connections incident to the failed unit. It is one of the manager's
-//! four derived structures (APLVs, conflict digests, this index, and the
+//! maintained *by delta* inside the manager's attach / detach pair — the
+//! same four functions that move a route in and out of the ledgers and
+//! the APLVs — so a probe touches only the O(affected) connections
+//! incident to the failed unit. It is one of the manager's three derived
+//! structures (the APLVs with their conflict bits, this index, and the
 //! per-source shortest-path trees behind the hop table); the index only
 //! *finds* the affected connections — whether a backup is still usable
 //! is read off its route against the failed-link array, with no
@@ -23,9 +23,9 @@
 //!
 //! Only *carrying* connections are indexed: a connection torn down by a
 //! failure leaves the index in the same mutation that marks it
-//! [`crate::ConnectionState::Failed`]. Like the conflict engine, the index
-//! ships its own reference reconstruction ([`IncidenceIndex::rebuild`])
-//! and divergence probe ([`IncidenceIndex::first_divergence`]), wired into
+//! [`crate::ConnectionState::Failed`]. The index ships its own reference
+//! reconstruction ([`IncidenceIndex::rebuild`]) and divergence probe
+//! ([`IncidenceIndex::first_divergence`]), wired into
 //! [`crate::DrtpManager::assert_invariants`] and the property tests.
 
 use crate::{ConnectionId, ConnectionState, DrConnection};

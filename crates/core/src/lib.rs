@@ -69,7 +69,6 @@
 
 pub mod analysis;
 mod aplv;
-mod conflict;
 mod connection;
 mod error;
 pub mod failure;
@@ -84,11 +83,12 @@ pub mod telemetry;
 mod types;
 
 pub use aplv::{Aplv, ConflictVector};
-pub use conflict::ConflictState;
 pub use connection::{ConnectionState, DrConnection};
 pub use error::DrtpError;
 pub use incidence::IncidenceIndex;
 pub use link_state::{CapacityError, LinkResources};
-pub use manager::{DrtpManager, EstablishReport, ManagerView, StateSnapshot, ViewDistortion};
+pub use manager::{
+    DrtpManager, EstablishReport, HashSink, ManagerView, StateSnapshot, ViewDistortion,
+};
 pub use telemetry::{Histogram, Telemetry};
 pub use types::{ConnectionId, QosRequirement};

@@ -3,7 +3,7 @@
 use crate::multiplex::{MultiplexConfig, SparePolicy};
 use crate::routing::{RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::{
-    Aplv, ConflictState, ConnectionId, ConnectionState, DrConnection, DrtpError, IncidenceIndex,
+    Aplv, CapacityError, ConnectionId, ConnectionState, DrConnection, DrtpError, IncidenceIndex,
     LinkResources, Telemetry,
 };
 use drt_net::algo::{AllPairsHops, DynamicSpt};
@@ -24,6 +24,13 @@ use std::sync::Arc;
 /// `LSET`) correspond one-to-one to the APLV updates this manager performs,
 /// and their cost is modelled by [`RoutingOverhead`].
 ///
+/// Three structures are derived from the connection table — the APLVs
+/// (each carrying its conflict bits), the link-incidence index, and the
+/// per-source trees behind the hop table. Every route enters and leaves
+/// the first two through one private attach / detach pair per role
+/// (primary, backup), so a route cannot be in the ledger and the APLVs
+/// without also being in the index.
+///
 /// See the crate-level docs for a usage example.
 #[derive(Debug, Clone)]
 pub struct DrtpManager {
@@ -31,7 +38,6 @@ pub struct DrtpManager {
     pub(crate) cfg: MultiplexConfig,
     pub(crate) links: Vec<LinkResources>,
     pub(crate) aplvs: Vec<Aplv>,
-    pub(crate) conflict: ConflictState,
     pub(crate) incidence: IncidenceIndex,
     pub(crate) failed: Vec<bool>,
     pub(crate) conns: BTreeMap<ConnectionId, DrConnection>,
@@ -42,6 +48,19 @@ pub struct DrtpManager {
     pub(crate) spt: Vec<DynamicSpt>,
     pub(crate) distortion: Option<ViewDistortion>,
     pub(crate) telemetry: Telemetry,
+}
+
+/// A [`fmt::Write`] sink feeding a hasher: digests a `Debug` rendering
+/// without building the string (the state fingerprints of this crate and
+/// `drt_proto` hash megabytes of it per call).
+#[derive(Debug, Default)]
+pub struct HashSink(pub std::collections::hash_map::DefaultHasher);
+
+impl fmt::Write for HashSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        std::hash::Hasher::write(&mut self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Link-state lies a set of byzantine routers injects into route
@@ -146,7 +165,6 @@ pub struct StateSnapshot {
     net: Arc<Network>,
     links: Vec<LinkResources>,
     aplvs: Vec<Aplv>,
-    conflict: ConflictState,
     failed: Vec<bool>,
     hops: AllPairsHops,
 }
@@ -159,7 +177,6 @@ impl StateSnapshot {
             net: &self.net,
             links: &self.links,
             aplvs: &self.aplvs,
-            conflict: &self.conflict,
             failed: &self.failed,
             hops: &self.hops,
             // A snapshot is the honestly-disseminated database; byzantine
@@ -180,7 +197,6 @@ pub struct ManagerView<'a> {
     net: &'a Network,
     links: &'a [LinkResources],
     aplvs: &'a [Aplv],
-    conflict: &'a ConflictState,
     failed: &'a [bool],
     hops: &'a AllPairsHops,
     distortion: Option<&'a ViewDistortion>,
@@ -238,36 +254,24 @@ impl<'a> ManagerView<'a> {
         &self.aplvs[l.index()]
     }
 
-    /// `‖APLV_l‖₁` — P-LSR's advertised scalar, read from the incremental
-    /// conflict engine's cache. A byzantine owner deflating conflicts
-    /// advertises 0.
+    /// `‖APLV_l‖₁` — P-LSR's advertised scalar. A byzantine owner
+    /// deflating conflicts advertises 0.
     pub fn l1_norm(&self, l: LinkId) -> u64 {
         if self.lie(l).is_some_and(|d| d.deflate_conflicts) {
             return 0;
         }
-        self.conflict.l1_norm(l)
+        self.aplvs[l.index()].l1_norm()
     }
 
     /// `Σ_{j ∈ lset} c_{l,j}` — D-LSR's conflict count of `l` against a
-    /// primary link set, derived from the APLV's counts. This is the
-    /// baseline path ([`crate::routing::DLsr::sparse_baseline`]), kept for
-    /// equivalence tests and ablations; hot callers use
-    /// [`ManagerView::conflict_overlap`].
+    /// primary link set: one bit test of `CV_l` per primary link
+    /// ([`Aplv::conflicts_with`]), O(|LSET_P|) whatever the size of the
+    /// network. A byzantine owner deflating conflicts advertises 0.
     pub fn conflict_count(&self, l: LinkId, primary_lset: &[LinkId]) -> u32 {
         if self.lie(l).is_some_and(|d| d.deflate_conflicts) {
             return 0;
         }
         self.aplvs[l.index()].conflicts_with(primary_lset)
-    }
-
-    /// D-LSR's conflict count of `l` against a primary link set: one bit
-    /// test per primary link on the incrementally maintained `CV_l` —
-    /// O(|LSET_P|) whatever the size of the network.
-    pub fn conflict_overlap(&self, l: LinkId, primary_lset: &[LinkId]) -> u32 {
-        if self.lie(l).is_some_and(|d| d.deflate_conflicts) {
-            return 0;
-        }
-        self.conflict.cv(l).overlap(primary_lset)
     }
 
     /// `true` when `l` is alive and can admit a primary of size `bw` from
@@ -302,8 +306,7 @@ impl DrtpManager {
             .links()
             .map(|l| LinkResources::new(l.capacity()))
             .collect();
-        let aplvs = vec![Aplv::new(); net.num_links()];
-        let conflict = ConflictState::new(net.num_links());
+        let aplvs = vec![Aplv::with_num_links(net.num_links()); net.num_links()];
         let incidence = IncidenceIndex::new(net.num_links());
         let failed = vec![false; net.num_links()];
         let hops = AllPairsHops::compute(&net);
@@ -316,7 +319,6 @@ impl DrtpManager {
             cfg,
             links,
             aplvs,
-            conflict,
             incidence,
             failed,
             conns: BTreeMap::new(),
@@ -340,12 +342,16 @@ impl DrtpManager {
     /// A read-only view for route selection, carrying any active
     /// [`ViewDistortion`].
     pub fn view(&self) -> ManagerView<'_> {
+        self.view_over(&self.failed)
+    }
+
+    /// The live view with `failed` standing in for the failed-link mask.
+    fn view_over<'a>(&'a self, failed: &'a [bool]) -> ManagerView<'a> {
         ManagerView {
             net: &self.net,
             links: &self.links,
             aplvs: &self.aplvs,
-            conflict: &self.conflict,
-            failed: &self.failed,
+            failed,
             hops: &self.hops,
             distortion: self.distortion.as_ref(),
         }
@@ -382,7 +388,6 @@ impl DrtpManager {
             net: Arc::clone(&self.net),
             links: self.links.clone(),
             aplvs: self.aplvs.clone(),
-            conflict: self.conflict.clone(),
             failed: self.failed.clone(),
             hops: self.hops.clone(),
         }
@@ -393,11 +398,14 @@ impl DrtpManager {
     /// equal fingerprints are observationally identical; purity tests use
     /// this to prove probes mutate nothing (the `Display` rendering is a
     /// lossy summary and would miss e.g. a perturbed spare pool).
+    ///
+    /// The `Debug` rendering is streamed into the hasher, never built: it
+    /// runs to megabytes at 60 nodes.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{self:?}").hash(&mut h);
-        h.finish()
+        use std::{fmt::Write, hash::Hasher};
+        let mut sink = HashSink::default();
+        write!(sink, "{self:?}").expect("the sink never refuses");
+        sink.0.finish()
     }
 
     /// The resource ledger of a link.
@@ -532,34 +540,29 @@ impl DrtpManager {
         }
 
         let bw = req.bandwidth();
-        self.admit_route_prime(pair.primary.links(), bw)
+        let lset = pair.primary.links();
+        self.attach_primary(req.id, lset, bw, LinkResources::admit_primary)
             .map_err(DrtpError::InsufficientBandwidth)?;
 
         let mut spare_grown = Bandwidth::ZERO;
         let mut conflicted = false;
         for (i, backup) in pair.backups.iter().enumerate() {
-            if pair.dedicated_backup {
-                if let Err(l) = self.admit_route_prime(backup.links(), bw) {
-                    // Roll back everything admitted so far.
+            match self.attach_backup(req.id, backup, lset, bw, pair.dedicated_backup) {
+                Ok((grown, had_conflicts)) => {
+                    spare_grown += grown;
+                    conflicted |= had_conflicts;
+                }
+                Err(l) => {
+                    // Roll back everything attached so far.
                     for done in &pair.backups[..i] {
-                        self.release_route_prime(done.links(), bw);
+                        self.detach_backup(req.id, done, lset, bw, pair.dedicated_backup);
                     }
-                    self.release_route_prime(pair.primary.links(), bw);
+                    self.detach_primary(req.id, lset, bw);
                     return Err(DrtpError::InsufficientBandwidth(l));
                 }
-            } else {
-                let (grown, had_conflicts) = self.register_backup(backup, pair.primary.links(), bw);
-                spare_grown += grown;
-                conflicted |= had_conflicts;
             }
         }
 
-        // Index only after every admission step succeeded: the rollback
-        // paths above must not have to unwind incidence entries.
-        self.incidence.add_primary(pair.primary.links(), req.id);
-        for backup in &pair.backups {
-            self.incidence.add_backup(backup.links(), req.id);
-        }
         let conn = DrConnection::new(
             req.id,
             req.qos,
@@ -613,24 +616,8 @@ impl DrtpManager {
         id: ConnectionId,
         avoid: &[LinkId],
     ) -> Result<RoutingOverhead, DrtpError> {
-        let conn = self
-            .conns
-            .get(&id)
-            .ok_or(DrtpError::UnknownConnection(id))?;
-        if conn.state() == ConnectionState::Failed {
-            return Err(DrtpError::InvalidSelection(format!(
-                "connection {id} is not eligible for backup re-establishment"
-            )));
-        }
-        let req = RouteRequest {
-            id,
-            src: conn.primary().source(),
-            dst: conn.primary().dest(),
-            qos: conn.qos(),
-            num_backups: 1,
-        };
-        let primary = conn.primary().clone();
-        let existing = conn.backups().to_vec();
+        let conn = self.carrying(id)?;
+        let req = Self::backup_request(conn);
         // The masked copy is only built when there is something to mask.
         let failed = if avoid.is_empty() {
             Cow::Borrowed(&self.failed[..])
@@ -643,32 +630,18 @@ impl DrtpManager {
             }
             Cow::Owned(masked)
         };
-        let view = ManagerView {
-            net: &self.net,
-            links: &self.links,
-            aplvs: &self.aplvs,
-            conflict: &self.conflict,
-            failed: &failed,
-            hops: &self.hops,
-            distortion: self.distortion.as_ref(),
-        };
-        let (backup, overhead) = scheme.select_backup(&view, &req, &primary, &existing)?;
+        let (backup, overhead) = scheme.select_backup(
+            &self.view_over(&failed),
+            &req,
+            conn.primary(),
+            conn.backups(),
+        )?;
         if backup.links().iter().any(|l| avoid.contains(l)) {
             // Defense against schemes that route without consulting
             // `alive()`: a quarantined link must never enter a new backup.
             return Err(DrtpError::NoBackupRoute(id));
         }
-        self.validate_route(&req, &backup)?;
-        if !req.qos.accepts_hops(backup.len()) {
-            return Err(DrtpError::QosViolation(id));
-        }
-        let bw = req.bandwidth();
-        self.register_backup(&backup, primary.links(), bw);
-        self.incidence.add_backup(backup.links(), id);
-        self.conns
-            .get_mut(&id)
-            .expect("checked above")
-            .install_backup(backup, false);
+        self.install_checked(&req, backup)?;
         Ok(overhead)
     }
 
@@ -689,45 +662,59 @@ impl DrtpManager {
         id: ConnectionId,
         backup: Route,
     ) -> Result<(), DrtpError> {
-        let conn = self
-            .conns
-            .get(&id)
-            .ok_or(DrtpError::UnknownConnection(id))?;
-        if conn.state() == ConnectionState::Failed {
-            return Err(DrtpError::InvalidSelection(format!(
-                "connection {id} is failed"
-            )));
-        }
+        let conn = self.carrying(id)?;
         if conn.backup_is_dedicated() && conn.backup().is_some() {
             return Err(DrtpError::InvalidSelection(format!(
                 "connection {id} holds dedicated backups"
             )));
         }
-        let req = RouteRequest {
-            id,
+        let req = Self::backup_request(conn);
+        self.install_checked(&req, backup)
+    }
+
+    /// Looks up a connection that must still be carrying traffic.
+    fn carrying(&self, id: ConnectionId) -> Result<&DrConnection, DrtpError> {
+        match self.conns.get(&id) {
+            None => Err(DrtpError::UnknownConnection(id)),
+            Some(c) if c.state() == ConnectionState::Failed => Err(DrtpError::InvalidSelection(
+                format!("connection {id} is failed"),
+            )),
+            Some(c) => Ok(c),
+        }
+    }
+
+    /// The request one more backup for `conn` has to satisfy.
+    fn backup_request(conn: &DrConnection) -> RouteRequest {
+        RouteRequest {
+            id: conn.id(),
             src: conn.primary().source(),
             dst: conn.primary().dest(),
             qos: conn.qos(),
             num_backups: 1,
-        };
-        self.validate_route(&req, &backup)?;
-        if !req.qos.accepts_hops(backup.len()) {
-            return Err(DrtpError::QosViolation(id));
         }
-        let bw = req.bandwidth();
-        let primary_lset = self
-            .conns
-            .get(&id)
-            .expect("checked above")
-            .primary()
-            .links()
-            .to_vec();
-        self.register_backup(&backup, &primary_lset, bw);
-        self.incidence.add_backup(backup.links(), id);
-        self.conns
-            .get_mut(&id)
-            .expect("checked above")
-            .install_backup(backup, false);
+    }
+
+    /// The shared tail of backup installation: validates `backup` against
+    /// the live state and `req`'s hop cap, registers it (multiplexed) and
+    /// appends it to connection `req.id`'s record.
+    fn install_checked(&mut self, req: &RouteRequest, backup: Route) -> Result<(), DrtpError> {
+        self.validate_route(req, &backup)?;
+        if !req.qos.accepts_hops(backup.len()) {
+            return Err(DrtpError::QosViolation(req.id));
+        }
+        // The record is taken out of the table for the duration so its
+        // primary can be walked by reference while the backup registers.
+        let mut conn = self.conns.remove(&req.id).expect("caller looked it up");
+        self.attach_backup(
+            req.id,
+            &backup,
+            conn.primary().links(),
+            req.bandwidth(),
+            false,
+        )
+        .expect("only a dedicated reservation can be refused");
+        conn.install_backup(backup, false);
+        self.conns.insert(req.id, conn);
         Ok(())
     }
 
@@ -745,31 +732,20 @@ impl DrtpManager {
     /// [`DrtpError::UnknownConnection`] for unknown ids;
     /// [`DrtpError::InvalidSelection`] when the connection is failed.
     pub fn drop_backups(&mut self, id: ConnectionId) -> Result<usize, DrtpError> {
-        let conn = self
-            .conns
-            .get(&id)
-            .ok_or(DrtpError::UnknownConnection(id))?;
-        if conn.state() == ConnectionState::Failed {
-            return Err(DrtpError::InvalidSelection(format!(
-                "connection {id} is failed"
-            )));
-        }
-        let bw = conn.qos().bandwidth;
-        let primary = conn.primary().clone();
+        self.carrying(id)?;
+        let mut conn = self.conns.remove(&id).expect("checked above");
         let dedicated = conn.backup_is_dedicated();
-        let backups = self
-            .conns
-            .get_mut(&id)
-            .expect("checked above")
-            .clear_backups();
+        let backups = conn.clear_backups();
         for b in &backups {
-            self.incidence.remove_backup(b.links(), id);
-            if dedicated {
-                self.release_route_prime(b.links(), bw);
-            } else {
-                self.unregister_backup(b, primary.links(), bw);
-            }
+            self.detach_backup(
+                id,
+                b,
+                conn.primary().links(),
+                conn.qos().bandwidth,
+                dedicated,
+            );
         }
+        self.conns.insert(id, conn);
         Ok(backups.len())
     }
 
@@ -789,17 +765,7 @@ impl DrtpManager {
             // the failure was processed.
             return Ok(());
         }
-        let bw = conn.qos().bandwidth;
-        self.incidence.remove_primary(conn.primary().links(), id);
-        self.release_route_prime(conn.primary().links(), bw);
-        for backup in conn.backups().to_vec() {
-            self.incidence.remove_backup(backup.links(), id);
-            if conn.backup_is_dedicated() {
-                self.release_route_prime(backup.links(), bw);
-            } else {
-                self.unregister_backup(&backup, conn.primary().links(), bw);
-            }
-        }
+        self.detach_all(&conn);
         Ok(())
     }
 
@@ -811,7 +777,9 @@ impl DrtpManager {
     ///
     /// Panics when an invariant is violated (see source for the list).
     pub fn assert_invariants(&self) {
-        // 1. APLVs are exactly what the connection table implies.
+        // 1. APLVs are exactly what the connection table implies, and
+        //    every conflict bit says `count > 0` (`Aplv`'s `==`, checked
+        //    per link below).
         let mut expected: Vec<Aplv> = vec![Aplv::new(); self.net.num_links()];
         let mut expected_prime: Vec<Bandwidth> = vec![Bandwidth::ZERO; self.net.num_links()];
         for conn in self.conns.values() {
@@ -833,11 +801,6 @@ impl DrtpManager {
                     }
                 }
             }
-        }
-        // 1b. The incremental conflict digests shadow the sparse APLVs
-        //     exactly (dense CV bit-for-bit, cached ‖APLV‖₁).
-        if let Some(l) = self.conflict.first_divergence(&self.aplvs) {
-            panic!("incremental conflict state diverged from APLV on {l}");
         }
         // 1c. The link-incidence index is exactly what a rebuild from the
         //     connection table produces.
@@ -879,75 +842,119 @@ impl DrtpManager {
     }
 
     // ---- internal resource plumbing (shared with `failure`) ----
+    //
+    // Every route enters and leaves the ledgers, the APLVs and the
+    // incidence index through the four functions below and nowhere else.
 
-    /// Admits `bw` on every link, rolling back on the first failure and
-    /// returning the offending link.
-    pub(crate) fn admit_route_prime(
+    /// Takes `bw` on every link with `take`, undoing the links already
+    /// taken on the first refusal (or failed link) and returning it.
+    fn admit_route_prime(
         &mut self,
         links: &[LinkId],
         bw: Bandwidth,
+        take: fn(&mut LinkResources, Bandwidth) -> Result<(), CapacityError>,
     ) -> Result<(), LinkId> {
         for (i, l) in links.iter().enumerate() {
-            let ok = !self.failed[l.index()] && self.links[l.index()].admit_primary(bw).is_ok();
+            let ok = !self.failed[l.index()] && take(&mut self.links[l.index()], bw).is_ok();
             if !ok {
-                for r in &links[..i] {
-                    self.links[r.index()].release_primary(bw);
-                }
+                self.release_route_prime(&links[..i], bw);
                 return Err(*l);
             }
         }
         Ok(())
     }
 
-    pub(crate) fn release_route_prime(&mut self, links: &[LinkId], bw: Bandwidth) {
+    fn release_route_prime(&mut self, links: &[LinkId], bw: Bandwidth) {
         for l in links {
             self.links[l.index()].release_primary(bw);
         }
     }
 
-    /// Registers a backup along `route` (APLV updates + spare sizing).
-    /// Returns `(spare grown, conflicted)`.
-    pub(crate) fn register_backup(
+    /// Makes `links` the primary of `id`: a hard reservation of `bw` on
+    /// every link — taken from the free pool ([`LinkResources::admit_primary`])
+    /// at admission, converted from the activation pools
+    /// ([`LinkResources::promote_from_pools`]) at promotion — and the
+    /// index entry. All or nothing: on `Err` (the refusing link) nothing
+    /// is attached.
+    pub(crate) fn attach_primary(
         &mut self,
-        route: &Route,
-        primary_lset: &[LinkId],
+        id: ConnectionId,
+        links: &[LinkId],
         bw: Bandwidth,
-    ) -> (Bandwidth, bool) {
-        let mut grown = Bandwidth::ZERO;
-        let mut conflicted = false;
-        // Reused across the route's links: `register_with` only pushes the
-        // 0→1 transitions, which the conflict engine replays onto `CV_i`.
-        let mut became_set = Vec::new();
-        for &l in route.links() {
-            let i = l.index();
-            conflicted |= self.aplvs[i].conflicts_with(primary_lset) > 0;
-            became_set.clear();
-            self.aplvs[i].register_with(primary_lset, bw, |j| became_set.push(j));
-            self.conflict
-                .apply_register(l, &became_set, primary_lset.len());
-            if self.cfg.spare == SparePolicy::GrowToRequirement {
-                grown += self.links[i].grow_spare_toward(self.aplvs[i].required_spare());
-            }
-        }
-        (grown, conflicted)
+        take: fn(&mut LinkResources, Bandwidth) -> Result<(), CapacityError>,
+    ) -> Result<(), LinkId> {
+        self.admit_route_prime(links, bw, take)?;
+        self.incidence.add_primary(links, id);
+        Ok(())
     }
 
-    /// Reverses [`DrtpManager::register_backup`], shrinking spare pools to
-    /// the new requirement.
-    pub(crate) fn unregister_backup(
+    /// Reverses [`DrtpManager::attach_primary`].
+    pub(crate) fn detach_primary(&mut self, id: ConnectionId, links: &[LinkId], bw: Bandwidth) {
+        self.incidence.remove_primary(links, id);
+        self.release_route_prime(links, bw);
+    }
+
+    /// Makes `route` a backup of `id`, whose primary crosses
+    /// `primary_lset`: a hard reservation when `dedicated`, else one APLV
+    /// registration and spare sizing per link; then the index entry.
+    /// Returns `(spare grown, conflicted)`, or the refusing link with
+    /// nothing attached — only a dedicated reservation can be refused.
+    pub(crate) fn attach_backup(
         &mut self,
+        id: ConnectionId,
         route: &Route,
         primary_lset: &[LinkId],
         bw: Bandwidth,
+        dedicated: bool,
+    ) -> Result<(Bandwidth, bool), LinkId> {
+        let mut grown = Bandwidth::ZERO;
+        let mut conflicted = false;
+        if dedicated {
+            self.admit_route_prime(route.links(), bw, LinkResources::admit_primary)?;
+        } else {
+            for &l in route.links() {
+                let i = l.index();
+                conflicted |= self.aplvs[i].conflicts_with(primary_lset) > 0;
+                self.aplvs[i].register(primary_lset, bw);
+                if self.cfg.spare == SparePolicy::GrowToRequirement {
+                    grown += self.links[i].grow_spare_toward(self.aplvs[i].required_spare());
+                }
+            }
+        }
+        self.incidence.add_backup(route.links(), id);
+        Ok((grown, conflicted))
+    }
+
+    /// Reverses [`DrtpManager::attach_backup`], shrinking spare pools to
+    /// the new requirement.
+    pub(crate) fn detach_backup(
+        &mut self,
+        id: ConnectionId,
+        route: &Route,
+        primary_lset: &[LinkId],
+        bw: Bandwidth,
+        dedicated: bool,
     ) {
-        let mut became_clear = Vec::new();
-        for &l in route.links() {
-            let i = l.index();
-            became_clear.clear();
-            self.aplvs[i].unregister_with(primary_lset, bw, |j| became_clear.push(j));
-            self.conflict
-                .apply_unregister(l, &became_clear, primary_lset.len());
-            self.links[i].shrink_spare_to(self.aplvs[i].required_spare());
+        self.incidence.remove_backup(route.links(), id);
+        if dedicated {
+            self.release_route_prime(route.links(), bw);
+        } else {
+            for &l in route.links() {
+                let i = l.index();
+                self.aplvs[i].unregister(primary_lset, bw);
+                self.links[i].shrink_spare_to(self.aplvs[i].required_spare());
+            }
+        }
+    }
+
+    /// Detaches the primary and every backup of `conn` — a record already
+    /// taken out of the table, or about to be marked failed.
+    pub(crate) fn detach_all(&mut self, conn: &DrConnection) {
+        let (id, bw) = (conn.id(), conn.qos().bandwidth);
+        let lset = conn.primary().links();
+        self.detach_primary(id, lset, bw);
+        for b in conn.backups() {
+            self.detach_backup(id, b, lset, bw, conn.backup_is_dedicated());
         }
     }
 

@@ -26,29 +26,17 @@ use drt_net::{LinkId, Route};
 /// instead of one integer (modelled by this scheme's
 /// [`RoutingOverhead`]).
 ///
-/// The cost term is evaluated on the manager's incrementally maintained
-/// conflict bitsets: every relaxed link pays one bit test of `CV_i` per
-/// link of the primary — O(|LSET_P|), independent of the network's size.
-/// [`DLsr::sparse_baseline`] reads the same term off the dense APLV counts
-/// instead, so ablations and equivalence tests can compare the two; both
-/// produce identical costs, hence identical routes.
+/// The cost term is evaluated on the conflict bits each link's
+/// [`crate::Aplv`] keeps next to its counts: every relaxed link pays one
+/// bit test of `CV_i` per link of the primary — O(|LSET_P|), independent
+/// of the network's size.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DLsr {
-    sparse: bool,
-}
+pub struct DLsr;
 
 impl DLsr {
     /// Creates the scheme.
     pub fn new() -> Self {
-        DLsr::default()
-    }
-
-    /// Creates the scheme with the cost evaluation that reads the APLV
-    /// counts on every relaxation — the baseline the incremental conflict
-    /// bitsets are measured against. Routes are identical to
-    /// [`DLsr::new`]; only the evaluation cost differs.
-    pub fn sparse_baseline() -> Self {
-        DLsr { sparse: true }
+        DLsr
     }
 
     /// Bytes of one D-LSR link-state entry for a network of `num_links`
@@ -58,12 +46,8 @@ impl DLsr {
     }
 
     /// `Σ_{L_j ∈ LSET_P} c_{l,j}` for one candidate backup link `l`.
-    fn conflict_term(&self, view: &ManagerView<'_>, l: LinkId, lset: &[LinkId]) -> f64 {
-        f64::from(if self.sparse {
-            view.conflict_count(l, lset)
-        } else {
-            view.conflict_overlap(l, lset)
-        })
+    fn conflict_term(view: &ManagerView<'_>, l: LinkId, lset: &[LinkId]) -> f64 {
+        f64::from(view.conflict_count(l, lset))
     }
 }
 
@@ -79,7 +63,7 @@ impl RoutingScheme for DLsr {
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
         let backups = lsr_backups(view, req, &primary, |l| {
-            self.conflict_term(view, l, primary.links())
+            Self::conflict_term(view, l, primary.links())
         })?;
         let overhead = lsa_overhead(
             view.net().num_links(),
@@ -102,7 +86,7 @@ impl RoutingScheme for DLsr {
         existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
         let backup = lsr_backup(view, req, primary, existing, |l| {
-            self.conflict_term(view, l, primary.links())
+            Self::conflict_term(view, l, primary.links())
         })?;
         let overhead = lsa_overhead(
             view.net().num_links(),
@@ -205,30 +189,5 @@ mod tests {
     #[test]
     fn name() {
         assert_eq!(DLsr::new().name(), "D-LSR");
-    }
-
-    #[test]
-    fn sparse_baseline_selects_identical_routes() {
-        let net = Arc::new(topology::mesh(4, 4, Bandwidth::from_mbps(100)).unwrap());
-        let mut fast_mgr = DrtpManager::new(Arc::clone(&net));
-        let mut slow_mgr = DrtpManager::new(net);
-        let mut fast = DLsr::new();
-        let mut slow = DLsr::sparse_baseline();
-        for (id, (s, d)) in [(0, 15), (4, 7), (1, 14), (3, 12), (5, 10), (0, 15)]
-            .into_iter()
-            .enumerate()
-        {
-            let rf = fast_mgr.request_connection(&mut fast, req(id as u64, s, d));
-            let rs = slow_mgr.request_connection(&mut slow, req(id as u64, s, d));
-            match (rf, rs) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.primary, b.primary);
-                    assert_eq!(a.backups, b.backups);
-                }
-                (a, b) => assert_eq!(a.is_err(), b.is_err()),
-            }
-        }
-        fast_mgr.assert_invariants();
-        assert_eq!(fast_mgr.fingerprint(), slow_mgr.fingerprint());
     }
 }

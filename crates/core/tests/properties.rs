@@ -4,13 +4,11 @@
 use drt_core::failure::FailureEvent;
 use drt_core::multiplex::{ActivationPool, FailureModel, MultiplexConfig, SparePolicy};
 use drt_core::routing::{BoundedFlooding, DLsr, PLsr, RouteRequest, RoutingScheme, SpfBackup};
-use drt_core::{ConnectionId, DrtpManager};
+use drt_core::{Aplv, ConnectionId, DrtpManager};
 use drt_net::algo::DynamicSpt;
 use drt_net::{topology, Bandwidth, LinkId, NodeId};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-const BW: Bandwidth = Bandwidth::from_kbps(3_000);
 
 fn scheme_by_index(i: usize) -> Box<dyn RoutingScheme> {
     match i % 4 {
@@ -138,13 +136,65 @@ proptest! {
         prop_assert_eq!(mgr.total_spare(), Bandwidth::ZERO);
     }
 
-    /// The incremental dense conflict engine never drifts from a sparse
-    /// from-scratch derivation: after every operation of a random
-    /// establish/release/fail/repair trace, each link's cached `‖APLV‖₁`,
-    /// conflict-vector bits, and dense D-LSR overlap cost equal what the
-    /// sparse `Aplv` maps derive directly.
+    /// The fold's own property: over random register / unregister traces
+    /// on a three-word id space with 1 / 2 / 3 Mb/s registrations, after
+    /// every step bit `j` says `count(j) > 0` for every `j`, the bit-test
+    /// cost term equals the count-derived sum on arbitrary link sets (ids
+    /// beyond anything registered included), and the live vector equals
+    /// the one rebuilt by re-registering the surviving set — whether its
+    /// bits were pre-sized (the manager's) or grew on demand (proto's).
     #[test]
-    fn dense_conflict_state_matches_sparse_derivation(
+    fn conflict_bits_track_counts(
+        presized in any::<bool>(),
+        ops in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(0u32..140, 1..6), 1u64..=3, 0usize..64),
+            1..50,
+        ),
+        probes in prop::collection::vec(prop::collection::vec(0u32..400, 0..8), 1..6),
+    ) {
+        const N: usize = 140;
+        let mut aplv = if presized { Aplv::with_num_links(N) } else { Aplv::new() };
+        let mut live: Vec<(Vec<LinkId>, Bandwidth)> = Vec::new();
+        for (release, ids, mbps, victim) in ops {
+            if release && !live.is_empty() {
+                let (lset, bw) = live.remove(victim % live.len());
+                aplv.unregister(&lset, bw);
+            } else {
+                let mut lset: Vec<LinkId> = ids.into_iter().map(LinkId::new).collect();
+                lset.sort_unstable();
+                lset.dedup();
+                let bw = Bandwidth::from_mbps(mbps);
+                aplv.register(&lset, bw);
+                live.push((lset, bw));
+            }
+
+            let cv = aplv.conflict_vector(N);
+            for j in (0..N as u32 + 64).map(LinkId::new) {
+                let set = aplv.count(j) > 0;
+                prop_assert_eq!(cv.get(j), set, "copied bit {}", j);
+                prop_assert_eq!(aplv.conflicts_with(&[j]), u32::from(set), "live bit {}", j);
+            }
+            for probe in &probes {
+                let lset: Vec<LinkId> = probe.iter().copied().map(LinkId::new).collect();
+                let by_count = lset.iter().filter(|j| aplv.count(**j) > 0).count() as u32;
+                prop_assert_eq!(aplv.conflicts_with(&lset), by_count, "{:?}", lset);
+            }
+            let mut rebuilt = Aplv::new();
+            for (lset, bw) in &live {
+                rebuilt.register(lset, *bw);
+            }
+            prop_assert_eq!(&aplv, &rebuilt);
+        }
+    }
+
+    /// The conflict bits D-LSR routes on never drift from the counts:
+    /// after every operation of a random establish/release/fail/repair
+    /// trace the invariant audit passes (it rebuilds every APLV, bits
+    /// included, from the connection table) and, through the routing
+    /// view, `conflict_count(l, [j]) == 1 ⇔ aplv(l).count(j) > 0` for
+    /// every pair of links.
+    #[test]
+    fn conflict_bits_match_counts_along_traces(
         seed in any::<u64>(),
         ops in prop::collection::vec(arb_op(12, 34), 1..40),
     ) {
@@ -188,37 +238,18 @@ proptest! {
                     let _ = mgr.reestablish_backup(&mut scheme, id);
                 }
                 // Other event kinds are covered by the trace property
-                // above; this one focuses on conflict-state parity.
+                // above; this one focuses on the conflict bits.
                 _ => continue,
             }
 
+            mgr.assert_invariants();
             let view = mgr.view();
-            for i in 0..n {
-                let l = LinkId::new(i as u32);
-                // Cached ‖APLV_i‖₁ equals the sparse map's own norm.
-                prop_assert_eq!(view.l1_norm(l), view.aplv(l).l1_norm());
-                // Every dense CV bit equals the sparse-derived bit.
-                let sparse_cv = view.aplv(l).conflict_vector(n);
-                for j in 0..n {
-                    let probe = LinkId::new(j as u32);
+            for l in (0..n as u32).map(LinkId::new) {
+                for j in (0..n as u32).map(LinkId::new) {
                     prop_assert_eq!(
-                        view.conflict_overlap(l, &[probe]) == 1,
-                        sparse_cv.get(probe),
-                        "CV bit ({}, {}) diverged", l, probe
-                    );
-                }
-            }
-            // The bitset D-LSR overlap cost equals the APLV-derived
-            // conflict count on every live primary LSET.
-            for &id in &live {
-                let Some(conn) = mgr.connection(id) else { continue; };
-                let lset = conn.primary().links();
-                for i in 0..n {
-                    let l = LinkId::new(i as u32);
-                    prop_assert_eq!(
-                        view.conflict_overlap(l, lset),
-                        view.conflict_count(l, lset),
-                        "D-LSR cost term diverged on {}", l
+                        view.conflict_count(l, &[j]) == 1,
+                        view.aplv(l).count(j) > 0,
+                        "CV bit ({}, {}) diverged", l, j
                     );
                 }
             }
@@ -231,7 +262,7 @@ proptest! {
     fn probe_is_pure_and_bounded(
         seed in any::<u64>(),
         scheme_idx in 0usize..4,
-        n_conns in 1usize..20,
+        mbps in prop::collection::vec(1u64..=3, 1..20),
     ) {
         let net = Arc::new(
             topology::random_connected(15, 24, Bandwidth::from_mbps(30), seed).unwrap()
@@ -240,11 +271,11 @@ proptest! {
         let mut scheme = scheme_by_index(scheme_idx);
         let mut pair_rng = drt_sim::rng::stream(seed, "pairs");
         let pattern = drt_sim::workload::TrafficPattern::ut();
-        for i in 0..n_conns {
+        for (i, &m) in mbps.iter().enumerate() {
             let (src, dst) = pattern.sample_pair(15, &mut pair_rng);
             let _ = mgr.request_connection(
                 scheme.as_mut(),
-                RouteRequest::new(ConnectionId::new(i as u64), src, dst, BW),
+                RouteRequest::new(ConnectionId::new(i as u64), src, dst, Bandwidth::from_mbps(m)),
             );
         }
         // Full-state digest: any mutation anywhere (a ledger, an APLV, a
@@ -275,7 +306,10 @@ proptest! {
     /// multiplexed admission on the same workload (it pays ≥ the capacity,
     /// it must get ≥ the protection).
     #[test]
-    fn dedicated_is_perfectly_tolerant(seed in any::<u64>(), n_conns in 1usize..10) {
+    fn dedicated_is_perfectly_tolerant(
+        seed in any::<u64>(),
+        mbps in prop::collection::vec(1u64..=3, 1..10),
+    ) {
         let net = Arc::new(
             topology::random_connected(12, 22, Bandwidth::from_mbps(30), seed).unwrap()
         );
@@ -284,15 +318,16 @@ proptest! {
         let mut pair_rng = drt_sim::rng::stream(seed, "pairs");
         let pattern = drt_sim::workload::TrafficPattern::ut();
         let mut any = false;
-        for i in 0..n_conns {
+        for (i, &m) in mbps.iter().enumerate() {
             let (src, dst) = pattern.sample_pair(12, &mut pair_rng);
             any |= mgr
                 .request_connection(
                     &mut scheme,
-                    RouteRequest::new(ConnectionId::new(i as u64), src, dst, BW),
+                    RouteRequest::new(ConnectionId::new(i as u64), src, dst, Bandwidth::from_mbps(m)),
                 )
                 .is_ok();
         }
+        mgr.assert_invariants();
         if any {
             let sample = mgr.sweep_single_failures(seed);
             if let Some(p) = sample.p_act_bk() {
@@ -520,13 +555,15 @@ proptest! {
         }
     }
 
-    /// All four multiplex configurations keep the ledgers consistent.
+    /// All four multiplex configurations keep the ledgers consistent, with
+    /// requests drawing 1, 2 or 3 Mb/s (so links go `Mixed`).
     #[test]
     fn config_matrix_traces(
         seed in any::<u64>(),
         spare_grow in any::<bool>(),
         spare_and_free in any::<bool>(),
         duplex in any::<bool>(),
+        mbps in prop::collection::vec(1u64..=3, 12),
     ) {
         let cfg = MultiplexConfig {
             spare: if spare_grow { SparePolicy::GrowToRequirement } else { SparePolicy::NeverGrow },
@@ -543,13 +580,12 @@ proptest! {
         let mut pair_rng = drt_sim::rng::stream(seed, "pairs");
         let pattern = drt_sim::workload::TrafficPattern::ut();
         let mut live = Vec::new();
-        for i in 0..12u64 {
+        for (i, &m) in mbps.iter().enumerate() {
+            let id = ConnectionId::new(i as u64);
             let (src, dst) = pattern.sample_pair(10, &mut pair_rng);
-            if mgr
-                .request_connection(&mut scheme, RouteRequest::new(ConnectionId::new(i), src, dst, BW))
-                .is_ok()
-            {
-                live.push(ConnectionId::new(i));
+            let req = RouteRequest::new(id, src, dst, Bandwidth::from_mbps(m));
+            if mgr.request_connection(&mut scheme, req).is_ok() {
+                live.push(id);
             }
             mgr.assert_invariants();
         }

@@ -63,7 +63,7 @@ impl PartialOrd for RepairEntry {
 
 /// A repairable single-source shortest-path tree.
 ///
-/// Unlike the transient [`SpfWorkspace`] search this struct *owns* its
+/// Unlike the transient [`SpfWorkspace`](super::SpfWorkspace) search this struct *owns* its
 /// distances and parent links, so it can be held for the lifetime of a
 /// topology and patched with [`DynamicSpt::update_links`] as links fail,
 /// restore, or change cost. Unreachable nodes carry an infinite
@@ -82,7 +82,7 @@ pub struct DynamicSpt {
 
 impl DynamicSpt {
     /// Builds the tree with a full Dijkstra run from `src` (through the
-    /// thread-local [`SpfWorkspace`] scratch). Links for which `cost`
+    /// thread-local [`SpfWorkspace`](super::SpfWorkspace) scratch). Links for which `cost`
     /// returns `None` are excluded; negative costs are clamped to zero,
     /// as in every search of this module.
     pub fn build(net: &Network, src: NodeId, cost: impl FnMut(LinkId) -> Option<f64>) -> Self {

@@ -17,6 +17,29 @@
 
 use crate::{Bandwidth, NetError, Network, NetworkBuilder, NodeId};
 
+/// The largest capacity a topology file may give one link, in kb/s
+/// (≈ 4.3 Tb/s). Link ids are 32-bit, so the capacities of any parsed
+/// network sum without overflowing `u64` ([`Network::total_capacity`]).
+const MAX_LINK_KBPS: u64 = u32::MAX as u64;
+
+fn bad(line_no: usize, what: &str) -> NetError {
+    NetError::Infeasible(format!("topology file line {line_no}: {what}"))
+}
+
+/// Parses the next token of a line as a `T`; ids, counts and capacities
+/// are unsigned integers, so a sign, a fraction, an exponent, `NaN` and
+/// out-of-range values are all errors rather than silent casts.
+fn field<'a, T: std::str::FromStr>(
+    tok: &mut impl Iterator<Item = &'a str>,
+    line_no: usize,
+    what: &str,
+) -> Result<T, NetError> {
+    tok.next()
+        .ok_or_else(|| bad(line_no, &format!("missing {what}")))?
+        .parse()
+        .map_err(|_| bad(line_no, &format!("invalid {what}")))
+}
+
 impl Network {
     /// Serialises the network to the text format above. Duplex pairs are
     /// written as single `duplex` lines; unpaired links as `link` lines.
@@ -68,11 +91,10 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NetError::Infeasible`] describing the first malformed
-    /// line, or the underlying builder error for invalid links.
+    /// line (a non-integer id, count or capacity, a capacity above
+    /// 4 294 967 295 kb/s, a second `nodes` line, …), or the underlying
+    /// builder error for invalid links.
     pub fn from_text(text: &str) -> Result<Network, NetError> {
-        let bad = |line_no: usize, what: &str| {
-            NetError::Infeasible(format!("topology file line {line_no}: {what}"))
-        };
         let mut builder: Option<NetworkBuilder> = None;
         let mut positions: Vec<(usize, [f64; 2])> = Vec::new();
         // (src, dst) -> id lookup for `srlg` lines, built as links appear.
@@ -87,30 +109,36 @@ impl Network {
             }
             let mut tok = line.split_whitespace();
             let directive = tok.next().expect("nonempty line");
-            let mut next_num = |what: &str| -> Result<f64, NetError> {
-                tok.next()
-                    .ok_or_else(|| bad(line_no, &format!("missing {what}")))?
-                    .parse::<f64>()
-                    .map_err(|_| bad(line_no, &format!("invalid {what}")))
-            };
             match directive {
                 "nodes" => {
-                    let n = next_num("node count")? as usize;
+                    if builder.is_some() {
+                        // A second builder would drop the links read so
+                        // far while `link_ids` kept their ids.
+                        return Err(bad(line_no, "repeated `nodes` directive"));
+                    }
+                    let n: usize = field(&mut tok, line_no, "node count")?;
                     builder = Some(NetworkBuilder::with_nodes(n));
                 }
                 "pos" => {
-                    let idx = next_num("node index")? as usize;
-                    let x = next_num("x")?;
-                    let y = next_num("y")?;
+                    let idx: usize = field(&mut tok, line_no, "node index")?;
+                    let x: f64 = field(&mut tok, line_no, "x")?;
+                    let y: f64 = field(&mut tok, line_no, "y")?;
                     positions.push((idx, [x, y]));
                 }
                 "duplex" | "link" => {
                     let b = builder
                         .as_mut()
                         .ok_or_else(|| bad(line_no, "links before `nodes` directive"))?;
-                    let a = next_num("source")? as u32;
-                    let c = next_num("destination")? as u32;
-                    let cap = Bandwidth::from_kbps(next_num("capacity")? as u64);
+                    let a: u32 = field(&mut tok, line_no, "source")?;
+                    let c: u32 = field(&mut tok, line_no, "destination")?;
+                    let kbps: u64 = field(&mut tok, line_no, "capacity")?;
+                    if kbps > MAX_LINK_KBPS {
+                        return Err(bad(
+                            line_no,
+                            &format!("capacity above {MAX_LINK_KBPS} kb/s"),
+                        ));
+                    }
+                    let cap = Bandwidth::from_kbps(kbps);
                     if directive == "duplex" {
                         let (fwd, rev) = b.add_duplex_link(NodeId::new(a), NodeId::new(c), cap)?;
                         link_ids.insert((a, c), fwd);
@@ -125,15 +153,10 @@ impl Network {
                         .as_mut()
                         .ok_or_else(|| bad(line_no, "srlg before `nodes` directive"))?;
                     let mut members = Vec::new();
-                    while let Some(t) = tok.next() {
-                        let src = t
-                            .parse::<u32>()
-                            .map_err(|_| bad(line_no, "invalid srlg source"))?;
-                        let dst = tok
-                            .next()
-                            .ok_or_else(|| bad(line_no, "srlg member missing destination"))?
-                            .parse::<u32>()
-                            .map_err(|_| bad(line_no, "invalid srlg destination"))?;
+                    let mut tok = tok.peekable();
+                    while tok.peek().is_some() {
+                        let src: u32 = field(&mut tok, line_no, "srlg source")?;
+                        let dst: u32 = field(&mut tok, line_no, "srlg destination")?;
                         let id = link_ids.get(&(src, dst)).ok_or_else(|| {
                             bad(
                                 line_no,
@@ -247,6 +270,41 @@ mod tests {
         assert!(Network::from_text("nodes 2\nwat 1 2 3\n").is_err()); // unknown
         assert!(Network::from_text("nodes 2\nduplex 0 5 100\n").is_err()); // bad node
         assert!(Network::from_text("nodes 2\npos 9 0.5 0.5\n").is_err()); // bad pos
+    }
+
+    /// Numerics that used to be read as `f64` and cast: each of these was
+    /// accepted (the capacity ones then panicked `total_capacity`), and a
+    /// second `nodes` line silently dropped every link before it.
+    #[test]
+    fn garbage_numerics_rejected_with_line_number() {
+        for (text, line) in [
+            ("nodes 3\nduplex -1 2.7 100\n", 2),
+            ("nodes 3\nduplex 0 2.7 100\n", 2),
+            ("nodes 2\nduplex 0 1 1e30\n", 2),
+            ("nodes 2\nduplex 0 1 NaN\n", 2),
+            ("nodes 2\nlink 0 1 -5\n", 2),
+            ("nodes 2\nduplex 0 1 4294967296\n", 2),
+            ("nodes 2\nduplex 0 1 18446744073709551616\n", 2),
+            ("nodes 2.5\n", 1),
+            ("nodes -3\n", 1),
+            ("nodes 2\npos 0.5 0 0\n", 2),
+            ("nodes 3\nduplex 0 1 100\nsrlg 0 1.0\n", 3),
+            (
+                "nodes 3\nduplex 0 1 100\nnodes 3\nduplex 1 2 100\nsrlg 0 1 1 2\n",
+                3,
+            ),
+        ] {
+            match Network::from_text(text) {
+                Err(NetError::Infeasible(why)) => assert!(
+                    why.starts_with(&format!("topology file line {line}: ")),
+                    "{text:?}: {why}"
+                ),
+                other => panic!("{text:?} must be rejected, got {other:?}"),
+            }
+        }
+        // The largest accepted capacity still sums without overflow.
+        let net = Network::from_text("nodes 2\nduplex 0 1 4294967295\n").unwrap();
+        assert_eq!(net.total_capacity().kbps(), 2 * MAX_LINK_KBPS);
     }
 
     #[test]

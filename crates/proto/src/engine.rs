@@ -1080,32 +1080,40 @@ impl ProtocolSim {
     /// collide — exactly what the model checker's pruning wants.
     /// Observational state (traffic counters, recovery log) is excluded.
     pub fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
+        use std::fmt::Write;
         use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
+        // `Debug` renderings stream into the hasher: the model checker
+        // fingerprints every state it explores.
+        let mut sink = drt_core::HashSink::default();
         let now = self.sim.now();
-        format!("{:?}", self.state.routers).hash(&mut h);
-        self.state.failed.hash(&mut h);
-        self.state.down.hash(&mut h);
-        format!("{:?}", self.state.conns).hash(&mut h);
-        format!("{:?}", self.state.txns).hash(&mut h);
-        self.state.next_seq.hash(&mut h);
-        format!("{:?}", self.state.exhausted).hash(&mut h);
-        format!("{:?}", self.state.suspicion).hash(&mut h);
-        format!("{:?}", self.state.journals).hash(&mut h);
-        self.state.restarted.hash(&mut h);
-        self.state.rejoin_degraded.hash(&mut h);
-        format!("{:?}", self.state.witnesses).hash(&mut h);
-        for (conn, (link, _reported_at)) in &self.state.pending_recovery {
-            format!("{conn}:{link}").hash(&mut h);
+        let state = &self.state;
+        let _ = write!(
+            sink,
+            "{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
+            state.routers,
+            state.conns,
+            state.txns,
+            state.exhausted,
+            state.suspicion,
+            state.journals,
+            state.witnesses,
+        );
+        for (conn, (link, _reported_at)) in &state.pending_recovery {
+            let _ = write!(sink, "{conn}:{link},");
         }
+        let h = &mut sink.0;
+        state.failed.hash(h);
+        state.down.hash(h);
+        state.next_seq.hash(h);
+        state.restarted.hash(h);
+        state.rejoin_degraded.hash(h);
         let mut pending: Vec<String> = self
             .sim
             .pending_events()
             .map(|(at, ev)| format!("{:?}+{ev:?}", at.saturating_since(now)))
             .collect();
         pending.sort();
-        pending.hash(&mut h);
+        pending.hash(h);
         h.finish()
     }
 

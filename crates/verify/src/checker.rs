@@ -21,7 +21,7 @@
 //! generated exactly once, and the first counterexample found has a
 //! minimum number of injected faults.
 //!
-//! Every run asserts [`ProtocolSim::check_invariants`] at **every**
+//! Every run asserts [`drt_proto::ProtocolSim::check_invariants`] at **every**
 //! event boundary — always-on ledger/APLV/dedup invariants in each
 //! intermediate state, plus exact-accounting invariants at quiescence.
 //!

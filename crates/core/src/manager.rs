@@ -294,6 +294,12 @@ impl<'a> ManagerView<'a> {
     }
 }
 
+/// Writes the hop table's row for `spt`'s source from the tree: unit
+/// costs make its distances exact hop counts.
+fn write_hop_row(hops: &mut AllPairsHops, spt: &DynamicSpt) {
+    hops.set_row(spt.source(), |dst| spt.distance(dst).map(|d| d as u32));
+}
+
 impl DrtpManager {
     /// Creates a manager over `net` with the paper's configuration.
     pub fn new(net: Arc<Network>) -> Self {
@@ -309,10 +315,16 @@ impl DrtpManager {
         let aplvs = vec![Aplv::with_num_links(net.num_links()); net.num_links()];
         let incidence = IncidenceIndex::new(net.num_links());
         let failed = vec![false; net.num_links()];
-        let hops = AllPairsHops::compute(&net);
+        // One unit-cost tree per source; its distances are the hop table's
+        // row, as after every repair in `hops_changed`.
+        let mut hops = AllPairsHops::unreachable(net.num_nodes());
         let spt = net
             .nodes()
-            .map(|src| DynamicSpt::build(&net, src, |_| Some(1.0)))
+            .map(|src| {
+                let spt = DynamicSpt::build(&net, src, |_| Some(1.0));
+                write_hop_row(&mut hops, &spt);
+                spt
+            })
             .collect();
         DrtpManager {
             net,
@@ -399,8 +411,13 @@ impl DrtpManager {
     /// this to prove probes mutate nothing (the `Display` rendering is a
     /// lossy summary and would miss e.g. a perturbed spare pool).
     ///
-    /// The `Debug` rendering is streamed into the hasher, never built: it
-    /// runs to megabytes at 60 nodes.
+    /// The `Debug` rendering is streamed into the hasher, never built. An
+    /// `Aplv` renders its registered elements in link order — not its
+    /// table — so equal states hash equal whatever history led to them,
+    /// and the text is sized by the live connections: about a megabyte at
+    /// 60 nodes, half of it APLVs; tens of megabytes at 1 000, most of it
+    /// the N² hop table and the trees, hashed in about a third of a
+    /// second.
     pub fn fingerprint(&self) -> u64 {
         use std::{fmt::Write, hash::Hasher};
         let mut sink = HashSink::default();
@@ -979,9 +996,7 @@ impl DrtpManager {
         let cost = |l: LinkId| (!failed[l.index()]).then_some(1.0);
         for spt in &mut self.spt {
             if spt.update_links(&self.net, changed, cost) {
-                // Unit costs make distances exact hop counts.
-                self.hops
-                    .set_row(spt.source(), |dst| spt.distance(dst).map(|d| d as u32));
+                write_hop_row(&mut self.hops, spt);
             }
         }
     }

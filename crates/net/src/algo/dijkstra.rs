@@ -189,15 +189,16 @@ impl SpfWorkspace {
                 break;
             }
             for &lid in net.out_links(node) {
-                let Some(step) = cost(lid) else { continue };
-                let step = step.max(0.0);
                 let next = net.link(lid).dst();
                 let j = next.index();
                 let seen = self.stamp[j] == self.gen;
+                // A link into a settled node (the one back to the parent,
+                // at least) cannot change a label: skip it unpriced.
                 if seen && self.done[j] {
                     continue;
                 }
-                let cand = d + step;
+                let Some(step) = cost(lid) else { continue };
+                let cand = d + step.max(0.0);
                 if !seen || cand < self.dist[j] {
                     self.stamp[j] = self.gen;
                     self.done[j] = false;
@@ -454,6 +455,24 @@ mod tests {
         let a = shortest_path_hops(&net, NodeId::new(0), NodeId::new(8)).unwrap();
         let b = shortest_path_hops(&net, NodeId::new(0), NodeId::new(8)).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn links_into_settled_nodes_are_not_priced() {
+        // A 4-node duplex path from its end: three links lead outward and
+        // three back to the node just settled; only the former are priced.
+        let net = topology::mesh(1, 4, CAP).unwrap();
+        let mut priced = 0;
+        let mut ws = SpfWorkspace::new();
+        ws.run(&net, NodeId::new(0), |_| {
+            priced += 1;
+            Some(1.0)
+        });
+        assert_eq!(priced, 3);
+        for i in 0..4u32 {
+            assert_eq!(ws.distance(NodeId::new(i)), Some(f64::from(i)));
+        }
+        assert_eq!(ws.route_to(&net, NodeId::new(3)).unwrap().len(), 3);
     }
 
     #[test]

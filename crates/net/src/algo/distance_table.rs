@@ -26,6 +26,16 @@ pub struct AllPairsHops {
 const UNREACHABLE: u32 = u32::MAX;
 
 impl AllPairsHops {
+    /// A table over `n` nodes with every pair unreachable, for a caller
+    /// that fills each row with [`AllPairsHops::set_row`] from searches it
+    /// runs anyway.
+    pub fn unreachable(n: usize) -> Self {
+        AllPairsHops {
+            n,
+            dist: vec![UNREACHABLE; n * n],
+        }
+    }
+
     /// Computes hop counts with one BFS per node (`O(n · (n + N))`).
     pub fn compute(net: &Network) -> Self {
         Self::compute_filtered(net, |_| true)
@@ -35,17 +45,12 @@ impl AllPairsHops {
     /// returns `true` (e.g. masking failed links, as the paper's distance
     /// tables are "updated only upon change of the network topology").
     pub fn compute_filtered(net: &Network, mut usable: impl FnMut(LinkId) -> bool) -> Self {
-        let n = net.num_nodes();
-        let mut dist = vec![UNREACHABLE; n * n];
+        let mut table = Self::unreachable(net.num_nodes());
         for src in net.nodes() {
             let row = crate::algo::bfs_hops_filtered(net, src, &mut usable);
-            for (j, d) in row.into_iter().enumerate() {
-                if let Some(d) = d {
-                    dist[src.index() * n + j] = d;
-                }
-            }
+            table.set_row(src, |dst| row[dst.index()]);
         }
-        AllPairsHops { n, dist }
+        table
     }
 
     /// Minimum hop count from `src` to `dst`, or `None` when unreachable.

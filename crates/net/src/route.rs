@@ -3,6 +3,7 @@
 use crate::{LinkId, NetError, Network, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A validated, contiguous directed route through a [`Network`].
 ///
@@ -31,7 +32,9 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Route {
-    links: Vec<LinkId>,
+    /// Shared, so the per-hop clones of the signalling plane (packets,
+    /// journal records, channel-table entries) are a refcount bump.
+    links: Arc<[LinkId]>,
     src: NodeId,
     dst: NodeId,
 }
@@ -46,7 +49,11 @@ impl Route {
     /// id does not exist in `net`.
     pub fn new(net: &Network, links: Vec<LinkId>) -> Result<Self, NetError> {
         let (src, dst) = net.validate_walk(&links)?;
-        Ok(Route { links, src, dst })
+        Ok(Route {
+            links: links.into(),
+            src,
+            dst,
+        })
     }
 
     /// Builds a route by resolving consecutive node pairs to links.
@@ -111,7 +118,7 @@ impl Route {
     pub fn nodes(&self, net: &Network) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.links.len() + 1);
         out.push(self.src);
-        for l in &self.links {
+        for l in self.links.iter() {
             out.push(net.link(*l).dst());
         }
         out

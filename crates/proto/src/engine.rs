@@ -511,7 +511,7 @@ impl ProtocolSim {
         assert!(retry.max_attempts >= 1, "need at least one attempt");
         assert!(retry.backoff >= 1, "backoff multiplier must be >= 1");
         let routers = net.nodes().map(|n| Router::new(&net, n)).collect();
-        let journals = Journals::new(&net);
+        let journals = Journals::new(Arc::clone(&net));
         let failed = vec![false; net.num_links()];
         let down = vec![false; net.num_nodes()];
         let mut sim = Simulator::new();
@@ -1267,7 +1267,11 @@ impl State {
         let hops = (delay.as_micros() / self.cfg.per_hop_delay.as_micros().max(1)).max(1);
         let delay = delay + intercept_delay;
         let fate = self.fates.decide(&pkt, hops);
-        for jitter in fate.copies {
+        // The packet itself rides the last copy; only a duplicate clones.
+        let Some((&last, earlier)) = fate.copies.split_last() else {
+            return;
+        };
+        for &jitter in earlier {
             sched.schedule_in(
                 delay + jitter,
                 Event::Deliver {
@@ -1276,6 +1280,7 @@ impl State {
                 },
             );
         }
+        sched.schedule_in(delay + last, Event::Deliver { to, pkt });
     }
 
     fn hop_delay(&self, hops: usize) -> SimDuration {
@@ -1650,7 +1655,7 @@ impl State {
                 self.restarted = true;
                 self.stats.restarts += 1;
                 if self.chaos.restart_mode == RestartMode::Journaled {
-                    let (router, replayed, corrupt) = self.journals.replay(&self.net, node);
+                    let (router, replayed, corrupt) = self.journals.replay(node);
                     self.routers[node.index()] = router;
                     self.stats.replayed_records += replayed;
                     if corrupt {

@@ -9,10 +9,11 @@
 //! against a fresh router reproduces the live router bit for bit — the
 //! property the `journal_replay` equivalence suite pins.
 //!
-//! Replay is bounded by a compacting checkpoint: once the tail grows past
-//! [`Journal::COMPACT_EVERY`] records, the post-mutation router is
-//! snapshotted and the tail cleared, so a restart replays at most one
-//! checkpoint clone plus a bounded tail.
+//! Replay is bounded by a compacting checkpoint: once the tail reaches
+//! [`Journal::COMPACT_EVERY`] records, the journal applies them to its own
+//! checkpoint router and drains the tail, so a restart replays at most one
+//! checkpoint clone plus a bounded tail. Compaction costs what it retires
+//! (64 `apply` calls) and never reads the live router.
 //!
 //! Crash behaviour is decided by [`crate::RestartMode`]: under `Amnesia`
 //! the journal is wiped with the router (the historical model); under
@@ -26,6 +27,8 @@
 use crate::router::{Router, WalkGate};
 use drt_core::ConnectionId;
 use drt_net::{Bandwidth, LinkId, Network, NodeId, Route};
+use std::fmt;
+use std::sync::Arc;
 
 /// One journaled router mutation. Every variant mirrors a [`Router`]
 /// mutator one to one, including the walk-dedup ledger operations —
@@ -154,8 +157,9 @@ fn apply(router: &mut Router, rec: &JournalRecord) {
 /// records appended since.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
-    /// Router snapshot as of `lsn - tail.len()` records; `None` until the
-    /// first compaction (replay then starts from a fresh router).
+    /// The router as of `lsn - tail.len()` records, reached by applying
+    /// every retired record in order; `None` until the first compaction
+    /// (which, like replay, then starts from a fresh router).
     checkpoint: Option<Router>,
     /// Records appended since the checkpoint.
     tail: Vec<JournalRecord>,
@@ -167,8 +171,8 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Tail length that triggers a compaction: the post-mutation router is
-    /// snapshotted and the tail cleared, bounding replay work.
+    /// Tail length that triggers a compaction: the tail's records are
+    /// applied to the checkpoint and the tail drained, bounding replay work.
     pub const COMPACT_EVERY: usize = 64;
 
     /// Total records ever appended.
@@ -205,17 +209,21 @@ impl Journal {
         router
     }
 
-    /// Appends one record; the caller performs the mutation and then
-    /// offers the post-mutation router for compaction.
-    fn append(&mut self, rec: JournalRecord) {
+    /// Appends one record (the caller then performs the mutation). A tail
+    /// that reaches [`Self::COMPACT_EVERY`] is retired into the checkpoint
+    /// by the same in-order `apply` that [`Self::replay`] uses, so the
+    /// checkpoint is the router replay would have built — the live router
+    /// is not consulted.
+    fn append(&mut self, net: &Network, node: NodeId, rec: JournalRecord) {
         self.tail.push(rec);
         self.lsn += 1;
-    }
-
-    fn maybe_compact(&mut self, router: &Router) {
         if self.tail.len() >= Self::COMPACT_EVERY {
-            self.checkpoint = Some(router.clone());
-            self.tail.clear();
+            let checkpoint = self
+                .checkpoint
+                .get_or_insert_with(|| Router::new(net, node));
+            for rec in self.tail.drain(..) {
+                apply(checkpoint, &rec);
+            }
         }
     }
 }
@@ -223,16 +231,32 @@ impl Journal {
 /// The per-node journals plus the choke-point wrappers the engine calls
 /// instead of raw [`Router`] mutators. Each wrapper appends the typed
 /// record *before* acting (write-ahead), then delegates.
-#[derive(Debug)]
 pub(crate) struct Journals {
+    /// What a node's first compaction builds its fresh router from.
+    net: Arc<Network>,
     per_node: Vec<Journal>,
 }
 
+/// Renders the journals only: the rendering feeds
+/// `ProtocolSim::fingerprint`, and the network is not protocol state.
+impl fmt::Debug for Journals {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Journals")
+            .field("per_node", &self.per_node)
+            .finish()
+    }
+}
+
 impl Journals {
-    pub(crate) fn new(net: &Network) -> Self {
+    pub(crate) fn new(net: Arc<Network>) -> Self {
         Journals {
             per_node: (0..net.num_nodes()).map(|_| Journal::default()).collect(),
+            net,
         }
+    }
+
+    fn append(&mut self, at: NodeId, rec: JournalRecord) {
+        self.per_node[at.index()].append(&self.net, at, rec);
     }
 
     /// The journal of one node (test and bench observability).
@@ -271,9 +295,9 @@ impl Journals {
     /// Replays one node's journal into a rebuilt router. Returns the
     /// router, the number of tail records replayed, and whether the
     /// journal was corrupted (caller degrades the rejoin).
-    pub(crate) fn replay(&self, net: &Network, node: NodeId) -> (Router, u64, bool) {
+    pub(crate) fn replay(&self, node: NodeId) -> (Router, u64, bool) {
         let j = &self.per_node[node.index()];
-        (j.replay(net, node), j.tail.len() as u64, j.corrupted)
+        (j.replay(&self.net, node), j.tail.len() as u64, j.corrupted)
     }
 
     // --- choke-point wrappers -------------------------------------------
@@ -288,10 +312,8 @@ impl Journals {
         seq: u64,
         attempt: u32,
     ) -> WalkGate {
-        self.per_node[at.index()].append(JournalRecord::GateWalk { conn, seq, attempt });
-        let gate = routers[at.index()].gate_walk(conn, seq, attempt);
-        self.per_node[at.index()].maybe_compact(&routers[at.index()]);
-        gate
+        self.append(at, JournalRecord::GateWalk { conn, seq, attempt });
+        routers[at.index()].gate_walk(conn, seq, attempt)
     }
 
     pub(crate) fn applied(
@@ -301,9 +323,8 @@ impl Journals {
         conn: ConnectionId,
         seq: u64,
     ) {
-        self.per_node[at.index()].append(JournalRecord::MarkApplied { conn, seq });
+        self.append(at, JournalRecord::MarkApplied { conn, seq });
         routers[at.index()].mark_applied(conn, seq);
-        self.per_node[at.index()].maybe_compact(&routers[at.index()]);
     }
 
     pub(crate) fn poison(
@@ -314,9 +335,8 @@ impl Journals {
         seq: u64,
         attempt: u32,
     ) {
-        self.per_node[at.index()].append(JournalRecord::PoisonWalk { conn, seq, attempt });
+        self.append(at, JournalRecord::PoisonWalk { conn, seq, attempt });
         routers[at.index()].poison_walk(conn, seq, attempt);
-        self.per_node[at.index()].maybe_compact(&routers[at.index()]);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -329,21 +349,21 @@ impl Journals {
         out_link: LinkId,
         bw: Bandwidth,
     ) -> bool {
-        self.per_node[at.index()].append(JournalRecord::ReservePrimary {
-            conn,
-            route: route.clone(),
-            out_link,
-            bw,
-        });
-        let ok = routers[at.index()].reserve_primary(conn, route, out_link, bw);
-        self.per_node[at.index()].maybe_compact(&routers[at.index()]);
-        ok
+        self.append(
+            at,
+            JournalRecord::ReservePrimary {
+                conn,
+                route: route.clone(),
+                out_link,
+                bw,
+            },
+        );
+        routers[at.index()].reserve_primary(conn, route, out_link, bw)
     }
 
     pub(crate) fn release(&mut self, routers: &mut [Router], at: NodeId, conn: ConnectionId) {
-        self.per_node[at.index()].append(JournalRecord::ReleasePrimary { conn });
+        self.append(at, JournalRecord::ReleasePrimary { conn });
         routers[at.index()].release_primary(conn);
-        self.per_node[at.index()].maybe_compact(&routers[at.index()]);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -357,15 +377,17 @@ impl Journals {
         primary_lset: &[LinkId],
         bw: Bandwidth,
     ) {
-        self.per_node[at.index()].append(JournalRecord::RegisterBackup {
-            conn,
-            route: route.clone(),
-            out_link,
-            primary_lset: primary_lset.to_vec(),
-            bw,
-        });
+        self.append(
+            at,
+            JournalRecord::RegisterBackup {
+                conn,
+                route: route.clone(),
+                out_link,
+                primary_lset: primary_lset.to_vec(),
+                bw,
+            },
+        );
         routers[at.index()].register_backup(conn, route, out_link, primary_lset, bw);
-        self.per_node[at.index()].maybe_compact(&routers[at.index()]);
     }
 
     pub(crate) fn unregister(
@@ -375,9 +397,8 @@ impl Journals {
         conn: ConnectionId,
         out_link: LinkId,
     ) {
-        self.per_node[at.index()].append(JournalRecord::UnregisterBackup { conn, out_link });
+        self.append(at, JournalRecord::UnregisterBackup { conn, out_link });
         routers[at.index()].unregister_backup(conn, out_link);
-        self.per_node[at.index()].maybe_compact(&routers[at.index()]);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -390,15 +411,16 @@ impl Journals {
         out_link: LinkId,
         bw: Bandwidth,
     ) -> bool {
-        self.per_node[at.index()].append(JournalRecord::ActivateBackup {
-            conn,
-            route: route.clone(),
-            out_link,
-            bw,
-        });
-        let ok = routers[at.index()].activate_backup(conn, route, out_link, bw);
-        self.per_node[at.index()].maybe_compact(&routers[at.index()]);
-        ok
+        self.append(
+            at,
+            JournalRecord::ActivateBackup {
+                conn,
+                route: route.clone(),
+                out_link,
+                bw,
+            },
+        );
+        routers[at.index()].activate_backup(conn, route, out_link, bw)
     }
 }
 
@@ -406,20 +428,20 @@ impl Journals {
 mod tests {
     use super::*;
     use drt_net::topology;
+    use proptest::prelude::*;
 
     const BW: Bandwidth = Bandwidth::from_kbps(3_000);
 
-    fn setup() -> (Network, Journals, Vec<Router>, Route) {
-        let net = topology::ring(4, Bandwidth::from_mbps(10)).unwrap();
-        let journals = Journals::new(&net);
+    fn setup() -> (Journals, Vec<Router>, Route) {
+        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
         let routers: Vec<Router> = net.nodes().map(|n| Router::new(&net, n)).collect();
         let route = Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1)]).unwrap();
-        (net, journals, routers, route)
+        (Journals::new(net), routers, route)
     }
 
     #[test]
     fn replay_matches_live_router() {
-        let (net, mut js, mut routers, route) = setup();
+        let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
         let conn = ConnectionId::new(1);
         let link = route.links()[0];
@@ -427,7 +449,7 @@ mod tests {
         assert!(js.reserve(&mut routers, n0, conn, &route, link, BW));
         js.applied(&mut routers, n0, conn, 7);
         js.register(&mut routers, n0, conn, &route, link, &[LinkId::new(5)], BW);
-        let (replayed, records, corrupt) = js.replay(&net, n0);
+        let (replayed, records, corrupt) = js.replay(n0);
         assert_eq!(records, 4);
         assert!(!corrupt);
         assert_eq!(format!("{replayed:?}"), format!("{:?}", routers[0]));
@@ -435,7 +457,7 @@ mod tests {
 
     #[test]
     fn compaction_bounds_the_tail_and_preserves_replay() {
-        let (net, mut js, mut routers, route) = setup();
+        let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
         let link = route.links()[0];
         for i in 0..(Journal::COMPACT_EVERY as u64 * 3 + 5) {
@@ -446,13 +468,13 @@ mod tests {
         let j = js.journal(n0);
         assert!(j.tail_len() < Journal::COMPACT_EVERY, "tail stays bounded");
         assert!(j.lsn() >= Journal::COMPACT_EVERY as u64 * 3);
-        let (replayed, _, _) = js.replay(&net, n0);
+        let (replayed, _, _) = js.replay(n0);
         assert_eq!(format!("{replayed:?}"), format!("{:?}", routers[0]));
     }
 
     #[test]
     fn torn_tail_drops_records_and_flags_corruption() {
-        let (net, mut js, mut routers, route) = setup();
+        let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
         let link = route.links()[0];
         for i in 0..4u64 {
@@ -470,7 +492,7 @@ mod tests {
         let j = js.journal(n0);
         assert!(j.is_corrupted());
         assert_eq!(j.tail_len(), 2);
-        let (replayed, _, corrupt) = js.replay(&net, n0);
+        let (replayed, _, corrupt) = js.replay(n0);
         assert!(corrupt);
         // The replayed router is missing the torn registrations.
         assert_eq!(replayed.backup_table_len(), 2);
@@ -479,7 +501,7 @@ mod tests {
 
     #[test]
     fn stale_checkpoint_loses_the_tail() {
-        let (net, mut js, mut routers, route) = setup();
+        let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
         let link = route.links()[0];
         js.register(
@@ -492,7 +514,7 @@ mod tests {
             BW,
         );
         js.corrupt(n0, crate::chaos::JournalFault::StaleCheckpoint);
-        let (replayed, records, corrupt) = js.replay(&net, n0);
+        let (replayed, records, corrupt) = js.replay(n0);
         assert!(corrupt);
         assert_eq!(records, 0);
         assert_eq!(replayed.backup_table_len(), 0);
@@ -500,7 +522,7 @@ mod tests {
 
     #[test]
     fn amnesia_reset_wipes_everything() {
-        let (net, mut js, mut routers, route) = setup();
+        let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
         let link = route.links()[0];
         js.register(
@@ -516,7 +538,211 @@ mod tests {
         let j = js.journal(n0);
         assert_eq!(j.lsn(), 0);
         assert!(!j.is_corrupted());
-        let (replayed, _, _) = js.replay(&net, n0);
+        let (replayed, _, _) = js.replay(n0);
         assert_eq!(replayed.backup_table_len(), 0);
+    }
+
+    /// One call through the wrapper `kind % 8` selects, on an outgoing
+    /// link of `at` (the raw mutators debug-assert own links). Small id
+    /// ranges make calls collide: refused reservations, stacked backups,
+    /// unregisters of nothing.
+    fn drive(
+        js: &mut Journals,
+        routers: &mut [Router],
+        at: NodeId,
+        (kind, conn, seq, pick): (u8, u64, u64, u32),
+    ) {
+        let net = Arc::clone(&js.net);
+        let out = net.out_links(at);
+        let link = out[pick as usize % out.len()];
+        let route = Route::new(&net, vec![link]).unwrap();
+        let num_links = net.num_links() as u32;
+        let first = pick % num_links;
+        let lset = [
+            LinkId::new(first),
+            LinkId::new((first + 1 + pick / 7 % (num_links - 1)) % num_links),
+        ];
+        let conn = ConnectionId::new(conn);
+        let attempt = 1 + pick % 3;
+        match kind % 8 {
+            0 => {
+                js.gate(routers, at, conn, seq, attempt);
+            }
+            1 => js.applied(routers, at, conn, seq),
+            2 => js.poison(routers, at, conn, seq, attempt),
+            3 => {
+                js.reserve(routers, at, conn, &route, link, BW);
+            }
+            4 => js.release(routers, at, conn),
+            5 => js.register(routers, at, conn, &route, link, &lset, BW),
+            6 => js.unregister(routers, at, conn, link),
+            _ => {
+                js.activate(routers, at, conn, &route, link, BW);
+            }
+        }
+    }
+
+    /// The obvious compaction — a clone of the live router every
+    /// `COMPACT_EVERY` records — as the model the journal's own
+    /// replay-advanced checkpoint is compared against.
+    #[derive(Default)]
+    struct CloneModel {
+        checkpoint: Option<Router>,
+        tail_len: usize,
+        lsn: u64,
+        compactions: usize,
+    }
+
+    fn assert_matches_model(js: &Journals, node: NodeId, model: &CloneModel) {
+        let j = js.journal(node);
+        assert_eq!(j.lsn(), model.lsn);
+        assert_eq!(j.tail_len(), model.tail_len);
+        assert_eq!(
+            format!("{:?}", j.checkpoint),
+            format!("{:?}", model.checkpoint),
+            "checkpoint of {node} is not the live router as of the compaction"
+        );
+    }
+
+    /// Runs `trace` on every node of `net` in lockstep — except that a
+    /// fault entry strikes one node only, the others taking it as a plain
+    /// call — and holds the journals to the clone model throughout.
+    fn check_against_clone_model(net: Network, trace: &[(u8, u64, u64, u32)]) {
+        use crate::chaos::JournalFault;
+        let net = Arc::new(net);
+        let mut js = Journals::new(Arc::clone(&net));
+        let mut routers: Vec<Router> = net.nodes().map(|n| Router::new(&net, n)).collect();
+        let mut models: Vec<CloneModel> = net.nodes().map(|_| CloneModel::default()).collect();
+        for &(kind, conn, seq, pick) in trace {
+            for at in net.nodes() {
+                let i = at.index();
+                let model = &mut models[i];
+                if kind >= 192 && pick as usize % net.num_nodes() == i {
+                    match kind {
+                        192..=193 => {
+                            // Amnesia crash: journal and router go together.
+                            js.reset(at);
+                            model.checkpoint = None;
+                            model.tail_len = 0;
+                            model.lsn = 0;
+                        }
+                        194..=197 => {
+                            let n = 1 + pick % 5;
+                            js.corrupt(at, JournalFault::TornTail(n));
+                            model.tail_len -= (n as usize).min(model.tail_len);
+                        }
+                        _ => {
+                            js.corrupt(at, JournalFault::StaleCheckpoint);
+                            model.tail_len = 0;
+                        }
+                    }
+                    routers[i] = js.replay(at).0;
+                    assert_matches_model(&js, at, model);
+                    continue;
+                }
+                // Offset per node, so the nodes' histories differ.
+                let pick = pick.wrapping_add(i as u32);
+                drive(&mut js, &mut routers, at, (kind, conn, seq, pick));
+                model.lsn += 1;
+                model.tail_len += 1;
+                if model.tail_len >= Journal::COMPACT_EVERY {
+                    model.checkpoint = Some(routers[i].clone());
+                    model.tail_len = 0;
+                    model.compactions += 1;
+                    assert_matches_model(&js, at, model);
+                }
+            }
+        }
+        for at in net.nodes() {
+            let model = &models[at.index()];
+            assert_matches_model(&js, at, model);
+            assert!(model.compactions >= 4, "trace too short for {at}");
+            let (replayed, _, _) = js.replay(at);
+            assert_eq!(
+                format!("{replayed:?}"),
+                format!("{:?}", routers[at.index()])
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn checkpoint_equals_a_clone_of_the_live_router(
+            trace in prop::collection::vec((0u8..200, 0u64..6, 0u64..8, any::<u32>()), 448),
+        ) {
+            let capacity = Bandwidth::from_mbps(10);
+            check_against_clone_model(topology::ring(4, capacity).unwrap(), &trace);
+            check_against_clone_model(topology::mesh(3, 3, capacity).unwrap(), &trace);
+        }
+    }
+
+    #[test]
+    fn stale_checkpoint_after_several_compactions_restores_the_last_one() {
+        let (mut js, mut routers, _route) = setup();
+        let n0 = NodeId::new(0);
+        // Rounds of all eight wrappers on one (conn, seq); every round
+        // gates a new seq, so each leaves a walk record behind for good.
+        let mut op = 0u32;
+        let mut next = |js: &mut Journals, routers: &mut [Router]| {
+            let round = u64::from(op / 8);
+            drive(js, routers, n0, (op as u8, round % 5, round, op * 13));
+            op += 1;
+        };
+        for _ in 0..Journal::COMPACT_EVERY * 3 {
+            next(&mut js, &mut routers);
+        }
+        assert_eq!(js.journal(n0).tail_len(), 0, "third compaction just ran");
+        let at_third_compaction = format!("{:?}", routers[0]);
+        for _ in 0..10 {
+            next(&mut js, &mut routers);
+        }
+        assert_eq!(js.journal(n0).tail_len(), 10);
+        js.corrupt(n0, crate::chaos::JournalFault::StaleCheckpoint);
+        let (replayed, records, corrupt) = js.replay(n0);
+        assert!(corrupt && js.journal(n0).is_corrupted());
+        assert_eq!(records, 0);
+        assert_eq!(format!("{replayed:?}"), at_third_compaction);
+        assert_ne!(format!("{:?}", routers[0]), at_third_compaction);
+    }
+
+    #[test]
+    fn compaction_never_reads_the_live_router() {
+        let (mut js, mut routers, route) = setup();
+        let n0 = NodeId::new(0);
+        let link = route.links()[0];
+        let lset = [LinkId::new(5)];
+        for i in 0..Journal::COMPACT_EVERY as u64 - 1 {
+            js.register(
+                &mut routers,
+                n0,
+                ConnectionId::new(i % 7),
+                &route,
+                link,
+                &lset,
+                BW,
+            );
+        }
+        // The journal's own history: the 63 records so far plus the one
+        // appended below — and nothing else.
+        let mut history = routers[0].clone();
+        history.register_backup(ConnectionId::new(0), &route, link, &lset, BW);
+        // The live router diverges behind the journal's back, right
+        // before the append that compacts.
+        routers[0].register_backup(ConnectionId::new(99), &route, link, &lset, BW);
+        js.register(
+            &mut routers,
+            n0,
+            ConnectionId::new(0),
+            &route,
+            link,
+            &lset,
+            BW,
+        );
+        assert_eq!(js.journal(n0).tail_len(), 0, "the 64th record compacts");
+        let (replayed, _, _) = js.replay(n0);
+        assert_eq!(format!("{replayed:?}"), format!("{history:?}"));
+        assert_ne!(format!("{replayed:?}"), format!("{:?}", routers[0]));
     }
 }

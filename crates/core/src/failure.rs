@@ -660,7 +660,6 @@ impl DrtpManager {
             self.conns.insert(id, conn);
         }
 
-        self.hops_changed(&failed_links);
         self.telemetry.incr("inject.events");
         self.telemetry
             .add("inject.links_failed", report.failed_links.len() as u64);
@@ -806,7 +805,6 @@ impl DrtpManager {
                 for &l in &report.failed_links {
                     self.failed[l.index()] = false;
                 }
-                self.hops_changed(&report.failed_links);
                 self.telemetry
                     .add("restart.spurious_switchovers", report.switched.len() as u64);
                 self.telemetry
@@ -853,7 +851,6 @@ impl DrtpManager {
         for &l in &unit {
             self.failed[l.index()] = false;
         }
-        self.hops_changed(&unit);
         Ok(())
     }
 

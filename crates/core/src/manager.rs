@@ -6,7 +6,6 @@ use crate::{
     Aplv, CapacityError, ConnectionId, ConnectionState, DrConnection, DrtpError, IncidenceIndex,
     LinkResources, Telemetry,
 };
-use drt_net::algo::{AllPairsHops, DynamicSpt};
 use drt_net::{Bandwidth, LinkId, Network, Route};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -24,12 +23,13 @@ use std::sync::Arc;
 /// `LSET`) correspond one-to-one to the APLV updates this manager performs,
 /// and their cost is modelled by [`RoutingOverhead`].
 ///
-/// Three structures are derived from the connection table — the APLVs
-/// (each carrying its conflict bits), the link-incidence index, and the
-/// per-source trees behind the hop table. Every route enters and leaves
-/// the first two through one private attach / detach pair per role
-/// (primary, backup), so a route cannot be in the ledger and the APLVs
-/// without also being in the index.
+/// Two structures are derived from the connection table — the APLVs
+/// (each carrying its conflict bits) and the link-incidence index. Every
+/// route enters and leaves them through one private attach / detach pair
+/// per role (primary, backup), so a route cannot be in the ledger and the
+/// APLVs without also being in the index. Nothing is derived from the
+/// topology: a failure or repair flips `failed[l]` and no other state has
+/// to hear about it ([`ManagerView::hops_to`] searches when asked).
 ///
 /// See the crate-level docs for a usage example.
 #[derive(Debug, Clone)]
@@ -41,11 +41,6 @@ pub struct DrtpManager {
     pub(crate) incidence: IncidenceIndex,
     pub(crate) failed: Vec<bool>,
     pub(crate) conns: BTreeMap<ConnectionId, DrConnection>,
-    pub(crate) hops: AllPairsHops,
-    /// One repairable shortest-path tree per node (unit cost over alive
-    /// links), the source the incremental hop-table maintenance patches
-    /// rows from.
-    pub(crate) spt: Vec<DynamicSpt>,
     pub(crate) distortion: Option<ViewDistortion>,
     pub(crate) telemetry: Telemetry,
 }
@@ -166,7 +161,6 @@ pub struct StateSnapshot {
     links: Vec<LinkResources>,
     aplvs: Vec<Aplv>,
     failed: Vec<bool>,
-    hops: AllPairsHops,
 }
 
 impl StateSnapshot {
@@ -178,7 +172,7 @@ impl StateSnapshot {
             links: &self.links,
             aplvs: &self.aplvs,
             failed: &self.failed,
-            hops: &self.hops,
+            hop_mask: &self.failed,
             // A snapshot is the honestly-disseminated database; byzantine
             // distortion applies to the live advertisement path only.
             distortion: None,
@@ -191,14 +185,16 @@ impl StateSnapshot {
 /// The view corresponds to the link-state database of the paper's routers:
 /// per-link available bandwidths plus the scheme-specific APLV digest
 /// (`‖APLV‖₁` for P-LSR, conflict vectors for D-LSR), and the distance
-/// tables consulted by bounded flooding.
+/// table column a bounded flood consults ([`ManagerView::hops_to`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ManagerView<'a> {
     net: &'a Network,
     links: &'a [LinkResources],
     aplvs: &'a [Aplv],
     failed: &'a [bool],
-    hops: &'a AllPairsHops,
+    /// The failed mask [`ManagerView::hops_to`] measures over: the
+    /// owner's own, without the links `failed` may additionally hide.
+    hop_mask: &'a [bool],
     distortion: Option<&'a ViewDistortion>,
 }
 
@@ -213,11 +209,18 @@ impl<'a> ManagerView<'a> {
         self.net
     }
 
-    /// All-pairs hop counts over *alive* links (the flooding scheme's
-    /// distance-table source, "updated only upon change of the network
-    /// topology").
-    pub fn hops(&self) -> &'a AllPairsHops {
-        self.hops
+    /// Hop count of every node's shortest route **to** `dst` over links
+    /// that are not failed (`None` = unreachable) — the column `D(·, dst)`
+    /// of the paper's distance tables (§4.1), measured on request by one
+    /// breadth-first search ([`drt_net::algo::bfs_hops_to`], O(N + L))
+    /// instead of read from a maintained table.
+    ///
+    /// Distances are over the manager's (or snapshot's) own failed mask:
+    /// neither a [`ViewDistortion`] nor the extra links
+    /// [`DrtpManager::reestablish_backup_avoiding`] hides from
+    /// [`ManagerView::alive`] change them.
+    pub fn hops_to(&self, dst: drt_net::NodeId) -> Vec<Option<u32>> {
+        drt_net::algo::bfs_hops_to(self.net, dst, |l| !self.hop_mask[l.index()])
     }
 
     /// Returns `true` when the link is not failed — or when its byzantine
@@ -294,12 +297,6 @@ impl<'a> ManagerView<'a> {
     }
 }
 
-/// Writes the hop table's row for `spt`'s source from the tree: unit
-/// costs make its distances exact hop counts.
-fn write_hop_row(hops: &mut AllPairsHops, spt: &DynamicSpt) {
-    hops.set_row(spt.source(), |dst| spt.distance(dst).map(|d| d as u32));
-}
-
 impl DrtpManager {
     /// Creates a manager over `net` with the paper's configuration.
     pub fn new(net: Arc<Network>) -> Self {
@@ -315,17 +312,6 @@ impl DrtpManager {
         let aplvs = vec![Aplv::with_num_links(net.num_links()); net.num_links()];
         let incidence = IncidenceIndex::new(net.num_links());
         let failed = vec![false; net.num_links()];
-        // One unit-cost tree per source; its distances are the hop table's
-        // row, as after every repair in `hops_changed`.
-        let mut hops = AllPairsHops::unreachable(net.num_nodes());
-        let spt = net
-            .nodes()
-            .map(|src| {
-                let spt = DynamicSpt::build(&net, src, |_| Some(1.0));
-                write_hop_row(&mut hops, &spt);
-                spt
-            })
-            .collect();
         DrtpManager {
             net,
             cfg,
@@ -334,8 +320,6 @@ impl DrtpManager {
             incidence,
             failed,
             conns: BTreeMap::new(),
-            hops,
-            spt,
             distortion: None,
             telemetry: Telemetry::default(),
         }
@@ -357,14 +341,15 @@ impl DrtpManager {
         self.view_over(&self.failed)
     }
 
-    /// The live view with `failed` standing in for the failed-link mask.
+    /// The live view with `failed` standing in for the failed-link mask
+    /// (hop distances stay over the manager's own).
     fn view_over<'a>(&'a self, failed: &'a [bool]) -> ManagerView<'a> {
         ManagerView {
             net: &self.net,
             links: &self.links,
             aplvs: &self.aplvs,
             failed,
-            hops: &self.hops,
+            hop_mask: &self.failed,
             distortion: self.distortion.as_ref(),
         }
     }
@@ -401,12 +386,11 @@ impl DrtpManager {
             links: self.links.clone(),
             aplvs: self.aplvs.clone(),
             failed: self.failed.clone(),
-            hops: self.hops.clone(),
         }
     }
 
     /// A digest of the *complete* manager state — every link ledger, APLV,
-    /// failure mask, connection record, and hop table. Two managers with
+    /// failure mask and connection record. Two managers with
     /// equal fingerprints are observationally identical; purity tests use
     /// this to prove probes mutate nothing (the `Display` rendering is a
     /// lossy summary and would miss e.g. a perturbed spare pool).
@@ -415,9 +399,7 @@ impl DrtpManager {
     /// `Aplv` renders its registered elements in link order — not its
     /// table — so equal states hash equal whatever history led to them,
     /// and the text is sized by the live connections: about a megabyte at
-    /// 60 nodes, half of it APLVs; tens of megabytes at 1 000, most of it
-    /// the N² hop table and the trees, hashed in about a third of a
-    /// second.
+    /// 60 nodes, half of it APLVs.
     pub fn fingerprint(&self) -> u64 {
         use std::{fmt::Write, hash::Hasher};
         let mut sink = HashSink::default();
@@ -825,23 +807,6 @@ impl DrtpManager {
         if let Some(l) = self.incidence.first_divergence(&rebuilt) {
             panic!("link-incidence index diverged from connection table on {l}");
         }
-        // 1e. The (incrementally maintained) hop table is bit-for-bit what
-        //     a full filtered recompute produces.
-        let failed = &self.failed;
-        let fresh = AllPairsHops::compute_filtered(&self.net, |l| !failed[l.index()]);
-        if let Some((s, d)) = self.hops.first_divergence(&fresh) {
-            panic!("hop table diverged from a full recompute at {s} -> {d}");
-        }
-        // 1f. Every dynamic shortest-path tree structurally certifies its
-        //     distances under the current failed set.
-        for spt in &self.spt {
-            if let Some(n) = spt.certify(&self.net, |l| (!failed[l.index()]).then_some(1.0)) {
-                panic!(
-                    "dynamic SPT from {} failed certification at {n}",
-                    spt.source()
-                );
-            }
-        }
         // 2–3. Spare pools never exceed the APLV requirement, and the
         //      ledger is self-consistent (prime + spare ≤ capacity) —
         //      both via the pure predicates in [`crate::invariants`].
@@ -972,32 +937,6 @@ impl DrtpManager {
         self.detach_primary(id, lset, bw);
         for b in conn.backups() {
             self.detach_backup(id, b, lset, bw, conn.backup_is_dedicated());
-        }
-    }
-
-    /// Recomputes the all-pairs hop table wholesale (one BFS per node) —
-    /// kept public as the reference the incremental repair in
-    /// `hops_changed` is proven bit-for-bit equivalent to by tests.
-    pub fn recompute_hops_baseline(&mut self) {
-        let failed = &self.failed;
-        self.hops = AllPairsHops::compute_filtered(&self.net, |l| !failed[l.index()]);
-    }
-
-    /// Refreshes the hop table after the links in `changed` flipped
-    /// between alive and failed: each node's dynamic shortest-path tree is
-    /// *repaired* with the delta and only the rows whose tree actually
-    /// moved are rewritten. The result is bit-identical to
-    /// [`DrtpManager::recompute_hops_baseline`] (invariant 1e).
-    pub(crate) fn hops_changed(&mut self, changed: &[LinkId]) {
-        if changed.is_empty() {
-            return;
-        }
-        let failed = &self.failed;
-        let cost = |l: LinkId| (!failed[l.index()]).then_some(1.0);
-        for spt in &mut self.spt {
-            if spt.update_links(&self.net, changed, cost) {
-                write_hop_row(&mut self.hops, spt);
-            }
         }
     }
 
@@ -1287,23 +1226,6 @@ mod tests {
             mgr.install_backup_route(ConnectionId::new(0), bogus),
             Err(DrtpError::InvalidSelection(_))
         ));
-    }
-
-    #[test]
-    fn incremental_hops_match_baseline_recompute() {
-        let mut mgr = mesh_manager();
-        let mut scheme = DLsr::new();
-        mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
-        let mut rng = drt_sim::rng::stream(11, "hops-parity");
-        let l = drt_net::LinkId::new(3);
-        mgr.inject_failure(l, &mut rng).unwrap();
-        // The incrementally repaired table must equal a from-scratch
-        // filtered recompute bit-for-bit, before and after repair.
-        let incremental = mgr.view().hops().clone();
-        mgr.recompute_hops_baseline();
-        assert_eq!(incremental.first_divergence(mgr.view().hops()), None);
-        mgr.repair_link(l).unwrap();
-        mgr.assert_invariants();
     }
 
     #[test]

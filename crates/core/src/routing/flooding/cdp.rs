@@ -68,12 +68,21 @@ impl Cdp {
     /// `holder` joins the trail, and the primary flag is and-ed with this
     /// link's free-bandwidth test.
     pub fn forwarded(&self, holder: NodeId, link: LinkId, link_has_free_bw: bool) -> Self {
-        let mut next = self.clone();
-        next.hc_curr += 1;
-        next.list.push(holder);
-        next.path.push(link);
-        next.primary_flag &= link_has_free_bw;
-        next
+        // Sized for the push up front: a clone is exact-fit and would
+        // reallocate both trails on every forward.
+        let mut list = Vec::with_capacity(self.list.len() + 1);
+        list.extend_from_slice(&self.list);
+        list.push(holder);
+        let mut path = Vec::with_capacity(self.path.len() + 1);
+        path.extend_from_slice(&self.path);
+        path.push(link);
+        Cdp {
+            hc_curr: self.hc_curr + 1,
+            primary_flag: self.primary_flag & link_has_free_bw,
+            list,
+            path,
+            ..*self
+        }
     }
 
     /// Size of this packet on the wire (header + 4 bytes per trail entry).

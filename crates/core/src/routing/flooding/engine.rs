@@ -24,8 +24,9 @@ pub struct FloodOutcome {
 ///
 /// * the source bounds the flood at `hc_limit = ⌈ρ·D(src,dst)⌉ + ρ₀`;
 /// * every forward from node `i` to neighbor `k` must pass the
-///   **distance test** (`hc_curr + D_{dst,k} + 1 ≤ hc_limit`, consulting
-///   the distance tables derived from [`ManagerView::hops`]), the
+///   **distance test** (`hc_curr + D_{dst,k} + 1 ≤ hc_limit`, reading
+///   the distance-table column of `dst`, which [`ManagerView::hops_to`]
+///   measures once per flood), the
 ///   **loop-freedom test** (`k ∉ list`), and the **bandwidth test**
 ///   (`bw_req ≤ total − prime` on the link taken);
 /// * a node that has already seen a copy of this connection's CDP applies
@@ -43,12 +44,13 @@ pub fn flood(view: &ManagerView<'_>, req: &RouteRequest, params: FloodingParams)
         overhead: RoutingOverhead::ZERO,
         truncated: false,
     };
-    let Some(min_dist) = view.hops().hops(req.src, req.dst) else {
-        return outcome; // destination unreachable
-    };
     if req.src == req.dst {
         return outcome;
     }
+    let to_dst = view.hops_to(req.dst);
+    let Some(min_dist) = to_dst[req.src.index()] else {
+        return outcome; // destination unreachable
+    };
     let hc_limit = (params.rho * min_dist as f64).ceil() as u32 + params.rho_offset;
     let bw = req.bandwidth();
 
@@ -72,7 +74,7 @@ pub fn flood(view: &ManagerView<'_>, req: &RouteRequest, params: FloodingParams)
                 }
                 // Distance test: can the CDP still reach the destination
                 // within the limit after taking this hop?
-                let Some(rest) = view.hops().hops(k, m.dst) else {
+                let Some(rest) = to_dst[k.index()] else {
                     continue;
                 };
                 if m.hc_curr + 1 + rest > m.hc_limit {

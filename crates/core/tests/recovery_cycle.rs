@@ -10,9 +10,9 @@
 
 use drt_core::failure::FailureEvent;
 use drt_core::orchestrator::{RecoveryOrchestrator, RetryPolicy};
-use drt_core::routing::{DLsr, RouteRequest, Scripted};
-use drt_core::{ConnectionId, DrtpManager};
-use drt_net::{topology, Bandwidth, NodeId, Route};
+use drt_core::routing::{BoundedFlooding, DLsr, RouteRequest, Scripted};
+use drt_core::{ConnectionId, DrtpError, DrtpManager};
+use drt_net::{topology, Bandwidth, NetworkBuilder, NodeId, Route};
 use drt_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -210,6 +210,67 @@ fn reprotection_avoids_conflicts_like_admission() {
         );
     }
     mgr.assert_invariants();
+}
+
+/// Bounded flooding sizes its flood from the distance `D(src, dst)` over
+/// the manager's **own** failed mask — a quarantined (`avoid`) link still
+/// shortens `D` although no CDP may cross it, exactly as when the
+/// distances came from the maintained hop table, which never saw `avoid`.
+///
+/// Nodes 0 and 1 are joined by a direct link (quarantined), the two-hop
+/// primary 0-2-1, and one detour of `detour` hops. With `D(0,1) = 1` the
+/// bound is `hc_limit = 1 + 3 = 4`: a four-hop detour is found, a
+/// five-hop one is not. Measuring distances over the widened mask instead
+/// (`D = 2`, `hc_limit = 5`) finds the five-hop detour and fails this
+/// test. That alternative is arguably what a router would do and is not
+/// neutral: on `campaign --regime byzantine-lsa` it moved the defended BF
+/// rows from 6 to 2 and 10 to 6 orphans and `P_act-bk` 0.8056 -> 0.8485
+/// and 0.7793 -> 0.8380 at strengths 2 / 4. Collapse the two masks on
+/// purpose, with those numbers re-measured, or not at all.
+#[test]
+fn bounded_flooding_measures_distance_through_quarantined_links() {
+    let reprotect = |detour: u32| {
+        let n = |i| NodeId::new(i);
+        let mut b = NetworkBuilder::with_nodes(3 + detour as usize - 1);
+        let cap = Bandwidth::from_mbps(10);
+        b.add_duplex_link(n(0), n(1), cap).unwrap();
+        b.add_duplex_link(n(0), n(2), cap).unwrap();
+        b.add_duplex_link(n(2), n(1), cap).unwrap();
+        // 0 - 3 - 4 - … - 1, `detour` links long.
+        let mut trail = vec![n(0)];
+        trail.extend((3..3 + detour - 1).map(n));
+        trail.push(n(1));
+        for hop in trail.windows(2) {
+            b.add_duplex_link(hop[0], hop[1], cap).unwrap();
+        }
+        let net = Arc::new(b.build());
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let primary = Route::from_nodes(&net, &[n(0), n(2), n(1)]).unwrap();
+        let req = RouteRequest::new(ConnectionId::new(0), n(0), n(1), BW);
+        mgr.request_connection(Scripted::new().push(primary, None), req)
+            .unwrap();
+        let quarantined = net.find_link(n(0), n(1)).unwrap();
+        let out = mgr.reestablish_backup_avoiding(
+            &mut BoundedFlooding::new(),
+            ConnectionId::new(0),
+            &[quarantined],
+        );
+        mgr.assert_invariants();
+        let backup = mgr.connection(ConnectionId::new(0)).unwrap().backup();
+        (
+            out.map(|_| ()),
+            backup.cloned(),
+            Route::from_nodes(&net, &trail).unwrap(),
+        )
+    };
+
+    let (out, backup, detour) = reprotect(4);
+    assert_eq!(out, Ok(()));
+    assert_eq!(backup, Some(detour));
+
+    let (out, backup, _) = reprotect(5);
+    assert_eq!(out, Err(DrtpError::NoBackupRoute(ConnectionId::new(0))));
+    assert_eq!(backup, None);
 }
 
 #[test]

@@ -38,6 +38,45 @@ pub fn bfs_hops_filtered(
     dist
 }
 
+/// Breadth-first hop counts **to** `dst` — entry `i` is the length of the
+/// shortest directed route `i → dst` over links for which `usable`
+/// returns `true`, `None` when there is none. The mirror image of
+/// [`bfs_hops_filtered`], searching backwards over [`Network::in_links`]:
+/// the two differ as soon as one direction of a duplex pair is masked.
+/// One column of the paper's distance tables (§4.1), which is all a
+/// bounded flood towards `dst` reads.
+pub fn bfs_hops_to(
+    net: &Network,
+    dst: NodeId,
+    mut usable: impl FnMut(crate::LinkId) -> bool,
+) -> Vec<Option<u32>> {
+    let mut dist = vec![None; net.num_nodes()];
+    if dst.index() >= net.num_nodes() {
+        return dist;
+    }
+    dist[dst.index()] = Some(0);
+    // Every node is queued at most once, so a vector read from `head`
+    // is the whole queue.
+    let mut queue = Vec::with_capacity(net.num_nodes());
+    queue.push(dst);
+    let mut head = 0;
+    while let Some(&node) = queue.get(head) {
+        head += 1;
+        let d = dist[node.index()].expect("queued nodes have distances");
+        for &lid in net.in_links(node) {
+            if !usable(lid) {
+                continue;
+            }
+            let prev = net.link(lid).src();
+            if dist[prev.index()].is_none() {
+                dist[prev.index()] = Some(d + 1);
+                queue.push(prev);
+            }
+        }
+    }
+    dist
+}
+
 /// The set of nodes reachable from `src` along directed links (including
 /// `src` itself), as a boolean mask indexed by node.
 pub fn reachable_from(net: &Network, src: NodeId) -> Vec<bool> {
@@ -62,19 +101,9 @@ pub fn is_strongly_connected(net: &Network) -> bool {
         return false;
     }
     // Reverse reachability via in-links.
-    let mut seen = vec![false; n];
-    seen[start.index()] = true;
-    let mut queue = VecDeque::from([start]);
-    while let Some(node) = queue.pop_front() {
-        for &lid in net.in_links(node) {
-            let prev = net.link(lid).src();
-            if !seen[prev.index()] {
-                seen[prev.index()] = true;
-                queue.push_back(prev);
-            }
-        }
-    }
-    seen.into_iter().all(|s| s)
+    bfs_hops_to(net, start, |_| true)
+        .iter()
+        .all(Option::is_some)
 }
 
 /// Finds all bridges of the network's *undirected view* (each unordered
@@ -204,6 +233,45 @@ mod tests {
         assert_eq!(d[0], Some(0));
         assert_eq!(d[3], Some(3));
         assert_eq!(d[4], Some(2));
+    }
+
+    #[test]
+    fn hops_to_follows_link_direction() {
+        let net = topology::ring(6, CAP).unwrap();
+        let (src, dst) = (NodeId::new(1), NodeId::new(0));
+        // Unmasked, a duplex ring is symmetric.
+        assert_eq!(bfs_hops_to(&net, dst, |_| true), bfs_hops(&net, dst));
+        // Mask 1 -> 0 only: node 1 now goes the long way round to reach
+        // 0, while 0 still reaches 1 in one hop.
+        let down = net.find_link(src, dst).unwrap();
+        let to = bfs_hops_to(&net, dst, |l| l != down);
+        let from = bfs_hops_filtered(&net, dst, |l| l != down);
+        assert_eq!(to[src.index()], Some(5));
+        assert_eq!(from[src.index()], Some(1));
+        // Each entry is the forward search from that node, read at `dst`.
+        for node in net.nodes() {
+            let forward = bfs_hops_filtered(&net, node, |l| l != down);
+            assert_eq!(to[node.index()], forward[dst.index()], "from {node}");
+        }
+    }
+
+    #[test]
+    fn hops_to_unreachable_and_out_of_range() {
+        // 0 -> 1 -> 2 one way, node 3 isolated.
+        let mut b = NetworkBuilder::with_nodes(4);
+        b.add_link(NodeId::new(0), NodeId::new(1), CAP).unwrap();
+        b.add_link(NodeId::new(1), NodeId::new(2), CAP).unwrap();
+        let net = b.build();
+        assert_eq!(
+            bfs_hops_to(&net, NodeId::new(2), |_| true),
+            vec![Some(2), Some(1), Some(0), None]
+        );
+        // Nothing reaches 0 but 0 itself.
+        assert_eq!(
+            bfs_hops_to(&net, NodeId::new(0), |_| true),
+            vec![Some(0), None, None, None]
+        );
+        assert_eq!(bfs_hops_to(&net, NodeId::new(9), |_| true), vec![None; 4]);
     }
 
     #[test]

@@ -14,8 +14,10 @@ use crate::{LinkId, Network, NodeId};
 /// Precomputed minimum hop counts between every ordered node pair.
 ///
 /// This is the global view from which every node's [`DistanceTable`] is
-/// derived; it is recomputed only when the topology changes, exactly as the
-/// paper prescribes.
+/// derived. Nothing maintains one: O(N²) memory is paid by whoever
+/// computes it — tests holding [`crate::algo::bfs_hops_to`] to it, and
+/// topology reports — while route selection measures the one column a
+/// request needs.
 #[derive(Debug, Clone)]
 pub struct AllPairsHops {
     n: usize,
@@ -26,16 +28,6 @@ pub struct AllPairsHops {
 const UNREACHABLE: u32 = u32::MAX;
 
 impl AllPairsHops {
-    /// A table over `n` nodes with every pair unreachable, for a caller
-    /// that fills each row with [`AllPairsHops::set_row`] from searches it
-    /// runs anyway.
-    pub fn unreachable(n: usize) -> Self {
-        AllPairsHops {
-            n,
-            dist: vec![UNREACHABLE; n * n],
-        }
-    }
-
     /// Computes hop counts with one BFS per node (`O(n · (n + N))`).
     pub fn compute(net: &Network) -> Self {
         Self::compute_filtered(net, |_| true)
@@ -45,54 +37,23 @@ impl AllPairsHops {
     /// returns `true` (e.g. masking failed links, as the paper's distance
     /// tables are "updated only upon change of the network topology").
     pub fn compute_filtered(net: &Network, mut usable: impl FnMut(LinkId) -> bool) -> Self {
-        let mut table = Self::unreachable(net.num_nodes());
+        let n = net.num_nodes();
+        let mut dist = vec![UNREACHABLE; n * n];
         for src in net.nodes() {
             let row = crate::algo::bfs_hops_filtered(net, src, &mut usable);
-            table.set_row(src, |dst| row[dst.index()]);
+            for (j, d) in row.into_iter().enumerate() {
+                if let Some(d) = d {
+                    dist[src.index() * n + j] = d;
+                }
+            }
         }
-        table
+        AllPairsHops { n, dist }
     }
 
     /// Minimum hop count from `src` to `dst`, or `None` when unreachable.
     pub fn hops(&self, src: NodeId, dst: NodeId) -> Option<u32> {
         let d = self.dist[src.index() * self.n + dst.index()];
         (d != UNREACHABLE).then_some(d)
-    }
-
-    /// Overwrites the `src` row with per-destination hop counts supplied
-    /// by `hops_to` (`None` = unreachable) — how the incremental
-    /// hop-table maintenance writes back only the rows whose dynamic SPT
-    /// actually moved after a delta, instead of recomputing every row.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `src` is out of range for the table.
-    pub fn set_row(&mut self, src: NodeId, mut hops_to: impl FnMut(NodeId) -> Option<u32>) {
-        let base = src.index() * self.n;
-        for j in 0..self.n {
-            self.dist[base + j] = hops_to(NodeId::new(j as u32)).unwrap_or(UNREACHABLE);
-        }
-    }
-
-    /// First ordered pair where this table diverges from `other`
-    /// (different hop count or reachability), or `None` when the two are
-    /// bit-for-bit identical — the probe the manager's invariant audit
-    /// uses to hold the incrementally maintained table against a full
-    /// recompute.
-    pub fn first_divergence(&self, other: &AllPairsHops) -> Option<(NodeId, NodeId)> {
-        if self.n != other.n {
-            return Some((NodeId::new(0), NodeId::new(0)));
-        }
-        self.dist
-            .iter()
-            .zip(other.dist.iter())
-            .position(|(a, b)| a != b)
-            .map(|at| {
-                (
-                    NodeId::new((at / self.n) as u32),
-                    NodeId::new((at % self.n) as u32),
-                )
-            })
     }
 
     /// The average hop count over all ordered reachable pairs with
@@ -253,23 +214,6 @@ mod tests {
         // A link not incident to node 0:
         let foreign = net.find_link(NodeId::new(1), NodeId::new(3)).unwrap();
         assert_eq!(table.via(foreign, NodeId::new(3)), None);
-    }
-
-    #[test]
-    fn set_row_and_divergence_round_trip() {
-        let net = topology::mesh(3, 3, CAP).unwrap();
-        let full = AllPairsHops::compute(&net);
-        let mut patched = full.clone();
-        assert_eq!(patched.first_divergence(&full), None);
-        // Corrupt one row, detect it, then write the true row back.
-        patched.set_row(NodeId::new(4), |_| None);
-        assert_eq!(
-            patched.first_divergence(&full),
-            Some((NodeId::new(4), NodeId::new(0)))
-        );
-        patched.set_row(NodeId::new(4), |j| full.hops(NodeId::new(4), j));
-        assert_eq!(patched.first_divergence(&full), None);
-        assert_eq!(patched.hops(NodeId::new(4), NodeId::new(8)), Some(2));
     }
 
     #[test]

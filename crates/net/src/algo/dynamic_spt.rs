@@ -19,7 +19,13 @@
 //! A delta that misses the tree costs `O(|changed|)`; a delta that hits
 //! it costs `O(affected subtree + its frontier)` — on the paper's sparse
 //! topologies, orders of magnitude below the full `O((n + N) log n)`
-//! recompute the per-event hop-table refresh used to pay.
+//! recompute.
+//!
+//! Nothing in `crates/` holds one any more: `drt_core::DrtpManager` kept
+//! one per node behind its hop table until bounded flooding began
+//! measuring its own distances ([`crate::algo::bfs_hops_to`]; DESIGN.md
+//! §16). The only caller left is the `net.spt_repair_ns` probe of
+//! `drt-benchmark`.
 //!
 //! The full recompute survives as [`DynamicSpt::rebuild_baseline`]
 //! (running on the generation-stamped [`SpfWorkspace`] scratch), and the

@@ -10,15 +10,18 @@
 //! * [`shortest_path`] / [`shortest_path_tree`] — Dijkstra (non-negative
 //!   costs), the workhorse of both link-state schemes;
 //! * [`DynamicSpt`] — a materialised Dijkstra tree repaired incrementally
-//!   after link fail/restore/reweight deltas instead of recomputed;
+//!   after link fail/restore/reweight deltas instead of recomputed (no
+//!   caller in `crates/`; see its module docs);
 //! * [`bellman_ford`] — distance-vector style relaxation, mentioned by the
 //!   paper as the alternative way to build distance tables;
 //! * [`AllPairsHops`] / [`DistanceTable`] — the per-node `D^j_{i,k}` tables
-//!   the bounded-flooding scheme consults;
+//!   of the bounded-flooding scheme, kept as the reference and for
+//!   topology reports; a flood reads one column, [`bfs_hops_to`];
 //! * [`k_shortest_paths`] — Yen's algorithm, used by baseline schemes;
 //! * [`suurballe`] / [`two_step_disjoint_pair`] — link-disjoint path pairs,
 //!   used by the dedicated-backup baseline;
-//! * [`is_strongly_connected`] and friends — reachability utilities.
+//! * [`is_strongly_connected`], [`bfs_hops`] and friends — reachability
+//!   and hop-count utilities.
 
 mod bellman_ford;
 mod connectivity;
@@ -31,7 +34,7 @@ mod yen;
 
 pub use bellman_ford::{bellman_ford, BellmanFordOutcome};
 pub use connectivity::{
-    bfs_hops, bfs_hops_filtered, bridges, is_strongly_connected, reachable_from,
+    bfs_hops, bfs_hops_filtered, bfs_hops_to, bridges, is_strongly_connected, reachable_from,
     weakly_connected_components,
 };
 pub use dijkstra::{

@@ -2,7 +2,7 @@
 
 use drt_net::algo::{
     bellman_ford, k_shortest_paths, shortest_path_hops, shortest_path_in, shortest_path_tree,
-    suurballe, AllPairsHops, DistanceTable, SpfWorkspace,
+    suurballe, AllPairsHops, DistanceTable, DynamicSpt, SpfWorkspace,
 };
 use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId};
 use proptest::prelude::*;
@@ -48,6 +48,22 @@ fn cost_of(classes: &[u8], l: LinkId) -> Option<f64> {
         4 => Some(1e9 + 1.0),
         c => Some(f64::from(c % 4) * 0.5),
     }
+}
+
+/// One SPT delta: fail, restore, or reweight a single link.
+#[derive(Debug, Clone)]
+enum Delta {
+    Fail(u32),
+    Restore(u32),
+    Reweight(u32, u8),
+}
+
+fn arb_delta(links: u32) -> impl Strategy<Value = Delta> {
+    prop_oneof![
+        2 => (0..links).prop_map(Delta::Fail),
+        2 => (0..links).prop_map(Delta::Restore),
+        1 => (0..links, 1u8..=8).prop_map(|(l, w)| Delta::Reweight(l, w)),
+    ]
 }
 
 proptest! {
@@ -216,5 +232,43 @@ proptest! {
         let net = topology::random_connected(n, m, CAP, seed).unwrap();
         let expect = 2.0 * m as f64 / n as f64;
         prop_assert!((net.average_node_degree() - expect).abs() < 1e-9);
+    }
+
+    /// The dynamic SPT repaired over a random fail/restore/reweight
+    /// delta trace is bit-for-bit the from-scratch rebuild after every
+    /// delta, and its parent structure always certifies the stored
+    /// distances (the nightly miri job runs this trace under
+    /// `PROPTEST_CASES=4`).
+    #[test]
+    fn dynamic_spt_repair_matches_scratch_rebuild(
+        seed in any::<u64>(),
+        src in 0u32..12,
+        deltas in prop::collection::vec(arb_delta(34), 1..40),
+    ) {
+        let net = topology::random_connected(12, 17, CAP, seed).unwrap();
+        let n = net.num_links();
+        let mut weight = vec![1.0f64; n];
+        let mut alive = vec![true; n];
+        let mut spt = DynamicSpt::build(&net, NodeId::new(src), |l: LinkId| {
+            alive[l.index()].then_some(weight[l.index()])
+        });
+        for d in deltas {
+            let l = match d {
+                Delta::Fail(l) | Delta::Restore(l) | Delta::Reweight(l, _) => {
+                    LinkId::new(l % n as u32)
+                }
+            };
+            match d {
+                Delta::Fail(_) => alive[l.index()] = false,
+                Delta::Restore(_) => alive[l.index()] = true,
+                Delta::Reweight(_, w) => weight[l.index()] = f64::from(w),
+            }
+            let cost = |l: LinkId| alive[l.index()].then_some(weight[l.index()]);
+            spt.update_links(&net, &[l], cost);
+            let mut fresh = spt.clone();
+            fresh.rebuild_baseline(&net, cost);
+            prop_assert_eq!(spt.first_divergence(&fresh), None, "delta {:?}", d);
+            prop_assert!(spt.certify(&net, cost).is_none(), "delta {:?}", d);
+        }
     }
 }

@@ -14,11 +14,13 @@
 //! * `‖APLV_i‖₁` — P-LSR's advertised scalar (total conflict mass);
 //! * `CV_i` — D-LSR's bit-vector (`c_{i,j} = 1 ⇔ a_{i,j} > 0`);
 //! * `max_j a_{i,j}` — the spare-sizing requirement of Section 5 (enough
-//!   spare for the worst single link failure).
+//!   spare for the worst single link failure), kept in bandwidth units
+//!   as `max_j bandwidth_j` (below).
 //!
 //! All three live in the [`Aplv`] itself and move with the counts:
-//! `register` / `unregister` already see every 0→1 / 1→0 transition, so
-//! they flip the bit of `CV_i` there and then. D-LSR's cost term reads
+//! `register` / `unregister` already see every element update, so they
+//! flip the bit of `CV_i` at the 0→1 / 1→0 transitions and keep the
+//! running maximum there and then. D-LSR's cost term reads
 //! the `⌈N/8⌉`-byte bitset, never the count table (16 bytes a slot, a
 //! few kilobytes a link at 1 000 nodes, and a hash and a probe to find
 //! anything in) — which is the whole of what the bitset buys
@@ -53,23 +55,6 @@ fn home(j: u32, len: usize) -> usize {
     (u64::from(j).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
 }
 
-/// Which bandwidths an APLV's registrations have carried so far.
-///
-/// Sticky: once two different values are seen the vector stays `Mixed`
-/// even if the odd registration is later released — conservative, and it
-/// keeps the mode a pure function of the registration *history* (so it
-/// needs no bookkeeping of its own).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-enum BwMode {
-    /// No registration seen yet.
-    #[default]
-    Empty,
-    /// Every registration so far carried exactly this bandwidth.
-    Uniform(Bandwidth),
-    /// Heterogeneous bandwidths; `required_spare` scans.
-    Mixed,
-}
-
 /// The APLV of one link: per primary-route link `L_j`, the number (and
 /// total bandwidth) of backups on this link whose primaries traverse `L_j`.
 ///
@@ -91,16 +76,13 @@ enum BwMode {
 /// a `BTreeMap` pays a pointer chase per element, and a dense array
 /// indexed by `j` is 16 · N bytes a link — 144 MB at 1 000 nodes.
 ///
-/// The worst-case spare requirement (`max_j bandwidth_j`) is kept O(1) to
-/// read *and* maintain by exploiting the paper's uniform-bandwidth
-/// assumption: while every registration on this link carries the same
-/// bandwidth, `bandwidth_j = a_{i,j} · bw` and the maximum bandwidth is
-/// the maximum count — which moves by at most one per element update, so
-/// a count histogram tracks it with no rescans (the classic decremental
-/// trick for ±1 counters). The first registration with a *different*
-/// bandwidth flips the vector into mixed mode, where
-/// [`Aplv::required_spare`] scans the table instead; correctness is
-/// mode-independent and cross-checked by the manager's invariant audit.
+/// The worst-case spare requirement (`max_j bandwidth_j`) is one running
+/// maximum, exact under any mix of bandwidths: `register` raises it at the
+/// element update it already performs, and an `unregister` that lowered
+/// an entry holding it recomputes it with one pass over the table —
+/// nothing else does, and [`Aplv::required_spare`] reads the field. The
+/// manager's invariant audit cross-checks it against a vector rebuilt
+/// from the connection table, which only ever registers.
 ///
 /// The conflict vector `CV_i` is kept next to the counts: bit `j` is set
 /// exactly while `a_{i,j} > 0`, flipped at the count transitions, so
@@ -141,25 +123,20 @@ pub struct Aplv {
     /// pre-sized by [`Aplv::with_num_links`].
     cv: ConflictVector,
     l1: u64,
-    /// `hist[c]` = number of entries with `count == c`, for `c ≥ 1`
-    /// (index 0 is unused). Supports the O(1) running maximum.
-    hist: Vec<u32>,
-    /// `max_j a_{i,j}`, maintained through every element update.
-    max_count: u32,
-    /// Uniformity of the registered bandwidths (see [`BwMode`]).
-    bw_mode: BwMode,
+    /// `max_j bandwidth_j` over the table, maintained by `register` and
+    /// `unregister`.
+    spare: Bandwidth,
 }
 
 /// Two APLVs are equal when they hold the same `(j, count, bandwidth)`
 /// set — table capacity, slot order and the length of the bit vector are
 /// history and do not distinguish them, so an APLV rebuilt from scratch
 /// compares equal to one grown and shrunk incrementally (the comparison
-/// `assert_invariants` relies on). The derived maxima are compared through
-/// their *values* ([`Aplv::max_count`], [`Aplv::required_spare`]) rather
-/// than the histogram/mode internals: a rebuilt vector may lawfully be
-/// `Uniform` where the live one went `Mixed` over a since-released
-/// registration, but both must agree on every derived quantity — which is
-/// exactly what the invariant audit needs cross-checked.
+/// `assert_invariants` relies on). The derived maxima are compared too
+/// ([`Aplv::max_count`], [`Aplv::required_spare`]): the rebuilt side only
+/// ever registered, so its running maximum never went through a rescan,
+/// and the live side's must agree with it — which is exactly what the
+/// invariant audit needs cross-checked.
 ///
 /// The conflict bits are derived state too, and `a_{i,j} > 0` is their
 /// specification: equality additionally requires, on *both* sides, a bit
@@ -173,7 +150,7 @@ impl PartialEq for Aplv {
         // sides, and neither side has an entry or a bit beyond those.
         let mut n = 0;
         self.l1 == other.l1
-            && self.max_count == other.max_count
+            && self.max_count() == other.max_count()
             && self.required_spare() == other.required_spare()
             && self.entries().all(|e| {
                 n += 1;
@@ -193,14 +170,14 @@ impl PartialEq for Aplv {
 
 impl Eq for Aplv {}
 
-/// The observable state in link order — never the slots, the capacity or
-/// the sticky mode — so equal registrations render (and fingerprint)
-/// equal whatever history produced them.
+/// The observable state in link order — never the slots or the capacity
+/// — so equal registrations render (and fingerprint) equal whatever
+/// history produced them.
 impl fmt::Debug for Aplv {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Aplv")
             .field("l1", &self.l1)
-            .field("max_count", &self.max_count)
+            .field("max_count", &self.max_count())
             .field("required_spare", &self.required_spare())
             .field("conflict_bits", &self.cv.ones())
             .field("entries", &AsMap(self))
@@ -312,55 +289,18 @@ impl Aplv {
         self.occupied -= 1;
     }
 
-    /// Folds one registration's bandwidth into the uniformity mode.
-    fn note_bw(&mut self, bw: Bandwidth) {
-        self.bw_mode = match self.bw_mode {
-            BwMode::Empty => BwMode::Uniform(bw),
-            BwMode::Uniform(b) if b == bw => BwMode::Uniform(b),
-            _ => BwMode::Mixed,
-        };
-    }
-
-    /// Moves one entry's count `c → c + 1` in the histogram. O(1).
-    fn hist_up(&mut self, c: u32) {
-        if c > 0 {
-            self.hist[c as usize] -= 1;
-        }
-        let nc = (c + 1) as usize;
-        if nc >= self.hist.len() {
-            self.hist.resize(nc + 1, 0);
-        }
-        self.hist[nc] += 1;
-        self.max_count = self.max_count.max(c + 1);
-    }
-
-    /// Moves one entry's count `c → c - 1` in the histogram. O(1): when
-    /// the last entry at the maximum drops, the new maximum is exactly
-    /// `c - 1` (the entry just moved there, or nothing is left).
-    fn hist_down(&mut self, c: u32) {
-        self.hist[c as usize] -= 1;
-        if c > 1 {
-            self.hist[(c - 1) as usize] += 1;
-        }
-        if c == self.max_count && self.hist[c as usize] == 0 {
-            self.max_count = c - 1;
-        }
-    }
-
     /// Registers a backup whose primary has link set `primary_lset` and
     /// bandwidth `bw`: increments `a_{i,j}` for every `j ∈ primary_lset`,
     /// setting `c_{i,j}` where the count leaves 0.
     pub fn register(&mut self, primary_lset: &[LinkId], bw: Bandwidth) {
-        if !primary_lset.is_empty() {
-            self.note_bw(bw);
-        }
         for &j in primary_lset {
             let e = self.slot_mut(j.as_u32());
             let c = e.count;
             e.count += 1;
             e.bandwidth += bw;
+            let total = e.bandwidth;
+            self.spare = self.spare.max(total);
             self.l1 += 1;
-            self.hist_up(c);
             if c == 0 {
                 if j.index() >= self.cv.len() {
                     self.cv.resize(j.index() + 1);
@@ -372,29 +312,42 @@ impl Aplv {
 
     /// Removes a previously registered backup (same `primary_lset` and
     /// `bw` as at registration), clearing `c_{i,j}` where the count
-    /// returns to 0.
+    /// returns to 0. If it lowered an entry that held the maximum
+    /// bandwidth, the maximum is recomputed with one pass over the table
+    /// after the loop — at most one rescan per call.
     ///
     /// # Panics
     ///
     /// Panics if the registration is not present — that indicates corrupted
     /// bookkeeping, which must never be silently ignored.
     pub fn unregister(&mut self, primary_lset: &[LinkId], bw: Bandwidth) {
+        // Whether an entry that held the maximum (before its decrement)
+        // was lowered: only then can the maximum have dropped.
+        let mut lowered_max = false;
         for &j in primary_lset {
             let at = self
                 .find(j.as_u32())
                 .expect("unregister of unknown aplv entry");
             let e = &mut self.slots[at];
-            let c = e.count;
+            lowered_max |= e.bandwidth == self.spare;
             e.count -= 1;
             e.bandwidth -= bw;
             let (cleared, new_bw) = (e.count == 0, e.bandwidth);
             self.l1 -= 1;
-            self.hist_down(c);
             if cleared {
                 assert!(new_bw.is_zero(), "aplv bandwidth residue at {j}");
                 self.vacate(at);
                 self.cv.clear(j);
             }
+        }
+        if lowered_max {
+            // Vacant slots hold zero, so the whole table is the domain.
+            self.spare = self
+                .slots
+                .iter()
+                .map(|e| e.bandwidth)
+                .max()
+                .unwrap_or(Bandwidth::ZERO);
         }
     }
 
@@ -417,33 +370,22 @@ impl Aplv {
     }
 
     /// `max_j a_{i,j}` — the number of backups a worst-case single link
-    /// failure would activate here (Section 5's spare-sizing count).
-    /// O(1) via the count histogram.
+    /// failure would activate here (Section 5's spare-sizing count). One
+    /// pass over the table: its readers (hotspot analysis, rendering,
+    /// equality) are all off the registration path.
     pub fn max_count(&self) -> u32 {
-        self.max_count
+        self.slots.iter().map(|e| e.count).max().unwrap_or(0)
     }
 
     /// `max_j bandwidth_j` — the spare bandwidth required to survive the
-    /// worst-case single link failure without any activation loss.
+    /// worst-case single link failure without any activation loss, under
+    /// any mix of bandwidths.
     ///
-    /// O(1) while every registration carried the same bandwidth (the
-    /// paper's operating regime): the maximum bandwidth is then the
-    /// maximum count times that bandwidth. The manager consults this per
-    /// backup link on every registration and release, where any
-    /// per-element structure or scan dominated failure-event handling.
-    /// Heterogeneous-bandwidth vectors scan the table instead (vacant
-    /// slots hold zero): O(registered), not O(N).
+    /// A field read: the manager consults this per backup link on every
+    /// registration and release, so the maximum is maintained where the
+    /// elements change (see [`Aplv::unregister`] for the one rescan).
     pub fn required_spare(&self) -> Bandwidth {
-        match self.bw_mode {
-            BwMode::Empty => Bandwidth::ZERO,
-            BwMode::Uniform(bw) => bw * u64::from(self.max_count),
-            BwMode::Mixed => self
-                .slots
-                .iter()
-                .map(|e| e.bandwidth)
-                .max()
-                .unwrap_or(Bandwidth::ZERO),
-        }
+        self.spare
     }
 
     /// Number of links `j` for which `c_{i,j} = 1` (i.e. `a_{i,j} > 0`)
@@ -704,6 +646,45 @@ mod tests {
         assert_eq!(aplv.required_spare(), Bandwidth::from_kbps(5_000));
         assert_eq!(aplv.max_count(), 2);
         assert_eq!(aplv.bandwidth(l(6)), Bandwidth::from_kbps(3_000));
+
+        // A tie: L5 and L6 both hold 5 Mb/s. Lowering one holder leaves
+        // the maximum with the other; lowering that one drops it to the
+        // runner-up; releasing everything returns zero.
+        let mbps = Bandwidth::from_mbps;
+        aplv.register(&[l(6)], mbps(2));
+        assert_eq!(aplv.required_spare(), mbps(5));
+        aplv.unregister(&[l(5)], mbps(1));
+        assert_eq!(
+            (aplv.bandwidth(l(5)), aplv.required_spare()),
+            (mbps(4), mbps(5))
+        );
+        aplv.unregister(&[l(6)], mbps(2));
+        assert_eq!(aplv.required_spare(), mbps(4));
+        aplv.unregister(&[l(5)], mbps(4));
+        assert_eq!((aplv.required_spare(), aplv.max_count()), (mbps(3), 1));
+        aplv.unregister(&[l(6)], mbps(3));
+        assert_eq!(aplv.required_spare(), Bandwidth::ZERO);
+        assert_eq!(aplv.max_count(), 0);
+        assert!(aplv.is_empty());
+
+        // One 2 Mb/s backup among 3 Mb/s ones, released again, leaves no
+        // trace: the vector equals, and renders like, the one that only
+        // ever saw 3 Mb/s.
+        let uniform = {
+            let mut a = Aplv::new();
+            a.register(&[l(1), l(2)], BW);
+            a.register(&[l(2), l(3)], BW);
+            a
+        };
+        let mut live = Aplv::new();
+        live.register(&[l(1), l(2)], BW);
+        live.register(&[l(2), l(4)], mbps(2));
+        live.register(&[l(2), l(3)], BW);
+        assert_eq!(live.required_spare(), mbps(8));
+        live.unregister(&[l(2), l(4)], mbps(2));
+        assert_eq!(live.required_spare(), BW * 2);
+        assert_eq!(live, uniform);
+        assert_eq!(format!("{live:?}"), format!("{uniform:?}"));
     }
 
     #[test]
@@ -959,5 +940,27 @@ mod tests {
         live.cv.set(l(139)); // count 0 (beyond every entry), bit 1
         assert_ne!(live, rebuilt);
         assert_ne!(rebuilt, live);
+    }
+
+    /// The running maximum is audited the same way: a `spare` that is not
+    /// `max_j bandwidth_j` — too high or too low — makes an `Aplv`
+    /// unequal to its rebuild, whose maximum only ever rose.
+    #[test]
+    fn drifted_spare_breaks_equality_with_rebuild() {
+        let rebuilt = {
+            let mut a = Aplv::new();
+            a.register(&[l(3), l(70)], BW);
+            a.register(&[l(70)], BW);
+            a
+        };
+        let mut live = rebuilt.clone();
+        assert_eq!(live, rebuilt);
+        for drifted in [BW * 3, BW, Bandwidth::ZERO] {
+            live.spare = drifted;
+            assert_ne!(live, rebuilt);
+            assert_ne!(rebuilt, live);
+        }
+        live.spare = BW * 2;
+        assert_eq!(live, rebuilt);
     }
 }

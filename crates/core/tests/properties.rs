@@ -434,10 +434,11 @@ proptest! {
     /// over the alive links — the rows of the all-pairs reference table.
     /// `DirectedLink` failures take one direction of a pair down, so the
     /// two searches only agree if each follows link direction. Requests
-    /// draw 1, 2 or 3 Mb/s, so links leave `BwMode::Uniform` for the
-    /// sticky `Mixed` spare sizing and the ledger rules (spare within the
-    /// APLV requirement, `prime + spare + free == capacity`) are checked
-    /// under mixed demands.
+    /// draw 1, 2 or 3 Mb/s, so a link's spare requirement is a maximum
+    /// over unequal bandwidths — every release that lowers it is audited
+    /// against the registering-only rebuild — and the ledger rules (spare
+    /// within the APLV requirement, `prime + spare + free == capacity`)
+    /// are checked under mixed demands.
     #[test]
     fn mixed_demand_traces_keep_invariants_and_hop_parity(
         seed in any::<u64>(),
@@ -520,7 +521,8 @@ proptest! {
     }
 
     /// All four multiplex configurations keep the ledgers consistent, with
-    /// requests drawing 1, 2 or 3 Mb/s (so links go `Mixed`).
+    /// requests drawing 1, 2 or 3 Mb/s (so spare requirements are maxima
+    /// over unequal bandwidths).
     #[test]
     fn config_matrix_traces(
         seed in any::<u64>(),

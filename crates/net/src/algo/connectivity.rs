@@ -183,42 +183,6 @@ pub fn bridges(net: &Network) -> Vec<(NodeId, NodeId)> {
     out
 }
 
-/// Partitions nodes into weakly connected components (direction ignored).
-/// Returns one sorted vector of node ids per component, ordered by smallest
-/// member.
-pub fn weakly_connected_components(net: &Network) -> Vec<Vec<NodeId>> {
-    let n = net.num_nodes();
-    let mut comp = vec![usize::MAX; n];
-    let mut count = 0;
-    for start in net.nodes() {
-        if comp[start.index()] != usize::MAX {
-            continue;
-        }
-        comp[start.index()] = count;
-        let mut queue = VecDeque::from([start]);
-        while let Some(node) = queue.pop_front() {
-            let mut visit = |next: NodeId| {
-                if comp[next.index()] == usize::MAX {
-                    comp[next.index()] = count;
-                    queue.push_back(next);
-                }
-            };
-            for &lid in net.out_links(node) {
-                visit(net.link(lid).dst());
-            }
-            for &lid in net.in_links(node) {
-                visit(net.link(lid).src());
-            }
-        }
-        count += 1;
-    }
-    let mut out = vec![Vec::new(); count];
-    for node in net.nodes() {
-        out[comp[node.index()]].push(node);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,11 +247,6 @@ mod tests {
             .unwrap();
         let net = b.build();
         assert!(!is_strongly_connected(&net));
-        let comps = weakly_connected_components(&net);
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![NodeId::new(0), NodeId::new(1)]);
-        assert_eq!(comps[1], vec![NodeId::new(2), NodeId::new(3)]);
-        assert_eq!(comps[2], vec![NodeId::new(4)]);
     }
 
     #[test]
@@ -296,7 +255,6 @@ mod tests {
         b.add_link(NodeId::new(0), NodeId::new(1), CAP).unwrap();
         let net = b.build();
         assert!(!is_strongly_connected(&net));
-        assert_eq!(weakly_connected_components(&net).len(), 1);
     }
 
     #[test]

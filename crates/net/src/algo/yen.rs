@@ -10,9 +10,9 @@ use std::collections::HashSet;
 /// Links for which `cost` returns `None` are excluded. Returns fewer than
 /// `k` routes when the graph does not contain that many simple paths.
 ///
-/// Used by the baseline backup schemes ("choose the shortest candidate that
-/// minimally overlaps the primary" requires enumerating candidates) and by
-/// tests as an oracle for the flooding scheme's candidate discovery.
+/// No routing scheme calls this: it is kept as the brute-force candidate
+/// enumeration tests check [`crate::algo::suurballe`]'s minimal total
+/// cost against.
 ///
 /// # Example
 ///

@@ -2,7 +2,7 @@
 
 use drt_net::algo::{
     bellman_ford, k_shortest_paths, shortest_path_hops, shortest_path_in, shortest_path_tree,
-    suurballe, AllPairsHops, DistanceTable, DynamicSpt, SpfWorkspace,
+    suurballe, AllPairsHops, DynamicSpt, SpfWorkspace,
 };
 use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId};
 use proptest::prelude::*;
@@ -66,9 +66,9 @@ fn arb_delta(links: u32) -> impl Strategy<Value = Delta> {
     ]
 }
 
+// The default case count (64), so that the nightly Miri job's
+// `PROPTEST_CASES` can cut it.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn targeted_search_equals_full_search(
         connected in arb_connected_net(),
@@ -142,25 +142,6 @@ proptest! {
             prop_assert_eq!(route.dest(), dst);
             prop_assert!(route.is_simple(&net));
             prop_assert_eq!(route.len() as u32, hops.hops(src, dst).unwrap());
-        }
-    }
-
-    #[test]
-    fn distance_tables_are_consistent(net in arb_connected_net()) {
-        let hops = AllPairsHops::compute(&net);
-        for node in net.nodes() {
-            let table = DistanceTable::for_node(&net, &hops, node);
-            for dest in net.nodes() {
-                if dest == node { continue; }
-                // D^j_i = min_k D^j_{i,k}
-                let via_min = net
-                    .out_links(node)
-                    .iter()
-                    .filter_map(|&l| table.via(l, dest))
-                    .min();
-                prop_assert_eq!(via_min, table.min_dist(dest));
-                prop_assert_eq!(table.min_dist(dest), hops.hops(node, dest));
-            }
         }
     }
 

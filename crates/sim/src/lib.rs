@@ -15,7 +15,7 @@
 //!   patterns, and scenario files that can be saved, loaded, and replayed
 //!   bit-identically across schemes;
 //! * [`stats`] — online statistics (Welford), time-weighted averages, and
-//!   histograms for the measurement phase.
+//!   streaming quantiles for the measurement phase.
 //!
 //! # Example
 //!

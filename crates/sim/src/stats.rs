@@ -209,93 +209,12 @@ impl TimeWeighted {
     }
 }
 
-/// A fixed-bin histogram over `[lo, hi)` with overflow/underflow counters.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range is inverted");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.bins[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of observations, including out-of-range ones.
-    pub fn count(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The smallest value `v` such that at least `q` (0..=1) of in-range
-    /// observations fall below the end of `v`'s bin; `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total: u64 = self.bins.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut acc = 0;
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some(self.lo + width * (i as f64 + 1.0));
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 /// Streaming quantile estimator (the P² algorithm of Jain & Chlamtac,
 /// 1985): estimates one fixed quantile in `O(1)` memory without storing
 /// observations.
 ///
-/// Used for latency-distribution tails where a [`Histogram`]'s fixed range
-/// is awkward. Exact for the first five observations; thereafter the five
+/// Used for latency-distribution tails, where no fixed range of bins
+/// fits. Exact for the first five observations; thereafter the five
 /// P² markers track the quantile with piecewise-parabolic interpolation.
 ///
 /// # Example
@@ -516,28 +435,6 @@ mod tests {
     fn time_weighted_zero_window() {
         let tw = TimeWeighted::new(SimTime::from_secs(5), 7.0);
         assert_eq!(tw.average(SimTime::from_secs(5)), 7.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(42.0);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bins().iter().sum::<u64>(), 10);
-        assert_eq!(h.quantile(0.5), Some(5.0));
-        assert_eq!(h.quantile(1.0), Some(10.0));
-    }
-
-    #[test]
-    fn empty_histogram_quantile_none() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.quantile(0.5), None);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub use error::DrtpError;
 pub use incidence::IncidenceIndex;
 pub use link_state::{CapacityError, LinkResources};
 pub use manager::{
-    DrtpManager, EstablishReport, HashSink, ManagerView, StateSnapshot, ViewDistortion,
+    BackupFit, DrtpManager, EstablishReport, HashSink, ManagerView, StateSnapshot, ViewDistortion,
 };
 pub use telemetry::{Histogram, Telemetry};
 pub use types::{ConnectionId, QosRequirement};

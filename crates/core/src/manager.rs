@@ -180,6 +180,17 @@ impl StateSnapshot {
     }
 }
 
+/// [`ManagerView::backup_fit`]'s answer for one link and one backup size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackupFit {
+    /// The link is failed (and not advertised as up regardless).
+    Dead,
+    /// Alive, but short of the backup headroom asked for.
+    Short,
+    /// Alive with enough backup headroom.
+    Fits,
+}
+
 /// Read-only view of manager state handed to [`RoutingScheme`]s.
 ///
 /// The view corresponds to the link-state database of the paper's routers:
@@ -287,13 +298,32 @@ impl<'a> ManagerView<'a> {
         self.alive(l) && self.links[l.index()].can_admit_primary(bw)
     }
 
+    /// What a backup of size `bw` finds at `l` — liveness and headroom as
+    /// [`ManagerView::alive`] and [`ManagerView::backup_headroom`] report
+    /// them (full capacity under a headroom-inflating lie), with the
+    /// link's [`ViewDistortion`] resolved once: the backup cost closures
+    /// ask both questions of every link they price.
+    pub fn backup_fit(&self, l: LinkId, bw: Bandwidth) -> BackupFit {
+        let lie = self.lie(l);
+        if self.failed[l.index()] && !lie.is_some_and(|d| d.advertise_dead_as_up) {
+            return BackupFit::Dead;
+        }
+        let room = if lie.is_some_and(|d| d.inflate_headroom) {
+            self.capacity(l)
+        } else {
+            self.backup_headroom(l)
+        };
+        if bw <= room {
+            BackupFit::Fits
+        } else {
+            BackupFit::Short
+        }
+    }
+
     /// `true` when `l` is alive and offers at least `bw` of backup
     /// headroom (full capacity under a headroom-inflating lie).
     pub fn usable_for_backup(&self, l: LinkId, bw: Bandwidth) -> bool {
-        if self.lie(l).is_some_and(|d| d.inflate_headroom) {
-            return self.alive(l) && bw <= self.capacity(l);
-        }
-        self.alive(l) && bw <= self.backup_headroom(l)
+        self.backup_fit(l, bw) == BackupFit::Fits
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::routing::costs::{lsa_overhead, min_hop_primary, Q};
 use crate::routing::{RoutePair, RouteRequest, RoutingOverhead, RoutingScheme};
-use crate::{DrtpError, ManagerView};
+use crate::{BackupFit, DrtpError, ManagerView};
 use drt_net::algo::{shortest_path, suurballe};
 use drt_net::Route;
 use std::collections::BTreeSet;
@@ -90,13 +90,10 @@ impl SpfBackup {
             q_links.extend(r.links().iter().copied());
         }
         shortest_path(view.net(), req.src, req.dst, |l| {
-            if !view.alive(l) {
-                return None;
-            }
-            let q = if q_links.contains(&l) || !view.usable_for_backup(l, bw) {
-                Q
-            } else {
-                0.0
+            let q = match view.backup_fit(l, bw) {
+                BackupFit::Dead => return None,
+                BackupFit::Fits if !q_links.contains(&l) => 0.0,
+                BackupFit::Fits | BackupFit::Short => Q,
             };
             Some(q + 1.0)
         })

@@ -14,10 +14,9 @@
 //!   ties but can never outweigh a single conflict.
 
 use crate::routing::RoutingOverhead;
-use crate::{DrtpError, ManagerView};
-use drt_net::algo::shortest_path;
+use crate::{BackupFit, DrtpError, ManagerView};
+use drt_net::algo::shortest_path_with_floor;
 use drt_net::{LinkId, Route};
-use std::collections::BTreeSet;
 
 /// The paper's "very large constant" `Q`. Any path containing a `Q`-link
 /// costs more than any path free of them (`Q` exceeds the largest possible
@@ -37,7 +36,7 @@ pub(crate) fn min_hop_primary(
     dst: drt_net::NodeId,
     bw: drt_net::Bandwidth,
 ) -> Result<Route, DrtpError> {
-    shortest_path(view.net(), src, dst, |l| {
+    shortest_path_with_floor(view.net(), src, dst, 1.0, |l| {
         view.usable_for_primary(l, bw).then_some(1.0)
     })
     .map(|(_, r)| r)
@@ -61,14 +60,12 @@ pub(crate) fn lsr_backup(
     // The Q-links are a couple of routes: scanning their slices beats
     // building a set per call.
     let on_own_route = |l| primary.contains_link(l) || avoid.iter().any(|r| r.contains_link(l));
-    shortest_path(view.net(), req.src, req.dst, |l| {
-        if !view.alive(l) {
-            return None;
-        }
-        let q = if on_own_route(l) || !view.usable_for_backup(l, bw) {
-            Q
-        } else {
-            0.0
+    // `q` and the conflict term are non-negative, so every step is ≥ ε.
+    shortest_path_with_floor(view.net(), req.src, req.dst, eps, |l| {
+        let q = match view.backup_fit(l, bw) {
+            BackupFit::Dead => return None,
+            BackupFit::Fits if !on_own_route(l) => 0.0,
+            BackupFit::Fits | BackupFit::Short => Q,
         };
         Some(q + conflict_term(l) + eps)
     })
@@ -125,11 +122,21 @@ pub(crate) fn lsa_overhead(
 /// primary's links (available bandwidth moved) plus every backup's links
 /// (APLV/CV and spare moved).
 pub(crate) fn changed_links(primary: &Route, backups: &[Route]) -> usize {
-    let mut set: BTreeSet<LinkId> = primary.links().iter().copied().collect();
-    for b in backups {
-        set.extend(b.links().iter().copied());
-    }
-    set.len()
+    // Routes are a handful of links: a link counts unless it appeared
+    // earlier in its own route or in an earlier route.
+    let routes = || std::iter::once(primary).chain(backups);
+    routes()
+        .enumerate()
+        .map(|(k, route)| {
+            let links = route.links();
+            (0..links.len())
+                .filter(|&i| {
+                    !links[..i].contains(&links[i])
+                        && !routes().take(k).any(|r| r.contains_link(links[i]))
+                })
+                .count()
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -157,5 +164,29 @@ mod tests {
         let o = lsa_overhead(180, 7, 12);
         assert_eq!(o.messages, 7 * 180);
         assert_eq!(o.bytes, 7 * 180 * (16 + 12));
+    }
+
+    #[test]
+    fn changed_links_counts_a_shared_link_once() {
+        use drt_net::{topology, Bandwidth, NodeId};
+        let net = topology::mesh(2, 3, Bandwidth::from_mbps(10)).unwrap();
+        let route = |nodes: &[u32]| {
+            let nodes: Vec<NodeId> = nodes.iter().copied().map(NodeId::new).collect();
+            Route::from_nodes(&net, &nodes).unwrap()
+        };
+        // 0 1 2
+        // 3 4 5
+        let primary = route(&[0, 1, 2]);
+        let disjoint = route(&[0, 3, 4, 5, 2]);
+        assert_eq!(changed_links(&primary, &[]), 2);
+        assert_eq!(changed_links(&primary, std::slice::from_ref(&disjoint)), 6);
+        // A backup forced over the primary's 0 -> 1 link (a `Q`-link taken
+        // for want of another way) and a second one sharing links with both.
+        let overlapping = route(&[0, 1, 4, 5, 2]);
+        assert_eq!(
+            changed_links(&primary, std::slice::from_ref(&overlapping)),
+            5
+        );
+        assert_eq!(changed_links(&primary, &[overlapping, disjoint]), 7);
     }
 }

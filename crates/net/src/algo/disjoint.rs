@@ -40,8 +40,8 @@ pub fn two_step_disjoint_pair(
     // Both searches share one workspace: the second bumps the generation
     // and reuses the first's arrays and heap.
     let mut ws = SpfWorkspace::new();
-    let (c1, primary) = shortest_path_in(&mut ws, net, src, dst, &cost)?;
-    let (c2, backup) = shortest_path_in(&mut ws, net, src, dst, |l| {
+    let (c1, primary) = shortest_path_in(&mut ws, net, src, dst, 0.0, &cost)?;
+    let (c2, backup) = shortest_path_in(&mut ws, net, src, dst, 0.0, |l| {
         if primary.contains_link(l) {
             None
         } else {

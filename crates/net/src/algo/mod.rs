@@ -42,8 +42,8 @@ pub use connectivity::{
     bfs_hops, bfs_hops_filtered, bfs_hops_to, bridges, is_strongly_connected, reachable_from,
 };
 pub use dijkstra::{
-    shortest_path, shortest_path_hops, shortest_path_in, shortest_path_tree, ShortestPathTree,
-    SpfWorkspace,
+    shortest_path, shortest_path_hops, shortest_path_in, shortest_path_tree,
+    shortest_path_with_floor, ShortestPathTree, SpfWorkspace,
 };
 pub use disjoint::{suurballe, two_step_disjoint_pair, DisjointPair};
 pub use dynamic_spt::DynamicSpt;

@@ -40,7 +40,7 @@ pub fn k_shortest_paths(
     // One workspace for the whole enumeration: the initial search plus
     // every spur search reuse the same stamped arrays and heap.
     let mut ws = SpfWorkspace::new();
-    let Some(first) = shortest_path_in(&mut ws, net, src, dst, &cost) else {
+    let Some(first) = shortest_path_in(&mut ws, net, src, dst, 0.0, &cost) else {
         return accepted;
     };
     accepted.push(first);
@@ -70,7 +70,7 @@ pub fn k_shortest_paths(
             // keep paths simple.
             let banned_nodes: HashSet<NodeId> = prev_nodes[..i].iter().copied().collect();
 
-            let spur = shortest_path_in(&mut ws, net, spur_node, dst, |l| {
+            let spur = shortest_path_in(&mut ws, net, spur_node, dst, 0.0, |l| {
                 if banned_links.contains(&l) {
                     return None;
                 }

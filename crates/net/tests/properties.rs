@@ -2,7 +2,7 @@
 
 use drt_net::algo::{
     bellman_ford, k_shortest_paths, shortest_path_hops, shortest_path_in, shortest_path_tree,
-    suurballe, AllPairsHops, DynamicSpt, SpfWorkspace,
+    shortest_path_with_floor, suurballe, AllPairsHops, DynamicSpt, SpfWorkspace,
 };
 use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId};
 use proptest::prelude::*;
@@ -37,16 +37,19 @@ fn arb_any_net() -> impl Strategy<Value = drt_net::Network> {
         })
 }
 
-/// One cost class per link, cycled over the link ids: excluded, free,
-/// Q-scale penalties (where a unit step is below one ulp of the sum), and
-/// small multiples of 0.5 that tie often.
-fn cost_of(classes: &[u8], l: LinkId) -> Option<f64> {
+/// One cost class per link, cycled over the link ids, every step at or
+/// above `floor`: excluded, the floor itself (free under floor 0.0), small
+/// multiples of it (of 0.5 under floor 0.0) that tie often, Q-scale
+/// penalties, and 2^53, where a step of 0.5 or 1.0 is below one ulp of the
+/// sum and `d + floor` rounds back to `d`.
+fn cost_of(classes: &[u8], floor: f64, l: LinkId) -> Option<f64> {
     match classes[l.index() % classes.len()] {
         0 => None,
-        1 | 2 => Some(0.0),
+        1 | 2 => Some(floor),
         3 => Some(1e9),
         4 => Some(1e9 + 1.0),
-        c => Some(f64::from(c % 4) * 0.5),
+        5 => Some(9_007_199_254_740_992.0),
+        c => Some(f64::from(c % 4 + 1) * floor.max(0.5)),
     }
 }
 
@@ -77,29 +80,35 @@ proptest! {
     ) {
         // One workspace serves every targeted and full search of the case.
         let mut ws = SpfWorkspace::new();
-        for net in [&connected, &any_net] {
-            for src in net.nodes() {
-                let full = shortest_path_tree(net, src, |l| cost_of(&classes, l));
-                for dst in net.nodes() {
-                    let got = shortest_path_in(&mut ws, net, src, dst, |l| cost_of(&classes, l));
-                    let want = full.distance(dst).zip(full.route_to(net, dst));
-                    prop_assert_eq!(
-                        got.as_ref().map(|(c, r)| (c.to_bits(), r.links())),
-                        want.as_ref().map(|(c, r)| (c.to_bits(), r.links())),
-                        "{} -> {}", src, dst
-                    );
-                    // Whatever the early stop left settled is final.
-                    for node in net.nodes() {
-                        if let Some(d) = ws.distance(node) {
-                            prop_assert_eq!(Some(d.to_bits()), full.distance(node).map(f64::to_bits));
-                            prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
+        for floor in [0.0, 0.5, 1.0] {
+            let cost = |l| cost_of(&classes, floor, l);
+            for net in [&connected, &any_net] {
+                for src in net.nodes() {
+                    let full = shortest_path_tree(net, src, cost);
+                    for dst in net.nodes() {
+                        let got = shortest_path_in(&mut ws, net, src, dst, floor, cost);
+                        let want = full.distance(dst).zip(full.route_to(net, dst));
+                        prop_assert_eq!(
+                            got.as_ref().map(|(c, r)| (c.to_bits(), r.links())),
+                            want.as_ref().map(|(c, r)| (c.to_bits(), r.links())),
+                            "floor {} {} -> {}", floor, src, dst
+                        );
+                        // Whatever the floor stop left settled is final —
+                        // `dst` itself included when it was never popped.
+                        for node in net.nodes() {
+                            if let Some(d) = ws.distance(node) {
+                                prop_assert_eq!(Some(d.to_bits()), full.distance(node).map(f64::to_bits));
+                                prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
+                            }
                         }
+                        // The scratch-workspace entry point is the same search.
+                        prop_assert_eq!(shortest_path_with_floor(net, src, dst, floor, cost), got);
                     }
-                }
-                ws.run(net, src, |l| cost_of(&classes, l));
-                for node in net.nodes() {
-                    prop_assert_eq!(ws.distance(node), full.distance(node));
-                    prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
+                    ws.run(net, src, cost);
+                    for node in net.nodes() {
+                        prop_assert_eq!(ws.distance(node), full.distance(node));
+                        prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
+                    }
                 }
             }
         }

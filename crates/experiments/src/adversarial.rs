@@ -40,6 +40,7 @@
 //! is byte-identical for every `--jobs` count.
 
 use crate::config::ExperimentConfig;
+use crate::report::{fmt_us, loaded_links, pick_from, pick_loaded_link};
 use crate::runner::SchemeKind;
 use drt_core::failure::FailureEvent;
 use drt_core::orchestrator::{RecoveryOrchestrator, RetryPolicy};
@@ -351,24 +352,6 @@ fn crowd_fraction(strength: u32) -> f64 {
     (0.4 + 0.15 * f64::from(strength)).min(0.9)
 }
 
-fn loaded_links(mgr: &DrtpManager) -> Vec<LinkId> {
-    let set: BTreeSet<LinkId> = mgr
-        .connections()
-        .filter(|c| c.state().is_carrying_traffic())
-        .flat_map(|c| c.primary().links().iter().copied())
-        .filter(|&l| !mgr.is_failed(l))
-        .collect();
-    set.into_iter().collect()
-}
-
-fn pick_from(v: &[LinkId], rng: &mut StdRng) -> Option<LinkId> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v[rng.gen_range(0..v.len())])
-    }
-}
-
 /// The next lie target: a healthy link advertised by a byzantine
 /// router, loaded ones preferred (a lie about an idle link moves
 /// nothing).
@@ -401,8 +384,7 @@ fn real_failure(
     pick: &mut StdRng,
     inject: &mut StdRng,
 ) {
-    let loaded = loaded_links(mgr);
-    let Some(link) = pick_from(&loaded, pick) else {
+    let Some(link) = pick_loaded_link(mgr, pick) else {
         return;
     };
     if vet {
@@ -688,16 +670,6 @@ pub fn render(net: &Network, rows: &[AdversarialRow]) -> String {
         }
     }
     out
-}
-
-fn fmt_us(us: u64) -> String {
-    if us == 0 {
-        "-".into()
-    } else if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else {
-        format!("{:.1}ms", us as f64 / 1e3)
-    }
 }
 
 #[cfg(test)]

@@ -15,14 +15,13 @@
 //! the same seed reproduces the same table, loss rate by loss rate.
 
 use crate::config::ExperimentConfig;
+use crate::report::pick_loaded_link;
 use crate::runner::SchemeKind;
 use drt_core::{ConnectionId, DrtpManager};
-use drt_net::{LinkId, Network};
+use drt_net::Network;
 use drt_proto::{ChaosConfig, ConnOutcome, ProtocolConfig, ProtocolSim, RetryConfig};
 use drt_sim::workload::{TimelineEvent, TrafficPattern};
 use drt_sim::SimDuration;
-use rand::Rng;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Knobs of the failure campaign.
@@ -334,20 +333,6 @@ fn run_at_loss(
 /// Percent-scale key for substream labels (0.05 → 50).
 fn per_mille(p: f64) -> u64 {
     (p * 1000.0).round() as u64
-}
-
-/// A deterministic choice among links currently carrying ≥ 1 primary.
-fn pick_loaded_link(mirror: &DrtpManager, rng: &mut rand::rngs::StdRng) -> Option<LinkId> {
-    let loaded: BTreeSet<LinkId> = mirror
-        .connections()
-        .filter(|c| c.state().is_carrying_traffic())
-        .flat_map(|c| c.primary().links().iter().copied())
-        .collect();
-    if loaded.is_empty() {
-        return None;
-    }
-    let loaded: Vec<LinkId> = loaded.into_iter().collect();
-    Some(loaded[rng.gen_range(0..loaded.len())])
 }
 
 /// Renders the sweep as a table, one row per loss rate.

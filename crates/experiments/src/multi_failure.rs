@@ -28,6 +28,7 @@
 //! the events they inject, which is what makes the rows comparable.
 
 use crate::config::ExperimentConfig;
+use crate::report::{loaded_links, pick_loaded_link};
 use crate::runner::SchemeKind;
 use drt_core::failure::{FailureEvent, LinkImpact};
 use drt_core::orchestrator::{RecoveryOrchestrator, RetryPolicy};
@@ -320,7 +321,7 @@ fn pick_event(
                 .srlg_ids()
                 .filter(|&g| {
                     let members = mgr.net().srlg(g);
-                    members.iter().any(|l| loaded.contains(l))
+                    members.iter().any(|l| loaded.binary_search(l).is_ok())
                         && members.iter().any(|&l| !mgr.is_failed(l))
                 })
                 .collect();
@@ -353,22 +354,6 @@ fn pick_event(
             ))
         }
     }
-}
-
-fn loaded_links(mgr: &DrtpManager) -> BTreeSet<LinkId> {
-    mgr.connections()
-        .filter(|c| c.state().is_carrying_traffic())
-        .flat_map(|c| c.primary().links().iter().copied())
-        .filter(|&l| !mgr.is_failed(l))
-        .collect()
-}
-
-fn pick_loaded_link(mgr: &DrtpManager, rng: &mut rand::rngs::StdRng) -> Option<LinkId> {
-    let loaded: Vec<LinkId> = loaded_links(mgr).into_iter().collect();
-    if loaded.is_empty() {
-        return None;
-    }
-    Some(loaded[rng.gen_range(0..loaded.len())])
 }
 
 /// Renders the sweep as a table, one row per regime.

@@ -1,4 +1,11 @@
-//! Plain-text rendering of experiment results.
+//! Plain-text rendering of experiment results, plus the loaded-link
+//! picker the failure campaigns share.
+
+use drt_core::DrtpManager;
+use drt_net::LinkId;
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::collections::BTreeSet;
 
 /// Renders a measurement table: one row per x value, one column per
 /// series. Missing points render as `-`.
@@ -123,6 +130,44 @@ pub fn verdict(label: &str, holds: bool) -> String {
         "  [{}] {label}\n",
         if holds { "reproduced" } else { "DIVERGES" }
     )
+}
+
+/// Renders a latency given in microseconds: `-` for none, milliseconds
+/// below one second, seconds above.
+pub(crate) fn fmt_us(us: u64) -> String {
+    if us == 0 {
+        "-".into()
+    } else if us >= 1_000_000 {
+        format!("{:.2}s", us as f64 / 1e6)
+    } else {
+        format!("{:.1}ms", us as f64 / 1e3)
+    }
+}
+
+/// The healthy links currently carrying at least one primary, in id
+/// order — where a failure is guaranteed to hit traffic.
+pub(crate) fn loaded_links(mgr: &DrtpManager) -> Vec<LinkId> {
+    let set: BTreeSet<LinkId> = mgr
+        .connections()
+        .filter(|c| c.state().is_carrying_traffic())
+        .flat_map(|c| c.primary().links().iter().copied())
+        .filter(|&l| !mgr.is_failed(l))
+        .collect();
+    set.into_iter().collect()
+}
+
+/// A deterministic choice from `links`; no draw when there is none.
+pub(crate) fn pick_from(links: &[LinkId], rng: &mut StdRng) -> Option<LinkId> {
+    if links.is_empty() {
+        None
+    } else {
+        Some(links[rng.gen_range(0..links.len())])
+    }
+}
+
+/// A deterministic choice among [`loaded_links`].
+pub(crate) fn pick_loaded_link(mgr: &DrtpManager, rng: &mut StdRng) -> Option<LinkId> {
+    pick_from(&loaded_links(mgr), rng)
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@
 //! is byte-identical for every `--jobs` count.
 
 use crate::config::ExperimentConfig;
+use crate::report::fmt_us;
 use crate::runner::SchemeKind;
 use drt_core::failure::RestartMode;
 use drt_core::orchestrator::{RecoveryOrchestrator, RetryPolicy};
@@ -466,16 +467,6 @@ pub fn render(net: &Network, rows: &[RestartRow]) -> String {
          \x20 survival, pricing the connections amnesia destroyed outright\n",
     );
     out
-}
-
-fn fmt_us(us: u64) -> String {
-    if us == 0 {
-        "-".into()
-    } else if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else {
-        format!("{:.1}ms", us as f64 / 1e3)
-    }
 }
 
 #[cfg(test)]

@@ -208,7 +208,7 @@ mod tests {
     use drt_core::ConnectionId;
 
     fn pkt() -> Packet {
-        Packet::ReleaseResult {
+        Packet::ReportAck {
             conn: ConnectionId::new(1),
             seq: 7,
         }
@@ -251,7 +251,7 @@ mod tests {
         assert_eq!(log.decisions[0].fate, Fate::Drop);
         assert_eq!(log.decisions[3].fate, Fate::Deliver);
         assert_eq!(log.decisions[1].hops, 2);
-        assert_eq!(log.decisions[0].kind, "release-result");
+        assert_eq!(log.decisions[0].kind, "report-ack");
         assert!(Fate::Drop.is_fault() && !Fate::Deliver.is_fault());
     }
 }

@@ -2,12 +2,15 @@
 //! choke point through which every state-mutating handler acts.
 //!
 //! The engine never calls a [`Router`] mutator directly (the
-//! `journal-choke` lint rule in `crates/verify` enforces this): it goes
-//! through [`Journals`], which appends a typed [`JournalRecord`] *before*
-//! delegating to the raw mutator. Because every `Router` mutator is a
-//! deterministic function of `(state, arguments)`, replaying the journal
-//! against a fresh router reproduces the live router bit for bit — the
-//! property the `journal_replay` equivalence suite pins.
+//! `journal-choke` lint rule in `crates/verify` enforces this): it hands
+//! [`Journals::commit`] a typed [`JournalRecord`], which is appended
+//! *before* the one `apply` function — the same one replay and compaction
+//! run — performs it on the live router. Live and replayed routers
+//! therefore take every mutation through the same dispatch, and because
+//! every `Router` mutator is a deterministic function of
+//! `(state, arguments)`, replaying the journal against a fresh router
+//! reproduces the live router bit for bit — the property the
+//! `journal_replay` equivalence suite pins.
 //!
 //! Replay is bounded by a compacting checkpoint: once the tail reaches
 //! [`Journal::COMPACT_EVERY`] records, the journal applies them to its own
@@ -111,13 +114,15 @@ pub enum JournalRecord {
     },
 }
 
-/// Applies one record to a router, exactly as the live engine did.
-/// Return values are discarded: the original decision was already made
-/// from identical state, so the replayed outcome is identical too.
-fn apply(router: &mut Router, rec: &JournalRecord) {
+/// Performs one record on a router and returns the mutator's verdict
+/// (`true` for the mutators that cannot refuse; for a gate, whether the
+/// walk proceeds). The live engine, replay and compaction all mutate
+/// through here, so a replayed outcome is the live one: the decision is
+/// made from identical state.
+fn apply(router: &mut Router, rec: &JournalRecord) -> bool {
     match rec {
         JournalRecord::GateWalk { conn, seq, attempt } => {
-            let _ = router.gate_walk(*conn, *seq, *attempt);
+            return router.gate_walk(*conn, *seq, *attempt) != WalkGate::Stale;
         }
         JournalRecord::MarkApplied { conn, seq } => router.mark_applied(*conn, *seq),
         JournalRecord::PoisonWalk { conn, seq, attempt } => {
@@ -128,9 +133,7 @@ fn apply(router: &mut Router, rec: &JournalRecord) {
             route,
             out_link,
             bw,
-        } => {
-            let _ = router.reserve_primary(*conn, route, *out_link, *bw);
-        }
+        } => return router.reserve_primary(*conn, route, *out_link, *bw),
         JournalRecord::ReleasePrimary { conn } => router.release_primary(*conn),
         JournalRecord::RegisterBackup {
             conn,
@@ -147,10 +150,9 @@ fn apply(router: &mut Router, rec: &JournalRecord) {
             route,
             out_link,
             bw,
-        } => {
-            let _ = router.activate_backup(*conn, route, *out_link, *bw);
-        }
+        } => return router.activate_backup(*conn, route, *out_link, *bw),
     }
+    true
 }
 
 /// One router's durable journal: a compacting checkpoint plus the tail of
@@ -209,14 +211,21 @@ impl Journal {
         router
     }
 
-    /// Appends one record (the caller then performs the mutation). A tail
-    /// that reaches [`Self::COMPACT_EVERY`] is retired into the checkpoint
-    /// by the same in-order `apply` that [`Self::replay`] uses, so the
-    /// checkpoint is the router replay would have built — the live router
-    /// is not consulted.
-    fn append(&mut self, net: &Network, node: NodeId, rec: JournalRecord) {
+    /// The write-ahead step: appends `rec`, then lets `act` perform it on
+    /// the live router. A tail that reaches [`Self::COMPACT_EVERY`] is
+    /// retired into the checkpoint by the same in-order `apply` that
+    /// [`Self::replay`] uses, so the checkpoint is the router replay would
+    /// have built — the live router is not consulted.
+    fn append<T>(
+        &mut self,
+        net: &Network,
+        node: NodeId,
+        rec: JournalRecord,
+        act: impl FnOnce(&JournalRecord) -> T,
+    ) -> T {
         self.tail.push(rec);
         self.lsn += 1;
+        let verdict = act(&self.tail[self.tail.len() - 1]);
         if self.tail.len() >= Self::COMPACT_EVERY {
             let checkpoint = self
                 .checkpoint
@@ -225,12 +234,14 @@ impl Journal {
                 apply(checkpoint, &rec);
             }
         }
+        verdict
     }
 }
 
-/// The per-node journals plus the choke-point wrappers the engine calls
-/// instead of raw [`Router`] mutators. Each wrapper appends the typed
-/// record *before* acting (write-ahead), then delegates.
+/// The per-node journals and the choke point the engine mutates routers
+/// through instead of calling raw [`Router`] mutators: [`Journals::commit`]
+/// (and [`Journals::gate`], whose verdict is not a `bool`) append the typed
+/// record *before* acting (write-ahead).
 pub(crate) struct Journals {
     /// What a node's first compaction builds its fresh router from.
     net: Arc<Network>,
@@ -253,10 +264,6 @@ impl Journals {
             per_node: (0..net.num_nodes()).map(|_| Journal::default()).collect(),
             net,
         }
-    }
-
-    fn append(&mut self, at: NodeId, rec: JournalRecord) {
-        self.per_node[at.index()].append(&self.net, at, rec);
     }
 
     /// The journal of one node (test and bench observability).
@@ -300,10 +307,21 @@ impl Journals {
         (j.replay(&self.net, node), j.tail.len() as u64, j.corrupted)
     }
 
-    // --- choke-point wrappers -------------------------------------------
-    // Names deliberately differ from the raw Router mutators so the
-    // journal-choke lint can flag any raw call outside this module.
+    /// Journals `rec` at `at`, then performs it on the live router with
+    /// the `apply` that replay runs. Returns the mutator's verdict: `false`
+    /// when a reservation or activation was refused.
+    pub(crate) fn commit(
+        &mut self,
+        routers: &mut [Router],
+        at: NodeId,
+        rec: JournalRecord,
+    ) -> bool {
+        let live = &mut routers[at.index()];
+        self.per_node[at.index()].append(&self.net, at, rec, |rec| apply(live, rec))
+    }
 
+    /// Gates a walk packet through `at`'s dedup ledger — a commit of
+    /// [`JournalRecord::GateWalk`] that hands back the three-way verdict.
     pub(crate) fn gate(
         &mut self,
         routers: &mut [Router],
@@ -312,115 +330,9 @@ impl Journals {
         seq: u64,
         attempt: u32,
     ) -> WalkGate {
-        self.append(at, JournalRecord::GateWalk { conn, seq, attempt });
-        routers[at.index()].gate_walk(conn, seq, attempt)
-    }
-
-    pub(crate) fn applied(
-        &mut self,
-        routers: &mut [Router],
-        at: NodeId,
-        conn: ConnectionId,
-        seq: u64,
-    ) {
-        self.append(at, JournalRecord::MarkApplied { conn, seq });
-        routers[at.index()].mark_applied(conn, seq);
-    }
-
-    pub(crate) fn poison(
-        &mut self,
-        routers: &mut [Router],
-        at: NodeId,
-        conn: ConnectionId,
-        seq: u64,
-        attempt: u32,
-    ) {
-        self.append(at, JournalRecord::PoisonWalk { conn, seq, attempt });
-        routers[at.index()].poison_walk(conn, seq, attempt);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn reserve(
-        &mut self,
-        routers: &mut [Router],
-        at: NodeId,
-        conn: ConnectionId,
-        route: &Route,
-        out_link: LinkId,
-        bw: Bandwidth,
-    ) -> bool {
-        self.append(
-            at,
-            JournalRecord::ReservePrimary {
-                conn,
-                route: route.clone(),
-                out_link,
-                bw,
-            },
-        );
-        routers[at.index()].reserve_primary(conn, route, out_link, bw)
-    }
-
-    pub(crate) fn release(&mut self, routers: &mut [Router], at: NodeId, conn: ConnectionId) {
-        self.append(at, JournalRecord::ReleasePrimary { conn });
-        routers[at.index()].release_primary(conn);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn register(
-        &mut self,
-        routers: &mut [Router],
-        at: NodeId,
-        conn: ConnectionId,
-        route: &Route,
-        out_link: LinkId,
-        primary_lset: &[LinkId],
-        bw: Bandwidth,
-    ) {
-        self.append(
-            at,
-            JournalRecord::RegisterBackup {
-                conn,
-                route: route.clone(),
-                out_link,
-                primary_lset: primary_lset.to_vec(),
-                bw,
-            },
-        );
-        routers[at.index()].register_backup(conn, route, out_link, primary_lset, bw);
-    }
-
-    pub(crate) fn unregister(
-        &mut self,
-        routers: &mut [Router],
-        at: NodeId,
-        conn: ConnectionId,
-        out_link: LinkId,
-    ) {
-        self.append(at, JournalRecord::UnregisterBackup { conn, out_link });
-        routers[at.index()].unregister_backup(conn, out_link);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn activate(
-        &mut self,
-        routers: &mut [Router],
-        at: NodeId,
-        conn: ConnectionId,
-        route: &Route,
-        out_link: LinkId,
-        bw: Bandwidth,
-    ) -> bool {
-        self.append(
-            at,
-            JournalRecord::ActivateBackup {
-                conn,
-                route: route.clone(),
-                out_link,
-                bw,
-            },
-        );
-        routers[at.index()].activate_backup(conn, route, out_link, bw)
+        let live = &mut routers[at.index()];
+        let rec = JournalRecord::GateWalk { conn, seq, attempt };
+        self.per_node[at.index()].append(&self.net, at, rec, |_| live.gate_walk(conn, seq, attempt))
     }
 }
 
@@ -439,18 +351,86 @@ mod tests {
         (Journals::new(net), routers, route)
     }
 
+    /// A register record for `conn` on `route`'s first link.
+    fn register(conn: u64, route: &Route) -> JournalRecord {
+        JournalRecord::RegisterBackup {
+            conn: ConnectionId::new(conn),
+            route: route.clone(),
+            out_link: route.links()[0],
+            primary_lset: vec![LinkId::new(5)],
+            bw: BW,
+        }
+    }
+
+    /// The record `kind % 8` selects, on `route`'s first link.
+    fn record(
+        kind: u8,
+        conn: u64,
+        seq: u64,
+        attempt: u32,
+        route: &Route,
+        lset: &[LinkId],
+    ) -> JournalRecord {
+        let conn = ConnectionId::new(conn);
+        let (route, out_link, bw) = (route.clone(), route.links()[0], BW);
+        match kind % 8 {
+            0 => JournalRecord::GateWalk { conn, seq, attempt },
+            1 => JournalRecord::MarkApplied { conn, seq },
+            2 => JournalRecord::PoisonWalk { conn, seq, attempt },
+            3 => JournalRecord::ReservePrimary {
+                conn,
+                route,
+                out_link,
+                bw,
+            },
+            4 => JournalRecord::ReleasePrimary { conn },
+            5 => JournalRecord::RegisterBackup {
+                conn,
+                route,
+                out_link,
+                primary_lset: lset.to_vec(),
+                bw,
+            },
+            6 => JournalRecord::UnregisterBackup { conn, out_link },
+            _ => JournalRecord::ActivateBackup {
+                conn,
+                route,
+                out_link,
+                bw,
+            },
+        }
+    }
+
     #[test]
     fn replay_matches_live_router() {
         let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
         let conn = ConnectionId::new(1);
-        let link = route.links()[0];
         assert_eq!(js.gate(&mut routers, n0, conn, 7, 1), WalkGate::Fresh);
-        assert!(js.reserve(&mut routers, n0, conn, &route, link, BW));
-        js.applied(&mut routers, n0, conn, 7);
-        js.register(&mut routers, n0, conn, &route, link, &[LinkId::new(5)], BW);
+        // Every record kind, in an order where each one acts and nothing
+        // leaks: gate, reserve, applied, poison, release, register,
+        // activate (the backup becomes the primary), release, register,
+        // unregister.
+        for kind in [0u8, 3, 1, 2, 4, 5, 7, 4, 5, 6] {
+            let rec = record(kind, 1, 8, 1, &route, &[LinkId::new(5)]);
+            assert!(js.commit(&mut routers, n0, rec), "kind {kind} refused");
+        }
+        // The verdict is the mutator's: a full link refuses a reservation.
+        let cap = Bandwidth::from_mbps(10);
+        let link = route.links()[0];
+        let hog = JournalRecord::ReservePrimary {
+            conn,
+            route: route.clone(),
+            out_link: link,
+            bw: cap,
+        };
+        assert!(js.commit(&mut routers, n0, hog.clone()));
+        assert!(
+            !js.commit(&mut routers, n0, hog),
+            "refusals are journaled too"
+        );
         let (replayed, records, corrupt) = js.replay(n0);
-        assert_eq!(records, 4);
+        assert_eq!(records, 13);
         assert!(!corrupt);
         assert_eq!(format!("{replayed:?}"), format!("{:?}", routers[0]));
     }
@@ -459,11 +439,9 @@ mod tests {
     fn compaction_bounds_the_tail_and_preserves_replay() {
         let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
-        let link = route.links()[0];
         for i in 0..(Journal::COMPACT_EVERY as u64 * 3 + 5) {
-            let conn = ConnectionId::new(i % 7);
-            js.register(&mut routers, n0, conn, &route, link, &[LinkId::new(5)], BW);
-            js.unregister(&mut routers, n0, conn, link);
+            js.commit(&mut routers, n0, register(i % 7, &route));
+            js.commit(&mut routers, n0, record(6, i % 7, 0, 1, &route, &[]));
         }
         let j = js.journal(n0);
         assert!(j.tail_len() < Journal::COMPACT_EVERY, "tail stays bounded");
@@ -476,17 +454,8 @@ mod tests {
     fn torn_tail_drops_records_and_flags_corruption() {
         let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
-        let link = route.links()[0];
         for i in 0..4u64 {
-            js.register(
-                &mut routers,
-                n0,
-                ConnectionId::new(i),
-                &route,
-                link,
-                &[LinkId::new(5)],
-                BW,
-            );
+            js.commit(&mut routers, n0, register(i, &route));
         }
         js.corrupt(n0, crate::chaos::JournalFault::TornTail(2));
         let j = js.journal(n0);
@@ -503,16 +472,7 @@ mod tests {
     fn stale_checkpoint_loses_the_tail() {
         let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
-        let link = route.links()[0];
-        js.register(
-            &mut routers,
-            n0,
-            ConnectionId::new(1),
-            &route,
-            link,
-            &[LinkId::new(5)],
-            BW,
-        );
+        js.commit(&mut routers, n0, register(1, &route));
         js.corrupt(n0, crate::chaos::JournalFault::StaleCheckpoint);
         let (replayed, records, corrupt) = js.replay(n0);
         assert!(corrupt);
@@ -524,16 +484,7 @@ mod tests {
     fn amnesia_reset_wipes_everything() {
         let (mut js, mut routers, route) = setup();
         let n0 = NodeId::new(0);
-        let link = route.links()[0];
-        js.register(
-            &mut routers,
-            n0,
-            ConnectionId::new(1),
-            &route,
-            link,
-            &[LinkId::new(5)],
-            BW,
-        );
+        js.commit(&mut routers, n0, register(1, &route));
         js.reset(n0);
         let j = js.journal(n0);
         assert_eq!(j.lsn(), 0);
@@ -542,10 +493,10 @@ mod tests {
         assert_eq!(replayed.backup_table_len(), 0);
     }
 
-    /// One call through the wrapper `kind % 8` selects, on an outgoing
-    /// link of `at` (the raw mutators debug-assert own links). Small id
-    /// ranges make calls collide: refused reservations, stacked backups,
-    /// unregisters of nothing.
+    /// Commits the record `kind % 8` selects, on an outgoing link of `at`
+    /// (the raw mutators debug-assert own links). Small id ranges make
+    /// calls collide: refused reservations, stacked backups, unregisters
+    /// of nothing.
     fn drive(
         js: &mut Journals,
         routers: &mut [Router],
@@ -562,24 +513,11 @@ mod tests {
             LinkId::new(first),
             LinkId::new((first + 1 + pick / 7 % (num_links - 1)) % num_links),
         ];
-        let conn = ConnectionId::new(conn);
-        let attempt = 1 + pick % 3;
-        match kind % 8 {
-            0 => {
-                js.gate(routers, at, conn, seq, attempt);
-            }
-            1 => js.applied(routers, at, conn, seq),
-            2 => js.poison(routers, at, conn, seq, attempt),
-            3 => {
-                js.reserve(routers, at, conn, &route, link, BW);
-            }
-            4 => js.release(routers, at, conn),
-            5 => js.register(routers, at, conn, &route, link, &lset, BW),
-            6 => js.unregister(routers, at, conn, link),
-            _ => {
-                js.activate(routers, at, conn, &route, link, BW);
-            }
-        }
+        js.commit(
+            routers,
+            at,
+            record(kind, conn, seq, 1 + pick % 3, &route, &lset),
+        );
     }
 
     /// The obvious compaction — a clone of the live router every
@@ -682,7 +620,7 @@ mod tests {
     fn stale_checkpoint_after_several_compactions_restores_the_last_one() {
         let (mut js, mut routers, _route) = setup();
         let n0 = NodeId::new(0);
-        // Rounds of all eight wrappers on one (conn, seq); every round
+        // Rounds of all eight record kinds on one (conn, seq); every round
         // gates a new seq, so each leaves a walk record behind for good.
         let mut op = 0u32;
         let mut next = |js: &mut Journals, routers: &mut [Router]| {
@@ -714,15 +652,7 @@ mod tests {
         let link = route.links()[0];
         let lset = [LinkId::new(5)];
         for i in 0..Journal::COMPACT_EVERY as u64 - 1 {
-            js.register(
-                &mut routers,
-                n0,
-                ConnectionId::new(i % 7),
-                &route,
-                link,
-                &lset,
-                BW,
-            );
+            js.commit(&mut routers, n0, register(i % 7, &route));
         }
         // The journal's own history: the 63 records so far plus the one
         // appended below — and nothing else.
@@ -731,15 +661,7 @@ mod tests {
         // The live router diverges behind the journal's back, right
         // before the append that compacts.
         routers[0].register_backup(ConnectionId::new(99), &route, link, &lset, BW);
-        js.register(
-            &mut routers,
-            n0,
-            ConnectionId::new(0),
-            &route,
-            link,
-            &lset,
-            BW,
-        );
+        js.commit(&mut routers, n0, register(0, &route));
         assert_eq!(js.journal(n0).tail_len(), 0, "the 64th record compacts");
         let (replayed, _, _) = js.replay(n0);
         assert_eq!(format!("{replayed:?}"), format!("{history:?}"));

@@ -15,6 +15,11 @@
 //! > the backup channel traverses using LSET. Finally, the router forwards
 //! > the request to the next router in the backup path."
 //!
+//! That one shape is one packet here — [`Walk`], whose [`WalkOp`] says what
+//! each hop applies (reserve, register, release, unregister, activate) —
+//! handled by one hop-by-hop routine, and every router mutation it makes
+//! goes through one write-ahead commit ([`JournalRecord`]).
+//!
 //! The simulation delivers every packet with a per-hop delay through a
 //! deterministic event queue, so races are real: two setups can contend
 //! for the last unit of bandwidth, a failure report can cross a release
@@ -95,5 +100,5 @@ pub use engine::{
 };
 pub use fate::{ChaosFates, Decision, DeliveryFate, Fate, FateLog, FateSource, ScriptedFates};
 pub use journal::{Journal, JournalRecord};
-pub use message::{Packet, ResyncEntry, RESYNC_CONN};
+pub use message::{Packet, ResyncEntry, Walk, WalkOp, RESYNC_CONN};
 pub use router::{BackupEntry, PrimaryEntry, Router, WalkGate};

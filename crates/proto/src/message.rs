@@ -25,13 +25,94 @@ pub struct ResyncEntry {
     pub backup_entries: u32,
 }
 
+/// What a walk packet does at each hop of its route — the only thing
+/// that distinguishes the five path-walking operations of DRTP.
+///
+/// | op | applies at each hop | can nack | answered by |
+/// |----|---------------------|----------|-------------|
+/// | `PrimarySetup` | reserve primary bandwidth | yes (pool short, link dead) | `setup-result` |
+/// | `BackupRegister` | register the backup, update the APLV from the LSET | no | `setup-result` |
+/// | `PrimaryRelease` | release the primary reservation | no | `release-result` |
+/// | `BackupRelease` | unregister one backup entry | no | `release-result` |
+/// | `ChannelSwitch` | activate the backup: spare/free → primary | yes (pools short, link dead) | `switch-result` |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkOp {
+    /// Reserve primary bandwidth hop by hop.
+    PrimarySetup,
+    /// The paper's backup-path register packet (carries the LSET).
+    BackupRegister,
+    /// Release the primary reservation at termination.
+    PrimaryRelease,
+    /// The paper's backup-path release packet (carries the LSET).
+    BackupRelease,
+    /// Activate a backup hop by hop: each router converts activation
+    /// bandwidth (spare, then free) into a primary reservation.
+    ChannelSwitch,
+}
+
+impl WalkOp {
+    /// Label of the walk packet, for traces and counters.
+    pub fn kind(self) -> &'static str {
+        match self {
+            WalkOp::PrimarySetup => "primary-setup",
+            WalkOp::BackupRegister => "backup-register",
+            WalkOp::PrimaryRelease => "primary-release",
+            WalkOp::BackupRelease => "backup-release",
+            WalkOp::ChannelSwitch => "channel-switch",
+        }
+    }
+
+    /// Label of the result packet that answers the walk.
+    pub fn result_kind(self) -> &'static str {
+        match self {
+            WalkOp::PrimarySetup | WalkOp::BackupRegister => "setup-result",
+            WalkOp::PrimaryRelease | WalkOp::BackupRelease => "release-result",
+            WalkOp::ChannelSwitch => "switch-result",
+        }
+    }
+
+    /// Whether the walk carries the primary's `LSET` ("it includes the
+    /// LSET of the corresponding primary route in a backup-path register
+    /// packet and a backup-path release packet").
+    pub fn carries_lset(self) -> bool {
+        matches!(self, WalkOp::BackupRegister | WalkOp::BackupRelease)
+    }
+
+    /// Whether a hop can refuse the op (it claims bandwidth that may be
+    /// gone); the others are idempotent no-ops where nothing is held.
+    pub fn can_nack(self) -> bool {
+        matches!(self, WalkOp::PrimarySetup | WalkOp::ChannelSwitch)
+    }
+}
+
+/// A path-walking packet: *source-routed*, it carries its route and the
+/// index of the hop being processed, exactly like the paper's register
+/// packets ("the router forwards the request to the next router in the
+/// backup path").
+#[derive(Debug, Clone, PartialEq)]
+pub struct Walk {
+    /// What each hop applies.
+    pub op: WalkOp,
+    /// The connection the walk acts for.
+    pub conn: ConnectionId,
+    /// Per-link bandwidth of the connection.
+    pub bw: Bandwidth,
+    /// The route being walked.
+    pub route: Route,
+    /// The primary route's link set (`LSET`); empty unless
+    /// [`WalkOp::carries_lset`].
+    pub primary_lset: Vec<LinkId>,
+    /// Index of the link being processed.
+    pub hop: usize,
+    /// Transaction sequence number (unique per source operation).
+    pub seq: u64,
+    /// Retransmission attempt (1 = first transmission).
+    pub attempt: u32,
+}
+
 /// A DRTP control packet in flight.
 ///
-/// Path-walking packets (`…Setup`, `…Register`, `…Release`, switch)
-/// are *source-routed*: they carry their route and the index of
-/// the hop being processed, exactly like the paper's register packets
-/// ("the router forwards the request to the next router in the backup
-/// path"). Report/ack packets travel back to an endpoint in one delivery
+/// Report/ack/result packets travel back to an endpoint in one delivery
 /// whose latency accounts for the hops crossed.
 ///
 /// The control plane may be lossy (see [`crate::ChaosConfig`]), so every
@@ -42,87 +123,19 @@ pub struct ResyncEntry {
 /// (see [`crate::Router::gate_walk`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Packet {
-    /// Reserve primary bandwidth hop by hop along `route`.
-    PrimarySetup {
-        /// Connection being established.
-        conn: ConnectionId,
-        /// Per-link bandwidth to reserve.
-        bw: Bandwidth,
-        /// The primary route.
-        route: Route,
-        /// Index of the link about to be reserved.
-        hop: usize,
-        /// Transaction sequence number (unique per source operation).
-        seq: u64,
-        /// Retransmission attempt (1 = first transmission).
-        attempt: u32,
-    },
-    /// The paper's backup-path register packet: carries the primary's
-    /// `LSET` so each router can update its link's APLV.
-    BackupRegister {
-        /// Connection being protected.
-        conn: ConnectionId,
-        /// Per-link bandwidth of the connection.
-        bw: Bandwidth,
-        /// The backup route being registered.
-        route: Route,
-        /// The primary route's link set (`LSET`).
-        primary_lset: Vec<LinkId>,
-        /// Index of the link being registered.
-        hop: usize,
-        /// Transaction sequence number.
-        seq: u64,
-        /// Retransmission attempt (1 = first transmission).
-        attempt: u32,
-    },
-    /// Release of one primary hop at termination (walks the route).
-    PrimaryRelease {
-        /// Connection being terminated.
-        conn: ConnectionId,
-        /// Index of the link to release.
-        hop: usize,
-        /// The primary route.
-        route: Route,
-        /// Per-link bandwidth to release.
-        bw: Bandwidth,
-        /// Transaction sequence number.
-        seq: u64,
-        /// Retransmission attempt (1 = first transmission).
-        attempt: u32,
-    },
-    /// The paper's backup-path release packet (also carries the LSET).
-    BackupRelease {
-        /// Connection being terminated.
-        conn: ConnectionId,
-        /// Per-link bandwidth of the connection.
-        bw: Bandwidth,
-        /// The backup route being unregistered.
-        route: Route,
-        /// The primary route's link set (`LSET`).
-        primary_lset: Vec<LinkId>,
-        /// Index of the link being unregistered.
-        hop: usize,
-        /// Transaction sequence number.
-        seq: u64,
-        /// Retransmission attempt (1 = first transmission).
-        attempt: u32,
-    },
-    /// Setup outcome delivered to the source (acks both primary-setup and
-    /// backup-register walks; the `seq` says which transaction).
-    SetupResult {
+    /// One hop of a path walk.
+    Walk(Walk),
+    /// Walk outcome delivered to the source by the last router (or, with
+    /// `ok: false`, by the hop that refused), so the source can stop
+    /// retransmitting; the `seq` says which transaction.
+    WalkResult {
+        /// The op of the walk being answered.
+        op: WalkOp,
         /// The connection the result is for.
         conn: ConnectionId,
         /// `true` when the walk completed end to end.
         ok: bool,
         /// Sequence of the transaction being answered.
-        seq: u64,
-    },
-    /// Completion ack for a release walk (primary or backup), sent by the
-    /// last router so the source can stop retransmitting.
-    ReleaseResult {
-        /// The connection the result is for.
-        conn: ConnectionId,
-        /// Sequence of the release transaction being answered.
         seq: u64,
     },
     /// Failure report from the detecting router to a connection's source
@@ -147,32 +160,6 @@ pub enum Packet {
         /// The affected connection.
         conn: ConnectionId,
         /// Sequence of the report being acknowledged.
-        seq: u64,
-    },
-    /// Channel-switch message activating a backup hop by hop: each router
-    /// converts activation bandwidth (spare, then free) into a primary
-    /// reservation for the new channel.
-    ChannelSwitch {
-        /// The recovering connection.
-        conn: ConnectionId,
-        /// Per-link bandwidth to activate.
-        bw: Bandwidth,
-        /// The backup route being activated.
-        route: Route,
-        /// Index of the link being activated.
-        hop: usize,
-        /// Transaction sequence number.
-        seq: u64,
-        /// Retransmission attempt (1 = first transmission).
-        attempt: u32,
-    },
-    /// Switch outcome delivered to the source.
-    SwitchResult {
-        /// The recovering connection.
-        conn: ConnectionId,
-        /// `true` when the backup was fully activated.
-        ok: bool,
-        /// Sequence of the switch transaction being answered.
         seq: u64,
     },
     /// Resync handshake opener from a freshly-restarted router to one
@@ -204,16 +191,10 @@ impl Packet {
     /// router, not a connection, and answer the [`RESYNC_CONN`] sentinel.
     pub fn conn(&self) -> ConnectionId {
         match self {
-            Packet::PrimarySetup { conn, .. }
-            | Packet::BackupRegister { conn, .. }
-            | Packet::PrimaryRelease { conn, .. }
-            | Packet::BackupRelease { conn, .. }
-            | Packet::SetupResult { conn, .. }
-            | Packet::ReleaseResult { conn, .. }
+            Packet::Walk(Walk { conn, .. })
+            | Packet::WalkResult { conn, .. }
             | Packet::FailureReport { conn, .. }
-            | Packet::ReportAck { conn, .. }
-            | Packet::ChannelSwitch { conn, .. }
-            | Packet::SwitchResult { conn, .. } => *conn,
+            | Packet::ReportAck { conn, .. } => *conn,
             Packet::ResyncRequest { .. } | Packet::ResyncDigest { .. } => RESYNC_CONN,
         }
     }
@@ -221,16 +202,10 @@ impl Packet {
     /// The transaction sequence number this packet carries.
     pub fn seq(&self) -> u64 {
         match self {
-            Packet::PrimarySetup { seq, .. }
-            | Packet::BackupRegister { seq, .. }
-            | Packet::PrimaryRelease { seq, .. }
-            | Packet::BackupRelease { seq, .. }
-            | Packet::SetupResult { seq, .. }
-            | Packet::ReleaseResult { seq, .. }
+            Packet::Walk(Walk { seq, .. })
+            | Packet::WalkResult { seq, .. }
             | Packet::FailureReport { seq, .. }
             | Packet::ReportAck { seq, .. }
-            | Packet::ChannelSwitch { seq, .. }
-            | Packet::SwitchResult { seq, .. }
             | Packet::ResyncRequest { seq, .. }
             | Packet::ResyncDigest { seq, .. } => *seq,
         }
@@ -240,18 +215,10 @@ impl Packet {
     /// for results and acks (they are regenerated, not retransmitted).
     pub fn set_attempt(&mut self, a: u32) {
         match self {
-            Packet::PrimarySetup { attempt, .. }
-            | Packet::BackupRegister { attempt, .. }
-            | Packet::PrimaryRelease { attempt, .. }
-            | Packet::BackupRelease { attempt, .. }
+            Packet::Walk(Walk { attempt, .. })
             | Packet::FailureReport { attempt, .. }
-            | Packet::ChannelSwitch { attempt, .. }
             | Packet::ResyncRequest { attempt, .. } => *attempt = a,
-            Packet::SetupResult { .. }
-            | Packet::ReleaseResult { .. }
-            | Packet::ReportAck { .. }
-            | Packet::SwitchResult { .. }
-            | Packet::ResyncDigest { .. } => {}
+            Packet::WalkResult { .. } | Packet::ReportAck { .. } | Packet::ResyncDigest { .. } => {}
         }
     }
 
@@ -261,44 +228,21 @@ impl Packet {
     pub fn wire_bytes(&self) -> u64 {
         const HEADER: u64 = 24;
         match self {
-            Packet::PrimarySetup { route, .. }
-            | Packet::PrimaryRelease { route, .. }
-            | Packet::ChannelSwitch { route, .. } => HEADER + 4 * route.len() as u64,
-            Packet::BackupRegister {
-                route,
-                primary_lset,
-                ..
-            }
-            | Packet::BackupRelease {
-                route,
-                primary_lset,
-                ..
-            } => HEADER + 4 * (route.len() + primary_lset.len()) as u64,
-            Packet::SetupResult { .. }
-            | Packet::ReleaseResult { .. }
-            | Packet::FailureReport { .. }
-            | Packet::ReportAck { .. }
-            | Packet::SwitchResult { .. }
-            | Packet::ResyncRequest { .. } => HEADER,
+            Packet::Walk(w) => HEADER + 4 * (w.route.len() + w.primary_lset.len()) as u64,
             // Each digest entry carries a connection id, a version, and
             // the packed state flags.
             Packet::ResyncDigest { entries, .. } => HEADER + 16 * entries.len() as u64,
+            _ => HEADER,
         }
     }
 
     /// Short label for traces and counters.
     pub fn kind(&self) -> &'static str {
         match self {
-            Packet::PrimarySetup { .. } => "primary-setup",
-            Packet::BackupRegister { .. } => "backup-register",
-            Packet::PrimaryRelease { .. } => "primary-release",
-            Packet::BackupRelease { .. } => "backup-release",
-            Packet::SetupResult { .. } => "setup-result",
-            Packet::ReleaseResult { .. } => "release-result",
+            Packet::Walk(w) => w.op.kind(),
+            Packet::WalkResult { op, .. } => op.result_kind(),
             Packet::FailureReport { .. } => "failure-report",
             Packet::ReportAck { .. } => "report-ack",
-            Packet::ChannelSwitch { .. } => "channel-switch",
-            Packet::SwitchResult { .. } => "switch-result",
             Packet::ResyncRequest { .. } => "resync-request",
             Packet::ResyncDigest { .. } => "resync-digest",
         }
@@ -316,36 +260,70 @@ mod tests {
     use super::*;
     use drt_net::{topology, NodeId};
 
+    fn walk(op: WalkOp, route: Route, primary_lset: Vec<LinkId>) -> Packet {
+        Packet::Walk(Walk {
+            op,
+            conn: ConnectionId::new(1),
+            bw: Bandwidth::from_kbps(100),
+            route,
+            primary_lset,
+            hop: 0,
+            seq: 1,
+            attempt: 1,
+        })
+    }
+
     #[test]
-    fn wire_bytes_scale_with_carried_links() {
+    fn kinds_and_wire_bytes_are_pinned() {
         let net = topology::ring(5, Bandwidth::from_mbps(10)).unwrap();
         let route =
             Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]).unwrap();
-        let setup = Packet::PrimarySetup {
-            conn: ConnectionId::new(1),
-            bw: Bandwidth::from_kbps(100),
-            route: route.clone(),
-            hop: 0,
-            seq: 1,
-            attempt: 1,
-        };
-        assert_eq!(setup.wire_bytes(), 24 + 8);
-        let register = Packet::BackupRegister {
-            conn: ConnectionId::new(1),
-            bw: Bandwidth::from_kbps(100),
-            route: route.clone(),
-            primary_lset: route.links().to_vec(),
-            hop: 0,
-            seq: 2,
-            attempt: 1,
-        };
-        assert_eq!(register.wire_bytes(), 24 + 16);
-        let result = Packet::SetupResult {
-            conn: ConnectionId::new(1),
-            ok: true,
-            seq: 1,
-        };
-        assert_eq!(result.wire_bytes(), 24);
+        // (op, LSET links carried, walk kind, walk bytes, result kind):
+        // 24-byte header + 4 per carried link id, route and LSET alike.
+        let table = [
+            (WalkOp::PrimarySetup, 0, "primary-setup", 32, "setup-result"),
+            (
+                WalkOp::BackupRegister,
+                2,
+                "backup-register",
+                40,
+                "setup-result",
+            ),
+            (
+                WalkOp::PrimaryRelease,
+                0,
+                "primary-release",
+                32,
+                "release-result",
+            ),
+            (
+                WalkOp::BackupRelease,
+                3,
+                "backup-release",
+                44,
+                "release-result",
+            ),
+            (
+                WalkOp::ChannelSwitch,
+                0,
+                "channel-switch",
+                32,
+                "switch-result",
+            ),
+        ];
+        for (op, lset_len, kind, bytes, result_kind) in table {
+            assert_eq!(op.carries_lset(), lset_len > 0, "{op:?}");
+            let lset = (0..lset_len).map(LinkId::new).collect();
+            let pkt = walk(op, route.clone(), lset);
+            assert_eq!((pkt.kind(), pkt.wire_bytes()), (kind, bytes), "{op:?}");
+            let result = Packet::WalkResult {
+                op,
+                conn: ConnectionId::new(1),
+                ok: true,
+                seq: 1,
+            };
+            assert_eq!((result.kind(), result.wire_bytes()), (result_kind, 24));
+        }
         let ack = Packet::ReportAck {
             conn: ConnectionId::new(1),
             seq: 3,
@@ -372,22 +350,17 @@ mod tests {
     fn attempt_stamping_skips_results() {
         let net = topology::ring(4, Bandwidth::from_mbps(10)).unwrap();
         let route = Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1)]).unwrap();
-        let mut walk = Packet::PrimarySetup {
-            conn: ConnectionId::new(1),
-            bw: Bandwidth::from_kbps(100),
-            route,
-            hop: 0,
-            seq: 1,
-            attempt: 1,
-        };
-        walk.set_attempt(3);
-        assert!(matches!(walk, Packet::PrimarySetup { attempt: 3, .. }));
-        let mut res = Packet::SwitchResult {
+        let mut pkt = walk(WalkOp::PrimarySetup, route, Vec::new());
+        pkt.set_attempt(3);
+        assert!(matches!(pkt, Packet::Walk(Walk { attempt: 3, .. })));
+        let mut res = Packet::WalkResult {
+            op: WalkOp::ChannelSwitch,
             conn: ConnectionId::new(1),
             ok: true,
             seq: 1,
         };
+        let before = res.clone();
         res.set_attempt(9);
-        assert!(matches!(res, Packet::SwitchResult { .. }));
+        assert_eq!(res, before);
     }
 }

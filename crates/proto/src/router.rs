@@ -147,36 +147,6 @@ impl Router {
         rec.applied = false;
     }
 
-    /// Processes a teardown for walk `(conn, seq, attempt)`: returns `true`
-    /// when this router had applied the walk (the caller must undo the
-    /// reservation). Also poisons same-attempt stragglers so a duplicate
-    /// walk copy arriving after the teardown cannot re-apply, while leaving
-    /// newer attempts untouched.
-    pub fn revoke_walk(&mut self, conn: ConnectionId, seq: u64, attempt: u32) -> bool {
-        match self.walks.get_mut(&(conn, seq)) {
-            Some(rec) if attempt >= rec.attempt => {
-                let was_applied = rec.applied;
-                rec.attempt = attempt + 1;
-                rec.applied = false;
-                was_applied
-            }
-            // A newer attempt owns the record: this teardown is stale.
-            Some(_) => false,
-            None => {
-                // Teardown outran the walk (possible only via reordering):
-                // poison so the late walk copy cannot apply.
-                self.walks.insert(
-                    (conn, seq),
-                    WalkRecord {
-                        attempt: attempt + 1,
-                        applied: false,
-                    },
-                );
-                false
-            }
-        }
-    }
-
     /// Number of live walk dedup records (test observability).
     pub fn walk_records(&self) -> usize {
         self.walks.len()
@@ -362,16 +332,6 @@ impl Router {
         true
     }
 
-    /// The connections whose primary reservation here uses `link`
-    /// (the detection step of failure handling).
-    pub fn primaries_on_link(&self, link: LinkId) -> Vec<ConnectionId> {
-        self.primaries
-            .iter()
-            .filter(|(_, e)| e.out_link == link)
-            .map(|(c, _)| *c)
-            .collect()
-    }
-
     /// The connections whose primary *route* crosses `link`, regardless of
     /// which hop this router holds. A crashed router cannot report its own
     /// outgoing links, so the surviving downstream neighbour — which holds
@@ -453,10 +413,11 @@ mod tests {
         let link = route.links()[0];
         assert!(r.reserve_primary(ConnectionId::new(1), &route, link, BW));
         assert_eq!(r.link(link).prime(), BW);
-        assert_eq!(r.primaries_on_link(link), vec![ConnectionId::new(1)]);
+        let entry = r.primary_entry(ConnectionId::new(1)).expect("reserved");
+        assert_eq!((entry.out_link, entry.bw), (link, BW));
         r.release_primary(ConnectionId::new(1));
         assert_eq!(r.link(link).prime(), Bandwidth::ZERO);
-        assert!(r.primaries_on_link(link).is_empty());
+        assert!(r.primary_entry(ConnectionId::new(1)).is_none());
         // Releasing again is a no-op.
         r.release_primary(ConnectionId::new(1));
     }
@@ -529,44 +490,6 @@ mod tests {
         r.poison_walk(conn, 7, 1);
         assert_eq!(r.gate_walk(conn, 7, 1), WalkGate::Stale);
         assert_eq!(r.gate_walk(conn, 7, 2), WalkGate::Fresh);
-    }
-
-    #[test]
-    fn revoke_reports_applied_state_and_blocks_stragglers() {
-        let (_, mut r, _) = setup();
-        let conn = ConnectionId::new(1);
-        assert_eq!(r.gate_walk(conn, 7, 1), WalkGate::Fresh);
-        r.mark_applied(conn, 7);
-        // Teardown for the applied attempt: caller must release.
-        assert!(r.revoke_walk(conn, 7, 1));
-        // Duplicate teardown: already revoked.
-        assert!(!r.revoke_walk(conn, 7, 1));
-        // Same-attempt walk straggler after the teardown: stale.
-        assert_eq!(r.gate_walk(conn, 7, 1), WalkGate::Stale);
-        // The source's retry attempt is fresh again.
-        assert_eq!(r.gate_walk(conn, 7, 2), WalkGate::Fresh);
-    }
-
-    #[test]
-    fn revoke_before_walk_poisons_record() {
-        let (_, mut r, _) = setup();
-        let conn = ConnectionId::new(1);
-        // Teardown arrives first (reordering): nothing to undo...
-        assert!(!r.revoke_walk(conn, 7, 1));
-        // ...and the late same-attempt walk copy must not apply.
-        assert_eq!(r.gate_walk(conn, 7, 1), WalkGate::Stale);
-    }
-
-    #[test]
-    fn stale_teardown_does_not_disturb_newer_attempt() {
-        let (_, mut r, _) = setup();
-        let conn = ConnectionId::new(1);
-        assert_eq!(r.gate_walk(conn, 7, 3), WalkGate::Fresh);
-        r.mark_applied(conn, 7);
-        // A teardown stamped with an older attempt is stale: the applied
-        // state of attempt 3 must survive.
-        assert!(!r.revoke_walk(conn, 7, 2));
-        assert_eq!(r.gate_walk(conn, 7, 3), WalkGate::AlreadyApplied);
     }
 
     #[test]

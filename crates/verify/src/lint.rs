@@ -84,8 +84,8 @@ fn scope_honest_experiments(path: &str) -> bool {
 }
 
 fn scope_journal_choke(path: &str) -> bool {
-    // `journal.rs` *is* the choke point (append-before-act wrappers and
-    // replay both dispatch the raw mutators); `router.rs` owns the
+    // `journal.rs` *is* the choke point (`commit` appends, then runs the
+    // one `apply` that replay runs too); `router.rs` owns the
     // mutators and may compose them internally. Everything else in the
     // protocol crate — the engine above all — must go through `Journals`.
     path.contains("crates/proto/src")
@@ -161,7 +161,6 @@ pub const RULES: [Rule; 8] = [
             ".gate_walk(",
             ".mark_applied(",
             ".poison_walk(",
-            ".revoke_walk(",
             ".reserve_primary(",
             ".release_primary(",
             ".register_backup(",
@@ -502,9 +501,10 @@ pub const RULE_DOCS: [RuleDoc; 13] = [
               mutator call (.gate_walk(, .reserve_primary(, …) outside the \
               Journals choke point mutates state the journal never saw — \
               the divergence only surfaces as a wrong router after a crash",
-        fix: "call the matching Journals wrapper (gate/applied/poison/\
-              reserve/release/register/unregister/activate) instead of the \
-              raw Router mutator",
+        fix: "hand Journals::commit the JournalRecord that names the mutation \
+              (Journals::gate for a walk's dedup verdict) instead of calling \
+              the raw Router mutator; a new mutator needs a record kind and \
+              an arm in journal.rs's apply",
     },
     RuleDoc {
         name: "spf-alloc",

@@ -133,9 +133,10 @@ fn journal_choke_scoped_to_proto_outside_the_choke_point() {
     assert!(rules_fired("crates/proto/src/router.rs", src).is_empty());
     // Outside the protocol crate the names mean something else entirely.
     assert!(rules_fired("crates/core/src/manager.rs", src).is_empty());
-    // The Journals wrappers have distinct names, so choke-routed engine
-    // code never matches.
-    let routed = "self.journals.reserve(&mut self.routers, to, conn, &route, link, bw);\n";
+    // Choke-routed engine code names a record, not a mutator, so it
+    // never matches.
+    let routed =
+        "self.journals.commit(&mut self.routers, to, JournalRecord::ReleasePrimary { conn });\n";
     assert!(rules_fired("crates/proto/src/engine.rs", routed).is_empty());
 }
 

@@ -104,9 +104,9 @@ pub fn vulnerability_over(
                 continue;
             }
             report.trials += 1;
-            for (conn, won) in &ws.decisions {
+            for (at, won) in &ws.decisions {
                 if won.is_none() {
-                    report.per_conn.entry(*conn).or_default().push(link);
+                    report.per_conn.entry(at.id).or_default().push(link);
                 }
             }
         }

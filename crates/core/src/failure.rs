@@ -21,6 +21,7 @@
 //! (steps 2–4 of DRTP, with re-establishment available via
 //! [`DrtpManager::reestablish_backup`]).
 
+use crate::incidence::IndexEntry;
 use crate::multiplex::{ActivationPool, FailureModel};
 use crate::{ConnectionId, ConnectionState, DrtpError, DrtpManager, LinkResources};
 use drt_net::{Bandwidth, LinkId, NodeId, SrlgId};
@@ -459,7 +460,7 @@ impl DrtpManager {
         self.select_activations_in(unit, rng, ws);
         ProbeOutcome {
             failed_links: unit.to_vec(),
-            details: ws.decisions.clone(),
+            details: ws.details(),
         }
     }
 
@@ -507,7 +508,9 @@ impl DrtpManager {
                 sample.degraded += ws
                     .decisions
                     .iter()
-                    .filter(|(id, won)| won.is_none() && self.conns[id].backups().is_empty())
+                    .filter(|(at, won)| {
+                        won.is_none() && self.conns.at(at.slot).backups().is_empty()
+                    })
                     .count() as u64;
                 sample.trials += 1;
                 sweep.per_link.push(LinkImpact {
@@ -536,7 +539,7 @@ impl DrtpManager {
         let failed_links = event.resolve(self);
         let details = with_probe_scratch(|ws| {
             self.select_activations_in(&failed_links, rng, ws);
-            std::mem::take(&mut ws.decisions)
+            ws.details()
         });
         ProbeOutcome {
             failed_links,
@@ -606,22 +609,23 @@ impl DrtpManager {
 
         // Winners first: promote their backups while the decided pools
         // still hold (releasing primaries only adds slack).
-        for (id, won) in &decisions {
+        for (at, won) in &decisions {
             let Some(win_idx) = won else { continue };
-            self.promote_winner(*id, *win_idx);
-            report.switched.push(*id);
+            self.promote_winner(at.slot, *win_idx);
+            report.switched.push(at.id);
         }
-        // Losers afterwards: tear down.
-        for (id, won) in &decisions {
+        // Losers afterwards: tear down. The `Failed` record keeps its slot
+        // until it is released.
+        for (at, won) in &decisions {
             if won.is_some() {
                 continue;
             }
-            let mut conn = self.conns.remove(id).expect("probed connection exists");
-            self.detach_all(&conn);
+            let mut conn = self.conns.take(at.slot);
+            self.detach_all(at.slot, &conn);
             conn.clear_backups();
             conn.set_state(ConnectionState::Failed);
-            self.conns.insert(*id, conn);
-            report.lost.push(*id);
+            self.conns.put(at.slot, conn);
+            report.lost.push(at.id);
         }
 
         // Intact connections whose backups crossed the failed link lose
@@ -629,17 +633,17 @@ impl DrtpManager {
         // with none become unprotected. The incidence index — already
         // updated for winners and losers above — yields the survivors
         // directly; sort + dedup restores connection-table id order.
-        let mut candidates: Vec<ConnectionId> = Vec::new();
+        let mut candidates: Vec<IndexEntry> = Vec::new();
         for &l in &failed_links {
             candidates.extend_from_slice(self.incidence.backups_on(l));
         }
-        candidates.sort_unstable();
+        candidates.sort_unstable_by_key(|at| at.id);
         candidates.dedup();
-        for id in candidates {
+        for at in candidates {
             // Taken out of the table so the surviving primary can be
             // borrowed while the dead backups unregister — no route
-            // clones or repeated lookups in the invalidation loop.
-            let mut conn = self.conns.remove(&id).expect("listed above");
+            // clones or lookups in the invalidation loop.
+            let mut conn = self.conns.take(at.slot);
             let bw = conn.qos().bandwidth;
             let dedicated = conn.backup_is_dedicated();
             // Walk from the highest index down so removals keep the
@@ -652,12 +656,12 @@ impl DrtpManager {
                     continue;
                 }
                 let removed = conn.remove_backup(idx);
-                self.detach_backup(id, &removed, conn.primary().links(), bw, dedicated);
+                self.detach_backup(at, &removed, conn.primary().links(), bw, dedicated);
             }
             if conn.backups().is_empty() {
-                report.unprotected.push(id);
+                report.unprotected.push(at.id);
             }
-            self.conns.insert(id, conn);
+            self.conns.put(at.slot, conn);
         }
 
         self.telemetry.incr("inject.events");
@@ -671,18 +675,19 @@ impl DrtpManager {
         Ok(report)
     }
 
-    /// Switches a contention winner onto backup `win_idx`: the old primary
-    /// and every backup are detached, the winning route is attached as
-    /// the new primary, and the connection record promotes. Shared by
+    /// Switches the contention winner in `slot` onto backup `win_idx`: the
+    /// old primary and every backup are detached, the winning route is
+    /// attached as the new primary, and the connection record promotes —
+    /// in place: the slot, and so every new index entry, stays. Shared by
     /// [`DrtpManager::inject_event`] (real failures) and
     /// [`DrtpManager::inject_false_report`] (spoofed ones — the switch is
     /// identical, only the link's true state differs).
-    fn promote_winner(&mut self, id: ConnectionId, win_idx: usize) {
+    fn promote_winner(&mut self, slot: u32, win_idx: usize) {
         // The record is taken out of the table for the duration so its
         // routes can be walked by reference — no per-winner route clones
         // on the recovery hot path.
-        let mut conn = self.conns.remove(&id).expect("probed connection exists");
-        self.detach_all(&conn);
+        let mut conn = self.conns.take(slot);
+        self.detach_all(slot, &conn);
         // The promoted backup route is the connection's new primary: a
         // dedicated one takes back the hard reservation it just released,
         // a multiplexed one converts activation bandwidth from the pools.
@@ -692,10 +697,11 @@ impl DrtpManager {
             LinkResources::promote_from_pools
         };
         let promoted = conn.backups()[win_idx].links();
-        self.attach_primary(id, promoted, conn.qos().bandwidth, take)
+        let at = IndexEntry::new(conn.id(), slot);
+        self.attach_primary(at, promoted, conn.qos().bandwidth, take)
             .expect("activation pools cover decided winners");
         conn.promote_backup(win_idx);
-        self.conns.insert(id, conn);
+        self.conns.put(slot, conn);
     }
 
     /// A byzantine router's *false* failure report for a healthy link,
@@ -740,14 +746,14 @@ impl DrtpManager {
             unprotected: Vec::new(),
             contention_passes: 1,
         };
-        for (id, won) in &decisions {
+        for (at, won) in &decisions {
             let Some(win_idx) = won else {
                 // A loser of the phantom contention simply stays on its
                 // healthy primary — there is nothing to tear down.
                 continue;
             };
-            self.promote_winner(*id, *win_idx);
-            report.switched.push(*id);
+            self.promote_winner(at.slot, *win_idx);
+            report.switched.push(at.id);
         }
         self.telemetry.incr("adversary.false_reports");
         self.telemetry
@@ -874,7 +880,7 @@ impl DrtpManager {
     /// identically to the full-scan baseline), failed-link membership is a
     /// generation-stamped mark array, and the per-link pools initialize
     /// lazily on first touch — a probe never walks all links or all
-    /// connections.
+    /// connections, nor searches the table: the index hands it the slot.
     pub(crate) fn select_activations_in(
         &self,
         failed_links: &[LinkId],
@@ -887,13 +893,14 @@ impl DrtpManager {
             ws.affected
                 .extend_from_slice(self.incidence.primaries_on(l));
         }
-        ws.affected.sort_unstable();
+        ws.affected.sort_unstable_by_key(|at| at.id);
         ws.affected.dedup();
         ws.affected.shuffle(rng);
 
         for k in 0..ws.affected.len() {
-            let id = ws.affected[k];
-            let conn = &self.conns[&id];
+            let at = ws.affected[k];
+            let conn = self.conns.at(at.slot);
+            debug_assert_eq!(conn.id(), at.id, "index entry names a foreign slot");
             let bw = conn.qos().bandwidth;
             let mut won = None;
             for (idx, b) in conn.backups().iter().enumerate() {
@@ -927,7 +934,7 @@ impl DrtpManager {
                     break;
                 }
             }
-            ws.decisions.push((id, won));
+            ws.decisions.push((at, won));
         }
     }
 
@@ -961,10 +968,11 @@ pub struct ProbeWorkspace {
     /// A link is failed-in-this-probe iff its mark stamp == gen — the O(1)
     /// membership test replacing linear `failed_links.contains` scans.
     mark_stamp: Vec<u32>,
-    /// Ids of the connections whose primary the probed unit disables.
-    affected: Vec<ConnectionId>,
+    /// The connections whose primary the probed unit disables, each with
+    /// the slot of its record.
+    affected: Vec<IndexEntry>,
     /// Per affected connection, the backup index that activated (if any).
-    pub(crate) decisions: Vec<(ConnectionId, Option<usize>)>,
+    pub(crate) decisions: Vec<(IndexEntry, Option<usize>)>,
 }
 
 impl Default for ProbeWorkspace {
@@ -1005,6 +1013,12 @@ impl ProbeWorkspace {
         };
         self.affected.clear();
         self.decisions.clear();
+    }
+
+    /// The decisions in their public shape, slots dropped.
+    fn details(&self) -> Vec<(ConnectionId, Option<usize>)> {
+        let public = self.decisions.iter().map(|(at, won)| (at.id, *won));
+        public.collect() // lint:allow(probe-alloc) — O(affected) result materialization, once per reported probe
     }
 }
 
@@ -1065,7 +1079,7 @@ impl NaiveFailureAnalysis<'_> {
         // lint:allow(probe-alloc) — the full-scan baseline is the allocation profile being measured
         let mut decisions = Vec::with_capacity(affected.len());
         for id in affected {
-            let conn = &mgr.conns[&id];
+            let conn = mgr.conns.get(id).expect("scanned above");
             let bw = conn.qos().bandwidth;
             let mut won = None;
             for (idx, b) in conn.backups().iter().enumerate() {
@@ -1134,7 +1148,10 @@ impl NaiveFailureAnalysis<'_> {
             sample.degraded += outcome
                 .details
                 .iter()
-                .filter(|(id, won)| won.is_none() && mgr.conns[id].backups().is_empty())
+                .filter(|(id, won)| {
+                    let conn = mgr.conns.get(*id).expect("probed above");
+                    won.is_none() && conn.backups().is_empty()
+                })
                 .count() as u64;
             sample.trials += 1;
             sweep.per_link.push(LinkImpact {

@@ -10,9 +10,10 @@
 //! Every function here is a pure predicate: no `&mut`, no interior
 //! mutability, no I/O. A composed [`check_link`] bundles the per-link
 //! checks and reports the first failed rule as a [`Violation`] suitable
-//! for counterexample traces.
+//! for counterexample traces; [`check_table`] does the same for the
+//! connection table's slot addressing.
 
-use crate::{Aplv, LinkResources};
+use crate::{Aplv, ConnectionId, LinkResources};
 use drt_net::{Bandwidth, LinkId};
 use std::fmt;
 
@@ -118,6 +119,59 @@ pub fn check_link(
     Ok(())
 }
 
+/// The connection table's three parts describe one table. `occupants`
+/// gives, per slot of the slab, the id of the record it holds (`None` =
+/// vacant); `by_id` is the id → slot map; `free` the vacant-slot list.
+///
+/// * `table-slot` — every `by_id` entry points at an occupied slot
+///   holding a record with that id;
+/// * `table-count` — occupied slots = `by_id` entries (no record is
+///   unreachable by id);
+/// * `table-free` — the free list holds each vacant slot exactly once.
+pub fn check_table(
+    occupants: &[Option<ConnectionId>],
+    by_id: &[(ConnectionId, u32)],
+    free: &[u32],
+) -> Result<(), Violation> {
+    for &(id, slot) in by_id {
+        let held = occupants.get(slot as usize).copied().flatten();
+        if held != Some(id) {
+            return Err(Violation {
+                rule: "table-slot",
+                detail: format!("{id} maps to slot {slot}, which holds {held:?}"),
+            });
+        }
+    }
+    let occupied = occupants.iter().flatten().count();
+    if occupied != by_id.len() {
+        return Err(Violation {
+            rule: "table-count",
+            detail: format!("{occupied} occupied slots for {} ids", by_id.len()),
+        });
+    }
+    let mut listed = vec![false; occupants.len()];
+    for &slot in free {
+        let vacant = occupants.get(slot as usize).is_some_and(Option::is_none);
+        if !vacant || std::mem::replace(&mut listed[slot as usize], true) {
+            return Err(Violation {
+                rule: "table-free",
+                detail: format!("free list names slot {slot}, occupied or already listed"),
+            });
+        }
+    }
+    if free.len() != occupants.len() - occupied {
+        return Err(Violation {
+            rule: "table-free",
+            detail: format!(
+                "{} vacant slots, {} on the free list",
+                occupants.len() - occupied,
+                free.len()
+            ),
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +212,39 @@ mod tests {
         link.admit_primary(mb(4)).unwrap();
         let err = check_link(&link, &Aplv::new(), mb(5), &Aplv::new()).unwrap_err();
         assert_eq!(err.rule, "prime-mismatch");
+    }
+
+    #[test]
+    fn table_rules_name_what_broke() {
+        let c = ConnectionId::new;
+        // Slots 0 and 2 occupied, slot 1 vacant and listed once.
+        let occupants = [Some(c(7)), None, Some(c(3))];
+        let by_id = [(c(3), 2), (c(7), 0)];
+        assert!(check_table(&occupants, &by_id, &[1]).is_ok());
+        assert!(check_table(&[], &[], &[]).is_ok());
+
+        let rule = |o: &[Option<ConnectionId>], m: &[(ConnectionId, u32)], f: &[u32]| {
+            check_table(o, m, f).unwrap_err().rule
+        };
+        // An id mapped to a vacant slot, to another id's slot, or past the slab.
+        assert_eq!(
+            rule(&occupants, &[(c(3), 1), (c(7), 0)], &[1]),
+            "table-slot"
+        );
+        assert_eq!(
+            rule(&occupants, &[(c(3), 0), (c(7), 0)], &[1]),
+            "table-slot"
+        );
+        assert_eq!(
+            rule(&occupants, &[(c(3), 9), (c(7), 0)], &[1]),
+            "table-slot"
+        );
+        // A record no id reaches.
+        assert_eq!(rule(&occupants, &[(c(7), 0)], &[1]), "table-count");
+        // The free list names an occupied slot, names one twice, or misses one.
+        assert_eq!(rule(&occupants, &by_id, &[2]), "table-free");
+        assert_eq!(rule(&occupants, &by_id, &[1, 1]), "table-free");
+        assert_eq!(rule(&occupants, &by_id, &[]), "table-free");
     }
 
     #[test]

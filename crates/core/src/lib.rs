@@ -79,6 +79,7 @@ mod manager;
 pub mod multiplex;
 pub mod orchestrator;
 pub mod routing;
+mod table;
 pub mod telemetry;
 mod types;
 

@@ -1,14 +1,15 @@
 //! The DR-connection manager.
 
+use crate::incidence::IndexEntry;
 use crate::multiplex::{MultiplexConfig, SparePolicy};
 use crate::routing::{RouteRequest, RoutingOverhead, RoutingScheme};
+use crate::table::ConnTable;
 use crate::{
     Aplv, CapacityError, ConnectionId, ConnectionState, DrConnection, DrtpError, IncidenceIndex,
     LinkResources, Telemetry,
 };
 use drt_net::{Bandwidth, LinkId, Network, Route};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -27,9 +28,12 @@ use std::sync::Arc;
 /// (each carrying its conflict bits) and the link-incidence index. Every
 /// route enters and leaves them through one private attach / detach pair
 /// per role (primary, backup), so a route cannot be in the ledger and the
-/// APLVs without also being in the index. Nothing is derived from the
-/// topology: a failure or repair flips `failed[l]` and no other state has
-/// to hear about it ([`ManagerView::hops_to`] searches when asked).
+/// APLVs without also being in the index. The table is a slab: an index
+/// entry carries the slot of its connection's record, and failure
+/// analysis reaches records by slot, never by searching for an id.
+/// Nothing is derived from the topology: a failure or repair flips
+/// `failed[l]` and no other state has to hear about it
+/// ([`ManagerView::hops_to`] searches when asked).
 ///
 /// See the crate-level docs for a usage example.
 #[derive(Debug, Clone)]
@@ -40,7 +44,7 @@ pub struct DrtpManager {
     pub(crate) aplvs: Vec<Aplv>,
     pub(crate) incidence: IncidenceIndex,
     pub(crate) failed: Vec<bool>,
-    pub(crate) conns: BTreeMap<ConnectionId, DrConnection>,
+    pub(crate) conns: ConnTable,
     pub(crate) distortion: Option<ViewDistortion>,
     pub(crate) telemetry: Telemetry,
 }
@@ -349,7 +353,7 @@ impl DrtpManager {
             aplvs,
             incidence,
             failed,
-            conns: BTreeMap::new(),
+            conns: ConnTable::default(),
             distortion: None,
             telemetry: Telemetry::default(),
         }
@@ -429,7 +433,9 @@ impl DrtpManager {
     /// `Aplv` renders its registered elements in link order — not its
     /// table — so equal states hash equal whatever history led to them,
     /// and the text is sized by the live connections: about a megabyte at
-    /// 60 nodes, half of it APLVs.
+    /// 60 nodes, half of it APLVs. Likewise the connection table renders
+    /// as the id → record map and the incidence index as lists of ids:
+    /// which slot a record occupies is history, not state.
     pub fn fingerprint(&self) -> u64 {
         use std::{fmt::Write, hash::Hasher};
         let mut sink = HashSink::default();
@@ -454,7 +460,7 @@ impl DrtpManager {
 
     /// Looks up a connection.
     pub fn connection(&self, id: ConnectionId) -> Option<&DrConnection> {
-        self.conns.get(&id)
+        self.conns.get(id)
     }
 
     /// Iterates over all known connections in id order.
@@ -528,7 +534,7 @@ impl DrtpManager {
         scheme: &mut dyn RoutingScheme,
         req: RouteRequest,
     ) -> Result<EstablishReport, DrtpError> {
-        if self.conns.contains_key(&req.id) {
+        if self.conns.slot_of(req.id).is_some() {
             // Checked before route selection so a duplicate id costs no
             // scheme work; admit_routes re-checks for its own callers.
             return Err(DrtpError::DuplicateConnection(req.id));
@@ -560,7 +566,7 @@ impl DrtpManager {
         req: &RouteRequest,
         pair: crate::routing::RoutePair,
     ) -> Result<EstablishReport, DrtpError> {
-        if self.conns.contains_key(&req.id) {
+        if self.conns.slot_of(req.id).is_some() {
             return Err(DrtpError::DuplicateConnection(req.id));
         }
         self.validate_selection(req, &pair.primary, &pair.backups)?;
@@ -570,13 +576,16 @@ impl DrtpManager {
 
         let bw = req.bandwidth();
         let lset = pair.primary.links();
-        self.attach_primary(req.id, lset, bw, LinkResources::admit_primary)
+        // Routes attach before the record exists, so the index entries
+        // name the slot the record is about to take.
+        let at = IndexEntry::new(req.id, self.conns.next_slot());
+        self.attach_primary(at, lset, bw, LinkResources::admit_primary)
             .map_err(DrtpError::InsufficientBandwidth)?;
 
         let mut spare_grown = Bandwidth::ZERO;
         let mut conflicted = false;
         for (i, backup) in pair.backups.iter().enumerate() {
-            match self.attach_backup(req.id, backup, lset, bw, pair.dedicated_backup) {
+            match self.attach_backup(at, backup, lset, bw, pair.dedicated_backup) {
                 Ok((grown, had_conflicts)) => {
                     spare_grown += grown;
                     conflicted |= had_conflicts;
@@ -584,9 +593,9 @@ impl DrtpManager {
                 Err(l) => {
                     // Roll back everything attached so far.
                     for done in &pair.backups[..i] {
-                        self.detach_backup(req.id, done, lset, bw, pair.dedicated_backup);
+                        self.detach_backup(at, done, lset, bw, pair.dedicated_backup);
                     }
-                    self.detach_primary(req.id, lset, bw);
+                    self.detach_primary(at, lset, bw);
                     return Err(DrtpError::InsufficientBandwidth(l));
                 }
             }
@@ -599,7 +608,8 @@ impl DrtpManager {
             pair.backups.clone(),
             pair.dedicated_backup,
         );
-        self.conns.insert(req.id, conn);
+        let slot = self.conns.insert(conn);
+        assert_eq!(slot, at.slot, "record landed beside its index entries");
 
         Ok(EstablishReport {
             id: req.id,
@@ -645,7 +655,7 @@ impl DrtpManager {
         id: ConnectionId,
         avoid: &[LinkId],
     ) -> Result<RoutingOverhead, DrtpError> {
-        let conn = self.carrying(id)?;
+        let (slot, conn) = self.carrying(id)?;
         let req = Self::backup_request(conn);
         // The masked copy is only built when there is something to mask.
         let failed = if avoid.is_empty() {
@@ -670,7 +680,7 @@ impl DrtpManager {
             // `alive()`: a quarantined link must never enter a new backup.
             return Err(DrtpError::NoBackupRoute(id));
         }
-        self.install_checked(&req, backup)?;
+        self.install_checked(slot, &req, backup)?;
         Ok(overhead)
     }
 
@@ -691,25 +701,30 @@ impl DrtpManager {
         id: ConnectionId,
         backup: Route,
     ) -> Result<(), DrtpError> {
-        let conn = self.carrying(id)?;
+        let (slot, conn) = self.carrying(id)?;
         if conn.backup_is_dedicated() && conn.backup().is_some() {
             return Err(DrtpError::InvalidSelection(format!(
                 "connection {id} holds dedicated backups"
             )));
         }
         let req = Self::backup_request(conn);
-        self.install_checked(&req, backup)
+        self.install_checked(slot, &req, backup)
     }
 
-    /// Looks up a connection that must still be carrying traffic.
-    fn carrying(&self, id: ConnectionId) -> Result<&DrConnection, DrtpError> {
-        match self.conns.get(&id) {
-            None => Err(DrtpError::UnknownConnection(id)),
-            Some(c) if c.state() == ConnectionState::Failed => Err(DrtpError::InvalidSelection(
-                format!("connection {id} is failed"),
-            )),
-            Some(c) => Ok(c),
+    /// Looks up a connection that must still be carrying traffic,
+    /// resolving its id to the record's slot once for the caller.
+    fn carrying(&self, id: ConnectionId) -> Result<(u32, &DrConnection), DrtpError> {
+        let slot = self
+            .conns
+            .slot_of(id)
+            .ok_or(DrtpError::UnknownConnection(id))?;
+        let conn = self.conns.at(slot);
+        if conn.state() == ConnectionState::Failed {
+            return Err(DrtpError::InvalidSelection(format!(
+                "connection {id} is failed"
+            )));
         }
+        Ok((slot, conn))
     }
 
     /// The request one more backup for `conn` has to satisfy.
@@ -725,17 +740,22 @@ impl DrtpManager {
 
     /// The shared tail of backup installation: validates `backup` against
     /// the live state and `req`'s hop cap, registers it (multiplexed) and
-    /// appends it to connection `req.id`'s record.
-    fn install_checked(&mut self, req: &RouteRequest, backup: Route) -> Result<(), DrtpError> {
+    /// appends it to connection `req.id`'s record, which lives in `slot`.
+    fn install_checked(
+        &mut self,
+        slot: u32,
+        req: &RouteRequest,
+        backup: Route,
+    ) -> Result<(), DrtpError> {
         self.validate_route(req, &backup)?;
         if !req.qos.accepts_hops(backup.len()) {
             return Err(DrtpError::QosViolation(req.id));
         }
         // The record is taken out of the table for the duration so its
         // primary can be walked by reference while the backup registers.
-        let mut conn = self.conns.remove(&req.id).expect("caller looked it up");
+        let mut conn = self.conns.take(slot);
         self.attach_backup(
-            req.id,
+            IndexEntry::new(req.id, slot),
             &backup,
             conn.primary().links(),
             req.bandwidth(),
@@ -743,7 +763,7 @@ impl DrtpManager {
         )
         .expect("only a dedicated reservation can be refused");
         conn.install_backup(backup, false);
-        self.conns.insert(req.id, conn);
+        self.conns.put(slot, conn);
         Ok(())
     }
 
@@ -761,20 +781,20 @@ impl DrtpManager {
     /// [`DrtpError::UnknownConnection`] for unknown ids;
     /// [`DrtpError::InvalidSelection`] when the connection is failed.
     pub fn drop_backups(&mut self, id: ConnectionId) -> Result<usize, DrtpError> {
-        self.carrying(id)?;
-        let mut conn = self.conns.remove(&id).expect("checked above");
+        let (slot, _) = self.carrying(id)?;
+        let mut conn = self.conns.take(slot);
         let dedicated = conn.backup_is_dedicated();
         let backups = conn.clear_backups();
         for b in &backups {
             self.detach_backup(
-                id,
+                IndexEntry::new(id, slot),
                 b,
                 conn.primary().links(),
                 conn.qos().bandwidth,
                 dedicated,
             );
         }
-        self.conns.insert(id, conn);
+        self.conns.put(slot, conn);
         Ok(backups.len())
     }
 
@@ -785,16 +805,16 @@ impl DrtpManager {
     ///
     /// [`DrtpError::UnknownConnection`] when `id` is not known.
     pub fn release(&mut self, id: ConnectionId) -> Result<(), DrtpError> {
-        let conn = self
+        let (slot, conn) = self
             .conns
-            .remove(&id)
+            .remove(id)
             .ok_or(DrtpError::UnknownConnection(id))?;
         if conn.state() == ConnectionState::Failed {
             // A failed connection's resources were already reclaimed when
             // the failure was processed.
             return Ok(());
         }
-        self.detach_all(&conn);
+        self.detach_all(slot, &conn);
         Ok(())
     }
 
@@ -806,6 +826,11 @@ impl DrtpManager {
     ///
     /// Panics when an invariant is violated (see source for the list).
     pub fn assert_invariants(&self) {
+        // 1d. The table's slab, free list and id map describe one table
+        //     (first: everything below reads records through them).
+        if let Err(v) = self.conns.check() {
+            panic!("{v}");
+        }
         // 1. APLVs are exactly what the connection table implies, and
         //    every conflict bit says `count > 0` (`Aplv`'s `==`, checked
         //    per link below).
@@ -832,8 +857,9 @@ impl DrtpManager {
             }
         }
         // 1c. The link-incidence index is exactly what a rebuild from the
-        //     connection table produces.
-        let rebuilt = IncidenceIndex::rebuild(self.net.num_links(), self.conns.values());
+        //     connection table produces, slots included: an entry whose
+        //     slot is stale, or holds another id, diverges on its link.
+        let rebuilt = IncidenceIndex::rebuild(self.net.num_links(), self.conns.entries());
         if let Some(l) = self.incidence.first_divergence(&rebuilt) {
             panic!("link-incidence index diverged from connection table on {l}");
         }
@@ -882,7 +908,7 @@ impl DrtpManager {
         }
     }
 
-    /// Makes `links` the primary of `id`: a hard reservation of `bw` on
+    /// Makes `links` the primary of `at`: a hard reservation of `bw` on
     /// every link — taken from the free pool ([`LinkResources::admit_primary`])
     /// at admission, converted from the activation pools
     /// ([`LinkResources::promote_from_pools`]) at promotion — and the
@@ -890,30 +916,30 @@ impl DrtpManager {
     /// is attached.
     pub(crate) fn attach_primary(
         &mut self,
-        id: ConnectionId,
+        at: IndexEntry,
         links: &[LinkId],
         bw: Bandwidth,
         take: fn(&mut LinkResources, Bandwidth) -> Result<(), CapacityError>,
     ) -> Result<(), LinkId> {
         self.admit_route_prime(links, bw, take)?;
-        self.incidence.add_primary(links, id);
+        self.incidence.add_primary(links, at);
         Ok(())
     }
 
     /// Reverses [`DrtpManager::attach_primary`].
-    pub(crate) fn detach_primary(&mut self, id: ConnectionId, links: &[LinkId], bw: Bandwidth) {
-        self.incidence.remove_primary(links, id);
+    pub(crate) fn detach_primary(&mut self, at: IndexEntry, links: &[LinkId], bw: Bandwidth) {
+        self.incidence.remove_primary(links, at);
         self.release_route_prime(links, bw);
     }
 
-    /// Makes `route` a backup of `id`, whose primary crosses
+    /// Makes `route` a backup of `at`, whose primary crosses
     /// `primary_lset`: a hard reservation when `dedicated`, else one APLV
     /// registration and spare sizing per link; then the index entry.
     /// Returns `(spare grown, conflicted)`, or the refusing link with
     /// nothing attached — only a dedicated reservation can be refused.
     pub(crate) fn attach_backup(
         &mut self,
-        id: ConnectionId,
+        at: IndexEntry,
         route: &Route,
         primary_lset: &[LinkId],
         bw: Bandwidth,
@@ -933,7 +959,7 @@ impl DrtpManager {
                 }
             }
         }
-        self.incidence.add_backup(route.links(), id);
+        self.incidence.add_backup(route.links(), at);
         Ok((grown, conflicted))
     }
 
@@ -941,13 +967,13 @@ impl DrtpManager {
     /// the new requirement.
     pub(crate) fn detach_backup(
         &mut self,
-        id: ConnectionId,
+        at: IndexEntry,
         route: &Route,
         primary_lset: &[LinkId],
         bw: Bandwidth,
         dedicated: bool,
     ) {
-        self.incidence.remove_backup(route.links(), id);
+        self.incidence.remove_backup(route.links(), at);
         if dedicated {
             self.release_route_prime(route.links(), bw);
         } else {
@@ -959,14 +985,14 @@ impl DrtpManager {
         }
     }
 
-    /// Detaches the primary and every backup of `conn` — a record already
-    /// taken out of the table, or about to be marked failed.
-    pub(crate) fn detach_all(&mut self, conn: &DrConnection) {
-        let (id, bw) = (conn.id(), conn.qos().bandwidth);
-        let lset = conn.primary().links();
-        self.detach_primary(id, lset, bw);
+    /// Detaches the primary and every backup of `conn`, the record of
+    /// `slot` — taken out of the table, or about to be marked failed.
+    pub(crate) fn detach_all(&mut self, slot: u32, conn: &DrConnection) {
+        let at = IndexEntry::new(conn.id(), slot);
+        let (lset, bw) = (conn.primary().links(), conn.qos().bandwidth);
+        self.detach_primary(at, lset, bw);
         for b in conn.backups() {
-            self.detach_backup(id, b, lset, bw, conn.backup_is_dedicated());
+            self.detach_backup(at, b, lset, bw, conn.backup_is_dedicated());
         }
     }
 
@@ -1256,6 +1282,115 @@ mod tests {
             mgr.install_backup_route(ConnectionId::new(0), bogus),
             Err(DrtpError::InvalidSelection(_))
         ));
+    }
+
+    #[test]
+    fn fingerprint_ignores_slot_history() {
+        let net = Arc::new(topology::mesh(4, 4, Bandwidth::from_mbps(30)).unwrap());
+        let id = ConnectionId::new;
+
+        // Churn: eight connections come, one loses its only route, the
+        // others switch or lose a backup, and all go — released in an
+        // order that leaves the free list scrambled.
+        let mut churned = DrtpManager::new(Arc::clone(&net));
+        let mut rng = drt_sim::rng::stream(11, "slot-history");
+        churned
+            .request_connection(&mut PrimaryOnly::new(), req(100, 0, 5))
+            .unwrap();
+        for i in 1..8 {
+            churned
+                .request_connection(&mut DLsr::new(), req(100 + i, i as u32, 15 - i as u32))
+                .unwrap();
+        }
+        let doomed = churned.connection(id(100)).unwrap().primary().links()[0];
+        let first = churned.connection(id(101)).unwrap().primary().links()[0];
+        for l in [doomed, first] {
+            if !churned.is_failed(l) {
+                churned.inject_failure(l, &mut rng).unwrap();
+            }
+        }
+        assert_eq!(
+            churned.connection(id(100)).unwrap().state(),
+            ConnectionState::Failed
+        );
+        assert_eq!(
+            churned.connection(id(101)).unwrap().state(),
+            ConnectionState::Recovered
+        );
+        churned.assert_invariants();
+        for l in [doomed, first] {
+            let _ = churned.repair_link(l);
+        }
+        for i in [3, 0, 5, 1, 7, 4, 2, 6] {
+            churned.release(id(100 + i)).unwrap();
+        }
+        churned.assert_invariants();
+
+        // A manager that never saw any of that (the counters are state).
+        let mut fresh = DrtpManager::new(net);
+        *fresh.telemetry_mut() = churned.telemetry().clone();
+        assert_eq!(fresh.fingerprint(), churned.fingerprint());
+
+        // The same life on both: admissions, a promotion, a release and a
+        // re-request under the released id.
+        for mgr in [&mut churned, &mut fresh] {
+            let mut scheme = DLsr::new();
+            let mut rng = drt_sim::rng::stream(12, "slot-history");
+            for i in 0..6 {
+                mgr.request_connection(&mut scheme, req(i, i as u32, 15 - i as u32))
+                    .unwrap();
+            }
+            let l = mgr.connection(id(2)).unwrap().primary().links()[0];
+            mgr.inject_failure(l, &mut rng).unwrap();
+            mgr.release(id(4)).unwrap();
+            mgr.request_connection(&mut scheme, req(4, 12, 3)).unwrap();
+            mgr.assert_invariants();
+        }
+        assert_eq!(
+            churned.connection(id(2)).unwrap().state(),
+            ConnectionState::Recovered
+        );
+
+        let slots = |m: &DrtpManager| (0..6).map(|i| m.conns.slot_of(id(i))).collect::<Vec<_>>();
+        assert_ne!(
+            slots(&churned),
+            slots(&fresh),
+            "the histories homed them apart"
+        );
+        assert_eq!(churned.fingerprint(), fresh.fingerprint());
+        assert_eq!(format!("{churned:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn slab_is_sized_by_live_connections() {
+        // Ids only climb; the table must not: a released slot is the next
+        // one filled.
+        let net = Arc::new(topology::mesh(4, 4, Bandwidth::from_mbps(1_000)).unwrap());
+        let mut mgr = DrtpManager::new(net);
+        let mut scheme = DLsr::new();
+        let mut live: Vec<ConnectionId> = Vec::new();
+        for k in 0..10_000u64 {
+            let (src, dst) = ((k % 16) as u32, ((k * 7 + 5) % 16) as u32);
+            if src != dst
+                && mgr
+                    .request_connection(&mut scheme, req(k, src, dst))
+                    .is_ok()
+            {
+                live.push(ConnectionId::new(k));
+            }
+            if live.len() == 50 {
+                let victim = live.swap_remove((k * 31 % 50) as usize);
+                mgr.release(victim).unwrap();
+            }
+        }
+        assert!(
+            live.len() >= 40,
+            "the mesh carries the load: {}",
+            live.len()
+        );
+        assert_eq!(mgr.conns.len(), live.len());
+        assert!(mgr.conns.slots() <= 64, "{} slots", mgr.conns.slots());
+        mgr.assert_invariants();
     }
 
     #[test]

@@ -22,19 +22,39 @@ fn scheme_by_index(i: usize) -> Box<dyn RoutingScheme> {
 /// An operation in a random protocol trace.
 #[derive(Debug, Clone)]
 enum Op {
-    Establish { src: u32, dst: u32, mbps: u64 },
-    Release { victim: usize },
-    Fail { link: u32 },
-    Crash { node: u32 },
-    Batch { a: u32, b: u32 },
-    Repair { link: u32 },
-    Reestablish { victim: usize },
+    /// `reuse_id` asks for the id of a released connection instead of a
+    /// fresh one (only the traces that recycle ids read it).
+    Establish {
+        src: u32,
+        dst: u32,
+        mbps: u64,
+        reuse_id: bool,
+    },
+    Release {
+        victim: usize,
+    },
+    Fail {
+        link: u32,
+    },
+    Crash {
+        node: u32,
+    },
+    Batch {
+        a: u32,
+        b: u32,
+    },
+    Repair {
+        link: u32,
+    },
+    Reestablish {
+        victim: usize,
+    },
 }
 
 fn arb_op(nodes: u32, links: u32) -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0..nodes, 0..nodes, 1u64..=3)
-            .prop_map(|(src, dst, mbps)| Op::Establish { src, dst, mbps }),
+        4 => (0..nodes, 0..nodes, 1u64..=3, any::<bool>())
+            .prop_map(|(src, dst, mbps, reuse_id)| Op::Establish { src, dst, mbps, reuse_id }),
         2 => (0usize..64).prop_map(|victim| Op::Release { victim }),
         1 => (0..links).prop_map(|link| Op::Fail { link }),
         1 => (0..nodes).prop_map(|node| Op::Crash { node }),
@@ -67,7 +87,7 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Establish { src, dst, mbps } => {
+                Op::Establish { src, dst, mbps, .. } => {
                     if src == dst { continue; }
                     let req = RouteRequest::new(
                         ConnectionId::new(next_id), NodeId::new(src), NodeId::new(dst),
@@ -194,7 +214,7 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Establish { src, dst, mbps } => {
+                Op::Establish { src, dst, mbps, .. } => {
                     if src == dst { continue; }
                     let req = RouteRequest::new(
                         ConnectionId::new(next_id), NodeId::new(src), NodeId::new(dst),
@@ -263,7 +283,7 @@ proptest! {
             );
         }
         // Full-state digest: any mutation anywhere (a ledger, an APLV, a
-        // failure flag, a connection record, the hop table) changes it.
+        // failure flag, a connection record, the incidence index) changes it.
         let fp_before = mgr.fingerprint();
 
         let sweep = mgr.sweep_single_failures(seed);
@@ -326,6 +346,12 @@ proptest! {
     /// indexed sweep, the per-unit probes, a correlated-event probe, and
     /// the vulnerability report all equal their `naive_baseline()`
     /// derivations exactly (same RNG consumption, same decisions).
+    ///
+    /// Released ids come back: an establish may re-request under the id
+    /// of a released connection — a `Failed` one included, whose record
+    /// held its slot until that release — so table slots are vacated and
+    /// refilled throughout, by fresh and by re-used ids alike, and the
+    /// slots the index hands the engine are audited after every step.
     #[test]
     fn indexed_failure_engine_matches_naive_baseline(
         seed in any::<u64>(),
@@ -346,24 +372,32 @@ proptest! {
         let mut rng = drt_sim::rng::stream(seed, "indexed-trace");
         let mut next_id = 0u64;
         let mut live: Vec<ConnectionId> = Vec::new();
+        let mut released: Vec<ConnectionId> = Vec::new();
 
         for op in ops {
             match op {
-                Op::Establish { src, dst, mbps } => {
+                Op::Establish { src, dst, mbps, reuse_id } => {
                     if src == dst { continue; }
+                    let recycled = if reuse_id { released.pop() } else { None };
+                    let id = recycled.unwrap_or_else(|| {
+                        next_id += 1;
+                        ConnectionId::new(next_id - 1)
+                    });
                     let req = RouteRequest::new(
-                        ConnectionId::new(next_id), NodeId::new(src), NodeId::new(dst),
-                        Bandwidth::from_mbps(mbps),
+                        id, NodeId::new(src), NodeId::new(dst), Bandwidth::from_mbps(mbps),
                     );
-                    if mgr.request_connection(scheme.as_mut(), req).is_ok() {
-                        live.push(ConnectionId::new(next_id));
+                    match mgr.request_connection(scheme.as_mut(), req) {
+                        Ok(_) => live.push(id),
+                        // A refused id was never admitted: it stays free.
+                        Err(_) => released.push(id),
                     }
-                    next_id += 1;
                 }
                 Op::Release { victim } => {
                     if live.is_empty() { continue; }
                     let id = live.remove(victim % live.len());
                     mgr.release(id).unwrap();
+                    prop_assert!(mgr.connection(id).is_none());
+                    released.push(id);
                 }
                 Op::Fail { link } => {
                     let _ = mgr.inject_failure(LinkId::new(link % n as u32), &mut rng);
@@ -462,7 +496,7 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Establish { src, dst, mbps } => {
+                Op::Establish { src, dst, mbps, .. } => {
                     if src == dst { continue; }
                     let req = RouteRequest::new(
                         ConnectionId::new(next_id),

@@ -345,19 +345,6 @@ impl RecoveryOrchestrator {
         &self.completions
     }
 
-    /// Mean re-protection latency over all completions, in seconds.
-    pub fn mean_recovery_secs(&self) -> Option<f64> {
-        if self.completions.is_empty() {
-            return None;
-        }
-        let total: f64 = self
-            .completions
-            .iter()
-            .map(|c| c.latency.as_secs_f64())
-            .sum();
-        Some(total / self.completions.len() as f64)
-    }
-
     /// Runs every attempt due at or before `now`. Connections released or
     /// torn down since they were queued are dropped; connections that
     /// regained a backup by other means complete immediately; the rest go

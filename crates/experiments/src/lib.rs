@@ -18,18 +18,12 @@
 //!   message-level protocol of `drt-proto`;
 //! * [`campaign`] — failure campaign under a *lossy* control plane:
 //!   recovery latency, `P_act-bk` and degradation vs. control-packet loss;
-//! * [`multi_failure`] — correlated-failure regimes (independent links →
-//!   SRLG bursts → router crashes) recovered through the orchestrator:
-//!   `P_act-bk`, re-protection latency, and orphan counts per regime;
-//! * [`adversarial`] — byzantine routers (link-state lies, fabricated
-//!   failure reports) and hostile workloads (flash crowds, regional
-//!   storms) swept over adversary strength × scheme, with and without
-//!   the vetting/quarantine countermeasures, measured through the
-//!   first-class telemetry layer;
-//! * [`restart`] — restart-storm campaign: rolling router restarts on a
-//!   maintenance-wave schedule, each cell run twice — amnesia vs.
-//!   journaled rejoin — pricing what durable state (the write-ahead
-//!   journal and resync-on-rejoin of `drt-proto`) is worth;
+//! * [`regimes`] — the orchestrated sweeps, eight regimes of one driver
+//!   recovered through the orchestrator and measured through the
+//!   first-class telemetry layer: correlated failures (independent
+//!   links → SRLG bursts → router crashes), byzantine routers and
+//!   hostile workloads with and without countermeasures, and rolling
+//!   router restarts, amnesia vs. journaled rejoin;
 //! * [`par`] — deterministic parallel execution of independent cells
 //!   (`--jobs N`), byte-identical to the serial run;
 //! * [`failure_analysis`] — the Figure-4 sweep and the vulnerability
@@ -45,17 +39,15 @@
 #![deny(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod adversarial;
 pub mod availability;
 pub mod campaign;
 pub mod capacity;
 pub mod config;
 pub mod failure_analysis;
 pub mod fault_tolerance;
-pub mod multi_failure;
 pub mod overhead;
 pub mod par;
+pub mod regimes;
 pub mod report;
-pub mod restart;
 pub mod runner;
 pub mod signalling;

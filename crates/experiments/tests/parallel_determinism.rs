@@ -1,21 +1,13 @@
 //! The parallel-runner determinism contract, end to end: every sweep's
 //! rendered output must be byte-identical whatever the worker count.
 
-use drt_experiments::adversarial::{
-    merged_telemetry, render as render_adversarial, run_adversarial_jobs, AdversarialConfig,
-};
+use drt_core::orchestrator::RetryPolicy;
 use drt_experiments::campaign::{
     render, render_breakdown, render_header, render_row, run_campaign_jobs, stream_campaign,
     CampaignConfig,
 };
 use drt_experiments::config::ExperimentConfig;
-use drt_experiments::multi_failure::{
-    prepare_network, render as render_multi, run_multi_failure_jobs, MultiFailureConfig,
-};
-use drt_experiments::restart::{
-    merged_telemetry as merged_restart_telemetry, render as render_restart, run_restart_jobs,
-    RestartConfig,
-};
+use drt_experiments::regimes::{merged_telemetry, prepare_network, run, SweepConfig, Table};
 use drt_experiments::runner::{run_matrix_jobs, SchemeKind};
 use drt_sim::workload::TrafficPattern;
 
@@ -86,81 +78,43 @@ fn streamed_output_reproduces_batch_render() {
     assert_eq!(batch, streamed);
 }
 
+/// Every orchestrated sweep's table *and* its merged telemetry snapshot
+/// are part of the byte-identity contract (the campaign binary prints
+/// the adversarial snapshot), so neither may depend on scheduling.
 #[test]
-fn multi_failure_table_is_byte_identical_across_job_counts() {
+fn regime_tables_and_telemetry_are_byte_identical_across_job_counts() {
     let cfg = small_cfg();
-    let mcfg = MultiFailureConfig {
-        connections: 25,
-        events: 3,
-        seed: 13,
-        ..MultiFailureConfig::default()
-    };
-    let net = prepare_network(&cfg, &mcfg);
-    let serial = render_multi(&net, &run_multi_failure_jobs(&cfg, &mcfg, 1));
-    let par = render_multi(&net, &run_multi_failure_jobs(&cfg, &mcfg, 8));
-    assert_eq!(serial, par);
-}
-
-/// The adversarial sweep's table *and* its merged telemetry snapshot
-/// are part of the byte-identity contract: the snapshot is printed by
-/// the campaign binary, so instrumentation cannot depend on scheduling.
-#[test]
-fn adversarial_table_and_telemetry_are_byte_identical_across_job_counts() {
-    let cfg = small_cfg();
-    let acfg = AdversarialConfig {
-        connections: 25,
-        events: 3,
-        strengths: vec![2],
-        seed: 13,
-        ..AdversarialConfig::default()
-    };
-    let net = cfg.build_network().unwrap();
-    let serial_rows = run_adversarial_jobs(&cfg, &acfg, 1);
-    let serial = render_adversarial(&net, &serial_rows);
-    let serial_tel = merged_telemetry(&serial_rows).snapshot();
-    for jobs in [2, 8] {
-        let rows = run_adversarial_jobs(&cfg, &acfg, jobs);
-        assert_eq!(
-            serial,
-            render_adversarial(&net, &rows),
-            "jobs={jobs} changed the table bytes"
-        );
-        assert_eq!(
-            serial_tel,
-            merged_telemetry(&rows).snapshot(),
-            "jobs={jobs} changed the telemetry snapshot bytes"
-        );
+    for table in Table::ALL {
+        let scfg = SweepConfig {
+            regimes: table.regimes(),
+            schemes: vec![SchemeKind::DLsr, SchemeKind::Bf],
+            strengths: vec![2, 4],
+            connections: 25,
+            events: 3,
+            policy: RetryPolicy::default(),
+            seed: 13,
+        };
+        let net = prepare_network(&cfg, scfg.seed);
+        let output = |jobs| {
+            let rows = run(&cfg, &scfg, jobs);
+            (
+                table.render(&net, &rows),
+                merged_telemetry(&rows).snapshot(),
+            )
+        };
+        let serial = output(1);
+        for jobs in [2, 8] {
+            let (rendered, telemetry) = output(jobs);
+            assert_eq!(
+                serial.0, rendered,
+                "{table:?}: jobs={jobs} changed the table bytes"
+            );
+            assert_eq!(
+                serial.1, telemetry,
+                "{table:?}: jobs={jobs} changed the telemetry snapshot bytes"
+            );
+        }
     }
-}
-
-/// The issue's acceptance criterion for the restart-storm campaign:
-/// `--jobs 1` and `--jobs 8` must produce byte-identical output — the
-/// table *and* the merged telemetry, since both reach stdout.
-#[test]
-fn restart_storm_is_byte_identical_for_jobs_1_and_8() {
-    let cfg = small_cfg();
-    let rcfg = RestartConfig {
-        schemes: vec![SchemeKind::DLsr, SchemeKind::Bf],
-        intensities: vec![4, 8],
-        connections: 25,
-        seed: 13,
-        ..RestartConfig::default()
-    };
-    let net = cfg.build_network().unwrap();
-    let serial_rows = run_restart_jobs(&cfg, &rcfg, 1);
-    let serial = render_restart(&net, &serial_rows);
-    let serial_tel = merged_restart_telemetry(&serial_rows).snapshot();
-    let rows = run_restart_jobs(&cfg, &rcfg, 8);
-    assert_eq!(
-        serial,
-        render_restart(&net, &rows),
-        "jobs=8 changed the table bytes"
-    );
-    assert_eq!(
-        serial_tel,
-        merged_restart_telemetry(&rows).snapshot(),
-        "jobs=8 changed the telemetry snapshot bytes"
-    );
 }
 
 #[test]

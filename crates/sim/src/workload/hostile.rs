@@ -72,30 +72,6 @@ pub fn maintenance_waves(net: &Network, waves: usize, rng: &mut StdRng) -> Vec<V
     out
 }
 
-/// Flattens a maintenance-wave partition into a rolling restart order:
-/// wave by wave, node by node — one router down at a time, the
-/// change-management schedule behind the restart-storm campaigns. Nodes
-/// in `exclude` are skipped (an experiment protects connection
-/// endpoints so every restart lands on transit state, not on the
-/// connections' own terminals). The wave partition itself comes from
-/// [`maintenance_waves`], so the order is seed-deterministic.
-///
-/// # Panics
-///
-/// Panics when `waves == 0`.
-pub fn rolling_restart_schedule(
-    net: &Network,
-    waves: usize,
-    exclude: &[NodeId],
-    rng: &mut StdRng,
-) -> Vec<NodeId> {
-    maintenance_waves(net, waves, rng)
-        .into_iter()
-        .flatten()
-        .filter(|n| !exclude.contains(n))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,27 +142,6 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
-    }
-
-    #[test]
-    fn rolling_schedule_covers_everything_but_the_excluded() {
-        let net = mesh();
-        let excluded = [NodeId::new(0), NodeId::new(15)];
-        let mut r = rng::stream(17, "restart-storm");
-        let order = rolling_restart_schedule(&net, 3, &excluded, &mut r);
-        assert_eq!(order.len(), net.num_nodes() - excluded.len());
-        for n in &excluded {
-            assert!(!order.contains(n), "excluded {n} must not restart");
-        }
-        let mut seen = order.clone();
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen.len(), order.len(), "each router restarts once");
-        // Same seed, same storm; different seed, different rolling order.
-        let mut r2 = rng::stream(17, "restart-storm");
-        assert_eq!(order, rolling_restart_schedule(&net, 3, &excluded, &mut r2));
-        let mut r3 = rng::stream(18, "restart-storm");
-        assert_ne!(order, rolling_restart_schedule(&net, 3, &excluded, &mut r3));
     }
 
     #[test]

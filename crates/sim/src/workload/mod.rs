@@ -5,7 +5,7 @@ mod hostile;
 mod scenario;
 mod traffic;
 
-pub use hostile::{maintenance_waves, regional_storm, rolling_restart_schedule};
+pub use hostile::{maintenance_waves, regional_storm};
 pub use scenario::{
     ConnectionRequest, FailureProcess, RequestId, Scenario, ScenarioConfig, TimelineEvent,
 };

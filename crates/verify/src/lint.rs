@@ -13,7 +13,7 @@
 //! | `hash-collections` | routing + protocol crates | `HashMap`, `HashSet` — iteration order varies across runs and platforms |
 //! | `proto-panics` | protocol crate | `.unwrap()`, `.expect(` — message handlers must degrade, not crash the router |
 //! | `raw-fail-link` | experiments crate | `.fail_link(` — experiments inject failures through the recovery-orchestrator seam ([`drt_core`]'s `FailureEvent` / `inject_event`), so retries, flap damping, and orphan accounting stay consistent across regimes |
-//! | `raw-spoof` | experiments crate minus the adversarial module | `.inject_false_report(`, `.spoof_failure_report(` — byzantine lies belong to the adversarial sweep, where both arms share workload substreams and every lie is counted in telemetry; a stray spoof elsewhere silently skews an honest-regime table |
+//! | `raw-spoof` | experiments crate minus the regimes module | `.inject_false_report(`, `.spoof_failure_report(` — byzantine lies belong to the `false-reports` arm of the orchestrated sweep, where both arms share workload substreams and every lie is counted in telemetry; a stray spoof elsewhere silently skews an honest table |
 //! | `journal-choke` | protocol crate minus `journal.rs` / `router.rs` | raw router-mutator calls (`.gate_walk(`, `.reserve_primary(`, …) — every state mutation must go through the `Journals` choke point so the write-ahead journal records it before it acts; a bypassed mutation silently breaks crash recovery |
 //! | `spf-alloc` | SPF-threaded algo files | `BinaryHeap::new`, `vec![None;`, `vec![false;` — hot search paths must reuse the generation-stamped `SpfWorkspace` instead of allocating per call |
 //! | `probe-alloc` | failure-analysis files | `.collect()`, `Vec::with_capacity` — the per-probe loop must reuse the generation-stamped `ProbeWorkspace`; one-shot setup/report code waives |
@@ -78,9 +78,10 @@ fn scope_experiments(path: &str) -> bool {
 }
 
 fn scope_honest_experiments(path: &str) -> bool {
-    // The adversarial sweep is the one sanctioned consumer of the
-    // byzantine seams; every other experiment driver is honest.
-    scope_experiments(path) && !path.ends_with("adversarial.rs")
+    // The orchestrated sweep's `false-reports` regime is the one
+    // sanctioned consumer of the byzantine seams; every other experiment
+    // driver is honest.
+    scope_experiments(path) && !path.ends_with("regimes.rs")
 }
 
 fn scope_journal_choke(path: &str) -> bool {
@@ -143,10 +144,11 @@ pub const RULES: [Rule; 8] = [
     },
     Rule {
         name: "raw-spoof",
-        why: "byzantine lies belong to the adversarial sweep, whose arms \
-              share workload substreams and count every lie in telemetry; \
-              spoofing from an honest experiment driver skews its tables \
-              without leaving a trace in the instrumentation",
+        why: "byzantine lies belong to the false-reports regime of the \
+              orchestrated sweep, whose arms share workload substreams and \
+              count every lie in telemetry; spoofing from an honest \
+              experiment driver skews its tables without leaving a trace in \
+              the instrumentation",
         patterns: &[".inject_false_report(", ".spoof_failure_report("],
         in_scope: scope_honest_experiments,
     },
@@ -486,11 +488,11 @@ pub const RULE_DOCS: [RuleDoc; 13] = [
     },
     RuleDoc {
         name: "raw-spoof",
-        scope: "crates/experiments/src minus adversarial.rs",
-        why: "byzantine lies outside the adversarial sweep skew honest tables \
-              without appearing in telemetry",
-        fix: "move the spoof into the adversarial sweep where both arms share \
-              substreams and every lie is counted",
+        scope: "crates/experiments/src minus regimes.rs",
+        why: "byzantine lies outside the false-reports regime skew honest \
+              tables without appearing in telemetry",
+        fix: "inject the lie from the false-reports arm of regimes.rs, where \
+              both arms share substreams and every lie is counted",
     },
     RuleDoc {
         name: "journal-choke",

@@ -110,14 +110,14 @@ fn raw_spoof_scoped_to_honest_experiment_drivers() {
     );
     assert_eq!(
         rules_fired(
-            "crates/experiments/src/multi_failure.rs",
+            "crates/experiments/src/runner.rs",
             "sim.spoof_failure_report(n, l);\n"
         ),
         ["raw-spoof"]
     );
-    // The adversarial sweep is the sanctioned consumer, and the seams'
+    // The orchestrated sweep is the sanctioned consumer, and the seams'
     // own crates (core, proto, verify scenarios) are out of scope.
-    assert!(rules_fired("crates/experiments/src/adversarial.rs", src).is_empty());
+    assert!(rules_fired("crates/experiments/src/regimes.rs", src).is_empty());
     assert!(rules_fired("crates/core/src/failure.rs", src).is_empty());
     assert!(rules_fired("crates/verify/src/scenario.rs", src).is_empty());
 }

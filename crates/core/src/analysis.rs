@@ -43,18 +43,6 @@ impl VulnerabilityReport {
     pub fn trials(&self) -> u64 {
         self.trials
     }
-
-    /// Merges a report covering a *later* contiguous chunk of the failure
-    /// units into this one. Because unit enumeration is in link-id order
-    /// and each per-connection list records links in probe order, merging
-    /// in-order chunks reproduces the single-pass report exactly — the
-    /// combinator behind the sharded parallel driver.
-    pub fn merge(&mut self, other: VulnerabilityReport) {
-        self.trials += other.trials;
-        for (conn, links) in other.per_conn {
-            self.per_conn.entry(conn).or_default().extend(links);
-        }
-    }
 }
 
 impl fmt::Display for VulnerabilityReport {
@@ -73,32 +61,17 @@ impl fmt::Display for VulnerabilityReport {
 ///
 /// Deterministic per `seed` (contention tie-breaking uses independent
 /// per-trial streams, like [`DrtpManager::sweep_single_failures`]).
-pub fn vulnerability(mgr: &DrtpManager, seed: u64) -> VulnerabilityReport {
-    vulnerability_over(mgr, seed, &mgr.failure_units(), 0)
-}
-
-/// [`vulnerability`] over a contiguous slice of
-/// [`DrtpManager::failure_units`] whose first element has global
-/// enumeration index `base` — the shardable form. Each unit's RNG stream
-/// is keyed by its global index, so probing `[a..b)` and `[b..c)`
-/// separately and [`VulnerabilityReport::merge`]-ing the results is
-/// bit-identical to one pass over `[a..c)`.
 ///
 /// The probe loop reuses the thread-local probe workspace, so a full
 /// report allocates only its own output map.
-pub fn vulnerability_over(
-    mgr: &DrtpManager,
-    seed: u64,
-    units: &[LinkId],
-    base: u64,
-) -> VulnerabilityReport {
+pub fn vulnerability(mgr: &DrtpManager, seed: u64) -> VulnerabilityReport {
     let mut report = VulnerabilityReport::default();
     crate::failure::with_probe_scratch(|ws| {
-        for (k, &link) in units.iter().enumerate() {
+        for (k, link) in mgr.failure_units().into_iter().enumerate() {
             if mgr.is_failed(link) {
                 continue;
             }
-            let mut rng = drt_sim::rng::indexed_stream(seed, "vulnerability", base + k as u64);
+            let mut rng = drt_sim::rng::indexed_stream(seed, "vulnerability", k as u64);
             mgr.probe_unit_in(link, &mut rng, ws);
             if ws.decisions.is_empty() {
                 continue;

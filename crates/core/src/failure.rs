@@ -469,31 +469,21 @@ impl DrtpManager {
     /// the per-unit breakdown ([`FailureSweep::worst_links`] ranks the
     /// most fragile ones).
     ///
-    /// Each unit gets an independent RNG stream derived from `seed`, so the
-    /// sweep is deterministic and insensitive to unit order.
-    pub fn sweep_single_failures(&self, seed: u64) -> FailureSweep {
-        self.sweep_failure_units(seed, &self.failure_units(), 0)
-    }
-
-    /// Probes a contiguous slice of [`DrtpManager::failure_units`] whose
-    /// first element has global enumeration index `base` — the shardable
-    /// form of [`DrtpManager::sweep_single_failures`]. Each unit's RNG
-    /// stream is derived from its *global* index, so sweeping `[a..b)` and
-    /// `[b..c)` separately and concatenating the results is bit-identical
-    /// to sweeping `[a..c)` in one call; parallel drivers split the unit
-    /// list into in-order chunks and merge.
+    /// Each unit `k` of [`DrtpManager::failure_units`] gets an independent
+    /// RNG stream derived from `seed` and `k`, so the sweep is
+    /// deterministic and insensitive to unit order.
     ///
     /// The probe loop runs allocation-free in the thread-local
     /// [`ProbeWorkspace`]: per unit it touches only the O(affected)
     /// connections incident to the unit, not the whole connection table.
-    pub fn sweep_failure_units(&self, seed: u64, units: &[LinkId], base: u64) -> FailureSweep {
+    pub fn sweep_single_failures(&self, seed: u64) -> FailureSweep {
         let mut sweep = FailureSweep::default();
         with_probe_scratch(|ws| {
-            for (k, &link) in units.iter().enumerate() {
+            for (k, link) in self.failure_units().into_iter().enumerate() {
                 if self.failed[link.index()] {
                     continue;
                 }
-                let mut rng = drt_sim::rng::indexed_stream(seed, "failure-probe", base + k as u64);
+                let mut rng = drt_sim::rng::indexed_stream(seed, "failure-probe", k as u64);
                 let mut buf = [link; 2];
                 let unit = self.failure_unit_buf(link, &mut buf);
                 self.select_activations_in(unit, &mut rng, ws);

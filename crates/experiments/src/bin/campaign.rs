@@ -1,37 +1,33 @@
-//! Failure campaigns: the control-plane loss sweep, then the orchestrated
-//! sweeps of `drt_experiments::regimes` — correlated multi-failure,
-//! adversarial, and restart storm.
+//! Failure campaigns: the orchestrated sweeps of
+//! `drt_experiments::regimes` — control-plane loss, correlated
+//! multi-failure, adversarial, and restart storm.
 //!
-//! The loss sweep drives the distributed engine under 0–20 % per-hop
-//! control-packet loss; the multi-failure sweep injects correlated
-//! events (independent links → SRLG bursts → router crashes) and
-//! recovers them through the orchestrator; the adversarial sweep pits
-//! the schemes against byzantine routers and hostile workloads, with
-//! and without countermeasures; the restart sweep rolls router restarts
-//! through the network, amnesia vs. journaled rejoin. All report
-//! recovery latency, `P_act-bk`, and degradation, deterministically per
-//! seed.
+//! The loss sweep signals through the distributed engine under 0–20 %
+//! per-hop control-packet loss; the multi-failure sweep injects
+//! correlated events (independent links → SRLG bursts → router crashes)
+//! and recovers them through the orchestrator; the adversarial sweep
+//! pits the schemes against byzantine routers and hostile workloads,
+//! with and without countermeasures; the restart sweep rolls router
+//! restarts through the network, amnesia vs. journaled rejoin. All
+//! report recovery latency, `P_act-bk`, and degradation,
+//! deterministically per seed.
 //!
 //! Usage: `campaign [--quick] [--seed N] [--regime NAME] [--jobs N]`
 //!
 //! * `--quick`        reduced horizon and event counts (CI);
 //! * `--seed N`       master seed for every sweep (default 7);
-//! * `--regime NAME`  run only that regime of the orchestrated sweeps:
+//! * `--regime NAME`  run only that regime: `control-loss`,
 //!   `indep-links`, `srlg-bursts`, `node-crashes`, `byzantine-lsa`,
 //!   `false-reports`, `flash-crowd`, `regional-storm`, `restart-storm`;
 //! * `--jobs N`       worker threads for the sweeps (default 1); the
 //!   output is byte-identical for every job count.
 
 use drt_core::orchestrator::RetryPolicy;
-use drt_experiments::campaign::{
-    render_breakdown, render_header, render_row, stream_campaign, CampaignConfig,
-};
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::regimes::{
     merged_telemetry, prepare_network, run, Regime, SweepConfig, Table,
 };
 use drt_experiments::runner::SchemeKind;
-use std::io::Write;
 
 fn main() {
     let mut quick = false;
@@ -79,55 +75,19 @@ fn main() {
     } else {
         ExperimentConfig::paper(3.0)
     };
-    let mut ccfg = CampaignConfig::default();
-    if quick {
-        ccfg.connections = 40;
-        ccfg.failures = 4;
-    }
-    if let Some(s) = seed {
-        ccfg.seed = s;
-    }
-    let net = prepare_network(&cfg, ccfg.seed);
+    let seed = seed.unwrap_or(7);
+    let net = prepare_network(&cfg, seed);
 
     // `--regime` focuses the run on that one regime (CI smoke runs one
     // tiny table per regime); otherwise every sweep runs.
-    if regime.is_none() {
-        eprintln!(
-            "campaign: {} connections, {} failures, loss rates {:?}, seed {}, jobs {} ...",
-            ccfg.connections, ccfg.failures, ccfg.loss_rates, ccfg.seed, jobs
-        );
-        // Rows stream to stdout in canonical order as workers finish;
-        // the worst-links breakdown buffers until the table completes.
-        // Byte-identical to `render()` of the collected rows.
-        print!("{}", render_header(&net));
-        let mut breakdowns = String::new();
-        stream_campaign(&cfg, &ccfg, jobs, |row| {
-            print!("{}", render_row(&row));
-            let _ = std::io::stdout().flush();
-            breakdowns.push_str(&render_breakdown(&row));
-        });
-        print!("{breakdowns}");
-        println!();
-        println!(
-            "reading guide: every control packet crosses a chaotic plane that\n\
-             drops each hop with probability `loss%` (plus 2% duplication and\n\
-             200us jitter). Retransmission with exponential backoff keeps the\n\
-             signalling live: `retx` counts retries, `exh` counts transactions\n\
-             that ran out of attempts, and `degr` the connections that came up\n\
-             unprotected as a result. Between failures DRTP's reconfiguration\n\
-             step re-establishes backups (`reprot`); `P_act-bk` is then probed\n\
-             on the post-campaign state, with `probeD` of the shortfall due to\n\
-             degradation rather than activation contention. The table is\n\
-             deterministic per seed.\n"
-        );
-    }
-
     for table in Table::ALL {
         if regime.is_some_and(|r| r.table() != table) {
             continue;
         }
         let paper = SchemeKind::paper_schemes().to_vec();
         let (schemes, strengths) = match table {
+            // D-LSR alone, at 0–20 % per-hop loss (in per mille).
+            Table::ControlLoss => (vec![SchemeKind::DLsr], vec![0, 50, 100, 150, 200]),
             // D-LSR alone; correlated regimes have no strength knob.
             Table::Correlated => (vec![SchemeKind::DLsr], vec![0]),
             Table::Adversarial if quick => (paper, vec![1, 3]),
@@ -140,9 +100,13 @@ fn main() {
             schemes,
             strengths,
             connections: if quick { 40 } else { 100 },
-            events: if quick { 3 } else { 6 },
+            events: match (table, quick) {
+                (_, false) => 6,
+                (Table::ControlLoss, true) => 4,
+                (_, true) => 3,
+            },
             policy: RetryPolicy::default(),
-            seed: ccfg.seed,
+            seed,
         };
         eprintln!(
             "{table:?}: {} connections, {} rounds/cell, regimes {:?}, strengths {:?}, seed {}, jobs {} ...",
@@ -156,6 +120,18 @@ fn main() {
         let rows = run(&cfg, &scfg, jobs);
         println!("{}", table.render(&net, &rows));
         match table {
+            Table::ControlLoss => println!(
+                "reading guide: every control packet crosses a chaotic plane that\n\
+                 drops each hop with probability `loss%` (plus 2% duplication and\n\
+                 200us jitter). Retransmission with exponential backoff keeps the\n\
+                 signalling live: `retx` counts retries, `exh` counts transactions\n\
+                 that ran out of attempts, and `degr` the connections that came up\n\
+                 unprotected as a result. Between failures DRTP's reconfiguration\n\
+                 step re-establishes backups (`reprot`); `P_act-bk` is then probed\n\
+                 on the post-campaign state, with `probeD` of the shortfall due to\n\
+                 degradation rather than activation contention. The table is\n\
+                 deterministic per seed.\n"
+            ),
             Table::Correlated => println!(
                 "reading guide: each event fails its whole correlated set at once\n\
                  (`links` counts the members) and all affected backups contend in\n\

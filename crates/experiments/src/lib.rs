@@ -16,18 +16,18 @@
 //!   the text (link-state dissemination vs. CDP flooding);
 //! * [`signalling`] — DR-connection *management* traffic measured on the
 //!   message-level protocol of `drt-proto`;
-//! * [`campaign`] — failure campaign under a *lossy* control plane:
-//!   recovery latency, `P_act-bk` and degradation vs. control-packet loss;
-//! * [`regimes`] — the orchestrated sweeps, eight regimes of one driver
-//!   recovered through the orchestrator and measured through the
-//!   first-class telemetry layer: correlated failures (independent
-//!   links → SRLG bursts → router crashes), byzantine routers and
-//!   hostile workloads with and without countermeasures, and rolling
-//!   router restarts, amnesia vs. journaled rejoin;
+//! * [`regimes`] — the failure sweeps, nine regimes of one driver
+//!   measured through the first-class telemetry layer: failures under a
+//!   *lossy* control plane signalled through `drt-proto` (recovery
+//!   latency, `P_act-bk` and degradation vs. control-packet loss),
+//!   correlated failures (independent links → SRLG bursts → router
+//!   crashes), byzantine routers and hostile workloads with and without
+//!   countermeasures, and rolling router restarts, amnesia vs. journaled
+//!   rejoin;
+//! * [`campaign`] — the loss sweep by loss rate, an entry point to the
+//!   `control-loss` regime;
 //! * [`par`] — deterministic parallel execution of independent cells
 //!   (`--jobs N`), byte-identical to the serial run;
-//! * [`failure_analysis`] — the Figure-4 sweep and the vulnerability
-//!   report sharded over [`par`] (bit-identical for every job count);
 //! * [`report`] — plain-text table/series rendering shared by the
 //!   binaries.
 //!
@@ -43,7 +43,6 @@ pub mod availability;
 pub mod campaign;
 pub mod capacity;
 pub mod config;
-pub mod failure_analysis;
 pub mod fault_tolerance;
 pub mod overhead;
 pub mod par;

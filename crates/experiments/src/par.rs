@@ -1,27 +1,23 @@
 //! Deterministic parallel execution of independent experiment cells.
 //!
 //! Every sweep in this crate is a map over *independent* cells — a
-//! (scheme, load, seed) triple, a loss rate, a failure regime — whose RNG
-//! state is derived from the master seed and the cell's own identity, never
-//! from execution order. That makes the sweep embarrassingly parallel
-//! *and* lets the parallel run promise byte-identical output to the serial
-//! one: results are placed by input index, so merge order is canonical no
-//! matter which worker finished first.
+//! (scheme, load, seed) triple, a failure regime at one strength — whose
+//! RNG state is derived from the master seed and the cell's own identity,
+//! never from execution order. That makes the sweep embarrassingly
+//! parallel *and* lets the parallel run promise byte-identical output to
+//! the serial one: results are placed by input index, so merge order is
+//! canonical no matter which worker finished first.
 //!
-//! [`parallel_map`] is the barrier form (all results at once);
-//! [`for_each_ordered`] streams each result to a sink in canonical order
-//! as soon as it (and all its predecessors) completed, which is what the
-//! `campaign` binary uses to write rows without accumulating the table.
-//!
-//! Workers are `std::thread::scope` threads — no dependencies involved —
-//! and each worker gets a context built once by a caller-supplied factory
-//! (the hoisting point for per-worker scheme instances).
+//! [`parallel_map`] is a barrier: workers are `std::thread::scope`
+//! threads — no dependencies involved — pulling cells from one queue, and
+//! the scope join collects their results. Each worker gets a context
+//! built once by a caller-supplied factory (the hoisting point for
+//! per-worker scheme instances).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Clamps a user-requested worker count to something sane.
-pub fn effective_jobs(jobs: usize, cells: usize) -> usize {
+fn effective_jobs(jobs: usize, cells: usize) -> usize {
     jobs.max(1).min(cells.max(1))
 }
 
@@ -35,8 +31,8 @@ pub fn effective_jobs(jobs: usize, cells: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` (the driving thread re-raises them when the
-/// scope joins).
+/// Propagates panics from `f` (the driving thread re-raises them when it
+/// joins the worker).
 pub fn parallel_map<T, R, C>(
     jobs: usize,
     items: Vec<T>,
@@ -47,97 +43,45 @@ where
     T: Send,
     R: Send,
 {
-    let mut out = Vec::with_capacity(items.len());
-    for_each_ordered(jobs, items, ctx, f, |_, r| out.push(r));
-    out
-}
-
-/// [`parallel_map`] that hands each result to `emit` in canonical input
-/// order (index 0, 1, 2, …) as soon as it and all predecessors are done —
-/// the streaming form. The emitting thread is always the calling thread,
-/// so `emit` may write to stdout or any other single-consumer sink.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn for_each_ordered<T, R, C>(
-    jobs: usize,
-    items: Vec<T>,
-    ctx: impl Fn() -> C + Sync,
-    f: impl Fn(&mut C, T) -> R + Sync,
-    mut emit: impl FnMut(usize, R),
-) where
-    T: Send,
-    R: Send,
-{
     let n = items.len();
     let jobs = effective_jobs(jobs, n);
     if jobs <= 1 {
         let mut c = ctx();
-        for (i, item) in items.into_iter().enumerate() {
-            emit(i, f(&mut c, item));
-        }
-        return;
+        return items.into_iter().map(|item| f(&mut c, item)).collect();
     }
 
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
-    let ready: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let cv = Condvar::new();
-    let live_workers = AtomicUsize::new(jobs);
-
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                // Decrement-and-wake on every exit path (including a panic
-                // in `f`) so the emitting thread can never wait forever.
-                struct Exit<'a>(&'a AtomicUsize, &'a Condvar);
-                impl Drop for Exit<'_> {
-                    fn drop(&mut self) {
-                        self.0.fetch_sub(1, Ordering::SeqCst);
-                        self.1.notify_all();
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut c = ctx();
+                    let mut done = Vec::new();
+                    loop {
+                        // The queue lock is held for the pop only.
+                        let next = queue.lock().expect("work queue").next();
+                        let Some((i, item)) = next else {
+                            return done;
+                        };
+                        done.push((i, f(&mut c, item)));
                     }
-                }
-                let _exit = Exit(&live_workers, &cv);
-                let mut c = ctx();
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= n {
-                        break;
-                    }
-                    let item = work[i]
-                        .lock()
-                        .expect("work slot")
-                        .take()
-                        .expect("taken once");
-                    let r = f(&mut c, item);
-                    ready.lock().expect("result slot")[i] = Some(r);
-                    cv.notify_all();
-                }
-            });
-        }
-
-        // Drain results in canonical order while workers run.
-        let mut guard = ready.lock().expect("result vec");
-        for i in 0..n {
-            loop {
-                if let Some(r) = guard[i].take() {
-                    // Emit without holding the lock so `f` never blocks on
-                    // a slow sink.
-                    drop(guard);
-                    emit(i, r);
-                    guard = ready.lock().expect("result vec");
-                    break;
-                }
-                if live_workers.load(Ordering::SeqCst) == 0 {
-                    // All workers exited yet slot `i` is empty: a worker
-                    // panicked. Leave; the scope join re-raises it.
-                    return;
-                }
-                guard = cv.wait(guard).expect("result vec");
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, r) in done {
+                slots[i] = Some(r);
             }
         }
     });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every cell ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -152,24 +96,6 @@ mod tests {
             let par = parallel_map(jobs, items.clone(), || (), |_, x| x * x);
             assert_eq!(par, serial, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn streams_in_canonical_order() {
-        let mut seen = Vec::new();
-        for_each_ordered(
-            4,
-            (0..20u64).collect(),
-            || (),
-            |_, x| {
-                // Stagger completion so late indices often finish first.
-                std::thread::sleep(std::time::Duration::from_micros(((20 - x) % 7) * 100));
-                x + 1
-            },
-            |i, r| seen.push((i, r)),
-        );
-        let expected: Vec<(usize, u64)> = (0..20).map(|i| (i, i as u64 + 1)).collect();
-        assert_eq!(seen, expected);
     }
 
     #[test]

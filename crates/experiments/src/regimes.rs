@@ -1,15 +1,24 @@
-//! The orchestrated failure sweeps: correlated failures, byzantine
-//! routers and hostile workloads, and router restart storms — eight
-//! regimes of one driver.
+//! The orchestrated failure sweeps: control-plane loss, correlated
+//! failures, byzantine routers and hostile workloads, and router restart
+//! storms — nine regimes of one driver.
 //!
-//! The paper (and [`crate::campaign`]) measures `P_act-bk` after one
-//! independent failure on a freshly admitted population. Every regime
-//! here runs the same cell instead: establish a seeded workload, then
-//! play rounds — inject, feed the [`RecoveryOrchestrator`], run it to
-//! quiescence, check the manager's invariants, let 30 s pass — and close
-//! with a recorded `P_act-bk` probe. The regimes differ only in what a
-//! round injects, and fall into three tables ([`Table`]):
+//! The paper measures `P_act-bk` after one independent failure on a
+//! freshly admitted population. Every regime here runs the same cell
+//! instead: establish a seeded workload, then play rounds — inject, feed
+//! the [`RecoveryOrchestrator`], run it to quiescence, check the
+//! manager's invariants, let 30 s pass — and close with a recorded
+//! `P_act-bk` probe. The regimes differ only in what a round injects, and
+//! fall into four tables ([`Table`]):
 //!
+//! * **control-plane loss** — `control-loss` signals every admission,
+//!   failure and re-protection through the distributed engine
+//!   ([`ProtocolSim`]) over a control plane that drops `strength` ‰ of
+//!   the packets on every hop (plus duplication and jitter). The manager
+//!   is the engine's mirror: routes are selected on it, and after every
+//!   step it is reconciled to what the protocol concluded. Each round
+//!   fails one loaded link on the protocol; re-protection is DRTP's own
+//!   reconfiguration step, signalled hop by hop, so the orchestrator
+//!   stays idle.
 //! * **correlated failures** — `indep-links` fails one loaded link per
 //!   event (the paper's model, as the baseline row), `srlg-bursts` one
 //!   shared-risk group whole (conduits partitioned from the links by a
@@ -50,18 +59,21 @@
 //! is the countermeasure's doing.
 //!
 //! Every number a table prints is read back from the cell's merged
-//! manager + orchestrator [`Telemetry`], plus the three facts only the
-//! final state holds ([`Row`]). Cells derive every RNG substream from the
-//! master seed and their own [`Cell::tag`], so the rows are byte-identical
-//! for every `jobs` count.
+//! manager + orchestrator (+ protocol) [`Telemetry`], plus the three
+//! facts only the final state holds ([`Row`]). Cells derive every RNG
+//! substream from the master seed and their own identity
+//! ([`Cell::tag`]), so the rows are byte-identical for every `jobs`
+//! count.
 
 use crate::config::ExperimentConfig;
 use crate::report::{fmt_us, loaded_links, pick_from, pick_loaded_link};
 use crate::runner::SchemeKind;
 use drt_core::failure::{FailureEvent, LinkImpact, RestartMode};
 use drt_core::orchestrator::{RecoveryOrchestrator, ReportVerdict, RetryPolicy};
-use drt_core::{ConnectionId, DrtpManager, Telemetry, ViewDistortion};
-use drt_net::{LinkId, Network, NodeId, SrlgId};
+use drt_core::routing::RoutingScheme;
+use drt_core::{ConnectionId, DrtpManager, EstablishReport, Telemetry, ViewDistortion};
+use drt_net::{Bandwidth, LinkId, Network, NodeId, SrlgId};
+use drt_proto::{ChaosConfig, ConnOutcome, ProtocolConfig, ProtocolSim, RetryConfig};
 use drt_sim::rng::{indexed_stream, stream, substream_seed};
 use drt_sim::workload::{maintenance_waves, regional_storm, TimelineEvent, TrafficPattern};
 use drt_sim::{SimDuration, SimTime};
@@ -76,9 +88,14 @@ const SRLG_SIZE: usize = 3;
 /// Maintenance waves the restart schedule is partitioned into.
 const RESTART_WAVES: usize = 4;
 
+/// Attempts per signalling transaction on the lossy control plane.
+const CONTROL_MAX_ATTEMPTS: u32 = 12;
+
 /// The table a regime's rows render into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Table {
+    /// Control-plane loss: one D-LSR row per per-hop loss rate.
+    ControlLoss,
     /// Correlated multi-failure: one D-LSR row per regime.
     Correlated,
     /// Byzantine routers and hostile workloads, per scheme and strength.
@@ -89,7 +106,12 @@ pub enum Table {
 
 impl Table {
     /// Every table, in campaign order.
-    pub const ALL: [Table; 3] = [Table::Correlated, Table::Adversarial, Table::Restart];
+    pub const ALL: [Table; 4] = [
+        Table::ControlLoss,
+        Table::Correlated,
+        Table::Adversarial,
+        Table::Restart,
+    ];
 
     /// The regimes rendering into this table, in sweep order.
     pub fn regimes(self) -> Vec<Regime> {
@@ -103,6 +125,7 @@ impl Table {
     /// `net` (see [`prepare_network`]).
     pub fn render(self, net: &Network, rows: &[Row]) -> String {
         match self {
+            Table::ControlLoss => render_control_loss(net, rows),
             Table::Correlated => render_correlated(net, rows),
             Table::Adversarial => render_adversarial(net, rows),
             Table::Restart => render_restart(net, rows),
@@ -113,6 +136,9 @@ impl Table {
 /// One regime of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Regime {
+    /// Independent single-link failures signalled through the
+    /// distributed engine over a lossy control plane.
+    ControlLoss,
     /// Independent single-link failures — the paper's baseline model.
     IndepLinks,
     /// Shared-risk link groups cut whole: every member fails at once.
@@ -135,7 +161,8 @@ pub enum Regime {
 
 impl Regime {
     /// Every regime, in campaign order.
-    pub const ALL: [Regime; 8] = [
+    pub const ALL: [Regime; 9] = [
+        Regime::ControlLoss,
         Regime::IndepLinks,
         Regime::SrlgBursts,
         Regime::NodeCrashes,
@@ -150,6 +177,7 @@ impl Regime {
     /// campaign binary's `--regime` flag.
     pub fn label(self) -> &'static str {
         match self {
+            Regime::ControlLoss => "control-loss",
             Regime::IndepLinks => "indep-links",
             Regime::SrlgBursts => "srlg-bursts",
             Regime::NodeCrashes => "node-crashes",
@@ -169,6 +197,7 @@ impl Regime {
     /// The table this regime's rows render into.
     pub fn table(self) -> Table {
         match self {
+            Regime::ControlLoss => Table::ControlLoss,
             Regime::IndepLinks | Regime::SrlgBursts | Regime::NodeCrashes => Table::Correlated,
             Regime::ByzantineLsa
             | Regime::FalseReports
@@ -182,6 +211,7 @@ impl Regime {
     /// table footers).
     pub fn strength_meaning(self) -> &'static str {
         match self {
+            Regime::ControlLoss => "per-hop control-packet loss (per mille)",
             Regime::IndepLinks | Regime::SrlgBursts | Regime::NodeCrashes => {
                 "nothing (the cell tag omits it)"
             }
@@ -225,6 +255,8 @@ impl Cell {
     pub fn tag(&self) -> String {
         let (label, scheme, s) = (self.regime.label(), self.scheme.label(), self.strength);
         match self.regime.table() {
+            // Names the chaos substream; the scheme is D-LSR throughout.
+            Table::ControlLoss => format!("chaos-{s}"),
             Table::Correlated => label.to_string(),
             Table::Adversarial => {
                 let arm = if self.defended { "def" } else { "und" };
@@ -234,6 +266,18 @@ impl Cell {
                 let arm = if self.defended { "jnl" } else { "amn" };
                 format!("{label}-{scheme}-i{s}-{arm}")
             }
+        }
+    }
+
+    /// The labels of the cell's pick, inject and probe substreams. The
+    /// loss sweep was published with labels its cells share; only its
+    /// chaos substream, named by the tag, differs per cell.
+    fn substreams(&self) -> [String; 3] {
+        let tag = self.tag();
+        match self.regime {
+            Regime::ControlLoss => ["campaign-links", "campaign-inject", "probe"].map(String::from),
+            Regime::RestartStorm => ["pick", "restart", "probe"].map(|s| format!("{s}-{tag}")),
+            _ => ["pick", "inject", "probe"].map(|s| format!("{s}-{tag}")),
         }
     }
 }
@@ -404,10 +448,13 @@ fn crowd_fraction(strength: u32) -> f64 {
 }
 
 fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell: Cell) -> Row {
-    let (seed, tag) = (scfg.seed, cell.tag());
+    let seed = scfg.seed;
+    let [pick_label, inject_label, probe_label] = cell.substreams();
     let mut scheme = cell.scheme.instantiate();
     let mut mgr = DrtpManager::with_config(Arc::clone(&net), cell.scheme.manager_config());
     let byzantine = pick_byzantine(&net, cell.strength, seed);
+    let mut plane = (cell.regime == Regime::ControlLoss)
+        .then(|| ControlPlane::new(Arc::clone(&net), &cell, seed));
 
     let pattern = if cell.regime == Regime::FlashCrowd {
         let mut crowd_rng = stream(seed, &format!("crowd-{}", cell.strength));
@@ -438,8 +485,11 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
             scenario.bw_req(),
         )
         .with_backups(cfg.backups_per_connection);
-        if mgr.request_connection(&mut *scheme, req).is_ok() {
+        if let Ok(admitted) = mgr.request_connection(&mut *scheme, req) {
             established += 1;
+            if let Some(plane) = &mut plane {
+                plane.establish(&mut mgr, admitted, scenario.bw_req());
+            }
         }
     }
 
@@ -463,18 +513,25 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
     } else {
         Vec::new()
     };
-    let (rounds, inject_label) = if cell.regime == Regime::RestartStorm {
-        (restarts.len(), format!("restart-{tag}"))
+    let rounds = if cell.regime == Regime::RestartStorm {
+        restarts.len()
     } else {
-        (scfg.events, format!("inject-{tag}"))
+        scfg.events
     };
 
     let mut orch = RecoveryOrchestrator::new(net.num_links(), scfg.policy);
-    let mut pick_rng = stream(seed, &format!("pick-{tag}"));
+    let mut pick_rng = stream(seed, &pick_label);
     let mut now = SimTime::ZERO;
     for round in 0..rounds {
         let mut inject_rng = indexed_stream(seed, &inject_label, round as u64);
         match cell.regime {
+            Regime::ControlLoss => {
+                let Some(link) = pick_loaded_link(&mgr, &mut pick_rng) else {
+                    break; // nothing loaded left to fail
+                };
+                let plane = plane.as_mut().expect("control-loss cells run a plane");
+                plane.fail(&mut mgr, &mut *scheme, link, &mut inject_rng);
+            }
             Regime::IndepLinks | Regime::SrlgBursts | Regime::NodeCrashes => {
                 let Some(event) = pick_event(cell.regime, &mgr, &mut pick_rng) else {
                     break; // nothing loaded left to fail
@@ -598,9 +655,12 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
     }
 
     mgr.assert_invariants();
-    let sweep = mgr.sweep_single_failures_recorded(substream_seed(seed, &format!("probe-{tag}")));
+    let sweep = mgr.sweep_single_failures_recorded(substream_seed(seed, &probe_label));
     let mut telemetry = mgr.telemetry().clone();
     telemetry.merge(orch.telemetry());
+    if let Some(plane) = plane {
+        telemetry.merge(&plane.finish());
+    }
     Row {
         cell,
         telemetry,
@@ -610,6 +670,155 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
             .filter(|c| c.state().is_carrying_traffic())
             .count() as u64,
         worst_links: sweep.worst_links(3),
+    }
+}
+
+/// The distributed engine a `control-loss` cell signals through. The
+/// manager is its mirror: routes are selected there, every walk crosses
+/// the lossy plane, and where the two disagree the protocol's outcome is
+/// authoritative and the mirror is reconciled to it.
+struct ControlPlane {
+    sim: ProtocolSim,
+    /// Connections the protocol carries, in admission order.
+    live: Vec<ConnectionId>,
+    /// The protocol's outcomes (`control.*`), merged into the row.
+    telemetry: Telemetry,
+}
+
+impl ControlPlane {
+    fn new(net: Arc<Network>, cell: &Cell, seed: u64) -> Self {
+        let chaos = ChaosConfig {
+            drop_prob: f64::from(cell.strength) / 1000.0,
+            dup_prob: 0.02,
+            max_jitter: SimDuration::from_micros(200),
+            crashes: Vec::new(),
+            seed: substream_seed(seed, &cell.tag()),
+            ..ChaosConfig::default()
+        };
+        let retry = RetryConfig {
+            max_attempts: CONTROL_MAX_ATTEMPTS,
+            ..RetryConfig::default()
+        };
+        ControlPlane {
+            sim: ProtocolSim::with_chaos(net, ProtocolConfig::default(), retry, chaos),
+            live: Vec::new(),
+            telemetry: Telemetry::new(),
+        }
+    }
+
+    /// Signals a connection the mirror just admitted. One the protocol
+    /// brings up unprotected loses its backups on the mirror too; one it
+    /// rejects is released there.
+    fn establish(&mut self, mgr: &mut DrtpManager, admitted: EstablishReport, bw: Bandwidth) {
+        let conn = admitted.id;
+        self.sim
+            .establish(conn, bw, admitted.primary, admitted.backups);
+        self.sim.run_to_quiescence();
+        match self.sim.outcome(conn).expect("submitted") {
+            ConnOutcome::Established => {
+                self.telemetry.incr("control.established");
+                self.live.push(conn);
+            }
+            ConnOutcome::Degraded => {
+                self.telemetry.incr("control.degraded");
+                mgr.drop_backups(conn).expect("mirror holds the conn");
+                self.live.push(conn);
+            }
+            ConnOutcome::Rejected => {
+                self.telemetry.incr("control.rejected");
+                mgr.release(conn).expect("mirror holds the conn");
+            }
+            other => panic!("establishment cannot end in {other:?}"),
+        }
+    }
+
+    /// One round: `link` fails on the protocol, which recovers on its
+    /// own; the mirror replays the failure and is reconciled; backups
+    /// crossing the link are retired; then survivors left unprotected
+    /// re-protect through DRTP's reconfiguration step, the route chosen
+    /// on the mirror and registered hop by hop.
+    fn fail(
+        &mut self,
+        mgr: &mut DrtpManager,
+        scheme: &mut dyn RoutingScheme,
+        link: LinkId,
+        inject_rng: &mut StdRng,
+    ) {
+        let log_before = self.sim.recovery_log().len();
+        self.sim.fail_link(link);
+        self.sim.run_to_quiescence();
+        let report = mgr
+            .inject_event(&FailureEvent::Link(link), inject_rng)
+            .expect("picked link is healthy");
+        for rec in &self.sim.recovery_log()[log_before..] {
+            if rec.recovered {
+                self.telemetry.incr("control.switched");
+                self.telemetry
+                    .observe_duration("control.recovery_us", rec.latency());
+            } else {
+                self.telemetry.incr("control.lost");
+                self.live.retain(|&c| c != rec.conn);
+            }
+        }
+        for &id in report.switched.iter().chain(&report.lost) {
+            let sim_says = self.sim.outcome(id).expect("mirror conns exist in the sim");
+            if !sim_says.is_established()
+                && mgr
+                    .connection(id)
+                    .is_some_and(|c| c.state().is_carrying_traffic())
+            {
+                // Chaos downed what the mirror recovered (switch retries
+                // exhausted): free the mirror's promoted route too.
+                mgr.release(id).expect("carrying above");
+            }
+        }
+        // Registered backups that cross the failed link can never
+        // activate: retire them on the sources that still hold them.
+        for &c in &self.live {
+            self.sim.retire_backups_crossing(c, link);
+        }
+        self.sim.run_to_quiescence();
+
+        for &c in &self.live {
+            if !self.sim.outcome(c).expect("tracked").is_established()
+                || !self.sim.registered_backups(c).is_empty()
+            {
+                continue;
+            }
+            let mirror_bare = mgr
+                .connection(c)
+                .is_some_and(|m| m.state().is_carrying_traffic() && m.backups().is_empty());
+            if !mirror_bare || mgr.reestablish_backup(scheme, c).is_err() {
+                continue; // protected on the mirror, or no feasible backup now
+            }
+            let backup = mgr
+                .connection(c)
+                .and_then(|m| m.backups().last())
+                .expect("just reestablished")
+                .clone();
+            assert!(self.sim.add_backup(c, backup), "sim conn is live");
+            self.sim.run_to_quiescence();
+            if self.sim.outcome(c) == Some(ConnOutcome::Established) {
+                self.telemetry.incr("control.reprotected");
+            } else {
+                // Registration exhausted its retries under chaos.
+                mgr.drop_backups(c).expect("carrying above");
+            }
+        }
+    }
+
+    /// The plane's telemetry, closed with the engine's own counters.
+    fn finish(mut self) -> Telemetry {
+        let t = &mut self.telemetry;
+        t.add(
+            "control.retransmissions",
+            self.sim.counters().retransmitted().0,
+        );
+        t.add(
+            "control.exhausted",
+            self.sim.exhausted().map(|(_, n)| n).sum(),
+        );
+        self.telemetry
     }
 }
 
@@ -764,6 +973,73 @@ fn push_strength_meanings(out: &mut String, knob: &str, rows: &[Row]) {
     }
 }
 
+/// A row's closing-probe ranking, as `L61 (-2 of 2), …`.
+fn ranked(worst: &[LinkImpact]) -> String {
+    let ranked: Vec<String> = worst
+        .iter()
+        .map(|li| format!("{} (-{} of {})", li.link, li.lost(), li.affected))
+        .collect();
+    ranked.join(", ")
+}
+
+fn render_control_loss(net: &Network, rows: &[Row]) -> String {
+    let mut out = format!(
+        "Failure campaign under control-plane loss ({} nodes, {} links)\n",
+        net.num_nodes(),
+        net.num_links()
+    );
+    out.push_str(&format!(
+        "{:>6} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6}\n",
+        "loss%",
+        "estab",
+        "degr",
+        "rej",
+        "fails",
+        "switch",
+        "lost",
+        "reprot",
+        "mean-rec",
+        "max-rec",
+        "P_act-bk",
+        "probeD",
+        "retx",
+        "exh"
+    ));
+    let loss_pct = |r: &Row| f64::from(r.cell.strength) / 1000.0 * 100.0;
+    let ms =
+        |us: Option<u64>| us.map_or_else(|| "-".into(), |us| format!("{:.1}ms", us as f64 / 1e3));
+    for r in rows {
+        let t = &r.telemetry;
+        let rec = t.hist("control.recovery_us");
+        let affected = t.counter("sweep.affected");
+        out.push_str(&format!(
+            "{:>6.1} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6}\n",
+            loss_pct(r),
+            t.counter("control.established"),
+            t.counter("control.degraded"),
+            t.counter("control.rejected"),
+            t.counter("inject.events"),
+            t.counter("control.switched"),
+            t.counter("control.lost"),
+            t.counter("control.reprotected"),
+            ms(rec.map(|h| h.mean())),
+            ms(rec.map(|h| h.max())),
+            fmt_p((affected > 0).then(|| t.counter("sweep.activated") as f64 / affected as f64)),
+            t.counter("sweep.degraded"),
+            t.counter("control.retransmissions"),
+            t.counter("control.exhausted"),
+        ));
+    }
+    for r in rows.iter().filter(|r| !r.worst_links.is_empty()) {
+        out.push_str(&format!(
+            "  loss {:>4.1}% worst links: {}\n",
+            loss_pct(r),
+            ranked(&r.worst_links)
+        ));
+    }
+    out
+}
+
 fn render_correlated(net: &Network, rows: &[Row]) -> String {
     let mut out = format!(
         "Correlated multi-failure campaign ({} nodes, {} links, {} srlgs)\n",
@@ -812,15 +1088,10 @@ fn render_correlated(net: &Network, rows: &[Row]) -> String {
         ));
     }
     for r in rows.iter().filter(|r| !r.worst_links.is_empty()) {
-        let ranked: Vec<String> = r
-            .worst_links
-            .iter()
-            .map(|li| format!("{} (-{} of {})", li.link, li.lost(), li.affected))
-            .collect();
         out.push_str(&format!(
             "  {:<12} worst links: {}\n",
             r.cell.regime.label(),
-            ranked.join(", ")
+            ranked(&r.worst_links)
         ));
     }
     out
@@ -978,7 +1249,29 @@ mod tests {
         assert_eq!(Regime::parse("nope"), None);
         // Two arms exactly where a countermeasure (or the journal) exists.
         let (_, scfg) = small(&Regime::ALL, &[2], 3);
-        assert_eq!(scfg.cells().len(), 3 + (2 + 2 + 1 + 1) + 2);
+        assert_eq!(scfg.cells().len(), 1 + 3 + (2 + 2 + 1 + 1) + 2);
+    }
+
+    #[test]
+    fn lossless_row_never_degrades_or_retransmits() {
+        let (cfg, scfg) = small(&[Regime::ControlLoss], &[0, 100], 3);
+        let rows = run(&cfg, &scfg, 1);
+        assert_eq!(rows.len(), 2);
+        let quiet = &rows[0].telemetry;
+        assert_eq!(rows[0].cell.strength, 0);
+        assert_eq!(quiet.counter("control.degraded"), 0);
+        assert_eq!(quiet.counter("control.retransmissions"), 0);
+        assert_eq!(quiet.counter("control.exhausted"), 0);
+        assert!(quiet.counter("control.established") > 0);
+        assert_eq!(quiet.counter("inject.events"), 3);
+        // Recovery latency is detection + report + switch walk: > 10 ms.
+        if let Some(h) = quiet.hist("control.recovery_us") {
+            assert!(h.mean() > 10_000);
+        }
+        assert!(
+            rows[1].telemetry.counter("control.retransmissions") > 0,
+            "a lossy plane retransmits"
+        );
     }
 
     #[test]
@@ -1219,6 +1512,12 @@ mod tests {
                 .collect();
             let rendered = table.render(&net, &mine);
             assert!(rendered.contains("P_act-bk"));
+            if table == Table::ControlLoss {
+                // The loss table names its one regime's rows by loss
+                // rate, as it was published.
+                assert!(rendered.contains("   0.2 "));
+                continue;
+            }
             for r in table.regimes() {
                 assert!(
                     rendered.contains(r.label()),

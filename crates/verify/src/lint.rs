@@ -12,7 +12,7 @@
 //! | `nondet` | everywhere but the seeded-RNG module | `thread_rng`, `from_entropy`, `Instant::now`, `SystemTime` — ambient nondeterminism that breaks run reproducibility |
 //! | `hash-collections` | routing + protocol crates | `HashMap`, `HashSet` — iteration order varies across runs and platforms |
 //! | `proto-panics` | protocol crate | `.unwrap()`, `.expect(` — message handlers must degrade, not crash the router |
-//! | `raw-fail-link` | experiments crate | `.fail_link(` — experiments inject failures through the recovery-orchestrator seam ([`drt_core`]'s `FailureEvent` / `inject_event`), so retries, flap damping, and orphan accounting stay consistent across regimes |
+//! | `raw-fail-link` | experiments crate minus the regimes module | `.fail_link(` — protocol-plane failures belong to the `control-loss` regime of the orchestrated sweep, which replays each one on the manager mirror and reconciles the mirror to the protocol; a stray raw failure elsewhere leaves the mirror, and every number read from it, silently stale |
 //! | `raw-spoof` | experiments crate minus the regimes module | `.inject_false_report(`, `.spoof_failure_report(` — byzantine lies belong to the `false-reports` arm of the orchestrated sweep, where both arms share workload substreams and every lie is counted in telemetry; a stray spoof elsewhere silently skews an honest table |
 //! | `journal-choke` | protocol crate minus `journal.rs` / `router.rs` | raw router-mutator calls (`.gate_walk(`, `.reserve_primary(`, …) — every state mutation must go through the `Journals` choke point so the write-ahead journal records it before it acts; a bypassed mutation silently breaks crash recovery |
 //! | `spf-alloc` | SPF-threaded algo files | `BinaryHeap::new`, `vec![None;`, `vec![false;` — hot search paths must reuse the generation-stamped `SpfWorkspace` instead of allocating per call |
@@ -73,15 +73,12 @@ fn scope_proto(path: &str) -> bool {
     path.contains("crates/proto/src")
 }
 
-fn scope_experiments(path: &str) -> bool {
-    path.contains("crates/experiments/src")
-}
-
-fn scope_honest_experiments(path: &str) -> bool {
-    // The orchestrated sweep's `false-reports` regime is the one
-    // sanctioned consumer of the byzantine seams; every other experiment
-    // driver is honest.
-    scope_experiments(path) && !path.ends_with("regimes.rs")
+fn scope_experiments_minus_regimes(path: &str) -> bool {
+    // The orchestrated sweep is the one sanctioned consumer of the raw
+    // failure and byzantine seams: its `control-loss` regime fails links
+    // on the protocol and reconciles the mirror, its `false-reports`
+    // regime is the one liar. Every other experiment driver is honest.
+    path.contains("crates/experiments/src") && !path.ends_with("regimes.rs")
 }
 
 fn scope_journal_choke(path: &str) -> bool {
@@ -135,12 +132,13 @@ pub const RULES: [Rule; 8] = [
     },
     Rule {
         name: "raw-fail-link",
-        why: "experiments must inject failures through the recovery \
-              orchestrator seam (FailureEvent / inject_event), not raw \
-              fail_link calls, so retries, flap damping, and orphan \
-              accounting stay consistent across failure regimes",
+        why: "protocol-plane failures belong to the control-loss regime of \
+              the orchestrated sweep, which replays each one on the manager \
+              mirror and reconciles the mirror to the protocol; a raw \
+              fail_link from any other experiment driver leaves the mirror \
+              stale",
         patterns: &[".fail_link("],
-        in_scope: scope_experiments,
+        in_scope: scope_experiments_minus_regimes,
     },
     Rule {
         name: "raw-spoof",
@@ -150,7 +148,7 @@ pub const RULES: [Rule; 8] = [
               experiment driver skews its tables without leaving a trace in \
               the instrumentation",
         patterns: &[".inject_false_report(", ".spoof_failure_report("],
-        in_scope: scope_honest_experiments,
+        in_scope: scope_experiments_minus_regimes,
     },
     Rule {
         name: "journal-choke",
@@ -481,10 +479,13 @@ pub const RULE_DOCS: [RuleDoc; 13] = [
     },
     RuleDoc {
         name: "raw-fail-link",
-        scope: "crates/experiments/src",
-        why: "raw fail_link bypasses the recovery orchestrator: retries, flap \
-              damping, and orphan accounting silently diverge between regimes",
-        fix: "inject through FailureEvent / inject_event (one waived seam exists)",
+        scope: "crates/experiments/src minus regimes.rs",
+        why: "a raw fail_link outside the control-loss regime fails a link the \
+              manager mirror never hears of: the mirror, and every number \
+              read from it, silently diverges from the protocol",
+        fix: "fail protocol-plane links from the control-loss arm of regimes.rs, \
+              which replays the failure on the mirror and reconciles it; \
+              centralized failures go through FailureEvent / inject_event",
     },
     RuleDoc {
         name: "raw-spoof",
@@ -546,7 +547,7 @@ pub const RULE_DOCS: [RuleDoc; 13] = [
     },
     RuleDoc {
         name: "rng-substream",
-        scope: "closures passed to parallel_map / for_each_ordered",
+        scope: "closures passed to parallel_map",
         why: "an RNG shared across parallel work units is consumed in worker \
               completion order: output differs between --jobs levels. The \
               jobs-1-vs-8 integration tests catch this after the fact; the \

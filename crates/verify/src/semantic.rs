@@ -2,8 +2,8 @@
 //! express.
 //!
 //! * [`rng_substream`] — **RNG-substream discipline.** Closures handed
-//!   to the deterministic parallel drivers (`parallel_map`,
-//!   `for_each_ordered`) may not consume an RNG they did not derive:
+//!   to the deterministic parallel driver (`parallel_map`) may not
+//!   consume an RNG they did not derive:
 //!   a shared `Rng` captured from the enclosing scope (or living in the
 //!   per-worker context) is consumed in *completion order*, which
 //!   breaks the byte-identical `--jobs` contract. Deriving a per-unit
@@ -32,8 +32,8 @@ pub const RNG_SUBSTREAM: &str = "rng-substream";
 /// Rule name for baseline test/bench parity.
 pub const BASELINE_PARITY: &str = "baseline-parity";
 
-/// The deterministic parallel drivers whose closures are policed.
-const DRIVERS: [&str; 2] = ["parallel_map", "for_each_ordered"];
+/// The deterministic parallel driver whose closures are policed.
+const DRIVERS: [&str; 1] = ["parallel_map"];
 
 /// RNG-consuming methods (rand idiom).
 const CONSUME: [&str; 14] = [

@@ -85,27 +85,26 @@ fn proto_panics_scoped_to_proto() {
 }
 
 #[test]
-fn raw_fail_link_scoped_to_experiments() {
+fn raw_fail_link_scoped_to_experiments_minus_regimes() {
     let src = "fn f(sim: &mut ProtocolSim, l: LinkId) { sim.fail_link(l); }\n";
     assert_eq!(
-        rules_fired("crates/experiments/src/campaign.rs", src),
+        rules_fired("crates/experiments/src/runner.rs", src),
         ["raw-fail-link"]
     );
+    // The control-loss regime is the sanctioned caller: it reconciles
+    // the manager mirror to the protocol after every failure.
+    assert!(rules_fired("crates/experiments/src/regimes.rs", src).is_empty());
     // The engine itself, its tests, and the verify scenarios may fail
     // links directly — the rule polices experiment drivers only.
     assert!(rules_fired("crates/proto/src/engine.rs", src).is_empty());
     assert!(rules_fired("crates/verify/src/scenario.rs", src).is_empty());
-    // The orchestrator seam waives the one justified call site.
-    let waived =
-        "fn seam(sim: &mut ProtocolSim, l: LinkId) {\n    // lint:allow(raw-fail-link)\n    sim.fail_link(l);\n}\n";
-    assert!(rules_fired("crates/experiments/src/campaign.rs", waived).is_empty());
 }
 
 #[test]
 fn raw_spoof_scoped_to_honest_experiment_drivers() {
     let src = "fn f(mgr: &mut DrtpManager, l: LinkId, rng: &mut Rng) { let _ = mgr.inject_false_report(l, rng); }\n";
     assert_eq!(
-        rules_fired("crates/experiments/src/campaign.rs", src),
+        rules_fired("crates/experiments/src/runner.rs", src),
         ["raw-spoof"]
     );
     assert_eq!(
@@ -164,7 +163,7 @@ fn probe_alloc_scoped_to_failure_analysis_files() {
     // Collecting elsewhere (manager admission, experiment drivers) is
     // not a probe: no rule.
     assert!(rules_fired("crates/core/src/manager.rs", src).is_empty());
-    assert!(rules_fired("crates/experiments/src/campaign.rs", src).is_empty());
+    assert!(rules_fired("crates/experiments/src/runner.rs", src).is_empty());
     // One-shot setup code waives in place.
     let waived =
         "// lint:allow(probe-alloc) — unit enumeration runs once per sweep\nlet units: Vec<LinkId> = net.links().map(|l| l.id()).collect();\n";

@@ -129,7 +129,9 @@ fn main() {
                  unprotected as a result. Between failures DRTP's reconfiguration\n\
                  step re-establishes backups (`reprot`); `P_act-bk` is then probed\n\
                  on the post-campaign state, with `probeD` of the shortfall due to\n\
-                 degradation rather than activation contention. The table is\n\
+                 degradation rather than activation contention. `inv` counts the\n\
+                 quiesced states (after establishment, after every round) that\n\
+                 fail the protocol engine's own invariant audit. The table is\n\
                  deterministic per seed.\n"
             ),
             Table::Correlated => println!(

@@ -492,6 +492,9 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
             }
         }
     }
+    if let Some(plane) = &mut plane {
+        plane.audit();
+    }
 
     let storm_waves = if cell.regime == Regime::RegionalStorm {
         let mut wave_rng = stream(seed, &format!("waves-{}", cell.strength));
@@ -805,6 +808,15 @@ impl ControlPlane {
                 mgr.drop_backups(c).expect("carrying above");
             }
         }
+        self.audit();
+    }
+
+    /// Runs the engine's own invariant audit on its quiesced state; a
+    /// violation is a counted outcome, not a panic.
+    fn audit(&mut self) {
+        if self.sim.check_invariants().is_err() {
+            self.telemetry.incr("control.invariant_violations");
+        }
     }
 
     /// The plane's telemetry, closed with the engine's own counters.
@@ -989,7 +1001,7 @@ fn render_control_loss(net: &Network, rows: &[Row]) -> String {
         net.num_links()
     );
     out.push_str(&format!(
-        "{:>6} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6}\n",
+        "{:>6} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>4}\n",
         "loss%",
         "estab",
         "degr",
@@ -1003,7 +1015,8 @@ fn render_control_loss(net: &Network, rows: &[Row]) -> String {
         "P_act-bk",
         "probeD",
         "retx",
-        "exh"
+        "exh",
+        "inv"
     ));
     let loss_pct = |r: &Row| f64::from(r.cell.strength) / 1000.0 * 100.0;
     let ms =
@@ -1013,7 +1026,7 @@ fn render_control_loss(net: &Network, rows: &[Row]) -> String {
         let rec = t.hist("control.recovery_us");
         let affected = t.counter("sweep.affected");
         out.push_str(&format!(
-            "{:>6.1} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6}\n",
+            "{:>6.1} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>4}\n",
             loss_pct(r),
             t.counter("control.established"),
             t.counter("control.degraded"),
@@ -1028,6 +1041,7 @@ fn render_control_loss(net: &Network, rows: &[Row]) -> String {
             t.counter("sweep.degraded"),
             t.counter("control.retransmissions"),
             t.counter("control.exhausted"),
+            t.counter("control.invariant_violations"),
         ));
     }
     for r in rows.iter().filter(|r| !r.worst_links.is_empty()) {

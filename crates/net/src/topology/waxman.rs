@@ -396,9 +396,12 @@ mod tests {
     }
 
     /// FNV-1a of the `textio` rendering of builds whose values were
-    /// captured before the spanning-tree stage got its running maxima.
-    /// Every workload and the committed campaign output hang off these
-    /// graphs, so a change that perturbs the RNG draw order must fail here.
+    /// captured before the spanning-tree stage got its running maxima
+    /// (the last two rows before bridge elimination stopped scanning every
+    /// pair per bridge). Every workload and the committed campaign output
+    /// hang off these graphs, so a change that perturbs the RNG draw order
+    /// must fail here. `(1000, 3.0, 60)` is `scale1k`'s network; the
+    /// `false` row runs the final fill (step 4) without bridge elimination.
     #[test]
     fn generated_topologies_are_pinned() {
         let fnv1a = |text: &str| {
@@ -406,18 +409,24 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             })
         };
-        for (n, e, seed, want) in [
-            (2, 1.0, 0, 0x5a5c_bcfe_a802_265e_u64),
-            (5, 2.0, 9, 0x25cd_0589_98aa_3040),
-            (60, 3.0, 1, 0x1d00_b191_85dd_d3bf),
-            (60, 4.0, 7, 0xae9b_c6dd_7c47_96ab),
-            (250, 3.0, 3, 0xf201_1821_676f_3a24),
+        for (n, e, seed, two_edge, want) in [
+            (2, 1.0, 0, true, 0x5a5c_bcfe_a802_265e_u64),
+            (5, 2.0, 9, true, 0x25cd_0589_98aa_3040),
+            (60, 3.0, 1, true, 0x1d00_b191_85dd_d3bf),
+            (60, 4.0, 7, true, 0xae9b_c6dd_7c47_96ab),
+            (250, 3.0, 3, true, 0xf201_1821_676f_3a24),
+            (250, 3.0, 3, false, 0xb638_b69f_75ec_7f0d),
+            (1000, 3.0, 60, true, 0x056e_f96a_d1f9_5ab8),
         ] {
-            let net = WaxmanConfig::new(n, e).seed(seed).build().unwrap();
+            let net = WaxmanConfig::new(n, e)
+                .seed(seed)
+                .two_edge_connected(two_edge)
+                .build()
+                .unwrap();
             assert_eq!(
                 fnv1a(&net.to_text()),
                 want,
-                "waxman({n}, {e}, seed {seed}) changed"
+                "waxman({n}, {e}, seed {seed}, two_edge_connected {two_edge}) changed"
             );
         }
     }

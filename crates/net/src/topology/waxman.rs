@@ -4,7 +4,6 @@
 use crate::{Bandwidth, NetError, Network, NetworkBuilder, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
 /// Configuration for generating Waxman random topologies.
 ///
@@ -114,14 +113,16 @@ impl WaxmanConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Infeasible`] when fewer than 2 nodes are
-    /// requested, when the degree target implies fewer pairs than a
-    /// spanning tree needs, when it exceeds the complete graph, or when
-    /// the locality parameter is not positive.
+    /// Returns [`NetError::Infeasible`] when fewer than 2 or more than
+    /// `u32::MAX` (the [`NodeId`] range) nodes are requested, when the
+    /// degree target implies fewer pairs than a spanning tree needs, when
+    /// it exceeds the complete graph, or when the locality parameter is
+    /// not positive.
     pub fn build(&self) -> Result<Network, NetError> {
         let n = self.nodes;
-        if n < 2 {
-            return Err(NetError::Infeasible("need at least 2 nodes".into()));
+        let most = u32::MAX as usize; // the `NodeId` range
+        if !(2..=most).contains(&n) {
+            return Err(NetError::Infeasible(format!("{n} nodes, need 2..={most}")));
         }
         if self.locality <= 0.0 {
             return Err(NetError::Infeasible(
@@ -137,20 +138,21 @@ impl WaxmanConfig {
                 n - 1
             )));
         }
-        if pairs > n * (n - 1) / 2 {
+        let complete = n.checked_mul(n - 1).map_or(usize::MAX, |twice| twice / 2);
+        if pairs > complete {
             return Err(NetError::Infeasible(format!(
                 "target degree {} exceeds the complete graph on {n} nodes",
                 self.target_degree
             )));
         }
 
+        // 1. Placement, O(n); then the maximum inter-node distance L and
+        //    the Waxman kernel, O(n²) distances.
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
         let mut pos = Vec::with_capacity(n);
         for _ in 0..n {
             pos.push([rng.gen::<f64>(), rng.gen::<f64>()]);
         }
-
-        // Maximum inter-node distance L and the Waxman kernel.
         let mut max_d: f64 = 0.0;
         for i in 0..n {
             for j in (i + 1)..n {
@@ -160,26 +162,21 @@ impl WaxmanConfig {
         let scale = self.locality * max_d.max(f64::MIN_POSITIVE);
         let kernel = |i: usize, j: usize| (-dist(pos[i], pos[j]) / scale).exp();
 
-        // Undirected edge set under construction.
-        let mut edges: HashSet<(usize, usize)> = HashSet::new();
+        // The undirected edge set under construction: adjacency lists
+        // (degree ≈ E, so membership is a short scan) and, from the tree
+        // on, the pair count `links`. Every stage adds only absent pairs.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let add_edge =
-            |edges: &mut HashSet<(usize, usize)>, adj: &mut Vec<Vec<usize>>, a: usize, b: usize| {
-                debug_assert!(a != b);
-                let key = (a.min(b), a.max(b));
-                if edges.insert(key) {
-                    adj[a].push(b);
-                    adj[b].push(a);
-                    true
-                } else {
-                    false
-                }
-            };
+        let connect = |adj: &mut [Vec<usize>], a: usize, b: usize| {
+            debug_assert!(a != b && !adj[a].contains(&b));
+            adj[a].push(b);
+            adj[b].push(a);
+        };
 
-        // 1. Spanning tree with Waxman-weighted attachment. A detached
-        //    node is drawn with weight `best[k]`, its largest kernel toward
-        //    any attached node, kept current per attachment (a running max
-        //    instead of a rescan of `attached` per candidate per draw).
+        // 2. Spanning tree with Waxman-weighted attachment, O(n²) kernel
+        //    evaluations. A detached node is drawn with weight `best[k]`,
+        //    its largest kernel toward any attached node, kept current per
+        //    attachment (a running max instead of a rescan of `attached`
+        //    per candidate per draw).
         let mut attached: Vec<usize> = vec![0];
         let mut detached: Vec<usize> = (1..n).collect();
         let mut best: Vec<f64> = detached.iter().map(|&j| kernel(0, j).max(0.0)).collect();
@@ -188,32 +185,30 @@ impl WaxmanConfig {
             best.swap_remove(next);
             let pi = pick_weighted(&mut rng, &attached, |&i| kernel(i, j))
                 .expect("attached set is never empty");
-            let i = attached[pi];
-            add_edge(&mut edges, &mut adj, i, j);
+            connect(&mut adj, attached[pi], j);
             attached.push(j);
             for (w, &d) in best.iter_mut().zip(&detached) {
                 *w = w.max(kernel(j, d));
             }
         }
+        let mut links = n - 1;
 
-        // 2. Bridge elimination (best-effort within the degree budget).
+        // 3. Bridge elimination (best-effort within the degree budget).
+        //    Per bridge, O(n + links) to find it and its cut, then
+        //    O(|side| · |other|) for the kernel-weighted absent pairs
+        //    across the cut, listed `a` ascending over `side`, then `b`
+        //    ascending over `other` — a leaf bridge's cut is n − 1 pairs.
         if self.two_edge_connected {
-            while edges.len() < pairs {
+            while links < pairs {
                 let Some((u, v)) = first_bridge(&adj) else {
                     break;
                 };
                 // Component of u when the bridge is removed.
                 let side = component_without_edge(&adj, u, (u, v));
-                // Candidate cross-cut pairs, kernel-weighted.
+                let other: Vec<usize> = (0..n).filter(|&b| !side[b]).collect();
                 let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
-                for a in 0..n {
-                    if !side[a] {
-                        continue;
-                    }
-                    for (b, in_side) in side.iter().enumerate() {
-                        if *in_side || edges.contains(&(a.min(b), a.max(b))) {
-                            continue;
-                        }
+                for a in (0..n).filter(|&a| side[a]) {
+                    for &b in other.iter().filter(|&b| !adj[a].contains(b)) {
                         candidates.push((a, b, kernel(a, b)));
                     }
                 }
@@ -221,25 +216,28 @@ impl WaxmanConfig {
                     break; // cut already complete toward the other side
                 };
                 let (a, b, _) = candidates[ci];
-                add_edge(&mut edges, &mut adj, a, b);
+                connect(&mut adj, a, b);
+                links += 1;
             }
         }
 
-        // 3. Remaining pairs: weighted sampling without replacement among
-        //    absent edges.
-        let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
-        for i in 0..n {
+        // 4. Remaining pairs: weighted sampling without replacement among
+        //    absent edges. The list holds every absent pair, O(n²) at
+        //    16 B each, and each draw folds over all of it.
+        let mut candidates: Vec<(u32, u32, f64)> = Vec::with_capacity(complete - links);
+        for (i, nbrs) in adj.iter().enumerate() {
             for j in (i + 1)..n {
-                if !edges.contains(&(i, j)) {
-                    candidates.push((i, j, kernel(i, j)));
+                if !nbrs.contains(&j) {
+                    candidates.push((i as u32, j as u32, kernel(i, j)));
                 }
             }
         }
-        while edges.len() < pairs {
+        while links < pairs {
             let idx = pick_weighted(&mut rng, &candidates, |c| c.2)
                 .expect("enough candidate edges exist by the feasibility check");
             let (i, j, _) = candidates.swap_remove(idx);
-            add_edge(&mut edges, &mut adj, i, j);
+            connect(&mut adj, i as usize, j as usize);
+            links += 1;
         }
 
         // Materialise deterministically (sorted edge order).
@@ -247,11 +245,11 @@ impl WaxmanConfig {
         for p in &pos {
             b.add_node_at(*p);
         }
-        // lint:allow(nondet) — hash-set drain is sorted on the next line
-        let mut sorted: Vec<(usize, usize)> = edges.into_iter().collect();
-        sorted.sort();
-        for (i, j) in sorted {
-            b.add_duplex_link(NodeId::new(i as u32), NodeId::new(j as u32), self.capacity)?;
+        for (i, mut nbrs) in adj.into_iter().enumerate() {
+            nbrs.sort_unstable();
+            for j in nbrs.into_iter().filter(|&j| j > i) {
+                b.add_duplex_link(NodeId::new(i as u32), NodeId::new(j as u32), self.capacity)?;
+            }
         }
         Ok(b.build())
     }
@@ -461,6 +459,18 @@ mod tests {
         assert!(WaxmanConfig::new(60, 0.5).build().is_err()); // < spanning tree
         assert!(WaxmanConfig::new(10, 20.0).build().is_err()); // > complete
         assert!(WaxmanConfig::new(10, 3.0).locality(0.0).build().is_err());
+    }
+
+    #[test]
+    fn node_counts_beyond_the_id_range_rejected_before_allocating() {
+        // `usize::MAX` overflows `n * (n - 1)`; `u32::MAX + 1` would go on
+        // to allocate 64 GiB of positions. `Err` means neither happened.
+        for n in [usize::MAX, u32::MAX as usize + 1] {
+            match WaxmanConfig::new(n, 3.0).build() {
+                Err(NetError::Infeasible(msg)) => assert!(msg.contains(&n.to_string()), "{msg}"),
+                other => panic!("{n} nodes: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -167,7 +167,7 @@ pub fn conflict_hotspots(mgr: &DrtpManager, top_n: usize) -> Vec<(LinkId, u64, u
             (l.id(), aplv.l1_norm(), aplv.max_count())
         })
         .filter(|&(_, l1, _)| l1 > 0)
-        .collect(); // lint:allow(probe-alloc) — one-shot report, not the probe loop
+        .collect();
     all.sort_by_key(|&(id, l1, _)| (std::cmp::Reverse(l1), id));
     all.truncate(top_n);
     all

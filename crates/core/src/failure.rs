@@ -63,7 +63,6 @@ impl FailureEvent {
     pub fn resolve(&self, mgr: &DrtpManager) -> Vec<LinkId> {
         let mut set = BTreeSet::new();
         self.collect(mgr, &mut set);
-        // lint:allow(probe-alloc) — event resolution is O(event), not the per-probe loop
         set.into_iter().filter(|l| !mgr.failed[l.index()]).collect()
     }
 
@@ -300,7 +299,7 @@ impl FailureSweep {
             |a: &LinkImpact, b: &LinkImpact| b.lost().cmp(&a.lost()).then(a.link.cmp(&b.link));
         // Partition an index permutation instead of cloning and fully
         // sorting `per_link`: O(n + k log k) and only the k winners sort.
-        let mut order: Vec<usize> = (0..self.per_link.len()).collect(); // lint:allow(probe-alloc) — O(per-link) report ranking, not a probe
+        let mut order: Vec<usize> = (0..self.per_link.len()).collect();
         let k = k.min(order.len());
         if k > 0 && k < order.len() {
             order.select_nth_unstable_by(k - 1, |&a, &b| {
@@ -309,7 +308,7 @@ impl FailureSweep {
         }
         order.truncate(k);
         order.sort_unstable_by(|&a, &b| worse(&self.per_link[a], &self.per_link[b]));
-        order.iter().map(|&i| self.per_link[i]).collect() // lint:allow(probe-alloc) — O(k) result materialization
+        order.iter().map(|&i| self.per_link[i]).collect()
     }
 }
 
@@ -404,7 +403,7 @@ impl DrtpManager {
     /// link, or the lower-id half of every duplex pair).
     pub fn failure_units(&self) -> Vec<LinkId> {
         match self.cfg.failure_model {
-            FailureModel::DirectedLink => self.net.links().map(|l| l.id()).collect(), // lint:allow(probe-alloc) — unit enumeration runs once per sweep
+            FailureModel::DirectedLink => self.net.links().map(|l| l.id()).collect(),
             FailureModel::DuplexPair => self
                 .net
                 .links()
@@ -413,7 +412,7 @@ impl DrtpManager {
                     None => true,
                 })
                 .map(|l| l.id())
-                .collect(), // lint:allow(probe-alloc) — unit enumeration runs once per sweep
+                .collect(),
         }
     }
 
@@ -1008,7 +1007,7 @@ impl ProbeWorkspace {
     /// The decisions in their public shape, slots dropped.
     fn details(&self) -> Vec<(ConnectionId, Option<usize>)> {
         let public = self.decisions.iter().map(|(at, won)| (at.id, *won));
-        public.collect() // lint:allow(probe-alloc) — O(affected) result materialization, once per reported probe
+        public.collect()
     }
 }
 
@@ -1058,15 +1057,14 @@ impl NaiveFailureAnalysis<'_> {
                     && failed_links.iter().any(|l| c.primary().contains_link(*l))
             })
             .map(|c| c.id())
-            .collect(); // lint:allow(probe-alloc) — the full-scan baseline is the allocation profile being measured
+            .collect();
         affected.shuffle(rng);
 
         // Per-link activation pools, materialized for every link.
         let mut pool: Vec<Bandwidth> = (0..mgr.links.len())
             .map(|i| mgr.activation_pool_at(i))
-            .collect(); // lint:allow(probe-alloc) — the full-scan baseline is the allocation profile being measured
+            .collect();
 
-        // lint:allow(probe-alloc) — the full-scan baseline is the allocation profile being measured
         let mut decisions = Vec::with_capacity(affected.len());
         for id in affected {
             let conn = mgr.conns.get(id).expect("scanned above");

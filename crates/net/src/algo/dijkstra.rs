@@ -128,7 +128,7 @@ impl SpfWorkspace {
             gen: 0,
             source: NodeId::new(0),
             labels: Vec::new(),
-            heap: BinaryHeap::new(), // lint:allow(spf-alloc) — workspace construction
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -290,9 +290,7 @@ impl SpfWorkspace {
     /// Copies the current search out as an owned [`ShortestPathTree`] for
     /// callers that hold the result across later searches.
     pub fn extract_tree(&self, n: usize) -> ShortestPathTree {
-        // lint:allow(spf-alloc) — cold path: the owned-tree API must allocate its result
         let mut dist: Vec<Option<f64>> = vec![None; n];
-        // lint:allow(spf-alloc) — cold path: owned-tree parent array
         let mut parent_link: Vec<Option<LinkId>> = vec![None; n];
         for i in 0..n {
             if let Some(label) = self.settled(i) {

@@ -126,13 +126,9 @@ pub fn suurballe(
     // parent type doesn't fit SpfWorkspace, and dedicated-baseline setup is
     // not a steady-state hot path, so this pass keeps its own scratch.
     let n = net.num_nodes();
-    // lint:allow(spf-alloc) — cold path: suurballe pass 2 tracks ModEdge parents
     let mut dist: Vec<Option<f64>> = vec![None; n];
-    // lint:allow(spf-alloc) — cold path: suurballe pass 2 distance array
     let mut parent: Vec<Option<(ModEdge, NodeId)>> = vec![None; n];
-    // lint:allow(spf-alloc) — cold path: suurballe pass 2 visited mask
     let mut done = vec![false; n];
-    // lint:allow(spf-alloc) — cold path: suurballe pass 2 ModHeapEntry heap
     let mut heap = BinaryHeap::new();
     dist[src.index()] = Some(0.0);
     heap.push(ModHeapEntry {

@@ -96,11 +96,8 @@ impl DynamicSpt {
         let mut spt = DynamicSpt {
             source: src,
             dist: vec![f64::INFINITY; n],
-            // lint:allow(spf-alloc) — one-shot construction of the owned tree
             parent_link: vec![None; n],
-            // lint:allow(spf-alloc) — repair scratch, reused across updates
             heap: BinaryHeap::new(),
-            // lint:allow(spf-alloc) — repair scratch, reused across updates
             detached: vec![false; n],
             work: Vec::new(),
             torn: Vec::new(),

@@ -22,8 +22,8 @@ use walk::{Txn, TxnKind};
 use crate::adversary::AdversaryConfig;
 use crate::chaos::ChaosConfig;
 use crate::fate::{ChaosFates, FateSource};
-use crate::journal::{Journal, Journals};
 use crate::message::{Packet, WalkOp};
+use crate::router::journal::{Journal, Journals};
 use crate::router::Router;
 use drt_core::{Aplv, ConnectionId, LinkResources};
 use drt_net::{Bandwidth, LinkId, Network, NodeId, Route};

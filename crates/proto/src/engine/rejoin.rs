@@ -4,9 +4,9 @@
 
 use super::{Event, State, TxnKind};
 use crate::chaos::RestartMode;
-use crate::journal::JournalRecord;
 use crate::message::{Packet, ResyncEntry};
 use crate::router::Router;
+use crate::JournalRecord;
 use drt_net::{LinkId, NodeId};
 use drt_sim::Scheduler;
 use std::cmp::Ordering;

@@ -17,7 +17,7 @@
 //! packet until the matching result/ack returns or
 //! [`crate::RetryConfig::max_attempts`] is exhausted. Routers gate every walk
 //! packet through a per-`(conn, seq)` dedup ledger
-//! ([`crate::Router::gate_walk`]), so retransmissions and chaos
+//! ([`crate::JournalRecord::GateWalk`]), so retransmissions and chaos
 //! duplicates never double-reserve, double-register, or double-release.
 //!
 //! The retransmission timeout for a walk over `h` hops is
@@ -33,9 +33,9 @@
 //! teardown walk.
 
 use super::{Event, Phase, State};
-use crate::journal::JournalRecord;
 use crate::message::{Packet, Walk, WalkOp};
 use crate::router::WalkGate;
+use crate::JournalRecord;
 use drt_core::ConnectionId;
 use drt_net::{NodeId, Route};
 use drt_sim::{Scheduler, SimDuration};

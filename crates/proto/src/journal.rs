@@ -1,14 +1,14 @@
 //! Deterministic write-ahead journaling for router state — the single
 //! choke point through which every state-mutating handler acts.
 //!
-//! The engine never calls a [`Router`] mutator directly (the
-//! `journal-choke` lint rule in `crates/verify` enforces this): it hands
-//! [`Journals::commit`] a typed [`JournalRecord`], which is appended
-//! *before* the one `apply` function — the same one replay and compaction
-//! run — performs it on the live router. Live and replayed routers
-//! therefore take every mutation through the same dispatch, and because
-//! every `Router` mutator is a deterministic function of
-//! `(state, arguments)`, replaying the journal against a fresh router
+//! The engine cannot call a [`Router`] mutator directly: they are private
+//! to the `router` module, of which this module is the one child. It hands
+//! [`Journals::commit`] (or [`Journals::gate`]) a typed [`JournalRecord`],
+//! which is appended *before* the one `apply` function — the same one
+//! replay and compaction run — performs it on the live router. Live and
+//! replayed routers therefore take every mutation through the same
+//! dispatch, and because every `Router` mutator is a deterministic function
+//! of `(state, arguments)`, replaying the journal against a fresh router
 //! reproduces the live router bit for bit — the property the
 //! `journal_replay` equivalence suite pins.
 //!
@@ -27,7 +27,7 @@
 //! CRCs and sequence gaps, modelled here as a `corrupted` verdict the
 //! engine degrades on.
 
-use crate::router::{Router, WalkGate};
+use super::{Router, WalkGate};
 use drt_core::ConnectionId;
 use drt_net::{Bandwidth, LinkId, Network, NodeId, Route};
 use std::fmt;
@@ -114,15 +114,23 @@ pub enum JournalRecord {
     },
 }
 
-/// Performs one record on a router and returns the mutator's verdict
-/// (`true` for the mutators that cannot refuse; for a gate, whether the
-/// walk proceeds). The live engine, replay and compaction all mutate
-/// through here, so a replayed outcome is the live one: the decision is
-/// made from identical state.
-fn apply(router: &mut Router, rec: &JournalRecord) -> bool {
+/// Performs one record on a router and returns the mutator's verdict: a
+/// gate's own three-way [`WalkGate`]; for the other mutators
+/// [`WalkGate::Stale`] when a reservation or activation was refused and
+/// [`WalkGate::Fresh`] otherwise. The live engine, replay and compaction
+/// all mutate through here, so a replayed outcome is the live one: the
+/// decision is made from identical state.
+fn apply(router: &mut Router, rec: &JournalRecord) -> WalkGate {
+    let verdict = |acted: bool| {
+        if acted {
+            WalkGate::Fresh
+        } else {
+            WalkGate::Stale
+        }
+    };
     match rec {
         JournalRecord::GateWalk { conn, seq, attempt } => {
-            return router.gate_walk(*conn, *seq, *attempt) != WalkGate::Stale;
+            return router.gate_walk(*conn, *seq, *attempt);
         }
         JournalRecord::MarkApplied { conn, seq } => router.mark_applied(*conn, *seq),
         JournalRecord::PoisonWalk { conn, seq, attempt } => {
@@ -133,7 +141,7 @@ fn apply(router: &mut Router, rec: &JournalRecord) -> bool {
             route,
             out_link,
             bw,
-        } => return router.reserve_primary(*conn, route, *out_link, *bw),
+        } => return verdict(router.reserve_primary(*conn, route, *out_link, *bw)),
         JournalRecord::ReleasePrimary { conn } => router.release_primary(*conn),
         JournalRecord::RegisterBackup {
             conn,
@@ -150,9 +158,9 @@ fn apply(router: &mut Router, rec: &JournalRecord) -> bool {
             route,
             out_link,
             bw,
-        } => return router.activate_backup(*conn, route, *out_link, *bw),
+        } => return verdict(router.activate_backup(*conn, route, *out_link, *bw)),
     }
-    true
+    WalkGate::Fresh
 }
 
 /// One router's durable journal: a compacting checkpoint plus the tail of
@@ -211,21 +219,21 @@ impl Journal {
         router
     }
 
-    /// The write-ahead step: appends `rec`, then lets `act` perform it on
-    /// the live router. A tail that reaches [`Self::COMPACT_EVERY`] is
-    /// retired into the checkpoint by the same in-order `apply` that
-    /// [`Self::replay`] uses, so the checkpoint is the router replay would
-    /// have built — the live router is not consulted.
-    fn append<T>(
+    /// The write-ahead step: appends `rec`, then performs it on the live
+    /// router and returns the verdict. A tail that reaches
+    /// [`Self::COMPACT_EVERY`] is retired into the checkpoint by the same
+    /// in-order `apply` that [`Self::replay`] uses, so the checkpoint is the
+    /// router replay would have built — the live router is not consulted.
+    fn append(
         &mut self,
         net: &Network,
         node: NodeId,
+        live: &mut Router,
         rec: JournalRecord,
-        act: impl FnOnce(&JournalRecord) -> T,
-    ) -> T {
+    ) -> WalkGate {
         self.tail.push(rec);
         self.lsn += 1;
-        let verdict = act(&self.tail[self.tail.len() - 1]);
+        let verdict = apply(live, &self.tail[self.tail.len() - 1]);
         if self.tail.len() >= Self::COMPACT_EVERY {
             let checkpoint = self
                 .checkpoint
@@ -239,9 +247,8 @@ impl Journal {
 }
 
 /// The per-node journals and the choke point the engine mutates routers
-/// through instead of calling raw [`Router`] mutators: [`Journals::commit`]
-/// (and [`Journals::gate`], whose verdict is not a `bool`) append the typed
-/// record *before* acting (write-ahead).
+/// through: [`Journals::commit`] (and [`Journals::gate`], whose verdict is
+/// not a `bool`) append the typed record *before* acting (write-ahead).
 pub(crate) struct Journals {
     /// What a node's first compaction builds its fresh router from.
     net: Arc<Network>,
@@ -309,15 +316,17 @@ impl Journals {
 
     /// Journals `rec` at `at`, then performs it on the live router with
     /// the `apply` that replay runs. Returns the mutator's verdict: `false`
-    /// when a reservation or activation was refused.
+    /// when a reservation or activation was refused (or a gate found the
+    /// walk stale).
     pub(crate) fn commit(
         &mut self,
         routers: &mut [Router],
         at: NodeId,
         rec: JournalRecord,
     ) -> bool {
-        let live = &mut routers[at.index()];
-        self.per_node[at.index()].append(&self.net, at, rec, |rec| apply(live, rec))
+        let verdict =
+            self.per_node[at.index()].append(&self.net, at, &mut routers[at.index()], rec);
+        verdict != WalkGate::Stale
     }
 
     /// Gates a walk packet through `at`'s dedup ledger — a commit of
@@ -330,9 +339,8 @@ impl Journals {
         seq: u64,
         attempt: u32,
     ) -> WalkGate {
-        let live = &mut routers[at.index()];
         let rec = JournalRecord::GateWalk { conn, seq, attempt };
-        self.per_node[at.index()].append(&self.net, at, rec, |_| live.gate_walk(conn, seq, attempt))
+        self.per_node[at.index()].append(&self.net, at, &mut routers[at.index()], rec)
     }
 }
 

@@ -38,7 +38,7 @@
 //! source-initiated operation is a sequence-numbered transaction with
 //! retransmission timers and exponential backoff ([`RetryConfig`]), and
 //! every router deduplicates walks on `(connection, sequence)`
-//! ([`Router::gate_walk`]). When a backup registration exhausts its
+//! ([`JournalRecord::GateWalk`]). When a backup registration exhausts its
 //! retries the connection degrades to an unprotected-but-live
 //! [`ConnOutcome::Degraded`] instead of wedging in
 //! [`ConnOutcome::Pending`].
@@ -88,7 +88,6 @@ mod adversary;
 mod chaos;
 mod engine;
 mod fate;
-mod journal;
 mod message;
 mod router;
 
@@ -99,6 +98,6 @@ pub use engine::{
     RetryConfig, SeededBug, TrafficCounters,
 };
 pub use fate::{ChaosFates, Decision, DeliveryFate, Fate, FateLog, FateSource, ScriptedFates};
-pub use journal::{Journal, JournalRecord};
 pub use message::{Packet, ResyncEntry, Walk, WalkOp, RESYNC_CONN};
+pub use router::journal::{Journal, JournalRecord};
 pub use router::{BackupEntry, PrimaryEntry, Router, WalkGate};

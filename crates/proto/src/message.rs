@@ -120,7 +120,7 @@ pub struct Walk {
 /// unique per source operation plus an `attempt` counter bumped on each
 /// retransmission, results and acks echo the `seq`, and routers keep a
 /// per-`(conn, seq)` dedup record so replayed walks never double-apply
-/// (see [`crate::Router::gate_walk`]).
+/// (see [`crate::JournalRecord::GateWalk`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Packet {
     /// One hop of a path walk.

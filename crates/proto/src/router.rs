@@ -1,4 +1,12 @@
 //! Per-router DR-connection manager state.
+//!
+//! The journaled mutators of [`Router`] are private: only this module and
+//! its child `journal` — whose `apply` is the one dispatch live commits,
+//! replay and compaction share — can call them, so a mutation that skips
+//! the write-ahead journal does not compile.
+
+#[path = "journal.rs"]
+pub(crate) mod journal;
 
 use crate::message::ResyncEntry;
 use drt_core::ConnectionId;
@@ -33,11 +41,13 @@ pub struct BackupEntry {
 }
 
 /// How a router should treat an arriving walk packet, as decided by the
-/// per-transaction dedup ledger ([`Router::gate_walk`]).
+/// per-transaction dedup ledger
+/// ([`JournalRecord::GateWalk`](crate::JournalRecord::GateWalk)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkGate {
     /// First time this transaction's current attempt is seen here: apply
-    /// the state change, then [`Router::mark_applied`].
+    /// the state change, then journal
+    /// [`JournalRecord::MarkApplied`](crate::JournalRecord::MarkApplied).
     Fresh,
     /// The state change was already applied by an earlier copy or attempt:
     /// forward the walk (so the end-to-end ack can regenerate) but do not
@@ -103,7 +113,7 @@ impl Router {
     /// dropped. Duplicates of an applied attempt come back
     /// [`WalkGate::AlreadyApplied`]; attempts below the recorded watermark
     /// are [`WalkGate::Stale`].
-    pub fn gate_walk(&mut self, conn: ConnectionId, seq: u64, attempt: u32) -> WalkGate {
+    fn gate_walk(&mut self, conn: ConnectionId, seq: u64, attempt: u32) -> WalkGate {
         match self.walks.get_mut(&(conn, seq)) {
             Some(rec) if attempt < rec.attempt => WalkGate::Stale,
             Some(rec) if rec.applied => {
@@ -129,7 +139,7 @@ impl Router {
 
     /// Records that this router applied the state change of walk
     /// transaction `(conn, seq)`.
-    pub fn mark_applied(&mut self, conn: ConnectionId, seq: u64) {
+    fn mark_applied(&mut self, conn: ConnectionId, seq: u64) {
         if let Some(rec) = self.walks.get_mut(&(conn, seq)) {
             rec.applied = true;
         }
@@ -138,7 +148,7 @@ impl Router {
     /// Poisons walk `(conn, seq)` after an apply failure (nack): same-
     /// attempt duplicates still in flight become [`WalkGate::Stale`], while
     /// the source's next retry (`attempt + 1`) stays fresh.
-    pub fn poison_walk(&mut self, conn: ConnectionId, seq: u64, attempt: u32) {
+    fn poison_walk(&mut self, conn: ConnectionId, seq: u64, attempt: u32) {
         let rec = self.walks.entry((conn, seq)).or_insert(WalkRecord {
             attempt,
             applied: false,
@@ -210,7 +220,7 @@ impl Router {
 
     /// Attempts to reserve primary bandwidth on `out_link` for `conn`.
     /// Returns `false` (state unchanged) when the free pool is short.
-    pub fn reserve_primary(
+    fn reserve_primary(
         &mut self,
         conn: ConnectionId,
         route: &Route,
@@ -236,7 +246,7 @@ impl Router {
     }
 
     /// Releases `conn`'s primary reservation here, if any.
-    pub fn release_primary(&mut self, conn: ConnectionId) {
+    fn release_primary(&mut self, conn: ConnectionId) {
         if let Some(e) = self.primaries.remove(&conn) {
             debug_assert!(
                 self.links.contains_key(&e.out_link),
@@ -251,7 +261,7 @@ impl Router {
     /// Registers a backup on `out_link` (the paper's backup-setup
     /// handling): updates the APLV from the carried LSET, grows the spare
     /// pool toward the new requirement, and files the channel-table entry.
-    pub fn register_backup(
+    fn register_backup(
         &mut self,
         conn: ConnectionId,
         route: &Route,
@@ -282,7 +292,7 @@ impl Router {
     /// Unregisters one backup entry from `out_link`, shrinking the spare
     /// pool to the remaining requirement. No-op when no entry exists
     /// (release crossing a teardown in flight).
-    pub fn unregister_backup(&mut self, conn: ConnectionId, out_link: LinkId) {
+    fn unregister_backup(&mut self, conn: ConnectionId, out_link: LinkId) {
         let Some(entries) = self.backups.get_mut(&(conn, out_link)) else {
             return;
         };
@@ -306,7 +316,7 @@ impl Router {
     /// promoted channel. Returns `false` (registration still removed, as
     /// the channel is being switched away regardless) when the pools
     /// cannot supply `bw`.
-    pub fn activate_backup(
+    fn activate_backup(
         &mut self,
         conn: ConnectionId,
         route: &Route,

@@ -14,9 +14,6 @@
 //! | `proto-panics` | protocol crate | `.unwrap()`, `.expect(` — message handlers must degrade, not crash the router |
 //! | `raw-fail-link` | experiments crate minus the regimes module | `.fail_link(` — protocol-plane failures belong to the `control-loss` regime of the orchestrated sweep, which replays each one on the manager mirror and reconciles the mirror to the protocol; a stray raw failure elsewhere leaves the mirror, and every number read from it, silently stale |
 //! | `raw-spoof` | experiments crate minus the regimes module | `.inject_false_report(`, `.spoof_failure_report(` — byzantine lies belong to the `false-reports` arm of the orchestrated sweep, where both arms share workload substreams and every lie is counted in telemetry; a stray spoof elsewhere silently skews an honest table |
-//! | `journal-choke` | protocol crate minus `journal.rs` / `router.rs` | raw router-mutator calls (`.gate_walk(`, `.reserve_primary(`, …) — every state mutation must go through the `Journals` choke point so the write-ahead journal records it before it acts; a bypassed mutation silently breaks crash recovery |
-//! | `spf-alloc` | SPF-threaded algo files | `BinaryHeap::new`, `vec![None;`, `vec![false;` — hot search paths must reuse the generation-stamped `SpfWorkspace` instead of allocating per call |
-//! | `probe-alloc` | failure-analysis files | `.collect()`, `Vec::with_capacity` — the per-probe loop must reuse the generation-stamped `ProbeWorkspace`; one-shot setup/report code waives |
 //! | `float-eq` | whole workspace | `==` / `!=` against a float literal — bandwidth accounting must not rely on exact float equality |
 //!
 //! On top of them, [`run_on`] adds the call-graph passes:
@@ -36,7 +33,13 @@
 //! the offending line or the line directly above it, followed by a
 //! one-line rationale. The stale-waiver audit keeps the waiver set
 //! honest: a waiver that stops suppressing anything becomes an error
-//! itself.
+//! itself. [`RULE_DOCS`] is the one list of rule names a waiver may use.
+//!
+//! What the compiler or a measurement states exactly is not a rule here:
+//! `drt-proto`'s journaled router mutators are private to the module
+//! holding the journal's `apply`, and the root package's
+//! `tests/allocation_free.rs` counts what the warmed search, probe and
+//! sweep paths allocate.
 
 use std::io;
 use std::path::Path;
@@ -81,34 +84,9 @@ fn scope_experiments_minus_regimes(path: &str) -> bool {
     path.contains("crates/experiments/src") && !path.ends_with("regimes.rs")
 }
 
-fn scope_journal_choke(path: &str) -> bool {
-    // `journal.rs` *is* the choke point (`commit` appends, then runs the
-    // one `apply` that replay runs too); `router.rs` owns the
-    // mutators and may compose them internally. Everything else in the
-    // protocol crate — the engine above all — must go through `Journals`.
-    path.contains("crates/proto/src")
-        && !path.ends_with("journal.rs")
-        && !path.ends_with("router.rs")
-}
-
-fn scope_spf(path: &str) -> bool {
-    // The files `SpfWorkspace` is threaded through (plus the dynamic
-    // SPT, whose repair path is equally hot); cold paths waive.
-    path.ends_with("crates/net/src/algo/dijkstra.rs")
-        || path.ends_with("crates/net/src/algo/disjoint.rs")
-        || path.ends_with("crates/net/src/algo/yen.rs")
-        || path.ends_with("crates/net/src/algo/dynamic_spt.rs")
-}
-
-fn scope_probe(path: &str) -> bool {
-    // The files `ProbeWorkspace` is threaded through; setup and report
-    // code (unit enumeration, destructive injection, rankings) waives.
-    path.ends_with("crates/core/src/failure.rs") || path.ends_with("crates/core/src/analysis.rs")
-}
-
 /// The legacy rule table. `float-eq` is additionally special-cased in
 /// [`scan_source`] (it is a token-shape check, not a substring).
-pub const RULES: [Rule; 8] = [
+pub const RULES: [Rule; 5] = [
     Rule {
         name: "nondet",
         why: "ambient randomness / wall-clock reads break reproducibility; \
@@ -150,42 +128,6 @@ pub const RULES: [Rule; 8] = [
         patterns: &[".inject_false_report(", ".spoof_failure_report("],
         in_scope: scope_experiments_minus_regimes,
     },
-    Rule {
-        name: "journal-choke",
-        why: "router state mutations must go through the Journals choke \
-              point so the write-ahead journal records them before they \
-              act; a raw mutator call bypasses the journal and the \
-              replayed router silently diverges from the live one after \
-              a crash",
-        patterns: &[
-            ".gate_walk(",
-            ".mark_applied(",
-            ".poison_walk(",
-            ".reserve_primary(",
-            ".release_primary(",
-            ".register_backup(",
-            ".unregister_backup(",
-            ".activate_backup(",
-        ],
-        in_scope: scope_journal_choke,
-    },
-    Rule {
-        name: "spf-alloc",
-        why: "SPF hot paths must reuse the generation-stamped SpfWorkspace \
-              (one heap + stamped arrays per thread) instead of allocating \
-              per search; cold paths waive with a justification",
-        patterns: &["BinaryHeap::new", "vec![None;", "vec![false;"],
-        in_scope: scope_spf,
-    },
-    Rule {
-        name: "probe-alloc",
-        why: "failure-probe hot paths must reuse the generation-stamped \
-              ProbeWorkspace (stamped pools + scratch sets per thread) \
-              instead of collecting per probe; one-shot setup and report \
-              code waives with a justification",
-        patterns: &[".collect()", "Vec::with_capacity"],
-        in_scope: scope_probe,
-    },
 ];
 
 /// Name of the float-equality rule (token-shape check).
@@ -194,18 +136,11 @@ pub const FLOAT_EQ: &str = "float-eq";
 /// Name of the stale-waiver audit rule.
 pub const STALE_WAIVER: &str = "stale-waiver";
 
-/// Every rule name the engine knows (legacy + semantic). A waiver
-/// naming anything else is itself a `stale-waiver` finding.
+/// Every rule name the engine knows: the names of [`RULE_DOCS`], which
+/// documents every rule the engine runs. A waiver naming anything else is
+/// itself a `stale-waiver` finding.
 pub fn known_rules() -> Vec<&'static str> {
-    let mut names: Vec<&'static str> = RULES.iter().map(|r| r.name).collect();
-    names.extend([
-        FLOAT_EQ,
-        taint::RULE,
-        semantic::RNG_SUBSTREAM,
-        semantic::BASELINE_PARITY,
-        STALE_WAIVER,
-    ]);
-    names
+    RULE_DOCS.iter().map(|d| d.name).collect()
 }
 
 /// One lint finding.
@@ -430,17 +365,6 @@ pub fn run_full(root: &Path) -> io::Result<Report> {
     Ok(run_on(&ws))
 }
 
-/// Full-engine workspace scan; kept as the historical entry point.
-pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    run_full(root).map(|r| r.findings)
-}
-
-/// Number of files [`run_full`] models under `root` (test files
-/// included).
-pub fn count_files(root: &Path) -> io::Result<usize> {
-    Ok(Workspace::load(root)?.files.len())
-}
-
 /// Documentation for `--explain`: every rule, semantic ones included.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleDoc {
@@ -455,7 +379,7 @@ pub struct RuleDoc {
 }
 
 /// The `--explain` table.
-pub const RULE_DOCS: [RuleDoc; 13] = [
+pub const RULE_DOCS: [RuleDoc; 10] = [
     RuleDoc {
         name: "nondet",
         scope: "everywhere but crates/sim/src/rng.rs",
@@ -494,35 +418,6 @@ pub const RULE_DOCS: [RuleDoc; 13] = [
               tables without appearing in telemetry",
         fix: "inject the lie from the false-reports arm of regimes.rs, where \
               both arms share substreams and every lie is counted",
-    },
-    RuleDoc {
-        name: "journal-choke",
-        scope: "crates/proto/src minus journal.rs and router.rs",
-        why: "the crash-recovery guarantee is append-before-act: every \
-              router mutation is journaled before it happens, so replaying \
-              the journal reproduces the live router bit-for-bit. A raw \
-              mutator call (.gate_walk(, .reserve_primary(, …) outside the \
-              Journals choke point mutates state the journal never saw — \
-              the divergence only surfaces as a wrong router after a crash",
-        fix: "hand Journals::commit the JournalRecord that names the mutation \
-              (Journals::gate for a walk's dedup verdict) instead of calling \
-              the raw Router mutator; a new mutator needs a record kind and \
-              an arm in journal.rs's apply",
-    },
-    RuleDoc {
-        name: "spf-alloc",
-        scope: "dijkstra.rs / disjoint.rs / yen.rs / dynamic_spt.rs",
-        why: "per-search allocation on the SPF hot path defeats the \
-              generation-stamped SpfWorkspace (and the dynamic SPT's \
-              reusable repair scratch)",
-        fix: "reuse the workspace arrays/heap; waive cold paths with a rationale",
-    },
-    RuleDoc {
-        name: "probe-alloc",
-        scope: "failure.rs / analysis.rs",
-        why: "per-probe collection defeats the generation-stamped ProbeWorkspace",
-        fix: "reuse the probe workspace; waive one-shot setup/report code with a \
-              rationale",
     },
     RuleDoc {
         name: "float-eq",
@@ -576,6 +471,21 @@ pub const RULE_DOCS: [RuleDoc; 13] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_rule_the_engine_runs_has_an_explain_row() {
+        let known = known_rules();
+        let engine = RULES.iter().map(|r| r.name).chain([
+            FLOAT_EQ,
+            taint::RULE,
+            semantic::RNG_SUBSTREAM,
+            semantic::BASELINE_PARITY,
+            STALE_WAIVER,
+        ]);
+        for name in engine {
+            assert!(known.contains(&name), "`{name}` has no RULE_DOCS row");
+        }
+    }
 
     #[test]
     fn stale_waiver_flagged_live_waiver_not() {

@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use verify::lint::{code_view, scan_source, scan_workspace};
+use verify::lint::{code_view, run_full, scan_source};
 
 fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
     scan_source(path, src).into_iter().map(|f| f.rule).collect()
@@ -119,55 +119,6 @@ fn raw_spoof_scoped_to_honest_experiment_drivers() {
     assert!(rules_fired("crates/experiments/src/regimes.rs", src).is_empty());
     assert!(rules_fired("crates/core/src/failure.rs", src).is_empty());
     assert!(rules_fired("crates/verify/src/scenario.rs", src).is_empty());
-}
-
-#[test]
-fn journal_choke_scoped_to_proto_outside_the_choke_point() {
-    let src = "fn f(r: &mut Router) {\n    r.reserve_primary(conn, &route, link, bw);\n    r.mark_applied(conn, seq);\n}\n";
-    let fired = rules_fired("crates/proto/src/engine.rs", src);
-    assert_eq!(fired, ["journal-choke", "journal-choke"]);
-    // The choke point itself and the mutators' own module are exempt:
-    // journal.rs appends-then-dispatches, router.rs composes internally.
-    assert!(rules_fired("crates/proto/src/journal.rs", src).is_empty());
-    assert!(rules_fired("crates/proto/src/router.rs", src).is_empty());
-    // Outside the protocol crate the names mean something else entirely.
-    assert!(rules_fired("crates/core/src/manager.rs", src).is_empty());
-    // Choke-routed engine code names a record, not a mutator, so it
-    // never matches.
-    let routed =
-        "self.journals.commit(&mut self.routers, to, JournalRecord::ReleasePrimary { conn });\n";
-    assert!(rules_fired("crates/proto/src/engine.rs", routed).is_empty());
-}
-
-#[test]
-fn spf_alloc_scoped_to_workspace_threaded_algo_files() {
-    let src = "let mut heap = BinaryHeap::new();\nlet mut dist = vec![None; n];\nlet mut done = vec![false; n];\n";
-    let fired = rules_fired("crates/net/src/algo/dijkstra.rs", src);
-    assert_eq!(fired, ["spf-alloc", "spf-alloc", "spf-alloc"]);
-    assert_eq!(rules_fired("crates/net/src/algo/yen.rs", src).len(), 3);
-    // Other heap users (Bellman-Ford, the sim's event queue) are not
-    // SPF-threaded: no rule.
-    assert!(rules_fired("crates/net/src/algo/bellman_ford.rs", src).is_empty());
-    assert!(rules_fired("crates/sim/src/event.rs", src).is_empty());
-    // A justified cold path waives in place.
-    let waived = "// lint:allow(spf-alloc) — cold path\nlet mut heap = BinaryHeap::new();\n";
-    assert!(rules_fired("crates/net/src/algo/disjoint.rs", waived).is_empty());
-}
-
-#[test]
-fn probe_alloc_scoped_to_failure_analysis_files() {
-    let src = "let affected: Vec<ConnectionId> = conns.values().map(|c| c.id()).collect();\nlet mut decisions = Vec::with_capacity(affected.len());\n";
-    let fired = rules_fired("crates/core/src/failure.rs", src);
-    assert_eq!(fired, ["probe-alloc", "probe-alloc"]);
-    assert_eq!(rules_fired("crates/core/src/analysis.rs", src).len(), 2);
-    // Collecting elsewhere (manager admission, experiment drivers) is
-    // not a probe: no rule.
-    assert!(rules_fired("crates/core/src/manager.rs", src).is_empty());
-    assert!(rules_fired("crates/experiments/src/runner.rs", src).is_empty());
-    // One-shot setup code waives in place.
-    let waived =
-        "// lint:allow(probe-alloc) — unit enumeration runs once per sweep\nlet units: Vec<LinkId> = net.links().map(|l| l.id()).collect();\n";
-    assert!(rules_fired("crates/core/src/failure.rs", waived).is_empty());
 }
 
 #[test]
@@ -287,7 +238,9 @@ fn lexer_escaped_newline_string_continuation_keeps_lines() {
 #[test]
 fn whole_workspace_lints_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let findings = scan_workspace(&root).expect("workspace must be scannable");
+    let findings = run_full(&root)
+        .expect("workspace must be scannable")
+        .findings;
     assert!(
         findings.is_empty(),
         "lint findings:\n{}",

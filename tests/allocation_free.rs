@@ -1,0 +1,167 @@
+//! A warmed failure-time call allocates only what it returns: route
+//! searches, probes and sweeps reuse their generation-stamped workspaces.
+//! Allocations are counted per thread, so the harness's other test
+//! threads never reach a count and each `parallel_map` worker counts its own.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use drt_core::failure::ProbeWorkspace;
+use drt_core::routing::{DLsr, RouteRequest};
+use drt_core::{ConnectionId, DrtpManager};
+use drt_experiments::par::parallel_map;
+use drt_net::algo::{shortest_path_in, DynamicSpt, SpfWorkspace};
+use drt_net::{topology, Bandwidth, LinkId, Network, NodeId};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting allocations on the calling thread. The
+/// default `alloc_zeroed` and `realloc` go through `alloc`, so a `Vec`
+/// doubling counts once.
+struct Counting;
+
+// SAFETY: both methods forward to `System` unchanged; the count is a
+// `const`-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // A thread being torn down may allocate after its slot is gone.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f`, returning its result and the allocations it made on this
+/// thread (the result included: it is dropped after the count).
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (r, ALLOCS.with(Cell::get) - before)
+}
+
+fn waxman(nodes: usize, seed: u64) -> Arc<Network> {
+    let cfg = topology::WaxmanConfig::new(nodes, 4.0).capacity(Bandwidth::from_mbps(100));
+    Arc::new(cfg.seed(seed).build().expect("waxman topology"))
+}
+
+/// Unequal link costs, so searches break ties and take detours.
+fn cost(l: LinkId) -> Option<f64> {
+    Some(1.0 + (l.index() % 7) as f64 / 8.0)
+}
+
+/// A D-LSR manager after `requests` uniform connection requests.
+fn loaded(nodes: usize, requests: u64, seed: u64) -> DrtpManager {
+    let mut mgr = DrtpManager::new(waxman(nodes, seed));
+    let mut rng = drt_sim::rng::stream(seed, "allocation-free");
+    let pattern = drt_sim::workload::TrafficPattern::ut();
+    for i in 0..requests {
+        let (src, dst) = pattern.sample_pair(nodes, &mut rng);
+        let req = RouteRequest::new(ConnectionId::new(i), src, dst, Bandwidth::from_kbps(3_000));
+        let _ = mgr.request_connection(&mut DLsr::new(), req);
+    }
+    mgr
+}
+
+/// A sweep's unit list, then `per_link` doubling up to `len` entries.
+fn sweep_bound(len: usize) -> u64 {
+    2 + u64::from(len.next_power_of_two().trailing_zeros())
+}
+
+#[test]
+fn spf_searches_allocate_only_their_routes() {
+    for (nodes, seed) in [(60, 1), (300, 2)] {
+        let net = waxman(nodes, seed);
+        let node = |i: usize| NodeId::new((i * nodes / 20) as u32);
+        let pairs: Vec<(NodeId, NodeId)> = (0..20).map(|i| (node(i), node(19 - i))).collect();
+        let mut ws = SpfWorkspace::new();
+        for warm in [true, false] {
+            for &(src, dst) in &pairs {
+                let ((), n) = counted(|| ws.run(&net, src, cost));
+                assert!(warm || n == 0, "run from {src} on {nodes} nodes: {n}");
+                // A route is its link `Vec` and the `Arc<[LinkId]>` it keeps.
+                let (route, n) = counted(|| shortest_path_in(&mut ws, &net, src, dst, 1.0, cost));
+                let want = if route.is_some() { 2 } else { 0 };
+                assert!(warm || n == want, "{src} -> {dst} on {nodes} nodes: {n}");
+            }
+        }
+    }
+}
+
+#[test]
+fn dynamic_spt_repairs_allocate_nothing_once_warm() {
+    let net = waxman(300, 3);
+    let mut spt = DynamicSpt::build(&net, NodeId::new(0), cost);
+    let tree: Vec<LinkId> = net
+        .nodes()
+        .filter_map(|v| spt.parent(v))
+        .take(100)
+        .collect();
+    let mut failed = vec![false; net.num_links()];
+    // A fail and a restore per tree link: 200 repairs, ending where they began.
+    let mut repairs = |spt: &mut DynamicSpt| {
+        for (&l, down) in tree.iter().flat_map(|l| [(l, true), (l, false)]) {
+            failed[l.index()] = down;
+            spt.update_links(
+                &net,
+                &[l],
+                |e| if failed[e.index()] { None } else { cost(e) },
+            );
+        }
+    };
+    repairs(&mut spt);
+    assert_eq!(counted(|| repairs(&mut spt)).1, 0);
+}
+
+#[test]
+fn probes_allocate_only_their_outcome() {
+    for (nodes, requests, seed) in [(60, 400, 4), (300, 600, 5)] {
+        let mgr = loaded(nodes, requests, seed);
+        let mut rng = drt_sim::rng::stream(seed, "probe");
+        let mut ws = ProbeWorkspace::new();
+        let mut affected = 0;
+        for warm in [true, false] {
+            for link in mgr.failure_units() {
+                let (out, n) = counted(|| mgr.probe_single_failure_in(link, &mut rng, &mut ws));
+                // `failed_links`, plus `details` when a primary is hit.
+                let want = 1 + u64::from(out.affected() > 0);
+                assert!(warm || n == want, "probe of {link} on {nodes} nodes: {n}");
+                affected += out.affected();
+            }
+        }
+        assert!(affected > 0, "no probe on {nodes} nodes reached a primary");
+    }
+}
+
+#[test]
+fn sweeps_allocate_only_their_report_on_any_thread() {
+    for (nodes, requests, seed) in [(60, 400, 6), (300, 600, 7)] {
+        let mgr = loaded(nodes, requests, seed);
+        // Every item warms its thread's probe scratch, then counts a second
+        // sweep: inline here, then on two workers that start cold.
+        let warmed = |seed: u64| {
+            mgr.sweep_single_failures(seed);
+            let (sweep, n) = counted(|| mgr.sweep_single_failures(seed));
+            (sweep.per_link.len(), n)
+        };
+        let mut counts = vec![warmed(seed)];
+        counts.extend(parallel_map(
+            2,
+            vec![seed + 1, seed + 2, seed + 3],
+            || (),
+            |(), s| warmed(s),
+        ));
+        for (len, n) in counts {
+            assert!(len > 0, "the sweep on {nodes} nodes probed nothing");
+            assert!(n <= sweep_bound(len), "{n} allocations for {len} entries");
+        }
+    }
+}

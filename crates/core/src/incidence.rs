@@ -17,10 +17,10 @@
 //! attach / detach pair — the same four functions that move a route in
 //! and out of the ledgers and the APLVs — so a probe touches only the
 //! O(affected) connections incident to the failed unit. It is one of the
-//! manager's two derived structures (the APLVs with their conflict bits,
-//! and this index); the index only *finds* the affected connections —
-//! whether a backup is still usable is read off its route against the
-//! failed-link array, with no per-backup state to keep in step.
+//! manager's three derived structures (the APLVs, the conflict columns
+//! D-LSR prices with, and this index); the index only *finds* the affected
+//! connections — whether a backup is still usable is read off its route
+//! against the failed-link array, with no per-backup state to keep in step.
 //!
 //! Only *carrying* connections are indexed: a connection torn down by a
 //! failure leaves the index in the same mutation that marks it

@@ -5,8 +5,8 @@ use crate::multiplex::{MultiplexConfig, SparePolicy};
 use crate::routing::{RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::table::ConnTable;
 use crate::{
-    Aplv, CapacityError, ConnectionId, ConnectionState, DrConnection, DrtpError, IncidenceIndex,
-    LinkResources, Telemetry,
+    Aplv, CapacityError, ConflictVector, ConnectionId, ConnectionState, DrConnection, DrtpError,
+    IncidenceIndex, LinkResources, Telemetry,
 };
 use drt_net::{Bandwidth, LinkId, Network, Route};
 use std::borrow::Cow;
@@ -24,29 +24,56 @@ use std::sync::Arc;
 /// `LSET`) correspond one-to-one to the APLV updates this manager performs,
 /// and their cost is modelled by [`RoutingOverhead`].
 ///
-/// Two structures are derived from the connection table — the APLVs
-/// (each carrying its conflict bits) and the link-incidence index. Every
-/// route enters and leaves them through one private attach / detach pair
-/// per role (primary, backup), so a route cannot be in the ledger and the
-/// APLVs without also being in the index. The table is a slab: an index
-/// entry carries the slot of its connection's record, and failure
-/// analysis reaches records by slot, never by searching for an id.
-/// Nothing is derived from the topology: a failure or repair flips
-/// `failed[l]` and no other state has to hear about it
-/// ([`ManagerView::hops_to`] searches when asked).
+/// Three structures are derived from the connection table — the APLVs,
+/// the conflict columns and the link-incidence index. Every route enters
+/// and leaves them through one private attach / detach pair per role
+/// (primary, backup), so a route cannot be in the ledger and the APLVs
+/// without also being in the index. The conflict columns are D-LSR's bits
+/// `c_{i,j}` stored by primary link: `conflicts[j]` has bit `i` set iff
+/// `a_{i,j} > 0`, flipped where the APLV registration of `attach_backup` /
+/// `detach_backup` reports a count leaving or returning to 0, so a request
+/// reads its primary's |LSET| columns instead of |LSET| bits of every
+/// priced link's row. The table is a slab: an index entry carries the
+/// slot of its connection's record, and failure analysis reaches records
+/// by slot, never by searching for an id. Nothing is derived from the
+/// topology: a failure or repair flips `failed[l]` and no other state has
+/// to hear about it ([`ManagerView::hops_to`] searches when asked).
 ///
 /// See the crate-level docs for a usage example.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DrtpManager {
     pub(crate) net: Arc<Network>,
     pub(crate) cfg: MultiplexConfig,
     pub(crate) links: Vec<LinkResources>,
     pub(crate) aplvs: Vec<Aplv>,
+    /// `conflicts[j]`: bit `i` set iff `a_{i,j} > 0` — the APLVs' support
+    /// by column, which `Debug` leaves out as derived.
+    pub(crate) conflicts: Vec<ConflictVector>,
     pub(crate) incidence: IncidenceIndex,
     pub(crate) failed: Vec<bool>,
     pub(crate) conns: ConnTable,
     pub(crate) distortion: Option<ViewDistortion>,
     pub(crate) telemetry: Telemetry,
+}
+
+/// Every field but the conflict columns, which are the APLVs' support
+/// read by column and add nothing to them: the rendering (and
+/// [`DrtpManager::fingerprint`]) is the one the manager had before the
+/// columns existed.
+impl fmt::Debug for DrtpManager {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DrtpManager")
+            .field("net", &self.net)
+            .field("cfg", &self.cfg)
+            .field("links", &self.links)
+            .field("aplvs", &self.aplvs)
+            .field("incidence", &self.incidence)
+            .field("failed", &self.failed)
+            .field("conns", &self.conns)
+            .field("distortion", &self.distortion)
+            .field("telemetry", &self.telemetry)
+            .finish()
+    }
 }
 
 /// A [`fmt::Write`] sink feeding a hasher: digests a `Debug` rendering
@@ -113,13 +140,6 @@ impl ViewDistortion {
         let src = net.link(l).src();
         self.byzantine.get(src.index()).copied().unwrap_or(false)
     }
-
-    /// `true` when no router is marked byzantine or every lie flag is
-    /// off — the view behaves exactly as undistorted.
-    pub fn is_quiet(&self) -> bool {
-        !self.byzantine.iter().any(|&b| b)
-            || (!self.advertise_dead_as_up && !self.deflate_conflicts && !self.inflate_headroom)
-    }
 }
 
 /// What happened when a connection was established.
@@ -164,6 +184,7 @@ pub struct StateSnapshot {
     net: Arc<Network>,
     links: Vec<LinkResources>,
     aplvs: Vec<Aplv>,
+    conflicts: Vec<ConflictVector>,
     failed: Vec<bool>,
 }
 
@@ -175,6 +196,7 @@ impl StateSnapshot {
             net: &self.net,
             links: &self.links,
             aplvs: &self.aplvs,
+            conflicts: &self.conflicts,
             failed: &self.failed,
             hop_mask: &self.failed,
             // A snapshot is the honestly-disseminated database; byzantine
@@ -206,6 +228,9 @@ pub struct ManagerView<'a> {
     net: &'a Network,
     links: &'a [LinkResources],
     aplvs: &'a [Aplv],
+    /// The owner's conflict columns (`conflicts[j]`: bit `i` iff
+    /// `a_{i,j} > 0`).
+    conflicts: &'a [ConflictVector],
     failed: &'a [bool],
     /// The failed mask [`ManagerView::hops_to`] measures over: the
     /// owner's own, without the links `failed` may additionally hide.
@@ -214,10 +239,12 @@ pub struct ManagerView<'a> {
 }
 
 impl<'a> ManagerView<'a> {
-    /// The active distortion, when it actually lies about `l`.
+    /// The active distortion, when it lies about `l`: one flag read per
+    /// call. Whether the distortion is quiet (no router byzantine, or no
+    /// lie enabled) needs no scan of its own: every caller goes on to test
+    /// one lie flag, and a byzantine owner with that flag set is a lie.
     fn lie(&self, l: LinkId) -> Option<&'a ViewDistortion> {
-        self.distortion
-            .filter(|d| !d.is_quiet() && d.lies_about(self.net, l))
+        self.distortion.filter(|d| d.lies_about(self.net, l))
     }
     /// The network topology.
     pub fn net(&self) -> &'a Network {
@@ -281,15 +308,27 @@ impl<'a> ManagerView<'a> {
         self.aplvs[l.index()].l1_norm()
     }
 
-    /// `Σ_{j ∈ lset} c_{l,j}` — D-LSR's conflict count of `l` against a
-    /// primary link set: one bit test of `CV_l` per primary link
-    /// ([`Aplv::conflicts_with`]), O(|LSET_P|) whatever the size of the
-    /// network. A byzantine owner deflating conflicts advertises 0.
-    pub fn conflict_count(&self, l: LinkId, primary_lset: &[LinkId]) -> u32 {
-        if self.lie(l).is_some_and(|d| d.deflate_conflicts) {
-            return 0;
+    /// `counts[l] = Σ_{j ∈ lset} c_{l,j}` — D-LSR's conflict count of
+    /// every link `l` against a primary link set, into `counts` (resized
+    /// to the number of links): the primary's |LSET| conflict columns
+    /// added up (ids past the network add nothing), then 0 on the links
+    /// whose byzantine owner deflates conflicts. D-LSR fills this once per
+    /// request and prices each link with one read of it.
+    pub fn conflict_counts(&self, primary_lset: &[LinkId], counts: &mut Vec<u32>) {
+        counts.clear();
+        counts.resize(self.net.num_links(), 0);
+        for j in primary_lset {
+            if let Some(column) = self.conflicts.get(j.index()) {
+                column.count_into(counts);
+            }
         }
-        self.aplvs[l.index()].conflicts_with(primary_lset)
+        if let Some(d) = self.distortion.filter(|d| d.deflate_conflicts) {
+            for link in self.net.links() {
+                if d.lies_about(self.net, link.id()) {
+                    counts[link.id().index()] = 0;
+                }
+            }
+        }
     }
 
     /// `true` when `l` is alive and can admit a primary of size `bw` from
@@ -343,7 +382,8 @@ impl DrtpManager {
             .links()
             .map(|l| LinkResources::new(l.capacity()))
             .collect();
-        let aplvs = vec![Aplv::with_num_links(net.num_links()); net.num_links()];
+        let aplvs = vec![Aplv::new(); net.num_links()];
+        let conflicts = vec![ConflictVector::zeros(net.num_links()); net.num_links()];
         let incidence = IncidenceIndex::new(net.num_links());
         let failed = vec![false; net.num_links()];
         DrtpManager {
@@ -351,6 +391,7 @@ impl DrtpManager {
             cfg,
             links,
             aplvs,
+            conflicts,
             incidence,
             failed,
             conns: ConnTable::default(),
@@ -382,6 +423,7 @@ impl DrtpManager {
             net: &self.net,
             links: &self.links,
             aplvs: &self.aplvs,
+            conflicts: &self.conflicts,
             failed,
             hop_mask: &self.failed,
             distortion: self.distortion.as_ref(),
@@ -419,6 +461,7 @@ impl DrtpManager {
             net: Arc::clone(&self.net),
             links: self.links.clone(),
             aplvs: self.aplvs.clone(),
+            conflicts: self.conflicts.clone(),
             failed: self.failed.clone(),
         }
     }
@@ -831,9 +874,8 @@ impl DrtpManager {
         if let Err(v) = self.conns.check() {
             panic!("{v}");
         }
-        // 1. APLVs are exactly what the connection table implies, and
-        //    every conflict bit says `count > 0` (`Aplv`'s `==`, checked
-        //    per link below).
+        // 1. APLVs are exactly what the connection table implies
+        //    (`Aplv`'s `==`, checked per link below).
         let mut expected: Vec<Aplv> = vec![Aplv::new(); self.net.num_links()];
         let mut expected_prime: Vec<Bandwidth> = vec![Bandwidth::ZERO; self.net.num_links()];
         for conn in self.conns.values() {
@@ -877,12 +919,31 @@ impl DrtpManager {
                 panic!("{} on {}", v, link.id());
             }
         }
+        // 1b. The conflict columns are the support of the rebuilt APLVs:
+        //     bit `i` of column `j` for every `a_{i,j} > 0`, and no other.
+        let mut support = 0u64;
+        for (i, aplv) in expected.iter().enumerate() {
+            let l = LinkId::new(i as u32);
+            for (j, ..) in aplv.iter() {
+                assert!(
+                    self.conflicts[j.index()].get(l),
+                    "conflict bit of {l} clear in column {j}, where a_ij > 0"
+                );
+                support += 1;
+            }
+        }
+        let bits: u64 = self.conflicts.iter().map(|c| u64::from(c.ones())).sum();
+        assert_eq!(
+            bits, support,
+            "conflict columns hold {bits} bits for {support} APLV entries"
+        );
     }
 
     // ---- internal resource plumbing (shared with `failure`) ----
     //
-    // Every route enters and leaves the ledgers, the APLVs and the
-    // incidence index through the four functions below and nowhere else.
+    // Every route enters and leaves the ledgers, the APLVs, the conflict
+    // columns and the incidence index through the four functions below and
+    // nowhere else.
 
     /// Takes `bw` on every link with `take`, undoing the links already
     /// taken on the first refusal (or failed link) and returning it.
@@ -934,7 +995,9 @@ impl DrtpManager {
 
     /// Makes `route` a backup of `at`, whose primary crosses
     /// `primary_lset`: a hard reservation when `dedicated`, else one APLV
-    /// registration and spare sizing per link; then the index entry.
+    /// registration per link — setting the link's bit in the column of
+    /// every `j` whose count it raised from 0 — and spare sizing; then the
+    /// index entry.
     /// Returns `(spare grown, conflicted)`, or the refusing link with
     /// nothing attached — only a dedicated reservation can be refused.
     pub(crate) fn attach_backup(
@@ -950,10 +1013,19 @@ impl DrtpManager {
         if dedicated {
             self.admit_route_prime(route.links(), bw, LinkResources::admit_primary)?;
         } else {
+            // A registration that opens fewer entries than the primary has
+            // distinct links met one already open: a conflict at `l`.
+            let distinct = (0..primary_lset.len())
+                .filter(|&k| !primary_lset[..k].contains(&primary_lset[k]))
+                .count();
             for &l in route.links() {
                 let i = l.index();
-                conflicted |= self.aplvs[i].conflicts_with(primary_lset) > 0;
-                self.aplvs[i].register(primary_lset, bw);
+                let (conflicts, mut opened) = (&mut self.conflicts, 0);
+                self.aplvs[i].register_with(primary_lset, bw, |j| {
+                    conflicts[j.index()].set(l);
+                    opened += 1;
+                });
+                conflicted |= opened < distinct;
                 if self.cfg.spare == SparePolicy::GrowToRequirement {
                     grown += self.links[i].grow_spare_toward(self.aplvs[i].required_spare());
                 }
@@ -963,8 +1035,9 @@ impl DrtpManager {
         Ok((grown, conflicted))
     }
 
-    /// Reverses [`DrtpManager::attach_backup`], shrinking spare pools to
-    /// the new requirement.
+    /// Reverses [`DrtpManager::attach_backup`], clearing the column bits of
+    /// every count returned to 0 and shrinking spare pools to the new
+    /// requirement.
     pub(crate) fn detach_backup(
         &mut self,
         at: IndexEntry,
@@ -979,7 +1052,8 @@ impl DrtpManager {
         } else {
             for &l in route.links() {
                 let i = l.index();
-                self.aplvs[i].unregister(primary_lset, bw);
+                let conflicts = &mut self.conflicts;
+                self.aplvs[i].unregister_with(primary_lset, bw, |j| conflicts[j.index()].clear(l));
                 self.links[i].shrink_spare_to(self.aplvs[i].required_spare());
             }
         }
@@ -1167,6 +1241,27 @@ mod tests {
         let spare_before = mgr.total_spare();
         mgr.release(ConnectionId::new(1)).unwrap();
         assert!(mgr.total_spare() < spare_before);
+        mgr.assert_invariants();
+    }
+
+    #[test]
+    fn conflicted_counts_a_primary_link_once_however_often_it_is_walked() {
+        // A primary walking 0 -> 1 -> 0 -> 1 registers L(0->1) twice per
+        // backup link: the first such connection conflicts with nothing,
+        // an identical second one with the first on every backup link.
+        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(100)).unwrap());
+        let route = |nodes: &[u32]| {
+            let nodes: Vec<NodeId> = nodes.iter().copied().map(NodeId::new).collect();
+            Route::from_nodes(&net, &nodes).unwrap()
+        };
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let mut script = crate::routing::Scripted::new();
+        for _ in 0..2 {
+            script.push(route(&[0, 1, 0, 1]), Some(route(&[0, 3, 2, 1])));
+        }
+        let first = mgr.request_connection(&mut script, req(0, 0, 1)).unwrap();
+        let second = mgr.request_connection(&mut script, req(1, 0, 1)).unwrap();
+        assert_eq!((first.conflicted, second.conflicted), (false, true));
         mgr.assert_invariants();
     }
 

@@ -15,7 +15,7 @@
 
 use crate::routing::RoutingOverhead;
 use crate::{BackupFit, DrtpError, ManagerView};
-use drt_net::algo::shortest_path_with_floor;
+use drt_net::algo::{min_hop_route, shortest_path_with_floor};
 use drt_net::{LinkId, Route};
 
 /// The paper's "very large constant" `Q`. Any path containing a `Q`-link
@@ -29,18 +29,16 @@ pub fn epsilon(num_links: usize) -> f64 {
 }
 
 /// Selects the minimum-hop primary route among links that are alive and
-/// can admit `bw` from their free pool.
+/// can admit `bw` from their free pool: one breadth-first search
+/// ([`min_hop_route`]), which picks what a unit-step Dijkstra picks.
 pub(crate) fn min_hop_primary(
     view: &ManagerView<'_>,
     src: drt_net::NodeId,
     dst: drt_net::NodeId,
     bw: drt_net::Bandwidth,
 ) -> Result<Route, DrtpError> {
-    shortest_path_with_floor(view.net(), src, dst, 1.0, |l| {
-        view.usable_for_primary(l, bw).then_some(1.0)
-    })
-    .map(|(_, r)| r)
-    .ok_or(DrtpError::NoPrimaryRoute(src, dst))
+    min_hop_route(view.net(), src, dst, |l| view.usable_for_primary(l, bw))
+        .ok_or(DrtpError::NoPrimaryRoute(src, dst))
 }
 
 /// Selects a backup route by Dijkstra under the LSR cost model:

@@ -26,17 +26,22 @@ use drt_net::{LinkId, Route};
 /// instead of one integer (modelled by this scheme's
 /// [`RoutingOverhead`]).
 ///
-/// The cost term is evaluated on the conflict bits each link's
-/// [`crate::Aplv`] keeps next to its counts: every relaxed link pays one
-/// bit test of `CV_i` per link of the primary — O(|LSET_P|), independent
-/// of the network's size.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DLsr;
+/// The conflict term is read once per request, not once per priced link:
+/// the primary is fixed before the backup search starts, so the scheme
+/// adds up the manager's conflict columns of its |LSET| links into one
+/// dense count per link ([`ManagerView::conflict_counts`]) and prices a
+/// link `l` as `q + counts[l] + ε`. The count buffer is kept across
+/// requests, so a warmed search allocates only the routes it returns.
+#[derive(Debug, Clone, Default)]
+pub struct DLsr {
+    /// `Σ_{L_j ∈ LSET_P} c_{l,j}` per link `l`, for the primary in hand.
+    counts: Vec<u32>,
+}
 
 impl DLsr {
     /// Creates the scheme.
     pub fn new() -> Self {
-        DLsr
+        DLsr::default()
     }
 
     /// Bytes of one D-LSR link-state entry for a network of `num_links`
@@ -45,9 +50,16 @@ impl DLsr {
         8 + num_links.div_ceil(8) as u64
     }
 
-    /// `Σ_{L_j ∈ LSET_P} c_{l,j}` for one candidate backup link `l`.
-    fn conflict_term(view: &ManagerView<'_>, l: LinkId, lset: &[LinkId]) -> f64 {
-        f64::from(view.conflict_count(l, lset))
+    /// Fills the per-link conflict terms against `primary` and returns the
+    /// cost closure's reading of them.
+    fn conflict_terms<'s>(
+        &'s mut self,
+        view: &ManagerView<'_>,
+        primary: &Route,
+    ) -> impl Fn(LinkId) -> f64 + 's {
+        view.conflict_counts(primary.links(), &mut self.counts);
+        let counts = &self.counts;
+        move |l| f64::from(counts[l.index()])
     }
 }
 
@@ -62,9 +74,7 @@ impl RoutingScheme for DLsr {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
-        let backups = lsr_backups(view, req, &primary, |l| {
-            Self::conflict_term(view, l, primary.links())
-        })?;
+        let backups = lsr_backups(view, req, &primary, self.conflict_terms(view, &primary))?;
         let overhead = lsa_overhead(
             view.net().num_links(),
             changed_links(&primary, &backups),
@@ -85,9 +95,13 @@ impl RoutingScheme for DLsr {
         primary: &Route,
         existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
-        let backup = lsr_backup(view, req, primary, existing, |l| {
-            Self::conflict_term(view, l, primary.links())
-        })?;
+        let backup = lsr_backup(
+            view,
+            req,
+            primary,
+            existing,
+            self.conflict_terms(view, primary),
+        )?;
         let overhead = lsa_overhead(
             view.net().num_links(),
             backup.len(),

@@ -4,7 +4,7 @@
 use drt_core::failure::FailureEvent;
 use drt_core::multiplex::{ActivationPool, FailureModel, MultiplexConfig, SparePolicy};
 use drt_core::routing::{BoundedFlooding, DLsr, PLsr, RouteRequest, RoutingScheme, SpfBackup};
-use drt_core::{Aplv, ConnectionId, DrtpManager};
+use drt_core::{Aplv, ConflictVector, ConnectionId, DrtpManager, ViewDistortion};
 use drt_net::algo::bfs_hops_filtered;
 use drt_net::{topology, Bandwidth, LinkId, NodeId};
 use proptest::prelude::*;
@@ -140,16 +140,18 @@ proptest! {
         prop_assert_eq!(mgr.total_spare(), Bandwidth::ZERO);
     }
 
-    /// The fold's own property: over random register / unregister traces
-    /// on a three-word id space with 1 / 2 / 3 Mb/s registrations, after
-    /// every step bit `j` says `count(j) > 0` for every `j`, the bit-test
-    /// cost term equals the count-derived sum on arbitrary link sets (ids
-    /// beyond anything registered included), and the live vector equals
-    /// the one rebuilt by re-registering the surviving set — whether its
-    /// bits were pre-sized (the manager's) or grew on demand (proto's).
+    /// The transitions an APLV reports are enough to keep a bit vector:
+    /// over random register / unregister traces on a three-word id space
+    /// with 1 / 2 / 3 Mb/s registrations, a vector that sets bit `j` where
+    /// `register_with` reports `j` opened and clears it where
+    /// `unregister_with` reports it closed — what the manager does to its
+    /// columns — says `count(j) > 0` for every `j` after every step,
+    /// equals the advertised `conflict_vector`, gives the count-derived
+    /// cost term on arbitrary link sets (ids beyond the vector included),
+    /// and the live APLV equals the one rebuilt by re-registering the
+    /// surviving set.
     #[test]
     fn conflict_bits_track_counts(
-        presized in any::<bool>(),
         ops in prop::collection::vec(
             (any::<bool>(), prop::collection::vec(0u32..140, 1..6), 1u64..=3, 0usize..64),
             1..50,
@@ -157,31 +159,33 @@ proptest! {
         probes in prop::collection::vec(prop::collection::vec(0u32..400, 0..8), 1..6),
     ) {
         const N: usize = 140;
-        let mut aplv = if presized { Aplv::with_num_links(N) } else { Aplv::new() };
+        let mut aplv = Aplv::new();
+        let mut bits = ConflictVector::zeros(N);
         let mut live: Vec<(Vec<LinkId>, Bandwidth)> = Vec::new();
         for (release, ids, mbps, victim) in ops {
             if release && !live.is_empty() {
                 let (lset, bw) = live.remove(victim % live.len());
-                aplv.unregister(&lset, bw);
+                aplv.unregister_with(&lset, bw, |j| bits.clear(j));
             } else {
                 let mut lset: Vec<LinkId> = ids.into_iter().map(LinkId::new).collect();
                 lset.sort_unstable();
                 lset.dedup();
                 let bw = Bandwidth::from_mbps(mbps);
-                aplv.register(&lset, bw);
+                aplv.register_with(&lset, bw, |j| bits.set(j));
                 live.push((lset, bw));
             }
 
-            let cv = aplv.conflict_vector(N);
+            prop_assert_eq!(&aplv.conflict_vector(N), &bits);
             for j in (0..N as u32 + 64).map(LinkId::new) {
-                let set = aplv.count(j) > 0;
-                prop_assert_eq!(cv.get(j), set, "copied bit {}", j);
-                prop_assert_eq!(aplv.conflicts_with(&[j]), u32::from(set), "live bit {}", j);
+                prop_assert_eq!(bits.get(j), j.index() < N && aplv.count(j) > 0, "bit {}", j);
             }
             for probe in &probes {
                 let lset: Vec<LinkId> = probe.iter().copied().map(LinkId::new).collect();
-                let by_count = lset.iter().filter(|j| aplv.count(**j) > 0).count() as u32;
-                prop_assert_eq!(aplv.conflicts_with(&lset), by_count, "{:?}", lset);
+                let by_count = lset
+                    .iter()
+                    .filter(|j| j.index() < N && aplv.count(**j) > 0)
+                    .count() as u32;
+                prop_assert_eq!(bits.overlap(&lset), by_count, "{:?}", lset);
             }
             let mut rebuilt = Aplv::new();
             for (lset, bw) in &live {
@@ -191,16 +195,23 @@ proptest! {
         }
     }
 
-    /// The conflict bits D-LSR routes on never drift from the counts:
+    /// The conflict columns D-LSR routes on never drift from the counts:
     /// after every operation of a random establish/release/fail/repair
-    /// trace the invariant audit passes (it rebuilds every APLV, bits
-    /// included, from the connection table) and, through the routing
-    /// view, `conflict_count(l, [j]) == 1 ⇔ aplv(l).count(j) > 0` for
-    /// every pair of links.
+    /// trace the invariant audit passes (it rebuilds every APLV from the
+    /// connection table and compares the columns with their support);
+    /// through the routing view the counts against `[j]` read
+    /// `counts[l] == 1 ⇔ aplv(l).count(j) > 0` for every pair of links;
+    /// and the dense per-request counts of random link sets are
+    /// `Σ_j [aplv(l).count(j) > 0]` for every link `l` — on the live view,
+    /// on a snapshot's view (whose columns were cloned with it), and,
+    /// under a `deflate_conflicts` distortion, 0 exactly on the links it
+    /// lies about.
     #[test]
     fn conflict_bits_match_counts_along_traces(
         seed in any::<u64>(),
         ops in prop::collection::vec(arb_op(12, 34), 1..40),
+        lsets in prop::collection::vec(prop::collection::vec(0u32..34, 0..6), 1..4),
+        byzantine in prop::collection::vec(0u32..12, 1..3),
     ) {
         let net = Arc::new(
             topology::random_connected(12, 17, Bandwidth::from_mbps(12), seed).unwrap()
@@ -248,14 +259,45 @@ proptest! {
 
             mgr.assert_invariants();
             let view = mgr.view();
-            for l in (0..n as u32).map(LinkId::new) {
-                for j in (0..n as u32).map(LinkId::new) {
+            let mut counts = Vec::new();
+            for j in (0..n as u32).map(LinkId::new) {
+                view.conflict_counts(&[j], &mut counts);
+                for l in (0..n as u32).map(LinkId::new) {
                     prop_assert_eq!(
-                        view.conflict_count(l, &[j]) == 1,
+                        counts[l.index()] == 1,
                         view.aplv(l).count(j) > 0,
                         "CV bit ({}, {}) diverged", l, j
                     );
                 }
+            }
+
+            let snapshot = mgr.snapshot();
+            for ids in &lsets {
+                let lset: Vec<LinkId> = ids.iter().map(|&j| LinkId::new(j % n as u32)).collect();
+                let by_count: Vec<u32> = net
+                    .links()
+                    .map(|link| {
+                        let aplv = mgr.aplv(link.id());
+                        lset.iter().filter(|&&j| aplv.count(j) > 0).count() as u32
+                    })
+                    .collect();
+                for v in [mgr.view(), snapshot.view()] {
+                    v.conflict_counts(&lset, &mut counts);
+                    prop_assert_eq!(&counts, &by_count, "against {:?}", lset);
+                }
+                let byz: Vec<NodeId> = byzantine.iter().copied().map(NodeId::new).collect();
+                let lies = ViewDistortion {
+                    advertise_dead_as_up: false,
+                    inflate_headroom: false,
+                    ..ViewDistortion::for_nodes(net.num_nodes(), &byz)
+                };
+                mgr.set_view_distortion(Some(lies.clone()));
+                mgr.view().conflict_counts(&lset, &mut counts);
+                for l in net.links().map(|link| link.id()) {
+                    let want = if lies.lies_about(&net, l) { 0 } else { by_count[l.index()] };
+                    prop_assert_eq!(counts[l.index()], want, "{} under lies", l);
+                }
+                mgr.set_view_distortion(None);
             }
         }
     }

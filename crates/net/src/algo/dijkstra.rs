@@ -35,7 +35,7 @@ fn heap_entry_parts(Reverse(key): HeapEntry) -> (f64, NodeId) {
 /// Walks parent links back from `dest` to `source` and returns the route
 /// in forward order, or `None` when the chain breaks before `source`.
 /// A first pass counts the hops so the link list is allocated once.
-fn walk_back(
+pub(super) fn walk_back(
     net: &Network,
     source: NodeId,
     dest: NodeId,
@@ -400,12 +400,6 @@ pub fn shortest_path_in(
     Some((d, route))
 }
 
-/// Finds a minimum-hop route from `src` to `dst` (unit link costs), or
-/// `None` when unreachable or `src == dst`.
-pub fn shortest_path_hops(net: &Network, src: NodeId, dst: NodeId) -> Option<Route> {
-    shortest_path_with_floor(net, src, dst, 1.0, |_| Some(1.0)).map(|(_, r)| r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,16 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn route_reconstruction_is_contiguous() {
-        let net = topology::mesh(4, 4, CAP).unwrap();
-        let route = shortest_path_hops(&net, NodeId::new(0), NodeId::new(15)).unwrap();
-        assert_eq!(route.len(), 6); // manhattan distance in a 4x4 mesh
-        assert_eq!(route.source(), NodeId::new(0));
-        assert_eq!(route.dest(), NodeId::new(15));
-        assert!(route.is_simple(&net));
-    }
-
-    #[test]
     fn excluded_links_are_avoided() {
         let net = topology::ring(4, CAP).unwrap();
         let l01 = net.find_link(NodeId::new(0), NodeId::new(1)).unwrap();
@@ -448,24 +432,6 @@ mod tests {
         .unwrap();
         assert_eq!(cost, 3.0);
         assert!(!route.contains_link(l01));
-    }
-
-    #[test]
-    fn unreachable_returns_none() {
-        // Two disconnected duplex pairs.
-        let mut b = crate::NetworkBuilder::with_nodes(4);
-        b.add_duplex_link(NodeId::new(0), NodeId::new(1), CAP)
-            .unwrap();
-        b.add_duplex_link(NodeId::new(2), NodeId::new(3), CAP)
-            .unwrap();
-        let net = b.build();
-        assert!(shortest_path_hops(&net, NodeId::new(0), NodeId::new(2)).is_none());
-    }
-
-    #[test]
-    fn src_equals_dst_returns_none() {
-        let net = topology::ring(4, CAP).unwrap();
-        assert!(shortest_path_hops(&net, NodeId::new(1), NodeId::new(1)).is_none());
     }
 
     #[test]
@@ -521,14 +487,6 @@ mod tests {
                 assert_eq!(heap_entry_parts(heap_entry(a, m)), (a, m));
             }
         }
-    }
-
-    #[test]
-    fn deterministic_tie_breaking() {
-        let net = topology::mesh(3, 3, CAP).unwrap();
-        let a = shortest_path_hops(&net, NodeId::new(0), NodeId::new(8)).unwrap();
-        let b = shortest_path_hops(&net, NodeId::new(0), NodeId::new(8)).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! available for *soft* ones, as the schemes require.
 //!
 //! * [`shortest_path`] / [`shortest_path_tree`] — Dijkstra (non-negative
-//!   costs), the workhorse of both link-state schemes;
+//!   costs), the workhorse of both link-state schemes' backup searches;
+//! * [`min_hop_route`] / [`shortest_path_hops`] — the minimum-hop route
+//!   by a level-synchronous breadth-first search that chooses exactly what
+//!   a unit-step Dijkstra chooses; every scheme's primary;
 //! * [`DynamicSpt`] — a materialised Dijkstra tree repaired incrementally
 //!   after link fail/restore/reweight deltas instead of recomputed (no
 //!   caller in `crates/`; see its module docs);
@@ -34,6 +37,7 @@ mod dijkstra;
 mod disjoint;
 mod dynamic_spt;
 mod flow;
+mod min_hop;
 mod yen;
 
 pub use all_pairs_hops::AllPairsHops;
@@ -42,10 +46,11 @@ pub use connectivity::{
     bfs_hops, bfs_hops_filtered, bfs_hops_to, bridges, is_strongly_connected, reachable_from,
 };
 pub use dijkstra::{
-    shortest_path, shortest_path_hops, shortest_path_in, shortest_path_tree,
-    shortest_path_with_floor, ShortestPathTree, SpfWorkspace,
+    shortest_path, shortest_path_in, shortest_path_tree, shortest_path_with_floor,
+    ShortestPathTree, SpfWorkspace,
 };
 pub use disjoint::{suurballe, two_step_disjoint_pair, DisjointPair};
 pub use dynamic_spt::DynamicSpt;
 pub use flow::{edge_connectivity, max_flow, MaxFlow};
+pub use min_hop::{min_hop_route, shortest_path_hops};
 pub use yen::k_shortest_paths;

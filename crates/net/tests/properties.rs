@@ -1,10 +1,11 @@
 //! Property-based tests for the network substrate.
 
 use drt_net::algo::{
-    bellman_ford, k_shortest_paths, shortest_path_hops, shortest_path_in, shortest_path_tree,
-    shortest_path_with_floor, suurballe, AllPairsHops, DynamicSpt, SpfWorkspace,
+    bellman_ford, k_shortest_paths, min_hop_route, shortest_path_hops, shortest_path_in,
+    shortest_path_tree, shortest_path_with_floor, suurballe, AllPairsHops, DynamicSpt,
+    SpfWorkspace,
 };
-use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId};
+use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId, Route};
 use proptest::prelude::*;
 
 const CAP: Bandwidth = Bandwidth::from_mbps(100);
@@ -31,6 +32,28 @@ fn arb_any_net() -> impl Strategy<Value = drt_net::Network> {
                 if a != z && !b.has_link(a, z) {
                     b.add_duplex_link(a, z, CAP)
                         .expect("fresh distinct endpoints");
+                }
+            }
+            b.build()
+        })
+}
+
+/// Random one-way links over a fixed node set, each direction of a pair
+/// drawn on its own: duplex pairs, lone one-way links, nodes only reachable
+/// one way, and isolated nodes. (Two links in one direction between the
+/// same pair are refused by the builder, so a pair's two directions are
+/// the parallel links a network can have.)
+fn arb_directed_net() -> impl Strategy<Value = drt_net::Network> {
+    (
+        1usize..=14,
+        prop::collection::vec((0u32..14, 0u32..14), 0..=50),
+    )
+        .prop_map(|(n, pairs)| {
+            let mut b = NetworkBuilder::with_nodes(n);
+            for (a, z) in pairs {
+                let (a, z) = (NodeId::new(a % n as u32), NodeId::new(z % n as u32));
+                if a != z && !b.has_link(a, z) {
+                    b.add_link(a, z, CAP).expect("fresh distinct endpoints");
                 }
             }
             b.build()
@@ -108,6 +131,38 @@ proptest! {
                     for node in net.nodes() {
                         prop_assert_eq!(ws.distance(node), full.distance(node));
                         prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The breadth-first minimum-hop route is the unit-step Dijkstra route
+    /// link for link, under random usable masks, for every ordered pair —
+    /// `src == dst`, unreachable pairs and ids past the last node included,
+    /// which both answer `None` without panicking.
+    #[test]
+    fn min_hop_route_equals_unit_dijkstra(
+        directed in arb_directed_net(),
+        any_net in arb_any_net(),
+        // One class in five is masked out.
+        mask in prop::collection::vec(0u8..5, 1..=40),
+    ) {
+        for net in [&directed, &any_net] {
+            let usable = |l: LinkId| mask[l.index() % mask.len()] > 0;
+            let ids = (0..net.num_nodes() as u32 + 2).map(NodeId::new);
+            for src in ids.clone() {
+                for dst in ids.clone() {
+                    let bfs = min_hop_route(net, src, dst, usable);
+                    let dijkstra =
+                        shortest_path_with_floor(net, src, dst, 1.0, |l| usable(l).then_some(1.0));
+                    prop_assert_eq!(
+                        bfs.as_ref().map(Route::links),
+                        dijkstra.as_ref().map(|(_, r)| r.links()),
+                        "{} -> {}", src, dst
+                    );
+                    if let Some((hops, route)) = &dijkstra {
+                        prop_assert_eq!(*hops, route.len() as f64);
                     }
                 }
             }

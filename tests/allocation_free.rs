@@ -1,5 +1,6 @@
-//! A warmed failure-time call allocates only what it returns: route
-//! searches, probes and sweeps reuse their generation-stamped workspaces.
+//! A warmed call allocates only what it returns: route searches, the
+//! link-state schemes' selections, probes and sweeps reuse their
+//! workspaces and buffers.
 //! Allocations are counted per thread, so the harness's other test
 //! threads never reach a count and each `parallel_map` worker counts its own.
 
@@ -8,11 +9,11 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use drt_core::failure::ProbeWorkspace;
-use drt_core::routing::{DLsr, RouteRequest};
+use drt_core::routing::{DLsr, PLsr, RoutePair, RouteRequest, RoutingScheme};
 use drt_core::{ConnectionId, DrtpManager};
 use drt_experiments::par::parallel_map;
 use drt_net::algo::{shortest_path_in, DynamicSpt, SpfWorkspace};
-use drt_net::{topology, Bandwidth, LinkId, Network, NodeId};
+use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, Route};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -93,6 +94,73 @@ fn spf_searches_allocate_only_their_routes() {
                 assert!(warm || n == want, "{src} -> {dst} on {nodes} nodes: {n}");
             }
         }
+    }
+}
+
+/// What a selection returns: each route's link `Vec` and `Arc<[LinkId]>`,
+/// and the backups `Vec` when it holds any.
+fn pair_allocs(pair: &RoutePair) -> u64 {
+    2 + u64::from(!pair.backups.is_empty()) + 2 * pair.backups.len() as u64
+}
+
+#[test]
+fn lsr_selections_allocate_only_their_routes() {
+    for (nodes, requests, seed) in [(60, 400, 8), (300, 600, 9)] {
+        let mgr = loaded(nodes, requests, seed);
+        let view = mgr.view();
+        let mut rng = drt_sim::rng::stream(seed, "selections");
+        let pattern = drt_sim::workload::TrafficPattern::ut();
+        let reqs: Vec<RouteRequest> = (0..40)
+            .map(|i| {
+                let (src, dst) = pattern.sample_pair(nodes, &mut rng);
+                RouteRequest::new(
+                    ConnectionId::new(1 << 40 | i),
+                    src,
+                    dst,
+                    Bandwidth::from_kbps(3_000),
+                )
+            })
+            .collect();
+        // Re-protection's call: one more backup for a live primary.
+        let live: Vec<(RouteRequest, Route)> = mgr
+            .connections()
+            .take(40)
+            .map(|c| {
+                let p = c.primary().clone();
+                let req = RouteRequest::new(c.id(), p.source(), p.dest(), c.qos().bandwidth);
+                (req, p)
+            })
+            .collect();
+        let (mut dlsr, mut plsr) = (DLsr::new(), PLsr::new());
+        let mut selected = 0;
+        for warm in [true, false] {
+            for req in &reqs {
+                for scheme in [&mut dlsr as &mut dyn RoutingScheme, &mut plsr] {
+                    let (pair, n) = counted(|| scheme.select_routes(&view, req));
+                    let Ok(pair) = pair else { continue };
+                    let want = pair_allocs(&pair);
+                    assert!(
+                        warm || n == want,
+                        "{} {req:?} on {nodes} nodes: {n}",
+                        scheme.name()
+                    );
+                    selected += 1;
+                }
+            }
+            for (req, primary) in &live {
+                let (backup, n) = counted(|| dlsr.select_backup(&view, req, primary, &[]));
+                let want = if backup.is_ok() { 2 } else { 0 };
+                assert!(
+                    warm || n == want,
+                    "backup for {} on {nodes} nodes: {n}",
+                    req.id
+                );
+            }
+        }
+        assert!(
+            selected > 40,
+            "only {selected} selections succeeded on {nodes} nodes"
+        );
     }
 }
 

@@ -105,8 +105,10 @@ fn figure1_conflicting_multiplexing() {
     strict.assert_invariants();
 }
 
-/// Figure 2: the conflict vector of a link is exactly the support of its
-/// APLV, and D-LSR's cost term counts the overlap with a primary's LSET.
+/// Figure 2: the conflict vector a link advertises is exactly the support
+/// of its APLV, and D-LSR's cost term — read from the manager's conflict
+/// columns, one per link of the primary — counts the overlap with a
+/// primary's LSET.
 #[test]
 fn figure2_conflict_vector() {
     let net = fig1_mesh();
@@ -131,10 +133,9 @@ fn figure2_conflict_vector() {
     }
     assert_eq!(cv.ones() as usize, p1.len() + p2.len());
     // D-LSR's cost of using this link for a backup whose primary is P1:
-    assert_eq!(
-        mgr.view().conflict_count(shared, p1.links()),
-        p1.len() as u32
-    );
+    let mut counts = Vec::new();
+    mgr.view().conflict_counts(p1.links(), &mut counts);
+    assert_eq!(counts[shared.index()], p1.len() as u32);
     mgr.assert_invariants();
 }
 

@@ -87,31 +87,6 @@ pub fn vulnerability(mgr: &DrtpManager, seed: u64) -> VulnerabilityReport {
     report
 }
 
-/// The full-scan reference for [`vulnerability`], probing through
-/// [`DrtpManager::naive_baseline`] — used by the equivalence tests and
-/// the benchmark harness.
-pub fn vulnerability_naive(mgr: &DrtpManager, seed: u64) -> VulnerabilityReport {
-    let naive = mgr.naive_baseline();
-    let mut report = VulnerabilityReport::default();
-    for (idx, link) in mgr.failure_units().into_iter().enumerate() {
-        if mgr.is_failed(link) {
-            continue;
-        }
-        let mut rng = drt_sim::rng::indexed_stream(seed, "vulnerability", idx as u64);
-        let outcome = naive.probe_single_failure(link, &mut rng);
-        if outcome.affected() == 0 {
-            continue;
-        }
-        report.trials += 1;
-        for (conn, won) in &outcome.details {
-            if won.is_none() {
-                report.per_conn.entry(*conn).or_default().push(link);
-            }
-        }
-    }
-    report
-}
-
 /// Distribution summary of the spare pools across links.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpareSummary {

@@ -435,12 +435,19 @@ impl DrtpManager {
 
     /// Evaluates one hypothetical failure without mutating state.
     ///
-    /// Affected connections contend for activation bandwidth in an order
-    /// shuffled by `rng` (near-simultaneous activation attempts have no
-    /// canonical order); each draws from per-link pools sized by the
-    /// configured [`ActivationPool`]. Uses the thread-local
-    /// [`ProbeWorkspace`]; [`DrtpManager::probe_single_failure_in`] is the
-    /// caller-managed form.
+    /// Affected connections — those carrying traffic whose primary crosses
+    /// the failed unit — contend for activation bandwidth in one order:
+    /// their id order, shuffled once by `rng` with
+    /// [`SliceRandom::shuffle`] (near-simultaneous activation attempts
+    /// have no canonical order). Each in turn activates its first backup,
+    /// in priority order, that is alive and fits what earlier winners left
+    /// of the per-link pools sized by the configured [`ActivationPool`];
+    /// a multiplexed winner takes its bandwidth from every link of that
+    /// backup. The same order and decisions hold for
+    /// [`DrtpManager::probe_event`] and the injections.
+    ///
+    /// Uses the thread-local [`ProbeWorkspace`];
+    /// [`DrtpManager::probe_single_failure_in`] is the caller-managed form.
     pub fn probe_single_failure(&self, link: LinkId, rng: &mut StdRng) -> ProbeOutcome {
         with_probe_scratch(|ws| self.probe_single_failure_in(link, rng, ws))
     }
@@ -709,7 +716,6 @@ impl DrtpManager {
     ///
     /// # Errors
     ///
-    /// [`DrtpError::LinkNotFailed`] is never returned;
     /// [`DrtpError::LinkFailed`] when `link` is actually failed (a true
     /// report must go through [`DrtpManager::inject_event`]).
     pub fn inject_false_report(
@@ -865,9 +871,8 @@ impl DrtpManager {
     ///
     /// Index-driven and allocation-free: the affected set is the union of
     /// the failed links' primary-incidence lists (sort + dedup restores the
-    /// connection table's id order, so the shuffle consumes `rng`
-    /// identically to the full-scan baseline), failed-link membership is a
-    /// generation-stamped mark array, and the per-link pools initialize
+    /// id order the documented shuffle starts from), failed-link membership
+    /// is a generation-stamped mark array, and the per-link pools initialize
     /// lazily on first touch — a probe never walks all links or all
     /// connections, nor searches the table: the index hands it the slot.
     pub(crate) fn select_activations_in(
@@ -925,12 +930,6 @@ impl DrtpManager {
             }
             ws.decisions.push((at, won));
         }
-    }
-
-    /// The full-scan reference implementation of the failure-analysis
-    /// paths, for equivalence tests and benchmarks.
-    pub fn naive_baseline(&self) -> NaiveFailureAnalysis<'_> {
-        NaiveFailureAnalysis { mgr: self }
     }
 }
 
@@ -1026,130 +1025,6 @@ pub(crate) fn with_probe_scratch<R>(f: impl FnOnce(&mut ProbeWorkspace) -> R) ->
         Ok(mut ws) => f(&mut ws),
         Err(_) => f(&mut ProbeWorkspace::new()),
     })
-}
-
-/// The pre-index full-scan implementation of the probe paths, kept as the
-/// reference the incidence-indexed engine is proved against (property
-/// tests assert probe ≡ baseline bit-for-bit) and benchmarked against.
-///
-/// Obtained from [`DrtpManager::naive_baseline`]; every method matches the
-/// indexed counterpart's name and contract.
-#[derive(Debug, Clone, Copy)]
-pub struct NaiveFailureAnalysis<'a> {
-    mgr: &'a DrtpManager,
-}
-
-impl NaiveFailureAnalysis<'_> {
-    /// Full-scan winner selection: scans the whole connection table for
-    /// affected primaries and materializes all per-link activation pools
-    /// up front — the exact pre-index algorithm.
-    fn select_activations(
-        &self,
-        failed_links: &[LinkId],
-        rng: &mut StdRng,
-    ) -> Vec<(ConnectionId, Option<usize>)> {
-        let mgr = self.mgr;
-        let mut affected: Vec<ConnectionId> = mgr
-            .conns
-            .values()
-            .filter(|c| {
-                c.state().is_carrying_traffic()
-                    && failed_links.iter().any(|l| c.primary().contains_link(*l))
-            })
-            .map(|c| c.id())
-            .collect();
-        affected.shuffle(rng);
-
-        // Per-link activation pools, materialized for every link.
-        let mut pool: Vec<Bandwidth> = (0..mgr.links.len())
-            .map(|i| mgr.activation_pool_at(i))
-            .collect();
-
-        let mut decisions = Vec::with_capacity(affected.len());
-        for id in affected {
-            let conn = mgr.conns.get(id).expect("scanned above");
-            let bw = conn.qos().bandwidth;
-            let mut won = None;
-            for (idx, b) in conn.backups().iter().enumerate() {
-                let usable = b
-                    .links()
-                    .iter()
-                    .all(|l| !mgr.failed[l.index()] && !failed_links.contains(l));
-                if !usable {
-                    continue;
-                }
-                if conn.backup_is_dedicated() {
-                    won = Some(idx);
-                    break;
-                }
-                let fits = b.links().iter().all(|l| pool[l.index()] >= bw);
-                if fits {
-                    for l in b.links() {
-                        pool[l.index()] -= bw;
-                    }
-                    won = Some(idx);
-                    break;
-                }
-            }
-            decisions.push((id, won));
-        }
-        decisions
-    }
-
-    /// Full-scan [`DrtpManager::probe_single_failure`].
-    pub fn probe_single_failure(&self, link: LinkId, rng: &mut StdRng) -> ProbeOutcome {
-        let failed_links = self.mgr.failure_unit(link);
-        let details = self.select_activations(&failed_links, rng);
-        ProbeOutcome {
-            failed_links,
-            details,
-        }
-    }
-
-    /// Full-scan [`DrtpManager::probe_event`].
-    pub fn probe_event(&self, event: &FailureEvent, rng: &mut StdRng) -> ProbeOutcome {
-        let failed_links = event.resolve(self.mgr);
-        let details = self.select_activations(&failed_links, rng);
-        ProbeOutcome {
-            failed_links,
-            details,
-        }
-    }
-
-    /// Full-scan [`DrtpManager::sweep_single_failures`]: O(units × conns),
-    /// one pool vector allocated per probed unit.
-    pub fn sweep_single_failures(&self, seed: u64) -> FailureSweep {
-        let mgr = self.mgr;
-        let mut sweep = FailureSweep::default();
-        for (idx, link) in mgr.failure_units().into_iter().enumerate() {
-            if mgr.failed[link.index()] {
-                continue;
-            }
-            let mut rng = drt_sim::rng::indexed_stream(seed, "failure-probe", idx as u64);
-            let outcome = self.probe_single_failure(link, &mut rng);
-            if outcome.affected() == 0 {
-                continue;
-            }
-            let sample = &mut sweep.aggregate;
-            sample.affected += outcome.affected() as u64;
-            sample.activated += outcome.activated() as u64;
-            sample.degraded += outcome
-                .details
-                .iter()
-                .filter(|(id, won)| {
-                    let conn = mgr.conns.get(*id).expect("probed above");
-                    won.is_none() && conn.backups().is_empty()
-                })
-                .count() as u64;
-            sample.trials += 1;
-            sweep.per_link.push(LinkImpact {
-                link,
-                affected: outcome.affected() as u32,
-                activated: outcome.activated() as u32,
-            });
-        }
-        sweep
-    }
 }
 
 #[cfg(test)]
@@ -1368,7 +1243,7 @@ mod tests {
         b.add_duplex_link(NodeId::new(1), NodeId::new(2), Bandwidth::from_mbps(10))
             .unwrap();
         let net = Arc::new(b.build());
-        let mut mgr = DrtpManager::with_config(net, MultiplexConfig::no_backup_baseline());
+        let mut mgr = DrtpManager::new(net);
         let mut scheme = crate::routing::PrimaryOnly::new();
         let rep = mgr.request_connection(&mut scheme, req(0, 0, 2)).unwrap();
         let l = rep.primary.links()[0];

@@ -563,8 +563,9 @@ impl DrtpManager {
     /// # Errors
     ///
     /// * [`DrtpError::DuplicateConnection`] — the id is in use;
-    /// * [`DrtpError::NoPrimaryRoute`] / [`DrtpError::NoBackupRoute`] —
-    ///   route selection failed;
+    /// * [`DrtpError::NoPrimaryRoute`] — an endpoint is not a node of the
+    ///   network (no scheme runs), or route selection found no primary;
+    /// * [`DrtpError::NoBackupRoute`] — route selection found no backup;
     /// * [`DrtpError::InsufficientBandwidth`] — admission failed on a link
     ///   (selection raced with resource state; cannot happen with the
     ///   bundled schemes, which check feasibility);
@@ -582,9 +583,16 @@ impl DrtpManager {
             // scheme work; admit_routes re-checks for its own callers.
             return Err(DrtpError::DuplicateConnection(req.id));
         }
-        let res = scheme
-            .select_routes(&self.view(), &req)
-            .and_then(|pair| self.admit_routes(&req, pair));
+        let n = self.net.num_nodes();
+        let res = if req.src.index() >= n || req.dst.index() >= n {
+            // Requests are external input (a scenario file names any
+            // node); a scheme may index its tables by either endpoint.
+            Err(DrtpError::NoPrimaryRoute(req.src, req.dst))
+        } else {
+            scheme
+                .select_routes(&self.view(), &req)
+                .and_then(|pair| self.admit_routes(&req, pair))
+        };
         match &res {
             Ok(_) => self.telemetry.incr("establish.accepted"),
             Err(_) => self.telemetry.incr("establish.rejected"),
@@ -1178,6 +1186,44 @@ mod tests {
             .request_connection(&mut scheme, req(0, 1, 7))
             .unwrap_err();
         assert_eq!(err, DrtpError::DuplicateConnection(ConnectionId::new(0)));
+    }
+
+    #[test]
+    fn out_of_range_endpoint_is_refused_before_any_scheme_runs() {
+        use crate::routing::{BoundedFlooding, DedicatedDisjoint, PLsr, SpfBackup};
+        let schemes: [Box<dyn RoutingScheme>; 6] = [
+            Box::new(DLsr::new()),
+            Box::new(PLsr::new()),
+            Box::new(BoundedFlooding::new()),
+            Box::new(SpfBackup::new()),
+            Box::new(DedicatedDisjoint::new()),
+            Box::new(PrimaryOnly::new()),
+        ];
+        for mut scheme in schemes {
+            let mut mgr = mesh_manager();
+            mgr.request_connection(scheme.as_mut(), req(0, 0, 8))
+                .unwrap();
+            for (src, dst) in [(999, 3), (1, 999)] {
+                let mut expected = mgr.clone();
+                expected.telemetry_mut().incr("establish.rejected");
+                let err = mgr
+                    .request_connection(scheme.as_mut(), req(1, src, dst))
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    DrtpError::NoPrimaryRoute(NodeId::new(src), NodeId::new(dst)),
+                    "{}",
+                    scheme.name()
+                );
+                assert_eq!(
+                    mgr.fingerprint(),
+                    expected.fingerprint(),
+                    "{}",
+                    scheme.name()
+                );
+            }
+            assert_eq!(mgr.telemetry().counter("establish.rejected"), 2);
+        }
     }
 
     #[test]

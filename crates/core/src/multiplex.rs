@@ -139,14 +139,6 @@ impl MultiplexConfig {
             ..Self::paper()
         }
     }
-
-    /// Configuration for the no-backup baseline (primary-only admission).
-    pub fn no_backup_baseline() -> Self {
-        MultiplexConfig {
-            require_backup: false,
-            ..Self::paper()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,11 +154,6 @@ mod tests {
         assert_eq!(d.failure_model, FailureModel::DirectedLink);
         assert!(!d.require_backup);
         assert!(MultiplexConfig::strict().require_backup);
-    }
-
-    #[test]
-    fn baseline_drops_backup_requirement() {
-        assert!(!MultiplexConfig::no_backup_baseline().require_backup);
     }
 
     #[test]

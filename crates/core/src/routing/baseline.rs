@@ -11,8 +11,9 @@ use std::collections::BTreeSet;
 ///
 /// This is the calibration baseline of the paper's Figure 5 — "we define
 /// the difference between the number of D-connections without backups and
-/// that of each routing scheme as capacity overhead". Use it with
-/// [`crate::multiplex::MultiplexConfig::no_backup_baseline`].
+/// that of each routing scheme as capacity overhead". The paper's
+/// configuration ([`crate::multiplex::MultiplexConfig::paper`]) admits
+/// its backup-less requests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrimaryOnly {
     _private: (),
@@ -250,7 +251,6 @@ impl RoutingScheme for DedicatedDisjoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplex::MultiplexConfig;
     use crate::{ConnectionId, DrtpManager};
     use drt_net::{topology, Bandwidth, NodeId};
     use std::sync::Arc;
@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn primary_only_reserves_no_spare() {
         let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
-        let mut mgr = DrtpManager::with_config(net, MultiplexConfig::no_backup_baseline());
+        let mut mgr = DrtpManager::new(net);
         let rep = mgr
             .request_connection(&mut PrimaryOnly::new(), req(0, 0, 8))
             .unwrap();

@@ -175,11 +175,6 @@ mod tests {
         // Saturate the direct top-row links with primaries so the flood
         // cannot use them at all (prime == capacity).
         let mut scheme = crate::routing::PrimaryOnly::new();
-        let mut relaxed = DrtpManager::with_config(
-            Arc::new(mgr.net().clone()),
-            crate::multiplex::MultiplexConfig::no_backup_baseline(),
-        );
-        std::mem::swap(&mut mgr, &mut relaxed);
         let per_conn = Bandwidth::from_mbps(10); // fills a link completely
         let r = RouteRequest::new(
             ConnectionId::new(9),

@@ -6,9 +6,11 @@ use drt_core::multiplex::{ActivationPool, FailureModel, MultiplexConfig, SparePo
 use drt_core::routing::{BoundedFlooding, DLsr, PLsr, RouteRequest, RoutingScheme, SpfBackup};
 use drt_core::{Aplv, ConflictVector, ConnectionId, DrtpManager, ViewDistortion};
 use drt_net::algo::bfs_hops_filtered;
-use drt_net::{topology, Bandwidth, LinkId, NodeId};
+use drt_net::{topology, Bandwidth, LinkId, NodeId, SrlgId};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+mod oracle;
 
 fn scheme_by_index(i: usize) -> Box<dyn RoutingScheme> {
     match i % 4 {
@@ -382,126 +384,6 @@ proptest! {
         }
     }
 
-    /// The incidence-indexed failure engine is bit-for-bit equivalent to
-    /// the full-scan baseline: after every step of a random
-    /// establish/release/fail/repair/promote/reestablish trace, the
-    /// indexed sweep, the per-unit probes, a correlated-event probe, and
-    /// the vulnerability report all equal their `naive_baseline()`
-    /// derivations exactly (same RNG consumption, same decisions).
-    ///
-    /// Released ids come back: an establish may re-request under the id
-    /// of a released connection — a `Failed` one included, whose record
-    /// held its slot until that release — so table slots are vacated and
-    /// refilled throughout, by fresh and by re-used ids alike, and the
-    /// slots the index hands the engine are audited after every step.
-    #[test]
-    fn indexed_failure_engine_matches_naive_baseline(
-        seed in any::<u64>(),
-        scheme_idx in 0usize..4,
-        duplex in any::<bool>(),
-        ops in prop::collection::vec(arb_op(12, 34), 1..35),
-    ) {
-        let cfg = MultiplexConfig {
-            failure_model: if duplex { FailureModel::DuplexPair } else { FailureModel::DirectedLink },
-            ..MultiplexConfig::paper()
-        };
-        let net = Arc::new(
-            topology::random_connected(12, 17, Bandwidth::from_mbps(12), seed).unwrap()
-        );
-        let n = net.num_links();
-        let mut mgr = DrtpManager::with_config(Arc::clone(&net), cfg);
-        let mut scheme = scheme_by_index(scheme_idx);
-        let mut rng = drt_sim::rng::stream(seed, "indexed-trace");
-        let mut next_id = 0u64;
-        let mut live: Vec<ConnectionId> = Vec::new();
-        let mut released: Vec<ConnectionId> = Vec::new();
-
-        for op in ops {
-            match op {
-                Op::Establish { src, dst, mbps, reuse_id } => {
-                    if src == dst { continue; }
-                    let recycled = if reuse_id { released.pop() } else { None };
-                    let id = recycled.unwrap_or_else(|| {
-                        next_id += 1;
-                        ConnectionId::new(next_id - 1)
-                    });
-                    let req = RouteRequest::new(
-                        id, NodeId::new(src), NodeId::new(dst), Bandwidth::from_mbps(mbps),
-                    );
-                    match mgr.request_connection(scheme.as_mut(), req) {
-                        Ok(_) => live.push(id),
-                        // A refused id was never admitted: it stays free.
-                        Err(_) => released.push(id),
-                    }
-                }
-                Op::Release { victim } => {
-                    if live.is_empty() { continue; }
-                    let id = live.remove(victim % live.len());
-                    mgr.release(id).unwrap();
-                    prop_assert!(mgr.connection(id).is_none());
-                    released.push(id);
-                }
-                Op::Fail { link } => {
-                    let _ = mgr.inject_failure(LinkId::new(link % n as u32), &mut rng);
-                }
-                Op::Crash { node } => {
-                    let ev = FailureEvent::Node(NodeId::new(node % net.num_nodes() as u32));
-                    let _ = mgr.inject_event(&ev, &mut rng);
-                }
-                Op::Batch { a, b } => {
-                    let ev = FailureEvent::Batch(vec![
-                        FailureEvent::Link(LinkId::new(a % n as u32)),
-                        FailureEvent::Link(LinkId::new(b % n as u32)),
-                    ]);
-                    let _ = mgr.inject_event(&ev, &mut rng);
-                }
-                Op::Repair { link } => {
-                    let _ = mgr.repair_link(LinkId::new(link % n as u32));
-                }
-                Op::Reestablish { victim } => {
-                    if live.is_empty() { continue; }
-                    let id = live[victim % live.len()];
-                    let _ = mgr.reestablish_backup(scheme.as_mut(), id);
-                }
-            }
-            // assert_invariants rebuilds the incidence index from the
-            // connection table and panics on the first divergence.
-            mgr.assert_invariants();
-
-            // The whole sweep — every loaded unit probed under the same
-            // per-unit RNG streams — must agree decision for decision.
-            let naive = mgr.naive_baseline();
-            prop_assert_eq!(
-                mgr.sweep_single_failures(seed),
-                naive.sweep_single_failures(seed)
-            );
-        }
-
-        // Closing cross-checks on the final state: per-unit probes, a
-        // correlated-event probe, and the vulnerability report.
-        let naive = mgr.naive_baseline();
-        for link in mgr.failure_units() {
-            let mut a = drt_sim::rng::stream(seed, "probe-eq");
-            let mut b = drt_sim::rng::stream(seed, "probe-eq");
-            prop_assert_eq!(
-                mgr.probe_single_failure(link, &mut a),
-                naive.probe_single_failure(link, &mut b)
-            );
-        }
-        let event = FailureEvent::Node(NodeId::new(0));
-        let mut a = drt_sim::rng::stream(seed, "event-eq");
-        let mut b = drt_sim::rng::stream(seed, "event-eq");
-        prop_assert_eq!(mgr.probe_event(&event, &mut a), naive.probe_event(&event, &mut b));
-
-        let indexed = drt_core::analysis::vulnerability(&mgr, seed);
-        let scanned = drt_core::analysis::vulnerability_naive(&mgr, seed);
-        prop_assert_eq!(indexed.trials(), scanned.trials());
-        prop_assert_eq!(
-            indexed.vulnerable().collect::<Vec<_>>(),
-            scanned.vulnerable().collect::<Vec<_>>()
-        );
-    }
-
     /// After every operation of a random trace, under every scheme and
     /// both failure models, the manager's invariants hold and the
     /// distances bounded flooding measures for itself
@@ -638,5 +520,176 @@ proptest! {
             mgr.assert_invariants();
         }
         prop_assert_eq!(mgr.total_prime(), Bandwidth::ZERO);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The failure engine computes what the paper defines. After every
+    /// step of a random establish / release / fail / crash / batch /
+    /// repair / re-establish trace, under every scheme and both failure
+    /// models, the naive oracle of `oracle/mod.rs` — written from PAPER.md
+    /// §1 over the manager's public reads — agrees with the manager on
+    /// the single-failure sweep, decision for decision; on every
+    /// `a_{i,j}` and every link's spare need `max_j`; and, on each
+    /// admission, on whether a new backup conflicts with a backup
+    /// registered before it. The trace closes with a probe of every
+    /// failure unit, of a node crash, of each of the network's two SRLGs
+    /// and of a batch of a crash and a link, and with the vulnerability
+    /// report. The oracle draws each contention order the way
+    /// `probe_single_failure` documents it: the affected connections in id
+    /// order, shuffled once by the caller's RNG.
+    ///
+    /// Links carry 6 Mb/s against 1–3 Mb/s demands and activations draw
+    /// on spare + free or on spare alone, so pools run dry and the order
+    /// decides who activates: a contention pass that took a winner's
+    /// bandwidth from the wrong links fails here.
+    ///
+    /// Released ids come back: an establish may re-request under the id
+    /// of a released connection — a `Failed` one included, whose record
+    /// held its slot until that release — so table slots are vacated and
+    /// refilled throughout, by fresh and by re-used ids alike, and the
+    /// slots the index hands the engine are audited after every step.
+    #[test]
+    fn failure_engine_matches_paper_oracle(
+        seed in any::<u64>(),
+        scheme_idx in 0usize..4,
+        duplex in any::<bool>(),
+        ops in prop::collection::vec(arb_op(12, 34), 1..35),
+        srlgs in prop::collection::vec(prop::collection::vec(0u32..34, 1..4), 2),
+        crash in 0u32..12,
+        cut in 0u32..34,
+        spare_only in any::<bool>(),
+    ) {
+        let cfg = MultiplexConfig {
+            failure_model: if duplex { FailureModel::DuplexPair } else { FailureModel::DirectedLink },
+            activation: if spare_only { ActivationPool::SpareOnly } else { ActivationPool::SpareAndFree },
+            ..MultiplexConfig::paper()
+        };
+        let net = topology::random_connected(12, 17, Bandwidth::from_mbps(6), seed).unwrap();
+        let n = net.num_links();
+        let groups: Vec<Vec<LinkId>> = srlgs
+            .iter()
+            .map(|g| g.iter().map(|&l| LinkId::new(l % n as u32)).collect())
+            .collect();
+        let net = Arc::new(net.with_srlgs(&groups).unwrap());
+        let mut mgr = DrtpManager::with_config(Arc::clone(&net), cfg);
+        let mut scheme = scheme_by_index(scheme_idx);
+        let mut rng = drt_sim::rng::stream(seed, "indexed-trace");
+        let mut next_id = 0u64;
+        let mut live: Vec<ConnectionId> = Vec::new();
+        let mut released: Vec<ConnectionId> = Vec::new();
+
+        for op in ops {
+            match op {
+                Op::Establish { src, dst, mbps, reuse_id } => {
+                    if src == dst { continue; }
+                    let recycled = if reuse_id { released.pop() } else { None };
+                    let id = recycled.unwrap_or_else(|| {
+                        next_id += 1;
+                        ConnectionId::new(next_id - 1)
+                    });
+                    let req = RouteRequest::new(
+                        id, NodeId::new(src), NodeId::new(dst), Bandwidth::from_mbps(mbps),
+                    );
+                    let before = oracle::registrations(&mgr);
+                    match mgr.request_connection(scheme.as_mut(), req) {
+                        Ok(report) => {
+                            let conflicted = !report.dedicated_backup
+                                && report.backups.iter().any(|b| {
+                                    oracle::conflicts(&before, report.primary.links(), b.links())
+                                });
+                            prop_assert_eq!(report.conflicted, conflicted, "admitting {}", id);
+                            live.push(id);
+                        }
+                        // A refused id was never admitted: it stays free.
+                        Err(_) => released.push(id),
+                    }
+                }
+                Op::Release { victim } => {
+                    if live.is_empty() { continue; }
+                    let id = live.remove(victim % live.len());
+                    mgr.release(id).unwrap();
+                    prop_assert!(mgr.connection(id).is_none());
+                    released.push(id);
+                }
+                Op::Fail { link } => {
+                    let _ = mgr.inject_failure(LinkId::new(link % n as u32), &mut rng);
+                }
+                Op::Crash { node } => {
+                    let ev = FailureEvent::Node(NodeId::new(node % net.num_nodes() as u32));
+                    let _ = mgr.inject_event(&ev, &mut rng);
+                }
+                Op::Batch { a, b } => {
+                    let ev = FailureEvent::Batch(vec![
+                        FailureEvent::Link(LinkId::new(a % n as u32)),
+                        FailureEvent::Link(LinkId::new(b % n as u32)),
+                    ]);
+                    let _ = mgr.inject_event(&ev, &mut rng);
+                }
+                Op::Repair { link } => {
+                    let _ = mgr.repair_link(LinkId::new(link % n as u32));
+                }
+                Op::Reestablish { victim } => {
+                    if live.is_empty() { continue; }
+                    let id = live[victim % live.len()];
+                    let _ = mgr.reestablish_backup(scheme.as_mut(), id);
+                }
+            }
+            // assert_invariants rebuilds the incidence index from the
+            // connection table and panics on the first divergence.
+            mgr.assert_invariants();
+
+            // The whole sweep — every loaded unit probed under the same
+            // per-unit RNG streams — must agree decision for decision.
+            prop_assert_eq!(mgr.sweep_single_failures(seed), oracle::sweep(&mgr, seed));
+
+            let table = oracle::aplv_table(&oracle::registrations(&mgr), n);
+            for i in net.links().map(|l| l.id()) {
+                let aplv = mgr.aplv(i);
+                let row = &table[i.index()];
+                prop_assert_eq!(aplv.required_spare(), oracle::spare_need(row), "spare need of {}", i);
+                for j in net.links().map(|l| l.id()) {
+                    let count = row.get(&j).map_or(0, |&(count, _)| count);
+                    prop_assert_eq!(aplv.count(j), count, "a({}, {})", i, j);
+                }
+            }
+        }
+
+        // Closing cross-checks on the final state: per-unit probes,
+        // correlated-event probes, and the vulnerability report.
+        for link in mgr.failure_units() {
+            let mut a = drt_sim::rng::stream(seed, "probe-eq");
+            let mut b = drt_sim::rng::stream(seed, "probe-eq");
+            prop_assert_eq!(
+                mgr.probe_single_failure(link, &mut a),
+                oracle::probe_unit(&mgr, link, &mut b)
+            );
+        }
+        let crash = FailureEvent::Node(NodeId::new(crash));
+        let events = [
+            crash.clone(),
+            FailureEvent::Srlg(SrlgId::new(0)),
+            FailureEvent::Srlg(SrlgId::new(1)),
+            FailureEvent::Batch(vec![crash, FailureEvent::Link(LinkId::new(cut % n as u32))]),
+        ];
+        for event in &events {
+            let mut a = drt_sim::rng::stream(seed, "event-eq");
+            let mut b = drt_sim::rng::stream(seed, "event-eq");
+            prop_assert_eq!(
+                mgr.probe_event(event, &mut a),
+                oracle::probe_event(&mgr, event, &mut b),
+                "{}", event
+            );
+        }
+
+        let report = drt_core::analysis::vulnerability(&mgr, seed);
+        let (trials, per_conn) = oracle::vulnerability(&mgr, seed);
+        prop_assert_eq!(report.trials(), trials);
+        prop_assert_eq!(
+            report.vulnerable().collect::<Vec<_>>(),
+            per_conn.iter().map(|(&c, l)| (c, l.as_slice())).collect::<Vec<_>>()
+        );
     }
 }

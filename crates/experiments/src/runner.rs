@@ -67,12 +67,11 @@ impl SchemeKind {
         }
     }
 
-    /// The manager configuration this scheme runs under.
+    /// The manager configuration this scheme runs under: the paper's for
+    /// every kind (it admits a request without a backup, so primary-only
+    /// admission needs nothing else).
     pub fn manager_config(self) -> MultiplexConfig {
-        match self {
-            SchemeKind::NoBackup => MultiplexConfig::no_backup_baseline(),
-            _ => MultiplexConfig::paper(),
-        }
+        MultiplexConfig::paper()
     }
 }
 
@@ -465,7 +464,10 @@ mod tests {
             SchemeKind::paper_schemes().map(|s| s.label()),
             ["D-LSR", "P-LSR", "BF"]
         );
-        assert!(!SchemeKind::NoBackup.manager_config().require_backup);
+        assert_eq!(
+            SchemeKind::NoBackup.manager_config(),
+            MultiplexConfig::paper()
+        );
         assert!(!SchemeKind::Bf.manager_config().require_backup);
         assert_eq!(SchemeKind::Dedicated.to_string(), "Dedicated");
     }

@@ -1,9 +1,9 @@
 //! Journal-replay determinism: at *any* point of *any* run — mid-walk,
 //! under loss, duplication, and jitter, before and after compaction —
 //! replaying a router's journal from its checkpoint prefix yields a
-//! router bit-for-bit equal to the live one. Same shape as the
-//! dense≡sparse and indexed≡naive equivalence suites: a randomized trace
-//! generator plus an exact-equality oracle.
+//! router bit-for-bit equal to the live one. Same shape as `drt-core`'s
+//! `failure_engine_matches_paper_oracle`: a randomized trace generator
+//! plus an exact-equality reference.
 
 use drt_core::ConnectionId;
 use drt_net::{topology, Bandwidth, Network, NodeId, Route};

@@ -7,11 +7,10 @@
 //! ```
 //!
 //! Builds the workspace code model (every `.rs` file under `crates/`,
-//! test files included for waiver and reference tracking), runs the
-//! full engine in [`verify::lint::run_full`] — legacy substring rules,
+//! test files included), runs the full engine in
+//! [`verify::lint::run_full`] — legacy substring rules,
 //! nondeterminism-taint propagation, RNG-substream discipline,
-//! baseline parity, stale-waiver audit — and exits nonzero if anything
-//! fires.
+//! stale-waiver audit — and exits nonzero if anything fires.
 
 #![forbid(unsafe_code)]
 

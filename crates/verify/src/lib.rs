@@ -41,15 +41,14 @@
 //!   and literal bodies blanked, byte offsets and line numbers
 //!   preserved. The legacy substring rules run on this view.
 //! * [`model`] — a per-workspace item model: every `fn` with its impl
-//!   context, call sites, direct nondeterminism seeds, `lint:allow`
-//!   waivers, and the identifier set referenced from test code.
+//!   context, call sites, direct nondeterminism seeds, and `lint:allow`
+//!   waivers.
 //! * [`taint`] — fixpoint nondeterminism-taint propagation over the
 //!   call graph: a helper wrapping `Instant::now` two crates away
 //!   taints every routing function that can reach it, and the finding
 //!   carries the full source→sink call chain.
-//! * [`semantic`] — call-graph rules: RNG-substream discipline for
-//!   closures passed to the deterministic parallel drivers, and
-//!   baseline test/bench parity for `*_baseline` functions. The
+//! * [`semantic`] — the call-graph rule: RNG-substream discipline for
+//!   closures passed to the deterministic parallel drivers. The
 //!   stale-waiver audit lives in the [`lint`] orchestrator.
 //!
 //! Run it with `cargo run -p verify --bin lint` (`--format json` for

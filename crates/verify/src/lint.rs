@@ -22,7 +22,6 @@
 //! |------|--------|---------|
 //! | `nondet-taint` | [`crate::taint`] | a routing/protocol/experiment function that *indirectly* reaches an ambient nondeterminism source, with the full call chain |
 //! | `rng-substream` | [`crate::semantic`] | a parallel-driver closure consuming an RNG it did not derive per unit |
-//! | `baseline-parity` | [`crate::semantic`] | a `*_baseline` function no test references |
 //! | `stale-waiver` | [`run_on`] | a `lint:allow(…)` comment that suppresses nothing (or names an unknown rule) |
 //!
 //! Test code is exempt from every rule except waiver collection:
@@ -309,7 +308,6 @@ pub fn run_on(ws: &Workspace) -> Report {
     let taint_result = taint::scan(ws);
     raw.extend(taint_result.findings);
     raw.extend(semantic::rng_substream(ws));
-    raw.extend(semantic::baseline_parity(ws));
     // Excerpts for findings produced without file access in hand.
     for f in &mut raw {
         if f.excerpt.is_empty() {
@@ -379,7 +377,7 @@ pub struct RuleDoc {
 }
 
 /// The `--explain` table.
-pub const RULE_DOCS: [RuleDoc; 10] = [
+pub const RULE_DOCS: [RuleDoc; 9] = [
     RuleDoc {
         name: "nondet",
         scope: "everywhere but crates/sim/src/rng.rs",
@@ -451,14 +449,6 @@ pub const RULE_DOCS: [RuleDoc; 10] = [
               drt_sim::rng::indexed_stream(master, tag, unit_index)",
     },
     RuleDoc {
-        name: "baseline-parity",
-        scope: "every non-test fn named *_baseline",
-        why: "baselines exist to prove the optimised path bit-for-bit \
-              equivalent; an unreferenced baseline is dead code wearing a \
-              safety vest",
-        fix: "reference it from an equivalence proptest, or delete it",
-    },
-    RuleDoc {
         name: "stale-waiver",
         scope: "every lint:allow(…) comment",
         why: "a waiver that suppresses nothing misleads readers and hides \
@@ -479,7 +469,6 @@ mod tests {
             FLOAT_EQ,
             taint::RULE,
             semantic::RNG_SUBSTREAM,
-            semantic::BASELINE_PARITY,
             STALE_WAIVER,
         ]);
         for name in engine {

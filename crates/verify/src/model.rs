@@ -1,5 +1,5 @@
 //! A lightweight per-workspace code model: functions, impl contexts,
-//! call sites, nondeterminism seeds, waivers, and test references.
+//! call sites, nondeterminism seeds, and waivers.
 //!
 //! Built on the token stream from [`crate::lex`], this is *not* a full
 //! Rust front end — it is exactly the item structure the semantic rules
@@ -16,9 +16,7 @@
 //!   `Instant::now`, `SystemTime`, and iteration over a local binding or
 //!   parameter whose type mentions `HashMap`/`HashSet`;
 //! * every `lint:allow(rule)` *waiver* found in a plain (non-doc)
-//!   comment, for suppression and for the stale-waiver audit;
-//! * the set of identifiers referenced from test code, for the
-//!   baseline-parity rule.
+//!   comment, for suppression and for the stale-waiver audit.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -140,12 +138,10 @@ pub struct Workspace {
     pub by_name: BTreeMap<String, Vec<usize>>,
     /// All waiver comments in non-test code regions.
     pub waivers: Vec<Waiver>,
-    /// Identifiers referenced anywhere in test code.
-    pub test_idents: BTreeSet<String>,
 }
 
-/// Directory names whose files are test-only code (still modelled, for
-/// reference tracking, but exempt from the rules themselves).
+/// Directory names whose files are test-only code (still modelled, but
+/// exempt from the rules themselves).
 const TEST_DIRS: [&str; 3] = ["tests", "benches", "examples"];
 
 /// Directories never scanned at all.
@@ -168,7 +164,6 @@ impl Workspace {
             fns: Vec::new(),
             by_name: BTreeMap::new(),
             waivers: Vec::new(),
-            test_idents: BTreeSet::new(),
         };
         for (path, src) in sources {
             ws.add_file(path, src);
@@ -192,7 +187,6 @@ impl Workspace {
             fns: Vec::new(),
             by_name: BTreeMap::new(),
             waivers: Vec::new(),
-            test_idents: BTreeSet::new(),
         };
         for file in files {
             let rel = file
@@ -257,16 +251,6 @@ impl Workspace {
             .collect();
 
         extract_fns(self, file_idx, &lexed, &code, &is_test_line);
-
-        // Test-referenced identifiers.
-        for t in &lexed.tokens {
-            if matches!(t.kind, TokenKind::Ident | TokenKind::RawIdent) && is_test_line(t.line) {
-                let name = lexed.name(t);
-                if !KEYWORDS.contains(&name) {
-                    self.test_idents.insert(name.to_string());
-                }
-            }
-        }
 
         self.files.push(SourceFile {
             path: path.to_string(),
@@ -780,12 +764,11 @@ mod tests {
     }
 
     #[test]
-    fn cfg_test_region_marks_fns_and_collects_refs() {
-        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t() { prod_baseline(); }\n}\n";
+    fn cfg_test_region_marks_fns() {
+        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t() { prod(); }\n}\n";
         let ws = Workspace::from_sources(&[("crates/x/src/lib.rs", src)]);
         assert!(!ws.fns[0].is_test);
         assert!(ws.fns[1].is_test);
-        assert!(ws.test_idents.contains("prod_baseline"));
     }
 
     #[test]

@@ -11,14 +11,8 @@
 //!   `substream_seed`, `seed_from_u64`, `from_seed`) is the sanctioned
 //!   pattern. Before this rule, the invariant was only enforced after
 //!   the fact by the jobs-1-vs-8 integration tests.
-//! * [`baseline_parity`] — **baseline-parity.** Every `*_baseline()`
-//!   function is the paper-faithful twin of an optimised path and only
-//!   stays trustworthy while something *executes* it: the rule requires
-//!   each one to be referenced from at least one test target (an
-//!   equivalence proptest), so baselines cannot rot into dead unverified
-//!   code.
 //!
-//! The third semantic rule, the **stale-waiver audit**, lives in the
+//! The second semantic rule, the **stale-waiver audit**, lives in the
 //! orchestrator ([`crate::lint::run_on`]) because it needs the complete
 //! unwaived finding set of every other rule.
 
@@ -28,9 +22,6 @@ use crate::model::{matching, Workspace};
 
 /// Rule name for the RNG-substream discipline.
 pub const RNG_SUBSTREAM: &str = "rng-substream";
-
-/// Rule name for baseline test/bench parity.
-pub const BASELINE_PARITY: &str = "baseline-parity";
 
 /// The deterministic parallel driver whose closures are policed.
 const DRIVERS: [&str; 1] = ["parallel_map"];
@@ -219,32 +210,6 @@ fn check_closure(
     }
 }
 
-/// Requires every non-test `*_baseline` function to be referenced from
-/// test or bench code.
-pub fn baseline_parity(ws: &Workspace) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for f in &ws.fns {
-        if f.is_test || !f.name.ends_with("_baseline") {
-            continue;
-        }
-        if !ws.test_idents.contains(&f.name) {
-            findings.push(Finding {
-                rule: BASELINE_PARITY,
-                path: ws.file_of(f).path.clone(),
-                line: f.line,
-                excerpt: ws.line_text(f.file, f.line).to_string(),
-                detail: vec![format!(
-                    "`{}` is a paper-faithful baseline but no test references it; \
-                     add an equivalence proptest (or delete the baseline)",
-                    f.qual
-                )],
-            });
-        }
-    }
-    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    findings
-}
-
 fn punct_at(lexed: &lex::Lexed<'_>, code: &[&Token], at: usize) -> u8 {
     match code.get(at) {
         Some(t) if t.kind == TokenKind::Punct => lexed.text(t).as_bytes()[0],
@@ -278,34 +243,5 @@ mod tests {
         let src = "fn sweep(cfg: &Cfg) {\n    let out = parallel_map(8, cells, || (), |(), cell| run_cell(cfg, cell));\n}\n";
         let ws = Workspace::from_sources(&[("crates/experiments/src/sweep.rs", src)]);
         assert!(rng_substream(&ws).is_empty());
-    }
-
-    #[test]
-    fn unreferenced_baseline_flagged_referenced_one_clean() {
-        let ws = Workspace::from_sources(&[
-            (
-                "crates/core/src/engine.rs",
-                "impl Engine {\n    pub fn fast(&self) {}\n    pub fn slow_baseline(&self) {}\n}\n",
-            ),
-            (
-                "crates/core/tests/props.rs",
-                "fn prop() { let _ = engine.other(); }\n",
-            ),
-        ]);
-        let f = baseline_parity(&ws);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].detail[0].contains("Engine::slow_baseline"));
-
-        let ws = Workspace::from_sources(&[
-            (
-                "crates/core/src/engine.rs",
-                "impl Engine {\n    pub fn slow_baseline(&self) {}\n}\n",
-            ),
-            (
-                "crates/core/tests/props.rs",
-                "fn prop() { assert_eq!(engine.fast(), engine.slow_baseline()); }\n",
-            ),
-        ]);
-        assert!(baseline_parity(&ws).is_empty());
     }
 }

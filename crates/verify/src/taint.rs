@@ -9,8 +9,7 @@
 //! `nondet` rule catches the direct touch; this pass catches the
 //! indirect one — a helper two crates away that wraps `Instant::now`
 //! and is called from routing — which is exactly the class of
-//! regression that silently breaks byte-identical `--jobs` output and
-//! bit-for-bit baseline equivalence.
+//! regression that silently breaks byte-identical `--jobs` output.
 //!
 //! A finding is reported at the *frontier*: a function in a policed
 //! crate (`crates/core`, `crates/proto`, `crates/experiments`) whose

@@ -122,37 +122,6 @@ fn derived_substream_closure_is_clean() {
     );
 }
 
-/// A `*_baseline` function nothing references is flagged; referencing it
-/// from any test or bench file clears it.
-#[test]
-fn unreferenced_baseline_is_flagged_referenced_is_clean() {
-    let dead = Workspace::from_sources(&[(
-        "crates/core/src/routing/dlsr.rs",
-        "impl DLsr {\n    pub fn cost(&self) -> f64 { self.fast() }\n    pub fn cost_baseline(&self) -> f64 { 0.0 }\n}\n",
-    )]);
-    let report = run_on(&dead);
-    let f = findings_of(&report.findings, "baseline-parity");
-    assert_eq!(f.len(), 1, "{:?}", report.findings);
-    assert!(f[0].detail[0].contains("DLsr::cost_baseline"));
-
-    let referenced = Workspace::from_sources(&[
-        (
-            "crates/core/src/routing/dlsr.rs",
-            "impl DLsr {\n    pub fn cost_baseline(&self) -> f64 { 0.0 }\n}\n",
-        ),
-        (
-            "crates/core/tests/equivalence.rs",
-            "#[test]\nfn parity() { assert_eq!(d.cost(), d.cost_baseline()); }\n",
-        ),
-    ]);
-    let report = run_on(&referenced);
-    assert!(
-        findings_of(&report.findings, "baseline-parity").is_empty(),
-        "{:?}",
-        report.findings
-    );
-}
-
 /// A waiver that suppresses nothing is itself an error, reported at the
 /// waiver's own line.
 #[test]

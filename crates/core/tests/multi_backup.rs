@@ -55,7 +55,7 @@ fn requesting_more_backups_than_routes_exist_caps_gracefully() {
     let rep = mgr
         .request_connection(&mut DLsr::new(), req_k(0, 0, 3, 4))
         .unwrap();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for b in &rep.backups {
         assert!(seen.insert(b.links().to_vec()), "duplicate backup {b}");
     }

@@ -7,6 +7,8 @@
 //! are also written to `DIR/metrics_e3.csv` / `DIR/metrics_e4.csv` for
 //! downstream plotting.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::runner::{run_matrix, SchemeKind};
 use drt_experiments::{capacity, fault_tolerance, overhead, report};

@@ -3,6 +3,8 @@
 //!
 //! Usage: `availability [--quick]`
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use drt_experiments::availability::replay_with_failures;
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::runner::{replay, SchemeKind};

@@ -22,6 +22,8 @@
 //! * `--jobs N`       worker threads for the sweeps (default 1); the
 //!   output is byte-identical for every job count.
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use drt_core::orchestrator::RetryPolicy;
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::regimes::{

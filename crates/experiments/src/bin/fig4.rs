@@ -3,6 +3,8 @@
 //!
 //! Usage: `fig4 [--quick]`
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::{fault_tolerance, report};
 

@@ -2,6 +2,8 @@
 //!
 //! Usage: `fig5 [--quick]`
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::{capacity, report};
 

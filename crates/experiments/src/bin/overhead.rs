@@ -3,6 +3,8 @@
 //!
 //! Usage: `overhead [--quick]`
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::runner::SchemeKind;
 use drt_experiments::{overhead, report, signalling};

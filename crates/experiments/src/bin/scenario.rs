@@ -12,6 +12,8 @@
 //! scenario topology-info FILE
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::runner::{replay, SchemeKind};
 use drt_sim::stats::OnlineStats;

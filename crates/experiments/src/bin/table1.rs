@@ -1,5 +1,7 @@
 //! Prints Table 1 (the simulation parameters).
 
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use drt_experiments::config::ExperimentConfig;
 
 fn main() {

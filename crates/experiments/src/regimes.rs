@@ -571,6 +571,10 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
                         break;
                     };
                     let reporter = mgr.net().link(link).src();
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the false-reports regime is the one liar; its arms share substreams"
+                    )]
                     if cell.defended {
                         // Vetting finds no corroborating evidence (the
                         // link is healthy): the lie is rejected and the
@@ -748,6 +752,10 @@ impl ControlPlane {
         inject_rng: &mut StdRng,
     ) {
         let log_before = self.sim.recovery_log().len();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the control-loss regime replays this failure on the mirror just below"
+        )]
         self.sim.fail_link(link);
         self.sim.run_to_quiescence();
         let report = mgr

@@ -186,6 +186,10 @@ impl DynamicSpt {
                 continue;
             }
             let u = net.link(l).src();
+            #[expect(
+                clippy::float_cmp,
+                reason = "a tree link stays tight only at exact equality: the same sum built the distance"
+            )]
             let supported = match cost(l) {
                 Some(w) => self.dist[u.index()] + w.max(0.0) == self.dist[v.index()],
                 None => false,
@@ -319,6 +323,10 @@ impl DynamicSpt {
             match self.parent_link[i] {
                 Some(l) => {
                     let u = net.link(l).src();
+                    #[expect(
+                        clippy::float_cmp,
+                        reason = "the certificate is exact: the same sum built the distance"
+                    )]
                     let ok = net.link(l).dst() == node
                         && matches!(cost(l), Some(w) if self.dist[u.index()] + w.max(0.0) == self.dist[i]);
                     if !ok {

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 #![deny(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod algo;
 mod bandwidth;

@@ -49,7 +49,7 @@ impl Network {
         for n in self.nodes() {
             let [x, y] = self.node_position(n);
             // Positions default to the exact origin; only explicitly
-            // placed nodes are worth a `pos` line. lint:allow(float-eq)
+            // placed nodes are worth a `pos` line.
             if x != 0.0 || y != 0.0 {
                 out.push_str(&format!("pos {} {x} {y}\n", n.index()));
             }

@@ -102,7 +102,6 @@ impl AdversaryConfig {
         // here: only a literal 0.0 disables the interception path.
         self.false_reports.is_empty()
             && !self.suppress_reports
-            // lint:allow(float-eq) — only a literal 0.0 disables interception
             && (self.victims.is_empty() || (self.drop_prob == 0.0 && self.max_delay.is_zero()))
     }
 

@@ -130,8 +130,8 @@ impl ChaosConfig {
     pub fn is_quiet(&self) -> bool {
         // Exact-zero probes on user-supplied probabilities are the intent
         // here: only a literal 0.0 disables the fault path.
-        self.drop_prob == 0.0 // lint:allow(float-eq) — literal-zero sentinel: exactly 0.0 disables the fault
-            && self.dup_prob == 0.0 // lint:allow(float-eq) — literal-zero sentinel: exactly 0.0 disables the fault
+        self.drop_prob == 0.0
+            && self.dup_prob == 0.0
             && self.max_jitter.is_zero()
             && self.crashes.is_empty()
     }

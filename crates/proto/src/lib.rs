@@ -83,6 +83,8 @@
 #![warn(missing_docs)]
 #![deny(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod adversary;
 mod chaos;

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 #![deny(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod event;
 pub mod process;

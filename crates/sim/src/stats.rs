@@ -194,7 +194,7 @@ impl TimeWeighted {
         let tail = now.saturating_since(self.last_time).as_secs_f64();
         let total = now.saturating_since(self.start).as_secs_f64();
         // Exact-zero elapsed time (no step taken yet) would divide by
-        // zero below; any nonzero duration is fine. lint:allow(float-eq)
+        // zero below; any nonzero duration is fine.
         if total == 0.0 {
             self.last_value
         } else {

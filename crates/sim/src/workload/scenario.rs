@@ -369,7 +369,8 @@ impl Scenario {
         out
     }
 
-    /// Parses the text format produced by [`Scenario::to_text`].
+    /// Parses the text format produced by [`Scenario::to_text`]. Request
+    /// ids must count up from 0 in line order, as `to_text` writes them.
     ///
     /// # Errors
     ///
@@ -419,6 +420,13 @@ impl Scenario {
                 }
                 Some("req") => {
                     let id: u64 = parse(tok.next(), "request id", line_no)?;
+                    // `request` and the replay timeline index by id.
+                    if id != requests.len() as u64 {
+                        return Err(format!(
+                            "line {line_no}: request id {id} out of order (expected {})",
+                            requests.len()
+                        ));
+                    }
                     let src: u32 = parse(tok.next(), "source", line_no)?;
                     let dst: u32 = parse(tok.next(), "destination", line_no)?;
                     let arrival: u64 = parse(tok.next(), "arrival", line_no)?;
@@ -570,6 +578,24 @@ mod tests {
             "lambda 1\nseed 0\nbw_req_kbps 100\nduration_us 10\npattern UT\nreq 0 0 1 50 40\n";
         let err = Scenario::from_text(text).unwrap_err();
         assert!(err.contains("departure precedes arrival"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_request_ids_out_of_line_order() {
+        let head = "lambda 1\nseed 0\nbw_req_kbps 100\nduration_us 100\npattern UT\n";
+        // A lone request whose id is not 0 would index past the end.
+        let err = Scenario::from_text(&format!("{head}req 7 0 1 0 50\n")).unwrap_err();
+        assert!(
+            err.starts_with("line 6: request id 7 out of order"),
+            "{err}"
+        );
+        // Swapped ids would replay each other's endpoints.
+        let err =
+            Scenario::from_text(&format!("{head}req 1 2 3 0 50\nreq 0 0 1 10 50\n")).unwrap_err();
+        assert!(
+            err.starts_with("line 6: request id 1 out of order"),
+            "{err}"
+        );
     }
 
     #[test]

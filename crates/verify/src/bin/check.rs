@@ -17,6 +17,7 @@
 //! exploration saves less than 2x over the baseline.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::process::ExitCode;
 

@@ -8,11 +8,12 @@
 //!
 //! Builds the workspace code model (every `.rs` file under `crates/`,
 //! test files included), runs the full engine in
-//! [`verify::lint::run_full`] — legacy substring rules,
-//! nondeterminism-taint propagation, RNG-substream discipline,
-//! stale-waiver audit — and exits nonzero if anything fires.
+//! [`verify::lint::run_full`] — nondeterminism-taint propagation,
+//! RNG-substream discipline, stale-waiver audit — and exits nonzero if
+//! anything fires.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -143,7 +144,11 @@ fn main() -> ExitCode {
 
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let root = root.canonicalize().unwrap_or(root);
-    let t0 = Instant::now(); // lint:allow(nondet) — CLI wall-clock reporting, not simulation state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI wall-clock reporting, not simulation state"
+    )]
+    let t0 = Instant::now();
     let report = match lint::run_full(&root) {
         Ok(r) => r,
         Err(e) => {

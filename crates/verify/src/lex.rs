@@ -1,20 +1,17 @@
 //! A token-level Rust lexer for the semantic lint engine.
 //!
 //! This is deliberately *not* a full Rust parser: it recognises exactly
-//! the token classes the lint rules need to be sound against adversarial
+//! the token classes the lint passes need to be sound against adversarial
 //! source — identifiers (including raw `r#ident`s), lifetimes vs. char
 //! literals (`'a` vs `'a'`), every string-literal family (plain, raw,
 //! byte, raw-byte, C, with any number of `#` guards), byte chars,
 //! numbers, line/block/doc comments (block comments nest), and
-//! single-character punctuation. Everything the substring rules must
-//! never match inside — comment text, string bodies, char bodies — is
-//! carried as an opaque token with a span, so [`code_view`] can blank it
-//! while preserving byte offsets and line numbers exactly.
+//! single-character punctuation. Everything the passes must never read
+//! as code — comment text, string bodies, char bodies — is carried as an
+//! opaque token with a span and a start line.
 //!
-//! The lexer is the shared front end: the legacy substring rules run on
-//! the [`code_view`] it produces, and the call-graph model
-//! ([`crate::model`]) and the taint/semantic passes ([`crate::taint`],
-//! [`crate::semantic`]) walk the token stream itself.
+//! The call-graph model ([`crate::model`]) and the taint/semantic passes
+//! ([`crate::taint`], [`crate::semantic`]) walk the token stream.
 
 /// Token classes distinguished by the lexer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -386,59 +383,6 @@ fn scan_char_body(b: &[u8], j: usize) -> Option<usize> {
     }
 }
 
-/// Reduces Rust source to a *code view*: comment text, string bodies,
-/// and char bodies are replaced by spaces (newlines kept), while
-/// delimiters — quotes, raw-string prefixes and `#` guards — and all
-/// remaining code survive verbatim. Byte offsets and line numbers are
-/// identical to the input, so findings located in the view map straight
-/// back to the source.
-pub fn code_view(src: &str) -> String {
-    let lexed = lex(src);
-    let mut out = src.as_bytes().to_vec();
-    for t in &lexed.tokens {
-        match t.kind {
-            TokenKind::Comment { .. } => blank(&mut out, t.start, t.end),
-            TokenKind::Str => {
-                // Keep the prefix/guards and both quotes; blank the body.
-                let bytes = src.as_bytes();
-                let open = (t.start..t.end).find(|&k| bytes[k] == b'"');
-                let hashes = if bytes[t.end.saturating_sub(1)..t.end]
-                    .iter()
-                    .all(|&c| c == b'#')
-                {
-                    bytes[t.start..t.end]
-                        .iter()
-                        .rev()
-                        .take_while(|&&c| c == b'#')
-                        .count()
-                } else {
-                    0
-                };
-                if let Some(open) = open {
-                    let close = t.end.saturating_sub(1 + hashes).max(open + 1);
-                    blank(&mut out, open + 1, close);
-                }
-            }
-            TokenKind::Char => {
-                // Keep the quotes (and a `b` prefix); blank the body.
-                let open = t.start + usize::from(src.as_bytes()[t.start] == b'b');
-                blank(&mut out, open + 1, t.end.saturating_sub(1));
-            }
-            _ => {}
-        }
-    }
-    // Built byte-wise from ASCII blanks over valid UTF-8 source.
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn blank(out: &mut [u8], from: usize, to: usize) {
-    for b in out.iter_mut().take(to).skip(from) {
-        if *b != b'\n' {
-            *b = b' ';
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,7 +480,6 @@ mod tests {
     fn unterminated_constructs_do_not_hang_or_panic() {
         for src in ["\"open", "r#\"open", "/* open", "'", "b'", "r#"] {
             let _ = lex(src);
-            let _ = code_view(src);
         }
     }
 }

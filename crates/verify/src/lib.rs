@@ -33,13 +33,12 @@
 //! # The semantic lint ([`lint`])
 //!
 //! A source-level analysis engine (no rustc plumbing, no extra
-//! dependencies) built from four layers:
+//! dependencies) for what clippy cannot state: properties of the call
+//! graph. It is built from four layers:
 //!
 //! * [`lex`] — a token-level Rust lexer (comments, raw strings, byte
 //!   literals, lifetimes-vs-chars, raw identifiers, nested block
-//!   comments) and the *code view* it derives: source text with comment
-//!   and literal bodies blanked, byte offsets and line numbers
-//!   preserved. The legacy substring rules run on this view.
+//!   comments) with exact line numbers.
 //! * [`model`] — a per-workspace item model: every `fn` with its impl
 //!   context, call sites, direct nondeterminism seeds, and `lint:allow`
 //!   waivers.
@@ -57,6 +56,7 @@
 #![warn(missing_docs)]
 #![deny(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod checker;
 pub mod lex;

@@ -34,10 +34,8 @@ pub enum SeedKind {
     FromEntropy,
     /// `Instant::now()` — wall-clock read.
     InstantNow,
-    /// Any use of the system wall clock (`std::time`'s non-monotonic
-    /// clock type). Named without the full identifier so verify's own
-    /// source stays clean under the legacy substring rule.
-    SysTime,
+    /// Any use of `SystemTime` — wall-clock read.
+    SystemTime,
     /// Iteration over a `HashMap`/`HashSet` (order is unstable).
     HashIter,
 }
@@ -49,7 +47,7 @@ impl SeedKind {
             SeedKind::ThreadRng => "thread_rng() (OS entropy)",
             SeedKind::FromEntropy => "from_entropy() (OS entropy)",
             SeedKind::InstantNow => "Instant::now() (wall clock)",
-            SeedKind::SysTime => "SystemTime (wall clock)",
+            SeedKind::SystemTime => "SystemTime (wall clock)",
             SeedKind::HashIter => "HashMap/HashSet iteration (unstable order)",
         }
     }
@@ -608,7 +606,7 @@ fn scan_body(
                     line: t.line,
                 }),
                 "SystemTime" => seeds.push(Seed {
-                    kind: SeedKind::SysTime,
+                    kind: SeedKind::SystemTime,
                     line: t.line,
                 }),
                 "Instant"
@@ -773,10 +771,10 @@ mod tests {
 
     #[test]
     fn waivers_collected_from_plain_comments_only() {
-        let src = "//! doc mentions lint:allow(nondet) in prose\nfn f() {} // lint:allow(float-eq) — why\n";
+        let src = "//! doc mentions lint:allow(nondet-taint) in prose\nfn f() {} // lint:allow(rng-substream) — why\n";
         let ws = Workspace::from_sources(&[("crates/x/src/lib.rs", src)]);
         assert_eq!(ws.waivers.len(), 1);
-        assert_eq!(ws.waivers[0].rule, "float-eq");
+        assert_eq!(ws.waivers[0].rule, "rng-substream");
         assert_eq!(ws.waivers[0].line, 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Model-level semantic rules the substring lint structurally cannot
+//! Model-level semantic rules neither the compiler nor clippy can
 //! express.
 //!
 //! * [`rng_substream`] — **RNG-substream discipline.** Closures handed

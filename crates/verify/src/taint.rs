@@ -5,22 +5,21 @@
 //! hash-collection iteration — is *seeded* at the function that touches
 //! it directly (see [`crate::model::SeedKind`]) and then propagated
 //! caller-ward along call edges until nothing changes: any function
-//! that can reach a seed through calls is *tainted*. The substring
-//! `nondet` rule catches the direct touch; this pass catches the
-//! indirect one — a helper two crates away that wraps `Instant::now`
-//! and is called from routing — which is exactly the class of
-//! regression that silently breaks byte-identical `--jobs` output.
+//! that can reach a seed through calls is *tainted*. Clippy's
+//! `disallowed-methods` (the `clippy.toml` files under `crates/`) bans
+//! the direct touch of a clock; this pass catches the indirect one — a
+//! helper two crates away that wraps `Instant::now` and is called from
+//! routing — which is exactly the class of regression that silently
+//! breaks byte-identical `--jobs` output.
 //!
 //! A finding is reported at the *frontier*: a function in a policed
 //! crate (`crates/core`, `crates/proto`, `crates/experiments`) whose
 //! taint arrives through a call into a function that is not itself a
 //! reported policed frontier. The diagnostic carries the full
 //! source→sink call chain down to the ambient source line, so the fix
-//! site is always visible. Seeds whose line carries a `nondet` waiver do
-//! not seed (the waiver's rationale covers the transitive uses, and the
-//! orchestrator counts such a waiver as *used* so it never reads as
-//! stale); a frontier call site can itself be waived with
-//! `lint:allow(nondet-taint)` through the ordinary waiver mechanism.
+//! site is always visible. Every seed seeds: a justified reach is waived
+//! at its frontier call site with `lint:allow(nondet-taint)` through the
+//! ordinary waiver mechanism.
 //!
 //! Call edges are resolved by name (with a one-segment `Type::`
 //! qualifier when the source spells one), which over-approximates:
@@ -28,7 +27,7 @@
 //! price of staying dependency-free; the waiver mechanism and the
 //! stale-waiver audit keep the noise bounded and honest.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::lint::Finding;
 use crate::model::{SeedKind, Workspace};
@@ -53,45 +52,9 @@ enum Via {
     Call { line: usize, callee: usize },
 }
 
-/// What the taint pass produced: the frontier findings plus the indices
-/// (into `Workspace::waivers`) of `nondet` waivers that neutralised a
-/// seed — the orchestrator counts those as used in the stale audit.
-#[derive(Debug, Default)]
-pub struct TaintResult {
-    /// Frontier findings, sorted by path and line.
-    pub findings: Vec<Finding>,
-    /// Waiver indices consumed by seed neutralisation.
-    pub used_seed_waivers: Vec<usize>,
-}
-
 /// Runs the fixpoint and renders frontier findings, sorted by path and
 /// line. `Finding::detail` holds the call chain, one hop per line.
-pub fn scan(ws: &Workspace) -> TaintResult {
-    // Seeds, minus waived ones. A `nondet` waiver (the legacy direct
-    // rule) neutralises a seed on its line or the line above.
-    let mut waived_seed_lines: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-    for (wi, w) in ws.waivers.iter().enumerate() {
-        if w.rule == "nondet" {
-            waived_seed_lines
-                .entry(w.file)
-                .or_default()
-                .push((w.line, wi));
-        }
-    }
-    let mut used_seed_waivers = Vec::new();
-    let mut seed_waived = |file: usize, line: usize| {
-        let mut hit = false;
-        if let Some(ws_lines) = waived_seed_lines.get(&file) {
-            for &(l, wi) in ws_lines {
-                if l == line || l + 1 == line {
-                    used_seed_waivers.push(wi);
-                    hit = true;
-                }
-            }
-        }
-        hit
-    };
-
+pub fn scan(ws: &Workspace) -> Vec<Finding> {
     let n = ws.fns.len();
     // Reverse adjacency: callee -> (caller, call line).
     let mut callers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
@@ -117,15 +80,7 @@ pub fn scan(ws: &Workspace) -> TaintResult {
         if f.is_test {
             continue;
         }
-        // Evaluate every seed (not just up to the first live one) so
-        // each consumed waiver is recorded for the stale audit.
-        let mut live: Option<&crate::model::Seed> = None;
-        for s in &f.seeds {
-            if !seed_waived(f.file, s.line) && live.is_none() {
-                live = Some(s);
-            }
-        }
-        if let Some(seed) = live {
+        if let Some(seed) = f.seeds.first() {
             via[i] = Some(Via::Seed(seed.kind, seed.line));
             queue.push_back(i);
         }
@@ -165,12 +120,7 @@ pub fn scan(ws: &Workspace) -> TaintResult {
     }
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     findings.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.detail == b.detail);
-    used_seed_waivers.sort_unstable();
-    used_seed_waivers.dedup();
-    TaintResult {
-        findings,
-        used_seed_waivers,
-    }
+    findings
 }
 
 /// Renders the call chain from fn `start` down to its ambient source.
@@ -269,9 +219,9 @@ mod tests {
                 "pub fn pick_route() -> u64 { stamp() }\n",
             ),
         ]);
-        let result = scan(&ws);
-        assert_eq!(result.findings.len(), 1, "{:?}", result.findings);
-        let f = &result.findings[0];
+        let findings = scan(&ws);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        let f = &findings[0];
         assert_eq!(f.rule, RULE);
         assert_eq!(f.path, "crates/core/src/routing/pick.rs");
         // Full chain: pick_route -> stamp -> raw_clock -> Instant::now.
@@ -281,29 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn waived_seed_does_not_propagate() {
-        let ws = Workspace::from_sources(&[
-            (
-                "crates/experiments/src/bench.rs",
-                "pub fn timed() -> u64 { Instant::now().elapsed().as_nanos() as u64 } // lint:allow(nondet) — bench harness\n",
-            ),
-            (
-                "crates/experiments/src/campaign.rs",
-                "pub fn run() { let _ = timed(); }\n",
-            ),
-        ]);
-        let result = scan(&ws);
-        assert!(result.findings.is_empty(), "{:?}", result.findings);
-        // The waiver was consumed by seed neutralisation.
-        assert_eq!(result.used_seed_waivers.len(), 1);
-    }
-
-    #[test]
     fn unpoliced_sink_is_not_reported() {
         let ws = Workspace::from_sources(&[(
             "crates/sim/src/stats.rs",
             "pub fn wrap() -> u64 { tick() }\npub fn tick() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
         )]);
-        assert!(scan(&ws).findings.is_empty());
+        assert!(scan(&ws).is_empty());
     }
 }

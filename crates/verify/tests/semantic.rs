@@ -12,9 +12,9 @@ fn findings_of<'a>(fs: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
 
 /// The flagship case: routing code reaches `Instant::now` through two
 /// layers of helpers in another crate. No forbidden name appears
-/// anywhere near the policed code, so the substring rule is blind to it;
-/// the taint pass must report it at the routing call site with every hop
-/// of the chain spelled out.
+/// anywhere near the policed code, so clippy's `disallowed-methods` is
+/// blind to it; the taint pass must report it at the routing call site
+/// with every hop of the chain spelled out.
 #[test]
 fn indirect_clock_read_two_calls_deep_reports_full_chain() {
     let ws = Workspace::from_sources(&[
@@ -38,18 +38,13 @@ fn indirect_clock_read_two_calls_deep_reports_full_chain() {
     assert!(f.detail[0].contains("pick_route") && f.detail[0].contains("epoch_nanos"));
     assert!(f.detail[1].contains("epoch_nanos") && f.detail[1].contains("raw_clock"));
     assert!(f.detail[2].contains("raw_clock") && f.detail[2].contains("Instant::now"));
-    // The legacy substring pass sees the raw `Instant::now` in the net
-    // helper — but is blind inside the policed file, which is exactly
-    // the gap the taint pass closes.
-    assert!(findings_of(&report.findings, "nondet")
-        .iter()
-        .all(|f| f.path == "crates/net/src/metrics.rs"));
 }
 
-/// A `nondet` waiver at the ambient source neutralises the whole chain —
-/// and counts as used, so it does not resurface as a stale waiver.
+/// A comment at the ambient source does not neutralise the chain: the
+/// retired `nondet` rule is an unknown name, and the reach is still
+/// reported at its frontier.
 #[test]
-fn waived_source_clears_the_chain_without_going_stale() {
+fn retired_nondet_waiver_is_unknown_and_clears_nothing() {
     let ws = Workspace::from_sources(&[
         (
             "crates/net/src/metrics.rs",
@@ -61,7 +56,10 @@ fn waived_source_clears_the_chain_without_going_stale() {
         ),
     ]);
     let report = run_on(&ws);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(findings_of(&report.findings, "nondet-taint").len(), 1);
+    let stale = findings_of(&report.findings, STALE_WAIVER);
+    assert_eq!(stale.len(), 1, "{:?}", report.findings);
+    assert!(stale[0].detail[0].contains("unknown rule `nondet`"));
 }
 
 /// A frontier call site can be waived with `lint:allow(nondet-taint)`
@@ -128,7 +126,7 @@ fn derived_substream_closure_is_clean() {
 fn stale_waiver_is_reported_at_its_line() {
     let ws = Workspace::from_sources(&[(
         "crates/proto/src/engine.rs",
-        "pub fn handle(&mut self, m: Msg) {\n    let x = 1; // lint:allow(proto-panics) — nothing panics here any more\n    self.apply(m, x);\n}\n",
+        "pub fn handle(&mut self, m: Msg) {\n    let x = 1; // lint:allow(nondet-taint) — nothing reaches a clock here any more\n    self.apply(m, x);\n}\n",
     )]);
     let report = run_on(&ws);
     let f = findings_of(&report.findings, STALE_WAIVER);

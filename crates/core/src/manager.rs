@@ -825,7 +825,8 @@ impl DrtpManager {
     /// backup *re-optimisation*: a backup chosen under duress (e.g. while
     /// a link was down, forcing overlap with its primary) can be replaced
     /// once conditions improve — an instance of DRTP's resource
-    /// reconfiguration step.
+    /// reconfiguration step, run after repairs by
+    /// [`crate::orchestrator::RecoveryOrchestrator::reoptimize`].
     ///
     /// # Errors
     ///

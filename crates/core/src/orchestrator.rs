@@ -20,7 +20,11 @@
 //! * **graceful degradation accounting** — a connection that exhausts its
 //!   retries is *orphaned*: it keeps carrying traffic unprotected, stops
 //!   consuming retry work, and is reported so experiments can quantify how
-//!   much protection each failure regime permanently destroys.
+//!   much protection each failure regime permanently destroys;
+//! * **repair-time re-optimisation** — after a repair,
+//!   [`RecoveryOrchestrator::reoptimize`] replaces every backup that was
+//!   forced to overlap its own primary, and keeps the old one when the
+//!   scheme finds nothing better.
 //!
 //! The orchestrator holds no reference to the manager; every interaction
 //! happens through explicit calls, which keeps it usable against both the
@@ -32,7 +36,7 @@
 use crate::failure::RecoveryReport;
 use crate::routing::RoutingScheme;
 use crate::{ConnectionId, ConnectionState, DrtpManager, Telemetry};
-use drt_net::{LinkId, NodeId};
+use drt_net::{LinkId, NodeId, Route};
 use drt_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -248,10 +252,10 @@ impl RecoveryOrchestrator {
         self.record_link_failure(now, link);
     }
 
-    /// Cross-checks an incoming failure report before the manager acts on
-    /// it. `corroborated` is the caller's evidence bit: whether the
-    /// link's surviving endpoint (or the ground-truth failure mask, in
-    /// the centralized simulation) agrees the link is down.
+    /// Cross-checks an incoming failure report from `reporter` before the
+    /// manager acts on it. `corroborated` is the caller's evidence bit:
+    /// whether the reported link's surviving endpoint (or the ground-truth
+    /// failure mask, in the centralized simulation) agrees it is down.
     ///
     /// * A report from a quarantined router is rejected unexamined.
     /// * A corroborated report is accepted.
@@ -260,13 +264,7 @@ impl RecoveryOrchestrator {
     ///   router is quarantined and all its later reports are ignored —
     ///   so a byzantine router gets a bounded number of lies before it
     ///   loses its voice entirely.
-    pub fn vet_report(
-        &mut self,
-        reporter: NodeId,
-        link: LinkId,
-        corroborated: bool,
-    ) -> ReportVerdict {
-        let _ = link;
+    pub fn vet_report(&mut self, reporter: NodeId, corroborated: bool) -> ReportVerdict {
         if self.router_quarantine.contains(&reporter) {
             self.telemetry.incr("reports.rejected_quarantined");
             return ReportVerdict::RejectedQuarantined;
@@ -441,6 +439,46 @@ impl RecoveryOrchestrator {
         }
         now
     }
+
+    /// Re-optimises the backups chosen under duress, once a repair gives
+    /// them better alternatives: every carrying connection whose backup
+    /// overlaps its own primary drops its backups and re-establishes one
+    /// through [`DrtpManager::reestablish_backup_avoiding`], the
+    /// quarantined links excluded as in [`RecoveryOrchestrator::tick`].
+    /// It never downgrades: when the scheme finds nothing, the old backups
+    /// are reinstalled. Outcomes count as `recovery.reoptimized` and
+    /// `recovery.reoptimize_failed`.
+    pub fn reoptimize(
+        &mut self,
+        now: SimTime,
+        mgr: &mut DrtpManager,
+        scheme: &mut dyn RoutingScheme,
+    ) {
+        let degraded: Vec<(ConnectionId, Vec<Route>)> = mgr
+            .connections()
+            .filter(|c| {
+                c.state().is_carrying_traffic()
+                    && c.backups().iter().any(|b| b.overlap(c.primary()) > 0)
+            })
+            .map(|c| (c.id(), c.backups().to_vec()))
+            .collect();
+        let avoid = self.quarantined_links(now);
+        for (id, old) in degraded {
+            mgr.drop_backups(id)
+                .expect("a carrying connection drops its backups");
+            if mgr.reestablish_backup_avoiding(scheme, id, &avoid).is_ok() {
+                self.telemetry.incr("recovery.reoptimized");
+                continue;
+            }
+            // Never downgrade: reinstall the old (degraded but real)
+            // backups, in their activation order.
+            for b in old {
+                mgr.install_backup_route(id, b)
+                    .expect("a backup just dropped fits again");
+            }
+            self.telemetry.incr("recovery.reoptimize_failed");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -606,26 +644,25 @@ mod tests {
         let mut orch = RecoveryOrchestrator::new(8, policy);
         let liar = NodeId::new(2);
         let honest = NodeId::new(5);
-        let l = LinkId::new(0);
 
         // Corroborated reports are accepted and carry no suspicion.
-        assert_eq!(orch.vet_report(honest, l, true), ReportVerdict::Accepted);
+        assert_eq!(orch.vet_report(honest, true), ReportVerdict::Accepted);
         assert_eq!(orch.suspicion(honest), 0);
 
         // Three lies and the liar loses its voice.
         for expect in 1..=3u32 {
-            assert_eq!(orch.vet_report(liar, l, false), ReportVerdict::Rejected);
+            assert_eq!(orch.vet_report(liar, false), ReportVerdict::Rejected);
             assert_eq!(orch.suspicion(liar), expect);
         }
         assert!(orch.quarantined_routers().contains(&liar));
         assert_eq!(
-            orch.vet_report(liar, l, false),
+            orch.vet_report(liar, false),
             ReportVerdict::RejectedQuarantined
         );
         // Even a truthful report from a quarantined router is ignored:
         // the cross-check evidence will arrive from the honest endpoint.
         assert_eq!(
-            orch.vet_report(liar, l, true),
+            orch.vet_report(liar, true),
             ReportVerdict::RejectedQuarantined
         );
         assert_eq!(orch.telemetry().counter("reports.rejected"), 3);
@@ -688,5 +725,71 @@ mod tests {
             }
         }
         mgr.assert_invariants();
+    }
+
+    /// Connection 0 → 2 on the 3×3 mesh with a backup sharing its
+    /// primary's first link, as one chosen while a link was down would.
+    /// Returns the manager, the primary and that backup.
+    fn degraded_connection() -> (DrtpManager, Route, Route) {
+        let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
+        let path = |ids: &[u32]| {
+            let nodes: Vec<NodeId> = ids.iter().map(|&n| NodeId::new(n)).collect();
+            Route::from_nodes(&net, &nodes).unwrap()
+        };
+        let (primary, duress) = (path(&[0, 1, 2]), path(&[0, 1, 4, 5, 2]));
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let mut script = Scripted::new();
+        script.push(primary.clone(), Some(duress.clone()));
+        mgr.request_connection(&mut script, req(0, 0, 2)).unwrap();
+        (mgr, primary, duress)
+    }
+
+    #[test]
+    fn repair_replaces_a_backup_that_overlaps_its_primary() {
+        let (mut mgr, primary, _) = degraded_connection();
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), RetryPolicy::default());
+        // The way around the primary was down when the backup was chosen.
+        let detour = mgr.net().find_link(NodeId::new(0), NodeId::new(3)).unwrap();
+        mgr.inject_failure(detour, &mut rng()).unwrap();
+        mgr.repair_link(detour).unwrap();
+        orch.observe_repair(SimTime::ZERO, detour);
+
+        orch.reoptimize(SimTime::ZERO, &mut mgr, &mut DLsr::new());
+        let conn = mgr.connection(ConnectionId::new(0)).unwrap();
+        assert_eq!(conn.primary(), &primary);
+        assert_eq!(conn.backups().len(), 1);
+        assert_eq!(conn.backups()[0].overlap(&primary), 0, "replaced");
+        assert_eq!(orch.telemetry().counter("recovery.reoptimized"), 1);
+        assert_eq!(orch.telemetry().counter("recovery.reoptimize_failed"), 0);
+        mgr.assert_invariants();
+    }
+
+    #[test]
+    fn reoptimization_that_finds_nothing_keeps_the_old_backups() {
+        let (mut mgr, _, duress) = degraded_connection();
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), RetryPolicy::default());
+        orch.reoptimize(SimTime::ZERO, &mut mgr, &mut Scripted::new());
+        assert_eq!(
+            mgr.connection(ConnectionId::new(0)).unwrap().backups(),
+            &[duress],
+            "never downgrade to no backup"
+        );
+        assert_eq!(orch.telemetry().counter("recovery.reoptimize_failed"), 1);
+        assert_eq!(orch.telemetry().counter("recovery.reoptimized"), 0);
+        mgr.assert_invariants();
+    }
+
+    #[test]
+    fn reoptimization_leaves_disjoint_backups_alone() {
+        let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
+        let mut mgr = DrtpManager::new(net);
+        let mut scheme = DLsr::new();
+        let rep = mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
+        assert_eq!(rep.backup().unwrap().overlap(&rep.primary), 0);
+        let before = mgr.fingerprint();
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), RetryPolicy::default());
+        orch.reoptimize(SimTime::ZERO, &mut mgr, &mut scheme);
+        assert_eq!(mgr.fingerprint(), before);
+        assert!(orch.telemetry().is_empty());
     }
 }

@@ -1,14 +1,15 @@
 //! The orchestrated failure sweeps: control-plane loss, correlated
-//! failures, byzantine routers and hostile workloads, and router restart
-//! storms — nine regimes of one driver.
+//! failures, byzantine routers and hostile workloads, router restart
+//! storms, and dynamic availability — ten regimes of one driver.
 //!
 //! The paper measures `P_act-bk` after one independent failure on a
 //! freshly admitted population. Every regime here runs the same cell
-//! instead: establish a seeded workload, then play rounds — inject, feed
-//! the [`RecoveryOrchestrator`], run it to quiescence, check the
-//! manager's invariants, let 30 s pass — and close with a recorded
-//! `P_act-bk` probe. The regimes differ only in what a round injects, and
-//! fall into four tables ([`Table`]):
+//! instead: replay a seeded workload's timeline until `connections` are
+//! established, then play rounds — inject, feed the
+//! [`RecoveryOrchestrator`], run it to quiescence, check the manager's
+//! invariants, let 30 s pass — and close with a recorded `P_act-bk`
+//! probe. The regimes differ only in what a round injects, and fall into
+//! five tables ([`Table`]):
 //!
 //! * **control-plane loss** — `control-loss` signals every admission,
 //!   failure and re-protection through the distributed engine
@@ -50,13 +51,22 @@
 //!   forgotten backup registrations, connections its terminals drop.
 //!   Defended, it replays its write-ahead journal and resyncs
 //!   ([`RestartMode::Journaled`]), so no switchover fires at all.
+//! * **dynamic availability** — `availability` plays no rounds: its
+//!   timeline loop replays the whole scenario, departures and a recorded
+//!   link failure/repair process ([`FailureProcess`], `strength` failures
+//!   per hour, MTTR 5 min) included. With reconfiguration off, failures
+//!   only consume backups. With it on, every failure feeds the
+//!   orchestrator, which re-protects, and every repair triggers
+//!   [`RecoveryOrchestrator::reoptimize`]. The table sets the dynamic
+//!   `P_act-bk` beside Figure 4's static estimator, replayed on the same
+//!   scenario ([`crate::runner::replay`]).
 //!
-//! Regimes with a countermeasure run an undefended and a defended arm per
-//! cell ([`Regime::arms`]), comparable by construction: workload
-//! substreams depend only on the seed (and the strength), byzantine sets
-//! are nested prefixes of one seeded shuffle, and a vetting rejection
-//! never suppresses a ground-truth injection, so any delta between arms
-//! is the countermeasure's doing.
+//! Regimes with a countermeasure (or reconfiguration) run an undefended
+//! and a defended arm per cell ([`Regime::arms`]), comparable by
+//! construction: workload substreams depend only on the seed (and the
+//! strength), byzantine sets are nested prefixes of one seeded shuffle,
+//! and a vetting rejection never suppresses a ground-truth injection, so
+//! any delta between arms is the countermeasure's doing.
 //!
 //! Every number a table prints is read back from the cell's merged
 //! manager + orchestrator (+ protocol) [`Telemetry`], plus the three
@@ -67,7 +77,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::report::{fmt_us, loaded_links, pick_from, pick_loaded_link};
-use crate::runner::SchemeKind;
+use crate::runner::{replay, SchemeKind};
 use drt_core::failure::{FailureEvent, LinkImpact, RestartMode};
 use drt_core::orchestrator::{RecoveryOrchestrator, ReportVerdict, RetryPolicy};
 use drt_core::routing::RoutingScheme;
@@ -75,7 +85,9 @@ use drt_core::{ConnectionId, DrtpManager, EstablishReport, Telemetry, ViewDistor
 use drt_net::{Bandwidth, LinkId, Network, NodeId, SrlgId};
 use drt_proto::{ChaosConfig, ConnOutcome, ProtocolConfig, ProtocolSim, RetryConfig};
 use drt_sim::rng::{indexed_stream, stream, substream_seed};
-use drt_sim::workload::{maintenance_waves, regional_storm, TimelineEvent, TrafficPattern};
+use drt_sim::workload::{
+    maintenance_waves, regional_storm, FailureProcess, TimelineEvent, TrafficPattern,
+};
 use drt_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -84,6 +96,9 @@ use std::sync::Arc;
 
 /// Links per derived shared-risk group (conduit width).
 const SRLG_SIZE: usize = 3;
+
+/// Mean time to repair of the `availability` regime's failure process.
+const AVAILABILITY_MTTR: SimDuration = SimDuration::from_minutes(5);
 
 /// Maintenance waves the restart schedule is partitioned into.
 const RESTART_WAVES: usize = 4;
@@ -102,15 +117,19 @@ pub enum Table {
     Adversarial,
     /// Rolling router restarts, amnesia vs. journaled.
     Restart,
+    /// Dynamic vs. static `P_act-bk`, reconfiguration off vs. on, per
+    /// scheme and failure rate.
+    Availability,
 }
 
 impl Table {
     /// Every table, in campaign order.
-    pub const ALL: [Table; 4] = [
+    pub const ALL: [Table; 5] = [
         Table::ControlLoss,
         Table::Correlated,
         Table::Adversarial,
         Table::Restart,
+        Table::Availability,
     ];
 
     /// The regimes rendering into this table, in sweep order.
@@ -129,6 +148,7 @@ impl Table {
             Table::Correlated => render_correlated(net, rows),
             Table::Adversarial => render_adversarial(net, rows),
             Table::Restart => render_restart(net, rows),
+            Table::Availability => render_availability(net, rows),
         }
     }
 }
@@ -157,11 +177,14 @@ pub enum Regime {
     RegionalStorm,
     /// Rolling router restarts, one router down at a time.
     RestartStorm,
+    /// The whole scenario replayed under its recorded link failure/repair
+    /// process.
+    Availability,
 }
 
 impl Regime {
     /// Every regime, in campaign order.
-    pub const ALL: [Regime; 9] = [
+    pub const ALL: [Regime; 10] = [
         Regime::ControlLoss,
         Regime::IndepLinks,
         Regime::SrlgBursts,
@@ -171,6 +194,7 @@ impl Regime {
         Regime::FlashCrowd,
         Regime::RegionalStorm,
         Regime::RestartStorm,
+        Regime::Availability,
     ];
 
     /// The short label used in tables, substream derivation, and the
@@ -186,6 +210,7 @@ impl Regime {
             Regime::FlashCrowd => "flash-crowd",
             Regime::RegionalStorm => "regional-storm",
             Regime::RestartStorm => "restart-storm",
+            Regime::Availability => "availability",
         }
     }
 
@@ -204,6 +229,7 @@ impl Regime {
             | Regime::FlashCrowd
             | Regime::RegionalStorm => Table::Adversarial,
             Regime::RestartStorm => Table::Restart,
+            Regime::Availability => Table::Availability,
         }
     }
 
@@ -220,15 +246,20 @@ impl Regime {
             Regime::FlashCrowd => "crowd intensity (fraction = 0.4 + 0.15*s)",
             Regime::RegionalStorm => "storm radius (hops)",
             Regime::RestartStorm => "routers restarted (rolling, one at a time)",
+            Regime::Availability => "link failures per hour (MTTR 5 min)",
         }
     }
 
     /// The arms each cell runs: `false` is undefended (no vetting, no
-    /// damping, amnesia), `true` defended (the countermeasure armed, or
-    /// journaled rejoin). Undefended prints first.
+    /// damping, amnesia, no reconfiguration), `true` defended (the
+    /// countermeasure armed, journaled rejoin, or reconfiguration on).
+    /// Undefended prints first.
     pub fn arms(self) -> &'static [bool] {
         match self {
-            Regime::ByzantineLsa | Regime::FalseReports | Regime::RestartStorm => &[false, true],
+            Regime::ByzantineLsa
+            | Regime::FalseReports
+            | Regime::RestartStorm
+            | Regime::Availability => &[false, true],
             _ => &[false],
         }
     }
@@ -266,6 +297,10 @@ impl Cell {
                 let arm = if self.defended { "jnl" } else { "amn" };
                 format!("{label}-{scheme}-i{s}-{arm}")
             }
+            Table::Availability => {
+                let arm = if self.defended { "on" } else { "off" };
+                format!("{label}-{scheme}-r{s}-{arm}")
+            }
         }
     }
 
@@ -291,10 +326,11 @@ pub struct SweepConfig {
     pub schemes: Vec<SchemeKind>,
     /// Strengths to sweep (see [`Regime::strength_meaning`]).
     pub strengths: Vec<u32>,
-    /// Connections to establish before the first round.
+    /// Connections to establish before the first round (`availability`
+    /// replays every request of its scenario instead).
     pub connections: usize,
     /// Rounds per cell; `restart-storm` plays one round per restarted
-    /// router instead.
+    /// router instead, and `availability` none.
     pub events: usize,
     /// Retry/backoff/quarantine policy of the orchestrator.
     pub policy: RetryPolicy,
@@ -360,6 +396,21 @@ impl Row {
         let established = self.telemetry.counter("establish.accepted").max(1);
         self.p_act_bk_ppm()
             .map(|ppm| ppm * self.survivors as i64 / established as i64)
+    }
+
+    /// Dynamic `P_act-bk` of an `availability` cell: switchovers over the
+    /// primaries its failures hit. `None` when no failure hit one.
+    fn dynamic_p(&self) -> Option<f64> {
+        let t = &self.telemetry;
+        let switched = t.counter("inject.switched");
+        ratio(switched, switched + t.counter("inject.lost"))
+    }
+
+    /// Figure 4's static estimator, replayed on an `availability` cell's
+    /// scenario. `None` when no probe affected anything.
+    fn static_p(&self) -> Option<f64> {
+        let t = &self.telemetry;
+        ratio(t.counter("static.activated"), t.counter("static.affected"))
     }
 
     fn recovery_us(&self, pct: u32) -> u64 {
@@ -468,27 +519,65 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
         mgr.set_view_distortion(Some(ViewDistortion::for_nodes(net.num_nodes(), &byzantine)));
     }
 
-    let scenario = cfg.scenario_config(0.4, pattern).generate(cfg.nodes);
+    // `availability` replays its whole scenario; every other regime stops
+    // once `connections` are established, before any departure.
+    let replay_all = cell.regime == Regime::Availability;
+    let mut scenario_cfg = cfg.scenario_config(0.4, pattern);
+    scenario_cfg.failures = (replay_all && cell.strength > 0).then(|| FailureProcess {
+        failures_per_hour: f64::from(cell.strength),
+        mttr: AVAILABILITY_MTTR,
+    });
+    let scenario = scenario_cfg.generate_with_links(cfg.nodes, net.num_links());
+    let mut orch = RecoveryOrchestrator::new(net.num_links(), scfg.policy);
+    let mut now = SimTime::ZERO;
+    let mut replay_rng = stream(seed, &inject_label);
     let mut established = 0usize;
-    for (_, ev) in scenario.timeline() {
-        if established >= scfg.connections {
-            break;
-        }
-        let TimelineEvent::Arrive(rid) = ev else {
-            continue;
-        };
-        let r = scenario.request(rid).expect("valid id");
-        let req = drt_core::routing::RouteRequest::new(
-            ConnectionId::new(rid.index() as u64),
-            r.src,
-            r.dst,
-            scenario.bw_req(),
-        )
-        .with_backups(cfg.backups_per_connection);
-        if let Ok(admitted) = mgr.request_connection(&mut *scheme, req) {
-            established += 1;
-            if let Some(plane) = &mut plane {
-                plane.establish(&mut mgr, admitted, scenario.bw_req());
+    for (t, ev) in scenario.timeline() {
+        match ev {
+            TimelineEvent::Arrive(rid) => {
+                if !replay_all && established >= scfg.connections {
+                    break;
+                }
+                let r = scenario.request(rid).expect("valid id");
+                let req = drt_core::routing::RouteRequest::new(
+                    ConnectionId::new(rid.index() as u64),
+                    r.src,
+                    r.dst,
+                    scenario.bw_req(),
+                )
+                .with_backups(cfg.backups_per_connection);
+                if let Ok(admitted) = mgr.request_connection(&mut *scheme, req) {
+                    established += 1;
+                    if let Some(plane) = &mut plane {
+                        plane.establish(&mut mgr, admitted, scenario.bw_req());
+                    }
+                }
+            }
+            TimelineEvent::Depart(rid) => {
+                if replay_all {
+                    // A rejected request has nothing to release.
+                    let _ = mgr.release(ConnectionId::new(rid.index() as u64));
+                }
+            }
+            // Only `availability` records a failure process. With
+            // reconfiguration off (`defended` false) nothing re-protects.
+            TimelineEvent::LinkFail(link) => {
+                now = now.max(t);
+                // The link may already be down with its duplex twin.
+                let Ok(report) = mgr.inject_failure(link, &mut replay_rng) else {
+                    continue;
+                };
+                if cell.defended {
+                    orch.observe_failure(now, &report);
+                    now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
+                }
+            }
+            TimelineEvent::LinkRepair(link) => {
+                now = now.max(t);
+                if mgr.repair_link(link).is_ok() && cell.defended {
+                    orch.observe_repair(now, link);
+                    orch.reoptimize(now, &mut mgr, &mut *scheme);
+                }
             }
         }
     }
@@ -516,15 +605,13 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
     } else {
         Vec::new()
     };
-    let rounds = if cell.regime == Regime::RestartStorm {
-        restarts.len()
-    } else {
-        scfg.events
+    let rounds = match cell.regime {
+        Regime::RestartStorm => restarts.len(),
+        Regime::Availability => 0,
+        _ => scfg.events,
     };
 
-    let mut orch = RecoveryOrchestrator::new(net.num_links(), scfg.policy);
     let mut pick_rng = stream(seed, &pick_label);
-    let mut now = SimTime::ZERO;
     for round in 0..rounds {
         let mut inject_rng = indexed_stream(seed, &inject_label, round as u64);
         match cell.regime {
@@ -582,7 +669,7 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
                         // lie is recorded here because it never reaches
                         // the manager's own counter.
                         orch.telemetry_mut().incr("adversary.false_reports");
-                        let _ = orch.vet_report(reporter, link, false);
+                        let _ = orch.vet_report(reporter, false);
                     } else if let Ok(report) = mgr.inject_false_report(link, &mut inject_rng) {
                         // Undefended, the lie is acted on: the switched
                         // connections queue for re-protection exactly as
@@ -640,6 +727,7 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
                     orch.enqueue(now, id);
                 }
             }
+            Regime::Availability => unreachable!("availability plays its failures in the timeline"),
         }
         now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
         if cell.regime == Regime::RegionalStorm {
@@ -667,6 +755,12 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
     telemetry.merge(orch.telemetry());
     if let Some(plane) = plane {
         telemetry.merge(&plane.finish());
+    }
+    if replay_all {
+        // Figure 4's static estimator on the same scenario.
+        let fig4 = replay(&net, &scenario, cell.scheme, cfg).fault_tolerance;
+        telemetry.add("static.affected", fig4.affected);
+        telemetry.add("static.activated", fig4.activated);
     }
     Row {
         cell,
@@ -932,8 +1026,8 @@ fn real_failure(
             let l = mgr.net().link(link);
             (l.dst(), l.src())
         };
-        if orch.vet_report(dst, link, true) != ReportVerdict::Accepted {
-            let _ = orch.vet_report(src, link, true);
+        if orch.vet_report(dst, true) != ReportVerdict::Accepted {
+            let _ = orch.vet_report(src, true);
         }
     }
     let report = mgr
@@ -974,6 +1068,11 @@ pub fn merged_telemetry(rows: &[Row]) -> Telemetry {
 
 fn fmt_p(p: Option<f64>) -> String {
     p.map_or_else(|| "-".into(), |p| format!("{p:.4}"))
+}
+
+/// `part / whole`, or `None` when `whole` is 0.
+fn ratio(part: u64, whole: u64) -> Option<f64> {
+    (whole > 0).then(|| part as f64 / whole as f64)
 }
 
 fn fmt_ppm(ppm: Option<i64>) -> String {
@@ -1032,7 +1131,6 @@ fn render_control_loss(net: &Network, rows: &[Row]) -> String {
     for r in rows {
         let t = &r.telemetry;
         let rec = t.hist("control.recovery_us");
-        let affected = t.counter("sweep.affected");
         out.push_str(&format!(
             "{:>6.1} {:>6} {:>6} {:>4} {:>6} {:>6} {:>5} {:>7} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>4}\n",
             loss_pct(r),
@@ -1045,7 +1143,7 @@ fn render_control_loss(net: &Network, rows: &[Row]) -> String {
             t.counter("control.reprotected"),
             ms(rec.map(|h| h.mean())),
             ms(rec.map(|h| h.max())),
-            fmt_p((affected > 0).then(|| t.counter("sweep.activated") as f64 / affected as f64)),
+            fmt_p(ratio(t.counter("sweep.activated"), t.counter("sweep.affected"))),
             t.counter("sweep.degraded"),
             t.counter("control.retransmissions"),
             t.counter("control.exhausted"),
@@ -1091,7 +1189,6 @@ fn render_correlated(net: &Network, rows: &[Row]) -> String {
         let secs = |us: Option<u64>| {
             us.map_or_else(|| "-".into(), |us| format!("{:.2}s", us as f64 / 1e6))
         };
-        let affected = t.counter("sweep.affected");
         out.push_str(&format!(
             "{:<12} {:>6} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>5} {:>9} {:>9} {:>9}\n",
             r.cell.regime.label(),
@@ -1106,7 +1203,10 @@ fn render_correlated(net: &Network, rows: &[Row]) -> String {
             r.quarantined,
             secs(rec.map(|h| h.mean())),
             secs(rec.map(|h| h.max())),
-            fmt_p((affected > 0).then(|| t.counter("sweep.activated") as f64 / affected as f64)),
+            fmt_p(ratio(
+                t.counter("sweep.activated"),
+                t.counter("sweep.affected")
+            )),
         ));
     }
     for r in rows.iter().filter(|r| !r.worst_links.is_empty()) {
@@ -1227,6 +1327,43 @@ fn render_restart(net: &Network, rows: &[Row]) -> String {
     out
 }
 
+fn render_availability(net: &Network, rows: &[Row]) -> String {
+    let mut out = format!(
+        "Dynamic availability campaign ({} nodes, {} links, lambda 0.4, MTTR {} min)\n",
+        net.num_nodes(),
+        net.num_links(),
+        AVAILABILITY_MTTR.as_secs_f64() / 60.0
+    );
+    out.push_str(&format!(
+        "{:<6} {:>6} {:>8} {:>9} {:>9} {:>6} {:>7} {:>7} {:>8}\n",
+        "scheme",
+        "fail/h",
+        "reconfig",
+        "static-P",
+        "dynamic-P",
+        "lost",
+        "reprot",
+        "reopt",
+        "failures"
+    ));
+    for r in rows {
+        let t = &r.telemetry;
+        out.push_str(&format!(
+            "{:<6} {:>6} {:>8} {:>9} {:>9} {:>6} {:>7} {:>7} {:>8}\n",
+            r.cell.scheme.label(),
+            r.cell.strength,
+            if r.cell.defended { "on" } else { "off" },
+            fmt_p(r.static_p()),
+            fmt_p(r.dynamic_p()),
+            t.counter("inject.lost"),
+            t.counter("recovery.reprotected"),
+            t.counter("recovery.reoptimized"),
+            t.counter("inject.events"),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1256,6 +1393,75 @@ mod tests {
             .expect("cell ran")
     }
 
+    /// Both arms of one `availability` cell: `scheme` at `rate` failures
+    /// per hour over a 90-minute scenario on `nodes` nodes.
+    fn availability(nodes: usize, scheme: SchemeKind, rate: u32) -> (Row, Row) {
+        let (mut cfg, mut scfg) = small(&[Regime::Availability], &[rate], 0);
+        cfg.nodes = nodes;
+        cfg.duration = SimDuration::from_minutes(90);
+        cfg.warmup = SimDuration::from_minutes(40);
+        scfg.schemes = vec![scheme];
+        let rows = run(&cfg, &scfg, 1);
+        let (off, on) = (
+            row(&rows, Regime::Availability, false),
+            row(&rows, Regime::Availability, true),
+        );
+        (off.clone(), on.clone())
+    }
+
+    #[test]
+    fn dynamic_activation_tracks_static_estimate_when_failures_are_rare() {
+        // Rare, quickly repaired failures: with reconfiguration the
+        // dynamic ratio must match the static estimator.
+        let (_, on) = availability(60, SchemeKind::DLsr, 6);
+        assert!(on.telemetry.counter("inject.events") >= 4);
+        let dynamic = on.dynamic_p().expect("failures hit primaries");
+        let static_p = on.static_p().expect("the sweep saw load");
+        assert!(
+            (dynamic - static_p).abs() < 0.08,
+            "dynamic {dynamic} vs static {static_p}"
+        );
+    }
+
+    #[test]
+    fn sustained_failures_degrade_below_the_static_estimate() {
+        // The static estimator assumes a pristine network; a sustained
+        // failure process on a loaded network consumes backups and
+        // concentrates load, so the dynamic ratio falls below it — the
+        // reason Figure 4 is an upper bound on operational availability.
+        let (_, on) = availability(60, SchemeKind::DLsr, 60);
+        let dynamic = on.dynamic_p().expect("failures hit primaries");
+        let static_p = on.static_p().expect("the sweep saw load");
+        assert!(
+            dynamic <= static_p + 0.01,
+            "dynamic {dynamic} vs static {static_p}"
+        );
+    }
+
+    #[test]
+    fn reconfiguration_keeps_protection_up() {
+        // Sustained failures: with reconfiguration the activation ratio
+        // stays at least as high as without it.
+        let (off, on) = availability(60, SchemeKind::DLsr, 120);
+        assert!(on.telemetry.counter("recovery.reprotected") > 0);
+        assert_eq!(off.telemetry.counter("recovery.reprotected"), 0);
+        let (rw, ro) = (
+            on.dynamic_p().unwrap_or(1.0),
+            off.dynamic_p().unwrap_or(1.0),
+        );
+        assert!(rw >= ro - 0.02, "with {rw} vs without {ro}");
+    }
+
+    #[test]
+    fn availability_table_shows_both_arms() {
+        let (cfg, mut scfg) = small(&[Regime::Availability], &[12], 0);
+        scfg.schemes = vec![SchemeKind::Bf];
+        let rows = run(&cfg, &scfg, 1);
+        let text = Table::Availability.render(&prepare_network(&cfg, scfg.seed), &rows);
+        assert!(text.contains("BF"));
+        assert!(text.contains(" off ") && text.contains(" on "));
+    }
+
     #[test]
     fn labels_are_distinct_and_round_trip() {
         let labels: BTreeSet<&str> = Regime::ALL.iter().map(|r| r.label()).collect();
@@ -1269,9 +1475,10 @@ mod tests {
             assert!(r.table().regimes().contains(&r));
         }
         assert_eq!(Regime::parse("nope"), None);
-        // Two arms exactly where a countermeasure (or the journal) exists.
+        // Two arms exactly where a countermeasure (the journal, or
+        // reconfiguration) exists.
         let (_, scfg) = small(&Regime::ALL, &[2], 3);
-        assert_eq!(scfg.cells().len(), 1 + 3 + (2 + 2 + 1 + 1) + 2);
+        assert_eq!(scfg.cells().len(), 1 + 3 + (2 + 2 + 1 + 1) + 2 + 2);
     }
 
     #[test]
@@ -1533,7 +1740,12 @@ mod tests {
                 .cloned()
                 .collect();
             let rendered = table.render(&net, &mine);
-            assert!(rendered.contains("P_act-bk"));
+            if table == Table::Availability {
+                // Dynamic beside static, titled by its one regime.
+                assert!(rendered.contains("static-P") && rendered.contains("dynamic-P"));
+            } else {
+                assert!(rendered.contains("P_act-bk"));
+            }
             if table == Table::ControlLoss {
                 // The loss table names its one regime's rows by loss
                 // rate, as it was published.

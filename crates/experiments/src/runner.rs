@@ -265,8 +265,8 @@ pub fn replay_with(
                     active_tw.update(t, active as f64);
                 }
             }
-            // The static campaigns use failure-free scenarios; dynamic
-            // failure replay lives in `crate::availability`.
+            // The static estimator ignores a recorded failure process;
+            // the `availability` regime of `crate::regimes` replays it.
             TimelineEvent::LinkFail(_) | TimelineEvent::LinkRepair(_) => {}
         }
     }

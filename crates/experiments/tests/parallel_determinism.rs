@@ -23,6 +23,8 @@ fn regime_tables_and_telemetry_are_byte_identical_across_job_counts() {
         let (schemes, strengths) = match table {
             // D-LSR over a lossless and a 10 %-loss control plane.
             Table::ControlLoss => (vec![SchemeKind::DLsr], vec![0, 100]),
+            // D-LSR under a rare and a sustained failure process.
+            Table::Availability => (vec![SchemeKind::DLsr], vec![6, 30]),
             _ => (vec![SchemeKind::DLsr, SchemeKind::Bf], vec![2, 4]),
         };
         let scfg = SweepConfig {

@@ -91,9 +91,9 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NetError::Infeasible`] describing the first malformed
-    /// line (a non-integer id, count or capacity, a capacity above
-    /// 4 294 967 295 kb/s, a second `nodes` line, …), or the underlying
-    /// builder error for invalid links.
+    /// line (a non-integer id, count or capacity, a node count or a
+    /// capacity in kb/s above 4 294 967 295, a second `nodes` line, …),
+    /// or the underlying builder error for invalid links.
     pub fn from_text(text: &str) -> Result<Network, NetError> {
         let mut builder: Option<NetworkBuilder> = None;
         let mut positions: Vec<(usize, [f64; 2])> = Vec::new();
@@ -117,6 +117,10 @@ impl Network {
                         return Err(bad(line_no, "repeated `nodes` directive"));
                     }
                     let n: usize = field(&mut tok, line_no, "node count")?;
+                    // Node ids are `u32`; refuse before allocating.
+                    if n > u32::MAX as usize {
+                        return Err(bad(line_no, &format!("node count above {}", u32::MAX)));
+                    }
                     builder = Some(NetworkBuilder::with_nodes(n));
                 }
                 "pos" => {
@@ -273,8 +277,9 @@ mod tests {
     }
 
     /// Numerics that used to be read as `f64` and cast: each of these was
-    /// accepted (the capacity ones then panicked `total_capacity`), and a
-    /// second `nodes` line silently dropped every link before it.
+    /// accepted (the capacity ones then panicked `total_capacity`), a
+    /// second `nodes` line silently dropped every link before it, and a
+    /// node count beyond the `u32` id range aborted on allocation.
     #[test]
     fn garbage_numerics_rejected_with_line_number() {
         for (text, line) in [
@@ -287,6 +292,8 @@ mod tests {
             ("nodes 2\nduplex 0 1 18446744073709551616\n", 2),
             ("nodes 2.5\n", 1),
             ("nodes -3\n", 1),
+            ("nodes 4294967296\n", 1),
+            ("nodes 18446744073709551615\n", 1),
             ("nodes 2\npos 0.5 0 0\n", 2),
             ("nodes 3\nduplex 0 1 100\nsrlg 0 1.0\n", 3),
             (

@@ -92,6 +92,24 @@ fn arb_delta(links: u32) -> impl Strategy<Value = Delta> {
     ]
 }
 
+/// `text` cut at the char boundary at or below `cut_per_mille` of its
+/// length, then each `(position, byte)` edit overwriting one byte with
+/// an ASCII byte (positions wrap). ASCII over ASCII stays UTF-8.
+fn mangled(text: &str, cut_per_mille: usize, edits: &[(u64, u8)]) -> String {
+    let mut cut = text.len() * cut_per_mille / 1000;
+    while !text.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    let mut bytes = text.as_bytes()[..cut].to_vec();
+    if !bytes.is_empty() {
+        for &(at, b) in edits {
+            let at = (at % bytes.len() as u64) as usize;
+            bytes[at] = b;
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII edits of ASCII text")
+}
+
 // The default case count (64), so that the nightly Miri job's
 // `PROPTEST_CASES` can cut it.
 proptest! {
@@ -315,5 +333,24 @@ proptest! {
             prop_assert_eq!(spt.first_divergence(&fresh), None, "delta {:?}", d);
             prop_assert!(spt.certify(&net, cost).is_none(), "delta {:?}", d);
         }
+    }
+
+    /// A topology file torn at any point and overwritten with arbitrary
+    /// ASCII is external input: `from_text` answers `Ok` or a typed
+    /// error, and never panics.
+    #[test]
+    fn mangled_topology_text_never_panics(
+        n in 4usize..=10,
+        seed in any::<u64>(),
+        cut in 0usize..=1000,
+        edits in prop::collection::vec((any::<u64>(), 0u8..128), 0..8),
+    ) {
+        let base = topology::WaxmanConfig::new(n, 3.0).seed(seed).build().unwrap();
+        let links: Vec<LinkId> = base.links().map(|l| l.id()).collect();
+        let groups: Vec<Vec<LinkId>> = links.chunks(3).map(<[LinkId]>::to_vec).collect();
+        let text = base.with_srlgs(&groups).unwrap().to_text();
+        let input = mangled(&text, cut, &edits);
+        let parsed = std::panic::catch_unwind(|| drt_net::Network::from_text(&input));
+        prop_assert!(parsed.is_ok(), "from_text panicked on {:?}", input);
     }
 }

@@ -81,7 +81,7 @@ pub enum TimelineEvent {
 /// exponential time-to-repair. This extends the paper's *static*
 /// single-failure analysis (Figure 4's estimator) to a *dynamic* regime
 /// where DRTP's recovery and reconfiguration actually run — the two must
-/// agree (see `drt-experiments::availability`).
+/// agree (see the `availability` regime of `drt-experiments::regimes`).
 #[derive(Debug, Clone, Copy)]
 pub struct FailureProcess {
     /// Network-wide link-failure rate, per hour.

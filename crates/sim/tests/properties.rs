@@ -2,9 +2,27 @@
 
 use drt_sim::process::UniformDuration;
 use drt_sim::stats::OnlineStats;
-use drt_sim::workload::{Scenario, ScenarioConfig, TimelineEvent, TrafficPattern};
+use drt_sim::workload::{FailureProcess, Scenario, ScenarioConfig, TimelineEvent, TrafficPattern};
 use drt_sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// `text` cut at the char boundary at or below `cut_per_mille` of its
+/// length, then each `(position, byte)` edit overwriting one byte with
+/// an ASCII byte (positions wrap). ASCII over ASCII stays UTF-8.
+fn mangled(text: &str, cut_per_mille: usize, edits: &[(u64, u8)]) -> String {
+    let mut cut = text.len() * cut_per_mille / 1000;
+    while !text.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    let mut bytes = text.as_bytes()[..cut].to_vec();
+    if !bytes.is_empty() {
+        for &(at, b) in edits {
+            let at = (at % bytes.len() as u64) as usize;
+            bytes[at] = b;
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII edits of ASCII text")
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -75,6 +93,29 @@ proptest! {
             prop_assert!(active >= 0);
         }
         prop_assert_eq!(active, 0);
+    }
+
+    /// A scenario file torn at any point and overwritten with arbitrary
+    /// ASCII is external input: `from_text` answers `Ok` or an error
+    /// naming the line, and never panics.
+    #[test]
+    fn mangled_scenario_text_never_panics(
+        seed in any::<u64>(),
+        per_hour in 60u32..600,
+        cut in 0usize..=1000,
+        edits in prop::collection::vec((any::<u64>(), 0u8..128), 0..8),
+    ) {
+        let mut cfg = ScenarioConfig::paper_defaults(0.3);
+        cfg.duration = SimDuration::from_minutes(5);
+        cfg.seed = seed;
+        cfg.failures = Some(FailureProcess {
+            failures_per_hour: f64::from(per_hour),
+            mttr: SimDuration::from_minutes(2),
+        });
+        let text = cfg.generate_with_links(12, 30).to_text();
+        let input = mangled(&text, cut, &edits);
+        let parsed = std::panic::catch_unwind(|| Scenario::from_text(&input));
+        prop_assert!(parsed.is_ok(), "from_text panicked on {:?}", input);
     }
 
     #[test]

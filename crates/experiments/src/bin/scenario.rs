@@ -67,6 +67,21 @@ fn generate(args: &[String]) -> Result<(), String> {
     let nodes: usize = parse(args, "--nodes", 60)?;
     let minutes: u64 = parse(args, "--minutes", 240)?;
     let seed: u64 = parse(args, "--seed", 2001)?;
+    let rate: f64 = parse(args, "--failures-per-hour", 0.0)?;
+    // The generators assert these; refuse them here with a message.
+    if nodes < 2 {
+        return Err(format!("--nodes must be at least 2, got {nodes}"));
+    }
+    if !(lambda.is_finite() && lambda > 0.0) {
+        return Err(format!(
+            "--lambda must be finite and positive, got {lambda}"
+        ));
+    }
+    if !(rate.is_finite() && rate >= 0.0) {
+        return Err(format!(
+            "--failures-per-hour must be finite and non-negative, got {rate}"
+        ));
+    }
     let pattern = match flag(args, "--pattern").as_deref() {
         None | Some("ut") | Some("UT") => TrafficPattern::ut(),
         Some("nt") | Some("NT") => {
@@ -81,7 +96,6 @@ fn generate(args: &[String]) -> Result<(), String> {
     cfg.nodes = nodes;
     cfg.duration = SimDuration::from_minutes(minutes);
     let mut scfg = cfg.scenario_config(lambda, pattern);
-    let rate: f64 = parse(args, "--failures-per-hour", 0.0)?;
     let scenario = if rate > 0.0 {
         let mttr_min: u64 = parse(args, "--mttr-min", 5)?;
         scfg.failures = Some(FailureProcess {

@@ -10,9 +10,14 @@
 //!
 //! [`parallel_map`] is a barrier: workers are `std::thread::scope`
 //! threads — no dependencies involved — pulling cells from one queue, and
-//! the scope join collects their results. Each worker gets a context
-//! built once by a caller-supplied factory (the hoisting point for
-//! per-worker scheme instances).
+//! the scope join collects their results. The mapped closure is `Fn +
+//! Sync` and gets nothing but its cell, so state shared across cells is
+//! read-only: a closure that draws from a captured RNG does not compile,
+//! and a per-worker RNG has nowhere to live. Interior mutability gets
+//! past that bound, so workers also take cells in the reverse of the
+//! serial order: a cell that draws from an RNG behind a captured `Mutex`
+//! then draws something else at `jobs > 1`, and the byte-identity tests
+//! see it.
 
 use std::sync::Mutex;
 
@@ -22,23 +27,47 @@ fn effective_jobs(jobs: usize, cells: usize) -> usize {
 }
 
 /// Maps `f` over `items` on `jobs` workers, returning results in input
-/// order (byte-identical to a serial map). `ctx` builds one per-worker
-/// context, constructed once per worker and reused across all cells that
-/// worker pulls — hoist per-worker state (scheme instances, scratch
-/// buffers) there instead of rebuilding it per cell.
+/// order (byte-identical to a serial map). `jobs <= 1` runs inline on the
+/// calling thread.
 ///
-/// `jobs <= 1` runs inline on the calling thread with a single context.
+/// A cell that needs randomness derives its own stream from its identity
+/// inside `f`:
+///
+/// ```
+/// use drt_experiments::par::parallel_map;
+/// use rand::Rng;
+///
+/// let jittered = |jobs| {
+///     parallel_map(jobs, (0..8u64).collect(), |i| {
+///         let rng = &mut drt_sim::rng::indexed_stream(7, "jitter", i);
+///         i + rng.gen_range(0..10u64)
+///     })
+/// };
+/// assert_eq!(jittered(2), jittered(1));
+/// ```
+///
+/// Drawing from one captured `&mut StdRng` instead would make each
+/// cell's draws depend on which worker reached the stream first; `f`
+/// being `Fn` makes that a compile error (E0596):
+///
+/// ```compile_fail,E0596
+/// use drt_experiments::par::parallel_map;
+/// use rand::{rngs::StdRng, Rng, SeedableRng};
+///
+/// let shared = &mut StdRng::seed_from_u64(7);
+/// let jittered = |jobs| {
+///     parallel_map(jobs, (0..8u64).collect(), |i| {
+///         let rng = &mut *shared;
+///         i + rng.gen_range(0..10u64)
+///     })
+/// };
+/// ```
 ///
 /// # Panics
 ///
 /// Propagates panics from `f` (the driving thread re-raises them when it
 /// joins the worker).
-pub fn parallel_map<T, R, C>(
-    jobs: usize,
-    items: Vec<T>,
-    ctx: impl Fn() -> C + Sync,
-    f: impl Fn(&mut C, T) -> R + Sync,
-) -> Vec<R>
+pub fn parallel_map<T, R>(jobs: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -46,8 +75,7 @@ where
     let n = items.len();
     let jobs = effective_jobs(jobs, n);
     if jobs <= 1 {
-        let mut c = ctx();
-        return items.into_iter().map(|item| f(&mut c, item)).collect();
+        return items.into_iter().map(f).collect();
     }
 
     let queue = Mutex::new(items.into_iter().enumerate());
@@ -56,15 +84,15 @@ where
         let workers: Vec<_> = (0..jobs)
             .map(|_| {
                 s.spawn(|| {
-                    let mut c = ctx();
                     let mut done = Vec::new();
                     loop {
-                        // The queue lock is held for the pop only.
-                        let next = queue.lock().expect("work queue").next();
+                        // The queue lock is held for the pop only; popping
+                        // last-first is deliberate (see the module docs).
+                        let next = queue.lock().expect("work queue").next_back();
                         let Some((i, item)) = next else {
                             return done;
                         };
-                        done.push((i, f(&mut c, item)));
+                        done.push((i, f(item)));
                     }
                 })
             })
@@ -91,48 +119,18 @@ mod tests {
     #[test]
     fn matches_serial_order_for_any_job_count() {
         let items: Vec<u64> = (0..37).collect();
-        let serial = parallel_map(1, items.clone(), || (), |_, x| x * x);
+        let serial = parallel_map(1, items.clone(), |x| x * x);
         for jobs in [2, 3, 8, 64] {
-            let par = parallel_map(jobs, items.clone(), || (), |_, x| x * x);
+            let par = parallel_map(jobs, items.clone(), |x| x * x);
             assert_eq!(par, serial, "jobs={jobs}");
         }
     }
 
     #[test]
-    fn context_is_per_worker_and_reused() {
-        // Each worker's context counts the cells it processed; the total
-        // must equal the number of items regardless of distribution.
-        let totals = Mutex::new(0usize);
-        struct Ctx<'a> {
-            local: usize,
-            totals: &'a Mutex<usize>,
-        }
-        impl Drop for Ctx<'_> {
-            fn drop(&mut self) {
-                *self.totals.lock().expect("totals") += self.local;
-            }
-        }
-        let out = parallel_map(
-            3,
-            (0..50u32).collect(),
-            || Ctx {
-                local: 0,
-                totals: &totals,
-            },
-            |c, x| {
-                c.local += 1;
-                x
-            },
-        );
-        assert_eq!(out.len(), 50);
-        assert_eq!(*totals.lock().expect("totals"), 50);
-    }
-
-    #[test]
     fn empty_and_single_item() {
-        let none: Vec<u8> = parallel_map(8, Vec::<u8>::new(), || (), |_, x| x);
+        let none: Vec<u8> = parallel_map(8, Vec::<u8>::new(), |x| x);
         assert!(none.is_empty());
-        let one = parallel_map(8, vec![9u8], || (), |_, x| x);
+        let one = parallel_map(8, vec![9u8], |x| x);
         assert_eq!(one, vec![9]);
     }
 
@@ -147,15 +145,10 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            parallel_map(
-                2,
-                vec![1u32, 2, 3, 4],
-                || (),
-                |_, x| {
-                    assert!(x != 3, "boom");
-                    x
-                },
-            )
+            parallel_map(2, vec![1u32, 2, 3, 4], |x| {
+                assert!(x != 3, "boom");
+                x
+            })
         });
         assert!(result.is_err());
     }

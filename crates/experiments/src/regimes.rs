@@ -430,12 +430,9 @@ impl Row {
 pub fn run(cfg: &ExperimentConfig, scfg: &SweepConfig, jobs: usize) -> Vec<Row> {
     let net = prepare_network(cfg, scfg.seed);
     let net = &net;
-    crate::par::parallel_map(
-        jobs,
-        scfg.cells(),
-        || (),
-        |(), cell| run_cell(cfg, scfg, Arc::clone(net), cell),
-    )
+    crate::par::parallel_map(jobs, scfg.cells(), |cell| {
+        run_cell(cfg, scfg, Arc::clone(net), cell)
+    })
 }
 
 /// The topology the sweep runs on: the experiment network with the

@@ -156,21 +156,6 @@ pub fn replay(
     cfg: &ExperimentConfig,
 ) -> RunMetrics {
     let mut scheme = kind.instantiate();
-    replay_with(net, scenario, kind, scheme.as_mut(), cfg)
-}
-
-/// [`replay`] with a caller-supplied scheme instance.
-///
-/// Schemes are stateless across replays, so sweep loops hoist
-/// `SchemeKind::instantiate` out of their inner loop and reuse one
-/// instance per kind — same results, no per-cell construction.
-pub fn replay_with(
-    net: &Arc<Network>,
-    scenario: &Scenario,
-    kind: SchemeKind,
-    scheme: &mut dyn RoutingScheme,
-    cfg: &ExperimentConfig,
-) -> RunMetrics {
     let mut mgr = DrtpManager::with_config(Arc::clone(net), kind.manager_config());
     let bw = scenario.bw_req();
 
@@ -240,7 +225,7 @@ pub fn replay_with(
                 let req =
                     RouteRequest::new(ConnectionId::new(rid.index() as u64), r.src, r.dst, bw)
                         .with_backups(cfg.backups_per_connection);
-                if let Ok(rep) = mgr.request_connection(scheme, req) {
+                if let Ok(rep) = mgr.request_connection(scheme.as_mut(), req) {
                     if t <= end_at {
                         admitted += 1;
                         msgs += rep.overhead.messages;
@@ -306,24 +291,6 @@ pub fn replay_with(
     }
 }
 
-/// Per-worker cache of instantiated schemes: a worker builds each scheme
-/// once and reuses it across every cell it replays.
-struct SchemeCache(Vec<(SchemeKind, Box<dyn RoutingScheme>)>);
-
-impl SchemeCache {
-    fn new() -> Self {
-        SchemeCache(Vec::new())
-    }
-
-    fn get(&mut self, kind: SchemeKind) -> &mut dyn RoutingScheme {
-        if let Some(i) = self.0.iter().position(|(k, _)| *k == kind) {
-            return self.0[i].1.as_mut();
-        }
-        self.0.push((kind, kind.instantiate()));
-        self.0.last_mut().expect("just pushed").1.as_mut()
-    }
-}
-
 /// Runs the full (λ × pattern × scheme) matrix in parallel on one worker
 /// per available CPU, sharing a scenario per (λ, pattern).
 pub fn run_matrix(
@@ -365,8 +332,8 @@ pub fn run_matrix_jobs(
         .collect();
     let scenarios = &scenarios;
     let net = &net;
-    let mut out = crate::par::parallel_map(jobs, cells, SchemeCache::new, |cache, (si, kind)| {
-        replay_with(net, &scenarios[si], kind, cache.get(kind), cfg)
+    let mut out = crate::par::parallel_map(jobs, cells, |(si, kind)| {
+        replay(net, &scenarios[si], kind, cfg)
     });
     // Deterministic order: by λ, pattern, scheme label.
     out.sort_by(|a, b| {
@@ -503,21 +470,5 @@ mod tests {
                 "jobs={jobs} diverged from serial"
             );
         }
-    }
-
-    #[test]
-    fn replay_with_reused_scheme_matches_fresh() {
-        let cfg = tiny_cfg();
-        let net = Arc::new(cfg.build_network().unwrap());
-        let scenario = cfg
-            .scenario_config(0.2, TrafficPattern::ut())
-            .generate(cfg.nodes);
-        let fresh = replay(&net, &scenario, SchemeKind::PLsr, &cfg);
-        let mut scheme = SchemeKind::PLsr.instantiate();
-        // Same instance across two replays: stateless, so both match.
-        let first = replay_with(&net, &scenario, SchemeKind::PLsr, scheme.as_mut(), &cfg);
-        let second = replay_with(&net, &scenario, SchemeKind::PLsr, scheme.as_mut(), &cfg);
-        assert_eq!(format!("{fresh:?}"), format!("{first:?}"));
-        assert_eq!(format!("{fresh:?}"), format!("{second:?}"));
     }
 }

@@ -117,24 +117,17 @@ pub fn is_strongly_connected(net: &Network) -> bool {
 /// tolerance that the topology generators therefore avoid.
 pub fn bridges(net: &Network) -> Vec<(NodeId, NodeId)> {
     let n = net.num_nodes();
-    // Undirected simple adjacency with edge multiplicity.
+    // Undirected simple adjacency. The builder refuses a second `a → b`
+    // link, so a node pair carries at most a duplex pair — one undirected
+    // edge, added from its lower-id direction — and never a parallel edge.
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut multiplicity = std::collections::HashMap::<(usize, usize), u32>::new();
     for link in net.links() {
         let (a, b) = (link.src().index(), link.dst().index());
-        let key = (a.min(b), a.max(b));
-        let m = multiplicity.entry(key).or_insert(0);
-        *m += 1;
-        if *m == 1 {
+        if a < b || net.reverse_link(link.id()).is_none() {
             adj[a].push(b);
             adj[b].push(a);
         }
     }
-    // A duplex pair (two directed links) is still ONE undirected edge.
-    // Count an undirected edge as parallel only if > 2 directed links or
-    // two independent directed links in the same direction cannot exist
-    // (builder forbids), so: multiplicity 2 == duplex pair == single edge.
-    let is_parallel = |a: usize, b: usize| multiplicity[&(a.min(b), a.max(b))] > 2;
 
     let mut disc = vec![0usize; n];
     let mut low = vec![0usize; n];
@@ -164,7 +157,7 @@ pub fn bridges(net: &Network) -> Vec<(NodeId, NodeId)> {
                     low[v] = timer;
                     timer += 1;
                     stack.push((v, u, 0));
-                } else if v != parent || is_parallel(u, v) {
+                } else if v != parent {
                     low[u] = low[u].min(disc[v]);
                 }
             } else {
@@ -172,7 +165,7 @@ pub fn bridges(net: &Network) -> Vec<(NodeId, NodeId)> {
                 if let Some(pframe) = stack.last_mut() {
                     let p = pframe.0;
                     low[p] = low[p].min(low[u]);
-                    if low[u] > disc[p] && !is_parallel(p, u) {
+                    if low[u] > disc[p] {
                         out.push((NodeId::new(p.min(u) as u32), NodeId::new(p.max(u) as u32)));
                     }
                 }

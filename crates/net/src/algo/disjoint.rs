@@ -15,7 +15,7 @@
 use crate::algo::{shortest_path_in, SpfWorkspace};
 use crate::{LinkId, Network, NodeId, Route};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// A pair of link-disjoint routes with the same endpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +119,7 @@ pub fn suurballe(
     ws.run(net, src, |l| cost(l).map(|c| c.max(0.0)));
     ws.distance(dst)?;
     let p1 = ws.route_to(net, dst)?;
-    let p1_links: HashSet<LinkId> = p1.links().iter().copied().collect();
+    let p1_links: BTreeSet<LinkId> = p1.links().iter().copied().collect();
 
     // Pass 2: Dijkstra on the modified graph — original links (minus P1's)
     // at reduced cost, P1's links reversed at zero cost. The modified-edge
@@ -203,7 +203,7 @@ pub fn suurballe(
 
     // Union-minus-cancellation: P1 links survive unless P2 reversed them;
     // P2's forward links are added.
-    let mut final_links: HashSet<LinkId> = p1_links.clone();
+    let mut final_links: BTreeSet<LinkId> = p1_links.clone();
     for edge in &p2_edges {
         match edge {
             ModEdge::Orig(l) => {
@@ -271,7 +271,7 @@ fn relax(
 }
 
 /// Extracts one src -> dst path from `pool`, removing its links.
-fn walk_off(net: &Network, pool: &mut HashSet<LinkId>, src: NodeId, dst: NodeId) -> Option<Route> {
+fn walk_off(net: &Network, pool: &mut BTreeSet<LinkId>, src: NodeId, dst: NodeId) -> Option<Route> {
     let mut links = Vec::new();
     let mut cur = src;
     while cur != dst {

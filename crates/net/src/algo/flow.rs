@@ -189,7 +189,7 @@ mod tests {
         assert_eq!(flow.value, 4); // interior degree
                                    // Saturated links decompose into `value` link-disjoint paths: walk
                                    // them off.
-        let mut pool: std::collections::HashSet<LinkId> = flow.saturated.iter().copied().collect();
+        let mut pool: std::collections::BTreeSet<LinkId> = flow.saturated.iter().copied().collect();
         for _ in 0..flow.value {
             let mut cur = NodeId::new(5);
             let mut hops = 0;

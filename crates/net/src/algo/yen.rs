@@ -2,7 +2,7 @@
 
 use crate::algo::{shortest_path_in, SpfWorkspace};
 use crate::{LinkId, Network, NodeId, Route};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Finds up to `k` cheapest *simple* routes from `src` to `dst` under
 /// `cost`, in nondecreasing cost order.
@@ -47,7 +47,7 @@ pub fn k_shortest_paths(
 
     // Candidate pool of (cost, route), deduplicated by link sequence.
     let mut candidates: Vec<(f64, Route)> = Vec::new();
-    let mut seen: HashSet<Vec<LinkId>> = HashSet::new();
+    let mut seen: BTreeSet<Vec<LinkId>> = BTreeSet::new();
     seen.insert(accepted[0].1.links().to_vec());
 
     while accepted.len() < k {
@@ -60,7 +60,7 @@ pub fn k_shortest_paths(
 
             // Links to exclude: the i-th link of every accepted/candidate
             // route sharing this root.
-            let mut banned_links: HashSet<LinkId> = HashSet::new();
+            let mut banned_links: BTreeSet<LinkId> = BTreeSet::new();
             for (_, r) in accepted.iter().chain(candidates.iter()) {
                 if r.len() > i && &r.links()[..i] == root_links {
                     banned_links.insert(r.links()[i]);
@@ -68,7 +68,7 @@ pub fn k_shortest_paths(
             }
             // Nodes of the root path (except the spur node) are banned to
             // keep paths simple.
-            let banned_nodes: HashSet<NodeId> = prev_nodes[..i].iter().copied().collect();
+            let banned_nodes: BTreeSet<NodeId> = prev_nodes[..i].iter().copied().collect();
 
             let spur = shortest_path_in(&mut ws, net, spur_node, dst, 0.0, |l| {
                 if banned_links.contains(&l) {
@@ -153,7 +153,7 @@ mod tests {
     fn all_paths_simple_and_distinct() {
         let net = topology::mesh(3, 3, CAP).unwrap();
         let routes = k_shortest_paths(&net, NodeId::new(0), NodeId::new(8), 12, |_| Some(1.0));
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for (_, r) in &routes {
             assert!(r.is_simple(&net), "{r}");
             assert!(seen.insert(r.links().to_vec()), "duplicate {r}");

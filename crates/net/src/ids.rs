@@ -149,7 +149,8 @@ impl From<u32> for SrlgId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
     #[test]
     fn node_id_roundtrip() {
@@ -169,11 +170,17 @@ mod tests {
 
     #[test]
     fn ids_are_ordered_and_hashable() {
-        let mut set = HashSet::new();
+        let mut set = BTreeSet::new();
         set.insert(NodeId::new(1));
         set.insert(NodeId::new(1));
         set.insert(NodeId::new(2));
         assert_eq!(set.len(), 2);
+        let hash = |id: NodeId| {
+            let mut h = DefaultHasher::new();
+            id.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(NodeId::new(1)), hash(NodeId::new(1)));
         assert!(NodeId::new(1) < NodeId::new(2));
         assert!(LinkId::new(0) < LinkId::new(1));
     }

@@ -234,7 +234,7 @@ proptest! {
         let routes = k_shortest_paths(&net, src, dst, k, |_| Some(1.0));
         prop_assert!(!routes.is_empty());
         prop_assert!(routes.len() <= k);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for w in routes.windows(2) {
             prop_assert!(w[0].0 <= w[1].0 + 1e-9);
         }

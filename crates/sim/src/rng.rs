@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn seeds_spread_across_tag_space() {
         // No collisions among a few hundred common tags.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..300 {
             assert!(seen.insert(substream_seed(7, &format!("tag-{i}"))));
         }

@@ -635,7 +635,7 @@ mod tests {
         assert_eq!(fails.len(), repairs.len(), "every failure gets repaired");
         // Links in range, failure times within the horizon, repairs after
         // their failures, and no link fails twice while down.
-        let mut down: std::collections::HashMap<u32, SimTime> = Default::default();
+        let mut down: std::collections::BTreeMap<u32, SimTime> = Default::default();
         let mut repair_iter = repairs.clone();
         repair_iter.sort();
         for (t, l) in &fails {

@@ -206,7 +206,7 @@ mod tests {
         let TrafficPattern::HotDestinations { hot, .. } = p else {
             panic!()
         };
-        let set: std::collections::HashSet<_> = hot.iter().collect();
+        let set: std::collections::BTreeSet<_> = hot.iter().collect();
         assert_eq!(set.len(), 10);
     }
 

@@ -35,7 +35,7 @@ proptest! {
         }
         let mut last_time = SimTime::ZERO;
         let mut popped = 0;
-        let mut seq_at_time = std::collections::HashMap::<u64, usize>::new();
+        let mut seq_at_time = std::collections::BTreeMap::<u64, usize>::new();
         while let Some((t, idx)) = q.pop() {
             prop_assert!(t >= last_time);
             // FIFO among equal timestamps: indices increase.

@@ -46,7 +46,7 @@
 //! [`CheckConfig::baseline`]) explores more runs but can flag no
 //! additional violation.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use drt_core::invariants::Violation;
 use drt_proto::{Decision, Fate, SeededBug};
@@ -193,7 +193,7 @@ type VisitBudget = (usize, usize, u64);
 /// revisit could still explore, the recorded run could too.
 #[derive(Debug, Default)]
 struct Visited {
-    map: HashMap<(usize, u64), Vec<VisitBudget>>,
+    map: BTreeMap<(usize, u64), Vec<VisitBudget>>,
 }
 
 impl Visited {

@@ -1,10 +1,6 @@
-//! `drt-verify`: static analysis for the DRTP reproduction.
-//!
-//! Two engines live here, both aimed at the same question — *can the
-//! signalling plane misbehave in a way randomized chaos testing would
-//! miss?*
-//!
-//! # The model checker ([`checker`])
+//! `drt-verify`: a bounded exhaustive model checker for the DRTP
+//! signalling plane, aimed at one question — *can the signalling plane
+//! misbehave in a way randomized chaos testing would miss?*
 //!
 //! Randomized chaos runs sample the space of delivery schedules; the
 //! checker *enumerates* it. A [`scenario::Scenario`] is a small scripted
@@ -30,28 +26,8 @@
 //!   already visited with at least as much remaining fault budget and
 //!   branch depth cannot reach anything new, so it is abandoned.
 //!
-//! # The semantic lint ([`lint`])
-//!
-//! A source-level analysis engine (no rustc plumbing, no extra
-//! dependencies) for what clippy cannot state: properties of the call
-//! graph. It is built from four layers:
-//!
-//! * [`lex`] — a token-level Rust lexer (comments, raw strings, byte
-//!   literals, lifetimes-vs-chars, raw identifiers, nested block
-//!   comments) with exact line numbers.
-//! * [`model`] — a per-workspace item model: every `fn` with its impl
-//!   context, call sites, direct nondeterminism seeds, and `lint:allow`
-//!   waivers.
-//! * [`taint`] — fixpoint nondeterminism-taint propagation over the
-//!   call graph: a helper wrapping `Instant::now` two crates away
-//!   taints every routing function that can reach it, and the finding
-//!   carries the full source→sink call chain.
-//! * [`semantic`] — the call-graph rule: RNG-substream discipline for
-//!   closures passed to the deterministic parallel drivers. The
-//!   stale-waiver audit lives in the [`lint`] orchestrator.
-//!
-//! Run it with `cargo run -p verify --bin lint` (`--format json` for
-//! machine-readable output, `--explain <rule>` for rule docs).
+//! Run it with `cargo run --release -p verify --bin check -- --depth 12
+//! --max-faults 3`.
 
 #![warn(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -59,9 +35,4 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod checker;
-pub mod lex;
-pub mod lint;
-pub mod model;
 pub mod scenario;
-pub mod semantic;
-pub mod taint;

@@ -221,12 +221,7 @@ fn sweeps_allocate_only_their_report_on_any_thread() {
             (sweep.per_link.len(), n)
         };
         let mut counts = vec![warmed(seed)];
-        counts.extend(parallel_map(
-            2,
-            vec![seed + 1, seed + 2, seed + 3],
-            || (),
-            |(), s| warmed(s),
-        ));
+        counts.extend(parallel_map(2, vec![seed + 1, seed + 2, seed + 3], warmed));
         for (len, n) in counts {
             assert!(len > 0, "the sweep on {nodes} nodes probed nothing");
             assert!(n <= sweep_bound(len), "{n} allocations for {len} entries");

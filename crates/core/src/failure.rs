@@ -346,21 +346,26 @@ impl RecoveryReport {
     }
 }
 
-/// How a crashed router recovers its channel tables on restart — the
-/// centralized mirror of `drt_proto`'s crash-recovery modes, so campaign
-/// drivers can compare both arms without the message-level simulation.
+/// What a crashed router recovers when it restarts — the one restart
+/// vocabulary of both planes: [`DrtpManager::crash_restart_router`] takes
+/// it here, and the message-level engine re-exports it as
+/// `drt_proto::RestartMode` for `ChaosConfig::restart_mode`, so campaign
+/// drivers can compare both arms with or without the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RestartMode {
-    /// Channel tables are volatile: the restarted router remembers
-    /// nothing. Neighbours detect the outage, every transiting
-    /// connection is switched, lost, or stripped of its backup
+    /// Channel tables are volatile and the journal dies with the crash:
+    /// the restarted router remembers nothing and rejoins from scratch.
+    /// Where neighbours detect the outage (the centralized model), every
+    /// transiting connection is switched, lost, or stripped of its backup
     /// registrations — and the switchovers are *spurious*, since the
-    /// router comes straight back.
+    /// router comes straight back; in the message-level engine only the
+    /// crashed-router detection path mops up the orphans.
     #[default]
     Amnesia,
-    /// The router replays its write-ahead journal and resyncs with its
-    /// neighbours: every table entry is recovered and no switchover
-    /// fires.
+    /// The write-ahead journal survives the crash: the router replays it,
+    /// then reconciles per-connection state with each neighbour (a
+    /// `ResyncRequest` / `ResyncDigest` handshake in the message-level
+    /// engine). Every table entry is recovered and no switchover fires.
     Journaled,
 }
 

@@ -789,7 +789,6 @@ impl ControlPlane {
             drop_prob: f64::from(cell.strength) / 1000.0,
             dup_prob: 0.02,
             max_jitter: SimDuration::from_micros(200),
-            crashes: Vec::new(),
             seed: substream_seed(seed, &cell.tag()),
             ..ChaosConfig::default()
         };

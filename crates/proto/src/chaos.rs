@@ -1,5 +1,7 @@
-//! Chaos injection for the signalling plane: packet loss, duplication,
-//! reordering jitter, and router crashes.
+//! The production fault model of the signalling plane: per-delivery
+//! packet loss, duplication and reordering jitter, drawn by
+//! [`crate::ChaosFates`], plus what a router restarted by
+//! [`crate::ProtocolSim::restart_router`] recovers.
 //!
 //! The DSN 2001 paper assumes control packets arrive; this module removes
 //! that assumption so the retransmission machinery in [`crate::engine`]
@@ -7,44 +9,15 @@
 //! [`drt_sim::rng`] substream (`"chaos"`) of [`ChaosConfig::seed`], so a
 //! chaotic run is exactly reproducible from its seed and perturbing any
 //! other stream (arrivals, lifetimes, …) leaves the chaos schedule
-//! untouched.
+//! untouched. Every fault that is not a delivery's fate — link failure,
+//! router crash or restart, a spoofed report — is a command on
+//! [`crate::ProtocolSim`], not a configuration field.
 
-use drt_net::NodeId;
-use drt_sim::{SimDuration, SimTime};
+use crate::fate::DeliveryFate;
+use drt_core::failure::RestartMode;
+use drt_sim::SimDuration;
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// A scheduled router outage: at `at` the router loses its in-memory
-/// signalling state (channel tables, ledgers, APLVs, dedup records) and
-/// drops every packet addressed to it until `at + down_for`. What the
-/// restart recovers is decided by [`ChaosConfig::restart_mode`]: under
-/// [`RestartMode::Amnesia`] state stays lost — restart is from scratch;
-/// under [`RestartMode::Journaled`] the durable journal is replayed and a
-/// resync handshake reconciles with each neighbour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashWindow {
-    /// The router that crashes.
-    pub node: NodeId,
-    /// Virtual time of the crash.
-    pub at: SimTime,
-    /// How long the router stays down before restarting.
-    pub down_for: SimDuration,
-}
-
-/// What a router recovers when it restarts after a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RestartMode {
-    /// The historical model: all state (and the journal) is lost with the
-    /// crash; the restarted router rejoins from scratch and only the
-    /// crashed-router detection path can mop up the orphans.
-    #[default]
-    Amnesia,
-    /// The write-ahead journal ([`crate::Journal`]) survives the crash:
-    /// the restarted router replays it, then runs a
-    /// `ResyncRequest`/`ResyncDigest` handshake with each neighbour to
-    /// reconcile per-connection state before rejoining.
-    Journaled,
-}
 
 /// Corruption injected into the durable journal at crash time (only
 /// meaningful under [`RestartMode::Journaled`]). A real implementation
@@ -80,11 +53,8 @@ pub struct ChaosConfig {
     /// Deliveries are delayed by an extra uniform `[0, max_jitter]`,
     /// which reorders packets that share a path.
     pub max_jitter: SimDuration,
-    /// Scheduled router outages.
-    pub crashes: Vec<CrashWindow>,
-    /// What a restarted router recovers (amnesia vs journal replay +
-    /// resync). Applies to scheduled crash windows and to restarts
-    /// injected through `ProtocolSim::restart_router`.
+    /// What a router restarted through `ProtocolSim::restart_router`
+    /// recovers (amnesia vs journal replay + resync).
     pub restart_mode: RestartMode,
     /// Storage corruption injected into the journal at crash time.
     pub journal_fault: JournalFault,
@@ -93,15 +63,14 @@ pub struct ChaosConfig {
 }
 
 impl Default for ChaosConfig {
-    /// A quiet control plane: no loss, no duplication, no jitter, no
-    /// crashes. [`crate::ProtocolSim`] behaves exactly like the lossless
+    /// A quiet control plane: no loss, no duplication, no jitter.
+    /// [`crate::ProtocolSim`] behaves exactly like the lossless
     /// engine under this default.
     fn default() -> Self {
         ChaosConfig {
             drop_prob: 0.0,
             dup_prob: 0.0,
             max_jitter: SimDuration::ZERO,
-            crashes: Vec::new(),
             restart_mode: RestartMode::default(),
             journal_fault: JournalFault::default(),
             seed: 0,
@@ -111,7 +80,7 @@ impl Default for ChaosConfig {
 
 impl ChaosConfig {
     /// A lossy-but-orderly control plane: per-hop drop probability `p`,
-    /// no duplication, no jitter, no crashes.
+    /// no duplication, no jitter.
     ///
     /// # Panics
     ///
@@ -130,10 +99,7 @@ impl ChaosConfig {
     pub fn is_quiet(&self) -> bool {
         // Exact-zero probes on user-supplied probabilities are the intent
         // here: only a literal 0.0 disables the fault path.
-        self.drop_prob == 0.0
-            && self.dup_prob == 0.0
-            && self.max_jitter.is_zero()
-            && self.crashes.is_empty()
+        self.drop_prob == 0.0 && self.dup_prob == 0.0 && self.max_jitter.is_zero()
     }
 
     /// The RNG for this configuration's chaos substream.
@@ -143,9 +109,7 @@ impl ChaosConfig {
 
     /// Decides the fate of one delivery spanning `hops` hops: how many
     /// copies arrive (0, 1, or 2) and each copy's extra jitter.
-    pub(crate) fn plan(&self, rng: &mut StdRng, hops: u64) -> DeliveryPlan {
-        debug_assert!((0.0..=1.0).contains(&self.drop_prob));
-        debug_assert!((0.0..=1.0).contains(&self.dup_prob));
+    pub(crate) fn plan(&self, rng: &mut StdRng, hops: u64) -> DeliveryFate {
         let survival = (1.0 - self.drop_prob).powi(hops.max(1) as i32);
         // Draw the full decision chain unconditionally so the stream stays
         // aligned whatever the outcome (independence under change).
@@ -153,7 +117,7 @@ impl ChaosConfig {
         let duplicated = rng.gen_bool(self.dup_prob);
         let j1 = self.jitter(rng);
         let j2 = self.jitter(rng);
-        let mut plan = DeliveryPlan { copies: Vec::new() };
+        let mut plan = DeliveryFate::dropped();
         if survives {
             plan.copies.push(j1);
             if duplicated {
@@ -170,12 +134,6 @@ impl ChaosConfig {
             SimDuration::from_micros(rng.gen_range(0..=self.max_jitter.as_micros()))
         }
     }
-}
-
-/// The fate of one delivery: the extra delay of each arriving copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct DeliveryPlan {
-    pub copies: Vec<SimDuration>,
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 //! tells states apart by. Read-only: nothing here mutates the simulation.
 
 use super::{ConnOutcome, ProtocolSim};
-use crate::chaos::RestartMode;
 use drt_core::invariants::{self, Violation};
 use drt_net::{Bandwidth, LinkId};
 use std::collections::BTreeMap;
@@ -160,11 +159,9 @@ impl ProtocolSim {
         }
         // Amnesia crashes lose state wholesale and exhausted transactions
         // leave bounded, counted leaks: exact ledger equality is only
-        // claimable without either. A journaled crash window is *not* a
+        // claimable without either. A journaled restart is *not* a
         // forfeit — replay plus resync is expected to restore exactness.
-        let amnesia_crash = !self.state.chaos.crashes.is_empty()
-            && self.state.chaos.restart_mode == RestartMode::Amnesia;
-        if amnesia_crash || self.state.node_crashed || !self.state.exhausted.is_empty() {
+        if self.state.node_crashed || !self.state.exhausted.is_empty() {
             return Ok(());
         }
         // Every failure is eventually reported and acted on, so at

@@ -72,11 +72,6 @@ impl TrafficCounters {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
         self.by_kind.iter().map(|(&k, t)| (k, t.msgs, t.bytes))
     }
-
-    /// Iterates the full split counters in kind order.
-    pub fn iter_traffic(&self) -> impl Iterator<Item = (&'static str, KindTraffic)> + '_ {
-        self.by_kind.iter().map(|(&k, &t)| (k, t))
-    }
 }
 
 impl fmt::Display for TrafficCounters {

@@ -19,7 +19,6 @@ pub use walk::SeededBug;
 
 use walk::{Txn, TxnKind};
 
-use crate::adversary::AdversaryConfig;
 use crate::chaos::ChaosConfig;
 use crate::fate::{ChaosFates, FateSource};
 use crate::message::{Packet, WalkOp};
@@ -42,25 +41,22 @@ pub struct ProtocolConfig {
     /// against its link-state evidence before acting: reports for links
     /// it has no reason to believe dead are rejected and raise the
     /// reporter's suspicion score — the countermeasure against byzantine
-    /// false reports ([`crate::AdversaryConfig`]). Off by default: the
-    /// honest engine trusts its detectors, exactly as the paper does.
+    /// false reports ([`ProtocolSim::spoof_failure_report`]). Off by
+    /// default: the honest engine trusts its detectors, exactly as the
+    /// paper does.
     pub report_verification: bool,
     /// Uncorroborated reports from one router before that router is
     /// quarantined (all its subsequent reports ignored). Only consulted
     /// when [`ProtocolConfig::report_verification`] is set.
     pub suspicion_threshold: u32,
-    /// Distinct reporters of the same uncorroborated link failure needed
-    /// before the source overrides its own (possibly stale) link-state
-    /// evidence and acts anyway. `0` (the default) disables the quorum:
-    /// uncorroborated reports are never acted on. Only consulted when
+    /// Distinct *quarantine-clean* reporters — those still under
+    /// [`ProtocolConfig::suspicion_threshold`] — of the same
+    /// uncorroborated link failure needed before the source overrides its
+    /// own (possibly stale) link-state evidence and acts anyway. `0` (the
+    /// default) disables the quorum: uncorroborated reports are never
+    /// acted on. Only consulted when
     /// [`ProtocolConfig::report_verification`] is set.
     pub corroboration_quorum: u32,
-    /// When set (the default), only *quarantine-clean* reporters — those
-    /// still under [`ProtocolConfig::suspicion_threshold`] — count toward
-    /// the corroboration quorum. Turning this off re-opens the sybil
-    /// hole: one adversary forging several reporter identities reaches
-    /// the quorum alone.
-    pub quorum_requires_clean: bool,
 }
 
 impl Default for ProtocolConfig {
@@ -74,7 +70,6 @@ impl Default for ProtocolConfig {
             report_verification: false,
             suspicion_threshold: 3,
             corroboration_quorum: 0,
-            quorum_requires_clean: true,
         }
     }
 }
@@ -254,11 +249,6 @@ struct State {
     cfg: ProtocolConfig,
     retry: RetryConfig,
     chaos: ChaosConfig,
-    adversary: AdversaryConfig,
-    /// RNG of the adversary's interception substream; `None` while the
-    /// adversary is quiet (no draws, so enabling chaos alone leaves
-    /// every other stream untouched).
-    adversary_rng: Option<rand::rngs::StdRng>,
     /// Per-reporter uncorroborated-report counts (only grows while
     /// [`ProtocolConfig::report_verification`] is on).
     suspicion: BTreeMap<NodeId, u32>,
@@ -271,9 +261,9 @@ struct State {
     failed: Vec<bool>,
     /// Routers currently crashed (deliveries to them are dropped).
     down: Vec<bool>,
-    /// Whether any router ever crashed (chaos window or permanent
-    /// [`Event::NodeFails`]) — state loss forfeits the quiescent
-    /// exact-equality claims.
+    /// Whether any router ever lost state for good (an amnesia restart,
+    /// a degraded rejoin or a permanent [`Event::NodeFails`]) — state
+    /// loss forfeits the quiescent exact-equality claims.
     node_crashed: bool,
     /// Whether any router ever completed a restart (either mode) — arms
     /// the `rejoin-restores-primaries` quiescent check.
@@ -304,9 +294,14 @@ struct State {
 /// interleave freely — virtual time advances monotonically across calls.
 /// See the crate docs for an example.
 ///
-/// With a non-quiet [`ChaosConfig`] (via [`ProtocolSim::with_chaos`]),
-/// the control plane drops, duplicates, jitters, and crash-partitions
-/// deliveries; the retransmission machinery keeps the protocol live.
+/// Faults come in through two seams only. Every multi-hop delivery's
+/// fate is decided by the [`FateSource`] — with a non-quiet
+/// [`ChaosConfig`] (via [`ProtocolSim::with_chaos`]) the control plane
+/// drops, duplicates and jitters deliveries, and the retransmission
+/// machinery keeps the protocol live. Every other fault is a command:
+/// [`ProtocolSim::fail_link`], [`ProtocolSim::crash_router`],
+/// [`ProtocolSim::restart_router`] and
+/// [`ProtocolSim::spoof_failure_report`].
 #[derive(Debug)]
 pub struct ProtocolSim {
     sim: Simulator<Event>,
@@ -321,7 +316,7 @@ impl ProtocolSim {
     }
 
     /// Creates the simulation with explicit retransmission policy and a
-    /// chaotic control plane. Scheduled router crashes are armed here.
+    /// chaotic control plane. Panics where [`ChaosFates::new`] does.
     pub fn with_chaos(
         net: Arc<Network>,
         cfg: ProtocolConfig,
@@ -335,9 +330,9 @@ impl ProtocolSim {
     /// Creates the simulation with an explicit [`FateSource`] deciding
     /// every multi-hop delivery's fate — the seam the `verify` model
     /// checker drives with scripted fate vectors. `chaos` still supplies
-    /// the scheduled crashes and the `max_jitter` bound the
-    /// retransmission timeout accounts for; its probabilistic fields are
-    /// ignored (the fate source owns those decisions).
+    /// the `max_jitter` bound the retransmission timeout accounts for and
+    /// what a restart recovers; its probabilistic fields are ignored (the
+    /// fate source owns those decisions).
     pub fn with_fates(
         net: Arc<Network>,
         cfg: ProtocolConfig,
@@ -351,20 +346,13 @@ impl ProtocolSim {
         let journals = Journals::new(Arc::clone(&net));
         let failed = vec![false; net.num_links()];
         let down = vec![false; net.num_nodes()];
-        let mut sim = Simulator::new();
-        for w in &chaos.crashes {
-            sim.schedule_at(w.at, Event::RouterCrash { node: w.node });
-            sim.schedule_at(w.at + w.down_for, Event::RouterRestart { node: w.node });
-        }
         ProtocolSim {
-            sim,
+            sim: Simulator::new(),
             state: State {
                 net,
                 cfg,
                 retry,
                 chaos,
-                adversary: AdversaryConfig::default(),
-                adversary_rng: None,
                 suspicion: BTreeMap::new(),
                 fates,
                 bug: SeededBug::None,
@@ -386,35 +374,6 @@ impl ProtocolSim {
                 pending_recovery: BTreeMap::new(),
             },
         }
-    }
-
-    /// Creates the simulation with a byzantine adversary on top of a
-    /// chaotic control plane. Scheduled [`crate::FalseReport`]s are armed
-    /// here, exactly as chaos crash windows are: each fires as a
-    /// fabricated detection at its reporter, indistinguishable to the
-    /// sources from an honest one.
-    pub fn with_adversary(
-        net: Arc<Network>,
-        cfg: ProtocolConfig,
-        retry: RetryConfig,
-        chaos: ChaosConfig,
-        adversary: AdversaryConfig,
-    ) -> Self {
-        let mut sim = Self::with_chaos(net, cfg, retry, chaos);
-        for fr in &adversary.false_reports {
-            sim.sim.schedule_at(
-                fr.at,
-                Event::Detected {
-                    at: fr.reporter,
-                    link: fr.link,
-                },
-            );
-        }
-        if !adversary.is_quiet() {
-            sim.state.adversary_rng = Some(adversary.rng());
-        }
-        sim.state.adversary = adversary;
-        sim
     }
 
     /// Queues the start of an `op` walk for `conn` along `route` at the
@@ -545,21 +504,21 @@ impl ProtocolSim {
     }
 
     /// Crashes a router permanently: its state is wiped, deliveries to it
-    /// are dropped, and every incident link fails. Unlike a scheduled
-    /// [`ChaosConfig`] crash window, the dead router cannot detect or
-    /// report anything — the *surviving* endpoint of each incident link
-    /// detects after the configured delay and reports upstream, so one
-    /// crash fans out into failure reports for all incident links at once.
+    /// are dropped, and every incident link fails. The dead router cannot
+    /// detect or report anything — the *surviving* endpoint of each
+    /// incident link detects after the configured delay and reports
+    /// upstream, so one crash fans out into failure reports for all
+    /// incident links at once.
     pub fn crash_router(&mut self, node: NodeId) {
         self.sim
             .schedule_at(self.sim.now(), Event::NodeFails { node });
     }
 
-    /// Crashes `node` now and restarts it after `down_for` — the
-    /// imperative twin of a scheduled [`crate::CrashWindow`]. What the
-    /// restart recovers follows [`ChaosConfig::restart_mode`]; under
-    /// [`crate::RestartMode::Journaled`] the rejoin replays the journal and
-    /// resyncs with every neighbour.
+    /// Crashes `node` now and restarts it after `down_for`: in-memory
+    /// state is lost and deliveries to it are dropped while it is down.
+    /// What the restart recovers follows [`ChaosConfig::restart_mode`];
+    /// under [`crate::RestartMode::Journaled`] the rejoin replays the
+    /// journal and resyncs with every neighbour.
     pub fn restart_router(&mut self, node: NodeId, down_for: SimDuration) {
         let now = self.sim.now();
         self.sim.schedule_at(now, Event::RouterCrash { node });
@@ -659,16 +618,6 @@ impl ProtocolSim {
         self.state.exhausted.iter().map(|(&k, &n)| (k, n))
     }
 
-    /// The chaos configuration driving this run.
-    pub fn chaos(&self) -> &ChaosConfig {
-        &self.state.chaos
-    }
-
-    /// The adversary configuration driving this run.
-    pub fn adversary(&self) -> &AdversaryConfig {
-        &self.state.adversary
-    }
-
     /// The suspicion score accumulated against `reporter` (number of
     /// uncorroborated failure reports it sourced). Always zero while
     /// [`ProtocolConfig::report_verification`] is off.
@@ -690,14 +639,18 @@ impl ProtocolSim {
     /// Fires one fabricated failure report immediately: `reporter`
     /// "detects" the failure of the perfectly healthy `link` and reports
     /// it to every affected source, exactly as an honest detector would.
-    /// The queued detection is processed by the next run call.
-    pub fn spoof_failure_report(&mut self, reporter: NodeId, link: LinkId) {
-        assert!(
-            !self.state.failed[link.index()],
-            "spoofing a report for {link}, which is genuinely failed"
-        );
+    /// The queued detection is processed by the next run call; a lie
+    /// scheduled for later is this call made at that time.
+    ///
+    /// Returns `false`, scheduling nothing, when `link` has already
+    /// failed: a report of a real failure is no lie.
+    pub fn spoof_failure_report(&mut self, reporter: NodeId, link: LinkId) -> bool {
+        if self.state.failed[link.index()] {
+            return false;
+        }
         self.sim
             .schedule_at(self.sim.now(), Event::Detected { at: reporter, link });
+        true
     }
 }
 

@@ -50,7 +50,7 @@ impl State {
         );
     }
 
-    /// Router `at` detected (or, byzantine, claims) the failure of `link`:
+    /// Router `at` detected (or, spoofed, claims) the failure of `link`:
     /// it reports to each affected connection's source.
     pub(super) fn on_detected(
         &mut self,
@@ -61,15 +61,6 @@ impl State {
         // A crashed detector cannot observe the failure — and has no
         // channel table left to consult after restarting.
         if self.down[at.index()] {
-            return;
-        }
-        // A byzantine detector suppresses its report of a *real* failure;
-        // fabricated detections (healthy link) still go out — that's the
-        // whole point of the lie.
-        if self.adversary.suppress_reports
-            && self.adversary.is_byzantine(at)
-            && self.failed[link.index()]
-        {
             return;
         }
         // The report travels upstream along the primary. The detector may
@@ -181,16 +172,16 @@ impl State {
                 *self.suspicion.entry(reporter).or_insert(0) += 1;
                 // Corroboration quorum: enough *distinct* reporters of the
                 // same link may override the local evidence (it could be
-                // stale). Counting only quarantine-clean witnesses closes
-                // the sybil hole: every forged identity burns suspicion
-                // with each lie, so a single adversary can never assemble
-                // a clean quorum by itself.
+                // stale). Only quarantine-clean witnesses count: every
+                // forged identity burns suspicion with each lie, so a
+                // single adversary assembles a quorum alone only while the
+                // threshold tolerates one lie per identity.
                 if self.cfg.corroboration_quorum == 0 {
                     return;
                 }
                 let counted = self.witnesses[&link]
                     .iter()
-                    .filter(|&&w| !self.cfg.quorum_requires_clean || !self.quarantined(w))
+                    .filter(|&&w| !self.quarantined(w))
                     .count();
                 if counted < self.cfg.corroboration_quorum as usize {
                     return;
@@ -471,10 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn sybil_reporters_defeat_a_raw_corroboration_quorum() {
-        // One adversary forges three reporter identities, each staying
-        // under the suspicion threshold. With the quorum counting *raw*
-        // distinct reporters, the third lie is "corroborated" and the
+    fn sybil_quorum_passes_a_threshold_above_one_lie_per_identity() {
+        // One adversary forges three reporter identities and lies once
+        // through each. A suspicion threshold of 4 leaves every identity
+        // quarantine-clean after its single strike, so the clean quorum
+        // counts all three, the third lie is "corroborated" and the
         // source acts on a healthy link — the phantom-report invariant
         // catches the spurious switchover.
         let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
@@ -482,7 +474,6 @@ mod tests {
             report_verification: true,
             suspicion_threshold: 4,
             corroboration_quorum: 3,
-            quorum_requires_clean: false,
             ..ProtocolConfig::default()
         };
         let mut sim = ProtocolSim::new(Arc::clone(&net), cfg);
@@ -516,7 +507,6 @@ mod tests {
             report_verification: true,
             suspicion_threshold: 1,
             corroboration_quorum: 3,
-            quorum_requires_clean: true,
             ..ProtocolConfig::default()
         };
         let mut sim = ProtocolSim::new(Arc::clone(&net), cfg);

@@ -3,10 +3,10 @@
 //! with its neighbours.
 
 use super::{Event, State, TxnKind};
-use crate::chaos::RestartMode;
 use crate::message::{Packet, ResyncEntry};
 use crate::router::Router;
 use crate::JournalRecord;
+use drt_core::failure::RestartMode;
 use drt_net::{LinkId, NodeId};
 use drt_sim::Scheduler;
 use std::cmp::Ordering;
@@ -21,7 +21,7 @@ impl State {
         }
         self.down[node.index()] = true;
         self.node_crashed = true;
-        // State loss, as with a chaos crash window — but permanent: the
+        // State loss, as with an amnesia restart — but permanent: the
         // durable journal dies with the hardware too.
         self.routers[node.index()] = Router::new(&self.net, node);
         self.journals.reset(node);
@@ -210,38 +210,40 @@ impl State {
 
 #[cfg(test)]
 mod tests {
-    use crate::chaos::{ChaosConfig, CrashWindow, JournalFault, RestartMode};
+    use crate::chaos::{ChaosConfig, JournalFault};
     use crate::engine::testkit::{r, BW};
     use crate::engine::{ConnOutcome, ProtocolConfig, ProtocolSim, RetryConfig};
+    use drt_core::failure::RestartMode;
     use drt_core::ConnectionId;
-    use drt_net::{topology, Bandwidth, NodeId};
-    use drt_sim::{SimDuration, SimTime};
+    use drt_net::{topology, Bandwidth, NodeId, Route};
+    use drt_sim::SimDuration;
     use std::sync::Arc;
 
-    #[test]
-    fn crashed_router_loses_state_and_drops_packets() {
+    /// Establishes connection 0 along `nodes` of a 4-ring under `chaos`,
+    /// then crashes `node` and restarts it a second later, draining both.
+    fn restart_after_setup(chaos: ChaosConfig, nodes: &[u32], node: u32) -> (ProtocolSim, Route) {
         let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
-        let crash = CrashWindow {
-            node: NodeId::new(1),
-            at: SimTime::from_secs(1),
-            down_for: SimDuration::from_secs(1),
-        };
-        let chaos = ChaosConfig {
-            crashes: vec![crash],
-            ..ChaosConfig::default()
-        };
         let mut sim = ProtocolSim::with_chaos(
             Arc::clone(&net),
             ProtocolConfig::default(),
             RetryConfig::default(),
             chaos,
         );
-        let primary = r(&net, &[1, 2]);
+        let primary = r(&net, nodes);
         sim.establish(ConnectionId::new(0), BW, primary.clone(), vec![]);
-        // The run drains the crash/restart events too: setup completes
-        // within milliseconds, then the 1 s crash wipes router 1's ledger.
         sim.run_to_quiescence();
-        assert!(sim.now() >= SimTime::from_secs(2));
+        let crashed_at = sim.now();
+        sim.restart_router(NodeId::new(node), SimDuration::from_secs(1));
+        sim.run_to_quiescence();
+        assert!(sim.now() >= crashed_at + SimDuration::from_secs(1));
+        (sim, primary)
+    }
+
+    #[test]
+    fn crashed_router_loses_state_and_drops_packets() {
+        // Setup completes within milliseconds, then the amnesia restart
+        // wipes router 1's ledger for good.
+        let (sim, primary) = restart_after_setup(ChaosConfig::default(), &[1, 2], 1);
         assert_eq!(
             sim.outcome(ConnectionId::new(0)),
             Some(ConnOutcome::Established)
@@ -254,30 +256,15 @@ mod tests {
 
     #[test]
     fn journaled_restart_replays_state_and_resyncs_cleanly() {
-        // Same crash window as the amnesia test above, but journaled:
-        // the restarted router replays its journal, resyncs with both
+        // Same outage as the amnesia test above, but journaled: the
+        // restarted router replays its journal, resyncs with both
         // neighbours, and hands back the primary entry — the quiescent
         // exact-equality invariants (no longer forfeited) prove it.
-        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
-        let crash = CrashWindow {
-            node: NodeId::new(2),
-            at: SimTime::from_secs(1),
-            down_for: SimDuration::from_secs(1),
-        };
         let chaos = ChaosConfig {
-            crashes: vec![crash],
             restart_mode: RestartMode::Journaled,
             ..ChaosConfig::default()
         };
-        let mut sim = ProtocolSim::with_chaos(
-            Arc::clone(&net),
-            ProtocolConfig::default(),
-            RetryConfig::default(),
-            chaos,
-        );
-        let primary = r(&net, &[1, 2, 3]);
-        sim.establish(ConnectionId::new(0), BW, primary.clone(), vec![]);
-        sim.run_to_quiescence();
+        let (sim, primary) = restart_after_setup(chaos, &[1, 2, 3], 2);
         sim.check_invariants().unwrap();
         assert_eq!(
             sim.outcome(ConnectionId::new(0)),
@@ -301,27 +288,12 @@ mod tests {
         // The crash tears the whole tail off: replay comes back
         // corrupted, the rejoin degrades to the crashed-router detection
         // path, and the state is gone exactly as under amnesia.
-        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
-        let crash = CrashWindow {
-            node: NodeId::new(2),
-            at: SimTime::from_secs(1),
-            down_for: SimDuration::from_secs(1),
-        };
         let chaos = ChaosConfig {
-            crashes: vec![crash],
             restart_mode: RestartMode::Journaled,
             journal_fault: JournalFault::TornTail(64),
             ..ChaosConfig::default()
         };
-        let mut sim = ProtocolSim::with_chaos(
-            Arc::clone(&net),
-            ProtocolConfig::default(),
-            RetryConfig::default(),
-            chaos,
-        );
-        let primary = r(&net, &[1, 2, 3]);
-        sim.establish(ConnectionId::new(0), BW, primary.clone(), vec![]);
-        sim.run_to_quiescence();
+        let (sim, primary) = restart_after_setup(chaos, &[1, 2, 3], 2);
         sim.check_invariants().unwrap(); // degraded rejoin forfeits exactness
         assert_eq!(
             sim.link_resources(primary.links()[1]).prime(),

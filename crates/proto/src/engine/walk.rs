@@ -105,10 +105,9 @@ impl SeededBug {
 
 impl State {
     /// Transmits `pkt` towards `to`. The configured [`crate::FateSource`]
-    /// then decides the delivery's fate: drop (compounded over the hops
-    /// the delivery spans), duplication, and jitter. Zero-delay sends are
-    /// local handoffs to the node's own router and bypass the fate
-    /// source entirely.
+    /// alone then decides the delivery's fate: which copies arrive, and
+    /// how late. Zero-delay sends are local handoffs to the node's own
+    /// router and bypass the fate source entirely.
     pub(super) fn send(
         &mut self,
         sched: &mut Scheduler<'_, Event>,
@@ -122,23 +121,7 @@ impl State {
             sched.schedule_in(delay, Event::Deliver { to, pkt });
             return;
         }
-        // Adversarial interception sits in front of the victim, upstream
-        // of the chaos plane: a dropped delivery never reaches the fate
-        // source (keeping the chaos stream untouched), a delayed one
-        // still suffers whatever chaos decides on top.
-        let mut intercept_delay = SimDuration::ZERO;
-        if let Some(rng) = self.adversary_rng.as_mut() {
-            if self.adversary.intercepts(to) {
-                match self.adversary.intercept(rng) {
-                    None => return,
-                    Some(extra) => intercept_delay = extra,
-                }
-            }
-        }
-        // Hop count (and thus the chaos fate decision) reflects the
-        // honest route; the interception delay is not extra distance.
         let hops = (delay.as_micros() / self.cfg.per_hop_delay.as_micros().max(1)).max(1);
-        let delay = delay + intercept_delay;
         let fate = self.fates.decide(&pkt, hops);
         // The packet itself rides the last copy; only a duplicate clones.
         let Some((&last, earlier)) = fate.copies.split_last() else {

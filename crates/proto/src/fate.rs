@@ -1,18 +1,25 @@
-//! The delivery-fate seam: an abstract scheduler for the signalling plane.
+//! The delivery-fate seam: the one way a fault reaches a delivery.
 //!
 //! [`crate::ProtocolSim`] never decides a delivery's fate itself — every
 //! multi-hop control-packet delivery is submitted to a [`FateSource`],
 //! which answers with the set of arriving copies and their extra delays.
-//! Two sources exist:
+//! Every other fault (a link failing, a router crashing or restarting, a
+//! spoofed failure report) is a command on [`crate::ProtocolSim`]. Two
+//! sources ship with the crate:
 //!
-//! * [`ChaosFates`] — the randomized fault model of [`ChaosConfig`],
-//!   bit-for-bit reproducing the pre-seam behaviour (same RNG substream,
-//!   same draw order, and no draws at all under a quiet configuration);
+//! * [`ChaosFates`] — the randomized fault model of [`ChaosConfig`]
+//!   (same RNG substream, same draw order, and no draws at all under a
+//!   quiet configuration);
 //! * [`ScriptedFates`] — a deterministic fate vector used by the `verify`
 //!   model checker: decision *i* of the run takes `script[i]`, every
 //!   decision past the script's end defaults to [`Fate::Deliver`], and
 //!   each decision is recorded in a shared [`FateLog`] so the checker can
 //!   discover the run's choice points.
+//!
+//! A hostile network is a third source: `decide` sees the packet, so a
+//! byzantine router that intercepts one kind of signalling or swallows
+//! its own failure reports is a filter on [`Packet`] (the adversary tests
+//! build exactly that).
 //!
 //! Local zero-delay handoffs (a source handing a walk to its own router)
 //! are not deliveries and never reach the fate source.
@@ -79,7 +86,18 @@ pub struct ChaosFates {
 
 impl ChaosFates {
     /// A fate source reproducing `cfg`'s fault model exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.drop_prob` and `cfg.dup_prob` both lie in
+    /// `0.0..=1.0` (NaN included), naming the field that does not.
     pub fn new(cfg: ChaosConfig) -> Self {
+        for (field, p) in [("drop_prob", cfg.drop_prob), ("dup_prob", cfg.dup_prob)] {
+            assert!(
+                (0.0..=1.0).contains(&p),
+                "ChaosConfig::{field} must lie in [0, 1], got {p}"
+            );
+        }
         let rng = cfg.rng();
         ChaosFates { cfg, rng }
     }
@@ -92,10 +110,7 @@ impl FateSource for ChaosFates {
         if self.cfg.is_quiet() {
             return DeliveryFate::clean();
         }
-        let plan = self.cfg.plan(&mut self.rng, hops);
-        DeliveryFate {
-            copies: plan.copies,
-        }
+        self.cfg.plan(&mut self.rng, hops)
     }
 }
 
@@ -235,6 +250,33 @@ mod tests {
             let direct = cfg.plan(&mut direct_rng, hops);
             assert_eq!(f.decide(&pkt(), hops).copies, direct.copies);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ChaosConfig::drop_prob must lie in [0, 1], got NaN")]
+    fn chaos_fates_reject_a_nan_probability() {
+        ChaosFates::new(ChaosConfig {
+            drop_prob: f64::NAN,
+            ..ChaosConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ChaosConfig::dup_prob must lie in [0, 1], got -0.1")]
+    fn chaos_fates_reject_a_negative_probability() {
+        ChaosFates::new(ChaosConfig {
+            dup_prob: -0.1,
+            ..ChaosConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ChaosConfig::drop_prob must lie in [0, 1], got 1.5")]
+    fn chaos_fates_reject_a_probability_above_one() {
+        ChaosFates::new(ChaosConfig {
+            drop_prob: 1.5,
+            ..ChaosConfig::default()
+        });
     }
 
     #[test]

@@ -30,11 +30,21 @@
 //! sequence reaches quiescence, every router's per-link `prime`, `spare`
 //! and APLV equal the centralized manager's (see `tests/equivalence.rs`).
 //!
-//! # Chaos and reliability
+//! # Fault injection
 //!
-//! The control plane itself can be made faulty with [`ChaosConfig`]
-//! (per-hop packet loss, duplication, reordering jitter, and scheduled
-//! router crashes with state loss). Signalling stays live because every
+//! A fault reaches the engine in one of two ways. Every multi-hop
+//! delivery's fate — dropped, duplicated, late — is decided by a
+//! [`FateSource`]: [`ChaosFates`] draws it from a [`ChaosConfig`]
+//! (per-hop packet loss, duplication, reordering jitter), the model
+//! checker scripts it with [`ScriptedFates`]. Every other fault is a
+//! command on [`ProtocolSim`]: [`ProtocolSim::fail_link`],
+//! [`ProtocolSim::crash_router`], [`ProtocolSim::restart_router`] (what
+//! the restart recovers is [`ChaosConfig::restart_mode`]) and
+//! [`ProtocolSim::spoof_failure_report`].
+//!
+//! # Reliability
+//!
+//! Signalling stays live under a faulty control plane because every
 //! source-initiated operation is a sequence-numbered transaction with
 //! retransmission timers and exponential backoff ([`RetryConfig`]), and
 //! every router deduplicates walks on `(connection, sequence)`
@@ -45,11 +55,11 @@
 //!
 //! # Byzantine adversaries
 //!
-//! Beyond the indifferent faults of [`ChaosConfig`], an
-//! [`AdversaryConfig`] makes chosen routers actively hostile: fabricated
-//! failure reports for healthy links, suppressed reports for real ones,
-//! and selective interception of signalling to victim nodes. The
-//! engine-side countermeasure is report verification
+//! A hostile router needs no extra machinery: a fabricated failure
+//! report for a healthy link is [`ProtocolSim::spoof_failure_report`]
+//! called when the lie is told, and a router that swallows its own
+//! reports or intercepts signalling is a [`FateSource`] that drops those
+//! packets. The engine-side countermeasure is report verification
 //! ([`ProtocolConfig::report_verification`]): a source cross-checks each
 //! report against link-state evidence, scores reporters by
 //! uncorroborated claims, and quarantines routers that cross
@@ -86,15 +96,14 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod adversary;
 mod chaos;
 mod engine;
 mod fate;
 mod message;
 mod router;
 
-pub use adversary::{AdversaryConfig, FalseReport};
-pub use chaos::{ChaosConfig, CrashWindow, JournalFault, RestartMode};
+pub use chaos::{ChaosConfig, JournalFault};
+pub use drt_core::failure::RestartMode;
 pub use engine::{
     ConnOutcome, JournalStats, KindTraffic, ProtocolConfig, ProtocolSim, RecoveryRecord,
     RetryConfig, SeededBug, TrafficCounters,

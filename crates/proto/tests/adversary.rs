@@ -1,6 +1,10 @@
 //! Byzantine-adversary behavior at the message level, and the report
 //! verification countermeasure.
 //!
+//! A lie about a healthy link is `ProtocolSim::spoof_failure_report`;
+//! interception and suppression are [`Byzantine`], a fate source that
+//! drops the packets a hostile router would swallow.
+//!
 //! Geometry shared by every test: ring of 4, connection 0→2 with the
 //! two-hop primary 0→1→2 and the backup 0→3→2. Node 1 is a transit
 //! router of the primary: it holds a channel-table entry for the route
@@ -9,16 +13,47 @@
 //! actually cost the connection something.
 
 use drt_core::ConnectionId;
-use drt_net::{topology, Bandwidth, LinkId, NodeId, Route};
+use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, Route};
 use drt_proto::{
-    AdversaryConfig, ChaosConfig, ConnOutcome, FalseReport, ProtocolConfig, ProtocolSim,
+    ChaosConfig, ConnOutcome, DeliveryFate, FateSource, Packet, ProtocolConfig, ProtocolSim,
     RetryConfig,
 };
-use drt_sim::{SimDuration, SimTime};
 use std::sync::Arc;
 
 const BW: Bandwidth = Bandwidth::from_kbps(3_000);
 const CONN: ConnectionId = ConnectionId::new(0);
+
+/// A hostile control plane: drops what a byzantine router swallows, and
+/// delivers everything else once, on time.
+#[derive(Debug, Default)]
+struct Byzantine {
+    /// Every delivery of this packet kind is intercepted.
+    intercepts: Option<&'static str>,
+    /// Every failure report this router sources is suppressed.
+    suppresses: Option<NodeId>,
+}
+
+impl FateSource for Byzantine {
+    fn decide(&mut self, pkt: &Packet, _hops: u64) -> DeliveryFate {
+        let suppressed = matches!(pkt, Packet::FailureReport { reporter, .. }
+            if Some(*reporter) == self.suppresses);
+        if suppressed || self.intercepts == Some(pkt.kind()) {
+            DeliveryFate::dropped()
+        } else {
+            DeliveryFate::clean()
+        }
+    }
+}
+
+fn sim_with(net: &Arc<Network>, cfg: ProtocolConfig, byzantine: Byzantine) -> ProtocolSim {
+    ProtocolSim::with_fates(
+        Arc::clone(net),
+        cfg,
+        RetryConfig::default(),
+        ChaosConfig::default(),
+        Box::new(byzantine),
+    )
+}
 
 struct Ring {
     sim: ProtocolSim,
@@ -28,7 +63,7 @@ struct Ring {
     second_hop: LinkId,
 }
 
-fn ring_with(cfg: ProtocolConfig, adversary: AdversaryConfig) -> Ring {
+fn ring_with(cfg: ProtocolConfig, byzantine: Byzantine) -> Ring {
     let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
     let primary =
         Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]).unwrap();
@@ -36,13 +71,7 @@ fn ring_with(cfg: ProtocolConfig, adversary: AdversaryConfig) -> Ring {
         Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(3), NodeId::new(2)]).unwrap();
     let first_hop = primary.links()[0];
     let second_hop = primary.links()[1];
-    let mut sim = ProtocolSim::with_adversary(
-        Arc::clone(&net),
-        cfg,
-        RetryConfig::default(),
-        ChaosConfig::default(),
-        adversary,
-    );
+    let mut sim = sim_with(&net, cfg, byzantine);
     sim.establish(CONN, BW, primary, vec![backup]);
     sim.run_to_quiescence();
     assert_eq!(sim.outcome(CONN), Some(ConnOutcome::Established));
@@ -58,9 +87,10 @@ fn ring_with(cfg: ProtocolConfig, adversary: AdversaryConfig) -> Ring {
 /// perfectly healthy primary.
 #[test]
 fn false_report_forces_spurious_switchover_when_undefended() {
-    let mut ring = ring_with(ProtocolConfig::default(), AdversaryConfig::default());
-    ring.sim
-        .spoof_failure_report(NodeId::new(1), ring.second_hop);
+    let mut ring = ring_with(ProtocolConfig::default(), Byzantine::default());
+    assert!(ring
+        .sim
+        .spoof_failure_report(NodeId::new(1), ring.second_hop));
     ring.sim.run_to_quiescence();
     assert_eq!(
         ring.sim.outcome(CONN),
@@ -80,7 +110,7 @@ fn false_report_is_rejected_when_defended() {
         report_verification: true,
         ..ProtocolConfig::default()
     };
-    let mut ring = ring_with(cfg, AdversaryConfig::default());
+    let mut ring = ring_with(cfg, Byzantine::default());
     ring.sim
         .spoof_failure_report(NodeId::new(1), ring.second_hop);
     ring.sim.run_to_quiescence();
@@ -106,7 +136,7 @@ fn quarantined_reporter_is_ignored_even_when_truthful() {
         suspicion_threshold: 2,
         ..ProtocolConfig::default()
     };
-    let mut ring = ring_with(cfg, AdversaryConfig::default());
+    let mut ring = ring_with(cfg, Byzantine::default());
     for _ in 0..2 {
         ring.sim
             .spoof_failure_report(NodeId::new(1), ring.second_hop);
@@ -138,39 +168,21 @@ fn quarantined_reporter_is_ignored_even_when_truthful() {
     );
 }
 
-/// Scheduled false reports armed via `with_adversary` fire without any
-/// manual spoof call, exactly like chaos crash windows.
+/// A link that has already failed cannot be lied about: the spoof is
+/// refused and nothing is scheduled — a script that fails a link and
+/// then spoofs it (each step drained first) runs on instead of panicking.
 #[test]
-fn scheduled_false_reports_fire_deterministically() {
-    let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
-    let primary =
-        Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]).unwrap();
-    let backup =
-        Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(3), NodeId::new(2)]).unwrap();
-    let link = primary.links()[1];
-    let adversary = AdversaryConfig {
-        byzantine: vec![NodeId::new(1)],
-        false_reports: vec![FalseReport {
-            at: SimTime::ZERO + SimDuration::from_secs(1),
-            reporter: NodeId::new(1),
-            link,
-        }],
-        ..AdversaryConfig::default()
-    };
-    let mut sim = ProtocolSim::with_adversary(
-        Arc::clone(&net),
-        ProtocolConfig::default(),
-        RetryConfig::default(),
-        ChaosConfig::default(),
-        adversary,
-    );
-    sim.establish(CONN, BW, primary, vec![backup]);
-    sim.run_to_quiescence();
-    assert_eq!(
-        sim.outcome(CONN),
-        Some(ConnOutcome::Switched),
-        "the armed lie fires at t=1s and switches the connection"
-    );
+fn spoofing_a_failed_link_is_refused() {
+    let mut ring = ring_with(ProtocolConfig::default(), Byzantine::default());
+    ring.sim.fail_link(ring.second_hop);
+    ring.sim.run_to_quiescence();
+    assert_eq!(ring.sim.outcome(CONN), Some(ConnOutcome::Switched));
+    assert!(!ring
+        .sim
+        .spoof_failure_report(NodeId::new(1), ring.second_hop));
+    assert_eq!(ring.sim.pending(), 0, "a refused spoof schedules nothing");
+    ring.sim.run_to_quiescence();
+    assert_eq!(ring.sim.recovery_log().len(), 1);
 }
 
 /// A byzantine detector suppresses its report of a real failure: link
@@ -179,12 +191,11 @@ fn scheduled_false_reports_fire_deterministically() {
 /// detected by node 0) still recovers.
 #[test]
 fn suppression_strands_the_source_when_the_detector_is_byzantine() {
-    let adversary = AdversaryConfig {
-        byzantine: vec![NodeId::new(1)],
-        suppress_reports: true,
-        ..AdversaryConfig::default()
+    let byzantine = || Byzantine {
+        suppresses: Some(NodeId::new(1)),
+        ..Byzantine::default()
     };
-    let mut ring = ring_with(ProtocolConfig::default(), adversary.clone());
+    let mut ring = ring_with(ProtocolConfig::default(), byzantine());
     ring.sim.fail_link(ring.second_hop);
     ring.sim.run_to_quiescence();
     assert_eq!(
@@ -193,7 +204,7 @@ fn suppression_strands_the_source_when_the_detector_is_byzantine() {
         "the suppressed report strands the source on a dead primary"
     );
 
-    let mut honest = ring_with(ProtocolConfig::default(), adversary);
+    let mut honest = ring_with(ProtocolConfig::default(), byzantine());
     honest.sim.fail_link(honest.first_hop);
     honest.sim.run_to_quiescence();
     assert_eq!(
@@ -203,11 +214,10 @@ fn suppression_strands_the_source_when_the_detector_is_byzantine() {
     );
 }
 
-/// Interception at drop probability 1.0 severs all multi-hop signalling
-/// to the victim: a backup register walk towards node 3 can never
-/// complete, so the connection degrades (primary up, no protection)
-/// instead of establishing — and the engine reaches quiescence rather
-/// than wedging.
+/// Intercepting every backup-register delivery severs the register walk
+/// where it leaves the source: the backup can never register, so the
+/// connection degrades (primary up, no protection) instead of
+/// establishing — and the engine reaches quiescence rather than wedging.
 #[test]
 fn total_interception_degrades_instead_of_wedging() {
     let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
@@ -215,18 +225,11 @@ fn total_interception_degrades_instead_of_wedging() {
         Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]).unwrap();
     let backup =
         Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(3), NodeId::new(2)]).unwrap();
-    let adversary = AdversaryConfig {
-        victims: vec![NodeId::new(3)],
-        drop_prob: 1.0,
-        ..AdversaryConfig::default()
+    let byzantine = Byzantine {
+        intercepts: Some("backup-register"),
+        ..Byzantine::default()
     };
-    let mut sim = ProtocolSim::with_adversary(
-        Arc::clone(&net),
-        ProtocolConfig::default(),
-        RetryConfig::default(),
-        ChaosConfig::default(),
-        adversary,
-    );
+    let mut sim = sim_with(&net, ProtocolConfig::default(), byzantine);
     sim.establish(CONN, BW, primary, vec![backup]);
     sim.run_to_quiescence();
     assert_eq!(
@@ -238,46 +241,4 @@ fn total_interception_degrades_instead_of_wedging() {
         sim.exhausted().any(|(_, n)| n >= 1),
         "the register transaction must exhaust its retries"
     );
-}
-
-/// Two identically-configured adversarial runs are byte-identical; a
-/// different adversary seed diverges. Determinism is what makes hostile
-/// campaigns reproducible.
-#[test]
-fn adversarial_runs_are_deterministic_per_seed() {
-    let run = |seed: u64| {
-        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
-        let primary =
-            Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]).unwrap();
-        let backup =
-            Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(3), NodeId::new(2)]).unwrap();
-        let adversary = AdversaryConfig {
-            victims: vec![NodeId::new(3)],
-            drop_prob: 0.5,
-            max_delay: SimDuration::from_millis(5),
-            seed,
-            ..AdversaryConfig::default()
-        };
-        let mut sim = ProtocolSim::with_adversary(
-            Arc::clone(&net),
-            ProtocolConfig::default(),
-            RetryConfig::default(),
-            ChaosConfig::default(),
-            adversary,
-        );
-        sim.establish(CONN, BW, primary, vec![backup]);
-        sim.run_to_quiescence();
-        (
-            sim.fingerprint(),
-            sim.outcome(CONN),
-            format!("{:?}", sim.counters()),
-        )
-    };
-    assert_eq!(run(7), run(7));
-    // Seeds 0 and 1 produce different interception patterns, visible as
-    // different retransmission counts on the register walk.
-    let (fp_a, _, traffic_a) = run(0);
-    let (fp_b, _, traffic_b) = run(1);
-    assert_ne!(fp_a, fp_b, "different adversary seeds must diverge");
-    assert_ne!(traffic_a, traffic_b);
 }

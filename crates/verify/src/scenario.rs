@@ -163,7 +163,9 @@ impl Scenario {
             }
             Op::CrashNode { node } => sim.crash_router(*node),
             Op::RestartRouter { node, down_for } => sim.restart_router(*node, *down_for),
-            Op::SpoofReport { reporter, link } => sim.spoof_failure_report(*reporter, *link),
+            Op::SpoofReport { reporter, link } => {
+                sim.spoof_failure_report(*reporter, *link);
+            }
             Op::RetireCrossing { conn, link } => {
                 sim.retire_backups_crossing(*conn, *link);
             }
@@ -433,20 +435,22 @@ pub fn restart_torn_journal() -> Scenario {
     }
 }
 
-/// A sybil adversary forges several reporter identities, each staying
-/// under the suspicion threshold, to assemble a corroboration quorum
-/// for a lie about a healthy link: primary `0 -> 1 -> 2 -> 3`, backup
-/// `0 -> 4 -> 5 -> 3`, and spoofed reports for the live link `1 -> 2`
-/// arrive claiming to come from routers `0`, `1`, and `2`.
+/// A sybil adversary forges several reporter identities, lying once
+/// through each, to assemble a corroboration quorum of 3 for a lie about
+/// a healthy link: primary `0 -> 1 -> 2 -> 3`, backup `0 -> 4 -> 5 -> 3`,
+/// and spoofed reports for the live link `1 -> 2` arrive claiming to
+/// come from routers `0`, `1`, and `2`. The quorum counts only
+/// quarantine-clean witnesses, so what decides is the suspicion
+/// threshold.
 ///
-/// Undefended (`defended = false`: a raw quorum of 3 with a suspicion
-/// threshold of 4), the three forged identities corroborate each other
-/// — each stays under the threshold, the quorum overrides verification,
-/// and the source switches off a healthy primary: `phantom-report` on
-/// the fault-free root run. Defended (threshold 1 with a
-/// quarantine-clean quorum), every forged identity is dirty after its
-/// own uncorroborated lie, the quorum can never assemble from tainted
-/// witnesses, and the same script checks clean.
+/// Undefended (`defended = false`: threshold 4, above one lie per
+/// identity), each forged identity is still clean after its single
+/// strike, the three corroborate each other, the quorum overrides
+/// verification, and the source switches off a healthy primary:
+/// `phantom-report` on the fault-free root run. Defended (threshold 1),
+/// every forged identity is quarantined by its own uncorroborated lie,
+/// the quorum can never assemble from tainted witnesses, and the same
+/// script checks clean.
 pub fn byzantine_sybil(defended: bool) -> Scenario {
     let cap = Bandwidth::from_mbps(10);
     let mut b = NetworkBuilder::with_nodes(6);
@@ -489,7 +493,6 @@ pub fn byzantine_sybil(defended: bool) -> Scenario {
             report_verification: true,
             suspicion_threshold: if defended { 1 } else { 4 },
             corroboration_quorum: 3,
-            quorum_requires_clean: defended,
             ..ProtocolConfig::default()
         },
         restart_mode: RestartMode::Amnesia,

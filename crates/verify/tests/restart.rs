@@ -4,8 +4,9 @@
 //! faults); the identical script under journaled recovery checks clean
 //! at full default depth, as does a torn-journal crash that degrades
 //! its rejoin. The sybil pair does the same for forged-reporter
-//! quorums: a raw corroboration quorum is defeated on the fault-free
-//! root run, a quarantine-clean quorum checks clean.
+//! quorums: a suspicion threshold that tolerates one lie per identity
+//! lets the quorum through on the fault-free root run, a threshold of
+//! one checks clean.
 
 use drt_proto::SeededBug;
 use verify::checker::{check, CheckConfig};
@@ -69,13 +70,13 @@ fn torn_journal_degrades_instead_of_violating() {
 }
 
 #[test]
-fn sybil_quorum_defeats_a_raw_corroboration_count() {
+fn sybil_quorum_passes_a_threshold_above_one_lie_per_identity() {
     let scenario = byzantine_sybil(false);
     let report = check(&scenario, SeededBug::None, &bounds());
     let cx = report
         .counterexample
         .as_ref()
-        .expect("three forged identities must assemble the raw quorum");
+        .expect("three forged identities, each still clean, must assemble the quorum");
     assert_eq!(cx.violation.rule, "phantom-report");
     assert_eq!(
         cx.faults(),

@@ -39,7 +39,7 @@ impl VulnerabilityReport {
         self.per_conn.get(&conn).map_or(&[], |v| v.as_slice())
     }
 
-    /// Number of failure units probed.
+    /// Number of links probed.
     pub fn trials(&self) -> u64 {
         self.trials
     }
@@ -56,8 +56,8 @@ impl fmt::Display for VulnerabilityReport {
     }
 }
 
-/// Probes every failure unit and records, per connection, the failures it
-/// would not survive (no backup, dead backup, or lost contention).
+/// Probes every link and records, per connection, the failures it would
+/// not survive (no backup, dead backup, or lost contention).
 ///
 /// Deterministic per `seed` (contention tie-breaking uses independent
 /// per-trial streams, like [`DrtpManager::sweep_single_failures`]).
@@ -67,12 +67,12 @@ impl fmt::Display for VulnerabilityReport {
 pub fn vulnerability(mgr: &DrtpManager, seed: u64) -> VulnerabilityReport {
     let mut report = VulnerabilityReport::default();
     crate::failure::with_probe_scratch(|ws| {
-        for (k, link) in mgr.failure_units().into_iter().enumerate() {
+        for (k, link) in mgr.net().links().map(|l| l.id()).enumerate() {
             if mgr.is_failed(link) {
                 continue;
             }
             let mut rng = drt_sim::rng::indexed_stream(seed, "vulnerability", k as u64);
-            mgr.probe_unit_in(link, &mut rng, ws);
+            mgr.select_activations_in(&[link], &mut rng, ws);
             if ws.decisions.is_empty() {
                 continue;
             }

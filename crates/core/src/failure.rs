@@ -12,8 +12,13 @@
 //! order (conflicting backups contend; some lose, exactly the degradation
 //! backup multiplexing trades for capacity).
 //! [`DrtpManager::sweep_single_failures`] averages the probe over every
-//! loaded failure unit, which is the lowest-variance estimator of
-//! `P_act-bk` under the paper's single-failure model.
+//! loaded link, which is the lowest-variance estimator of `P_act-bk` under
+//! the paper's single-failure model.
+//!
+//! A single failure is one *directed* link, as in the paper: conflicts,
+//! APLVs and `P_act-bk` are all defined on directed links. A physical cut
+//! of both directions is a [`FailureEvent::Batch`] of the two links (or an
+//! SRLG), which probes and injections resolve in one contention pass.
 //!
 //! [`DrtpManager::inject_failure`] performs the real thing: detection,
 //! switchover (backup promotion), resource reclamation for unrecoverable
@@ -22,7 +27,6 @@
 //! [`DrtpManager::reestablish_backup`]).
 
 use crate::incidence::IndexEntry;
-use crate::multiplex::{ActivationPool, FailureModel};
 use crate::{ConnectionId, ConnectionState, DrtpError, DrtpManager, LinkResources};
 use drt_net::{Bandwidth, LinkId, NodeId, SrlgId};
 use rand::rngs::StdRng;
@@ -43,13 +47,11 @@ use std::fmt;
 /// winners see pools the later failures should have drained).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureEvent {
-    /// One link fails (expanded to its duplex twin under
-    /// [`FailureModel::DuplexPair`]).
+    /// One directed link fails.
     Link(LinkId),
     /// A router crashes: every link incident to the node fails.
     Node(NodeId),
-    /// A shared-risk group is cut: every member link fails (each expanded
-    /// per the configured [`FailureModel`]).
+    /// A shared-risk group is cut: every member link fails.
     Srlg(SrlgId),
     /// Several events strike simultaneously and are resolved in one
     /// activation pass.
@@ -57,8 +59,8 @@ pub enum FailureEvent {
 }
 
 impl FailureEvent {
-    /// The deduplicated, sorted set of links this event disables under
-    /// `mgr`'s failure model. Links that are already failed are excluded
+    /// The deduplicated, sorted set of links this event disables on
+    /// `mgr`'s network. Links that are already failed are excluded
     /// (they cannot fail twice); unknown SRLG ids resolve to nothing.
     pub fn resolve(&self, mgr: &DrtpManager) -> Vec<LinkId> {
         let mut set = BTreeSet::new();
@@ -68,17 +70,11 @@ impl FailureEvent {
 
     fn collect(&self, mgr: &DrtpManager, out: &mut BTreeSet<LinkId>) {
         match self {
-            FailureEvent::Link(l) => out.extend(mgr.failure_unit(*l)),
-            FailureEvent::Node(n) => {
-                for l in mgr.net.incident_links(*n) {
-                    out.insert(l);
-                }
+            FailureEvent::Link(l) => {
+                out.insert(*l);
             }
-            FailureEvent::Srlg(g) => {
-                for &l in mgr.net.get_srlg(*g).unwrap_or(&[]) {
-                    out.extend(mgr.failure_unit(l));
-                }
-            }
+            FailureEvent::Node(n) => out.extend(mgr.net.incident_links(*n)),
+            FailureEvent::Srlg(g) => out.extend(mgr.net.get_srlg(*g).unwrap_or(&[])),
             FailureEvent::Batch(events) => {
                 for e in events {
                     e.collect(mgr, out);
@@ -111,8 +107,7 @@ impl fmt::Display for FailureEvent {
 /// Outcome of one (hypothetical or real) single-failure trial.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeOutcome {
-    /// The links that failed in this trial (one, or two under
-    /// [`FailureModel::DuplexPair`]).
+    /// The links that failed in this trial (one for a single-link probe).
     pub failed_links: Vec<LinkId>,
     /// Per affected connection: the priority index of the backup that
     /// would/did activate, or `None` when none could.
@@ -143,7 +138,7 @@ pub struct FaultToleranceSample {
     /// `P_act-bk` shortfall is degradation (lost/never-gained protection)
     /// rather than activation conflicts.
     pub degraded: u64,
-    /// Number of failure units probed (those affecting ≥ 1 primary).
+    /// Number of links probed (those affecting ≥ 1 primary).
     pub trials: u64,
 }
 
@@ -254,34 +249,34 @@ impl RecoveryLatencyModel {
     }
 }
 
-/// Fault-tolerance impact of failing one specific unit, kept per link by
+/// Fault-tolerance impact of failing one specific link, kept per link by
 /// [`DrtpManager::sweep_single_failures`] so campaign reports can name the
 /// most fragile links instead of only quoting the network-wide average.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkImpact {
-    /// The representative link of the probed failure unit.
+    /// The probed link.
     pub link: LinkId,
-    /// Primaries the unit's failure disables.
+    /// Primaries the link's failure disables.
     pub affected: u32,
     /// How many of those activate a backup.
     pub activated: u32,
 }
 
 impl LinkImpact {
-    /// Connections that lose service when this unit fails.
+    /// Connections that lose service when this link fails.
     pub fn lost(&self) -> u32 {
         self.affected - self.activated
     }
 }
 
 /// Result of a full single-failure sweep: the aggregate Figure-4 estimate
-/// plus the per-unit breakdown behind it.
+/// plus the per-link breakdown behind it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FailureSweep {
     /// The aggregate statistics (the paper's estimator).
     pub aggregate: FaultToleranceSample,
-    /// One entry per probed failure unit that affected ≥ 1 primary, in
-    /// link-id order.
+    /// One entry per probed link that affected ≥ 1 primary, in link-id
+    /// order.
     pub per_link: Vec<LinkImpact>,
 }
 
@@ -291,7 +286,7 @@ impl FailureSweep {
         self.aggregate.p_act_bk()
     }
 
-    /// The `k` failure units that lose the most connections, worst first
+    /// The `k` links that lose the most connections, worst first
     /// (ties broken toward the lower link id, so the order is
     /// deterministic).
     pub fn worst_links(&self, k: usize) -> Vec<LinkImpact> {
@@ -392,112 +387,53 @@ pub struct RestartReport {
 }
 
 impl DrtpManager {
-    /// The set of links that fail together with `link` under the
-    /// configured [`FailureModel`].
-    pub fn failure_unit(&self, link: LinkId) -> Vec<LinkId> {
-        match self.cfg.failure_model {
-            FailureModel::DirectedLink => vec![link],
-            FailureModel::DuplexPair => match self.net.reverse_link(link) {
-                Some(rev) => vec![link, rev],
-                None => vec![link],
-            },
-        }
-    }
-
-    /// Enumerates one representative link per failure unit (every directed
-    /// link, or the lower-id half of every duplex pair).
-    pub fn failure_units(&self) -> Vec<LinkId> {
-        match self.cfg.failure_model {
-            FailureModel::DirectedLink => self.net.links().map(|l| l.id()).collect(),
-            FailureModel::DuplexPair => self
-                .net
-                .links()
-                .filter(|l| match l.reverse() {
-                    Some(rev) => l.id() < rev,
-                    None => true,
-                })
-                .map(|l| l.id())
-                .collect(),
-        }
-    }
-
-    /// Writes the failure unit of `link` into `buf`, returning the filled
-    /// prefix — the allocation-free form of [`DrtpManager::failure_unit`]
-    /// for the probe hot paths (a unit is at most two links).
-    fn failure_unit_buf<'b>(&self, link: LinkId, buf: &'b mut [LinkId; 2]) -> &'b [LinkId] {
-        buf[0] = link;
-        match self.cfg.failure_model {
-            FailureModel::DirectedLink => &buf[..1],
-            FailureModel::DuplexPair => match self.net.reverse_link(link) {
-                Some(rev) => {
-                    buf[1] = rev;
-                    &buf[..2]
-                }
-                None => &buf[..1],
-            },
-        }
-    }
-
     /// Evaluates one hypothetical failure without mutating state.
     ///
     /// Affected connections — those carrying traffic whose primary crosses
-    /// the failed unit — contend for activation bandwidth in one order:
+    /// `link` — contend for activation bandwidth in one order:
     /// their id order, shuffled once by `rng` with
     /// [`SliceRandom::shuffle`] (near-simultaneous activation attempts
     /// have no canonical order). Each in turn activates its first backup,
     /// in priority order, that is alive and fits what earlier winners left
-    /// of the per-link pools sized by the configured [`ActivationPool`];
-    /// a multiplexed winner takes its bandwidth from every link of that
+    /// of the per-link activation pools (spare plus free, Section 5); a
+    /// multiplexed winner takes its bandwidth from every link of that
     /// backup. The same order and decisions hold for
     /// [`DrtpManager::probe_event`] and the injections.
     ///
-    /// Uses the thread-local [`ProbeWorkspace`];
-    /// [`DrtpManager::probe_single_failure_in`] is the caller-managed form.
+    /// Runs in a thread-local probe workspace, so a warmed probe allocates
+    /// only the outcome it returns.
     pub fn probe_single_failure(&self, link: LinkId, rng: &mut StdRng) -> ProbeOutcome {
-        with_probe_scratch(|ws| self.probe_single_failure_in(link, rng, ws))
-    }
-
-    /// [`DrtpManager::probe_single_failure`] into a caller-managed
-    /// [`ProbeWorkspace`] — the form to use when probing in a loop on a
-    /// thread you control.
-    pub fn probe_single_failure_in(
-        &self,
-        link: LinkId,
-        rng: &mut StdRng,
-        ws: &mut ProbeWorkspace,
-    ) -> ProbeOutcome {
-        let mut buf = [link; 2];
-        let unit = self.failure_unit_buf(link, &mut buf);
-        self.select_activations_in(unit, rng, ws);
+        let details = with_probe_scratch(|ws| {
+            self.select_activations_in(&[link], rng, ws);
+            ws.details()
+        });
         ProbeOutcome {
-            failed_links: unit.to_vec(),
-            details: ws.details(),
+            failed_links: vec![link],
+            details,
         }
     }
 
-    /// Probes every loaded failure unit (those crossing ≥ 1 primary) and
+    /// Probes every loaded link (those crossing ≥ 1 primary) and
     /// aggregates the results — the estimator for Figure 4 — together with
-    /// the per-unit breakdown ([`FailureSweep::worst_links`] ranks the
+    /// the per-link breakdown ([`FailureSweep::worst_links`] ranks the
     /// most fragile ones).
     ///
-    /// Each unit `k` of [`DrtpManager::failure_units`] gets an independent
-    /// RNG stream derived from `seed` and `k`, so the sweep is
-    /// deterministic and insensitive to unit order.
+    /// The `k`-th link of the network gets an independent RNG stream
+    /// derived from `seed` and `k`, so the sweep is deterministic and
+    /// insensitive to probe order.
     ///
-    /// The probe loop runs allocation-free in the thread-local
-    /// [`ProbeWorkspace`]: per unit it touches only the O(affected)
-    /// connections incident to the unit, not the whole connection table.
+    /// The probe loop runs allocation-free in the thread-local probe
+    /// workspace: per link it touches only the O(affected) connections
+    /// incident to it, not the whole connection table.
     pub fn sweep_single_failures(&self, seed: u64) -> FailureSweep {
         let mut sweep = FailureSweep::default();
         with_probe_scratch(|ws| {
-            for (k, link) in self.failure_units().into_iter().enumerate() {
+            for (k, link) in self.net.links().map(|l| l.id()).enumerate() {
                 if self.failed[link.index()] {
                     continue;
                 }
                 let mut rng = drt_sim::rng::indexed_stream(seed, "failure-probe", k as u64);
-                let mut buf = [link; 2];
-                let unit = self.failure_unit_buf(link, &mut buf);
-                self.select_activations_in(unit, &mut rng, ws);
+                self.select_activations_in(&[link], &mut rng, ws);
                 if ws.decisions.is_empty() {
                     continue;
                 }
@@ -524,15 +460,6 @@ impl DrtpManager {
         sweep
     }
 
-    /// Probes `link`'s failure unit into `ws` without materializing a
-    /// [`ProbeOutcome`]; callers read `ws.decisions`. The allocation-free
-    /// inner step shared by the sweep and the vulnerability report.
-    pub(crate) fn probe_unit_in(&self, link: LinkId, rng: &mut StdRng, ws: &mut ProbeWorkspace) {
-        let mut buf = [link; 2];
-        let unit = self.failure_unit_buf(link, &mut buf);
-        self.select_activations_in(unit, rng, ws);
-    }
-
     /// Evaluates a hypothetical correlated failure without mutating state —
     /// the multi-link generalisation of
     /// [`DrtpManager::probe_single_failure`].
@@ -548,7 +475,7 @@ impl DrtpManager {
         }
     }
 
-    /// Destructively fails a link (or duplex pair) and runs DRTP recovery:
+    /// Destructively fails a directed link and runs DRTP recovery:
     /// winners of the activation contention switch onto their backups
     /// (promotion), losers are torn down, and intact connections whose
     /// backups crossed the failed link lose their protection.
@@ -731,9 +658,8 @@ impl DrtpManager {
         if self.failed[link.index()] {
             return Err(DrtpError::LinkFailed(link));
         }
-        let unit = self.failure_unit(link);
         let decisions = with_probe_scratch(|ws| {
-            self.select_activations_in(&unit, rng, ws);
+            self.select_activations_in(&[link], rng, ws);
             std::mem::take(&mut ws.decisions)
         });
 
@@ -842,8 +768,7 @@ impl DrtpManager {
         sweep
     }
 
-    /// Repairs a previously failed link (and its twin under
-    /// [`FailureModel::DuplexPair`]). Existing connections are not
+    /// Repairs a previously failed link. Existing connections are not
     /// re-routed; new requests may use the link again.
     ///
     /// # Errors
@@ -853,20 +778,15 @@ impl DrtpManager {
         if !self.failed[link.index()] {
             return Err(DrtpError::LinkNotFailed(link));
         }
-        let unit = self.failure_unit(link);
-        for &l in &unit {
-            self.failed[l.index()] = false;
-        }
+        self.failed[link.index()] = false;
         Ok(())
     }
 
-    /// The activation pool a probe may draw from on link index `i`.
+    /// The activation pool a probe may draw from on link index `i`: spare
+    /// first, then free bandwidth (Section 5).
     fn activation_pool_at(&self, i: usize) -> Bandwidth {
         let lr = &self.links[i];
-        match self.cfg.activation {
-            ActivationPool::SpareAndFree => lr.spare() + lr.free(),
-            ActivationPool::SpareOnly => lr.spare(),
-        }
+        lr.spare() + lr.free()
     }
 
     /// Shared winner selection: shuffle affected connections, then let each
@@ -943,16 +863,15 @@ impl DrtpManager {
 ///
 /// A probe needs per-link activation pools, a failed-link membership test,
 /// the affected-connection list, and the decision vector. Allocating those
-/// per probe makes a full sweep O(units × links) in allocations alone;
+/// per probe makes a full sweep O(probes × links) in allocations alone;
 /// instead every array here is *generation-stamped*: starting a probe bumps
 /// a generation counter and an entry is meaningful only when its stamp
 /// matches, so reset is O(1) and pools initialize lazily on first touch.
 ///
-/// Probe entry points default to a thread-local instance; the `_in`
-/// variants accept an explicit workspace for callers managing their own
-/// (e.g. per-worker workspaces in parallel sweeps).
+/// Every probe runs in the calling thread's instance
+/// ([`with_probe_scratch`]).
 #[derive(Debug, Clone)]
-pub struct ProbeWorkspace {
+pub(crate) struct ProbeWorkspace {
     gen: u32,
     /// Stamp guarding `pool` (a pool value is valid iff stamp == gen).
     pool_stamp: Vec<u32>,
@@ -961,22 +880,16 @@ pub struct ProbeWorkspace {
     /// A link is failed-in-this-probe iff its mark stamp == gen — the O(1)
     /// membership test replacing linear `failed_links.contains` scans.
     mark_stamp: Vec<u32>,
-    /// The connections whose primary the probed unit disables, each with
+    /// The connections whose primary the probed links disable, each with
     /// the slot of its record.
     affected: Vec<IndexEntry>,
     /// Per affected connection, the backup index that activated (if any).
     pub(crate) decisions: Vec<(IndexEntry, Option<usize>)>,
 }
 
-impl Default for ProbeWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ProbeWorkspace {
     /// An empty workspace; arrays grow to the network size on first use.
-    pub fn new() -> Self {
+    fn new() -> Self {
         ProbeWorkspace {
             gen: 0,
             pool_stamp: Vec::new(),
@@ -1035,7 +948,6 @@ pub(crate) fn with_probe_scratch<R>(f: impl FnOnce(&mut ProbeWorkspace) -> R) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplex::MultiplexConfig;
     use crate::routing::{DLsr, DedicatedDisjoint, RouteRequest};
     use drt_net::{topology, Bandwidth, NodeId};
     use std::sync::Arc;
@@ -1109,7 +1021,7 @@ mod tests {
         // the backup links *grows to 6 Mb/s* (Section 5), so both
         // activations succeed.
         let net = Arc::new(topology::ring(4, Bandwidth::from_kbps(7_000)).unwrap());
-        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let mut mgr = DrtpManager::new(net);
         let mut scheme = DLsr::new();
         let r0 = mgr.request_connection(&mut scheme, req(0, 0, 1)).unwrap();
         let r1 = mgr.request_connection(&mut scheme, req(1, 0, 1)).unwrap();
@@ -1132,24 +1044,6 @@ mod tests {
             2,
             "grown spare covers both conflicting backups"
         );
-
-        // Ablation: with SparePolicy::NeverGrow and spare-only activation
-        // pools, the same workload loses both activations — quantifying
-        // what Section 5's sizing rule buys.
-        let mut cfg = MultiplexConfig::paper();
-        cfg.spare = crate::multiplex::SparePolicy::NeverGrow;
-        cfg.activation = crate::multiplex::ActivationPool::SpareOnly;
-        let mut strict = DrtpManager::with_config(net, cfg);
-        let mut scheme = DLsr::new();
-        strict
-            .request_connection(&mut scheme, req(0, 0, 1))
-            .unwrap();
-        strict
-            .request_connection(&mut scheme, req(1, 0, 1))
-            .unwrap();
-        let out = strict.probe_single_failure(shared, &mut rng());
-        assert_eq!(out.affected(), 2);
-        assert_eq!(out.activated(), 0, "no spare, no activation");
     }
 
     #[test]
@@ -1462,22 +1356,5 @@ mod tests {
         let out = mgr.probe_event(&FailureEvent::Node(NodeId::new(4)), &mut rng());
         assert!(out.failed_links.len() >= 2);
         assert_eq!(mgr.fingerprint(), before, "probe must not mutate");
-    }
-
-    #[test]
-    fn duplex_failure_model_fails_both_directions() {
-        let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
-        let mut cfg = MultiplexConfig::paper();
-        cfg.failure_model = FailureModel::DuplexPair;
-        let mut mgr = DrtpManager::with_config(net, cfg);
-        let l = drt_net::LinkId::new(0);
-        let unit = mgr.failure_unit(l);
-        assert_eq!(unit.len(), 2);
-        assert_eq!(mgr.failure_units().len(), mgr.net().num_links() / 2);
-        mgr.inject_failure(l, &mut rng()).unwrap();
-        assert!(mgr.is_failed(unit[0]));
-        assert!(mgr.is_failed(unit[1]));
-        mgr.repair_link(l).unwrap();
-        assert!(!mgr.is_failed(unit[1]));
     }
 }

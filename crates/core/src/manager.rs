@@ -1,7 +1,7 @@
 //! The DR-connection manager.
 
 use crate::incidence::IndexEntry;
-use crate::multiplex::{MultiplexConfig, SparePolicy};
+use crate::multiplex::MultiplexConfig;
 use crate::routing::{RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::table::ConnTable;
 use crate::{
@@ -43,7 +43,6 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct DrtpManager {
     pub(crate) net: Arc<Network>,
-    pub(crate) cfg: MultiplexConfig,
     pub(crate) links: Vec<LinkResources>,
     pub(crate) aplvs: Vec<Aplv>,
     /// `conflicts[j]`: bit `i` set iff `a_{i,j} > 0` — the APLVs' support
@@ -64,7 +63,6 @@ impl fmt::Debug for DrtpManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DrtpManager")
             .field("net", &self.net)
-            .field("cfg", &self.cfg)
             .field("links", &self.links)
             .field("aplvs", &self.aplvs)
             .field("incidence", &self.incidence)
@@ -94,9 +92,11 @@ impl fmt::Write for HashSink {
 ///
 /// The paper's schemes route on each router's link-state database; a
 /// byzantine router poisons that database for every link it *owns*
-/// (links whose source it is) by advertising dead links as up and
-/// under-reporting conflict load. The distortion is applied to the
-/// [`ManagerView`] handed to [`RoutingScheme`]s — the *selection* side —
+/// (links whose source it is) with three lies: a failed link is
+/// advertised as up, its conflict load (`‖APLV‖₁` and D-LSR's conflict
+/// counts) reads 0, and its full capacity is advertised as admissible
+/// headroom whatever the real ledger holds. The distortion is applied to
+/// the [`ManagerView`] handed to [`RoutingScheme`]s — the *selection* side —
 /// while admission ([`DrtpManager::admit_routes`]) keeps validating
 /// against ground truth, so every lie-induced selection surfaces as a
 /// setup failure ([`DrtpError::LinkFailed`] /
@@ -107,19 +107,10 @@ pub struct ViewDistortion {
     /// Per-node flag: `true` for routers whose outgoing-link
     /// advertisements are lies.
     pub byzantine: Vec<bool>,
-    /// Byzantine-owned links that are failed are advertised as alive.
-    pub advertise_dead_as_up: bool,
-    /// Byzantine-owned links advertise zero conflict load (`‖APLV‖₁` and
-    /// conflict counts read 0), hiding contention from P-LSR and D-LSR.
-    pub deflate_conflicts: bool,
-    /// Byzantine-owned links advertise their full capacity as admissible
-    /// headroom regardless of the real ledger.
-    pub inflate_headroom: bool,
 }
 
 impl ViewDistortion {
-    /// A distortion marking `nodes` byzantine on a `num_nodes` network,
-    /// with every lie flag enabled.
+    /// A distortion marking `nodes` byzantine on a `num_nodes` network.
     pub fn for_nodes(num_nodes: usize, nodes: &[drt_net::NodeId]) -> Self {
         let mut byzantine = vec![false; num_nodes];
         for n in nodes {
@@ -127,12 +118,7 @@ impl ViewDistortion {
                 byzantine[n.index()] = true;
             }
         }
-        ViewDistortion {
-            byzantine,
-            advertise_dead_as_up: true,
-            deflate_conflicts: true,
-            inflate_headroom: true,
-        }
+        ViewDistortion { byzantine }
     }
 
     /// `true` when `l`'s advertisements come from a byzantine router.
@@ -239,13 +225,12 @@ pub struct ManagerView<'a> {
 }
 
 impl<'a> ManagerView<'a> {
-    /// The active distortion, when it lies about `l`: one flag read per
-    /// call. Whether the distortion is quiet (no router byzantine, or no
-    /// lie enabled) needs no scan of its own: every caller goes on to test
-    /// one lie flag, and a byzantine owner with that flag set is a lie.
-    fn lie(&self, l: LinkId) -> Option<&'a ViewDistortion> {
-        self.distortion.filter(|d| d.lies_about(self.net, l))
+    /// `true` when an active distortion lies about `l`: one flag read
+    /// per call.
+    fn lie(&self, l: LinkId) -> bool {
+        self.distortion.is_some_and(|d| d.lies_about(self.net, l))
     }
+
     /// The network topology.
     pub fn net(&self) -> &'a Network {
         self.net
@@ -268,10 +253,7 @@ impl<'a> ManagerView<'a> {
     /// Returns `true` when the link is not failed — or when its byzantine
     /// owner advertises it as up regardless ([`ViewDistortion`]).
     pub fn alive(&self, l: LinkId) -> bool {
-        if self.lie(l).is_some_and(|d| d.advertise_dead_as_up) {
-            return true;
-        }
-        !self.failed[l.index()]
+        self.lie(l) || !self.failed[l.index()]
     }
 
     /// Unreserved bandwidth of `l` (`total − prime − spare`).
@@ -300,9 +282,9 @@ impl<'a> ManagerView<'a> {
     }
 
     /// `‖APLV_l‖₁` — P-LSR's advertised scalar. A byzantine owner
-    /// deflating conflicts advertises 0.
+    /// advertises 0.
     pub fn l1_norm(&self, l: LinkId) -> u64 {
-        if self.lie(l).is_some_and(|d| d.deflate_conflicts) {
+        if self.lie(l) {
             return 0;
         }
         self.aplvs[l.index()].l1_norm()
@@ -312,8 +294,8 @@ impl<'a> ManagerView<'a> {
     /// every link `l` against a primary link set, into `counts` (resized
     /// to the number of links): the primary's |LSET| conflict columns
     /// added up (ids past the network add nothing), then 0 on the links
-    /// whose byzantine owner deflates conflicts. D-LSR fills this once per
-    /// request and prices each link with one read of it.
+    /// with a byzantine owner. D-LSR fills this once per request and
+    /// prices each link with one read of it.
     pub fn conflict_counts(&self, primary_lset: &[LinkId], counts: &mut Vec<u32>) {
         counts.clear();
         counts.resize(self.net.num_links(), 0);
@@ -322,7 +304,7 @@ impl<'a> ManagerView<'a> {
                 column.count_into(counts);
             }
         }
-        if let Some(d) = self.distortion.filter(|d| d.deflate_conflicts) {
+        if let Some(d) = self.distortion {
             for link in self.net.links() {
                 if d.lies_about(self.net, link.id()) {
                     counts[link.id().index()] = 0;
@@ -332,26 +314,26 @@ impl<'a> ManagerView<'a> {
     }
 
     /// `true` when `l` is alive and can admit a primary of size `bw` from
-    /// its free pool. A byzantine owner inflating headroom claims any
-    /// `bw` up to the raw capacity fits.
+    /// its free pool. A byzantine owner claims any `bw` up to the raw
+    /// capacity fits, dead or not.
     pub fn usable_for_primary(&self, l: LinkId, bw: Bandwidth) -> bool {
-        if self.lie(l).is_some_and(|d| d.inflate_headroom) {
-            return self.alive(l) && bw <= self.capacity(l);
+        if self.lie(l) {
+            return bw <= self.capacity(l);
         }
         self.alive(l) && self.links[l.index()].can_admit_primary(bw)
     }
 
     /// What a backup of size `bw` finds at `l` — liveness and headroom as
     /// [`ManagerView::alive`] and [`ManagerView::backup_headroom`] report
-    /// them (full capacity under a headroom-inflating lie), with the
+    /// them (alive with full capacity under a byzantine owner), with the
     /// link's [`ViewDistortion`] resolved once: the backup cost closures
     /// ask both questions of every link they price.
     pub fn backup_fit(&self, l: LinkId, bw: Bandwidth) -> BackupFit {
         let lie = self.lie(l);
-        if self.failed[l.index()] && !lie.is_some_and(|d| d.advertise_dead_as_up) {
+        if self.failed[l.index()] && !lie {
             return BackupFit::Dead;
         }
-        let room = if lie.is_some_and(|d| d.inflate_headroom) {
+        let room = if lie {
             self.capacity(l)
         } else {
             self.backup_headroom(l)
@@ -364,20 +346,16 @@ impl<'a> ManagerView<'a> {
     }
 
     /// `true` when `l` is alive and offers at least `bw` of backup
-    /// headroom (full capacity under a headroom-inflating lie).
+    /// headroom (full capacity under a byzantine owner).
     pub fn usable_for_backup(&self, l: LinkId, bw: Bandwidth) -> bool {
         self.backup_fit(l, bw) == BackupFit::Fits
     }
 }
 
 impl DrtpManager {
-    /// Creates a manager over `net` with the paper's configuration.
+    /// Creates a manager over `net` running the paper's multiplexing
+    /// policy ([`crate::multiplex`]).
     pub fn new(net: Arc<Network>) -> Self {
-        Self::with_config(net, MultiplexConfig::paper())
-    }
-
-    /// Creates a manager with an explicit multiplexing configuration.
-    pub fn with_config(net: Arc<Network>, cfg: MultiplexConfig) -> Self {
         let links = net
             .links()
             .map(|l| LinkResources::new(l.capacity()))
@@ -388,7 +366,6 @@ impl DrtpManager {
         let failed = vec![false; net.num_links()];
         DrtpManager {
             net,
-            cfg,
             links,
             aplvs,
             conflicts,
@@ -405,9 +382,9 @@ impl DrtpManager {
         &self.net
     }
 
-    /// The multiplexing configuration.
-    pub fn config(&self) -> MultiplexConfig {
-        self.cfg
+    /// [`DrtpManager::new`]: a [`MultiplexConfig`] has nothing to choose.
+    pub fn with_config(net: Arc<Network>, _cfg: MultiplexConfig) -> Self {
+        Self::new(net)
     }
 
     /// A read-only view for route selection, carrying any active
@@ -621,9 +598,6 @@ impl DrtpManager {
             return Err(DrtpError::DuplicateConnection(req.id));
         }
         self.validate_selection(req, &pair.primary, &pair.backups)?;
-        if pair.backups.is_empty() && self.cfg.require_backup {
-            return Err(DrtpError::NoBackupRoute(req.id));
-        }
 
         let bw = req.bandwidth();
         let lset = pair.primary.links();
@@ -1035,9 +1009,7 @@ impl DrtpManager {
                     opened += 1;
                 });
                 conflicted |= opened < distinct;
-                if self.cfg.spare == SparePolicy::GrowToRequirement {
-                    grown += self.links[i].grow_spare_toward(self.aplvs[i].required_spare());
-                }
+                grown += self.links[i].grow_spare_toward(self.aplvs[i].required_spare());
             }
         }
         self.incidence.add_backup(route.links(), at);
@@ -1237,31 +1209,18 @@ mod tests {
     }
 
     #[test]
-    fn backupless_admission_follows_config() {
+    fn backupless_request_is_admitted_unprotected() {
         let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
         let mut scheme = PrimaryOnly::new();
-        // Strict config requires a backup.
-        let mut strict = DrtpManager::with_config(
-            Arc::clone(&net),
-            crate::multiplex::MultiplexConfig::strict(),
-        );
-        let err = strict
-            .request_connection(&mut scheme, req(0, 0, 8))
-            .unwrap_err();
-        assert_eq!(err, DrtpError::NoBackupRoute(ConnectionId::new(0)));
-
-        // The paper's (default) config admits unprotected.
-        let mut relaxed = DrtpManager::new(net);
-        let report = relaxed
-            .request_connection(&mut scheme, req(0, 0, 8))
-            .unwrap();
+        let mut mgr = DrtpManager::new(net);
+        let report = mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
         assert!(report.backup().is_none());
         assert_eq!(
-            relaxed.connection(ConnectionId::new(0)).unwrap().state(),
+            mgr.connection(ConnectionId::new(0)).unwrap().state(),
             ConnectionState::Unprotected
         );
-        assert_eq!(relaxed.total_spare(), Bandwidth::ZERO);
-        relaxed.assert_invariants();
+        assert_eq!(mgr.total_spare(), Bandwidth::ZERO);
+        mgr.assert_invariants();
     }
 
     #[test]

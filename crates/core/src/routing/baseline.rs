@@ -11,9 +11,8 @@ use std::collections::BTreeSet;
 ///
 /// This is the calibration baseline of the paper's Figure 5 — "we define
 /// the difference between the number of D-connections without backups and
-/// that of each routing scheme as capacity overhead". The paper's
-/// configuration ([`crate::multiplex::MultiplexConfig::paper`]) admits
-/// its backup-less requests.
+/// that of each routing scheme as capacity overhead". The manager admits
+/// its backup-less requests unprotected ([`crate::multiplex`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrimaryOnly {
     _private: (),

@@ -6,22 +6,22 @@
 //! - `a_{i,j}` counts the multiplexed backups through `L_i` whose primary
 //!   crosses `L_j`, and `L_i` needs as spare the largest bandwidth behind
 //!   any one `a_{i,j}` (`max_j APLV_i[j]`);
-//! - a failure disables every primary that crosses a failed link. The
+//! - a single failure is one directed link; a failure disables every
+//!   primary that crosses a failed link. The
 //!   disabled connections contend in a given order: each tries its backups
 //!   in priority order and activates the first that is alive and fits, on
 //!   every one of its links, in what the earlier winners left of the
-//!   link's pool;
+//!   link's pool (spare plus free);
 //! - `P_act-bk` is activations over affected primaries.
 //!
 //! It reads the manager only through public accessors (`connections`,
-//! `link_resources`, `is_failed`, `net`, `config`), recomputes everything
+//! `link_resources`, `is_failed`, `net`), recomputes everything
 //! from the connection table on every call, and keeps its state in plain
 //! `Vec`s and `BTreeMap`s. It calls no `drt_core::failure` or `invariants`
 //! code and no `Aplv` method; from `drt_core::failure` it names only the
 //! data types it is compared through.
 
 use drt_core::failure::{FailureEvent, FailureSweep, LinkImpact, ProbeOutcome};
-use drt_core::multiplex::{ActivationPool, FailureModel};
 use drt_core::{ConnectionId, DrConnection, DrtpManager};
 use drt_net::{Bandwidth, LinkId};
 use rand::rngs::StdRng;
@@ -91,41 +91,18 @@ pub fn spare_need(row: &BTreeMap<LinkId, (u32, Bandwidth)>) -> Bandwidth {
         .unwrap_or(Bandwidth::ZERO)
 }
 
-/// The links that fail together with `l`: `l` itself, and its reverse
-/// under [`FailureModel::DuplexPair`].
-pub fn unit(mgr: &DrtpManager, l: LinkId) -> Vec<LinkId> {
-    let mut unit = vec![l];
-    if mgr.config().failure_model == FailureModel::DuplexPair {
-        unit.extend(mgr.net().reverse_link(l));
-    }
-    unit
-}
-
-/// One link per failure unit, in id order: every link, or the lower-id
-/// link of each duplex pair.
-pub fn units(mgr: &DrtpManager) -> Vec<LinkId> {
-    let duplex = mgr.config().failure_model == FailureModel::DuplexPair;
-    mgr.net()
-        .links()
-        .map(|l| l.id())
-        .filter(|&l| !duplex || mgr.net().reverse_link(l).is_none_or(|rev| l < rev))
-        .collect()
-}
-
-/// The links `event` fails: each link's unit, every link incident to a
-/// crashed node, each member's unit of a cut SRLG (an unknown one cuts
+/// The links `event` fails: the link itself, every link incident to a
+/// crashed node, every member of a cut SRLG (an unknown one cuts
 /// nothing), the union of a batch. Sorted, each once, and without the
 /// links that are failed already.
 pub fn failed_links(mgr: &DrtpManager, event: &FailureEvent) -> Vec<LinkId> {
     fn collect(mgr: &DrtpManager, event: &FailureEvent, out: &mut BTreeSet<LinkId>) {
         match event {
-            FailureEvent::Link(l) => out.extend(unit(mgr, *l)),
-            FailureEvent::Node(n) => out.extend(mgr.net().incident_links(*n)),
-            FailureEvent::Srlg(g) => {
-                for &l in mgr.net().get_srlg(*g).unwrap_or(&[]) {
-                    out.extend(unit(mgr, l));
-                }
+            FailureEvent::Link(l) => {
+                out.insert(*l);
             }
+            FailureEvent::Node(n) => out.extend(mgr.net().incident_links(*n)),
+            FailureEvent::Srlg(g) => out.extend(mgr.net().get_srlg(*g).unwrap_or(&[])),
             FailureEvent::Batch(events) => {
                 for e in events {
                     collect(mgr, e, out);
@@ -158,8 +135,8 @@ fn record(mgr: &DrtpManager, id: ConnectionId) -> &DrConnection {
 /// the connections contending in that order. A backup is alive when none
 /// of its links is failed or in `failed`. A dedicated backup activates on
 /// its own reservation. A multiplexed one activates when every link of its
-/// route still holds its bandwidth in the link's pool — spare plus free,
-/// or spare only, as configured — and takes it from each.
+/// route still holds its bandwidth in the link's pool — spare plus free
+/// — and takes it from each.
 pub fn winners(
     mgr: &DrtpManager,
     failed: &[LinkId],
@@ -170,10 +147,7 @@ pub fn winners(
         .links()
         .map(|l| {
             let lr = mgr.link_resources(l.id());
-            match mgr.config().activation {
-                ActivationPool::SpareAndFree => lr.spare() + lr.free(),
-                ActivationPool::SpareOnly => lr.spare(),
-            }
+            lr.spare() + lr.free()
         })
         .collect();
     let mut decisions = Vec::new();
@@ -224,23 +198,17 @@ pub fn probe_event(mgr: &DrtpManager, event: &FailureEvent, rng: &mut StdRng) ->
     probe_links(mgr, failed_links(mgr, event), rng)
 }
 
-/// [`probe_links`] over the whole unit of `link`, already-failed links
-/// kept, as `probe_single_failure` takes it.
-pub fn probe_unit(mgr: &DrtpManager, link: LinkId, rng: &mut StdRng) -> ProbeOutcome {
-    probe_links(mgr, unit(mgr, link), rng)
-}
-
-/// Every unit whose link is up, probed with its own stream
-/// (`indexed_stream(seed, tag, k)` for the `k`-th unit), paired with the
+/// Every link that is up, probed with its own stream
+/// (`indexed_stream(seed, tag, k)` for the `k`-th link), paired with the
 /// probe's outcome when the failure disables a primary.
 fn probed(mgr: &DrtpManager, seed: u64, tag: &str) -> Vec<(LinkId, ProbeOutcome)> {
     let mut probed = Vec::new();
-    for (k, link) in units(mgr).into_iter().enumerate() {
+    for (k, link) in mgr.net().links().map(|l| l.id()).enumerate() {
         if mgr.is_failed(link) {
             continue;
         }
         let mut rng = drt_sim::rng::indexed_stream(seed, tag, k as u64);
-        let out = probe_unit(mgr, link, &mut rng);
+        let out = probe_links(mgr, vec![link], &mut rng);
         if !out.details.is_empty() {
             probed.push((link, out));
         }
@@ -248,7 +216,7 @@ fn probed(mgr: &DrtpManager, seed: u64, tag: &str) -> Vec<(LinkId, ProbeOutcome)
     probed
 }
 
-/// The single-failure sweep: per unit, affected and activated primaries,
+/// The single-failure sweep: per link, affected and activated primaries,
 /// and the affected ones that held no backup (`degraded`).
 pub fn sweep(mgr: &DrtpManager, seed: u64) -> FailureSweep {
     let mut sweep = FailureSweep::default();
@@ -274,8 +242,8 @@ pub fn sweep(mgr: &DrtpManager, seed: u64) -> FailureSweep {
     sweep
 }
 
-/// The vulnerability report: the number of units whose failure disables a
-/// primary, and per connection the units it does not survive.
+/// The vulnerability report: the number of links whose failure disables a
+/// primary, and per connection the links it does not survive.
 pub fn vulnerability(mgr: &DrtpManager, seed: u64) -> (u64, BTreeMap<ConnectionId, Vec<LinkId>>) {
     let probed = probed(mgr, seed, "vulnerability");
     let mut per_conn: BTreeMap<ConnectionId, Vec<LinkId>> = BTreeMap::new();

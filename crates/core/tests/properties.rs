@@ -2,11 +2,10 @@
 //! sequences under every scheme must preserve all bookkeeping invariants.
 
 use drt_core::failure::FailureEvent;
-use drt_core::multiplex::{ActivationPool, FailureModel, MultiplexConfig, SparePolicy};
 use drt_core::routing::{BoundedFlooding, DLsr, PLsr, RouteRequest, RoutingScheme, SpfBackup};
 use drt_core::{Aplv, ConflictVector, ConnectionId, DrtpManager, ViewDistortion};
 use drt_net::algo::bfs_hops_filtered;
-use drt_net::{topology, Bandwidth, LinkId, NodeId, SrlgId};
+use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, SrlgId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -45,6 +44,10 @@ enum Op {
         a: u32,
         b: u32,
     },
+    /// A physical cut: the link and its reverse fail together.
+    Cut {
+        link: u32,
+    },
     Repair {
         link: u32,
     },
@@ -61,9 +64,18 @@ fn arb_op(nodes: u32, links: u32) -> impl Strategy<Value = Op> {
         1 => (0..links).prop_map(|link| Op::Fail { link }),
         1 => (0..nodes).prop_map(|node| Op::Crash { node }),
         1 => (0..links, 0..links).prop_map(|(a, b)| Op::Batch { a, b }),
+        1 => (0..links).prop_map(|link| Op::Cut { link }),
         1 => (0..links).prop_map(|link| Op::Repair { link }),
         1 => (0usize..64).prop_map(|victim| Op::Reestablish { victim }),
     ]
+}
+
+/// The cut of `link`'s duplex pair: both directions in one event.
+fn cut(net: &Network, link: u32) -> FailureEvent {
+    let l = LinkId::new(link % net.num_links() as u32);
+    let mut pair = vec![FailureEvent::Link(l)];
+    pair.extend(net.reverse_link(l).map(FailureEvent::Link));
+    FailureEvent::Batch(pair)
 }
 
 proptest! {
@@ -119,6 +131,9 @@ proptest! {
                         FailureEvent::Link(LinkId::new(b % net.num_links() as u32)),
                     ]);
                     let _ = mgr.inject_event(&ev, &mut rng);
+                }
+                Op::Cut { link } => {
+                    let _ = mgr.inject_event(&cut(&net, link), &mut rng);
                 }
                 Op::Repair { link } => {
                     let l = LinkId::new(link % net.num_links() as u32);
@@ -206,8 +221,7 @@ proptest! {
     /// and the dense per-request counts of random link sets are
     /// `Σ_j [aplv(l).count(j) > 0]` for every link `l` — on the live view,
     /// on a snapshot's view (whose columns were cloned with it), and,
-    /// under a `deflate_conflicts` distortion, 0 exactly on the links it
-    /// lies about.
+    /// under a byzantine distortion, 0 exactly on the links it lies about.
     #[test]
     fn conflict_bits_match_counts_along_traces(
         seed in any::<u64>(),
@@ -288,11 +302,7 @@ proptest! {
                     prop_assert_eq!(&counts, &by_count, "against {:?}", lset);
                 }
                 let byz: Vec<NodeId> = byzantine.iter().copied().map(NodeId::new).collect();
-                let lies = ViewDistortion {
-                    advertise_dead_as_up: false,
-                    inflate_headroom: false,
-                    ..ViewDistortion::for_nodes(net.num_nodes(), &byz)
-                };
+                let lies = ViewDistortion::for_nodes(net.num_nodes(), &byz);
                 mgr.set_view_distortion(Some(lies.clone()));
                 mgr.view().conflict_counts(&lset, &mut counts);
                 for l in net.links().map(|link| link.id()) {
@@ -384,35 +394,31 @@ proptest! {
         }
     }
 
-    /// After every operation of a random trace, under every scheme and
-    /// both failure models, the manager's invariants hold and the
-    /// distances bounded flooding measures for itself
-    /// ([`drt_core::ManagerView::hops_to`], a backward search per
-    /// destination) are what a forward search from every source finds
-    /// over the alive links — the rows of the all-pairs reference table.
-    /// `DirectedLink` failures take one direction of a pair down, so the
-    /// two searches only agree if each follows link direction. Requests
-    /// draw 1, 2 or 3 Mb/s, so a link's spare requirement is a maximum
-    /// over unequal bandwidths — every release that lowers it is audited
-    /// against the registering-only rebuild — and the ledger rules (spare
-    /// within the APLV requirement, `prime + spare + free == capacity`)
-    /// are checked under mixed demands.
+    /// After every operation of a random trace, under every scheme, the
+    /// manager's invariants hold and the distances bounded flooding
+    /// measures for itself ([`drt_core::ManagerView::hops_to`], a backward
+    /// search per destination) are what a forward search from every
+    /// source finds over the alive links — the rows of the all-pairs
+    /// reference table. A single failure takes one direction of a pair
+    /// down, so the two searches only agree if each follows link
+    /// direction; a cut takes both. Requests draw 1, 2 or 3 Mb/s, so a
+    /// link's spare requirement is a maximum over unequal bandwidths —
+    /// every release that lowers it is audited against the
+    /// registering-only rebuild — and the ledger rules (spare within the
+    /// APLV requirement, `prime + spare + free == capacity`) are checked
+    /// under mixed demands. Releasing every connection at the end leaves
+    /// no primary reservation anywhere.
     #[test]
     fn mixed_demand_traces_keep_invariants_and_hop_parity(
         seed in any::<u64>(),
         scheme_idx in 0usize..4,
-        duplex in any::<bool>(),
         ops in prop::collection::vec(arb_op(12, 34), 1..30),
     ) {
         let net = Arc::new(
             topology::random_connected(12, 17, Bandwidth::from_mbps(12), seed).unwrap()
         );
         let n = net.num_links();
-        let cfg = MultiplexConfig {
-            failure_model: if duplex { FailureModel::DuplexPair } else { FailureModel::DirectedLink },
-            ..MultiplexConfig::paper()
-        };
-        let mut mgr = DrtpManager::with_config(Arc::clone(&net), cfg);
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
         let mut scheme = scheme_by_index(scheme_idx);
         let mut rng = drt_sim::rng::stream(seed, "maint-trace");
         let mut next_id = 0u64;
@@ -452,6 +458,9 @@ proptest! {
                     ]);
                     let _ = mgr.inject_event(&ev, &mut rng);
                 }
+                Op::Cut { link } => {
+                    let _ = mgr.inject_event(&cut(&net, link), &mut rng);
+                }
                 Op::Repair { link } => {
                     let _ = mgr.repair_link(LinkId::new(link % n as u32));
                 }
@@ -476,45 +485,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// All four multiplex configurations keep the ledgers consistent, with
-    /// requests drawing 1, 2 or 3 Mb/s (so spare requirements are maxima
-    /// over unequal bandwidths).
-    #[test]
-    fn config_matrix_traces(
-        seed in any::<u64>(),
-        spare_grow in any::<bool>(),
-        spare_and_free in any::<bool>(),
-        duplex in any::<bool>(),
-        mbps in prop::collection::vec(1u64..=3, 12),
-    ) {
-        let cfg = MultiplexConfig {
-            spare: if spare_grow { SparePolicy::GrowToRequirement } else { SparePolicy::NeverGrow },
-            activation: if spare_and_free { ActivationPool::SpareAndFree } else { ActivationPool::SpareOnly },
-            failure_model: if duplex { FailureModel::DuplexPair } else { FailureModel::DirectedLink },
-            require_backup: true,
-        };
-        let net = Arc::new(
-            topology::random_connected(10, 16, Bandwidth::from_mbps(20), seed).unwrap()
-        );
-        let mut mgr = DrtpManager::with_config(net, cfg);
-        let mut scheme = DLsr::new();
-        let mut rng = drt_sim::rng::stream(seed, "cfgtrace");
-        let mut pair_rng = drt_sim::rng::stream(seed, "pairs");
-        let pattern = drt_sim::workload::TrafficPattern::ut();
-        let mut live = Vec::new();
-        for (i, &m) in mbps.iter().enumerate() {
-            let id = ConnectionId::new(i as u64);
-            let (src, dst) = pattern.sample_pair(10, &mut pair_rng);
-            let req = RouteRequest::new(id, src, dst, Bandwidth::from_mbps(m));
-            if mgr.request_connection(&mut scheme, req).is_ok() {
-                live.push(id);
-            }
-            mgr.assert_invariants();
-        }
-        let _ = mgr.inject_failure(LinkId::new(0), &mut rng);
-        mgr.assert_invariants();
         for id in live {
             mgr.release(id).unwrap();
             mgr.assert_invariants();
@@ -527,24 +497,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The failure engine computes what the paper defines. After every
-    /// step of a random establish / release / fail / crash / batch /
-    /// repair / re-establish trace, under every scheme and both failure
-    /// models, the naive oracle of `oracle/mod.rs` — written from PAPER.md
+    /// step of a random establish / release / fail / crash / batch / cut
+    /// / repair / re-establish trace, under every scheme, the naive oracle
+    /// of `oracle/mod.rs` — written from PAPER.md
     /// §1 over the manager's public reads — agrees with the manager on
     /// the single-failure sweep, decision for decision; on every
     /// `a_{i,j}` and every link's spare need `max_j`; and, on each
     /// admission, on whether a new backup conflicts with a backup
-    /// registered before it. The trace closes with a probe of every
-    /// failure unit, of a node crash, of each of the network's two SRLGs
+    /// registered before it. The trace closes with a probe of every link,
+    /// of a node crash, of each of the network's two SRLGs
     /// and of a batch of a crash and a link, and with the vulnerability
     /// report. The oracle draws each contention order the way
     /// `probe_single_failure` documents it: the affected connections in id
     /// order, shuffled once by the caller's RNG.
     ///
-    /// Links carry 6 Mb/s against 1–3 Mb/s demands and activations draw
-    /// on spare + free or on spare alone, so pools run dry and the order
-    /// decides who activates: a contention pass that took a winner's
-    /// bandwidth from the wrong links fails here.
+    /// Links carry 6 Mb/s against 1–3 Mb/s demands, so spare pools fall
+    /// short of their requirement, activation pools (spare + free) run
+    /// dry and the order decides who activates: a contention pass that
+    /// took a winner's bandwidth from the wrong links fails here.
     ///
     /// Released ids come back: an establish may re-request under the id
     /// of a released connection — a `Failed` one included, whose record
@@ -555,18 +525,11 @@ proptest! {
     fn failure_engine_matches_paper_oracle(
         seed in any::<u64>(),
         scheme_idx in 0usize..4,
-        duplex in any::<bool>(),
         ops in prop::collection::vec(arb_op(12, 34), 1..35),
         srlgs in prop::collection::vec(prop::collection::vec(0u32..34, 1..4), 2),
         crash in 0u32..12,
-        cut in 0u32..34,
-        spare_only in any::<bool>(),
+        cut_link in 0u32..34,
     ) {
-        let cfg = MultiplexConfig {
-            failure_model: if duplex { FailureModel::DuplexPair } else { FailureModel::DirectedLink },
-            activation: if spare_only { ActivationPool::SpareOnly } else { ActivationPool::SpareAndFree },
-            ..MultiplexConfig::paper()
-        };
         let net = topology::random_connected(12, 17, Bandwidth::from_mbps(6), seed).unwrap();
         let n = net.num_links();
         let groups: Vec<Vec<LinkId>> = srlgs
@@ -574,7 +537,7 @@ proptest! {
             .map(|g| g.iter().map(|&l| LinkId::new(l % n as u32)).collect())
             .collect();
         let net = Arc::new(net.with_srlgs(&groups).unwrap());
-        let mut mgr = DrtpManager::with_config(Arc::clone(&net), cfg);
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
         let mut scheme = scheme_by_index(scheme_idx);
         let mut rng = drt_sim::rng::stream(seed, "indexed-trace");
         let mut next_id = 0u64;
@@ -628,6 +591,9 @@ proptest! {
                     ]);
                     let _ = mgr.inject_event(&ev, &mut rng);
                 }
+                Op::Cut { link } => {
+                    let _ = mgr.inject_event(&cut(&net, link), &mut rng);
+                }
                 Op::Repair { link } => {
                     let _ = mgr.repair_link(LinkId::new(link % n as u32));
                 }
@@ -641,8 +607,8 @@ proptest! {
             // connection table and panics on the first divergence.
             mgr.assert_invariants();
 
-            // The whole sweep — every loaded unit probed under the same
-            // per-unit RNG streams — must agree decision for decision.
+            // The whole sweep — every loaded link probed under the same
+            // per-link RNG streams — must agree decision for decision.
             prop_assert_eq!(mgr.sweep_single_failures(seed), oracle::sweep(&mgr, seed));
 
             let table = oracle::aplv_table(&oracle::registrations(&mgr), n);
@@ -657,14 +623,14 @@ proptest! {
             }
         }
 
-        // Closing cross-checks on the final state: per-unit probes,
+        // Closing cross-checks on the final state: per-link probes,
         // correlated-event probes, and the vulnerability report.
-        for link in mgr.failure_units() {
+        for link in net.links().map(|l| l.id()) {
             let mut a = drt_sim::rng::stream(seed, "probe-eq");
             let mut b = drt_sim::rng::stream(seed, "probe-eq");
             prop_assert_eq!(
                 mgr.probe_single_failure(link, &mut a),
-                oracle::probe_unit(&mgr, link, &mut b)
+                oracle::probe_links(&mgr, vec![link], &mut b)
             );
         }
         let crash = FailureEvent::Node(NodeId::new(crash));
@@ -672,7 +638,7 @@ proptest! {
             crash.clone(),
             FailureEvent::Srlg(SrlgId::new(0)),
             FailureEvent::Srlg(SrlgId::new(1)),
-            FailureEvent::Batch(vec![crash, FailureEvent::Link(LinkId::new(cut % n as u32))]),
+            FailureEvent::Batch(vec![crash, FailureEvent::Link(LinkId::new(cut_link % n as u32))]),
         ];
         for event in &events {
             let mut a = drt_sim::rng::stream(seed, "event-eq");

@@ -373,7 +373,7 @@ pub struct Row {
     pub quarantined: u64,
     /// Connections still carrying traffic after the last round.
     pub survivors: u64,
-    /// The closing probe's three most fragile failure units, worst first.
+    /// The closing probe's three most fragile links, worst first.
     pub worst_links: Vec<LinkImpact>,
 }
 
@@ -499,7 +499,7 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
     let seed = scfg.seed;
     let [pick_label, inject_label, probe_label] = cell.substreams();
     let mut scheme = cell.scheme.instantiate();
-    let mut mgr = DrtpManager::with_config(Arc::clone(&net), cell.scheme.manager_config());
+    let mut mgr = DrtpManager::new(Arc::clone(&net));
     let byzantine = pick_byzantine(&net, cell.strength, seed);
     let mut plane = (cell.regime == Regime::ControlLoss)
         .then(|| ControlPlane::new(Arc::clone(&net), &cell, seed));
@@ -560,10 +560,9 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
             // reconfiguration off (`defended` false) nothing re-protects.
             TimelineEvent::LinkFail(link) => {
                 now = now.max(t);
-                // The link may already be down with its duplex twin.
-                let Ok(report) = mgr.inject_failure(link, &mut replay_rng) else {
-                    continue;
-                };
+                let report = mgr
+                    .inject_failure(link, &mut replay_rng)
+                    .expect("the failure process fails only links that are up, repairs first");
                 if cell.defended {
                     orch.observe_failure(now, &report);
                     now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
@@ -1663,7 +1662,7 @@ mod tests {
         let t = &rows[0].telemetry;
         assert!(t.counter("inject.links_failed") > 0, "storms must land");
         // The closing probe ran on a fully repaired network: every
-        // probe trial found a live failure unit to fail.
+        // probe trial found a live link to fail.
         assert!(t.counter("sweep.trials") > 0);
     }
 

@@ -67,9 +67,9 @@ impl SchemeKind {
         }
     }
 
-    /// The manager configuration this scheme runs under: the paper's for
-    /// every kind (it admits a request without a backup, so primary-only
-    /// admission needs nothing else).
+    /// The manager configuration this scheme runs under: the paper's, the
+    /// only one there is. Nothing in this workspace calls it; a manager is
+    /// built with [`DrtpManager::new`].
     pub fn manager_config(self) -> MultiplexConfig {
         MultiplexConfig::paper()
     }
@@ -156,7 +156,7 @@ pub fn replay(
     cfg: &ExperimentConfig,
 ) -> RunMetrics {
     let mut scheme = kind.instantiate();
-    let mut mgr = DrtpManager::with_config(Arc::clone(net), kind.manager_config());
+    let mut mgr = DrtpManager::new(Arc::clone(net));
     let bw = scenario.bw_req();
 
     let warmup_at = SimTime::ZERO + cfg.warmup;
@@ -426,16 +426,11 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_configs() {
+    fn labels() {
         assert_eq!(
             SchemeKind::paper_schemes().map(|s| s.label()),
             ["D-LSR", "P-LSR", "BF"]
         );
-        assert_eq!(
-            SchemeKind::NoBackup.manager_config(),
-            MultiplexConfig::paper()
-        );
-        assert!(!SchemeKind::Bf.manager_config().require_backup);
         assert_eq!(SchemeKind::Dedicated.to_string(), "Dedicated");
     }
 

@@ -59,7 +59,7 @@ pub fn replay_signalling(
     kind: SchemeKind,
     cfg: &ExperimentConfig,
 ) -> SignallingReport {
-    let mut mirror = DrtpManager::with_config(Arc::clone(net), kind.manager_config());
+    let mut mirror = DrtpManager::new(Arc::clone(net));
     let mut scheme = kind.instantiate();
     let mut sim = ProtocolSim::new(Arc::clone(net), ProtocolConfig::default());
     let mut attempted = 0u64;

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --example paper_figures`
 
-use drt_core::multiplex::{ActivationPool, MultiplexConfig, SparePolicy};
 use drt_core::routing::{DLsr, RouteRequest, Scripted};
 use drt_core::{ConnectionId, DrtpManager};
 use drt_net::{topology, Bandwidth, NodeId, Route};
@@ -102,24 +101,24 @@ fn main() -> Result<(), Box<dyn Error>> {
         probe.affected()
     );
 
-    // ...but if spare cannot grow (the L7 situation of Figure 1), the
-    // conflict costs a connection:
-    let mut constrained = DrtpManager::with_config(
-        Arc::clone(&net),
-        MultiplexConfig {
-            spare: SparePolicy::NeverGrow,
-            activation: ActivationPool::SpareOnly,
-            ..MultiplexConfig::paper()
-        },
-    );
+    // ...but if spare cannot grow far enough (the L7 situation of Figure
+    // 1: two primaries already hold 6 of the contested link's 10 Mb/s),
+    // the backups stay multiplexed and the conflict costs a connection:
+    let mut constrained = DrtpManager::new(Arc::clone(&net));
     let mut script = Scripted::new();
+    for id in [10, 11] {
+        script.push(route(&net, &[4, 5]), None);
+        constrained.request_connection(&mut script, req(id, 4, 5))?;
+    }
     script.push(route(&net, &[0, 1, 2]), Some(route(&net, &[0, 3, 4, 5, 2])));
     script.push(route(&net, &[1, 2]), Some(route(&net, &[1, 4, 5, 2])));
     constrained.request_connection(&mut script, req(1, 0, 2))?;
     constrained.request_connection(&mut script, req(3, 1, 2))?;
     let probe = constrained.probe_single_failure(overlap_link, &mut rng);
     println!(
-        "figure 1's L7 lesson (no spare growth): only {}/{} backups activate\n",
+        "figure 1's L7 lesson (spare {} short of {}): only {}/{} backups activate\n",
+        constrained.link_resources(contested).spare(),
+        constrained.aplv(contested).required_spare(),
         probe.activated(),
         probe.affected()
     );

@@ -47,13 +47,13 @@ fn main() -> Result<(), Box<dyn Error>> {
             );
         }
 
-        // Sweep every failure unit; collect the latency of every would-be
+        // Sweep every link; collect the latency of every would-be
         // switchover.
         let mut stats = OnlineStats::new();
         let mut hops = OnlineStats::new();
         let mut p50 = drt_sim::stats::P2Quantile::new(0.5);
         let mut p99 = drt_sim::stats::P2Quantile::new(0.99);
-        for (idx, link) in mgr.failure_units().into_iter().enumerate() {
+        for (idx, link) in mgr.net().links().map(|l| l.id()).enumerate() {
             let mut prng = drt_sim::rng::indexed_stream(23, "latency-probe", idx as u64);
             let outcome = mgr.probe_single_failure(link, &mut prng);
             for (id, won) in &outcome.details {

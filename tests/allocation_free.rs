@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use drt_core::failure::ProbeWorkspace;
+use drt_core::failure::LinkImpact;
 use drt_core::routing::{DLsr, PLsr, RoutePair, RouteRequest, RoutingScheme};
 use drt_core::{ConnectionId, DrtpManager};
 use drt_experiments::par::parallel_map;
@@ -72,9 +72,23 @@ fn loaded(nodes: usize, requests: u64, seed: u64) -> DrtpManager {
     mgr
 }
 
-/// A sweep's unit list, then `per_link` doubling up to `len` entries.
-fn sweep_bound(len: usize) -> u64 {
-    2 + u64::from(len.next_power_of_two().trailing_zeros())
+/// The allocations of growing a fresh `Vec<LinkImpact>` to `len` entries
+/// one push at a time — all a sweep's report costs.
+fn report_allocations(len: usize) -> u64 {
+    let impact = LinkImpact {
+        link: LinkId::new(0),
+        affected: 0,
+        activated: 0,
+    };
+    let (grown, n) = counted(|| {
+        let mut per_link = Vec::new();
+        for _ in 0..std::hint::black_box(len) {
+            per_link.push(impact);
+        }
+        per_link
+    });
+    assert_eq!(grown.len(), len);
+    n
 }
 
 #[test]
@@ -194,11 +208,11 @@ fn probes_allocate_only_their_outcome() {
     for (nodes, requests, seed) in [(60, 400, 4), (300, 600, 5)] {
         let mgr = loaded(nodes, requests, seed);
         let mut rng = drt_sim::rng::stream(seed, "probe");
-        let mut ws = ProbeWorkspace::new();
         let mut affected = 0;
+        // The first pass warms this thread's probe workspace.
         for warm in [true, false] {
-            for link in mgr.failure_units() {
-                let (out, n) = counted(|| mgr.probe_single_failure_in(link, &mut rng, &mut ws));
+            for link in mgr.net().links().map(|l| l.id()) {
+                let (out, n) = counted(|| mgr.probe_single_failure(link, &mut rng));
                 // `failed_links`, plus `details` when a primary is hit.
                 let want = 1 + u64::from(out.affected() > 0);
                 assert!(warm || n == want, "probe of {link} on {nodes} nodes: {n}");
@@ -224,7 +238,7 @@ fn sweeps_allocate_only_their_report_on_any_thread() {
         counts.extend(parallel_map(2, vec![seed + 1, seed + 2, seed + 3], warmed));
         for (len, n) in counts {
             assert!(len > 0, "the sweep on {nodes} nodes probed nothing");
-            assert!(n <= sweep_bound(len), "{n} allocations for {len} entries");
+            assert_eq!(n, report_allocations(len), "allocations for {len} entries");
         }
     }
 }

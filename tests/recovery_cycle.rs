@@ -1,14 +1,21 @@
 //! Integration tests of the full DRTP lifecycle: establish → fail →
-//! switch → re-protect → repair → release, across schemes and failure
-//! models.
+//! switch → re-protect → repair → release, across schemes, single
+//! directed-link failures and physical cuts of both directions.
 
-use drt_core::multiplex::{FailureModel, MultiplexConfig};
+use drt_core::failure::FailureEvent;
 use drt_core::routing::{BoundedFlooding, DLsr, PLsr, RouteRequest, RoutingScheme};
 use drt_core::{ConnectionId, ConnectionState, DrtpManager};
-use drt_net::{topology, Bandwidth, LinkId};
+use drt_net::{topology, Bandwidth, LinkId, Network};
 use std::sync::Arc;
 
 const BW: Bandwidth = Bandwidth::from_kbps(3_000);
+
+/// A physical cut: `link` and its reverse fail in one event.
+fn cut(net: &Network, link: LinkId) -> (FailureEvent, LinkId) {
+    let rev = net.reverse_link(link).expect("duplex link");
+    let event = FailureEvent::Batch(vec![FailureEvent::Link(link), FailureEvent::Link(rev)]);
+    (event, rev)
+}
 
 fn establish_some(
     mgr: &mut DrtpManager,
@@ -133,9 +140,7 @@ fn recovered_connection_survives_second_failure_after_reprotection() {
 #[test]
 fn duplex_pair_failure_kills_both_directions_of_traffic() {
     let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(100)).unwrap());
-    let mut cfg = MultiplexConfig::paper();
-    cfg.failure_model = FailureModel::DuplexPair;
-    let mut mgr = DrtpManager::with_config(Arc::clone(&net), cfg);
+    let mut mgr = DrtpManager::new(Arc::clone(&net));
     let mut scheme = DLsr::new();
 
     // Two opposite-direction connections across the same physical pair.
@@ -152,21 +157,35 @@ fn duplex_pair_failure_kills_both_directions_of_traffic() {
     )
     .unwrap();
 
-    // Fail a physical link both primaries traverse (in opposite
-    // directions): the duplex model must see both as affected.
+    // Cut a physical link both primaries traverse (in opposite
+    // directions): both are affected.
     let fwd = mgr
         .connection(ConnectionId::new(0))
         .unwrap()
         .primary()
         .links()[0];
+    let (event, rev) = cut(&net, fwd);
     let mut rng = drt_sim::rng::stream(4, "duplex");
-    let probe = mgr.probe_single_failure(fwd, &mut rng);
+    let probe = mgr.probe_event(&event, &mut rng);
     assert_eq!(
         probe.affected(),
         2,
         "physical cut affects both directions: {probe:?}"
     );
     assert_eq!(probe.activated(), 2);
+    mgr.assert_invariants();
+
+    // Injected, the cut switches both; each direction is repaired on its own.
+    let report = mgr.inject_event(&event, &mut rng).unwrap();
+    assert_eq!(report.failed_links.len(), 2);
+    assert_eq!(report.switched.len(), 2, "{report:?}");
+    mgr.repair_link(fwd).unwrap();
+    assert!(
+        mgr.is_failed(rev),
+        "repairing one direction leaves the other down"
+    );
+    mgr.repair_link(rev).unwrap();
+    assert!(!mgr.is_failed(fwd) && !mgr.is_failed(rev));
     mgr.assert_invariants();
 }
 
@@ -315,13 +334,10 @@ fn reestablish_backup_under_contention_is_best_effort_until_it_clears() {
 
 #[test]
 fn reestablish_backup_after_duplex_pair_failure() {
-    // Under the duplex failure model one physical cut downs both
-    // directions; re-protection must bring both switched connections
-    // back to Protected.
+    // One physical cut downs both directions; re-protection must bring
+    // both switched connections back to Protected.
     let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(100)).unwrap());
-    let mut cfg = MultiplexConfig::paper();
-    cfg.failure_model = FailureModel::DuplexPair;
-    let mut mgr = DrtpManager::with_config(Arc::clone(&net), cfg);
+    let mut mgr = DrtpManager::new(Arc::clone(&net));
     let mut scheme = DLsr::new();
 
     let a = drt_net::NodeId::new(3);
@@ -342,8 +358,9 @@ fn reestablish_backup_after_duplex_pair_failure() {
         .unwrap()
         .primary()
         .links()[0];
+    let (event, rev) = cut(&net, fwd);
     let mut rng = drt_sim::rng::stream(12, "duplex-reprotect");
-    let report = mgr.inject_failure(fwd, &mut rng).unwrap();
+    let report = mgr.inject_event(&event, &mut rng).unwrap();
     assert_eq!(
         report.switched.len() + report.unprotected.len() + report.lost.len(),
         2,
@@ -362,16 +379,25 @@ fn reestablish_backup_after_duplex_pair_failure() {
     mgr.assert_invariants();
 
     // The re-established protection is real: cut one of the new
-    // primaries (duplex again) and the affected side still recovers.
+    // primaries (both directions again) and the affected side still
+    // recovers.
     let second = mgr
         .connection(ConnectionId::new(0))
         .unwrap()
         .primary()
         .links()[0];
-    let report = mgr.inject_failure(second, &mut rng).unwrap();
+    let (event, second_rev) = cut(&net, second);
+    let report = mgr.inject_event(&event, &mut rng).unwrap();
     assert!(
         report.lost.is_empty(),
         "re-protection covered the repeat cut"
     );
+    mgr.assert_invariants();
+
+    // Both cuts heal one direction at a time.
+    for l in [fwd, rev, second, second_rev] {
+        mgr.repair_link(l).unwrap();
+    }
+    assert!(net.links().all(|l| !mgr.is_failed(l.id())));
     mgr.assert_invariants();
 }

@@ -35,12 +35,11 @@
 //! bandwidth, under which `bandwidth_j = a_{i,j} · bw_req`).
 
 use drt_net::{Bandwidth, LinkId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One slot of an [`Aplv`]'s count table: the accumulation for `L_j`, or
 /// vacant (all zero) while `count == 0`.
-#[derive(Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default)]
 struct Slot {
     j: u32,
     count: u32,
@@ -115,7 +114,7 @@ fn home(j: u32, len: usize) -> usize {
 /// assert_eq!(aplv7.l1_norm(), 5);
 /// assert_eq!(aplv7.max_count(), 2);
 /// ```
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct Aplv {
     /// The count table: empty or a power of two long, at most half
     /// occupied, every key reachable from its home slot without crossing
@@ -455,7 +454,7 @@ impl fmt::Display for Aplv {
 /// assert!(cv.get(LinkId::new(2)));
 /// assert_eq!(cv.ones(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ConflictVector {
     bits: Vec<u64>,
     len: usize,

@@ -2,11 +2,10 @@
 
 use crate::{ConnectionId, QosRequirement};
 use drt_net::Route;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Lifecycle state of a DR-connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnectionState {
     /// Primary carries traffic; at least one backup is registered.
     Protected,
@@ -43,7 +42,7 @@ impl fmt::Display for ConnectionState {
 
 /// One dependable real-time connection: a primary channel, zero or more
 /// backup channels in activation-priority order, and its QoS contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrConnection {
     id: ConnectionId,
     qos: QosRequirement,

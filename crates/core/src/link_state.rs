@@ -1,7 +1,6 @@
 //! Per-link resource accounting.
 
 use drt_net::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -31,7 +30,7 @@ impl Error for CapacityError {}
 ///
 /// The invariant `prime + spare ≤ capacity` holds after every operation;
 /// all arithmetic is integer-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkResources {
     capacity: Bandwidth,
     prime: Bandwidth,

@@ -414,11 +414,6 @@ impl DrtpManager {
         self.distortion = distortion;
     }
 
-    /// The active distortion, if any.
-    pub fn view_distortion(&self) -> Option<&ViewDistortion> {
-        self.distortion.as_ref()
-    }
-
     /// The manager's telemetry registry.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry

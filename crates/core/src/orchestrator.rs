@@ -40,6 +40,12 @@ use drt_net::{LinkId, NodeId, Route};
 use drt_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Uncorroborated failure reports from one router before that router is
+/// quarantined (its reports ignored): the strike count of
+/// [`RecoveryOrchestrator::vet_report`] and of the message-level engine's
+/// report verification alike.
+pub const SUSPICION_THRESHOLD: u32 = 3;
+
 /// Tunables of the retry queue and flap damping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -56,10 +62,6 @@ pub struct RetryPolicy {
     pub flap_window: SimDuration,
     /// How long a flapping link stays quarantined from new backup routes.
     pub quarantine: SimDuration,
-    /// Uncorroborated failure reports from one router before that router
-    /// is quarantined (its reports ignored). See
-    /// [`RecoveryOrchestrator::vet_report`].
-    pub suspicion_threshold: u32,
 }
 
 impl Default for RetryPolicy {
@@ -73,7 +75,6 @@ impl Default for RetryPolicy {
             flap_threshold: 3,
             flap_window: SimDuration::from_secs(60),
             quarantine: SimDuration::from_minutes(5),
-            suspicion_threshold: 3,
         }
     }
 }
@@ -108,17 +109,6 @@ pub struct RecoveryCompletion {
     pub latency: SimDuration,
     /// Attempts consumed (1 = first try succeeded).
     pub attempts: u32,
-}
-
-/// What one [`RecoveryOrchestrator::tick`] did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TickReport {
-    /// Connections whose protection was restored this tick.
-    pub reprotected: Vec<ConnectionId>,
-    /// Connections that failed an attempt and were re-queued with backoff.
-    pub retried: Vec<ConnectionId>,
-    /// Connections that exhausted their attempts and were orphaned.
-    pub orphaned: Vec<ConnectionId>,
 }
 
 /// Drives re-establishment of lost protection as a retry queue with
@@ -260,7 +250,7 @@ impl RecoveryOrchestrator {
     /// * A report from a quarantined router is rejected unexamined.
     /// * A corroborated report is accepted.
     /// * An uncorroborated report is rejected and bumps the reporter's
-    ///   suspicion score; at [`RetryPolicy::suspicion_threshold`] the
+    ///   suspicion score; at [`SUSPICION_THRESHOLD`] the
     ///   router is quarantined and all its later reports are ignored —
     ///   so a byzantine router gets a bounded number of lies before it
     ///   loses its voice entirely.
@@ -276,7 +266,7 @@ impl RecoveryOrchestrator {
         let score = self.suspicion.entry(reporter).or_insert(0);
         *score += 1;
         self.telemetry.incr("reports.rejected");
-        if *score >= self.policy.suspicion_threshold && self.router_quarantine.insert(reporter) {
+        if *score >= SUSPICION_THRESHOLD && self.router_quarantine.insert(reporter) {
             self.telemetry.incr("quarantine.routers_entered");
         }
         ReportVerdict::Rejected
@@ -322,11 +312,6 @@ impl RecoveryOrchestrator {
         self.queue.len()
     }
 
-    /// Returns `true` when `conn` is waiting for a retry.
-    pub fn is_pending(&self, conn: ConnectionId) -> bool {
-        self.queue.contains_key(&conn)
-    }
-
     /// The earliest due time in the queue, if any.
     pub fn next_due(&self) -> Option<SimTime> {
         self.queue.values().map(|p| p.due).min()
@@ -348,13 +333,7 @@ impl RecoveryOrchestrator {
     /// regained a backup by other means complete immediately; the rest go
     /// through [`DrtpManager::reestablish_backup_avoiding`] with the
     /// currently quarantined links excluded.
-    pub fn tick(
-        &mut self,
-        now: SimTime,
-        mgr: &mut DrtpManager,
-        scheme: &mut dyn RoutingScheme,
-    ) -> TickReport {
-        let mut report = TickReport::default();
+    pub fn tick(&mut self, now: SimTime, mgr: &mut DrtpManager, scheme: &mut dyn RoutingScheme) {
         let due: Vec<ConnectionId> = self
             .queue
             .iter()
@@ -393,7 +372,6 @@ impl RecoveryOrchestrator {
                     self.telemetry.incr("recovery.reprotected");
                     self.telemetry
                         .observe_duration("recovery.latency_us", latency);
-                    report.reprotected.push(id);
                 }
                 Err(_) => {
                     if entry.attempt >= self.policy.max_attempts {
@@ -404,7 +382,6 @@ impl RecoveryOrchestrator {
                             "recovery.orphan_wait_us",
                             now.saturating_since(entry.lost_at),
                         );
-                        report.orphaned.push(id);
                     } else {
                         let next = entry.attempt + 1;
                         self.queue.insert(
@@ -416,12 +393,10 @@ impl RecoveryOrchestrator {
                             },
                         );
                         self.telemetry.incr("recovery.retries");
-                        report.retried.push(id);
                     }
                 }
             }
         }
-        report
     }
 
     /// Advances virtual time through the retry queue until it drains:
@@ -637,11 +612,7 @@ mod tests {
 
     #[test]
     fn uncorroborated_reports_quarantine_the_reporter() {
-        let policy = RetryPolicy {
-            suspicion_threshold: 3,
-            ..RetryPolicy::default()
-        };
-        let mut orch = RecoveryOrchestrator::new(8, policy);
+        let mut orch = RecoveryOrchestrator::new(8, RetryPolicy::default());
         let liar = NodeId::new(2);
         let honest = NodeId::new(5);
 
@@ -650,7 +621,7 @@ mod tests {
         assert_eq!(orch.suspicion(honest), 0);
 
         // Three lies and the liar loses its voice.
-        for expect in 1..=3u32 {
+        for expect in 1..=SUSPICION_THRESHOLD {
             assert_eq!(orch.vet_report(liar, false), ReportVerdict::Rejected);
             assert_eq!(orch.suspicion(liar), expect);
         }

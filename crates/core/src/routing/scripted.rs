@@ -63,12 +63,6 @@ impl Scripted {
         self
     }
 
-    /// Appends a fully specified pair.
-    pub fn push_pair(&mut self, pair: RoutePair) -> &mut Self {
-        self.pairs.push_back(pair);
-        self
-    }
-
     /// Number of scripted pairs not yet consumed.
     pub fn remaining(&self) -> usize {
         self.pairs.len()

@@ -1,7 +1,6 @@
 //! Core identifier and QoS types.
 
 use drt_net::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a DR-connection (the paper's `D_i` / `conn-id`).
@@ -9,7 +8,7 @@ use std::fmt;
 /// Connection ids are chosen by the caller (the experiment harness uses the
 /// scenario's dense request indices) and must be unique among *currently
 /// known* connections of one [`crate::DrtpManager`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnectionId(u64);
 
 impl ConnectionId {
@@ -42,7 +41,7 @@ impl From<u64> for ConnectionId {
 /// treats end-to-end delay qualitatively ("if D₃'s QoS requirement (e.g.,
 /// end-to-end delay) is too tight to use the longer path…"); `max_hops`
 /// makes that delay bound concrete as a hop-count cap on both channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosRequirement {
     /// Bandwidth that must be reserved on every link of the primary (and
     /// guaranteed-on-activation for the backup).

@@ -7,7 +7,6 @@
 //! thousands of admit/release events is a classic source of phantom
 //! admission failures in connection-level simulators.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -29,9 +28,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert!(request <= capacity);
 /// assert_eq!(capacity.connections_of(request), 33);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bandwidth(u64);
 
 impl Bandwidth {

@@ -1,7 +1,6 @@
 //! The directed, capacitated network graph.
 
 use crate::{Bandwidth, Link, LinkId, NetError, NodeId, SrlgId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A directed, capacitated network of routers and unidirectional links.
@@ -31,7 +30,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     pub(crate) positions: Vec<[f64; 2]>,
     pub(crate) links: Vec<Link>,
@@ -39,7 +38,6 @@ pub struct Network {
     pub(crate) in_adj: Vec<Vec<LinkId>>,
     /// Shared-risk link groups: members of one group fail together (a cut
     /// conduit, a shared line card). Members are sorted and deduplicated.
-    #[serde(default)]
     pub(crate) srlgs: Vec<Vec<LinkId>>,
 }
 
@@ -72,11 +70,6 @@ impl Network {
     /// Returns the link record for `id`, or `None` if out of range.
     pub fn get_link(&self, id: LinkId) -> Option<&Link> {
         self.links.get(id.index())
-    }
-
-    /// Returns `true` if `node` exists in this network.
-    pub fn contains_node(&self, node: NodeId) -> bool {
-        node.index() < self.positions.len()
     }
 
     /// The 2-D position of a node (used by the Waxman generator and by the
@@ -182,16 +175,6 @@ impl Network {
             self.srlgs.push(sorted);
         }
         Ok(self)
-    }
-
-    /// The SRLGs that contain `link` (risk groups a backup route planner
-    /// should treat as correlated with the primary's links).
-    pub fn srlgs_of_link(&self, link: LinkId) -> impl Iterator<Item = SrlgId> + '_ {
-        self.srlgs
-            .iter()
-            .enumerate()
-            .filter(move |(_, members)| members.binary_search(&link).is_ok())
-            .map(|(i, _)| SrlgId::new(i as u32))
     }
 
     /// All links incident to `node` — outgoing then incoming, each in id

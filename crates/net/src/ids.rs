@@ -7,7 +7,6 @@
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a network node (router/switch).
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(n.to_string(), "n3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -68,7 +67,7 @@ impl From<u32> for NodeId {
 /// assert_eq!(l.index(), 7);
 /// assert_eq!(l.to_string(), "L7");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(u32);
 
 impl LinkId {
@@ -114,7 +113,7 @@ impl From<u32> for LinkId {
 /// assert_eq!(g.index(), 2);
 /// assert_eq!(g.to_string(), "G2");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SrlgId(u32);
 
 impl SrlgId {

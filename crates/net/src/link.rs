@@ -1,7 +1,6 @@
 //! Unidirectional capacitated links.
 
 use crate::{Bandwidth, LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A unidirectional link of the network.
@@ -13,7 +12,7 @@ use std::fmt;
 ///
 /// `Link` is a passive record; mutable per-link *resource* state
 /// (primary/spare reservations, APLV) lives in `drt-core`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     id: LinkId,
     src: NodeId,

@@ -1,7 +1,6 @@
 //! Validated directed routes (the paper's `LSET`).
 
 use crate::{LinkId, NetError, Network, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ use std::sync::Arc;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Route {
     /// Shared, so the per-hop clones of the signalling plane (packets,
     /// journal records, channel-table entries) are a refcount bump.

@@ -259,14 +259,13 @@ impl ProtocolSim {
         let state = &self.state;
         let _ = write!(
             sink,
-            "{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
+            "{:?}{:?}{:?}{:?}{:?}{:?}",
             state.routers,
             state.conns,
             state.txns,
             state.exhausted,
             state.suspicion,
             state.journals,
-            state.witnesses,
         );
         for (conn, (link, _reported_at)) in &state.pending_recovery {
             let _ = write!(sink, "{conn}:{link},");

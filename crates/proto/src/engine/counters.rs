@@ -139,9 +139,6 @@ pub struct JournalStats {
     /// Resync handshakes abandoned because the answering peer was
     /// quarantined under report verification.
     pub quarantined_peers: u64,
-    /// Failure reports accepted by corroboration quorum despite missing
-    /// local link-state evidence.
-    pub quorum_overrides: u64,
 }
 
 #[cfg(test)]

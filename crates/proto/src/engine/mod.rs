@@ -24,54 +24,21 @@ use crate::fate::{ChaosFates, FateSource};
 use crate::message::{Packet, WalkOp};
 use crate::router::journal::{Journal, Journals};
 use crate::router::Router;
+use drt_core::failure::RecoveryLatencyModel;
 use drt_core::{Aplv, ConnectionId, LinkResources};
 use drt_net::{Bandwidth, LinkId, Network, NodeId, Route};
 use drt_sim::{Scheduler, SimDuration, SimTime, Simulator};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Timing parameters of the signalling plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The signalling plane's configuration. It has no settable value: the
+/// engine's timing is [`RecoveryLatencyModel`]'s default (10 ms
+/// detection, 1 ms per hop) and report verification is always on. The
+/// type stays so that every [`ProtocolSim`] constructor keeps its
+/// signature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProtocolConfig {
-    /// Propagation + processing delay per control-packet hop.
-    pub per_hop_delay: SimDuration,
-    /// Time for a link-adjacent router to detect a failure.
-    pub detection_delay: SimDuration,
-    /// When set, a source cross-checks every incoming failure report
-    /// against its link-state evidence before acting: reports for links
-    /// it has no reason to believe dead are rejected and raise the
-    /// reporter's suspicion score — the countermeasure against byzantine
-    /// false reports ([`ProtocolSim::spoof_failure_report`]). Off by
-    /// default: the honest engine trusts its detectors, exactly as the
-    /// paper does.
-    pub report_verification: bool,
-    /// Uncorroborated reports from one router before that router is
-    /// quarantined (all its subsequent reports ignored). Only consulted
-    /// when [`ProtocolConfig::report_verification`] is set.
-    pub suspicion_threshold: u32,
-    /// Distinct *quarantine-clean* reporters — those still under
-    /// [`ProtocolConfig::suspicion_threshold`] — of the same
-    /// uncorroborated link failure needed before the source overrides its
-    /// own (possibly stale) link-state evidence and acts anyway. `0` (the
-    /// default) disables the quorum: uncorroborated reports are never
-    /// acted on. Only consulted when
-    /// [`ProtocolConfig::report_verification`] is set.
-    pub corroboration_quorum: u32,
-}
-
-impl Default for ProtocolConfig {
-    /// 1 ms per hop, 10 ms detection — matching
-    /// [`drt_core::failure::RecoveryLatencyModel`]'s defaults — and no
-    /// report verification (3 strikes once enabled).
-    fn default() -> Self {
-        ProtocolConfig {
-            per_hop_delay: SimDuration::from_millis(1),
-            detection_delay: SimDuration::from_millis(10),
-            report_verification: false,
-            suspicion_threshold: 3,
-            corroboration_quorum: 0,
-        }
-    }
+    _private: (),
 }
 
 /// Retransmission policy for signalling transactions.
@@ -246,11 +213,12 @@ enum Event {
 #[derive(Debug)]
 struct State {
     net: Arc<Network>,
-    cfg: ProtocolConfig,
+    /// Detection delay and per-hop delay of every control packet.
+    timing: RecoveryLatencyModel,
     retry: RetryConfig,
     chaos: ChaosConfig,
-    /// Per-reporter uncorroborated-report counts (only grows while
-    /// [`ProtocolConfig::report_verification`] is on).
+    /// Per-reporter uncorroborated-report counts. Only a report for a
+    /// link that has not failed scores, so honest runs leave it empty.
     suspicion: BTreeMap<NodeId, u32>,
     fates: Box<dyn FateSource>,
     bug: SeededBug,
@@ -273,9 +241,6 @@ struct State {
     rejoin_degraded: bool,
     /// Crash-recovery counters (see [`JournalStats`]).
     stats: JournalStats,
-    /// Distinct reporters per link of uncorroborated failure reports —
-    /// the corroboration-quorum evidence base.
-    witnesses: BTreeMap<LinkId, BTreeSet<NodeId>>,
     conns: BTreeMap<ConnectionId, ConnMeta>,
     counters: TrafficCounters,
     /// Outstanding transactions by sequence number.
@@ -302,6 +267,12 @@ struct State {
 /// [`ProtocolSim::fail_link`], [`ProtocolSim::crash_router`],
 /// [`ProtocolSim::restart_router`] and
 /// [`ProtocolSim::spoof_failure_report`].
+///
+/// There is one engine. Its timing is
+/// [`drt_core::failure::RecoveryLatencyModel`]'s default, and a source
+/// always verifies a failure report against the failed-link mask before
+/// acting on it. A detector reports only a link that has failed, so an
+/// honest run never meets a report it rejects.
 #[derive(Debug)]
 pub struct ProtocolSim {
     sim: Simulator<Event>,
@@ -335,7 +306,7 @@ impl ProtocolSim {
     /// fate source owns those decisions).
     pub fn with_fates(
         net: Arc<Network>,
-        cfg: ProtocolConfig,
+        _cfg: ProtocolConfig,
         retry: RetryConfig,
         chaos: ChaosConfig,
         fates: Box<dyn FateSource>,
@@ -350,7 +321,7 @@ impl ProtocolSim {
             sim: Simulator::new(),
             state: State {
                 net,
-                cfg,
+                timing: RecoveryLatencyModel::default(),
                 retry,
                 chaos,
                 suspicion: BTreeMap::new(),
@@ -364,7 +335,6 @@ impl ProtocolSim {
                 restarted: false,
                 rejoin_degraded: false,
                 stats: JournalStats::default(),
-                witnesses: BTreeMap::new(),
                 conns: BTreeMap::new(),
                 counters: TrafficCounters::default(),
                 txns: BTreeMap::new(),
@@ -497,7 +467,7 @@ impl ProtocolSim {
     }
 
     /// Fails a unidirectional link; the adjacent router detects it after
-    /// the configured delay and reports to every affected source.
+    /// the detection delay and reports to every affected source.
     pub fn fail_link(&mut self, link: LinkId) {
         self.sim
             .schedule_at(self.sim.now(), Event::LinkFails { link });
@@ -506,7 +476,7 @@ impl ProtocolSim {
     /// Crashes a router permanently: its state is wiped, deliveries to it
     /// are dropped, and every incident link fails. The dead router cannot
     /// detect or report anything — the *surviving* endpoint of each
-    /// incident link detects after the configured delay and reports
+    /// incident link detects after the detection delay and reports
     /// upstream, so one crash fans out into failure reports for all
     /// incident links at once.
     pub fn crash_router(&mut self, node: NodeId) {
@@ -618,9 +588,10 @@ impl ProtocolSim {
         self.state.exhausted.iter().map(|(&k, &n)| (k, n))
     }
 
-    /// The suspicion score accumulated against `reporter` (number of
-    /// uncorroborated failure reports it sourced). Always zero while
-    /// [`ProtocolConfig::report_verification`] is off.
+    /// The suspicion score accumulated against `reporter`: the number of
+    /// uncorroborated failure reports it sourced before reaching
+    /// [`drt_core::orchestrator::SUSPICION_THRESHOLD`]. Always zero in an
+    /// honest run.
     pub fn suspicion_of(&self, reporter: NodeId) -> u32 {
         self.state.suspicion.get(&reporter).copied().unwrap_or(0)
     }

@@ -2,8 +2,9 @@
 //! switching"): detection, the report to each affected source, report
 //! verification, and the source-side switchover state machine.
 
-use super::{ConnMeta, Event, Phase, RecoveryRecord, State, TxnKind};
+use super::{ConnMeta, Event, Phase, RecoveryRecord, SeededBug, State, TxnKind};
 use crate::message::{Packet, WalkOp};
+use drt_core::orchestrator::SUSPICION_THRESHOLD;
 use drt_core::ConnectionId;
 use drt_net::{LinkId, NodeId, Route};
 use drt_sim::{Scheduler, SimTime};
@@ -45,7 +46,7 @@ impl State {
         }
         self.failed[link.index()] = true;
         sched.schedule_in(
-            self.cfg.detection_delay,
+            self.timing.detection,
             Event::Detected { at: detector, link },
         );
     }
@@ -155,39 +156,19 @@ impl State {
         self.send(sched, reporter, ack, ack_delay, false);
 
         // Report verification (countermeasure to byzantine false
-        // reports): a source only acts on a report it can corroborate
-        // from its own link-state evidence. An uncorroborated report —
-        // the named link is not actually dead — is dropped and scores a
-        // strike against the reporter; a reporter past the suspicion
+        // reports): a source acts only on a report the failed-link mask
+        // corroborates. An uncorroborated report is dropped and scores a
+        // strike against the reporter; a reporter at the suspicion
         // threshold is quarantined outright, even for truthful reports.
         // The ack above still goes out: vetting is silent, so a byzantine
         // reporter cannot probe the defense through its retransmissions.
-        if self.cfg.report_verification {
+        if self.bug != SeededBug::TrustReports {
             if self.quarantined(reporter) {
                 return;
             }
             if !self.failed[link.index()] {
-                // Uncorroborated: record the witness and a strike.
-                self.witnesses.entry(link).or_default().insert(reporter);
                 *self.suspicion.entry(reporter).or_insert(0) += 1;
-                // Corroboration quorum: enough *distinct* reporters of the
-                // same link may override the local evidence (it could be
-                // stale). Only quarantine-clean witnesses count: every
-                // forged identity burns suspicion with each lie, so a
-                // single adversary assembles a quorum alone only while the
-                // threshold tolerates one lie per identity.
-                if self.cfg.corroboration_quorum == 0 {
-                    return;
-                }
-                let counted = self.witnesses[&link]
-                    .iter()
-                    .filter(|&&w| !self.quarantined(w))
-                    .count();
-                if counted < self.cfg.corroboration_quorum as usize {
-                    return;
-                }
-                self.stats.quorum_overrides += 1;
-                // Fall through: act on the (apparently) corroborated report.
+                return;
             }
         }
 
@@ -247,7 +228,7 @@ impl State {
 
     /// Whether `reporter` has reached the suspicion threshold.
     pub(super) fn quarantined(&self, reporter: NodeId) -> bool {
-        self.suspicion.get(&reporter).copied().unwrap_or(0) >= self.cfg.suspicion_threshold
+        self.suspicion.get(&reporter).copied().unwrap_or(0) >= SUSPICION_THRESHOLD
     }
 
     /// Launches the activation [`ConnMeta::next_switch`] chose, or — it
@@ -459,75 +440,5 @@ mod tests {
             Bandwidth::ZERO,
             "partial activation scrubbed"
         );
-    }
-
-    #[test]
-    fn sybil_quorum_passes_a_threshold_above_one_lie_per_identity() {
-        // One adversary forges three reporter identities and lies once
-        // through each. A suspicion threshold of 4 leaves every identity
-        // quarantine-clean after its single strike, so the clean quorum
-        // counts all three, the third lie is "corroborated" and the
-        // source acts on a healthy link — the phantom-report invariant
-        // catches the spurious switchover.
-        let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
-        let cfg = ProtocolConfig {
-            report_verification: true,
-            suspicion_threshold: 4,
-            corroboration_quorum: 3,
-            ..ProtocolConfig::default()
-        };
-        let mut sim = ProtocolSim::new(Arc::clone(&net), cfg);
-        let primary = r(&net, &[3, 4, 5, 8]);
-        let backup = r(&net, &[3, 6, 7, 8]);
-        let spoofed = primary.links()[1]; // 4 -> 5, perfectly healthy
-        sim.establish(ConnectionId::new(0), BW, primary, vec![backup]);
-        sim.run_to_quiescence();
-        for reporter in [3u32, 4, 5] {
-            sim.spoof_failure_report(NodeId::new(reporter), spoofed);
-            sim.run_to_quiescence();
-        }
-        assert_eq!(sim.journal_stats().quorum_overrides, 1);
-        assert_eq!(
-            sim.outcome(ConnectionId::new(0)),
-            Some(ConnOutcome::Switched),
-            "the sybil quorum moved the connection off a healthy primary"
-        );
-        let violation = sim.check_invariants().unwrap_err();
-        assert_eq!(violation.rule, "phantom-report");
-    }
-
-    #[test]
-    fn clean_quorum_blocks_sybil_reporters() {
-        // Countermeasure: only quarantine-clean reporters count. Every
-        // forged identity burns a suspicion strike with its own lie, so
-        // with a threshold of 1 no forged witness is ever clean and the
-        // quorum is unreachable for a single adversary.
-        let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
-        let cfg = ProtocolConfig {
-            report_verification: true,
-            suspicion_threshold: 1,
-            corroboration_quorum: 3,
-            ..ProtocolConfig::default()
-        };
-        let mut sim = ProtocolSim::new(Arc::clone(&net), cfg);
-        let primary = r(&net, &[3, 4, 5, 8]);
-        let backup = r(&net, &[3, 6, 7, 8]);
-        let spoofed = primary.links()[1];
-        sim.establish(ConnectionId::new(0), BW, primary, vec![backup]);
-        sim.run_to_quiescence();
-        for reporter in [3u32, 4, 5] {
-            sim.spoof_failure_report(NodeId::new(reporter), spoofed);
-            sim.run_to_quiescence();
-        }
-        sim.check_invariants().unwrap();
-        assert_eq!(sim.journal_stats().quorum_overrides, 0);
-        assert_eq!(
-            sim.outcome(ConnectionId::new(0)),
-            Some(ConnOutcome::Established),
-            "no amount of sybil identities assembles a clean quorum"
-        );
-        for reporter in [3u32, 4, 5] {
-            assert_eq!(sim.suspicion_of(NodeId::new(reporter)), 1);
-        }
     }
 }

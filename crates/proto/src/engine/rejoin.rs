@@ -135,7 +135,7 @@ impl State {
         // A quarantined peer's digest is untrusted evidence: rejoining on
         // it would let a byzantine neighbour plant state — degrade to the
         // detection path instead.
-        if self.cfg.report_verification && self.quarantined(peer) {
+        if self.quarantined(peer) {
             self.stats.quarantined_peers += 1;
             self.degrade_rejoin();
             return;

@@ -21,7 +21,7 @@
 //! duplicates never double-reserve, double-register, or double-release.
 //!
 //! The retransmission timeout for a walk over `h` hops is
-//! `(per_hop_delay + max_jitter) * (2h + 2) + rto_margin`, which upper-
+//! `(per_hop + max_jitter) * (2h + 2) + rto_margin`, which upper-
 //! bounds the worst-case round trip. Consequence: when a timer fires, no
 //! packet of the timed-out attempt is still in flight, so a retry (or the
 //! exhaustion cleanup) never races its own predecessor.
@@ -89,6 +89,10 @@ pub enum SeededBug {
     /// A duplicate backup-register delivery re-applies the registration,
     /// double-counting the backup in the APLV and channel table.
     DoubleRegister,
+    /// A source acts on every failure report unverified: a lie about a
+    /// healthy link moves the connection off it, and no reporter is ever
+    /// scored or quarantined.
+    TrustReports,
 }
 
 impl SeededBug {
@@ -121,7 +125,7 @@ impl State {
             sched.schedule_in(delay, Event::Deliver { to, pkt });
             return;
         }
-        let hops = (delay.as_micros() / self.cfg.per_hop_delay.as_micros().max(1)).max(1);
+        let hops = (delay.as_micros() / self.timing.per_hop.as_micros().max(1)).max(1);
         let fate = self.fates.decide(&pkt, hops);
         // The packet itself rides the last copy; only a duplicate clones.
         let Some((&last, earlier)) = fate.copies.split_last() else {
@@ -140,15 +144,15 @@ impl State {
     }
 
     pub(super) fn hop_delay(&self, hops: usize) -> SimDuration {
-        self.cfg.per_hop_delay.times(hops as u64)
+        self.timing.per_hop.times(hops as u64)
     }
 
     /// Retransmission timeout bounding the round trip of a transaction
     /// spanning `hops` hops: forward walk + returning result, each hop
-    /// delayed by at most `per_hop_delay + max_jitter`, plus slack for
+    /// delayed by at most `per_hop + max_jitter`, plus slack for
     /// the zero-delay local handoffs and the configured margin.
     fn rto(&self, hops: usize) -> SimDuration {
-        let per_hop = self.cfg.per_hop_delay + self.chaos.max_jitter;
+        let per_hop = self.timing.per_hop + self.chaos.max_jitter;
         per_hop.times(2 * hops as u64 + 2) + self.retry.rto_margin
     }
 
@@ -264,7 +268,7 @@ impl State {
         if w.hop + 1 < w.route.len() {
             let next = self.net.link(w.route.links()[w.hop + 1]).src();
             w.hop += 1;
-            self.send(sched, next, Packet::Walk(w), self.cfg.per_hop_delay, false);
+            self.send(sched, next, Packet::Walk(w), self.timing.per_hop, false);
         } else {
             // Walked end to end: confirm to the source.
             self.reply(sched, &w, true, w.route.len());
@@ -534,7 +538,7 @@ mod tests {
         ];
         for (op, stage, applied) in table {
             let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
-            let hop = sim.state.cfg.per_hop_delay;
+            let hop = sim.state.timing.per_hop;
             let result = |ok, seq| Packet::WalkResult {
                 op,
                 conn: ConnectionId::new(0),
@@ -636,7 +640,7 @@ mod tests {
         // Forward walk of h hops + result delivery of h hops, all at
         // per_hop_delay: the RTO must exceed it.
         for hops in 1..6usize {
-            let rtt = sim.state.cfg.per_hop_delay.times(2 * hops as u64);
+            let rtt = sim.state.timing.per_hop.times(2 * hops as u64);
             assert!(sim.state.rto(hops) > rtt, "rto too tight for {hops} hops");
         }
     }

@@ -59,11 +59,15 @@
 //! report for a healthy link is [`ProtocolSim::spoof_failure_report`]
 //! called when the lie is told, and a router that swallows its own
 //! reports or intercepts signalling is a [`FateSource`] that drops those
-//! packets. The engine-side countermeasure is report verification
-//! ([`ProtocolConfig::report_verification`]): a source cross-checks each
-//! report against link-state evidence, scores reporters by
-//! uncorroborated claims, and quarantines routers that cross
-//! [`ProtocolConfig::suspicion_threshold`].
+//! packets. The engine-side countermeasure is report verification, and
+//! it is always on: a source acts only on a report whose link the
+//! failed-link mask shows dead, scores a strike against the reporter of
+//! any other, and quarantines a router at
+//! [`drt_core::orchestrator::SUSPICION_THRESHOLD`] strikes (its reports,
+//! true or not, and its resync digests are ignored from then on). An
+//! honest detector reports only a failed link, so verification never
+//! changes an honest run. The undefended engine, which acts on every
+//! report, exists only as [`SeededBug::TrustReports`].
 //!
 //! # Example
 //!

@@ -1,5 +1,5 @@
 //! Byzantine-adversary behavior at the message level, and the report
-//! verification countermeasure.
+//! verification countermeasure the engine always runs.
 //!
 //! A lie about a healthy link is `ProtocolSim::spoof_failure_report`;
 //! interception and suppression are [`Byzantine`], a fate source that
@@ -12,11 +12,12 @@
 //! byzantine liar, and makes its silence (suppression) or quarantine
 //! actually cost the connection something.
 
+use drt_core::orchestrator::SUSPICION_THRESHOLD;
 use drt_core::ConnectionId;
 use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, Route};
 use drt_proto::{
     ChaosConfig, ConnOutcome, DeliveryFate, FateSource, Packet, ProtocolConfig, ProtocolSim,
-    RetryConfig,
+    RetryConfig, SeededBug,
 };
 use std::sync::Arc;
 
@@ -45,10 +46,10 @@ impl FateSource for Byzantine {
     }
 }
 
-fn sim_with(net: &Arc<Network>, cfg: ProtocolConfig, byzantine: Byzantine) -> ProtocolSim {
+fn sim_with(net: &Arc<Network>, byzantine: Byzantine) -> ProtocolSim {
     ProtocolSim::with_fates(
         Arc::clone(net),
-        cfg,
+        ProtocolConfig::default(),
         RetryConfig::default(),
         ChaosConfig::default(),
         Box::new(byzantine),
@@ -63,7 +64,7 @@ struct Ring {
     second_hop: LinkId,
 }
 
-fn ring_with(cfg: ProtocolConfig, byzantine: Byzantine) -> Ring {
+fn ring_with(byzantine: Byzantine) -> Ring {
     let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
     let primary =
         Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]).unwrap();
@@ -71,7 +72,7 @@ fn ring_with(cfg: ProtocolConfig, byzantine: Byzantine) -> Ring {
         Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(3), NodeId::new(2)]).unwrap();
     let first_hop = primary.links()[0];
     let second_hop = primary.links()[1];
-    let mut sim = sim_with(&net, cfg, byzantine);
+    let mut sim = sim_with(&net, byzantine);
     sim.establish(CONN, BW, primary, vec![backup]);
     sim.run_to_quiescence();
     assert_eq!(sim.outcome(CONN), Some(ConnOutcome::Established));
@@ -82,12 +83,13 @@ fn ring_with(cfg: ProtocolConfig, byzantine: Byzantine) -> Ring {
     }
 }
 
-/// Undefended, a fabricated failure report is indistinguishable from an
-/// honest one: the source performs a full (spurious) switchover off a
-/// perfectly healthy primary.
+/// Undefended ([`SeededBug::TrustReports`]), a fabricated failure report
+/// is indistinguishable from an honest one: the source performs a full
+/// (spurious) switchover off a perfectly healthy primary.
 #[test]
 fn false_report_forces_spurious_switchover_when_undefended() {
-    let mut ring = ring_with(ProtocolConfig::default(), Byzantine::default());
+    let mut ring = ring_with(Byzantine::default());
+    ring.sim.seed_bug(SeededBug::TrustReports);
     assert!(ring
         .sim
         .spoof_failure_report(NodeId::new(1), ring.second_hop));
@@ -101,16 +103,12 @@ fn false_report_forces_spurious_switchover_when_undefended() {
     assert!(ring.sim.recovery_log()[0].recovered);
 }
 
-/// With report verification on, the same lie is rejected — the source
-/// finds no corroborating link-state evidence — and only raises the
+/// The engine verifies reports, so the same lie is rejected — the
+/// failed-link mask does not corroborate it — and only raises the
 /// reporter's suspicion score.
 #[test]
 fn false_report_is_rejected_when_defended() {
-    let cfg = ProtocolConfig {
-        report_verification: true,
-        ..ProtocolConfig::default()
-    };
-    let mut ring = ring_with(cfg, Byzantine::default());
+    let mut ring = ring_with(Byzantine::default());
     ring.sim
         .spoof_failure_report(NodeId::new(1), ring.second_hop);
     ring.sim.run_to_quiescence();
@@ -131,18 +129,13 @@ fn false_report_is_rejected_when_defended() {
 /// an unquarantined router still goes through.
 #[test]
 fn quarantined_reporter_is_ignored_even_when_truthful() {
-    let cfg = ProtocolConfig {
-        report_verification: true,
-        suspicion_threshold: 2,
-        ..ProtocolConfig::default()
-    };
-    let mut ring = ring_with(cfg, Byzantine::default());
-    for _ in 0..2 {
+    let mut ring = ring_with(Byzantine::default());
+    for _ in 0..SUSPICION_THRESHOLD {
         ring.sim
             .spoof_failure_report(NodeId::new(1), ring.second_hop);
         ring.sim.run_to_quiescence();
     }
-    assert_eq!(ring.sim.suspicion_of(NodeId::new(1)), 2);
+    assert_eq!(ring.sim.suspicion_of(NodeId::new(1)), SUSPICION_THRESHOLD);
 
     // Now link 1→2 really fails. Its only detector is node 1 — which is
     // quarantined, so the truthful report dies at the source and the
@@ -155,7 +148,7 @@ fn quarantined_reporter_is_ignored_even_when_truthful() {
         "a quarantined truth-teller cannot trigger the switchover"
     );
     // Quarantine short-circuits before scoring: suspicion stays put.
-    assert_eq!(ring.sim.suspicion_of(NodeId::new(1)), 2);
+    assert_eq!(ring.sim.suspicion_of(NodeId::new(1)), SUSPICION_THRESHOLD);
 
     // The unquarantined detector (node 0, for link 0→1) still gets its
     // honest report through: the connection finally switches.
@@ -173,7 +166,7 @@ fn quarantined_reporter_is_ignored_even_when_truthful() {
 /// then spoofs it (each step drained first) runs on instead of panicking.
 #[test]
 fn spoofing_a_failed_link_is_refused() {
-    let mut ring = ring_with(ProtocolConfig::default(), Byzantine::default());
+    let mut ring = ring_with(Byzantine::default());
     ring.sim.fail_link(ring.second_hop);
     ring.sim.run_to_quiescence();
     assert_eq!(ring.sim.outcome(CONN), Some(ConnOutcome::Switched));
@@ -195,7 +188,7 @@ fn suppression_strands_the_source_when_the_detector_is_byzantine() {
         suppresses: Some(NodeId::new(1)),
         ..Byzantine::default()
     };
-    let mut ring = ring_with(ProtocolConfig::default(), byzantine());
+    let mut ring = ring_with(byzantine());
     ring.sim.fail_link(ring.second_hop);
     ring.sim.run_to_quiescence();
     assert_eq!(
@@ -204,7 +197,7 @@ fn suppression_strands_the_source_when_the_detector_is_byzantine() {
         "the suppressed report strands the source on a dead primary"
     );
 
-    let mut honest = ring_with(ProtocolConfig::default(), byzantine());
+    let mut honest = ring_with(byzantine());
     honest.sim.fail_link(honest.first_hop);
     honest.sim.run_to_quiescence();
     assert_eq!(
@@ -229,7 +222,7 @@ fn total_interception_degrades_instead_of_wedging() {
         intercepts: Some("backup-register"),
         ..Byzantine::default()
     };
-    let mut sim = sim_with(&net, ProtocolConfig::default(), byzantine);
+    let mut sim = sim_with(&net, byzantine);
     sim.establish(CONN, BW, primary, vec![backup]);
     sim.run_to_quiescence();
     assert_eq!(

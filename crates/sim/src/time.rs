@@ -1,6 +1,5 @@
 //! Virtual time: microsecond-resolution instants and durations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -19,9 +18,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// let t = SimTime::from_secs(10) + SimDuration::from_minutes(1);
 /// assert_eq!(t.as_secs_f64(), 70.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -107,9 +104,7 @@ impl Sub<SimTime> for SimTime {
 }
 
 /// A span of virtual time, in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

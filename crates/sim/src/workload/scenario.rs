@@ -11,13 +11,12 @@ use crate::process::{PoissonProcess, UniformDuration};
 use crate::workload::TrafficPattern;
 use crate::{rng, SimDuration, SimTime};
 use drt_net::{Bandwidth, LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Identifier of one DR-connection request within a scenario
 /// (the paper's `conn-id`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(u64);
 
 impl RequestId {
@@ -40,7 +39,7 @@ impl fmt::Display for RequestId {
 
 /// One DR-connection request: who talks to whom, and when the connection
 /// arrives and departs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionRequest {
     /// The request's identifier (dense within its scenario).
     pub id: RequestId,
@@ -238,7 +237,7 @@ impl ScenarioConfig {
 }
 
 /// A generated, replayable stream of DR-connection requests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     arrival_rate: f64,
     bw_req: Bandwidth,

@@ -9,11 +9,10 @@ use drt_net::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How source/destination pairs of DR-connection requests are drawn.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficPattern {
     /// `UT`: source and destination drawn uniformly (distinct).
     Uniform,

@@ -59,6 +59,7 @@ fn parse_args() -> Result<Args, String> {
                     "none" => SeededBug::None,
                     "double-release" => SeededBug::DoubleRelease,
                     "double-register" => SeededBug::DoubleRegister,
+                    "trust-reports" => SeededBug::TrustReports,
                     other => return Err(format!("unknown bug {other:?}")),
                 }
             }

@@ -104,10 +104,6 @@ pub struct Scenario {
     /// Lateness applied by [`Fate::Delay`]. The engine's retransmission
     /// timeout is told about it via [`ChaosConfig::max_jitter`].
     pub late_by: SimDuration,
-    /// Protocol knobs for every run of this scenario — byzantine
-    /// scenarios flip `report_verification` here to check the defended
-    /// and undefended engines over the same operation script.
-    pub cfg: ProtocolConfig,
     /// What an [`Op::RestartRouter`] restart recovers: amnesia (the
     /// historical model) or journal replay plus neighbour resync.
     pub restart_mode: RestartMode,
@@ -133,7 +129,7 @@ impl Scenario {
         };
         let mut sim = ProtocolSim::with_fates(
             Arc::clone(&self.net),
-            self.cfg,
+            ProtocolConfig::default(),
             RetryConfig::default(),
             chaos,
             Box::new(fates),
@@ -208,7 +204,6 @@ pub fn three_node_failover() -> Scenario {
             Op::FailLink { link: l01 },
         ],
         late_by: SimDuration::from_millis(2),
-        cfg: ProtocolConfig::default(),
         restart_mode: RestartMode::Amnesia,
         journal_fault: JournalFault::None,
     }
@@ -244,7 +239,6 @@ pub fn stacked_backup_retire() -> Scenario {
             },
         ],
         late_by: SimDuration::from_millis(2),
-        cfg: ProtocolConfig::default(),
         restart_mode: RestartMode::Amnesia,
         journal_fault: JournalFault::None,
     }
@@ -281,7 +275,6 @@ pub fn overlapping_burst_switch() -> Scenario {
             },
         ],
         late_by: SimDuration::from_millis(2),
-        cfg: ProtocolConfig::default(),
         restart_mode: RestartMode::Amnesia,
         journal_fault: JournalFault::None,
     }
@@ -316,7 +309,6 @@ pub fn node_crash_fanin() -> Scenario {
             Op::CrashNode { node: n(1) },
         ],
         late_by: SimDuration::from_millis(2),
-        cfg: ProtocolConfig::default(),
         restart_mode: RestartMode::Amnesia,
         journal_fault: JournalFault::None,
     }
@@ -326,15 +318,15 @@ pub fn node_crash_fanin() -> Scenario {
 /// `0 -> 1 -> 2`, backup `0 -> 3 -> 2`, and router `1` fabricates a
 /// failure report for the live link `1 -> 2`.
 ///
-/// Undefended (`defended = false`), the engine treats the lie like any
-/// honest report — the source records it and switches off a healthy
-/// primary — which the checker's `phantom-report` invariant (a report
-/// recorded for a live link) flags on the *fault-free* root run: the
-/// minimal counterexample is the lie itself, no chaos needed. With
-/// `report_verification` on, the same script checks clean at the same
-/// bounds: the source finds no corroborating link-state evidence,
-/// rejects the report, and only the liar's suspicion rises.
-pub fn byzantine_false_report(defended: bool) -> Scenario {
+/// The engine verifies every report, so the script checks clean: the
+/// source finds the link alive in the failed-link mask, rejects the
+/// report, and only the liar's suspicion rises. Under
+/// [`SeededBug::TrustReports`] the engine treats the lie like any honest
+/// report — the source records it and switches off a healthy primary —
+/// which the checker's `phantom-report` invariant (a report recorded for
+/// a live link) flags on the *fault-free* root run: the minimal
+/// counterexample is the lie itself, no chaos needed.
+pub fn byzantine_false_report() -> Scenario {
     let cap = Bandwidth::from_mbps(10);
     let mut b = NetworkBuilder::with_nodes(4);
     b.add_link(n(0), n(1), cap).expect("0->1");
@@ -343,11 +335,7 @@ pub fn byzantine_false_report(defended: bool) -> Scenario {
     b.add_link(n(3), n(2), cap).expect("3->2");
     let net = Arc::new(b.build());
     Scenario {
-        name: if defended {
-            "byzantine-report-defended"
-        } else {
-            "byzantine-report-undefended"
-        },
+        name: "byzantine-report-defended",
         net,
         ops: vec![
             Op::Establish {
@@ -362,10 +350,6 @@ pub fn byzantine_false_report(defended: bool) -> Scenario {
             },
         ],
         late_by: SimDuration::from_millis(2),
-        cfg: ProtocolConfig {
-            report_verification: defended,
-            ..ProtocolConfig::default()
-        },
         restart_mode: RestartMode::Amnesia,
         journal_fault: JournalFault::None,
     }
@@ -411,7 +395,6 @@ pub fn restart_rejoin(journaled: bool) -> Scenario {
             },
         ],
         late_by: SimDuration::from_millis(2),
-        cfg: ProtocolConfig::default(),
         restart_mode: if journaled {
             RestartMode::Journaled
         } else {
@@ -435,86 +418,21 @@ pub fn restart_torn_journal() -> Scenario {
     }
 }
 
-/// A sybil adversary forges several reporter identities, lying once
-/// through each, to assemble a corroboration quorum of 3 for a lie about
-/// a healthy link: primary `0 -> 1 -> 2 -> 3`, backup `0 -> 4 -> 5 -> 3`,
-/// and spoofed reports for the live link `1 -> 2` arrive claiming to
-/// come from routers `0`, `1`, and `2`. The quorum counts only
-/// quarantine-clean witnesses, so what decides is the suspicion
-/// threshold.
-///
-/// Undefended (`defended = false`: threshold 4, above one lie per
-/// identity), each forged identity is still clean after its single
-/// strike, the three corroborate each other, the quorum overrides
-/// verification, and the source switches off a healthy primary:
-/// `phantom-report` on the fault-free root run. Defended (threshold 1),
-/// every forged identity is quarantined by its own uncorroborated lie,
-/// the quorum can never assemble from tainted witnesses, and the same
-/// script checks clean.
-pub fn byzantine_sybil(defended: bool) -> Scenario {
-    let cap = Bandwidth::from_mbps(10);
-    let mut b = NetworkBuilder::with_nodes(6);
-    b.add_link(n(0), n(1), cap).expect("0->1");
-    let l12 = b.add_link(n(1), n(2), cap).expect("1->2");
-    b.add_link(n(2), n(3), cap).expect("2->3");
-    b.add_link(n(0), n(4), cap).expect("0->4");
-    b.add_link(n(4), n(5), cap).expect("4->5");
-    b.add_link(n(5), n(3), cap).expect("5->3");
-    let net = Arc::new(b.build());
-    Scenario {
-        name: if defended {
-            "byzantine-sybil-defended"
-        } else {
-            "byzantine-sybil-undefended"
-        },
-        net,
-        ops: vec![
-            Op::Establish {
-                conn: ConnectionId::new(0),
-                bw: Bandwidth::from_kbps(1_000),
-                primary: vec![n(0), n(1), n(2), n(3)],
-                backups: vec![vec![n(0), n(4), n(5), n(3)]],
-            },
-            Op::SpoofReport {
-                reporter: n(0),
-                link: l12,
-            },
-            Op::SpoofReport {
-                reporter: n(1),
-                link: l12,
-            },
-            Op::SpoofReport {
-                reporter: n(2),
-                link: l12,
-            },
-        ],
-        late_by: SimDuration::from_millis(2),
-        cfg: ProtocolConfig {
-            report_verification: true,
-            suspicion_threshold: if defended { 1 } else { 4 },
-            corroboration_quorum: 3,
-            ..ProtocolConfig::default()
-        },
-        restart_mode: RestartMode::Amnesia,
-        journal_fault: JournalFault::None,
-    }
-}
-
-/// Every built-in scenario, in checking order. Only the *defended*
-/// byzantine and sybil scenarios and the *journaled* restart scenarios
-/// are here: their undefended/amnesia twins violate an invariant by
-/// construction (those demonstrations live in the `byzantine` and
-/// `restart` integration tests), and `all()` is the set the check
-/// binary requires to be clean.
+/// Every built-in scenario, in checking order: the seven the check
+/// binary requires to be clean. The *amnesia* restart twin of
+/// [`restart_rejoin`] violates an invariant by construction, so it is not
+/// here; neither is a second byzantine scenario, because the engine
+/// always verifies reports. The violating demonstrations live in the
+/// `restart` and `byzantine` integration tests, the latter running
+/// [`byzantine_false_report`] under [`SeededBug::TrustReports`].
 pub fn all() -> Vec<Scenario> {
     vec![
         three_node_failover(),
         stacked_backup_retire(),
         overlapping_burst_switch(),
         node_crash_fanin(),
-        byzantine_false_report(true),
+        byzantine_false_report(),
         restart_rejoin(true),
         restart_torn_journal(),
-        byzantine_sybil(true),
     ]
 }

@@ -1,8 +1,9 @@
 //! The byzantine false-report scenario through the model checker: the
-//! undefended engine has a *provable* phantom-report violation whose
-//! minimal counterexample is the lie itself (zero injected chaos
-//! faults), and flipping `report_verification` on makes the identical
-//! operation script check clean at the same bounds.
+//! undefended engine ([`SeededBug::TrustReports`]) has a *provable*
+//! phantom-report violation whose minimal counterexample is the lie
+//! itself (zero injected chaos faults), and the engine, which always
+//! verifies reports, checks the identical operation script clean at the
+//! same bounds.
 
 use drt_proto::SeededBug;
 use verify::checker::{check, CheckConfig};
@@ -18,8 +19,8 @@ fn bounds() -> CheckConfig {
 
 #[test]
 fn undefended_lie_is_a_minimal_phantom_report_counterexample() {
-    let scenario = byzantine_false_report(false);
-    let report = check(&scenario, SeededBug::None, &bounds());
+    let scenario = byzantine_false_report();
+    let report = check(&scenario, SeededBug::TrustReports, &bounds());
     let cx = report
         .counterexample
         .as_ref()
@@ -33,18 +34,18 @@ fn undefended_lie_is_a_minimal_phantom_report_counterexample() {
     );
     // The counterexample replays through the ordinary chaos seam.
     let replayed = cx
-        .replay(&scenario, SeededBug::None)
+        .replay(&scenario, SeededBug::TrustReports)
         .expect("replay must reproduce the violation");
     assert_eq!(replayed.rule, "phantom-report");
 }
 
 #[test]
 fn defended_engine_checks_clean_under_the_same_lie() {
-    let scenario = byzantine_false_report(true);
+    let scenario = byzantine_false_report();
     let report = check(&scenario, SeededBug::None, &bounds());
     assert!(
         report.ok(),
-        "with report verification on, every delivery schedule of the \
+        "with report verification, every delivery schedule of the \
          same script must satisfy every invariant: {:?}",
         report.counterexample.map(|cx| cx.violation)
     );

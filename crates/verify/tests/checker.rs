@@ -137,6 +137,7 @@ fn reductions_do_not_change_any_verdict() {
             SeededBug::None,
             SeededBug::DoubleRelease,
             SeededBug::DoubleRegister,
+            SeededBug::TrustReports,
         ] {
             let reduced = check(&s, bug, &cfg);
             let base = check(&s, bug, &cfg.baseline());

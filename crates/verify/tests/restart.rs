@@ -3,14 +3,11 @@
 //! minimal counterexample is the restart itself (zero injected chaos
 //! faults); the identical script under journaled recovery checks clean
 //! at full default depth, as does a torn-journal crash that degrades
-//! its rejoin. The sybil pair does the same for forged-reporter
-//! quorums: a suspicion threshold that tolerates one lie per identity
-//! lets the quorum through on the fault-free root run, a threshold of
-//! one checks clean.
+//! its rejoin.
 
 use drt_proto::SeededBug;
 use verify::checker::{check, CheckConfig};
-use verify::scenario::{byzantine_sybil, restart_rejoin, restart_torn_journal};
+use verify::scenario::{restart_rejoin, restart_torn_journal};
 
 fn bounds() -> CheckConfig {
     CheckConfig {
@@ -67,37 +64,4 @@ fn torn_journal_degrades_instead_of_violating() {
          detection), never resync on bad state: {:?}",
         report.counterexample.map(|cx| cx.violation)
     );
-}
-
-#[test]
-fn sybil_quorum_passes_a_threshold_above_one_lie_per_identity() {
-    let scenario = byzantine_sybil(false);
-    let report = check(&scenario, SeededBug::None, &bounds());
-    let cx = report
-        .counterexample
-        .as_ref()
-        .expect("three forged identities, each still clean, must assemble the quorum");
-    assert_eq!(cx.violation.rule, "phantom-report");
-    assert_eq!(
-        cx.faults(),
-        0,
-        "the forged reports alone are the fault — a fate-free counterexample"
-    );
-    let replayed = cx
-        .replay(&scenario, SeededBug::None)
-        .expect("replay must reproduce the violation");
-    assert_eq!(replayed.rule, "phantom-report");
-}
-
-#[test]
-fn clean_quorum_blocks_the_sybil_reporters() {
-    let scenario = byzantine_sybil(true);
-    let report = check(&scenario, SeededBug::None, &bounds());
-    assert!(
-        report.ok(),
-        "a quarantine-clean quorum must never assemble from forged \
-         identities that are dirty after their own lies: {:?}",
-        report.counterexample.map(|cx| cx.violation)
-    );
-    assert!(report.stats.runs > 1, "the space was actually explored");
 }

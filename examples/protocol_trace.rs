@@ -22,9 +22,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let primary = route(&[0, 1, 2]);
     let backup = route(&[0, 3, 4, 5, 2]);
     let conn = ConnectionId::new(0);
-    let cfg = ProtocolConfig::default();
 
-    let mut sim = ProtocolSim::new(Arc::clone(&net), cfg);
+    let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
     println!("establishing {conn}: primary {primary}, backup {backup}");
     sim.establish(
         conn,
@@ -62,15 +61,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // recovery log records that confirmation as `resolved_at`; quiescence
     // itself lands later still, because the source then releases the
     // failed primary with a reliable walk of its own.
-    let model = RecoveryLatencyModel {
-        detection: cfg.detection_delay,
-        per_hop: cfg.per_hop_delay,
-    };
+    let model = RecoveryLatencyModel::default();
     let predicted = model.latency(1, backup.len());
     println!(
         "  analytic service-resumption latency: {predicted} \
          (confirmation adds {})",
-        cfg.per_hop_delay.times(backup.len() as u64)
+        model.per_hop.times(backup.len() as u64)
     );
     let rec = *sim.recovery_log().last().expect("one recovery episode");
     assert!(rec.recovered, "the switch must have succeeded");
@@ -79,8 +75,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // service  = detection + report + (len-1) activation transits
     //            + 1 data hop across the final link
     let resolved = rec.resolved_at.saturating_since(before);
-    let measured_service =
-        resolved - cfg.per_hop_delay.times(backup.len() as u64) + cfg.per_hop_delay;
+    let measured_service = resolved - model.per_hop.times(backup.len() as u64) + model.per_hop;
     assert_eq!(
         measured_service, predicted,
         "message-level simulation must agree with the analytic model"

@@ -147,11 +147,6 @@ impl LinkResources {
         self.prime += bw;
         Ok(())
     }
-
-    /// Fraction of capacity currently reserved (prime + spare).
-    pub fn utilisation(&self) -> f64 {
-        (self.prime + self.spare).fraction_of(self.capacity)
-    }
 }
 
 impl fmt::Display for LinkResources {
@@ -181,7 +176,6 @@ mod tests {
         assert_eq!(r.capacity(), mb(100));
         assert_eq!(r.free(), mb(100));
         assert_eq!(r.backup_headroom(), mb(100));
-        assert_eq!(r.utilisation(), 0.0);
     }
 
     #[test]

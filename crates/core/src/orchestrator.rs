@@ -8,9 +8,9 @@
 //! re-protection into a managed process:
 //!
 //! * a **retry queue** with exponential backoff — a connection whose
-//!   re-establishment fails waits `base_delay · 2^(attempt-1)` (capped)
-//!   before the next try, so a cluster of failures does not hammer the
-//!   route selector while the network is still degraded;
+//!   re-establishment fails waits `BASE_DELAY · 2^(attempt-1)` before
+//!   the next try, so a cluster of failures does not hammer the route
+//!   selector while the network is still degraded;
 //! * **flap damping** — a link that fails repeatedly within a window is
 //!   quarantined: still usable by established traffic, but excluded from
 //!   *new* backup routes (via
@@ -27,9 +27,12 @@
 //!   scheme finds nothing better.
 //!
 //! The orchestrator holds no reference to the manager; every interaction
-//! happens through explicit calls, which keeps it usable against both the
-//! centralized [`DrtpManager`] and mirrors driven by the distributed
-//! signalling simulation.
+//! happens through explicit calls. Every driver runs it against the
+//! centralized [`DrtpManager`]. The one sweep that signals through the
+//! distributed engine (`control-loss`) re-protects inside its own
+//! round instead, and its orchestrator stays idle.
+//!
+//! It runs one policy, the module constants below; no driver varies it.
 //!
 //! See DESIGN.md §10 for the state machine.
 
@@ -46,45 +49,27 @@ use std::collections::{BTreeMap, BTreeSet};
 /// report verification alike.
 pub const SUSPICION_THRESHOLD: u32 = 3;
 
-/// Tunables of the retry queue and flap damping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Re-establishment attempts per connection before it is orphaned.
-    pub max_attempts: u32,
-    /// Delay before the first retry; doubles per failed attempt.
-    pub base_delay: SimDuration,
-    /// Cap on the backoff delay.
-    pub max_delay: SimDuration,
-    /// Failures of one link within [`RetryPolicy::flap_window`] that
-    /// trigger quarantine.
-    pub flap_threshold: u32,
-    /// Sliding window over which link failures are counted.
-    pub flap_window: SimDuration,
-    /// How long a flapping link stays quarantined from new backup routes.
-    pub quarantine: SimDuration,
-}
+/// Re-establishment attempts per connection before it is orphaned.
+const MAX_ATTEMPTS: u32 = 5;
 
-impl Default for RetryPolicy {
-    /// 5 attempts from 100 ms with a 10 s cap; 3 failures in 60 s
-    /// quarantine a link for 5 minutes.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_delay: SimDuration::from_millis(100),
-            max_delay: SimDuration::from_secs(10),
-            flap_threshold: 3,
-            flap_window: SimDuration::from_secs(60),
-            quarantine: SimDuration::from_minutes(5),
-        }
-    }
-}
+/// Delay before the first attempt; doubles per failed attempt.
+const BASE_DELAY: SimDuration = SimDuration::from_millis(100);
 
-impl RetryPolicy {
-    /// The backoff delay before retry number `attempt` (1-based).
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let factor = 1u64 << (attempt.saturating_sub(1)).min(32);
-        self.base_delay.times(factor).min(self.max_delay)
-    }
+/// Failures of one link within `FLAP_WINDOW` (60 s) that quarantine it
+/// for [`QUARANTINE`].
+pub const FLAP_THRESHOLD: u32 = 3;
+
+/// Sliding window over which link failures are counted.
+const FLAP_WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// How long a flapping link stays quarantined from new backup routes.
+pub const QUARANTINE: SimDuration = SimDuration::from_minutes(5);
+
+/// The backoff delay before attempt number `attempt` (1-based):
+/// [`BASE_DELAY`] doubled per earlier failure. At most 1.6 s, since
+/// `attempt` never exceeds [`MAX_ATTEMPTS`].
+fn backoff(attempt: u32) -> SimDuration {
+    BASE_DELAY.times(1 << (attempt - 1))
 }
 
 /// One connection waiting in the retry queue.
@@ -98,31 +83,16 @@ struct PendingRetry {
     attempt: u32,
 }
 
-/// A completed re-protection, for latency statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryCompletion {
-    /// The re-protected connection.
-    pub conn: ConnectionId,
-    /// When protection was restored.
-    pub at: SimTime,
-    /// Time from protection loss to restoration.
-    pub latency: SimDuration,
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-}
-
 /// Drives re-establishment of lost protection as a retry queue with
 /// exponential backoff, flap damping, and orphan accounting. See the
 /// module docs for the model.
 #[derive(Debug, Clone)]
 pub struct RecoveryOrchestrator {
-    policy: RetryPolicy,
     queue: BTreeMap<ConnectionId, PendingRetry>,
     /// Recent failure instants per link, pruned to the flap window.
     fail_history: Vec<Vec<SimTime>>,
     quarantined_until: Vec<Option<SimTime>>,
     orphaned: BTreeSet<ConnectionId>,
-    completions: Vec<RecoveryCompletion>,
     /// Uncorroborated-report count per router (byzantine suspicion).
     suspicion: BTreeMap<NodeId, u32>,
     /// Routers whose suspicion crossed the threshold; their reports are
@@ -146,23 +116,16 @@ pub enum ReportVerdict {
 
 impl RecoveryOrchestrator {
     /// Creates an orchestrator for a network with `num_links` links.
-    pub fn new(num_links: usize, policy: RetryPolicy) -> Self {
+    pub fn new(num_links: usize) -> Self {
         RecoveryOrchestrator {
-            policy,
             queue: BTreeMap::new(),
             fail_history: vec![Vec::new(); num_links],
             quarantined_until: vec![None; num_links],
             orphaned: BTreeSet::new(),
-            completions: Vec::new(),
             suspicion: BTreeMap::new(),
             router_quarantine: BTreeSet::new(),
             telemetry: Telemetry::default(),
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// Feeds the outcome of a failure injection into the orchestrator:
@@ -184,8 +147,7 @@ impl RecoveryOrchestrator {
     /// quarantine: a link that flapped recently must prove itself stable
     /// for the full quarantine before new backups trust it again.
     pub fn observe_repair(&mut self, now: SimTime, link: LinkId) {
-        let window = self.policy.flap_window;
-        self.fail_history[link.index()].retain(|&t| now.saturating_since(t) <= window);
+        self.fail_history[link.index()].retain(|&t| now.saturating_since(t) <= FLAP_WINDOW);
     }
 
     /// Queues `conn` for re-protection if it is not already queued or
@@ -197,7 +159,7 @@ impl RecoveryOrchestrator {
         }
         self.queue.entry(conn).or_insert(PendingRetry {
             lost_at: now,
-            due: now + self.policy.base_delay,
+            due: now + BASE_DELAY,
             attempt: 1,
         });
     }
@@ -205,21 +167,21 @@ impl RecoveryOrchestrator {
     fn record_link_failure(&mut self, now: SimTime, link: LinkId) {
         let hist = &mut self.fail_history[link.index()];
         hist.push(now);
-        hist.retain(|&t| now.saturating_since(t) <= self.policy.flap_window);
+        hist.retain(|&t| now.saturating_since(t) <= FLAP_WINDOW);
         // Expiry edge: a failure landing in the very tick the quarantine
-        // lapses (`is_quarantined` is already false, and with the default
-        // policy the flap history has aged out of the window) is the link
+        // lapses (`is_quarantined` is already false, and the flap history
+        // has aged out of the window, which is shorter than the quarantine) is the link
         // flapping at the exact moment new backups would start trusting
         // it again. It has proved the opposite of stability — re-enter
         // quarantine immediately instead of demanding a fresh threshold
         // of strikes.
         if self.quarantined_until[link.index()] == Some(now) {
-            self.quarantined_until[link.index()] = Some(now + self.policy.quarantine);
+            self.quarantined_until[link.index()] = Some(now + QUARANTINE);
             self.telemetry.incr("quarantine.links_requarantined");
             return;
         }
-        if hist.len() as u32 >= self.policy.flap_threshold {
-            let until = now + self.policy.quarantine;
+        if hist.len() as u32 >= FLAP_THRESHOLD {
+            let until = now + QUARANTINE;
             let slot = &mut self.quarantined_until[link.index()];
             if slot.is_none() {
                 self.telemetry.incr("quarantine.links_entered");
@@ -272,16 +234,6 @@ impl RecoveryOrchestrator {
         ReportVerdict::Rejected
     }
 
-    /// The suspicion score of a router (0 when it never lied).
-    pub fn suspicion(&self, reporter: NodeId) -> u32 {
-        self.suspicion.get(&reporter).copied().unwrap_or(0)
-    }
-
-    /// Routers currently quarantined for byzantine reporting.
-    pub fn quarantined_routers(&self) -> &BTreeSet<NodeId> {
-        &self.router_quarantine
-    }
-
     /// The orchestrator's telemetry: recovery-latency and orphan-duration
     /// histograms, retry/orphan counters, quarantine and report-vetting
     /// counters.
@@ -313,7 +265,7 @@ impl RecoveryOrchestrator {
     }
 
     /// The earliest due time in the queue, if any.
-    pub fn next_due(&self) -> Option<SimTime> {
+    fn next_due(&self) -> Option<SimTime> {
         self.queue.values().map(|p| p.due).min()
     }
 
@@ -323,17 +275,16 @@ impl RecoveryOrchestrator {
         &self.orphaned
     }
 
-    /// Every successful re-protection so far, in completion order.
-    pub fn completions(&self) -> &[RecoveryCompletion] {
-        &self.completions
-    }
-
     /// Runs every attempt due at or before `now`. Connections released or
-    /// torn down since they were queued are dropped; connections that
-    /// regained a backup by other means complete immediately; the rest go
-    /// through [`DrtpManager::reestablish_backup_avoiding`] with the
-    /// currently quarantined links excluded.
-    pub fn tick(&mut self, now: SimTime, mgr: &mut DrtpManager, scheme: &mut dyn RoutingScheme) {
+    /// torn down since they were queued, and connections that regained a
+    /// backup by other means, leave the queue and are recorded nowhere;
+    /// the rest go through [`DrtpManager::reestablish_backup_avoiding`]
+    /// with the currently quarantined links excluded. A success counts as
+    /// `recovery.reprotected`, with its time since the loss of protection
+    /// in `recovery.latency_us`; a failure backs off as `recovery.retries`,
+    /// or, at [`MAX_ATTEMPTS`], orphans the connection as
+    /// `recovery.orphaned`, its wait in `recovery.orphan_wait_us`.
+    fn tick(&mut self, now: SimTime, mgr: &mut DrtpManager, scheme: &mut dyn RoutingScheme) {
         let due: Vec<ConnectionId> = self
             .queue
             .iter()
@@ -362,19 +313,14 @@ impl RecoveryOrchestrator {
             match mgr.reestablish_backup_avoiding(scheme, id, &avoid) {
                 Ok(_) => {
                     self.queue.remove(&id);
-                    let latency = now.saturating_since(entry.lost_at);
-                    self.completions.push(RecoveryCompletion {
-                        conn: id,
-                        at: now,
-                        latency,
-                        attempts: entry.attempt,
-                    });
                     self.telemetry.incr("recovery.reprotected");
-                    self.telemetry
-                        .observe_duration("recovery.latency_us", latency);
+                    self.telemetry.observe_duration(
+                        "recovery.latency_us",
+                        now.saturating_since(entry.lost_at),
+                    );
                 }
                 Err(_) => {
-                    if entry.attempt >= self.policy.max_attempts {
+                    if entry.attempt >= MAX_ATTEMPTS {
                         self.queue.remove(&id);
                         self.orphaned.insert(id);
                         self.telemetry.incr("recovery.orphaned");
@@ -388,7 +334,7 @@ impl RecoveryOrchestrator {
                             id,
                             PendingRetry {
                                 lost_at: entry.lost_at,
-                                due: now + self.policy.backoff(next),
+                                due: now + backoff(next),
                                 attempt: next,
                             },
                         );
@@ -419,7 +365,7 @@ impl RecoveryOrchestrator {
     /// them better alternatives: every carrying connection whose backup
     /// overlaps its own primary drops its backups and re-establishes one
     /// through [`DrtpManager::reestablish_backup_avoiding`], the
-    /// quarantined links excluded as in [`RecoveryOrchestrator::tick`].
+    /// quarantined links excluded as in its retry attempts.
     /// It never downgrades: when the scheme finds nothing, the old backups
     /// are reinstalled. Outcomes count as `recovery.reoptimized` and
     /// `recovery.reoptimize_failed`.
@@ -481,11 +427,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(1), SimDuration::from_millis(100));
-        assert_eq!(p.backoff(2), SimDuration::from_millis(200));
-        assert_eq!(p.backoff(3), SimDuration::from_millis(400));
-        assert_eq!(p.backoff(40), p.max_delay, "capped, no overflow");
+        let ladder: Vec<u64> = (1..=MAX_ATTEMPTS)
+            .map(|a| backoff(a).as_micros() / 1_000)
+            .collect();
+        assert_eq!(ladder, [100, 200, 400, 800, 1_600]);
     }
 
     #[test]
@@ -494,7 +439,7 @@ mod tests {
         let mut mgr = DrtpManager::new(net);
         let mut scheme = DLsr::new();
         let rep = mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
-        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), RetryPolicy::default());
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
 
         let failure = mgr
             .inject_failure(rep.primary.links()[0], &mut rng())
@@ -505,9 +450,9 @@ mod tests {
         let end = orch.run_to_quiescence(SimTime::ZERO, &mut mgr, &mut scheme);
         assert_eq!(orch.pending(), 0);
         assert!(orch.orphaned().is_empty());
-        let c = orch.completions();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].attempts, 1);
+        let t = orch.telemetry();
+        assert_eq!(t.counter("recovery.reprotected"), 1);
+        assert_eq!(t.counter("recovery.retries"), 0, "first attempt");
         assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(100));
         assert_eq!(
             mgr.connection(ConnectionId::new(0)).unwrap().state(),
@@ -540,19 +485,20 @@ mod tests {
         scheme.push(primary, Some(long_way));
         let rep = mgr.request_connection(&mut scheme, req(0, 0, 1)).unwrap();
         assert_eq!(scheme.remaining(), 0, "every retry will now fail");
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), policy);
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
 
         let failure = mgr
             .inject_failure(rep.primary.links()[0], &mut rng())
             .unwrap();
         orch.observe_failure(SimTime::ZERO, &failure);
-        orch.run_to_quiescence(SimTime::ZERO, &mut mgr, &mut scheme);
+        let end = orch.run_to_quiescence(SimTime::ZERO, &mut mgr, &mut scheme);
 
         assert_eq!(orch.pending(), 0);
+        // Orphaned at the fifth attempt, after the whole 3.1 s ladder.
+        assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(3_100));
+        let t = orch.telemetry();
+        assert_eq!(t.counter("recovery.retries"), u64::from(MAX_ATTEMPTS - 1));
+        assert_eq!(t.counter("recovery.orphaned"), 1);
         assert_eq!(
             orch.orphaned().iter().copied().collect::<Vec<_>>(),
             vec![ConnectionId::new(0)]
@@ -576,11 +522,7 @@ mod tests {
         let mut scheme = DLsr::new();
         let rep = mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
         let backup_link = rep.backup().unwrap().links()[0];
-        let policy = RetryPolicy {
-            flap_threshold: 3,
-            ..RetryPolicy::default()
-        };
-        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), policy);
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
 
         // Fail/repair the backup's first link three times in rapid
         // succession: flap damping must quarantine it.
@@ -606,26 +548,26 @@ mod tests {
             );
         }
         // Quarantine expires eventually.
-        assert!(!orch.is_quarantined(backup_link, end + policy.quarantine));
+        assert!(!orch.is_quarantined(backup_link, end + QUARANTINE));
         mgr.assert_invariants();
     }
 
     #[test]
     fn uncorroborated_reports_quarantine_the_reporter() {
-        let mut orch = RecoveryOrchestrator::new(8, RetryPolicy::default());
+        let mut orch = RecoveryOrchestrator::new(8);
         let liar = NodeId::new(2);
         let honest = NodeId::new(5);
 
         // Corroborated reports are accepted and carry no suspicion.
         assert_eq!(orch.vet_report(honest, true), ReportVerdict::Accepted);
-        assert_eq!(orch.suspicion(honest), 0);
+        assert_eq!(orch.suspicion.get(&honest), None);
 
         // Three lies and the liar loses its voice.
         for expect in 1..=SUSPICION_THRESHOLD {
             assert_eq!(orch.vet_report(liar, false), ReportVerdict::Rejected);
-            assert_eq!(orch.suspicion(liar), expect);
+            assert_eq!(orch.suspicion[&liar], expect);
         }
-        assert!(orch.quarantined_routers().contains(&liar));
+        assert!(orch.router_quarantine.contains(&liar));
         assert_eq!(
             orch.vet_report(liar, false),
             ReportVerdict::RejectedQuarantined
@@ -643,16 +585,12 @@ mod tests {
 
     #[test]
     fn advertisement_churn_quarantines_the_link() {
-        let policy = RetryPolicy {
-            flap_threshold: 3,
-            ..RetryPolicy::default()
-        };
-        let mut orch = RecoveryOrchestrator::new(4, policy);
+        let mut orch = RecoveryOrchestrator::new(4);
         let l = LinkId::new(1);
         let mut now = SimTime::ZERO;
         // A byzantine router toggling the advertised state of a healthy
         // link trips the same damping as a physically flapping link.
-        for _ in 0..3 {
+        for _ in 0..FLAP_THRESHOLD {
             orch.observe_churn(now, l);
             now += SimDuration::from_secs(1);
         }
@@ -668,7 +606,7 @@ mod tests {
         let mut scheme = DLsr::new();
         let rep = mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
         mgr.request_connection(&mut scheme, req(1, 6, 2)).unwrap();
-        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), RetryPolicy::default());
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
 
         let first = mgr
             .inject_failure(rep.primary.links()[0], &mut rng())
@@ -718,7 +656,7 @@ mod tests {
     #[test]
     fn repair_replaces_a_backup_that_overlaps_its_primary() {
         let (mut mgr, primary, _) = degraded_connection();
-        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), RetryPolicy::default());
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
         // The way around the primary was down when the backup was chosen.
         let detour = mgr.net().find_link(NodeId::new(0), NodeId::new(3)).unwrap();
         mgr.inject_failure(detour, &mut rng()).unwrap();
@@ -738,7 +676,7 @@ mod tests {
     #[test]
     fn reoptimization_that_finds_nothing_keeps_the_old_backups() {
         let (mut mgr, _, duress) = degraded_connection();
-        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), RetryPolicy::default());
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
         orch.reoptimize(SimTime::ZERO, &mut mgr, &mut Scripted::new());
         assert_eq!(
             mgr.connection(ConnectionId::new(0)).unwrap().backups(),
@@ -758,7 +696,7 @@ mod tests {
         let rep = mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
         assert_eq!(rep.backup().unwrap().overlap(&rep.primary), 0);
         let before = mgr.fingerprint();
-        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links(), RetryPolicy::default());
+        let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
         orch.reoptimize(SimTime::ZERO, &mut mgr, &mut scheme);
         assert_eq!(mgr.fingerprint(), before);
         assert!(orch.telemetry().is_empty());

@@ -86,24 +86,12 @@ impl Default for FloodingParams {
 /// Its [`RoutingOverhead`] counts actual CDP forwards — the on-demand cost
 /// profile that contrasts with the link-state schemes' dissemination cost.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BoundedFlooding {
-    params: FloodingParams,
-}
+pub struct BoundedFlooding;
 
 impl BoundedFlooding {
-    /// Creates the scheme with the paper's parameters.
+    /// Creates the scheme; it floods with the paper's parameters.
     pub fn new() -> Self {
-        Self::with_params(FloodingParams::paper())
-    }
-
-    /// Creates the scheme with explicit parameters.
-    pub fn with_params(params: FloodingParams) -> Self {
-        BoundedFlooding { params }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> FloodingParams {
-        self.params
+        BoundedFlooding
     }
 
     /// Destination-side backup selection: minimal overlap with the primary
@@ -136,7 +124,7 @@ impl RoutingScheme for BoundedFlooding {
         view: &ManagerView<'_>,
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
-        let outcome = flood(view, req, self.params);
+        let outcome = flood(view, req, FloodingParams::paper());
         let primary = outcome
             .candidates
             .iter()
@@ -170,7 +158,7 @@ impl RoutingScheme for BoundedFlooding {
         primary: &Route,
         existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
-        let outcome = flood(view, req, self.params);
+        let outcome = flood(view, req, FloodingParams::paper());
         let backup = Self::pick_backup(&outcome.candidates, primary, existing)
             .ok_or(DrtpError::NoBackupRoute(req.id))?;
         Ok((backup, outcome.overhead))
@@ -264,9 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn name_and_params() {
-        let s = BoundedFlooding::new();
-        assert_eq!(s.name(), "BF");
-        assert_eq!(s.params(), FloodingParams::paper());
+    fn name() {
+        assert_eq!(BoundedFlooding::new().name(), "BF");
     }
 }

@@ -249,39 +249,6 @@ impl Telemetry {
         }
         out
     }
-
-    /// The snapshot as a single JSON object (sorted keys, integers only).
-    pub fn to_json(&self) -> String {
-        let mut parts = Vec::new();
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        parts.push(format!("\"counters\": {{{}}}", counters.join(", ")));
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        parts.push(format!("\"gauges\": {{{}}}", gauges.join(", ")));
-        let hists: Vec<String> = self
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{k}\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"max\": {}}}",
-                    h.count(),
-                    h.mean(),
-                    h.percentile(50),
-                    h.percentile(95),
-                    h.max()
-                )
-            })
-            .collect();
-        parts.push(format!("\"histograms\": {{{}}}", hists.join(", ")));
-        format!("{{{}}}", parts.join(", "))
-    }
 }
 
 #[cfg(test)]
@@ -370,8 +337,5 @@ mod tests {
         let z = s.find("z.last").expect("present");
         assert!(a < z, "counters render in sorted key order");
         assert_eq!(s, t.clone().snapshot(), "snapshot is a pure function");
-        let json = t.to_json();
-        assert!(json.contains("\"a.first\": 2"));
-        assert!(json.contains("\"p95\""));
     }
 }

@@ -9,11 +9,14 @@
 //! global accounting that no single mechanism can guarantee alone.
 
 use drt_core::failure::FailureEvent;
-use drt_core::orchestrator::{RecoveryOrchestrator, RetryPolicy};
-use drt_core::routing::{BoundedFlooding, DLsr, RouteRequest, Scripted};
+use drt_core::orchestrator::{RecoveryOrchestrator, QUARANTINE};
+use drt_core::routing::{
+    BoundedFlooding, DLsr, PLsr, RouteRequest, RoutingScheme, Scripted, SpfBackup,
+};
 use drt_core::{ConnectionId, DrtpError, DrtpManager};
-use drt_net::{topology, Bandwidth, NetworkBuilder, NodeId, Route};
+use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId, Route};
 use drt_sim::{SimDuration, SimTime};
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -54,7 +57,7 @@ fn node_crash_during_pending_batch_retries_reaches_closed_quiescence() {
     let mut mgr = DrtpManager::new(Arc::clone(&net));
     let mut scheme = DLsr::new();
     let conns = establish(&mut mgr, &mut scheme);
-    let mut orch = RecoveryOrchestrator::new(net.num_links(), RetryPolicy::default());
+    let mut orch = RecoveryOrchestrator::new(net.num_links());
     let mut rng = drt_sim::rng::stream(23, "recovery-cycle");
 
     // Phase A: a single link failure, recovered to quiescence. This is
@@ -69,7 +72,6 @@ fn node_crash_during_pending_batch_retries_reaches_closed_quiescence() {
         orch.run_to_quiescence(SimTime::ZERO, &mut mgr, &mut scheme) + SimDuration::from_secs(30);
     assert_eq!(orch.pending(), 0);
     mgr.assert_invariants();
-    let baseline_completions = orch.completions().len();
 
     // Phase B: a correlated burst — two live primaries severed in ONE
     // event, resolved in one contention pass.
@@ -148,7 +150,7 @@ fn node_crash_during_pending_batch_retries_reaches_closed_quiescence() {
     }
 
     // Re-protection is real protection: no surviving backup crosses a
-    // failed link, and recovery latency respects the backoff floor.
+    // failed link.
     for conn in mgr.connections() {
         if let Some(b) = conn.backup() {
             for &l in b.links() {
@@ -156,29 +158,8 @@ fn node_crash_during_pending_batch_retries_reaches_closed_quiescence() {
             }
         }
     }
-    let policy = RetryPolicy::default();
-    for comp in &orch.completions()[baseline_completions..] {
-        assert!(
-            comp.latency >= policy.backoff(1),
-            "{}: latency {:?} below the first-retry floor",
-            comp.conn,
-            comp.latency
-        );
-        assert!(comp.attempts >= 1);
-    }
 }
 
-/// Quarantine expiry end to end: a flap-damped link is re-admitted into
-/// new backup routes once its quarantine elapses, and a retry that was
-/// pending across the expiry drains to quiescence *through* the
-/// re-admitted link.
-///
-/// Ring of 4, connection 0→1: primary is the direct link, the only
-/// backup is the long way round (0→3→2→1). The scripted scheme returns
-/// exactly that backup, so while `0→3` is quarantined every retry fails
-/// (the selection crosses the avoided link) and the pending entry backs
-/// off across the expiry boundary; afterwards the same selection is
-/// accepted.
 /// Figure 3's lesson applied to DRTP's reconfiguration step: a backup
 /// found by `reestablish_backup` is costed against the backups already
 /// registered, exactly as at admission, so two connections sharing a
@@ -273,6 +254,23 @@ fn bounded_flooding_measures_distance_through_quarantined_links() {
     assert_eq!(backup, None);
 }
 
+/// Quarantine expiry end to end: a flap-damped link is re-admitted into
+/// new backup routes once its quarantine elapses, and a retry that was
+/// pending across the expiry drains to quiescence *through* the
+/// re-admitted link.
+///
+/// Ring of 4, connection 0→1: primary is the direct link, the only
+/// backup is the long way round (0→3→2→1). The scripted scheme returns
+/// exactly that backup, so while `0→3` is quarantined every retry fails
+/// (the selection crosses the avoided link) and the pending entry backs
+/// off across the expiry boundary; afterwards the same selection is
+/// accepted.
+///
+/// Advertisement churn at 0, 1 and 2 s quarantines `0→3` until 302 s.
+/// The link then fails for real 3 s before the expiry, taking the backup
+/// with it, and is repaired at once. The retry ladder puts the attempts
+/// at +0.1, +0.3, +0.7 and +1.5 s, all inside the quarantine, and the
+/// fifth and last at +3.1 s, just past the expiry.
 #[test]
 fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
     let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
@@ -293,58 +291,40 @@ fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
     scheme.push(primary.clone(), Some(long_way.clone()));
     let req = RouteRequest::new(ConnectionId::new(0), NodeId::new(0), NodeId::new(1), BW);
     mgr.request_connection(&mut scheme, req).unwrap();
-
-    // Short quarantine, generous retry budget: the backoff sequence
-    // 0.1 + 0.2 + 0.4 + 0.8 + 1.6 + 3.2 s crosses the expiry with
-    // attempts to spare.
-    let policy = RetryPolicy {
-        max_attempts: 10,
-        flap_threshold: 3,
-        quarantine: SimDuration::from_secs(3),
-        ..RetryPolicy::default()
-    };
-    let mut orch = RecoveryOrchestrator::new(net.num_links(), policy);
+    let mut orch = RecoveryOrchestrator::new(net.num_links());
     let mut rng = drt_sim::rng::stream(31, "quarantine-expiry");
 
-    // Flap the backup's first link three times: the first failure drops
-    // the backup (enqueueing a re-protection), the third trips damping.
-    let mut now = SimTime::ZERO;
-    let mut quarantined_from = now;
-    for _ in 0..3 {
-        let report = mgr
-            .inject_event(&FailureEvent::Link(flappy), &mut rng)
-            .unwrap();
-        orch.observe_failure(now, &report);
-        mgr.repair_link(flappy).unwrap();
-        orch.observe_repair(now, flappy);
-        quarantined_from = now;
-        now += SimDuration::from_secs(1);
+    // Three strikes of churn engage damping; the backup is untouched.
+    for s in 0..3 {
+        orch.observe_churn(SimTime::from_secs(s), flappy);
     }
-    assert!(orch.is_quarantined(flappy, now), "damping engaged");
+    let expiry = SimTime::from_secs(2) + QUARANTINE;
+    assert_eq!(orch.pending(), 0);
+
+    // The physical failure drops the backup and enqueues a re-protection.
+    let lost_at = SimTime::ZERO + (QUARANTINE - SimDuration::from_secs(1));
+    assert_eq!(lost_at + SimDuration::from_secs(3), expiry);
+    assert!(orch.is_quarantined(flappy, lost_at), "damping engaged");
+    let report = mgr
+        .inject_event(&FailureEvent::Link(flappy), &mut rng)
+        .unwrap();
+    orch.observe_failure(lost_at, &report);
+    mgr.repair_link(flappy).unwrap();
+    orch.observe_repair(lost_at, flappy);
     assert_eq!(orch.pending(), 1, "re-protection is pending");
 
-    // Every retry during the quarantine must fail: the scripted backup
+    // Every attempt inside the quarantine fails: the scripted backup
     // crosses the avoided link. Afterwards the same selection succeeds.
-    for _ in 0..8 {
+    for _ in 0..5 {
         scheme.push(primary.clone(), Some(long_way.clone()));
     }
-    let end = orch.run_to_quiescence(now, &mut mgr, &mut scheme);
+    let end = orch.run_to_quiescence(lost_at, &mut mgr, &mut scheme);
 
-    let expiry = quarantined_from + policy.quarantine;
-    assert!(
-        end >= expiry,
-        "queue must stay pending across the expiry ({end:?} < {expiry:?})"
-    );
-    assert!(!orch.is_quarantined(flappy, end), "quarantine lifted");
+    // The fifth attempt, the first one after the expiry, succeeds.
+    assert_eq!(end, lost_at + SimDuration::from_millis(3_100));
+    assert!(end > expiry && !orch.is_quarantined(flappy, end));
     assert_eq!(orch.pending(), 0, "pending retry drained to quiescence");
     assert!(orch.orphaned().is_empty(), "re-admission beat orphaning");
-
-    let comps = orch.completions();
-    assert_eq!(comps.len(), 1);
-    assert!(
-        comps[0].attempts > 1,
-        "at least one attempt must have failed inside the quarantine"
-    );
     let backup = mgr
         .connection(ConnectionId::new(0))
         .unwrap()
@@ -355,7 +335,7 @@ fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
         backup.contains_link(flappy),
         "the re-admitted link carries the new backup"
     );
-    assert!(orch.telemetry().counter("recovery.retries") >= 1);
+    assert_eq!(orch.telemetry().counter("recovery.retries"), 4);
     assert_eq!(orch.telemetry().counter("recovery.reprotected"), 1);
     mgr.assert_invariants();
 }
@@ -369,13 +349,7 @@ fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
 /// of strikes before damping re-engaged.
 #[test]
 fn flap_at_quarantine_expiry_requarantines_the_link() {
-    let policy = RetryPolicy {
-        flap_threshold: 3,
-        flap_window: SimDuration::from_secs(60),
-        quarantine: SimDuration::from_secs(300),
-        ..RetryPolicy::default()
-    };
-    let mut orch = RecoveryOrchestrator::new(4, policy);
+    let mut orch = RecoveryOrchestrator::new(4);
     let l = drt_net::LinkId::new(1);
 
     // Three strikes engage damping.
@@ -386,7 +360,7 @@ fn flap_at_quarantine_expiry_requarantines_the_link() {
         quarantined_from = now;
         now += SimDuration::from_secs(1);
     }
-    let expiry = quarantined_from + policy.quarantine;
+    let expiry = quarantined_from + QUARANTINE;
     assert!(orch.is_quarantined(l, now));
     assert!(
         !orch.is_quarantined(l, expiry),
@@ -402,7 +376,7 @@ fn flap_at_quarantine_expiry_requarantines_the_link() {
         "a flap in the expiry tick must re-quarantine the link"
     );
     assert!(orch.is_quarantined(l, expiry + SimDuration::from_secs(299)));
-    assert!(!orch.is_quarantined(l, expiry + policy.quarantine));
+    assert!(!orch.is_quarantined(l, expiry + QUARANTINE));
     assert_eq!(orch.telemetry().counter("quarantine.links_entered"), 1);
     assert_eq!(
         orch.telemetry().counter("quarantine.links_requarantined"),
@@ -411,7 +385,7 @@ fn flap_at_quarantine_expiry_requarantines_the_link() {
 
     // A failure *after* a clean expiry tick is an ordinary first strike:
     // re-quarantine is an expiry-edge rule, not a permanent stigma.
-    let later = expiry + policy.quarantine + SimDuration::from_secs(7);
+    let later = expiry + QUARANTINE + SimDuration::from_secs(7);
     orch.observe_churn(later, l);
     assert!(!orch.is_quarantined(l, later + SimDuration::from_secs(1)));
     assert_eq!(
@@ -426,7 +400,7 @@ fn crash_of_a_connection_endpoint_drops_it_without_enqueueing() {
     let mut mgr = DrtpManager::new(Arc::clone(&net));
     let mut scheme = DLsr::new();
     let conns = establish(&mut mgr, &mut scheme);
-    let mut orch = RecoveryOrchestrator::new(net.num_links(), RetryPolicy::default());
+    let mut orch = RecoveryOrchestrator::new(net.num_links());
     let mut rng = drt_sim::rng::stream(29, "recovery-cycle-endpoint");
 
     // Crash node 15 — the *destination* of connection 0. That connection
@@ -455,4 +429,91 @@ fn crash_of_a_connection_endpoint_drops_it_without_enqueueing() {
         "a dead connection is lost, not orphaned"
     );
     mgr.assert_invariants();
+}
+
+/// One step of a random failure trace on the 4x4 mesh (48 links, 16
+/// routers).
+#[derive(Debug, Clone)]
+enum Step {
+    Link(u32),
+    Batch(u32, u32),
+    Node(u32),
+    Repair(u32),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        3 => (0u32..48).prop_map(Step::Link),
+        2 => (0u32..48, 0u32..48).prop_map(|(a, b)| Step::Batch(a, b)),
+        1 => (0u32..16).prop_map(Step::Node),
+        3 => (0u32..48).prop_map(Step::Repair),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Closed accounting on random traces: after every step, and the
+    /// orchestrator run to quiescence, nothing is pending, every
+    /// unprotected survivor is an orphan, no backup crosses a failed link,
+    /// and every orphan waited out the whole retry ladder,
+    /// 0.1 + 0.2 + 0.4 + 0.8 + 1.6 = 3.1 s.
+    #[test]
+    fn random_failure_traces_close_the_accounting(
+        seed in any::<u64>(),
+        scheme_idx in 0usize..4,
+        steps in prop::collection::vec((arb_step(), 0u64..120), 1..24),
+    ) {
+        let net = Arc::new(topology::mesh(4, 4, Bandwidth::from_mbps(10)).unwrap());
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        establish(&mut mgr, &mut DLsr::new());
+        // Re-protection runs under every scheme. Only bounded flooding's
+        // hop limit leaves a connection with no backup route on this
+        // mesh, so only its traces orphan.
+        let mut scheme: Box<dyn RoutingScheme> = match scheme_idx {
+            0 => Box::new(DLsr::new()),
+            1 => Box::new(PLsr::new()),
+            2 => Box::new(BoundedFlooding::new()),
+            _ => Box::new(SpfBackup::new()),
+        };
+        let mut orch = RecoveryOrchestrator::new(net.num_links());
+        let mut rng = drt_sim::rng::stream(seed, "recovery-trace");
+        let mut now = SimTime::ZERO;
+        for (step, gap) in steps {
+            now += SimDuration::from_secs(gap);
+            let event = match step {
+                Step::Link(l) => FailureEvent::Link(LinkId::new(l)),
+                Step::Batch(a, b) => FailureEvent::Batch(vec![
+                    FailureEvent::Link(LinkId::new(a)),
+                    FailureEvent::Link(LinkId::new(b)),
+                ]),
+                Step::Node(n) => FailureEvent::Node(NodeId::new(n)),
+                Step::Repair(l) => {
+                    let l = LinkId::new(l);
+                    if mgr.repair_link(l).is_ok() {
+                        orch.observe_repair(now, l);
+                    }
+                    continue;
+                }
+            };
+            let report = mgr.inject_event(&event, &mut rng).unwrap();
+            orch.observe_failure(now, &report);
+            now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
+
+            prop_assert_eq!(orch.pending(), 0);
+            for conn in mgr.connections() {
+                if conn.state().is_carrying_traffic() && conn.backup().is_none() {
+                    prop_assert!(orch.orphaned().contains(&conn.id()));
+                }
+                for b in conn.backups() {
+                    prop_assert!(b.links().iter().all(|&l| !mgr.is_failed(l)));
+                }
+            }
+            mgr.assert_invariants();
+            if let Some(h) = orch.telemetry().hist("recovery.orphan_wait_us") {
+                prop_assert_eq!(h.max(), 3_100_000);
+                prop_assert_eq!(h.sum(), h.count() * 3_100_000);
+            }
+        }
+    }
 }

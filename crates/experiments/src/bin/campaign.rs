@@ -27,7 +27,6 @@
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-use drt_core::orchestrator::RetryPolicy;
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::regimes::{
     merged_telemetry, prepare_network, run, Regime, SweepConfig, Table,
@@ -112,7 +111,6 @@ fn main() {
                 (Table::ControlLoss, true) => 4,
                 (_, true) => 3,
             },
-            policy: RetryPolicy::default(),
             seed,
         };
         eprintln!(

@@ -4,7 +4,6 @@
 use crate::config::ExperimentConfig;
 use crate::regimes::{run, Regime, Row, SweepConfig};
 use crate::runner::SchemeKind;
-use drt_core::orchestrator::RetryPolicy;
 
 /// Knobs of the loss sweep.
 #[derive(Debug, Clone)]
@@ -44,7 +43,6 @@ pub fn run_campaign(cfg: &ExperimentConfig, ccfg: &CampaignConfig) -> Vec<Row> {
             .collect(),
         connections: ccfg.connections,
         events: ccfg.failures,
-        policy: RetryPolicy::default(),
         seed: ccfg.seed,
     };
     run(cfg, &scfg, 1)

@@ -79,7 +79,7 @@ use crate::config::ExperimentConfig;
 use crate::report::{fmt_us, loaded_links, pick_from, pick_loaded_link};
 use crate::runner::{replay, SchemeKind};
 use drt_core::failure::{FailureEvent, LinkImpact, RestartMode};
-use drt_core::orchestrator::{RecoveryOrchestrator, ReportVerdict, RetryPolicy};
+use drt_core::orchestrator::{RecoveryOrchestrator, ReportVerdict, FLAP_THRESHOLD};
 use drt_core::routing::RoutingScheme;
 use drt_core::{ConnectionId, DrtpManager, EstablishReport, Telemetry, ViewDistortion};
 use drt_net::{Bandwidth, LinkId, Network, NodeId, SrlgId};
@@ -332,8 +332,6 @@ pub struct SweepConfig {
     /// Rounds per cell; `restart-storm` plays one round per restarted
     /// router instead, and `availability` none.
     pub events: usize,
-    /// Retry/backoff/quarantine policy of the orchestrator.
-    pub policy: RetryPolicy,
     /// Master seed for workload, adversaries, events, and probes.
     pub seed: u64,
 }
@@ -525,7 +523,7 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
         mttr: AVAILABILITY_MTTR,
     });
     let scenario = scenario_cfg.generate_with_links(cfg.nodes, net.num_links());
-    let mut orch = RecoveryOrchestrator::new(net.num_links(), scfg.policy);
+    let mut orch = RecoveryOrchestrator::new(net.num_links());
     let mut now = SimTime::ZERO;
     let mut replay_rng = stream(seed, &inject_label);
     let mut established = 0usize;
@@ -634,7 +632,7 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
                     // quarantines every link it advertises away from
                     // the re-protection routes.
                     for l in owned_links(&net, &byzantine) {
-                        for _ in 0..scfg.policy.flap_threshold {
+                        for _ in 0..FLAP_THRESHOLD {
                             orch.observe_churn(now, l);
                         }
                     }
@@ -1376,7 +1374,6 @@ mod tests {
             strengths: strengths.to_vec(),
             connections: 25,
             events,
-            policy: RetryPolicy::default(),
             seed: 13,
         };
         (cfg, scfg)

@@ -1,7 +1,6 @@
 //! The parallel-runner determinism contract, end to end: every sweep's
 //! rendered output must be byte-identical whatever the worker count.
 
-use drt_core::orchestrator::RetryPolicy;
 use drt_experiments::config::ExperimentConfig;
 use drt_experiments::regimes::{merged_telemetry, prepare_network, run, SweepConfig, Table};
 use drt_experiments::runner::{run_matrix_jobs, SchemeKind};
@@ -33,7 +32,6 @@ fn regime_tables_and_telemetry_are_byte_identical_across_job_counts() {
             strengths,
             connections: 25,
             events: 3,
-            policy: RetryPolicy::default(),
             seed: 13,
         };
         let net = prepare_network(&cfg, scfg.seed);

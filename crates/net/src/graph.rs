@@ -245,37 +245,6 @@ impl Network {
         crate::algo::is_strongly_connected(self)
     }
 
-    /// Renders the network in Graphviz DOT format (duplex pairs are drawn as
-    /// single undirected edges where possible).
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("graph network {\n");
-        for n in self.nodes() {
-            let [x, y] = self.node_position(n);
-            out.push_str(&format!("  {} [pos=\"{:.4},{:.4}!\"];\n", n.index(), x, y));
-        }
-        for l in self.links() {
-            // Draw each duplex pair once (from the lower-id half); draw
-            // genuinely unidirectional links as directed edges.
-            match l.reverse() {
-                Some(rev) if rev < l.id() => continue,
-                Some(_) => out.push_str(&format!(
-                    "  {} -- {} [label=\"{}\"];\n",
-                    l.src().index(),
-                    l.dst().index(),
-                    l.capacity()
-                )),
-                None => out.push_str(&format!(
-                    "  {} -- {} [dir=forward, label=\"{}\"];\n",
-                    l.src().index(),
-                    l.dst().index(),
-                    l.capacity()
-                )),
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Validates that a sequence of link ids forms a contiguous directed
     /// walk in this network, returning its endpoints.
     pub(crate) fn validate_walk(&self, links: &[LinkId]) -> Result<(NodeId, NodeId), NetError> {
@@ -427,14 +396,6 @@ mod tests {
     #[test]
     fn triangle_is_connected() {
         assert!(triangle().is_connected());
-    }
-
-    #[test]
-    fn dot_output_has_all_edges() {
-        let dot = triangle().to_dot();
-        assert!(dot.starts_with("graph network {"));
-        // Three duplex pairs drawn once each.
-        assert_eq!(dot.matches(" -- ").count(), 3);
     }
 
     #[test]

@@ -237,31 +237,6 @@ impl<E> Simulator<E> {
     pub fn pending_events(&self) -> impl Iterator<Item = (SimTime, &E)> {
         self.queue.iter()
     }
-
-    /// Runs the loop, dropping every event scheduled after `horizon`.
-    pub fn run_until(
-        &mut self,
-        horizon: SimTime,
-        mut handler: impl FnMut(&mut Scheduler<'_, E>, E),
-    ) {
-        let mut stopped = false;
-        while let Some(at) = self.queue.peek_time() {
-            if at > horizon {
-                break;
-            }
-            let (at, event) = self.queue.pop().expect("peeked");
-            self.now = at;
-            let mut sched = Scheduler {
-                now: at,
-                queue: &mut self.queue,
-                stopped: &mut stopped,
-            };
-            handler(&mut sched, event);
-            if stopped {
-                break;
-            }
-        }
-    }
 }
 
 impl<E> Default for Simulator<E> {
@@ -362,17 +337,6 @@ mod tests {
             pending,
             vec![(SimTime::from_secs(1), 10), (SimTime::from_secs(2), 20)]
         );
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut sim = Simulator::new();
-        for i in 0..10u64 {
-            sim.schedule_at(SimTime::from_secs(i), i);
-        }
-        let mut delivered = Vec::new();
-        sim.run_until(SimTime::from_secs(4), |_, i| delivered.push(i));
-        assert_eq!(delivered, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -60,27 +60,19 @@ impl fmt::Display for VulnerabilityReport {
 /// not survive (no backup, dead backup, or lost contention).
 ///
 /// Deterministic per `seed` (contention tie-breaking uses independent
-/// per-trial streams, like [`DrtpManager::sweep_single_failures`]).
+/// per-trial streams, like [`DrtpManager::sweep_single_failures`]), and
+/// certified the same way: only links whose failure some activation pool
+/// cannot absorb run the contention pass.
 ///
 /// The probe loop reuses the thread-local probe workspace, so a full
 /// report allocates only its own output map.
 pub fn vulnerability(mgr: &DrtpManager, seed: u64) -> VulnerabilityReport {
     let mut report = VulnerabilityReport::default();
-    crate::failure::with_probe_scratch(|ws| {
-        for (k, link) in mgr.net().links().map(|l| l.id()).enumerate() {
-            if mgr.is_failed(link) {
-                continue;
-            }
-            let mut rng = drt_sim::rng::indexed_stream(seed, "vulnerability", k as u64);
-            mgr.select_activations_in(&[link], &mut rng, ws);
-            if ws.decisions.is_empty() {
-                continue;
-            }
-            report.trials += 1;
-            for (at, won) in &ws.decisions {
-                if won.is_none() {
-                    report.per_conn.entry(at.id).or_default().push(link);
-                }
+    mgr.single_failure_decisions(seed, "vulnerability", |link, decisions| {
+        report.trials += 1;
+        for (at, won) in decisions {
+            if won.is_none() {
+                report.per_conn.entry(at.id).or_default().push(link);
             }
         }
     });
@@ -151,8 +143,10 @@ pub fn conflict_hotspots(mgr: &DrtpManager, top_n: usize) -> Vec<(LinkId, u64, u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::tests::conflicting_ring;
     use crate::routing::{DLsr, PrimaryOnly, RouteRequest};
     use drt_net::{topology, NodeId};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     const BW: Bandwidth = Bandwidth::from_kbps(3_000);
@@ -207,6 +201,57 @@ mod tests {
         let sweep = mgr.sweep_single_failures(1);
         let agg = sweep.aggregate;
         assert_eq!(agg.affected - agg.activated, killing.len() as u64);
+    }
+
+    /// The vulnerable connections of `vulnerability(mgr, seed)` rebuilt
+    /// from `probe_single_failure` under the report's stream for each link.
+    fn probed_kill_lists(mgr: &DrtpManager, seed: u64) -> BTreeMap<ConnectionId, Vec<LinkId>> {
+        let mut kills: BTreeMap<ConnectionId, Vec<LinkId>> = BTreeMap::new();
+        for (k, link) in mgr.net().links().map(|l| l.id()).enumerate() {
+            let mut rng = drt_sim::rng::indexed_stream(seed, "vulnerability", k as u64);
+            for (c, won) in mgr.probe_single_failure(link, &mut rng).details {
+                if won.is_none() {
+                    kills.entry(c).or_default().push(link);
+                }
+            }
+        }
+        kills
+    }
+
+    #[test]
+    fn covered_pools_give_the_probes_kill_lists() {
+        for mgr in [loaded_manager(), conflicting_ring(false)] {
+            let covered = mgr.net().links().all(|l| {
+                let lr = mgr.link_resources(l.id());
+                mgr.aplv(l.id()).required_spare() <= lr.spare() + lr.free()
+            });
+            assert!(covered, "every pool covers every column");
+            for seed in 0..4 {
+                let report = vulnerability(&mgr, seed);
+                assert_eq!(report.per_conn, probed_kill_lists(&mgr, seed));
+                assert_eq!(report.vulnerable_count(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn exhausted_pool_gives_the_contention_pass_losses() {
+        let mgr = conflicting_ring(true);
+        let direct = mgr.net().find_link(NodeId::new(0), NodeId::new(1)).unwrap();
+        let mut losers = BTreeSet::new();
+        for seed in 0..16 {
+            let report = vulnerability(&mgr, seed);
+            assert_eq!(report.per_conn, probed_kill_lists(&mgr, seed));
+            // The bare connection dies with any link of its primary; of
+            // the two conflicting backups one fits, and which one is the
+            // shuffle's draw.
+            assert_eq!(report.failures_killing(ConnectionId::new(0)).len(), 3);
+            let killed: Vec<_> = report.vulnerable().skip(1).collect();
+            assert_eq!(killed.len(), 1, "{report}");
+            assert_eq!(killed[0].1, [direct]);
+            losers.insert(killed[0].0);
+        }
+        assert_eq!(losers.len(), 2, "either connection can lose the draw");
     }
 
     #[test]

@@ -392,6 +392,16 @@ impl Aplv {
         self.spare
     }
 
+    /// The `j` whose backups here demand more than `pool` if `L_j` fails
+    /// (`bandwidth_j > pool`), in table order. Walks the slots in place:
+    /// the failure reports call it once per link whose
+    /// [`Aplv::required_spare`] exceeds its activation pool.
+    pub(crate) fn columns_above(&self, pool: Bandwidth) -> impl Iterator<Item = LinkId> + '_ {
+        self.entries()
+            .filter(move |e| e.bandwidth > pool)
+            .map(|e| LinkId::new(e.j))
+    }
+
     /// Returns `true` when no backups are registered.
     pub fn is_empty(&self) -> bool {
         self.l1 == 0

@@ -15,6 +15,14 @@
 //! loaded link, which is the lowest-variance estimator of `P_act-bk` under
 //! the paper's single-failure model.
 //!
+//! The sweep and [`crate::analysis::vulnerability`] probe every link, so
+//! they first check Section 5's spare sizing against the live pools: a
+//! failure of `L_j` whose every activation pool covers its APLV column
+//! (`spare_i + free_i ≥ bandwidth_{i,j}`) has no contention to decide,
+//! and its affected connections activate their first usable backup
+//! without the shuffled pass. Only the other links run it — with the same
+//! decisions, and the same RNG draws, as the probe.
+//!
 //! A single failure is one *directed* link, as in the paper: conflicts,
 //! APLVs and `P_act-bk` are all defined on directed links. A physical cut
 //! of both directions is a [`FailureEvent::Batch`] of the two links (or an
@@ -61,7 +69,8 @@ pub enum FailureEvent {
 impl FailureEvent {
     /// The deduplicated, sorted set of links this event disables on
     /// `mgr`'s network. Links that are already failed are excluded
-    /// (they cannot fail twice); unknown SRLG ids resolve to nothing.
+    /// (they cannot fail twice); link, node and SRLG ids outside the
+    /// network resolve to nothing.
     pub fn resolve(&self, mgr: &DrtpManager) -> Vec<LinkId> {
         let mut set = BTreeSet::new();
         self.collect(mgr, &mut set);
@@ -71,9 +80,15 @@ impl FailureEvent {
     fn collect(&self, mgr: &DrtpManager, out: &mut BTreeSet<LinkId>) {
         match self {
             FailureEvent::Link(l) => {
-                out.insert(*l);
+                if l.index() < mgr.net.num_links() {
+                    out.insert(*l);
+                }
             }
-            FailureEvent::Node(n) => out.extend(mgr.net.incident_links(*n)),
+            FailureEvent::Node(n) => {
+                if n.index() < mgr.net.num_nodes() {
+                    out.extend(mgr.net.incident_links(*n));
+                }
+            }
             FailureEvent::Srlg(g) => out.extend(mgr.net.get_srlg(*g).unwrap_or(&[])),
             FailureEvent::Batch(events) => {
                 for e in events {
@@ -422,42 +437,111 @@ impl DrtpManager {
     /// derived from `seed` and `k`, so the sweep is deterministic and
     /// insensitive to probe order.
     ///
+    /// The decisions are those of [`DrtpManager::probe_single_failure`]
+    /// under that stream, but only links whose failure some activation
+    /// pool cannot absorb run the contention pass: elsewhere every
+    /// affected connection activates its first usable backup, whatever
+    /// the order (see `single_failure_decisions`).
+    ///
     /// The probe loop runs allocation-free in the thread-local probe
     /// workspace: per link it touches only the O(affected) connections
     /// incident to it, not the whole connection table.
     pub fn sweep_single_failures(&self, seed: u64) -> FailureSweep {
         let mut sweep = FailureSweep::default();
+        self.single_failure_decisions(seed, "failure-probe", |link, decisions| {
+            let affected = decisions.len();
+            let activated = decisions.iter().filter(|(_, won)| won.is_some()).count();
+            let sample = &mut sweep.aggregate;
+            sample.affected += affected as u64;
+            sample.activated += activated as u64;
+            sample.degraded += decisions
+                .iter()
+                .filter(|(at, won)| won.is_none() && self.conns.at(at.slot).backups().is_empty())
+                .count() as u64;
+            sample.trials += 1;
+            sweep.per_link.push(LinkImpact {
+                link,
+                affected: affected as u32,
+                activated: activated as u32,
+            });
+        });
+        sweep
+    }
+
+    /// The activation decisions of every single-link failure, for the two
+    /// reports that probe them all ([`DrtpManager::sweep_single_failures`]
+    /// and [`crate::analysis::vulnerability`]): `visit(link, decisions)`
+    /// for each working link whose failure disables a primary, in link
+    /// order. The `k`-th link's contention draws come from
+    /// `indexed_stream(seed, stream, k)`.
+    ///
+    /// **The certificate.** A failure of `L_j` activates, on link `L_i`,
+    /// only backups registered in `APLV_i` under column `j`, so together
+    /// they claim at most `bandwidth_{i,j}` there. Where the activation
+    /// pool covers that column (Section 5's spare sizing, `SC_i ≥
+    /// max_j APLV_i[j]`, plus any free bandwidth), no earlier winner can
+    /// leave a later backup without room: each affected connection
+    /// activates its first backup that avoids every failed link, in any
+    /// order. Only the columns `j` some pool does not cover are
+    /// *contended*; their failures run the contention pass of
+    /// [`DrtpManager::probe_single_failure`] unchanged, and the others
+    /// skip the shuffle — their own stream, so no other link's draw moves.
+    pub(crate) fn single_failure_decisions(
+        &self,
+        seed: u64,
+        stream: &str,
+        mut visit: impl FnMut(LinkId, &[(IndexEntry, Option<usize>)]),
+    ) {
         with_probe_scratch(|ws| {
+            self.mark_contended(ws);
             for (k, link) in self.net.links().map(|l| l.id()).enumerate() {
                 if self.failed[link.index()] {
                     continue;
                 }
-                let mut rng = drt_sim::rng::indexed_stream(seed, "failure-probe", k as u64);
-                self.select_activations_in(&[link], &mut rng, ws);
-                if ws.decisions.is_empty() {
-                    continue;
+                if ws.contended[link.index()] {
+                    let mut rng = drt_sim::rng::indexed_stream(seed, stream, k as u64);
+                    self.select_activations_in(&[link], &mut rng, ws);
+                } else {
+                    self.first_usable_backups_in(link, ws);
                 }
-                let affected = ws.decisions.len();
-                let activated = ws.decisions.iter().filter(|(_, won)| won.is_some()).count();
-                let sample = &mut sweep.aggregate;
-                sample.affected += affected as u64;
-                sample.activated += activated as u64;
-                sample.degraded += ws
-                    .decisions
-                    .iter()
-                    .filter(|(at, won)| {
-                        won.is_none() && self.conns.at(at.slot).backups().is_empty()
-                    })
-                    .count() as u64;
-                sample.trials += 1;
-                sweep.per_link.push(LinkImpact {
-                    link,
-                    affected: affected as u32,
-                    activated: activated as u32,
-                });
+                if !ws.decisions.is_empty() {
+                    visit(link, &ws.decisions);
+                }
             }
         });
-        sweep
+    }
+
+    /// Marks in `ws.contended` every `j` whose failure would demand more
+    /// of some link's activation pool than it holds (`bandwidth_{i,j} >
+    /// spare_i + free_i`). Only links whose [`crate::Aplv::required_spare`]
+    /// exceeds their pool can hold such a column, so the rest are a field
+    /// read each.
+    fn mark_contended(&self, ws: &mut ProbeWorkspace) {
+        ws.contended.clear();
+        ws.contended.resize(self.net.num_links(), false);
+        for (i, aplv) in self.aplvs.iter().enumerate() {
+            let pool = self.activation_pool_at(i);
+            if aplv.required_spare() > pool {
+                for j in aplv.columns_above(pool) {
+                    ws.contended[j.index()] = true;
+                }
+            }
+        }
+    }
+
+    /// The decisions of an uncontended failure of `link`: every connection
+    /// whose primary crosses it activates its first backup that avoids
+    /// `link` and every failed link, or none when no backup does.
+    fn first_usable_backups_in(&self, link: LinkId, ws: &mut ProbeWorkspace) {
+        ws.decisions.clear();
+        for &at in self.incidence.primaries_on(link) {
+            let won = self.conns.at(at.slot).backups().iter().position(|b| {
+                b.links()
+                    .iter()
+                    .all(|&l| l != link && !self.failed[l.index()])
+            });
+            ws.decisions.push((at, won));
+        }
     }
 
     /// Evaluates a hypothetical correlated failure without mutating state —
@@ -480,6 +564,8 @@ impl DrtpManager {
     /// (promotion), losers are torn down, and intact connections whose
     /// backups crossed the failed link lose their protection.
     ///
+    /// A link outside the network fails nothing: the report is empty.
+    ///
     /// # Errors
     ///
     /// [`DrtpError::LinkFailed`] when the link is already failed.
@@ -488,7 +574,7 @@ impl DrtpManager {
         link: LinkId,
         rng: &mut StdRng,
     ) -> Result<RecoveryReport, DrtpError> {
-        if self.failed[link.index()] {
+        if self.is_failed(link) {
             return Err(DrtpError::LinkFailed(link));
         }
         self.inject_event(&FailureEvent::Link(link), rng)
@@ -773,9 +859,10 @@ impl DrtpManager {
     ///
     /// # Errors
     ///
-    /// [`DrtpError::LinkNotFailed`] when the link is not failed.
+    /// [`DrtpError::LinkNotFailed`] when the link is not failed, or not a
+    /// link of the network.
     pub fn repair_link(&mut self, link: LinkId) -> Result<(), DrtpError> {
-        if !self.failed[link.index()] {
+        if !self.is_failed(link) {
             return Err(DrtpError::LinkNotFailed(link));
         }
         self.failed[link.index()] = false;
@@ -800,7 +887,7 @@ impl DrtpManager {
     /// is a generation-stamped mark array, and the per-link pools initialize
     /// lazily on first touch — a probe never walks all links or all
     /// connections, nor searches the table: the index hands it the slot.
-    pub(crate) fn select_activations_in(
+    fn select_activations_in(
         &self,
         failed_links: &[LinkId],
         rng: &mut StdRng,
@@ -871,7 +958,7 @@ impl DrtpManager {
 /// Every probe runs in the calling thread's instance
 /// ([`with_probe_scratch`]).
 #[derive(Debug, Clone)]
-pub(crate) struct ProbeWorkspace {
+struct ProbeWorkspace {
     gen: u32,
     /// Stamp guarding `pool` (a pool value is valid iff stamp == gen).
     pool_stamp: Vec<u32>,
@@ -884,7 +971,10 @@ pub(crate) struct ProbeWorkspace {
     /// the slot of its record.
     affected: Vec<IndexEntry>,
     /// Per affected connection, the backup index that activated (if any).
-    pub(crate) decisions: Vec<(IndexEntry, Option<usize>)>,
+    decisions: Vec<(IndexEntry, Option<usize>)>,
+    /// Per link `j`, whether some activation pool cannot absorb a failure
+    /// of `j` — set once per report by `DrtpManager::mark_contended`.
+    contended: Vec<bool>,
 }
 
 impl ProbeWorkspace {
@@ -897,6 +987,7 @@ impl ProbeWorkspace {
             mark_stamp: Vec::new(),
             affected: Vec::new(),
             decisions: Vec::new(),
+            contended: Vec::new(),
         }
     }
 
@@ -938,7 +1029,7 @@ thread_local! {
 /// Runs `f` with the thread-local [`ProbeWorkspace`]. Falls back to a
 /// fresh workspace under re-entrancy (a probe initiated from inside a
 /// probe) instead of panicking on the RefCell.
-pub(crate) fn with_probe_scratch<R>(f: impl FnOnce(&mut ProbeWorkspace) -> R) -> R {
+fn with_probe_scratch<R>(f: impl FnOnce(&mut ProbeWorkspace) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut ws) => f(&mut ws),
         Err(_) => f(&mut ProbeWorkspace::new()),
@@ -946,7 +1037,7 @@ pub(crate) fn with_probe_scratch<R>(f: impl FnOnce(&mut ProbeWorkspace) -> R) ->
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::routing::{DLsr, DedicatedDisjoint, RouteRequest};
     use drt_net::{topology, Bandwidth, NodeId};
@@ -1343,6 +1434,122 @@ mod tests {
             .inject_event(&FailureEvent::Link(l), &mut rng())
             .unwrap();
         assert_eq!(report.affected(), 0);
+        mgr.assert_invariants();
+    }
+
+    /// Per loaded link, `(link, affected, activated)` of
+    /// `probe_single_failure` under the sweep's stream for that link.
+    fn probed_per_link(mgr: &DrtpManager, seed: u64) -> Vec<LinkImpact> {
+        let links = mgr.net().links().map(|l| l.id()).enumerate();
+        links
+            .filter(|&(_, link)| !mgr.is_failed(link))
+            .map(|(k, link)| {
+                let mut rng = drt_sim::rng::indexed_stream(seed, "failure-probe", k as u64);
+                let out = mgr.probe_single_failure(link, &mut rng);
+                LinkImpact {
+                    link,
+                    affected: out.affected() as u32,
+                    activated: out.activated() as u32,
+                }
+            })
+            .filter(|li| li.affected > 0)
+            .collect()
+    }
+
+    /// The links `mark_contended` marks.
+    fn contended(mgr: &DrtpManager) -> Vec<LinkId> {
+        with_probe_scratch(|ws| {
+            mgr.mark_contended(ws);
+            let marked = mgr.net().links().map(|l| l.id());
+            marked.filter(|l| ws.contended[l.index()]).collect()
+        })
+    }
+
+    /// Ring(4) of 7 Mb/s links and two 3 Mb/s connections `0 → 1` whose
+    /// backups both take the long way `0 → 3 → 2 → 1`: their column of
+    /// `APLV` there asks for 6 Mb/s. On its own the spare grows to that;
+    /// with `exhaust`, a 3 Mb/s primary-only connection over the long way
+    /// comes first and leaves 4 Mb/s to grow into, so `free` is exhausted
+    /// and the pool falls short of the column.
+    pub(crate) fn conflicting_ring(exhaust: bool) -> DrtpManager {
+        let net = Arc::new(topology::ring(4, Bandwidth::from_kbps(7_000)).unwrap());
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let mut scheme = crate::routing::Scripted::new();
+        let (direct, long) = (route(&net, &[0, 1]), route(&net, &[0, 3, 2, 1]));
+        if exhaust {
+            scheme.push(long.clone(), None);
+        }
+        scheme
+            .push(direct.clone(), Some(long.clone()))
+            .push(direct, Some(long));
+        for id in 0..2 + u64::from(exhaust) {
+            mgr.request_connection(&mut scheme, req(id, 0, 1)).unwrap();
+        }
+        mgr
+    }
+
+    #[test]
+    fn covered_columns_skip_the_contention_pass_with_the_same_counts() {
+        let mgr = conflicting_ring(false);
+        let direct = mgr.net().find_link(NodeId::new(0), NodeId::new(1)).unwrap();
+        let long = mgr.net().find_link(NodeId::new(0), NodeId::new(3)).unwrap();
+        assert_eq!(mgr.aplv(long).count(direct), 2, "the backups conflict");
+        assert!(contended(&mgr).is_empty(), "every pool covers its column");
+        for seed in 0..8 {
+            let sweep = mgr.sweep_single_failures(seed);
+            assert_eq!(sweep.per_link, probed_per_link(&mgr, seed));
+            assert_eq!(sweep.p_act_bk(), Some(1.0));
+        }
+    }
+
+    #[test]
+    fn uncovered_column_runs_the_contention_pass() {
+        let mgr = conflicting_ring(true);
+        let net = mgr.net();
+        let direct = net.find_link(NodeId::new(0), NodeId::new(1)).unwrap();
+        let long = net.find_link(NodeId::new(0), NodeId::new(3)).unwrap();
+        let lr = mgr.link_resources(long);
+        assert!(
+            lr.free().is_zero(),
+            "the long way has no free bandwidth left"
+        );
+        assert!(lr.spare() < mgr.aplv(long).bandwidth(direct));
+        assert_eq!(contended(&mgr), vec![direct]);
+
+        for seed in 0..8 {
+            let sweep = mgr.sweep_single_failures(seed);
+            assert_eq!(sweep.per_link, probed_per_link(&mgr, seed));
+            let hit = sweep.per_link.iter().find(|li| li.link == direct).unwrap();
+            assert_eq!((hit.affected, hit.activated), (2, 1), "one backup fits");
+        }
+    }
+
+    #[test]
+    fn ids_outside_the_network_fail_nothing() {
+        let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        mgr.request_connection(&mut DLsr::new(), req(0, 0, 8))
+            .unwrap();
+        let bogus = LinkId::new(net.num_links() as u32);
+        let nowhere = NodeId::new(net.num_nodes() as u32);
+        assert!(!mgr.is_failed(bogus));
+        assert!(FailureEvent::Link(bogus).resolve(&mgr).is_empty());
+        assert!(FailureEvent::Node(nowhere).resolve(&mgr).is_empty());
+
+        let report = mgr.inject_failure(bogus, &mut rng()).unwrap();
+        assert!(report.failed_links.is_empty() && report.affected() == 0);
+        let event =
+            FailureEvent::Batch(vec![FailureEvent::Link(bogus), FailureEvent::Node(nowhere)]);
+        let report = mgr.inject_event(&event, &mut rng()).unwrap();
+        assert!(report.failed_links.is_empty() && report.unprotected.is_empty());
+        assert_eq!(
+            mgr.repair_link(bogus).unwrap_err(),
+            DrtpError::LinkNotFailed(bogus)
+        );
+        assert_eq!(
+            mgr.connection(ConnectionId::new(0)).unwrap().state(),
+            ConnectionState::Protected
+        );
         mgr.assert_invariants();
     }
 

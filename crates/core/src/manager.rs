@@ -468,9 +468,10 @@ impl DrtpManager {
         &self.aplvs[l.index()]
     }
 
-    /// Returns `true` when `l` is currently failed.
+    /// Returns `true` when `l` is currently failed (never for a link
+    /// outside the network).
     pub fn is_failed(&self, l: LinkId) -> bool {
-        self.failed[l.index()]
+        self.failed.get(l.index()) == Some(&true)
     }
 
     /// Looks up a connection.

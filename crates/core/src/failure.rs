@@ -415,16 +415,28 @@ impl DrtpManager {
     /// backup. The same order and decisions hold for
     /// [`DrtpManager::probe_event`] and the injections.
     ///
+    /// A link outside the network fails nothing: the outcome is empty.
+    ///
     /// Runs in a thread-local probe workspace, so a warmed probe allocates
     /// only the outcome it returns.
     pub fn probe_single_failure(&self, link: LinkId, rng: &mut StdRng) -> ProbeOutcome {
+        let failed_links = self.in_network(&link);
         let details = with_probe_scratch(|ws| {
-            self.select_activations_in(&[link], rng, ws);
+            self.select_activations_in(failed_links, rng, ws);
             ws.details()
         });
         ProbeOutcome {
-            failed_links: vec![link],
+            failed_links: failed_links.to_vec(),
             details,
+        }
+    }
+
+    /// `link` alone, or nothing when it lies outside the network.
+    fn in_network<'a>(&self, link: &'a LinkId) -> &'a [LinkId] {
+        if link.index() < self.net.num_links() {
+            std::slice::from_ref(link)
+        } else {
+            &[]
         }
     }
 
@@ -732,6 +744,9 @@ impl DrtpManager {
     /// upstream (see `RecoveryOrchestrator::vet_report`) and never calls
     /// this.
     ///
+    /// A report for a link outside the network reroutes nothing: the
+    /// report is empty.
+    ///
     /// # Errors
     ///
     /// [`DrtpError::LinkFailed`] when `link` is actually failed (a true
@@ -741,11 +756,11 @@ impl DrtpManager {
         link: LinkId,
         rng: &mut StdRng,
     ) -> Result<RecoveryReport, DrtpError> {
-        if self.failed[link.index()] {
+        if self.is_failed(link) {
             return Err(DrtpError::LinkFailed(link));
         }
         let decisions = with_probe_scratch(|ws| {
-            self.select_activations_in(&[link], rng, ws);
+            self.select_activations_in(self.in_network(&link), rng, ws);
             std::mem::take(&mut ws.decisions)
         });
 
@@ -1536,6 +1551,10 @@ pub(crate) mod tests {
         assert!(FailureEvent::Link(bogus).resolve(&mgr).is_empty());
         assert!(FailureEvent::Node(nowhere).resolve(&mgr).is_empty());
 
+        let probe = mgr.probe_single_failure(bogus, &mut rng());
+        assert!(probe.failed_links.is_empty() && probe.affected() == 0);
+        let report = mgr.inject_false_report(bogus, &mut rng()).unwrap();
+        assert!(report.failed_links.is_empty() && report.switched.is_empty());
         let report = mgr.inject_failure(bogus, &mut rng()).unwrap();
         assert!(report.failed_links.is_empty() && report.affected() == 0);
         let event =

@@ -289,7 +289,7 @@ impl SpfWorkspace {
 
     /// Copies the current search out as an owned [`ShortestPathTree`] for
     /// callers that hold the result across later searches.
-    pub fn extract_tree(&self, n: usize) -> ShortestPathTree {
+    fn extract_tree(&self, n: usize) -> ShortestPathTree {
         let mut dist: Vec<Option<f64>> = vec![None; n];
         let mut parent_link: Vec<Option<LinkId>> = vec![None; n];
         for i in 0..n {

@@ -2,17 +2,14 @@
 //!
 //! The dedicated-backup baseline ("equipping each DR-connection even with a
 //! single backup disjoint from its primary reduces the network capacity by
-//! at least 50%") needs a disjoint primary/backup pair. Two algorithms are
-//! provided:
-//!
-//! * [`two_step_disjoint_pair`] — shortest path, remove its links, shortest
-//!   path again. Fast and simple but fails on *trap* topologies where the
-//!   greedy first path blocks every second path.
-//! * [`suurballe`] — Suurballe/Bhandari's algorithm for the minimum-total-
-//!   cost pair of link-disjoint paths. Succeeds whenever two link-disjoint
-//!   paths exist at all.
+//! at least 50%") needs a disjoint primary/backup pair. [`suurballe`] is
+//! Suurballe/Bhandari's algorithm for the minimum-total-cost pair of
+//! link-disjoint paths: it succeeds whenever two link-disjoint paths exist
+//! at all. The greedy two-step search (shortest path, remove its links,
+//! shortest path again) fails on *trap* topologies where the first path
+//! blocks every second one; the unit tests keep it to show that.
 
-use crate::algo::{shortest_path_in, SpfWorkspace};
+use crate::algo::SpfWorkspace;
 use crate::{LinkId, Network, NodeId, Route};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -26,33 +23,6 @@ pub struct DisjointPair {
     pub backup: Route,
     /// Sum of both routes' costs under the cost function used to find them.
     pub total_cost: f64,
-}
-
-/// Finds a link-disjoint pair greedily: shortest route, then the shortest
-/// route avoiding the first one's links. Returns `None` when either search
-/// fails.
-pub fn two_step_disjoint_pair(
-    net: &Network,
-    src: NodeId,
-    dst: NodeId,
-    cost: impl Fn(LinkId) -> Option<f64>,
-) -> Option<DisjointPair> {
-    // Both searches share one workspace: the second bumps the generation
-    // and reuses the first's arrays and heap.
-    let mut ws = SpfWorkspace::new();
-    let (c1, primary) = shortest_path_in(&mut ws, net, src, dst, 0.0, &cost)?;
-    let (c2, backup) = shortest_path_in(&mut ws, net, src, dst, 0.0, |l| {
-        if primary.contains_link(l) {
-            None
-        } else {
-            cost(l)
-        }
-    })?;
-    Some(DisjointPair {
-        primary,
-        backup,
-        total_cost: c1 + c2,
-    })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -293,9 +263,37 @@ fn walk_off(net: &Network, pool: &mut BTreeSet<LinkId>, src: NodeId, dst: NodeId
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::shortest_path_in;
     use crate::{topology, Bandwidth, NetworkBuilder};
 
     const CAP: Bandwidth = Bandwidth::from_mbps(10);
+
+    /// Finds a link-disjoint pair greedily: shortest route, then the shortest
+    /// route avoiding the first one's links. Returns `None` when either search
+    /// fails.
+    fn two_step_disjoint_pair(
+        net: &Network,
+        src: NodeId,
+        dst: NodeId,
+        cost: impl Fn(LinkId) -> Option<f64>,
+    ) -> Option<DisjointPair> {
+        // Both searches share one workspace: the second bumps the generation
+        // and reuses the first's arrays and heap.
+        let mut ws = SpfWorkspace::new();
+        let (c1, primary) = shortest_path_in(&mut ws, net, src, dst, 0.0, &cost)?;
+        let (c2, backup) = shortest_path_in(&mut ws, net, src, dst, 0.0, |l| {
+            if primary.contains_link(l) {
+                None
+            } else {
+                cost(l)
+            }
+        })?;
+        Some(DisjointPair {
+            primary,
+            backup,
+            total_cost: c1 + c2,
+        })
+    }
 
     #[test]
     fn ring_pair_goes_both_ways() {

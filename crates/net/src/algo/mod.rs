@@ -25,8 +25,8 @@
 //! * [`k_shortest_paths`] — Yen's algorithm. No scheme calls it either:
 //!   it is the brute-force enumeration [`suurballe`]'s optimality is
 //!   checked against (`suurballe_total_cost_is_minimal_on_mesh`);
-//! * [`suurballe`] / [`two_step_disjoint_pair`] — link-disjoint path pairs,
-//!   used by the dedicated-backup baseline;
+//! * [`suurballe`] — link-disjoint path pairs, used by the
+//!   dedicated-backup baseline;
 //! * [`is_strongly_connected`], [`bfs_hops`] and friends — reachability
 //!   and hop-count utilities.
 
@@ -49,7 +49,7 @@ pub use dijkstra::{
     shortest_path, shortest_path_in, shortest_path_tree, shortest_path_with_floor,
     ShortestPathTree, SpfWorkspace,
 };
-pub use disjoint::{suurballe, two_step_disjoint_pair, DisjointPair};
+pub use disjoint::{suurballe, DisjointPair};
 pub use dynamic_spt::DynamicSpt;
 pub use flow::{edge_connectivity, max_flow, MaxFlow};
 pub use min_hop::{min_hop_route, shortest_path_hops};

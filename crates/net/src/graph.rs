@@ -68,7 +68,7 @@ impl Network {
     }
 
     /// Returns the link record for `id`, or `None` if out of range.
-    pub fn get_link(&self, id: LinkId) -> Option<&Link> {
+    fn get_link(&self, id: LinkId) -> Option<&Link> {
         self.links.get(id.index())
     }
 

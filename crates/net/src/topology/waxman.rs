@@ -105,7 +105,7 @@ impl WaxmanConfig {
     }
 
     /// Number of duplex pairs the generated network will contain.
-    pub fn target_pairs(&self) -> usize {
+    fn target_pairs(&self) -> usize {
         (self.target_degree * self.nodes as f64 / 2.0).round() as usize
     }
 

@@ -1,9 +1,9 @@
 //! Property-based tests for the network substrate.
 
 use drt_net::algo::{
-    bellman_ford, k_shortest_paths, min_hop_route, shortest_path_hops, shortest_path_in,
-    shortest_path_tree, shortest_path_with_floor, suurballe, AllPairsHops, DynamicSpt,
-    SpfWorkspace,
+    bellman_ford, bfs_hops_filtered, k_shortest_paths, min_hop_route, shortest_path_hops,
+    shortest_path_in, shortest_path_tree, shortest_path_with_floor, suurballe, AllPairsHops,
+    DynamicSpt, SpfWorkspace,
 };
 use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId, Route};
 use proptest::prelude::*;
@@ -58,6 +58,42 @@ fn arb_directed_net() -> impl Strategy<Value = drt_net::Network> {
             }
             b.build()
         })
+}
+
+/// Networks of 2–140 nodes, so a row of `AllPairsHops`' target sets spans
+/// one, two or three 64-bit words: a connected random graph, or up to `n`
+/// random duplex pairs, which leave several components and isolated nodes.
+fn arb_wide_net() -> impl Strategy<Value = drt_net::Network> {
+    (
+        2usize..=140,
+        any::<bool>(),
+        any::<u64>(),
+        prop::collection::vec((0u32..140, 0u32..140), 0..=140),
+    )
+        .prop_map(|(n, connected, seed, pairs)| {
+            if connected {
+                let extra = (seed % n as u64) as usize;
+                let m = (n - 1 + extra).min(n * (n - 1) / 2);
+                return topology::random_connected(n, m, CAP, seed)
+                    .expect("feasible by construction");
+            }
+            let mut b = NetworkBuilder::with_nodes(n);
+            for (a, z) in pairs.into_iter().take(n) {
+                let (a, z) = (NodeId::new(a % n as u32), NodeId::new(z % n as u32));
+                if a != z && !b.has_link(a, z) {
+                    b.add_duplex_link(a, z, CAP)
+                        .expect("fresh distinct endpoints");
+                }
+            }
+            b.build()
+        })
+}
+
+/// SplitMix64's finaliser: a per-link coin that needs no RNG state.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// One cost class per link, cycled over the link ids, every step at or
@@ -212,6 +248,37 @@ proptest! {
             let a = dj.distance(node).map(|d| d as u32);
             prop_assert_eq!(a, hops.hops(src, node));
         }
+    }
+
+    /// The bit-parallel sweep against one queue BFS per source. The mask
+    /// drops each link on its own coin (none at `keep` 10), so it cuts
+    /// single directions of duplex pairs.
+    #[test]
+    fn all_pairs_hops_equal_bfs_row_by_row(
+        net in arb_wide_net(),
+        keep in 6u64..=10,
+        salt in any::<u64>(),
+    ) {
+        let usable = |l: LinkId| mix(salt ^ l.index() as u64) % 10 < keep;
+        let hops = AllPairsHops::compute_filtered(&net, usable);
+        let (mut total, mut pairs, mut diameter) = (0u64, 0u64, 0u32);
+        for src in net.nodes() {
+            let row = bfs_hops_filtered(&net, src, usable);
+            for dst in net.nodes() {
+                let want = row[dst.index()];
+                prop_assert_eq!(hops.hops(src, dst), want, "{} -> {}", src, dst);
+                if let Some(d) = want {
+                    diameter = diameter.max(d);
+                    if src != dst {
+                        total += u64::from(d);
+                        pairs += 1;
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(hops.diameter(), diameter);
+        let mean = if pairs == 0 { 0.0 } else { total as f64 / pairs as f64 };
+        prop_assert_eq!(hops.average_hops().to_bits(), mean.to_bits());
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! loaded link, which is the lowest-variance estimator of `P_act-bk` under
 //! the paper's single-failure model.
 //!
-//! The sweep and [`crate::analysis::vulnerability`] probe every link, so
-//! they first check Section 5's spare sizing against the live pools: a
+//! The sweep's [`FailureSweep`] is the one single-failure report: per
+//! link the affected and activated primaries, and per connection the
+//! failures it does not survive. Because it probes every link, the sweep
+//! first checks Section 5's spare sizing against the live pools: a
 //! failure of `L_j` whose every activation pool covers its APLV column
 //! (`spare_i + free_i ≥ bandwidth_{i,j}`) has no contention to decide,
 //! and its affected connections activate their first usable backup
@@ -284,8 +286,9 @@ impl LinkImpact {
     }
 }
 
-/// Result of a full single-failure sweep: the aggregate Figure-4 estimate
-/// plus the per-link breakdown behind it.
+/// Result of a full single-failure sweep: the aggregate Figure-4 estimate,
+/// the per-link breakdown behind it, and per connection the failures it
+/// would not survive.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FailureSweep {
     /// The aggregate statistics (the paper's estimator).
@@ -293,12 +296,32 @@ pub struct FailureSweep {
     /// One entry per probed link that affected ≥ 1 primary, in link-id
     /// order.
     pub per_link: Vec<LinkImpact>,
+    /// One `(connection, link)` pair per probed failure that kills the
+    /// connection (no backup, dead backups, or lost contention), sorted by
+    /// connection, then link. A connection absent here survives every
+    /// single link failure, given the current contention.
+    pub per_conn: Vec<(ConnectionId, LinkId)>,
 }
 
 impl FailureSweep {
     /// `P_act-bk`, or `None` when no trial affected any primary.
     pub fn p_act_bk(&self) -> Option<f64> {
         self.aggregate.p_act_bk()
+    }
+
+    /// Each connection some probed failure kills, in id order, with the
+    /// links whose failure kills it, in link order.
+    pub fn vulnerable(
+        &self,
+    ) -> impl Iterator<Item = (ConnectionId, impl ExactSizeIterator<Item = LinkId> + '_)> {
+        self.per_conn
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.iter().map(|&(_, link)| link)))
+    }
+
+    /// Number of connections some probed failure kills.
+    pub fn vulnerable_count(&self) -> usize {
+        self.vulnerable().count()
     }
 
     /// The `k` links that lose the most connections, worst first
@@ -443,7 +466,8 @@ impl DrtpManager {
     /// Probes every loaded link (those crossing ≥ 1 primary) and
     /// aggregates the results — the estimator for Figure 4 — together with
     /// the per-link breakdown ([`FailureSweep::worst_links`] ranks the
-    /// most fragile ones).
+    /// most fragile ones) and each connection's fatal failures
+    /// ([`FailureSweep::vulnerable`]).
     ///
     /// The `k`-th link of the network gets an independent RNG stream
     /// derived from `seed` and `k`, so the sweep is deterministic and
@@ -453,38 +477,19 @@ impl DrtpManager {
     /// under that stream, but only links whose failure some activation
     /// pool cannot absorb run the contention pass: elsewhere every
     /// affected connection activates its first usable backup, whatever
-    /// the order (see `single_failure_decisions`).
+    /// the order (see `failure_sweep`).
     ///
     /// The probe loop runs allocation-free in the thread-local probe
     /// workspace: per link it touches only the O(affected) connections
-    /// incident to it, not the whole connection table.
+    /// incident to it, not the whole connection table. The report's own
+    /// vectors are all the sweep allocates.
     pub fn sweep_single_failures(&self, seed: u64) -> FailureSweep {
-        let mut sweep = FailureSweep::default();
-        self.single_failure_decisions(seed, "failure-probe", |link, decisions| {
-            let affected = decisions.len();
-            let activated = decisions.iter().filter(|(_, won)| won.is_some()).count();
-            let sample = &mut sweep.aggregate;
-            sample.affected += affected as u64;
-            sample.activated += activated as u64;
-            sample.degraded += decisions
-                .iter()
-                .filter(|(at, won)| won.is_none() && self.conns.at(at.slot).backups().is_empty())
-                .count() as u64;
-            sample.trials += 1;
-            sweep.per_link.push(LinkImpact {
-                link,
-                affected: affected as u32,
-                activated: activated as u32,
-            });
-        });
-        sweep
+        self.failure_sweep(seed, "failure-probe")
     }
 
-    /// The activation decisions of every single-link failure, for the two
-    /// reports that probe them all ([`DrtpManager::sweep_single_failures`]
-    /// and [`crate::analysis::vulnerability`]): `visit(link, decisions)`
-    /// for each working link whose failure disables a primary, in link
-    /// order. The `k`-th link's contention draws come from
+    /// The single-failure report: the activation decisions of every
+    /// working link whose failure disables a primary, in link order, with
+    /// the `k`-th link's contention draws from
     /// `indexed_stream(seed, stream, k)`.
     ///
     /// **The certificate.** A failure of `L_j` activates, on link `L_i`,
@@ -498,12 +503,8 @@ impl DrtpManager {
     /// *contended*; their failures run the contention pass of
     /// [`DrtpManager::probe_single_failure`] unchanged, and the others
     /// skip the shuffle — their own stream, so no other link's draw moves.
-    pub(crate) fn single_failure_decisions(
-        &self,
-        seed: u64,
-        stream: &str,
-        mut visit: impl FnMut(LinkId, &[(IndexEntry, Option<usize>)]),
-    ) {
+    pub(crate) fn failure_sweep(&self, seed: u64, stream: &str) -> FailureSweep {
+        let mut sweep = FailureSweep::default();
         with_probe_scratch(|ws| {
             self.mark_contended(ws);
             for (k, link) in self.net.links().map(|l| l.id()).enumerate() {
@@ -516,11 +517,35 @@ impl DrtpManager {
                 } else {
                     self.first_usable_backups_in(link, ws);
                 }
-                if !ws.decisions.is_empty() {
-                    visit(link, &ws.decisions);
+                if ws.decisions.is_empty() {
+                    continue;
                 }
+                let mut activated = 0;
+                for &(at, won) in &ws.decisions {
+                    if won.is_some() {
+                        activated += 1;
+                        continue;
+                    }
+                    sweep.per_conn.push((at.id, link));
+                    if self.conns.at(at.slot).backups().is_empty() {
+                        sweep.aggregate.degraded += 1;
+                    }
+                }
+                let affected = ws.decisions.len() as u32;
+                sweep.aggregate.affected += u64::from(affected);
+                sweep.aggregate.activated += u64::from(activated);
+                sweep.aggregate.trials += 1;
+                sweep.per_link.push(LinkImpact {
+                    link,
+                    affected,
+                    activated,
+                });
             }
         });
+        // The pairs are distinct, so the unstable sort is deterministic,
+        // and it needs no scratch buffer.
+        sweep.per_conn.sort_unstable();
+        sweep
     }
 
     /// Marks in `ws.contended` every `j` whose failure would demand more
@@ -816,9 +841,12 @@ impl DrtpManager {
         match mode {
             RestartMode::Journaled => {
                 let mut recovered = 0u64;
-                for l in self.net.incident_links(node) {
-                    recovered += self.incidence.primaries_on(l).len() as u64;
-                    recovered += self.incidence.backups_on(l).len() as u64;
+                // A node outside the network held no state to recover.
+                if node.index() < self.net.num_nodes() {
+                    for l in self.net.incident_links(node) {
+                        recovered += self.incidence.primaries_on(l).len() as u64;
+                        recovered += self.incidence.backups_on(l).len() as u64;
+                    }
                 }
                 self.telemetry.add("restart.recovered_entries", recovered);
                 self.telemetry.incr("restart.journaled_rejoins");
@@ -1052,9 +1080,10 @@ fn with_probe_scratch<R>(f: impl FnOnce(&mut ProbeWorkspace) -> R) -> R {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::routing::{DLsr, DedicatedDisjoint, RouteRequest};
+    use crate::analysis::vulnerability;
+    use crate::routing::{DLsr, DedicatedDisjoint, PrimaryOnly, RouteRequest};
     use drt_net::{topology, Bandwidth, NodeId};
     use std::sync::Arc;
 
@@ -1452,23 +1481,38 @@ pub(crate) mod tests {
         mgr.assert_invariants();
     }
 
-    /// Per loaded link, `(link, affected, activated)` of
-    /// `probe_single_failure` under the sweep's stream for that link.
-    fn probed_per_link(mgr: &DrtpManager, seed: u64) -> Vec<LinkImpact> {
-        let links = mgr.net().links().map(|l| l.id()).enumerate();
-        links
-            .filter(|&(_, link)| !mgr.is_failed(link))
-            .map(|(k, link)| {
-                let mut rng = drt_sim::rng::indexed_stream(seed, "failure-probe", k as u64);
-                let out = mgr.probe_single_failure(link, &mut rng);
-                LinkImpact {
-                    link,
-                    affected: out.affected() as u32,
-                    activated: out.activated() as u32,
+    /// The whole report of `failure_sweep(seed, stream)`, rebuilt from
+    /// `probe_single_failure` under the `k`-th link's stream for each
+    /// working link.
+    fn probed_sweep(mgr: &DrtpManager, seed: u64, stream: &str) -> FailureSweep {
+        let mut sweep = FailureSweep::default();
+        for (k, link) in mgr.net().links().map(|l| l.id()).enumerate() {
+            if mgr.is_failed(link) {
+                continue;
+            }
+            let mut rng = drt_sim::rng::indexed_stream(seed, stream, k as u64);
+            let out = mgr.probe_single_failure(link, &mut rng);
+            if out.affected() == 0 {
+                continue;
+            }
+            for &(c, won) in &out.details {
+                if won.is_none() {
+                    sweep.per_conn.push((c, link));
+                    let bare = mgr.connection(c).unwrap().backups().is_empty();
+                    sweep.aggregate.degraded += u64::from(bare);
                 }
-            })
-            .filter(|li| li.affected > 0)
-            .collect()
+            }
+            sweep.aggregate.affected += out.affected() as u64;
+            sweep.aggregate.activated += out.activated() as u64;
+            sweep.aggregate.trials += 1;
+            sweep.per_link.push(LinkImpact {
+                link,
+                affected: out.affected() as u32,
+                activated: out.activated() as u32,
+            });
+        }
+        sweep.per_conn.sort();
+        sweep
     }
 
     /// The links `mark_contended` marks.
@@ -1486,7 +1530,7 @@ pub(crate) mod tests {
     /// with `exhaust`, a 3 Mb/s primary-only connection over the long way
     /// comes first and leaves 4 Mb/s to grow into, so `free` is exhausted
     /// and the pool falls short of the column.
-    pub(crate) fn conflicting_ring(exhaust: bool) -> DrtpManager {
+    fn conflicting_ring(exhaust: bool) -> DrtpManager {
         let net = Arc::new(topology::ring(4, Bandwidth::from_kbps(7_000)).unwrap());
         let mut mgr = DrtpManager::new(Arc::clone(&net));
         let mut scheme = crate::routing::Scripted::new();
@@ -1503,17 +1547,72 @@ pub(crate) mod tests {
         mgr
     }
 
+    /// A 4×4 mesh of 10 Mb/s links under four D-LSR connections, two of
+    /// them between the same pair: every backup fits its pool.
+    fn protected_mesh() -> DrtpManager {
+        let net = Arc::new(topology::mesh(4, 4, Bandwidth::from_mbps(10)).unwrap());
+        let mut mgr = DrtpManager::new(net);
+        let mut scheme = DLsr::new();
+        for (id, (s, d)) in [(4, 7), (4, 7), (8, 11), (1, 13)].into_iter().enumerate() {
+            mgr.request_connection(&mut scheme, req(id as u64, s, d))
+                .unwrap();
+        }
+        mgr
+    }
+
+    /// A 3×3 mesh with one primary-only connection `0 → 8`, which dies
+    /// with any link of its primary.
+    fn bare_mesh() -> DrtpManager {
+        let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
+        let mut mgr = DrtpManager::new(net);
+        mgr.request_connection(&mut PrimaryOnly::new(), req(0, 0, 8))
+            .unwrap();
+        mgr
+    }
+
     #[test]
-    fn covered_columns_skip_the_contention_pass_with_the_same_counts() {
-        let mgr = conflicting_ring(false);
-        let direct = mgr.net().find_link(NodeId::new(0), NodeId::new(1)).unwrap();
-        let long = mgr.net().find_link(NodeId::new(0), NodeId::new(3)).unwrap();
-        assert_eq!(mgr.aplv(long).count(direct), 2, "the backups conflict");
-        assert!(contended(&mgr).is_empty(), "every pool covers its column");
-        for seed in 0..8 {
-            let sweep = mgr.sweep_single_failures(seed);
-            assert_eq!(sweep.per_link, probed_per_link(&mgr, seed));
-            assert_eq!(sweep.p_act_bk(), Some(1.0));
+    fn covered_columns_skip_the_contention_pass_with_the_same_report() {
+        let ring = conflicting_ring(false);
+        let direct = ring
+            .net()
+            .find_link(NodeId::new(0), NodeId::new(1))
+            .unwrap();
+        let long = ring
+            .net()
+            .find_link(NodeId::new(0), NodeId::new(3))
+            .unwrap();
+        assert_eq!(ring.aplv(long).count(direct), 2, "the backups conflict");
+        let bare = bare_mesh();
+        let mut fatal = bare
+            .connection(ConnectionId::new(0))
+            .unwrap()
+            .primary()
+            .links()
+            .to_vec();
+        fatal.sort();
+
+        for (mgr, fatal) in [(ring, vec![]), (protected_mesh(), vec![]), (bare, fatal)] {
+            let covered = mgr.net().links().all(|l| {
+                let lr = mgr.link_resources(l.id());
+                mgr.aplv(l.id()).required_spare() <= lr.spare() + lr.free()
+            });
+            assert!(covered, "every pool covers every column");
+            assert!(contended(&mgr).is_empty());
+            for seed in 0..8 {
+                let sweep = mgr.sweep_single_failures(seed);
+                assert_eq!(sweep, probed_sweep(&mgr, seed, "failure-probe"));
+                let report = vulnerability(&mgr, seed);
+                assert_eq!(report, probed_sweep(&mgr, seed, "vulnerability"));
+                assert!(sweep.aggregate.trials > 0);
+                // Only the bare connection dies, with each link of its
+                // primary, and for want of a backup.
+                let kills: Vec<_> = fatal.iter().map(|&l| (ConnectionId::new(0), l)).collect();
+                assert_eq!(sweep.per_conn, kills);
+                assert_eq!(sweep.vulnerable_count(), usize::from(!fatal.is_empty()));
+                let lost = sweep.aggregate.affected - sweep.aggregate.activated;
+                assert_eq!(lost, fatal.len() as u64);
+                assert_eq!(sweep.aggregate.degraded, fatal.len() as u64);
+            }
         }
     }
 
@@ -1531,11 +1630,33 @@ pub(crate) mod tests {
         assert!(lr.spare() < mgr.aplv(long).bandwidth(direct));
         assert_eq!(contended(&mgr), vec![direct]);
 
-        for seed in 0..8 {
-            let sweep = mgr.sweep_single_failures(seed);
-            assert_eq!(sweep.per_link, probed_per_link(&mgr, seed));
-            let hit = sweep.per_link.iter().find(|li| li.link == direct).unwrap();
-            assert_eq!((hit.affected, hit.activated), (2, 1), "one backup fits");
+        let mut losers = [BTreeSet::new(), BTreeSet::new()];
+        for seed in 0..16 {
+            let reports = [mgr.sweep_single_failures(seed), vulnerability(&mgr, seed)];
+            for ((report, stream), losers) in reports
+                .iter()
+                .zip(["failure-probe", "vulnerability"])
+                .zip(&mut losers)
+            {
+                assert_eq!(*report, probed_sweep(&mgr, seed, stream));
+                let hit = report.per_link.iter().find(|li| li.link == direct).unwrap();
+                assert_eq!((hit.affected, hit.activated), (2, 1), "one backup fits");
+                // The bare connection dies with any link of its primary; of
+                // the two conflicting backups one fits, and which one is
+                // the shuffle's draw.
+                let killed: Vec<(ConnectionId, Vec<LinkId>)> = report
+                    .vulnerable()
+                    .map(|(c, links)| (c, links.collect()))
+                    .collect();
+                assert_eq!(killed.len(), 2, "{stream}: {killed:?}");
+                assert_eq!(killed[0].0, ConnectionId::new(0));
+                assert_eq!(killed[0].1.len(), 3);
+                assert_eq!(killed[1].1, [direct]);
+                losers.insert(killed[1].0);
+            }
+        }
+        for losers in losers {
+            assert_eq!(losers.len(), 2, "either connection can lose the draw");
         }
     }
 
@@ -1565,6 +1686,12 @@ pub(crate) mod tests {
             mgr.repair_link(bogus).unwrap_err(),
             DrtpError::LinkNotFailed(bogus)
         );
+        for mode in [RestartMode::Journaled, RestartMode::Amnesia] {
+            let report = mgr.crash_restart_router(nowhere, mode, &mut rng()).unwrap();
+            assert_eq!(report.recovered_entries, 0, "{mode:?}");
+            assert!(report.switched.is_empty() && report.lost.is_empty());
+            assert!(report.unprotected.is_empty());
+        }
         assert_eq!(
             mgr.connection(ConnectionId::new(0)).unwrap().state(),
             ConnectionState::Protected

@@ -1,10 +1,11 @@
 //! The link-incidence index: which connections does a link failure touch?
 //!
 //! Every failure-analysis question — the Figure-4 probe, destructive
-//! injection, the vulnerability report — starts with "which connections
-//! have a *primary* across this link, and which have a *backup* across
-//! it?". Answering that by scanning the connection table makes each probe
-//! O(connections), and the single-failure sweep O(units × connections):
+//! injection, the single-failure sweep and its per-connection kill
+//! lists — starts with "which connections have a *primary* across this
+//! link, and which have a *backup* across it?". Answering that by
+//! scanning the connection table makes each probe O(connections), and
+//! the single-failure sweep O(units × connections):
 //! exactly the cost profile fast-reroute systems avoid by precomputing
 //! per-link protection state.
 //!

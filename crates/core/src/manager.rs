@@ -511,7 +511,7 @@ impl DrtpManager {
     }
 
     /// Sum of free bandwidth over all links.
-    pub fn total_free(&self) -> Bandwidth {
+    fn total_free(&self) -> Bandwidth {
         self.links.iter().map(|l| l.free()).sum()
     }
 

@@ -169,7 +169,7 @@ impl Telemetry {
     }
 
     /// Sets gauge `name` to `value` (last write wins, also across merge).
-    pub fn set_gauge(&mut self, name: &'static str, value: i64) {
+    fn set_gauge(&mut self, name: &'static str, value: i64) {
         self.gauges.insert(name, value);
     }
 

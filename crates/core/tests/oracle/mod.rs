@@ -198,35 +198,33 @@ pub fn probe_event(mgr: &DrtpManager, event: &FailureEvent, rng: &mut StdRng) ->
     probe_links(mgr, failed_links(mgr, event), rng)
 }
 
-/// Every link that is up, probed with its own stream
-/// (`indexed_stream(seed, tag, k)` for the `k`-th link), paired with the
-/// probe's outcome when the failure disables a primary.
-fn probed(mgr: &DrtpManager, seed: u64, tag: &str) -> Vec<(LinkId, ProbeOutcome)> {
-    let mut probed = Vec::new();
+/// The single-failure report: every link that is up, probed with its own
+/// stream (`indexed_stream(seed, stream, k)` for the `k`-th link). Per
+/// link whose failure disables a primary, the affected and activated
+/// primaries; the affected ones that held no backup (`degraded`); and per
+/// connection the links it does not survive, sorted by connection, then
+/// link.
+pub fn sweep(mgr: &DrtpManager, seed: u64, stream: &str) -> FailureSweep {
+    let mut sweep = FailureSweep::default();
+    let mut per_conn: BTreeMap<ConnectionId, Vec<LinkId>> = BTreeMap::new();
     for (k, link) in mgr.net().links().map(|l| l.id()).enumerate() {
         if mgr.is_failed(link) {
             continue;
         }
-        let mut rng = drt_sim::rng::indexed_stream(seed, tag, k as u64);
+        let mut rng = drt_sim::rng::indexed_stream(seed, stream, k as u64);
         let out = probe_links(mgr, vec![link], &mut rng);
-        if !out.details.is_empty() {
-            probed.push((link, out));
+        if out.details.is_empty() {
+            continue;
         }
-    }
-    probed
-}
-
-/// The single-failure sweep: per link, affected and activated primaries,
-/// and the affected ones that held no backup (`degraded`).
-pub fn sweep(mgr: &DrtpManager, seed: u64) -> FailureSweep {
-    let mut sweep = FailureSweep::default();
-    for (link, out) in probed(mgr, seed, "failure-probe") {
         let affected = out.details.len() as u32;
         let mut activated = 0;
         for &(id, won) in &out.details {
             if won.is_some() {
                 activated += 1;
-            } else if record(mgr, id).backups().is_empty() {
+                continue;
+            }
+            per_conn.entry(id).or_default().push(link);
+            if record(mgr, id).backups().is_empty() {
                 sweep.aggregate.degraded += 1;
             }
         }
@@ -239,20 +237,8 @@ pub fn sweep(mgr: &DrtpManager, seed: u64) -> FailureSweep {
             activated,
         });
     }
-    sweep
-}
-
-/// The vulnerability report: the number of links whose failure disables a
-/// primary, and per connection the links it does not survive.
-pub fn vulnerability(mgr: &DrtpManager, seed: u64) -> (u64, BTreeMap<ConnectionId, Vec<LinkId>>) {
-    let probed = probed(mgr, seed, "vulnerability");
-    let mut per_conn: BTreeMap<ConnectionId, Vec<LinkId>> = BTreeMap::new();
-    for (link, out) in &probed {
-        for &(id, won) in &out.details {
-            if won.is_none() {
-                per_conn.entry(id).or_default().push(*link);
-            }
-        }
+    for (id, links) in per_conn {
+        sweep.per_conn.extend(links.into_iter().map(|l| (id, l)));
     }
-    (probed.len() as u64, per_conn)
+    sweep
 }

@@ -506,10 +506,11 @@ proptest! {
     /// admission, on whether a new backup conflicts with a backup
     /// registered before it. The trace closes with a probe of every link,
     /// of a node crash, of each of the network's two SRLGs
-    /// and of a batch of a crash and a link, and with the vulnerability
-    /// report. The oracle draws each contention order the way
-    /// `probe_single_failure` documents it: the affected connections in id
-    /// order, shuffled once by the caller's RNG.
+    /// and of a batch of a crash and a link, and with the whole
+    /// single-failure report under the `"vulnerability"` stream. The
+    /// oracle draws each contention order the way `probe_single_failure`
+    /// documents it: the affected connections in id order, shuffled once
+    /// by the caller's RNG.
     ///
     /// Links carry 6 Mb/s against 1–3 Mb/s demands, so spare pools fall
     /// short of their requirement, activation pools (spare + free) run
@@ -609,7 +610,10 @@ proptest! {
 
             // The whole sweep — every loaded link probed under the same
             // per-link RNG streams — must agree decision for decision.
-            prop_assert_eq!(mgr.sweep_single_failures(seed), oracle::sweep(&mgr, seed));
+            prop_assert_eq!(
+                mgr.sweep_single_failures(seed),
+                oracle::sweep(&mgr, seed, "failure-probe")
+            );
 
             let table = oracle::aplv_table(&oracle::registrations(&mgr), n);
             for i in net.links().map(|l| l.id()) {
@@ -624,7 +628,8 @@ proptest! {
         }
 
         // Closing cross-checks on the final state: per-link probes,
-        // correlated-event probes, and the vulnerability report.
+        // correlated-event probes, and the report on the vulnerability
+        // stream.
         for link in net.links().map(|l| l.id()) {
             let mut a = drt_sim::rng::stream(seed, "probe-eq");
             let mut b = drt_sim::rng::stream(seed, "probe-eq");
@@ -650,12 +655,9 @@ proptest! {
             );
         }
 
-        let report = drt_core::analysis::vulnerability(&mgr, seed);
-        let (trials, per_conn) = oracle::vulnerability(&mgr, seed);
-        prop_assert_eq!(report.trials(), trials);
         prop_assert_eq!(
-            report.vulnerable().collect::<Vec<_>>(),
-            per_conn.iter().map(|(&c, l)| (c, l.as_slice())).collect::<Vec<_>>()
+            drt_core::analysis::vulnerability(&mgr, seed),
+            oracle::sweep(&mgr, seed, "vulnerability")
         );
     }
 }

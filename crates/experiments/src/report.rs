@@ -62,35 +62,6 @@ pub fn series_table(
     out
 }
 
-/// Renders the same series as [`series_table`] in CSV, for downstream
-/// plotting: header `x,<series...>`, one row per x, empty cells for
-/// missing points.
-pub fn series_csv(x_label: &str, xs: &[f64], series: &[(String, Vec<Option<f64>>)]) -> String {
-    let mut out = String::new();
-    out.push_str(x_label);
-    for (name, _) in series {
-        out.push(',');
-        // Quote names containing commas.
-        if name.contains(',') {
-            out.push_str(&format!("\"{name}\""));
-        } else {
-            out.push_str(name);
-        }
-    }
-    out.push('\n');
-    for (i, x) in xs.iter().enumerate() {
-        out.push_str(&format!("{x}"));
-        for (_, values) in series {
-            out.push(',');
-            if let Some(v) = values.get(i).copied().flatten() {
-                out.push_str(&format!("{v}"));
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders the full per-cell metrics of a campaign as CSV (one row per
 /// (λ, pattern, scheme) cell), for archival alongside `EXPERIMENTS.md`.
 pub fn metrics_csv(metrics: &[crate::runner::RunMetrics]) -> String {
@@ -199,22 +170,6 @@ mod tests {
     fn verdict_formats() {
         assert!(verdict("D-LSR >= BF", true).contains("[reproduced]"));
         assert!(verdict("x", false).contains("[DIVERGES]"));
-    }
-
-    #[test]
-    fn csv_series_shape() {
-        let csv = series_csv(
-            "lambda",
-            &[0.2, 0.3],
-            &[
-                ("D-LSR,UT".into(), vec![Some(0.99), None]),
-                ("BF".into(), vec![Some(0.9), Some(0.91)]),
-            ],
-        );
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "lambda,\"D-LSR,UT\",BF");
-        assert_eq!(lines[1], "0.2,0.99,0.9");
-        assert_eq!(lines[2], "0.3,,0.91");
     }
 
     #[test]

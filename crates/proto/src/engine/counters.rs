@@ -11,15 +11,15 @@ use std::fmt;
 
 /// Per-kind traffic totals, split into first transmissions and retries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KindTraffic {
+struct KindTraffic {
     /// Messages transmitted (including retransmissions).
-    pub msgs: u64,
+    msgs: u64,
     /// Bytes transmitted (including retransmissions).
-    pub bytes: u64,
+    bytes: u64,
     /// Messages that were retransmissions.
-    pub retry_msgs: u64,
+    retry_msgs: u64,
     /// Bytes that were retransmissions.
-    pub retry_bytes: u64,
+    retry_bytes: u64,
 }
 
 /// Control-traffic accounting, per packet kind. Counts *transmissions*
@@ -50,7 +50,7 @@ impl TrafficCounters {
     }
 
     /// Full split counters for one packet kind.
-    pub fn kind_traffic(&self, kind: &str) -> KindTraffic {
+    fn kind_traffic(&self, kind: &str) -> KindTraffic {
         self.by_kind.get(kind).copied().unwrap_or_default()
     }
 

@@ -14,7 +14,7 @@ mod recovery;
 mod rejoin;
 mod walk;
 
-pub use counters::{JournalStats, KindTraffic, RecoveryRecord, TrafficCounters};
+pub use counters::{JournalStats, RecoveryRecord, TrafficCounters};
 pub use walk::SeededBug;
 
 use walk::{Txn, TxnKind};

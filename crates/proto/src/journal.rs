@@ -195,11 +195,6 @@ impl Journal {
         self.tail.len()
     }
 
-    /// Whether an injected storage fault lost records.
-    pub fn is_corrupted(&self) -> bool {
-        self.corrupted
-    }
-
     /// The records of the tail, oldest first.
     pub fn tail(&self) -> &[JournalRecord] {
         &self.tail
@@ -467,7 +462,7 @@ mod tests {
         }
         js.corrupt(n0, crate::chaos::JournalFault::TornTail(2));
         let j = js.journal(n0);
-        assert!(j.is_corrupted());
+        assert!(j.corrupted);
         assert_eq!(j.tail_len(), 2);
         let (replayed, _, corrupt) = js.replay(n0);
         assert!(corrupt);
@@ -496,7 +491,7 @@ mod tests {
         js.reset(n0);
         let j = js.journal(n0);
         assert_eq!(j.lsn(), 0);
-        assert!(!j.is_corrupted());
+        assert!(!j.corrupted);
         let (replayed, _, _) = js.replay(n0);
         assert_eq!(replayed.backup_table_len(), 0);
     }
@@ -647,7 +642,7 @@ mod tests {
         assert_eq!(js.journal(n0).tail_len(), 10);
         js.corrupt(n0, crate::chaos::JournalFault::StaleCheckpoint);
         let (replayed, records, corrupt) = js.replay(n0);
-        assert!(corrupt && js.journal(n0).is_corrupted());
+        assert!(corrupt && js.journal(n0).corrupted);
         assert_eq!(records, 0);
         assert_eq!(format!("{replayed:?}"), at_third_compaction);
         assert_ne!(format!("{:?}", routers[0]), at_third_compaction);

@@ -109,8 +109,8 @@ mod router;
 pub use chaos::{ChaosConfig, JournalFault};
 pub use drt_core::failure::RestartMode;
 pub use engine::{
-    ConnOutcome, JournalStats, KindTraffic, ProtocolConfig, ProtocolSim, RecoveryRecord,
-    RetryConfig, SeededBug, TrafficCounters,
+    ConnOutcome, JournalStats, ProtocolConfig, ProtocolSim, RecoveryRecord, RetryConfig, SeededBug,
+    TrafficCounters,
 };
 pub use fate::{ChaosFates, Decision, DeliveryFate, Fate, FateLog, FateSource, ScriptedFates};
 pub use message::{Packet, ResyncEntry, Walk, WalkOp, RESYNC_CONN};

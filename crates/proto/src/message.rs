@@ -63,7 +63,7 @@ impl WalkOp {
     }
 
     /// Label of the result packet that answers the walk.
-    pub fn result_kind(self) -> &'static str {
+    fn result_kind(self) -> &'static str {
         match self {
             WalkOp::PrimarySetup | WalkOp::BackupRegister => "setup-result",
             WalkOp::PrimaryRelease | WalkOp::BackupRelease => "release-result",

@@ -157,11 +157,6 @@ impl Router {
         rec.applied = false;
     }
 
-    /// Number of live walk dedup records (test observability).
-    pub fn walk_records(&self) -> usize {
-        self.walks.len()
-    }
-
     /// This router's node id.
     pub fn id(&self) -> NodeId {
         self.id
@@ -489,7 +484,7 @@ mod tests {
         assert_eq!(r.gate_walk(conn, 7, 2), WalkGate::AlreadyApplied);
         // ...and afterwards the old attempt's stragglers are stale.
         assert_eq!(r.gate_walk(conn, 7, 1), WalkGate::Stale);
-        assert_eq!(r.walk_records(), 1);
+        assert_eq!(r.walks.len(), 1);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// The instant of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -266,9 +261,9 @@ mod tests {
         q.push(SimTime::from_secs(3), 'c');
         q.push(SimTime::from_secs(1), 'a');
         q.push(SimTime::from_secs(2), 'b');
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
+        let order: Vec<(SimTime, char)> = std::iter::from_fn(|| q.pop()).collect();
+        let at = SimTime::from_secs;
+        assert_eq!(order, vec![(at(1), 'a'), (at(2), 'b'), (at(3), 'c')]);
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
     }

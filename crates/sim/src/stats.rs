@@ -209,144 +209,6 @@ impl TimeWeighted {
     }
 }
 
-/// Streaming quantile estimator (the P² algorithm of Jain & Chlamtac,
-/// 1985): estimates one fixed quantile in `O(1)` memory without storing
-/// observations.
-///
-/// Used for latency-distribution tails, where no fixed range of bins
-/// fits. Exact for the first five observations; thereafter the five
-/// P² markers track the quantile with piecewise-parabolic interpolation.
-///
-/// # Example
-///
-/// ```
-/// use drt_sim::stats::P2Quantile;
-/// let mut q = P2Quantile::new(0.5);
-/// for i in 1..=1001 {
-///     q.push(i as f64);
-/// }
-/// let median = q.estimate().unwrap();
-/// assert!((median - 501.0).abs() < 5.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (sorted estimates).
-    heights: [f64; 5],
-    /// Marker positions (1-based observation ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired-position increments per observation.
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `q` (clamped into `(0, 1)`).
-    pub fn new(q: f64) -> Self {
-        let q = q.clamp(1e-9, 1.0 - 1e-9);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// The tracked quantile.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell containing x and clamp the extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4)
-                .find(|&i| x < self.heights[i + 1])
-                .expect("x is between the extremes")
-        };
-
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-
-        // Adjust the three interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                let new_h = if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                    candidate
-                } else {
-                    self.linear(i, d)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current quantile estimate; `None` before any observation.
-    pub fn estimate(&self) -> Option<f64> {
-        match self.count {
-            0 => None,
-            n if n < 5 => {
-                let mut sorted = self.heights[..n].to_vec();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                let rank = (self.q * (n - 1) as f64).round() as usize;
-                Some(sorted[rank])
-            }
-            _ => Some(self.heights[2]),
-        }
-    }
-}
-
 /// Mean holding-time helper: converts a count of arrivals and a total
 /// observation window into an offered-load figure `λ · E[t]` (Erlangs).
 pub fn offered_load_erlangs(arrivals: u64, window: SimDuration, mean_holding: SimDuration) -> f64 {
@@ -435,51 +297,6 @@ mod tests {
     fn time_weighted_zero_window() {
         let tw = TimeWeighted::new(SimTime::from_secs(5), 7.0);
         assert_eq!(tw.average(SimTime::from_secs(5)), 7.0);
-    }
-
-    #[test]
-    fn p2_median_on_uniform_stream() {
-        let mut q = P2Quantile::new(0.5);
-        assert_eq!(q.estimate(), None);
-        let mut rng_state = 88172645463325252u64;
-        let mut xorshift = move || {
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            (rng_state % 10_000) as f64 / 10_000.0
-        };
-        for _ in 0..50_000 {
-            q.push(xorshift());
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 0.5).abs() < 0.02, "median estimate {est}");
-        assert_eq!(q.count(), 50_000);
-        assert_eq!(q.quantile(), 0.5);
-    }
-
-    #[test]
-    fn p2_p99_on_skewed_stream() {
-        let mut q = P2Quantile::new(0.99);
-        // Exponential-ish data via inverse CDF over a deterministic grid.
-        let n = 100_000;
-        for i in 0..n {
-            let u = (i as f64 + 0.5) / n as f64;
-            q.push(-(1.0 - u).ln());
-        }
-        // True p99 of Exp(1) is -ln(0.01) ≈ 4.605.
-        let est = q.estimate().unwrap();
-        assert!((est - 4.605).abs() < 0.25, "p99 estimate {est}");
-    }
-
-    #[test]
-    fn p2_small_samples_are_exact_order_statistics() {
-        let mut q = P2Quantile::new(0.5);
-        q.push(10.0);
-        assert_eq!(q.estimate(), Some(10.0));
-        q.push(2.0);
-        q.push(7.0);
-        // Sorted: [2, 7, 10]; median = 7.
-        assert_eq!(q.estimate(), Some(7.0));
     }
 
     #[test]

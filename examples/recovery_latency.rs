@@ -51,8 +51,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         // switchover.
         let mut stats = OnlineStats::new();
         let mut hops = OnlineStats::new();
-        let mut p50 = drt_sim::stats::P2Quantile::new(0.5);
-        let mut p99 = drt_sim::stats::P2Quantile::new(0.99);
+        let mut samples = Vec::new();
         for (idx, link) in mgr.net().links().map(|l| l.id()).enumerate() {
             let mut prng = drt_sim::rng::indexed_stream(23, "latency-probe", idx as u64);
             let outcome = mgr.probe_single_failure(link, &mut prng);
@@ -64,18 +63,23 @@ fn main() -> Result<(), Box<dyn Error>> {
                     .expect("winner implies failed on primary and valid backup");
                 let ms = latency.as_secs_f64() * 1e3;
                 stats.push(ms);
-                p50.push(ms);
-                p99.push(ms);
+                samples.push(ms);
                 hops.push(conn.backups()[*backup_idx].len() as f64);
             }
         }
+        samples.sort_by(f64::total_cmp);
+        // The sample at rank round(q · (n − 1)), or 0 without samples.
+        let quantile = |q: f64| {
+            let rank = (q * samples.len().saturating_sub(1) as f64).round() as usize;
+            samples.get(rank).copied().unwrap_or(0.0)
+        };
         println!(
             "{:<10} {:>10} {:>12.2} {:>11.2} {:>11.2} {:>12.2}",
             kind.label(),
             stats.count(),
             stats.mean(),
-            p50.estimate().unwrap_or(0.0),
-            p99.estimate().unwrap_or(0.0),
+            quantile(0.5),
+            quantile(0.99),
             hops.mean(),
         );
     }

@@ -8,8 +8,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use drt_core::failure::LinkImpact;
-use drt_core::routing::{DLsr, PLsr, RoutePair, RouteRequest, RoutingScheme};
+use drt_core::failure::{FailureSweep, LinkImpact};
+use drt_core::routing::{DLsr, PLsr, PrimaryOnly, RoutePair, RouteRequest, RoutingScheme};
 use drt_core::{ConnectionId, DrtpManager};
 use drt_experiments::par::parallel_map;
 use drt_net::algo::{shortest_path_in, DynamicSpt, SpfWorkspace};
@@ -72,23 +72,31 @@ fn loaded(nodes: usize, requests: u64, seed: u64) -> DrtpManager {
     mgr
 }
 
-/// The allocations of growing a fresh `Vec<LinkImpact>` to `len` entries
-/// one push at a time — all a sweep's report costs.
-fn report_allocations(len: usize) -> u64 {
+/// The allocations of growing a fresh `Vec` of `item`s to `len` entries
+/// one push at a time.
+fn growth_allocations<T: Copy>(item: T, len: usize) -> u64 {
+    let (grown, n) = counted(|| {
+        let mut v = Vec::new();
+        for _ in 0..std::hint::black_box(len) {
+            v.push(item);
+        }
+        v
+    });
+    assert_eq!(grown.len(), len);
+    n
+}
+
+/// All a sweep's report costs: growing `per_link` and `per_conn` to
+/// their lengths one push at a time.
+fn report_allocations(sweep: &FailureSweep) -> u64 {
     let impact = LinkImpact {
         link: LinkId::new(0),
         affected: 0,
         activated: 0,
     };
-    let (grown, n) = counted(|| {
-        let mut per_link = Vec::new();
-        for _ in 0..std::hint::black_box(len) {
-            per_link.push(impact);
-        }
-        per_link
-    });
-    assert_eq!(grown.len(), len);
-    n
+    let kill = (ConnectionId::new(0), LinkId::new(0));
+    growth_allocations(impact, sweep.per_link.len())
+        + growth_allocations(kill, sweep.per_conn.len())
 }
 
 #[test]
@@ -226,19 +234,32 @@ fn probes_allocate_only_their_outcome() {
 #[test]
 fn sweeps_allocate_only_their_report_on_any_thread() {
     for (nodes, requests, seed) in [(60, 400, 6), (300, 600, 7)] {
-        let mgr = loaded(nodes, requests, seed);
+        let mut mgr = loaded(nodes, requests, seed);
+        // Connections without a backup die with every link of their
+        // primary, so the per-connection view grows as well.
+        for i in 0..20 {
+            let (src, dst) = (NodeId::new(i), NodeId::new(i + 20));
+            let id = ConnectionId::new(requests + u64::from(i));
+            let req = RouteRequest::new(id, src, dst, Bandwidth::from_kbps(3_000));
+            let _ = mgr.request_connection(&mut PrimaryOnly::new(), req);
+        }
         // Every item warms its thread's probe scratch, then counts a second
         // sweep: inline here, then on two workers that start cold.
         let warmed = |seed: u64| {
             mgr.sweep_single_failures(seed);
-            let (sweep, n) = counted(|| mgr.sweep_single_failures(seed));
-            (sweep.per_link.len(), n)
+            counted(|| mgr.sweep_single_failures(seed))
         };
         let mut counts = vec![warmed(seed)];
         counts.extend(parallel_map(2, vec![seed + 1, seed + 2, seed + 3], warmed));
-        for (len, n) in counts {
-            assert!(len > 0, "the sweep on {nodes} nodes probed nothing");
-            assert_eq!(n, report_allocations(len), "allocations for {len} entries");
+        for (sweep, n) in counts {
+            let lens = (sweep.per_link.len(), sweep.per_conn.len());
+            assert!(lens.0 > 0, "the sweep on {nodes} nodes probed nothing");
+            assert!(lens.1 > 0, "the sweep on {nodes} nodes killed nothing");
+            assert_eq!(
+                n,
+                report_allocations(&sweep),
+                "allocations for {lens:?} entries"
+            );
         }
     }
 }

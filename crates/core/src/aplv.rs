@@ -190,8 +190,13 @@ impl fmt::Debug for AsMap<'_> {
 
 impl Aplv {
     /// Creates an empty APLV (no backups registered).
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Aplv {
+            slots: Vec::new(),
+            occupied: 0,
+            l1: 0,
+            spare: Bandwidth::ZERO,
+        }
     }
 
     /// Walks `j`'s probe run: the slot holding `j`, or the vacant slot

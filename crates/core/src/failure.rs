@@ -18,12 +18,14 @@
 //! The sweep's [`FailureSweep`] is the one single-failure report: per
 //! link the affected and activated primaries, and per connection the
 //! failures it does not survive. Because it probes every link, the sweep
-//! first checks Section 5's spare sizing against the live pools: a
-//! failure of `L_j` whose every activation pool covers its APLV column
-//! (`spare_i + free_i ≥ bandwidth_{i,j}`) has no contention to decide,
-//! and its affected connections activate their first usable backup
-//! without the shuffled pass. Only the other links run it — with the same
-//! decisions, and the same RNG draws, as the probe.
+//! first checks Section 5's spare sizing against the live pools: where
+//! an activation pool covers its APLV column (`spare_i + free_i ≥
+//! bandwidth_{i,j}`), no order of the contention a failure of `L_j`
+//! starts can leave a backup through `L_i` without room. A connection
+//! whose backups meet no pool its column over-subscribes is decided from
+//! the incidence lists alone; only the others — the *hot* contenders —
+//! run the shuffled pass, with the same decisions, and the same RNG
+//! draws, as the probe.
 //!
 //! A single failure is one *directed* link, as in the paper: conflicts,
 //! APLVs and `P_act-bk` are all defined on directed links. A physical cut
@@ -296,10 +298,12 @@ pub struct FailureSweep {
     /// One entry per probed link that affected ≥ 1 primary, in link-id
     /// order.
     pub per_link: Vec<LinkImpact>,
-    /// One `(connection, link)` pair per probed failure that kills the
-    /// connection (no backup, dead backups, or lost contention), sorted by
-    /// connection, then link. A connection absent here survives every
-    /// single link failure, given the current contention.
+    /// One `(connection, link)` pair per connection and probed link whose
+    /// failure kills it (no backup, dead backups, or lost contention),
+    /// sorted by connection, then link. The pairs are distinct: a primary
+    /// that walks a link twice is one trial there, as in
+    /// [`DrtpManager::probe_single_failure`]. A connection absent here
+    /// survives every single link failure, given the current contention.
     pub per_conn: Vec<(ConnectionId, LinkId)>,
 }
 
@@ -445,7 +449,7 @@ impl DrtpManager {
     pub fn probe_single_failure(&self, link: LinkId, rng: &mut StdRng) -> ProbeOutcome {
         let failed_links = self.in_network(&link);
         let details = with_probe_scratch(|ws| {
-            self.select_activations_in(failed_links, rng, ws);
+            self.select_activations_in(failed_links, rng, ws, None);
             ws.details()
         });
         ProbeOutcome {
@@ -474,10 +478,10 @@ impl DrtpManager {
     /// insensitive to probe order.
     ///
     /// The decisions are those of [`DrtpManager::probe_single_failure`]
-    /// under that stream, but only links whose failure some activation
-    /// pool cannot absorb run the contention pass: elsewhere every
-    /// affected connection activates its first usable backup, whatever
-    /// the order (see `failure_sweep`).
+    /// under that stream, but only connections with a backup through a
+    /// pool the failure over-subscribes run the contention pass: every
+    /// other affected connection activates its first usable backup,
+    /// whatever the order (see `failure_sweep`).
     ///
     /// The probe loop runs allocation-free in the thread-local probe
     /// workspace: per link it touches only the O(affected) connections
@@ -492,46 +496,88 @@ impl DrtpManager {
     /// the `k`-th link's contention draws from
     /// `indexed_stream(seed, stream, k)`.
     ///
-    /// **The certificate.** A failure of `L_j` activates, on link `L_i`,
-    /// only backups registered in `APLV_i` under column `j`, so together
-    /// they claim at most `bandwidth_{i,j}` there. Where the activation
-    /// pool covers that column (Section 5's spare sizing, `SC_i ≥
-    /// max_j APLV_i[j]`, plus any free bandwidth), no earlier winner can
-    /// leave a later backup without room: each affected connection
-    /// activates its first backup that avoids every failed link, in any
-    /// order. Only the columns `j` some pool does not cover are
-    /// *contended*; their failures run the contention pass of
-    /// [`DrtpManager::probe_single_failure`] unchanged, and the others
-    /// skip the shuffle — their own stream, so no other link's draw moves.
+    /// **The certificate, per contender.** A failure of `L_j` activates,
+    /// on link `L_k`, only backups registered in `APLV_k` under column
+    /// `j`, so together they claim at most `bandwidth_{k,j}` there. Where
+    /// the activation pool covers that column (`pool_k ≥
+    /// bandwidth_{k,j}`), no earlier winner can leave a later backup
+    /// without room. A column's *over-subscribed* links are the `L_i`
+    /// with `pool_i < bandwidth_{i,j}`, and a contender is *hot* when one
+    /// of its backups crosses one of them. Every other contender's backups
+    /// cross covered links only, so it activates its first backup that
+    /// avoids `L_j` — in any order. No backup of a carrying connection
+    /// crosses a failed link (invariant 1e), so that is its first backup
+    /// when none of its backups crosses `L_j`, which `backups_on(j)` tells;
+    /// only the connections listed there read their record.
+    ///
+    /// The hot contenders run the contention pass of
+    /// [`DrtpManager::probe_single_failure`] — the same shuffle of all
+    /// contenders, with the others skipped. That is exact: only hot
+    /// contenders take from an over-subscribed pool, and on a covered
+    /// one every contender fits whoever went first. A link with no hot
+    /// contender skips the shuffle; it draws from its own stream, so no
+    /// other link's draw moves.
+    ///
+    /// Per link, each connection is one trial, however often its primary
+    /// walks the link.
     pub(crate) fn failure_sweep(&self, seed: u64, stream: &str) -> FailureSweep {
         let mut sweep = FailureSweep::default();
         with_probe_scratch(|ws| {
-            self.mark_contended(ws);
+            self.begin_sweep(ws);
+            let mut column = 0;
             for (k, link) in self.net.links().map(|l| l.id()).enumerate() {
-                if self.failed[link.index()] {
+                let start = column;
+                column += ws.oversubscribed[column..].partition_point(|&(j, _)| j <= link);
+                let contenders = self.incidence.primaries_on(link);
+                if self.failed[link.index()] || contenders.is_empty() {
                     continue;
                 }
-                if ws.contended[link.index()] {
-                    let mut rng = drt_sim::rng::indexed_stream(seed, stream, k as u64);
-                    self.select_activations_in(&[link], &mut rng, ws);
-                } else {
-                    self.first_usable_backups_in(link, ws);
+                // Stamps are unique within the sweep, so a link's marks
+                // need no clearing before the next link's.
+                let stamp = k as u32 + 1;
+                for at in self.incidence.backups_on(link) {
+                    ws.slots[at.slot as usize].crosses = stamp;
                 }
-                if ws.decisions.is_empty() {
-                    continue;
+                for &(_, i) in &ws.oversubscribed[start..column] {
+                    for at in self.incidence.backups_on(i) {
+                        ws.slots[at.slot as usize].hot = stamp;
+                    }
                 }
-                let mut activated = 0;
-                for &(at, won) in &ws.decisions {
-                    if won.is_some() {
-                        activated += 1;
+                let (mut affected, mut activated, mut hot) = (0, 0, false);
+                let mut last = None;
+                for &at in contenders {
+                    if last.replace(at.id) == Some(at.id) {
                         continue;
                     }
-                    sweep.per_conn.push((at.id, link));
-                    if self.conns.at(at.slot).backups().is_empty() {
-                        sweep.aggregate.degraded += 1;
+                    affected += 1;
+                    let marks = ws.slots[at.slot as usize];
+                    // Without a backup a connection dies in every order.
+                    sweep.aggregate.degraded += u64::from(marks.bare);
+                    if marks.hot == stamp {
+                        hot = true;
+                        continue;
+                    }
+                    let survives = !marks.bare
+                        && (marks.crosses != stamp || {
+                            let backups = self.conns.at(at.slot).backups();
+                            backups.iter().any(|b| !b.contains_link(link))
+                        });
+                    if survives {
+                        activated += 1;
+                    } else {
+                        sweep.per_conn.push((at.id, link));
                     }
                 }
-                let affected = ws.decisions.len() as u32;
+                if hot {
+                    let mut rng = drt_sim::rng::indexed_stream(seed, stream, k as u64);
+                    self.select_activations_in(&[link], &mut rng, ws, Some(stamp));
+                    for &(at, won) in &ws.decisions {
+                        match won {
+                            Some(_) => activated += 1,
+                            None => sweep.per_conn.push((at.id, link)),
+                        }
+                    }
+                }
                 sweep.aggregate.affected += u64::from(affected);
                 sweep.aggregate.activated += u64::from(activated);
                 sweep.aggregate.trials += 1;
@@ -548,37 +594,30 @@ impl DrtpManager {
         sweep
     }
 
-    /// Marks in `ws.contended` every `j` whose failure would demand more
-    /// of some link's activation pool than it holds (`bandwidth_{i,j} >
-    /// spare_i + free_i`). Only links whose [`crate::Aplv::required_spare`]
-    /// exceeds their pool can hold such a column, so the rest are a field
-    /// read each.
-    fn mark_contended(&self, ws: &mut ProbeWorkspace) {
-        ws.contended.clear();
-        ws.contended.resize(self.net.num_links(), false);
+    /// Readies `ws` for a sweep: one scan of the slab marks the records
+    /// that hold no backup and clears every slot's stamps, and
+    /// `ws.oversubscribed` receives every `(j, i)` whose failure of `L_j`
+    /// would demand more of `L_i`'s activation pool than it holds
+    /// (`bandwidth_{i,j} > spare_i + free_i`), sorted by `j`. Only links
+    /// whose [`crate::Aplv::required_spare`] exceeds their pool can hold
+    /// such a column, so the rest are a field read each.
+    fn begin_sweep(&self, ws: &mut ProbeWorkspace) {
+        ws.slots.clear();
+        ws.slots.extend(self.conns.slab().map(|conn| SlotMarks {
+            bare: conn.is_some_and(|c| c.backups().is_empty()),
+            crosses: 0,
+            hot: 0,
+        }));
+        ws.oversubscribed.clear();
         for (i, aplv) in self.aplvs.iter().enumerate() {
             let pool = self.activation_pool_at(i);
             if aplv.required_spare() > pool {
-                for j in aplv.columns_above(pool) {
-                    ws.contended[j.index()] = true;
-                }
+                let i = LinkId::new(i as u32);
+                ws.oversubscribed
+                    .extend(aplv.columns_above(pool).map(|j| (j, i)));
             }
         }
-    }
-
-    /// The decisions of an uncontended failure of `link`: every connection
-    /// whose primary crosses it activates its first backup that avoids
-    /// `link` and every failed link, or none when no backup does.
-    fn first_usable_backups_in(&self, link: LinkId, ws: &mut ProbeWorkspace) {
-        ws.decisions.clear();
-        for &at in self.incidence.primaries_on(link) {
-            let won = self.conns.at(at.slot).backups().iter().position(|b| {
-                b.links()
-                    .iter()
-                    .all(|&l| l != link && !self.failed[l.index()])
-            });
-            ws.decisions.push((at, won));
-        }
+        ws.oversubscribed.sort_unstable();
     }
 
     /// Evaluates a hypothetical correlated failure without mutating state —
@@ -587,7 +626,7 @@ impl DrtpManager {
     pub fn probe_event(&self, event: &FailureEvent, rng: &mut StdRng) -> ProbeOutcome {
         let failed_links = event.resolve(self);
         let details = with_probe_scratch(|ws| {
-            self.select_activations_in(&failed_links, rng, ws);
+            self.select_activations_in(&failed_links, rng, ws, None);
             ws.details()
         });
         ProbeOutcome {
@@ -642,7 +681,7 @@ impl DrtpManager {
         // Decide winners on pre-failure state (near-simultaneous recovery:
         // losers' resources are not yet reclaimed when winners activate).
         let decisions = with_probe_scratch(|ws| {
-            self.select_activations_in(&failed_links, rng, ws);
+            self.select_activations_in(&failed_links, rng, ws, None);
             std::mem::take(&mut ws.decisions)
         });
 
@@ -785,7 +824,7 @@ impl DrtpManager {
             return Err(DrtpError::LinkFailed(link));
         }
         let decisions = with_probe_scratch(|ws| {
-            self.select_activations_in(self.in_network(&link), rng, ws);
+            self.select_activations_in(self.in_network(&link), rng, ws, None);
             std::mem::take(&mut ws.decisions)
         });
 
@@ -930,11 +969,17 @@ impl DrtpManager {
     /// is a generation-stamped mark array, and the per-link pools initialize
     /// lazily on first touch — a probe never walks all links or all
     /// connections, nor searches the table: the index hands it the slot.
+    ///
+    /// With `hot` set (the sweep's stamp for the probed link), the whole
+    /// affected set is shuffled as always but only the connections whose
+    /// slot carries that hot stamp are decided; the others are skipped and
+    /// get no decision. Probes and injections pass `None` and skip nobody.
     fn select_activations_in(
         &self,
         failed_links: &[LinkId],
         rng: &mut StdRng,
         ws: &mut ProbeWorkspace,
+        hot: Option<u32>,
     ) {
         ws.begin(self.net.num_links());
         for &l in failed_links {
@@ -948,6 +993,9 @@ impl DrtpManager {
 
         for k in 0..ws.affected.len() {
             let at = ws.affected[k];
+            if hot.is_some_and(|stamp| ws.slots[at.slot as usize].hot != stamp) {
+                continue;
+            }
             let conn = self.conns.at(at.slot);
             debug_assert_eq!(conn.id(), at.id, "index entry names a foreign slot");
             let bw = conn.qos().bandwidth;
@@ -1015,9 +1063,25 @@ struct ProbeWorkspace {
     affected: Vec<IndexEntry>,
     /// Per affected connection, the backup index that activated (if any).
     decisions: Vec<(IndexEntry, Option<usize>)>,
-    /// Per link `j`, whether some activation pool cannot absorb a failure
-    /// of `j` — set once per report by `DrtpManager::mark_contended`.
-    contended: Vec<bool>,
+    /// The sweep's over-subscribed `(j, i)` pairs, sorted by `j` — filled
+    /// once per report by `DrtpManager::begin_sweep`.
+    oversubscribed: Vec<(LinkId, LinkId)>,
+    /// Per slot of the connection table, what the sweep knows of the
+    /// record there without reading it.
+    slots: Vec<SlotMarks>,
+}
+
+/// The sweep's per-slot marks. A stamp is the probed link's index plus
+/// one, and means something only while that link is probed.
+#[derive(Debug, Clone, Copy)]
+struct SlotMarks {
+    /// The record holds no backup.
+    bare: bool,
+    /// Stamped when one of the record's backups crosses the probed link.
+    crosses: u32,
+    /// Stamped when one of the record's backups crosses a link whose pool
+    /// a failure of the probed link over-subscribes.
+    hot: u32,
 }
 
 impl ProbeWorkspace {
@@ -1030,7 +1094,8 @@ impl ProbeWorkspace {
             mark_stamp: Vec::new(),
             affected: Vec::new(),
             decisions: Vec::new(),
-            contended: Vec::new(),
+            oversubscribed: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -1515,13 +1580,36 @@ mod tests {
         sweep
     }
 
-    /// The links `mark_contended` marks.
+    /// The links whose failure over-subscribes some activation pool, as
+    /// `begin_sweep` lists them: the only ones that can have a hot
+    /// contender.
     fn contended(mgr: &DrtpManager) -> Vec<LinkId> {
         with_probe_scratch(|ws| {
-            mgr.mark_contended(ws);
-            let marked = mgr.net().links().map(|l| l.id());
-            marked.filter(|l| ws.contended[l.index()]).collect()
+            mgr.begin_sweep(ws);
+            let mut columns: Vec<LinkId> = ws.oversubscribed.iter().map(|&(j, _)| j).collect();
+            columns.dedup();
+            columns
         })
+    }
+
+    /// The hot contenders of a failure of `link`, from the definition and
+    /// the manager's public reads: the carrying connections whose primary
+    /// crosses `link` and one of whose backups crosses a link `L_i` with
+    /// `spare_i + free_i < bandwidth_{i,link}`.
+    fn hot(mgr: &DrtpManager, link: LinkId) -> Vec<ConnectionId> {
+        let oversubscribed = |i: LinkId| {
+            let lr = mgr.link_resources(i);
+            lr.spare() + lr.free() < mgr.aplv(i).bandwidth(link)
+        };
+        mgr.connections()
+            .filter(|c| c.state().is_carrying_traffic() && c.primary().contains_link(link))
+            .filter(|c| {
+                c.backups()
+                    .iter()
+                    .any(|b| b.links().iter().any(|&i| oversubscribed(i)))
+            })
+            .map(|c| c.id())
+            .collect()
     }
 
     /// Ring(4) of 7 Mb/s links and two 3 Mb/s connections `0 → 1` whose
@@ -1598,6 +1686,7 @@ mod tests {
             });
             assert!(covered, "every pool covers every column");
             assert!(contended(&mgr).is_empty());
+            assert!(mgr.net().links().all(|l| hot(&mgr, l.id()).is_empty()));
             for seed in 0..8 {
                 let sweep = mgr.sweep_single_failures(seed);
                 assert_eq!(sweep, probed_sweep(&mgr, seed, "failure-probe"));
@@ -1629,6 +1718,9 @@ mod tests {
         );
         assert!(lr.spare() < mgr.aplv(long).bandwidth(direct));
         assert_eq!(contended(&mgr), vec![direct]);
+        // The two conflicting connections are hot; the bare one is not.
+        let c = ConnectionId::new;
+        assert_eq!(hot(&mgr, direct), [c(1), c(2)]);
 
         let mut losers = [BTreeSet::new(), BTreeSet::new()];
         for seed in 0..16 {
@@ -1658,6 +1750,121 @@ mod tests {
         for losers in losers {
             assert_eq!(losers.len(), 2, "either connection can lose the draw");
         }
+    }
+
+    #[test]
+    fn a_primary_that_walks_the_probed_link_twice_is_one_trial() {
+        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let mut scheme = crate::routing::Scripted::new();
+        scheme.push(route(&net, &[0, 1, 0, 1]), Some(route(&net, &[0, 3, 2, 1])));
+        mgr.request_connection(&mut scheme, req(0, 0, 1)).unwrap();
+        let forth = net.find_link(NodeId::new(0), NodeId::new(1)).unwrap();
+        let primary = mgr.connection(ConnectionId::new(0)).unwrap().primary();
+        assert_eq!(primary.links().iter().filter(|&&l| l == forth).count(), 2);
+
+        for seed in 0..4 {
+            let sweep = mgr.sweep_single_failures(seed);
+            assert_eq!(sweep, probed_sweep(&mgr, seed, "failure-probe"));
+            let hit = sweep.per_link.iter().find(|li| li.link == forth).unwrap();
+            assert_eq!((hit.affected, hit.activated), (1, 1));
+            let mut rng = drt_sim::rng::stream(seed, "double-walk");
+            assert_eq!(mgr.probe_single_failure(forth, &mut rng).affected(), 1);
+        }
+        // The reverse link is on the primary too, and its failure leaves
+        // the backup usable; only a link of the backup can kill the
+        // connection, and none of those is on the primary.
+        let sweep = mgr.sweep_single_failures(0);
+        assert!(sweep.per_conn.is_empty());
+        assert_eq!(sweep.aggregate.affected, 2, "{:?}", sweep.per_link);
+
+        // A bare primary that walks the link twice dies there once.
+        let mut bare = DrtpManager::new(Arc::clone(&net));
+        let mut scheme = crate::routing::Scripted::new();
+        scheme.push(route(&net, &[0, 1, 0, 1]), None);
+        bare.request_connection(&mut scheme, req(0, 0, 1)).unwrap();
+        let sweep = bare.sweep_single_failures(0);
+        assert_eq!(sweep, probed_sweep(&bare, 0, "failure-probe"));
+        assert!(sweep.per_conn.windows(2).all(|w| w[0] != w[1]));
+        assert_eq!(sweep.per_conn.len(), 2, "{:?}", sweep.per_conn);
+        assert_eq!(sweep.aggregate.degraded, 2);
+    }
+
+    /// Random states on a small network of 6 Mb/s links: D-LSR
+    /// connections with two backups, primary-only ones that eat the free
+    /// bandwidth, one dedicated connection and a few failed links. Their
+    /// pools fall short of their columns, so failures have hot contenders,
+    /// and the sweep must still be the probe's, link for link.
+    #[test]
+    fn hot_contenders_are_decided_as_the_probe_decides_them() {
+        use proptest::test_runner::ProptestConfig;
+        use rand::Rng;
+        let (mut hot_lost, mut hot_won) = (0u64, 0u64);
+        proptest::run_cases(
+            "hot_contenders_are_decided_as_the_probe_decides_them",
+            &ProptestConfig::with_cases(24),
+            |rng| {
+                let topo = rng.gen::<u64>();
+                let net = topology::random_connected(10, 14, Bandwidth::from_mbps(6), topo);
+                let net = Arc::new(net.unwrap());
+                let nodes = net.num_nodes() as u32;
+                let mut mgr = DrtpManager::new(Arc::clone(&net));
+                let mut dlsr = DLsr::new();
+                let pick = |rng: &mut StdRng| {
+                    let src = rng.gen_range(0..nodes);
+                    (src, (src + rng.gen_range(1..nodes)) % nodes)
+                };
+                let (src, dst) = pick(rng);
+                let _ = mgr.request_connection(&mut DedicatedDisjoint::new(), req(0, src, dst));
+                for id in 1..40 {
+                    let (src, dst) = pick(rng);
+                    let bw = Bandwidth::from_mbps(rng.gen_range(1..=3));
+                    let request = RouteRequest::new(
+                        ConnectionId::new(id),
+                        NodeId::new(src),
+                        NodeId::new(dst),
+                        bw,
+                    );
+                    let _ = match rng.gen_range(0..4) {
+                        0 => mgr.request_connection(&mut PrimaryOnly::new(), request),
+                        _ => mgr.request_connection(&mut dlsr, request.with_backups(2)),
+                    };
+                    if rng.gen_range(0..10) == 0 {
+                        let link = LinkId::new(rng.gen_range(0..net.num_links() as u32));
+                        let _ = mgr.inject_failure(link, rng);
+                    }
+                }
+                mgr.assert_invariants();
+                let hot_sets: Vec<(usize, LinkId, Vec<ConnectionId>)> = net
+                    .links()
+                    .map(|l| l.id())
+                    .enumerate()
+                    .filter(|&(_, link)| !mgr.is_failed(link))
+                    .map(|(k, link)| (k, link, hot(&mgr, link)))
+                    .filter(|(.., hot)| !hot.is_empty())
+                    .collect();
+                for seed in 0..16 {
+                    for stream in ["failure-probe", "vulnerability"] {
+                        let sweep = mgr.failure_sweep(seed, stream);
+                        proptest::prop_assert_eq!(&sweep, &probed_sweep(&mgr, seed, stream));
+                        for (k, link, hot) in &hot_sets {
+                            let mut rng = drt_sim::rng::indexed_stream(seed, stream, *k as u64);
+                            let out = mgr.probe_single_failure(*link, &mut rng);
+                            for (c, won) in out.details {
+                                match won {
+                                    _ if !hot.contains(&c) => {}
+                                    Some(_) => hot_won += 1,
+                                    None => hot_lost += 1,
+                                }
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(hot_lost > 0, "no hot contender lost ({hot_won} won)");
+        assert!(hot_won > 0, "no hot contender won ({hot_lost} lost)");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct LinkResources {
 
 impl LinkResources {
     /// A fresh ledger for a link of the given capacity.
-    pub fn new(capacity: Bandwidth) -> Self {
+    pub const fn new(capacity: Bandwidth) -> Self {
         LinkResources {
             capacity,
             prime: Bandwidth::ZERO,

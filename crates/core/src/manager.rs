@@ -458,14 +458,17 @@ impl DrtpManager {
         sink.0.finish()
     }
 
-    /// The resource ledger of a link.
+    /// The resource ledger of a link (a zero-capacity ledger for a link
+    /// outside the network).
     pub fn link_resources(&self, l: LinkId) -> &LinkResources {
-        &self.links[l.index()]
+        static NO_LINK: LinkResources = LinkResources::new(Bandwidth::ZERO);
+        self.links.get(l.index()).unwrap_or(&NO_LINK)
     }
 
-    /// The APLV of a link.
+    /// The APLV of a link (an empty one for a link outside the network).
     pub fn aplv(&self, l: LinkId) -> &Aplv {
-        &self.aplvs[l.index()]
+        static NO_LINK: Aplv = Aplv::new();
+        self.aplvs.get(l.index()).unwrap_or(&NO_LINK)
     }
 
     /// Returns `true` when `l` is currently failed (never for a link
@@ -860,6 +863,17 @@ impl DrtpManager {
         for conn in self.conns.values() {
             if conn.state() == ConnectionState::Failed {
                 continue;
+            }
+            // 1e. No carrying connection's primary or backup crosses a
+            //     failed link: a failure promotes or tears down every
+            //     primary across it and drops every backup across it. The
+            //     single-failure sweep relies on this instead of checking
+            //     each backup against the failed mask.
+            let routes = std::iter::once(conn.primary()).chain(conn.backups());
+            for route in routes {
+                if let Some(l) = route.links().iter().find(|l| self.failed[l.index()]) {
+                    panic!("carrying connection {} crosses failed link {l}", conn.id());
+                }
             }
             let bw = conn.qos().bandwidth;
             for &l in conn.primary().links() {

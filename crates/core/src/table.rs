@@ -128,6 +128,12 @@ impl ConnTable {
         self.by_id.values().map(|&slot| (slot, self.at(slot)))
     }
 
+    /// Every slot in slab order, `None` where vacant: one pass over the
+    /// slab, with no descent of the id map.
+    pub(crate) fn slab(&self) -> impl Iterator<Item = Option<&DrConnection>> {
+        self.slab.iter().map(Option::as_ref)
+    }
+
     /// Every record, in id order.
     pub(crate) fn values(&self) -> impl Iterator<Item = &DrConnection> {
         self.entries().map(|(_, conn)| conn)

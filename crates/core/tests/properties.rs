@@ -661,3 +661,282 @@ proptest! {
         );
     }
 }
+
+/// Which id a hostile call names: one of the network's (or a live
+/// connection), one past its end, a failed link (a `Failed` connection,
+/// a node on a failed link), or a link once failed and repaired (a
+/// released connection).
+#[derive(Debug, Clone, Copy)]
+enum Hostile {
+    InRange,
+    OutOfRange,
+    Failed,
+    Released,
+}
+
+fn arb_hostile() -> impl Strategy<Value = Hostile> {
+    let kinds = [
+        Hostile::InRange,
+        Hostile::OutOfRange,
+        Hostile::Failed,
+        Hostile::Released,
+    ];
+    (0usize..4).prop_map(move |k| kinds[k])
+}
+
+/// An index at or past `len`: just past it, far past it, or the largest.
+fn past(len: usize, raw: u32) -> u32 {
+    match raw % 3 {
+        0 => len as u32,
+        1 => len as u32 + raw % 1_000,
+        _ => u32::MAX,
+    }
+}
+
+/// The ids of each kind a manager state offers, resolved per call.
+struct HostileIds {
+    failed_links: Vec<LinkId>,
+    repaired: Vec<LinkId>,
+    failed_conns: Vec<ConnectionId>,
+    released: Vec<ConnectionId>,
+    live: Vec<ConnectionId>,
+}
+
+impl HostileIds {
+    fn of(mgr: &DrtpManager, repaired: &[LinkId], released: &[ConnectionId]) -> Self {
+        let net = mgr.net();
+        let failed = |c: &&drt_core::DrConnection| c.state() == drt_core::ConnectionState::Failed;
+        HostileIds {
+            failed_links: net
+                .links()
+                .map(|l| l.id())
+                .filter(|&l| mgr.is_failed(l))
+                .collect(),
+            repaired: repaired
+                .iter()
+                .copied()
+                .filter(|&l| !mgr.is_failed(l))
+                .collect(),
+            failed_conns: mgr.connections().filter(failed).map(|c| c.id()).collect(),
+            released: released
+                .iter()
+                .copied()
+                .filter(|&c| mgr.connection(c).is_none())
+                .collect(),
+            live: mgr
+                .connections()
+                .filter(|c| !failed(c))
+                .map(|c| c.id())
+                .collect(),
+        }
+    }
+
+    fn pick<T: Copy>(from: &[T], raw: u32) -> Option<T> {
+        (!from.is_empty()).then(|| from[raw as usize % from.len()])
+    }
+
+    fn link(&self, net: &Network, kind: Hostile, raw: u32) -> LinkId {
+        let n = net.num_links() as u32;
+        let in_range = LinkId::new(raw % n);
+        match kind {
+            Hostile::InRange => in_range,
+            Hostile::OutOfRange => LinkId::new(past(net.num_links(), raw)),
+            Hostile::Failed => Self::pick(&self.failed_links, raw).unwrap_or(in_range),
+            Hostile::Released => Self::pick(&self.repaired, raw).unwrap_or(in_range),
+        }
+    }
+
+    fn node(&self, net: &Network, kind: Hostile, raw: u32) -> NodeId {
+        match kind {
+            Hostile::OutOfRange => NodeId::new(past(net.num_nodes(), raw)),
+            Hostile::InRange | Hostile::Failed | Hostile::Released => {
+                net.link(self.link(net, kind, raw)).src()
+            }
+        }
+    }
+
+    fn srlg(&self, net: &Network, kind: Hostile, raw: u32) -> SrlgId {
+        match kind {
+            Hostile::OutOfRange => SrlgId::new(past(net.num_srlgs(), raw)),
+            _ => SrlgId::new(raw % net.num_srlgs() as u32),
+        }
+    }
+
+    fn conn(&self, kind: Hostile, raw: u32) -> ConnectionId {
+        let never = ConnectionId::new(1_000_000 + u64::from(raw));
+        let from = match kind {
+            Hostile::InRange => &self.live,
+            Hostile::OutOfRange => return never,
+            Hostile::Failed => &self.failed_conns,
+            Hostile::Released => &self.released,
+        };
+        Self::pick(from, raw).unwrap_or(never)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every public `DrtpManager` method that takes a `LinkId`, `NodeId`,
+    /// `SrlgId` or `ConnectionId`, called with ids inside and outside the
+    /// network, failed ones and released ones, on a loaded manager with
+    /// failed links, failed connections and released ids: each call
+    /// returns a value or a typed `Err` — a panic fails the test — and
+    /// the invariants hold after it.
+    #[test]
+    fn hostile_ids_get_a_value_or_a_typed_error(
+        seed in any::<u64>(),
+        setup in prop::collection::vec(arb_op(12, 34), 10..40),
+        calls in prop::collection::vec((0u32..23, arb_hostile(), any::<u32>(), arb_hostile()), 1..40),
+    ) {
+        use drt_core::failure::RestartMode;
+        let net = topology::random_connected(12, 17, Bandwidth::from_mbps(6), seed).unwrap();
+        let groups = vec![vec![LinkId::new(0), LinkId::new(3)], vec![LinkId::new(5)]];
+        let net = Arc::new(net.with_srlgs(&groups).unwrap());
+        let n = net.num_links() as u32;
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let mut scheme = DLsr::new();
+        let mut rng = drt_sim::rng::stream(seed, "hostile-ids");
+        let (mut repaired, mut released) = (Vec::new(), Vec::new());
+        let mut next_id = 0u64;
+        for op in setup {
+            match op {
+                Op::Establish { src, dst, mbps, .. } if src != dst => {
+                    let id = ConnectionId::new(next_id);
+                    next_id += 1;
+                    let req = RouteRequest::new(
+                        id, NodeId::new(src), NodeId::new(dst), Bandwidth::from_mbps(mbps),
+                    );
+                    let _ = mgr.request_connection(&mut scheme, req);
+                }
+                Op::Release { victim } if next_id > 0 => {
+                    let id = ConnectionId::new(victim as u64 % next_id);
+                    if mgr.release(id).is_ok() {
+                        released.push(id);
+                    }
+                }
+                Op::Fail { link } | Op::Cut { link } => {
+                    let _ = mgr.inject_failure(LinkId::new(link % n), &mut rng);
+                }
+                Op::Repair { link } => {
+                    let link = LinkId::new(link % n);
+                    if mgr.repair_link(link).is_ok() {
+                        repaired.push(link);
+                    }
+                }
+                _ => {}
+            }
+        }
+        mgr.assert_invariants();
+
+        for (call, kind, raw, other) in calls {
+            let ids = HostileIds::of(&mgr, &repaired, &released);
+            let l = ids.link(&net, kind, raw);
+            let v = ids.node(&net, kind, raw);
+            let g = ids.srlg(&net, kind, raw);
+            let c = ids.conn(kind, raw);
+            let w = ids.node(&net, other, raw.rotate_left(16));
+            let bw = Bandwidth::from_mbps(1);
+            match call {
+                0 => {
+                    let lr = mgr.link_resources(l);
+                    prop_assert!(lr.prime() + lr.spare() <= lr.capacity());
+                }
+                1 => prop_assert_eq!(mgr.aplv(l).is_empty(), mgr.aplv(l).l1_norm() == 0),
+                2 => prop_assert_eq!(mgr.is_failed(l), ids.failed_links.contains(&l)),
+                3 => {
+                    let out = mgr.probe_single_failure(l, &mut rng);
+                    prop_assert!(out.activated() <= out.affected());
+                }
+                4 => {
+                    let _ = mgr.inject_failure(l, &mut rng);
+                }
+                5 => {
+                    let _ = mgr.inject_false_report(l, &mut rng);
+                }
+                6 => {
+                    if mgr.repair_link(l).is_ok() {
+                        repaired.push(l);
+                    }
+                }
+                7 => {
+                    let avoid = [l, LinkId::new(u32::MAX)];
+                    let _ = mgr.reestablish_backup_avoiding(&mut scheme, c, &avoid);
+                }
+                8 => {
+                    let _ = mgr.probe_event(&FailureEvent::Link(l), &mut rng);
+                    let _ = mgr.probe_event(&FailureEvent::Node(v), &mut rng);
+                    let _ = mgr.probe_event(&FailureEvent::Srlg(g), &mut rng);
+                }
+                9 => {
+                    let _ = mgr.inject_event(&FailureEvent::Link(l), &mut rng);
+                }
+                10 => {
+                    let _ = mgr.inject_event(&FailureEvent::Node(v), &mut rng);
+                }
+                11 => {
+                    let _ = mgr.inject_event(&FailureEvent::Srlg(g), &mut rng);
+                }
+                12 => {
+                    let _ = mgr.crash_restart_router(v, RestartMode::Journaled, &mut rng);
+                }
+                13 => {
+                    let _ = mgr.crash_restart_router(v, RestartMode::Amnesia, &mut rng);
+                }
+                14 => {
+                    let _ = mgr.connection(c);
+                }
+                15 => {
+                    if mgr.release(c).is_ok() {
+                        released.push(c);
+                    }
+                }
+                16 => {
+                    let _ = mgr.drop_backups(c);
+                }
+                17 => {
+                    let _ = mgr.reestablish_backup(&mut scheme, c);
+                }
+                18 => {
+                    // The connection's own primary: a route of this network
+                    // between its endpoints, wherever it runs.
+                    let route = ids
+                        .live
+                        .first()
+                        .and_then(|&id| mgr.connection(id))
+                        .map(|conn| conn.primary().clone());
+                    if let Some(route) = route {
+                        let _ = mgr.install_backup_route(c, route);
+                    }
+                }
+                19 => {
+                    let _ = mgr.request_connection(&mut scheme, RouteRequest::new(c, v, w, bw));
+                }
+                20 => {
+                    let req = RouteRequest::new(c, v, w, bw);
+                    let pair = ids.live.first().and_then(|&id| mgr.connection(id)).map(|conn| {
+                        drt_core::routing::RoutePair {
+                            primary: conn.primary().clone(),
+                            backups: conn.backups().to_vec(),
+                            dedicated_backup: false,
+                            overhead: Default::default(),
+                        }
+                    });
+                    if let Some(pair) = pair {
+                        let _ = mgr.admit_routes(&req, pair);
+                    }
+                }
+                21 => {
+                    let _ = mgr.sweep_single_failures(u64::from(raw));
+                }
+                _ => {
+                    let _ = mgr.inject_event(
+                        &FailureEvent::Batch(vec![FailureEvent::Link(l), FailureEvent::Node(v)]),
+                        &mut rng,
+                    );
+                }
+            }
+            mgr.assert_invariants();
+        }
+    }
+}

@@ -7,14 +7,14 @@ use std::fmt;
 /// Lifecycle state of a DR-connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnectionState {
-    /// Primary carries traffic; at least one backup is registered.
+    /// Primary carries traffic; its backup is registered.
     Protected,
     /// Primary carries traffic; no backup is currently registered (either
-    /// none was found, or the backups were consumed/invalidated and not
-    /// yet re-established).
+    /// none was found, or the backup was consumed/invalidated and not yet
+    /// re-established).
     Unprotected,
-    /// The primary failed and the connection switched to a (promoted)
-    /// backup; remaining backups were released pending reconfiguration.
+    /// The primary failed and the connection switched to its (promoted)
+    /// backup; it runs unprotected pending reconfiguration.
     Recovered,
     /// The primary failed and no backup could be activated; service is
     /// down.
@@ -40,40 +40,40 @@ impl fmt::Display for ConnectionState {
     }
 }
 
-/// One dependable real-time connection: a primary channel, zero or more
-/// backup channels in activation-priority order, and its QoS contract.
+/// One dependable real-time connection: a primary channel, at most one
+/// backup channel (PAPER.md §1), and its QoS contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrConnection {
     id: ConnectionId,
     qos: QosRequirement,
     primary: Route,
-    backups: Vec<Route>,
-    /// `true` when the backups hold hard (non-multiplexed) reservations —
+    backup: Option<Route>,
+    /// `true` when the backup holds hard (non-multiplexed) reservations —
     /// the dedicated-backup baseline.
     dedicated_backup: bool,
     state: ConnectionState,
 }
 
 impl DrConnection {
-    /// Creates a connection record; state derives from whether any backup
+    /// Creates a connection record; state derives from whether a backup
     /// is present. Used by the manager at admission time.
     pub(crate) fn new(
         id: ConnectionId,
         qos: QosRequirement,
         primary: Route,
-        backups: Vec<Route>,
+        backup: Option<Route>,
         dedicated_backup: bool,
     ) -> Self {
-        let state = if backups.is_empty() {
-            ConnectionState::Unprotected
-        } else {
+        let state = if backup.is_some() {
             ConnectionState::Protected
+        } else {
+            ConnectionState::Unprotected
         };
         DrConnection {
             id,
             qos,
             primary,
-            backups,
+            backup,
             dedicated_backup,
             state,
         }
@@ -94,17 +94,18 @@ impl DrConnection {
         &self.primary
     }
 
-    /// The highest-priority registered backup route, if any.
+    /// The registered backup route, if any.
     pub fn backup(&self) -> Option<&Route> {
-        self.backups.first()
+        self.backup.as_ref()
     }
 
-    /// All registered backup routes in activation-priority order.
+    /// The backup as a slice of zero or one route. Kept only while
+    /// `drt-benchmark` still reads it.
     pub fn backups(&self) -> &[Route] {
-        &self.backups
+        self.backup.as_slice()
     }
 
-    /// Whether the backups hold dedicated (non-multiplexed) reservations.
+    /// Whether the backup holds a dedicated (non-multiplexed) reservation.
     pub fn backup_is_dedicated(&self) -> bool {
         self.dedicated_backup
     }
@@ -118,55 +119,36 @@ impl DrConnection {
         self.state = state;
     }
 
-    /// Promotes the backup at `index` to primary (after a successful
-    /// activation), removing *all* backups from the record; the manager
-    /// releases the others' resources and may later re-protect via
-    /// reconfiguration. The connection becomes
-    /// [`ConnectionState::Recovered`].
+    /// Promotes the backup to primary (after a successful activation),
+    /// leaving the connection [`ConnectionState::Recovered`] and without
+    /// a backup until reconfiguration installs a new one.
     ///
     /// # Panics
     ///
-    /// Panics when `index` is out of range.
-    pub(crate) fn promote_backup(&mut self, index: usize) -> Vec<Route> {
-        assert!(index < self.backups.len(), "promote of unknown backup");
-        let mut rest = std::mem::take(&mut self.backups);
-        let promoted = rest.remove(index);
-        self.primary = promoted;
+    /// Panics when the connection holds no backup.
+    pub(crate) fn promote_backup(&mut self) {
+        self.primary = self.backup.take().expect("promote without a backup");
         self.dedicated_backup = false;
         self.state = ConnectionState::Recovered;
-        rest
     }
 
-    /// Installs an additional backup route (appended at lowest priority),
-    /// returning the connection to [`ConnectionState::Protected`].
+    /// Installs the backup route of an unprotected connection, returning
+    /// it to [`ConnectionState::Protected`].
     pub(crate) fn install_backup(&mut self, backup: Route, dedicated: bool) {
-        self.backups.push(backup);
+        debug_assert!(self.backup.is_none(), "a connection holds one backup");
+        self.backup = Some(backup);
         self.dedicated_backup = dedicated;
         self.state = ConnectionState::Protected;
     }
 
-    /// Removes all backup registrations from the record (resources are
-    /// handled by the manager), marking the connection unprotected.
-    pub(crate) fn clear_backups(&mut self) -> Vec<Route> {
-        let out = std::mem::take(&mut self.backups);
+    /// Removes the backup registration from the record (resources are
+    /// handled by the manager), marking a protected connection
+    /// unprotected.
+    pub(crate) fn take_backup(&mut self) -> Option<Route> {
         if self.state == ConnectionState::Protected {
             self.state = ConnectionState::Unprotected;
         }
-        out
-    }
-
-    /// Removes the backup at `index` only (e.g. invalidated by a failure
-    /// on its route), updating the state if none remain.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub(crate) fn remove_backup(&mut self, index: usize) -> Route {
-        let r = self.backups.remove(index);
-        if self.backups.is_empty() && self.state == ConnectionState::Protected {
-            self.state = ConnectionState::Unprotected;
-        }
-        r
+        self.backup.take()
     }
 }
 
@@ -174,12 +156,15 @@ impl fmt::Display for DrConnection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} [{}] primary {} hops, {} backup(s)",
+            "{} [{}] primary {} hops, ",
             self.id,
             self.state,
             self.primary.len(),
-            self.backups.len(),
-        )
+        )?;
+        match &self.backup {
+            Some(b) => write!(f, "backup {} hops", b.len()),
+            None => f.write_str("no backup"),
+        }
     }
 }
 
@@ -206,7 +191,7 @@ mod tests {
             ConnectionId::new(1),
             QosRequirement::bandwidth_only(Bandwidth::from_kbps(3000)),
             primary,
-            vec![backup],
+            Some(backup),
             false,
         );
         (net, conn)
@@ -219,9 +204,7 @@ mod tests {
         assert!(c.state().is_carrying_traffic());
         assert_eq!(c.primary().len(), 2);
         assert_eq!(c.backup().unwrap().len(), 3);
-        assert_eq!(c.backups().len(), 1);
-        let rest = c.promote_backup(0);
-        assert!(rest.is_empty());
+        c.promote_backup();
         assert_eq!(c.state(), ConnectionState::Recovered);
         assert_eq!(c.primary().len(), 3);
         assert!(c.backup().is_none());
@@ -234,7 +217,7 @@ mod tests {
             ConnectionId::new(2),
             c.qos(),
             c.primary().clone(),
-            Vec::new(),
+            None,
             false,
         );
         assert_eq!(u.state(), ConnectionState::Unprotected);
@@ -243,44 +226,20 @@ mod tests {
     #[test]
     fn clear_and_reinstall_backup() {
         let (_, mut c) = sample();
-        let removed = c.clear_backups();
-        assert_eq!(removed.len(), 1);
+        let removed = c.take_backup().unwrap();
         assert_eq!(c.state(), ConnectionState::Unprotected);
-        c.install_backup(removed.into_iter().next().unwrap(), true);
+        assert!(c.backup().is_none() && c.backups().is_empty());
+        c.install_backup(removed, true);
         assert_eq!(c.state(), ConnectionState::Protected);
         assert!(c.backup_is_dedicated());
     }
 
     #[test]
-    fn multiple_backups_priority_order() {
-        let (net, mut c) = sample();
-        let second =
-            Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]).unwrap();
-        c.install_backup(second.clone(), false);
-        assert_eq!(c.backups().len(), 2);
-        assert_ne!(c.backup().unwrap(), &second, "first backup keeps priority");
-
-        // Promoting the SECOND backup returns the first as released rest.
-        let rest = c.promote_backup(1);
-        assert_eq!(rest.len(), 1);
-        assert_eq!(c.primary(), &second);
-        assert_eq!(c.state(), ConnectionState::Recovered);
-    }
-
-    #[test]
-    fn remove_single_backup_unprotects() {
-        let (_, mut c) = sample();
-        let _ = c.remove_backup(0);
-        assert_eq!(c.state(), ConnectionState::Unprotected);
-        assert!(c.backups().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "promote of unknown backup")]
+    #[should_panic(expected = "promote without a backup")]
     fn promote_without_backup_panics() {
         let (_, mut c) = sample();
-        c.clear_backups();
-        c.promote_backup(0);
+        c.take_backup();
+        c.promote_backup();
     }
 
     #[test]
@@ -293,6 +252,6 @@ mod tests {
     fn display() {
         let (_, c) = sample();
         assert!(c.to_string().contains("D1 [protected]"));
-        assert!(c.to_string().contains("1 backup(s)"));
+        assert!(c.to_string().contains("backup 3 hops"));
     }
 }

@@ -10,8 +10,8 @@
 //! per-link protection state.
 //!
 //! [`IncidenceIndex`] keeps, per link, the sorted list of connections
-//! whose primary crosses it and (as a multiset — a connection may hold
-//! several backups over one link) whose backups cross it. An entry is the
+//! whose primary crosses it and (as a multiset — a route may walk one
+//! link twice) whose backup crosses it. An entry is the
 //! connection's id *and the slot of its record in the connection table*,
 //! so a consumer reaches the record with one indexed load instead of a
 //! search by id. The index is maintained *by delta* inside the manager's
@@ -63,8 +63,8 @@ pub struct IncidenceIndex {
     /// Per link: connections whose primary crosses it, sorted by id.
     primary: Vec<Vec<IndexEntry>>,
     /// Per link: connections with a backup across it, sorted by id, one
-    /// entry per (backup route, link) crossing — a multiset, since two
-    /// backups of one connection may share a link.
+    /// entry per crossing — a multiset, since a backup route may walk one
+    /// link twice.
     backup: Vec<Vec<IndexEntry>>,
 }
 
@@ -89,8 +89,8 @@ impl IncidenceIndex {
     }
 
     /// The carrying connections with a backup route across `l`, in
-    /// ascending id order. A connection appears once per backup crossing,
-    /// so consumers that need a set must dedup.
+    /// ascending id order. A connection appears once per crossing, so
+    /// consumers that need a set must dedup.
     pub(crate) fn backups_on(&self, l: LinkId) -> &[IndexEntry] {
         &self.backup[l.index()]
     }
@@ -153,7 +153,7 @@ impl IncidenceIndex {
             }
             let at = IndexEntry::new(conn.id(), slot);
             idx.add_primary(conn.primary().links(), at);
-            for b in conn.backups() {
+            if let Some(b) = conn.backup() {
                 idx.add_backup(b.links(), at);
             }
         }
@@ -232,16 +232,17 @@ mod tests {
 
     #[test]
     fn backup_lists_are_multisets() {
-        // Two backups of the same connection over one link: both crossings
-        // are recorded, and each removal drops exactly one.
+        // A backup that walks one link twice: both crossings are
+        // recorded, and removing the route drops both.
         let mut idx = IncidenceIndex::new(2);
-        idx.add_backup(&[l(0)], c(1));
-        idx.add_backup(&[l(0)], c(1));
-        assert_eq!(idx.backups_on(l(0)), &[c(1), c(1)]);
-        idx.remove_backup(&[l(0)], c(1));
-        assert_eq!(idx.backups_on(l(0)), &[c(1)]);
-        idx.remove_backup(&[l(0)], c(1));
-        assert!(idx.backups_on(l(0)).is_empty());
+        let walk = [l(0), l(1), l(0)];
+        idx.add_backup(&walk, c(1));
+        idx.add_backup(&[l(0)], c(2));
+        assert_eq!(idx.backups_on(l(0)), &[c(1), c(1), c(2)]);
+        assert_eq!(idx.backups_on(l(1)), &[c(1)]);
+        idx.remove_backup(&walk, c(1));
+        assert_eq!(idx.backups_on(l(0)), &[c(2)]);
+        assert!(idx.backups_on(l(1)).is_empty());
     }
 
     #[test]

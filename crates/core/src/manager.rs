@@ -135,23 +135,25 @@ pub struct EstablishReport {
     pub id: ConnectionId,
     /// The admitted primary route.
     pub primary: Route,
-    /// The registered backup routes in activation-priority order.
-    pub backups: Vec<Route>,
-    /// Whether the backups hold dedicated reservations.
+    /// The registered backup route, if any. Named in the plural only
+    /// because `drt-benchmark` still reads the field;
+    /// [`EstablishReport::backup`] is the reader.
+    pub backups: Option<Route>,
+    /// Whether the backup holds a dedicated reservation.
     pub dedicated_backup: bool,
     /// Control-plane cost of route discovery.
     pub overhead: RoutingOverhead,
-    /// Spare bandwidth added across all links of the backup routes.
+    /// Spare bandwidth added across the links of the backup route.
     pub spare_grown: Bandwidth,
-    /// `true` when a new backup conflicts with at least one existing
+    /// `true` when the new backup conflicts with at least one existing
     /// backup (they share a link and their primaries share a link).
     pub conflicted: bool,
 }
 
 impl EstablishReport {
-    /// The first (highest-priority) backup, if any.
+    /// The registered backup route, if any.
     pub fn backup(&self) -> Option<&Route> {
-        self.backups.first()
+        self.backups.as_ref()
     }
 }
 
@@ -596,7 +598,9 @@ impl DrtpManager {
         if self.conns.slot_of(req.id).is_some() {
             return Err(DrtpError::DuplicateConnection(req.id));
         }
-        self.validate_selection(req, &pair.primary, &pair.backups)?;
+        for route in std::iter::once(&pair.primary).chain(&pair.backup) {
+            self.validate_route(req, route)?;
+        }
 
         let bw = req.bandwidth();
         let lset = pair.primary.links();
@@ -606,19 +610,11 @@ impl DrtpManager {
         self.attach_primary(at, lset, bw, LinkResources::admit_primary)
             .map_err(DrtpError::InsufficientBandwidth)?;
 
-        let mut spare_grown = Bandwidth::ZERO;
-        let mut conflicted = false;
-        for (i, backup) in pair.backups.iter().enumerate() {
-            match self.attach_backup(at, backup, lset, bw, pair.dedicated_backup) {
-                Ok((grown, had_conflicts)) => {
-                    spare_grown += grown;
-                    conflicted |= had_conflicts;
-                }
+        let (mut spare_grown, mut conflicted) = (Bandwidth::ZERO, false);
+        if let Some(b) = &pair.backup {
+            match self.attach_backup(at, b, lset, bw, pair.dedicated_backup) {
+                Ok(attached) => (spare_grown, conflicted) = attached,
                 Err(l) => {
-                    // Roll back everything attached so far.
-                    for done in &pair.backups[..i] {
-                        self.detach_backup(at, done, lset, bw, pair.dedicated_backup);
-                    }
                     self.detach_primary(at, lset, bw);
                     return Err(DrtpError::InsufficientBandwidth(l));
                 }
@@ -629,7 +625,7 @@ impl DrtpManager {
             req.id,
             req.qos,
             pair.primary.clone(),
-            pair.backups.clone(),
+            pair.backup.clone(),
             pair.dedicated_backup,
         );
         let slot = self.conns.insert(conn);
@@ -638,7 +634,7 @@ impl DrtpManager {
         Ok(EstablishReport {
             id: req.id,
             primary: pair.primary,
-            backups: pair.backups,
+            backups: pair.backup,
             dedicated_backup: pair.dedicated_backup,
             overhead: pair.overhead,
             spare_grown,
@@ -646,15 +642,15 @@ impl DrtpManager {
         })
     }
 
-    /// Finds and registers a new backup for an existing (unprotected or
+    /// Finds and registers a backup for an existing (unprotected or
     /// recovered) connection — DRTP's resource-reconfiguration step.
     ///
     /// # Errors
     ///
     /// [`DrtpError::UnknownConnection`] for unknown ids,
     /// [`DrtpError::InvalidSelection`] when the connection already has a
-    /// backup or is failed, [`DrtpError::NoBackupRoute`] when the scheme
-    /// finds none.
+    /// backup or is failed (no scheme runs and nothing changes),
+    /// [`DrtpError::NoBackupRoute`] when the scheme finds none.
     pub fn reestablish_backup(
         &mut self,
         scheme: &mut dyn RoutingScheme,
@@ -679,7 +675,7 @@ impl DrtpManager {
         id: ConnectionId,
         avoid: &[LinkId],
     ) -> Result<RoutingOverhead, DrtpError> {
-        let (slot, conn) = self.carrying(id)?;
+        let (slot, conn) = self.unprotected(id)?;
         let req = Self::backup_request(conn);
         // The masked copy is only built when there is something to mask.
         let failed = if avoid.is_empty() {
@@ -693,12 +689,8 @@ impl DrtpManager {
             }
             Cow::Owned(masked)
         };
-        let (backup, overhead) = scheme.select_backup(
-            &self.view_over(&failed),
-            &req,
-            conn.primary(),
-            conn.backups(),
-        )?;
+        let (backup, overhead) =
+            scheme.select_backup(&self.view_over(&failed), &req, conn.primary())?;
         if backup.links().iter().any(|l| avoid.contains(l)) {
             // Defense against schemes that route without consulting
             // `alive()`: a quarantined link must never enter a new backup.
@@ -709,15 +701,16 @@ impl DrtpManager {
     }
 
     /// Registers a caller-supplied backup route for a carrying connection
-    /// (appended at lowest activation priority). The counterpart of
-    /// [`DrtpManager::drop_backups`] for restoring or installing specific
-    /// routes, e.g. rolling back a failed re-optimisation.
+    /// that holds none. The counterpart of [`DrtpManager::drop_backups`]
+    /// for restoring or installing specific routes, e.g. rolling back a
+    /// failed re-optimisation.
     ///
     /// # Errors
     ///
     /// [`DrtpError::UnknownConnection`] for unknown ids;
-    /// [`DrtpError::InvalidSelection`] when the connection is failed, its
-    /// backups are dedicated, or the route's endpoints mismatch;
+    /// [`DrtpError::InvalidSelection`] when the connection is failed or
+    /// already has a backup (nothing changes), or the route's endpoints
+    /// mismatch;
     /// [`DrtpError::LinkFailed`] when the route crosses a failed link;
     /// [`DrtpError::QosViolation`] when the route exceeds the hop cap.
     pub fn install_backup_route(
@@ -725,12 +718,7 @@ impl DrtpManager {
         id: ConnectionId,
         backup: Route,
     ) -> Result<(), DrtpError> {
-        let (slot, conn) = self.carrying(id)?;
-        if conn.backup_is_dedicated() && conn.backup().is_some() {
-            return Err(DrtpError::InvalidSelection(format!(
-                "connection {id} holds dedicated backups"
-            )));
-        }
+        let (slot, conn) = self.unprotected(id)?;
         let req = Self::backup_request(conn);
         self.install_checked(slot, &req, backup)
     }
@@ -751,20 +739,31 @@ impl DrtpManager {
         Ok((slot, conn))
     }
 
-    /// The request one more backup for `conn` has to satisfy.
+    /// [`DrtpManager::carrying`], refusing a connection that already holds
+    /// its backup.
+    fn unprotected(&self, id: ConnectionId) -> Result<(u32, &DrConnection), DrtpError> {
+        let (slot, conn) = self.carrying(id)?;
+        if conn.backup().is_some() {
+            return Err(DrtpError::InvalidSelection(format!(
+                "connection {id} already has a backup"
+            )));
+        }
+        Ok((slot, conn))
+    }
+
+    /// The request a backup for `conn` has to satisfy.
     fn backup_request(conn: &DrConnection) -> RouteRequest {
         RouteRequest {
             id: conn.id(),
             src: conn.primary().source(),
             dst: conn.primary().dest(),
             qos: conn.qos(),
-            num_backups: 1,
         }
     }
 
     /// The shared tail of backup installation: validates `backup` against
     /// the live state and `req`'s hop cap, registers it (multiplexed) and
-    /// appends it to connection `req.id`'s record, which lives in `slot`.
+    /// installs it in connection `req.id`'s record, which lives in `slot`.
     fn install_checked(
         &mut self,
         slot: u32,
@@ -772,9 +771,6 @@ impl DrtpManager {
         backup: Route,
     ) -> Result<(), DrtpError> {
         self.validate_route(req, &backup)?;
-        if !req.qos.accepts_hops(backup.len()) {
-            return Err(DrtpError::QosViolation(req.id));
-        }
         // The record is taken out of the table for the duration so its
         // primary can be walked by reference while the backup registers.
         let mut conn = self.conns.take(slot);
@@ -791,8 +787,9 @@ impl DrtpManager {
         Ok(())
     }
 
-    /// Drops every backup registration of a carrying connection, leaving
-    /// it unprotected. Returns how many backups were dropped.
+    /// Drops the backup registration of a carrying connection, leaving it
+    /// unprotected. Returns the dropped route, if there was one. (Named in
+    /// the plural only because `drt-benchmark` calls it.)
     ///
     /// Combined with [`DrtpManager::reestablish_backup`] this implements
     /// backup *re-optimisation*: a backup chosen under duress (e.g. while
@@ -805,12 +802,12 @@ impl DrtpManager {
     ///
     /// [`DrtpError::UnknownConnection`] for unknown ids;
     /// [`DrtpError::InvalidSelection`] when the connection is failed.
-    pub fn drop_backups(&mut self, id: ConnectionId) -> Result<usize, DrtpError> {
+    pub fn drop_backups(&mut self, id: ConnectionId) -> Result<Option<Route>, DrtpError> {
         let (slot, _) = self.carrying(id)?;
         let mut conn = self.conns.take(slot);
         let dedicated = conn.backup_is_dedicated();
-        let backups = conn.clear_backups();
-        for b in &backups {
+        let backup = conn.take_backup();
+        if let Some(b) = &backup {
             self.detach_backup(
                 IndexEntry::new(id, slot),
                 b,
@@ -820,7 +817,7 @@ impl DrtpManager {
             );
         }
         self.conns.put(slot, conn);
-        Ok(backups.len())
+        Ok(backup)
     }
 
     /// Terminates a connection and releases all its resources (step 4 of
@@ -869,7 +866,7 @@ impl DrtpManager {
             //     primary across it and drops every backup across it. The
             //     single-failure sweep relies on this instead of checking
             //     each backup against the failed mask.
-            let routes = std::iter::once(conn.primary()).chain(conn.backups());
+            let routes = std::iter::once(conn.primary()).chain(conn.backup());
             for route in routes {
                 if let Some(l) = route.links().iter().find(|l| self.failed[l.index()]) {
                     panic!("carrying connection {} crosses failed link {l}", conn.id());
@@ -879,7 +876,7 @@ impl DrtpManager {
             for &l in conn.primary().links() {
                 expected_prime[l.index()] += bw;
             }
-            for b in conn.backups() {
+            if let Some(b) = conn.backup() {
                 if conn.backup_is_dedicated() {
                     for &l in b.links() {
                         expected_prime[l.index()] += bw;
@@ -1050,36 +1047,19 @@ impl DrtpManager {
         }
     }
 
-    /// Detaches the primary and every backup of `conn`, the record of
+    /// Detaches the primary and the backup of `conn`, the record of
     /// `slot` — taken out of the table, or about to be marked failed.
     pub(crate) fn detach_all(&mut self, slot: u32, conn: &DrConnection) {
         let at = IndexEntry::new(conn.id(), slot);
         let (lset, bw) = (conn.primary().links(), conn.qos().bandwidth);
         self.detach_primary(at, lset, bw);
-        for b in conn.backups() {
+        if let Some(b) = conn.backup() {
             self.detach_backup(at, b, lset, bw, conn.backup_is_dedicated());
         }
     }
 
-    fn validate_selection(
-        &self,
-        req: &RouteRequest,
-        primary: &Route,
-        backups: &[Route],
-    ) -> Result<(), DrtpError> {
-        self.validate_route(req, primary)?;
-        if !req.qos.accepts_hops(primary.len()) {
-            return Err(DrtpError::QosViolation(req.id));
-        }
-        for b in backups {
-            self.validate_route(req, b)?;
-            if !req.qos.accepts_hops(b.len()) {
-                return Err(DrtpError::QosViolation(req.id));
-            }
-        }
-        Ok(())
-    }
-
+    /// Checks `route` against the live state and `req`: its endpoints,
+    /// that every link exists and works, then the hop cap.
     fn validate_route(&self, req: &RouteRequest, route: &Route) -> Result<(), DrtpError> {
         if route.source() != req.src || route.dest() != req.dst {
             return Err(DrtpError::InvalidSelection(format!(
@@ -1100,6 +1080,9 @@ impl DrtpManager {
                 // failed since.
                 return Err(DrtpError::LinkFailed(l));
             }
+        }
+        if !req.qos.accepts_hops(route.len()) {
+            return Err(DrtpError::QosViolation(req.id));
         }
         Ok(())
     }
@@ -1348,7 +1331,7 @@ mod tests {
         mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
         assert!(mgr.total_spare() > Bandwidth::ZERO);
         let dropped = mgr.drop_backups(ConnectionId::new(0)).unwrap();
-        assert_eq!(dropped, 1);
+        assert!(dropped.is_some());
         assert_eq!(mgr.total_spare(), Bandwidth::ZERO);
         assert_eq!(
             mgr.connection(ConnectionId::new(0)).unwrap().state(),
@@ -1375,12 +1358,12 @@ mod tests {
         let mut mgr = mesh_manager();
         let mut scheme = DLsr::new();
         let rep = mgr.request_connection(&mut scheme, req(0, 0, 8)).unwrap();
-        let original = rep.backups[0].clone();
+        let original = rep.backup().cloned().unwrap();
         mgr.drop_backups(ConnectionId::new(0)).unwrap();
         mgr.install_backup_route(ConnectionId::new(0), original.clone())
             .unwrap();
         let conn = mgr.connection(ConnectionId::new(0)).unwrap();
-        assert_eq!(conn.backups(), std::slice::from_ref(&original));
+        assert_eq!(conn.backup(), Some(&original));
         assert_eq!(conn.state(), ConnectionState::Protected);
         mgr.assert_invariants();
         // Endpoint mismatch rejected.
@@ -1393,6 +1376,39 @@ mod tests {
             mgr.install_backup_route(ConnectionId::new(0), bogus),
             Err(DrtpError::InvalidSelection(_))
         ));
+    }
+
+    #[test]
+    fn reprotection_refuses_a_protected_connection() {
+        // A connection holds one backup: every re-protection path refuses
+        // one that has it, runs no scheme, and leaves the state alone.
+        let mut mgr = mesh_manager();
+        let id = ConnectionId::new(0);
+        let rep = mgr
+            .request_connection(&mut DLsr::new(), req(0, 0, 8))
+            .unwrap();
+        let (primary, backup) = (rep.primary.clone(), rep.backup().cloned().unwrap());
+        let mut script = crate::routing::Scripted::new();
+        script.push(primary.clone(), Some(primary.clone()));
+        let before = mgr.fingerprint();
+        let avoid = [primary.links()[0]];
+        let refusals = [
+            mgr.reestablish_backup(&mut script, id),
+            mgr.reestablish_backup_avoiding(&mut script, id, &avoid),
+            mgr.reestablish_backup(&mut DLsr::new(), id),
+            mgr.install_backup_route(id, backup.clone())
+                .map(|()| RoutingOverhead::ZERO),
+        ];
+        for refused in refusals {
+            assert!(
+                matches!(&refused, Err(DrtpError::InvalidSelection(why)) if why.contains("already has a backup")),
+                "{refused:?}"
+            );
+        }
+        assert_eq!(script.remaining(), 1, "no scheme ran");
+        assert_eq!(mgr.fingerprint(), before);
+        assert_eq!(mgr.connection(id).unwrap().backup(), Some(&backup));
+        mgr.assert_invariants();
     }
 
     #[test]

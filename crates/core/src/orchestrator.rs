@@ -39,7 +39,7 @@
 use crate::failure::RecoveryReport;
 use crate::routing::RoutingScheme;
 use crate::{ConnectionId, ConnectionState, DrtpManager, Telemetry};
-use drt_net::{LinkId, NodeId, Route};
+use drt_net::{LinkId, NodeId};
 use drt_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -363,11 +363,11 @@ impl RecoveryOrchestrator {
 
     /// Re-optimises the backups chosen under duress, once a repair gives
     /// them better alternatives: every carrying connection whose backup
-    /// overlaps its own primary drops its backups and re-establishes one
-    /// through [`DrtpManager::reestablish_backup_avoiding`], the
-    /// quarantined links excluded as in its retry attempts.
-    /// It never downgrades: when the scheme finds nothing, the old backups
-    /// are reinstalled. Outcomes count as `recovery.reoptimized` and
+    /// overlaps its own primary drops it and re-establishes one through
+    /// [`DrtpManager::reestablish_backup_avoiding`], the quarantined links
+    /// excluded as in its retry attempts.
+    /// It never downgrades: when the scheme finds nothing, the old backup
+    /// is reinstalled. Outcomes count as `recovery.reoptimized` and
     /// `recovery.reoptimize_failed`.
     pub fn reoptimize(
         &mut self,
@@ -375,28 +375,27 @@ impl RecoveryOrchestrator {
         mgr: &mut DrtpManager,
         scheme: &mut dyn RoutingScheme,
     ) {
-        let degraded: Vec<(ConnectionId, Vec<Route>)> = mgr
+        let degraded: Vec<ConnectionId> = mgr
             .connections()
             .filter(|c| {
                 c.state().is_carrying_traffic()
-                    && c.backups().iter().any(|b| b.overlap(c.primary()) > 0)
+                    && c.backup().is_some_and(|b| b.overlap(c.primary()) > 0)
             })
-            .map(|c| (c.id(), c.backups().to_vec()))
+            .map(|c| c.id())
             .collect();
         let avoid = self.quarantined_links(now);
-        for (id, old) in degraded {
-            mgr.drop_backups(id)
-                .expect("a carrying connection drops its backups");
+        for id in degraded {
+            let old = mgr
+                .drop_backups(id)
+                .expect("a carrying connection drops its backup")
+                .expect("a degraded connection holds a backup");
             if mgr.reestablish_backup_avoiding(scheme, id, &avoid).is_ok() {
                 self.telemetry.incr("recovery.reoptimized");
                 continue;
             }
-            // Never downgrade: reinstall the old (degraded but real)
-            // backups, in their activation order.
-            for b in old {
-                mgr.install_backup_route(id, b)
-                    .expect("a backup just dropped fits again");
-            }
+            // Never downgrade: reinstall the old (degraded but real) backup.
+            mgr.install_backup_route(id, old)
+                .expect("a backup just dropped fits again");
             self.telemetry.incr("recovery.reoptimize_failed");
         }
     }
@@ -666,21 +665,20 @@ mod tests {
         orch.reoptimize(SimTime::ZERO, &mut mgr, &mut DLsr::new());
         let conn = mgr.connection(ConnectionId::new(0)).unwrap();
         assert_eq!(conn.primary(), &primary);
-        assert_eq!(conn.backups().len(), 1);
-        assert_eq!(conn.backups()[0].overlap(&primary), 0, "replaced");
+        assert_eq!(conn.backup().unwrap().overlap(&primary), 0, "replaced");
         assert_eq!(orch.telemetry().counter("recovery.reoptimized"), 1);
         assert_eq!(orch.telemetry().counter("recovery.reoptimize_failed"), 0);
         mgr.assert_invariants();
     }
 
     #[test]
-    fn reoptimization_that_finds_nothing_keeps_the_old_backups() {
+    fn reoptimization_that_finds_nothing_keeps_the_old_backup() {
         let (mut mgr, _, duress) = degraded_connection();
         let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
         orch.reoptimize(SimTime::ZERO, &mut mgr, &mut Scripted::new());
         assert_eq!(
-            mgr.connection(ConnectionId::new(0)).unwrap().backups(),
-            &[duress],
+            mgr.connection(ConnectionId::new(0)).unwrap().backup(),
+            Some(&duress),
             "never downgrade to no backup"
         );
         assert_eq!(orch.telemetry().counter("recovery.reoptimize_failed"), 1);

@@ -5,7 +5,6 @@ use crate::routing::{RoutePair, RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::{BackupFit, DrtpError, ManagerView};
 use drt_net::algo::{shortest_path, suurballe};
 use drt_net::Route;
-use std::collections::BTreeSet;
 
 /// Primary-only admission: no backup at all.
 ///
@@ -41,7 +40,7 @@ impl RoutingScheme for PrimaryOnly {
         let overhead = lsa_overhead(view.net().num_links(), primary.len(), 8);
         Ok(RoutePair {
             primary,
-            backups: Vec::new(),
+            backup: None,
             dedicated_backup: false,
             overhead,
         })
@@ -52,7 +51,6 @@ impl RoutingScheme for PrimaryOnly {
         _view: &ManagerView<'_>,
         req: &RouteRequest,
         _primary: &Route,
-        _existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
         Err(DrtpError::NoBackupRoute(req.id))
     }
@@ -82,17 +80,12 @@ impl SpfBackup {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-        avoid: &[Route],
     ) -> Result<Route, DrtpError> {
         let bw = req.bandwidth();
-        let mut q_links: BTreeSet<_> = primary.links().iter().copied().collect();
-        for r in avoid {
-            q_links.extend(r.links().iter().copied());
-        }
         shortest_path(view.net(), req.src, req.dst, |l| {
             let q = match view.backup_fit(l, bw) {
                 BackupFit::Dead => return None,
-                BackupFit::Fits if !q_links.contains(&l) => 0.0,
+                BackupFit::Fits if !primary.contains_link(l) => 0.0,
                 BackupFit::Fits | BackupFit::Short => Q,
             };
             Some(q + 1.0)
@@ -113,28 +106,16 @@ impl RoutingScheme for SpfBackup {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
-        let mut backups = Vec::new();
-        for k in 0..req.num_backups {
-            match Self::backup_route(view, req, &primary, &backups) {
-                Ok(route) => {
-                    if backups.contains(&route) {
-                        break;
-                    }
-                    backups.push(route);
-                }
-                Err(e) if k == 0 => return Err(e),
-                Err(_) => break,
-            }
-        }
+        let backup = Self::backup_route(view, req, &primary)?;
         // Available-bandwidth-only link state (8-byte entries).
         let overhead = lsa_overhead(
             view.net().num_links(),
-            crate::routing::costs::changed_links(&primary, &backups),
+            crate::routing::costs::changed_links(&primary, Some(&backup)),
             8,
         );
         Ok(RoutePair {
             primary,
-            backups,
+            backup: Some(backup),
             dedicated_backup: false,
             overhead,
         })
@@ -145,9 +126,8 @@ impl RoutingScheme for SpfBackup {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-        existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
-        let backup = Self::backup_route(view, req, primary, existing)?;
+        let backup = Self::backup_route(view, req, primary)?;
         let overhead = lsa_overhead(view.net().num_links(), backup.len(), 8);
         Ok((backup, overhead))
     }
@@ -196,30 +176,14 @@ impl RoutingScheme for DedicatedDisjoint {
                 Err(e) => Err(e),
             };
         };
-        // Further backups (k > 1): greedily shortest, hard-disjoint from
-        // everything selected so far.
-        let mut backups = vec![pair.backup];
-        for _ in 1..req.num_backups {
-            let mut taken: BTreeSet<_> = pair.primary.links().iter().copied().collect();
-            for b in &backups {
-                taken.extend(b.links().iter().copied());
-            }
-            let next = shortest_path(view.net(), req.src, req.dst, |l| {
-                (view.usable_for_primary(l, bw) && !taken.contains(&l)).then_some(1.0)
-            });
-            match next {
-                Some((_, r)) => backups.push(r),
-                None => break,
-            }
-        }
         let overhead = lsa_overhead(
             view.net().num_links(),
-            pair.primary.len() + backups.iter().map(|b| b.len()).sum::<usize>(),
+            pair.primary.len() + pair.backup.len(),
             8,
         );
         Ok(RoutePair {
             primary: pair.primary,
-            backups,
+            backup: Some(pair.backup),
             dedicated_backup: true,
             overhead,
         })
@@ -230,15 +194,10 @@ impl RoutingScheme for DedicatedDisjoint {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-        existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
         let bw = req.bandwidth();
-        let mut taken: BTreeSet<_> = primary.links().iter().copied().collect();
-        for r in existing {
-            taken.extend(r.links().iter().copied());
-        }
         let backup = shortest_path(view.net(), req.src, req.dst, |l| {
-            (view.usable_for_primary(l, bw) && !taken.contains(&l)).then_some(1.0)
+            (view.usable_for_primary(l, bw) && !primary.contains_link(l)).then_some(1.0)
         })
         .map(|(_, r)| r)
         .ok_or(DrtpError::NoBackupRoute(req.id))?;

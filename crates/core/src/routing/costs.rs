@@ -42,59 +42,28 @@ pub(crate) fn min_hop_primary(
 }
 
 /// Selects a backup route by Dijkstra under the LSR cost model:
-/// failed links are excluded outright; links on the primary, on any
-/// already-selected backup of the same connection (`avoid`), or with
+/// failed links are excluded outright; links on the primary or with
 /// insufficient backup headroom cost `Q`; every link additionally costs
 /// `conflict_term(l) + ε`.
 pub(crate) fn lsr_backup(
     view: &ManagerView<'_>,
     req: &crate::routing::RouteRequest,
     primary: &Route,
-    avoid: &[Route],
     conflict_term: impl Fn(LinkId) -> f64,
 ) -> Result<Route, DrtpError> {
     let eps = epsilon(view.net().num_links());
     let bw = req.bandwidth();
-    // The Q-links are a couple of routes: scanning their slices beats
-    // building a set per call.
-    let on_own_route = |l| primary.contains_link(l) || avoid.iter().any(|r| r.contains_link(l));
     // `q` and the conflict term are non-negative, so every step is ≥ ε.
     shortest_path_with_floor(view.net(), req.src, req.dst, eps, |l| {
         let q = match view.backup_fit(l, bw) {
             BackupFit::Dead => return None,
-            BackupFit::Fits if !on_own_route(l) => 0.0,
+            BackupFit::Fits if !primary.contains_link(l) => 0.0,
             BackupFit::Fits | BackupFit::Short => Q,
         };
         Some(q + conflict_term(l) + eps)
     })
     .map(|(_, r)| r)
     .ok_or(DrtpError::NoBackupRoute(req.id))
-}
-
-/// Selects up to `req.num_backups` backups sequentially under the LSR cost
-/// model, each avoiding the primary and all previously selected backups.
-/// Stops early when a new selection would duplicate an earlier one (the
-/// graph has run out of meaningfully distinct routes).
-pub(crate) fn lsr_backups(
-    view: &ManagerView<'_>,
-    req: &crate::routing::RouteRequest,
-    primary: &Route,
-    conflict_term: impl Fn(LinkId) -> f64,
-) -> Result<Vec<Route>, DrtpError> {
-    let mut backups: Vec<Route> = Vec::new();
-    for k in 0..req.num_backups {
-        match lsr_backup(view, req, primary, &backups, &conflict_term) {
-            Ok(route) => {
-                if backups.contains(&route) {
-                    break; // no further distinct route exists
-                }
-                backups.push(route);
-            }
-            Err(e) if k == 0 => return Err(e),
-            Err(_) => break,
-        }
-    }
-    Ok(backups)
 }
 
 /// Size, in bytes, of a link-state advertisement header (sequence number,
@@ -117,12 +86,12 @@ pub(crate) fn lsa_overhead(
 }
 
 /// The set of links whose advertised state an establishment changed: the
-/// primary's links (available bandwidth moved) plus every backup's links
+/// primary's links (available bandwidth moved) plus the backup's links
 /// (APLV/CV and spare moved).
-pub(crate) fn changed_links(primary: &Route, backups: &[Route]) -> usize {
+pub(crate) fn changed_links(primary: &Route, backup: Option<&Route>) -> usize {
     // Routes are a handful of links: a link counts unless it appeared
-    // earlier in its own route or in an earlier route.
-    let routes = || std::iter::once(primary).chain(backups);
+    // earlier in its own route or in the primary.
+    let routes = || std::iter::once(primary).chain(backup);
     routes()
         .enumerate()
         .map(|(k, route)| {
@@ -176,15 +145,11 @@ mod tests {
         // 3 4 5
         let primary = route(&[0, 1, 2]);
         let disjoint = route(&[0, 3, 4, 5, 2]);
-        assert_eq!(changed_links(&primary, &[]), 2);
-        assert_eq!(changed_links(&primary, std::slice::from_ref(&disjoint)), 6);
+        assert_eq!(changed_links(&primary, None), 2);
+        assert_eq!(changed_links(&primary, Some(&disjoint)), 6);
         // A backup forced over the primary's 0 -> 1 link (a `Q`-link taken
-        // for want of another way) and a second one sharing links with both.
+        // for want of another way).
         let overlapping = route(&[0, 1, 4, 5, 2]);
-        assert_eq!(
-            changed_links(&primary, std::slice::from_ref(&overlapping)),
-            5
-        );
-        assert_eq!(changed_links(&primary, &[overlapping, disjoint]), 7);
+        assert_eq!(changed_links(&primary, Some(&overlapping)), 5);
     }
 }

@@ -1,8 +1,6 @@
 //! D-LSR: deterministic avoidance of backup conflicts (Section 3.2).
 
-use crate::routing::costs::{
-    changed_links, lsa_overhead, lsr_backup, lsr_backups, min_hop_primary,
-};
+use crate::routing::costs::{changed_links, lsa_overhead, lsr_backup, min_hop_primary};
 use crate::routing::{RoutePair, RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::{DrtpError, ManagerView};
 use drt_net::{LinkId, Route};
@@ -74,15 +72,15 @@ impl RoutingScheme for DLsr {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
-        let backups = lsr_backups(view, req, &primary, self.conflict_terms(view, &primary))?;
+        let backup = lsr_backup(view, req, &primary, self.conflict_terms(view, &primary))?;
         let overhead = lsa_overhead(
             view.net().num_links(),
-            changed_links(&primary, &backups),
+            changed_links(&primary, Some(&backup)),
             Self::entry_bytes(view.net().num_links()),
         );
         Ok(RoutePair {
             primary,
-            backups,
+            backup: Some(backup),
             dedicated_backup: false,
             overhead,
         })
@@ -93,15 +91,8 @@ impl RoutingScheme for DLsr {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-        existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
-        let backup = lsr_backup(
-            view,
-            req,
-            primary,
-            existing,
-            self.conflict_terms(view, primary),
-        )?;
+        let backup = lsr_backup(view, req, primary, self.conflict_terms(view, primary))?;
         let overhead = lsa_overhead(
             view.net().num_links(),
             backup.len(),

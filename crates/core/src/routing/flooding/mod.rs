@@ -94,22 +94,14 @@ impl BoundedFlooding {
         BoundedFlooding
     }
 
-    /// Destination-side backup selection: minimal overlap with the primary
-    /// and every already-chosen backup, then shortest, then lexicographic
-    /// for determinism. Routes identical to the primary or an existing
-    /// backup are ineligible.
-    fn pick_backup(candidates: &[Candidate], primary: &Route, existing: &[Route]) -> Option<Route> {
+    /// Destination-side backup selection: minimal overlap with the
+    /// primary, then shortest, then lexicographic for determinism. The
+    /// primary's own route is ineligible.
+    fn pick_backup(candidates: &[Candidate], primary: &Route) -> Option<Route> {
         candidates
             .iter()
-            .filter(|c| {
-                c.route.links() != primary.links()
-                    && existing.iter().all(|e| c.route.links() != e.links())
-            })
-            .min_by_key(|c| {
-                let overlap = c.route.overlap(primary)
-                    + existing.iter().map(|e| c.route.overlap(e)).sum::<usize>();
-                (overlap, c.hops, c.route.links().to_vec())
-            })
+            .filter(|c| c.route.links() != primary.links())
+            .min_by_key(|c| (c.route.overlap(primary), c.hops, c.route.links().to_vec()))
             .map(|c| c.route.clone())
     }
 }
@@ -134,18 +126,11 @@ impl RoutingScheme for BoundedFlooding {
             .ok_or(DrtpError::NoPrimaryRoute(req.src, req.dst))?;
         // A lone candidate means no backup exists inside the flooded
         // region; the connection is then proposed unprotected (the manager
-        // decides whether that is admissible). Multi-backup requests pick
-        // further candidates greedily.
-        let mut backups = Vec::new();
-        for _ in 0..req.num_backups {
-            match Self::pick_backup(&outcome.candidates, &primary, &backups) {
-                Some(b) => backups.push(b),
-                None => break,
-            }
-        }
+        // decides whether that is admissible).
+        let backup = Self::pick_backup(&outcome.candidates, &primary);
         Ok(RoutePair {
             primary,
-            backups,
+            backup,
             dedicated_backup: false,
             overhead: outcome.overhead,
         })
@@ -156,10 +141,9 @@ impl RoutingScheme for BoundedFlooding {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-        existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
         let outcome = flood(view, req, FloodingParams::paper());
-        let backup = Self::pick_backup(&outcome.candidates, primary, existing)
+        let backup = Self::pick_backup(&outcome.candidates, primary)
             .ok_or(DrtpError::NoBackupRoute(req.id))?;
         Ok((backup, outcome.overhead))
     }

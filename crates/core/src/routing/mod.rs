@@ -38,7 +38,8 @@ use drt_net::{Bandwidth, NodeId, Route};
 use std::fmt;
 use std::ops::AddAssign;
 
-/// A request to establish one DR-connection.
+/// A request to establish one DR-connection: one primary and one backup
+/// channel (PAPER.md §1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRequest {
     /// Caller-chosen identifier for the new connection.
@@ -49,27 +50,22 @@ pub struct RouteRequest {
     pub dst: NodeId,
     /// QoS contract (bandwidth, optional hop cap).
     pub qos: QosRequirement,
-    /// How many backup channels to establish (DRTP: "one primary and one
-    /// or more backup channels"). Schemes provide as many as they can
-    /// find, up to this count; 1 is the paper's evaluated setting.
-    pub num_backups: u32,
 }
 
 impl RouteRequest {
-    /// A bandwidth-only request with a single backup.
+    /// A bandwidth-only request.
     pub fn new(id: ConnectionId, src: NodeId, dst: NodeId, bandwidth: Bandwidth) -> Self {
         RouteRequest {
             id,
             src,
             dst,
             qos: QosRequirement::bandwidth_only(bandwidth),
-            num_backups: 1,
         }
     }
 
-    /// Requests `k` backup channels instead of one.
-    pub fn with_backups(mut self, k: u32) -> Self {
-        self.num_backups = k;
+    /// The request unchanged: a connection holds one backup, so there is
+    /// no count to set. Kept only while `drt-benchmark` still calls it.
+    pub fn with_backups(self, _: OneBackup) -> Self {
         self
     }
 
@@ -79,26 +75,26 @@ impl RouteRequest {
     }
 }
 
+/// The one backup count there is, as a type with a single value: a
+/// DR-connection holds one backup (PAPER.md §1). It exists only for the
+/// `with_backups(cfg.backups_per_connection)` calls of `drt-benchmark`,
+/// and goes with them; `()` would do, but clippy's `unit_arg` refuses a
+/// `()` argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OneBackup;
+
 /// The routes a scheme proposes for a request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutePair {
     /// The primary channel route.
     pub primary: Route,
-    /// The backup channel routes in activation-priority order (possibly
-    /// fewer than requested, possibly empty).
-    pub backups: Vec<Route>,
-    /// `true` when the backups must hold dedicated (non-multiplexed)
-    /// reservations instead of joining the spare pools.
+    /// The backup channel route, if the scheme found one.
+    pub backup: Option<Route>,
+    /// `true` when the backup must hold a dedicated (non-multiplexed)
+    /// reservation instead of joining the spare pools.
     pub dedicated_backup: bool,
     /// Control-plane cost of discovering these routes.
     pub overhead: RoutingOverhead,
-}
-
-impl RoutePair {
-    /// The first (highest-priority) backup, if any.
-    pub fn backup(&self) -> Option<&Route> {
-        self.backups.first()
-    }
 }
 
 /// Control-plane cost of route discovery, for the overhead experiment.
@@ -163,10 +159,9 @@ pub trait RoutingScheme {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError>;
 
-    /// Selects one additional backup for an existing primary — used by
-    /// resource reconfiguration after a recovery (step 4 of DRTP) and to
-    /// top up multi-backup connections. `existing` lists the backups
-    /// already registered, which the new route should avoid.
+    /// Selects a backup for an existing primary whose connection holds
+    /// none — resource reconfiguration after a recovery or a lost backup
+    /// (step 4 of DRTP).
     ///
     /// # Errors
     ///
@@ -176,7 +171,6 @@ pub trait RoutingScheme {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-        existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError>;
 }
 

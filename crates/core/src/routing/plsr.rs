@@ -1,8 +1,6 @@
 //! P-LSR: probabilistic avoidance of backup conflicts (Section 3.1).
 
-use crate::routing::costs::{
-    changed_links, lsa_overhead, lsr_backup, lsr_backups, min_hop_primary,
-};
+use crate::routing::costs::{changed_links, lsa_overhead, lsr_backup, min_hop_primary};
 use crate::routing::{RoutePair, RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::{DrtpError, ManagerView};
 use drt_net::Route;
@@ -72,15 +70,15 @@ impl RoutingScheme for PLsr {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
-        let backups = lsr_backups(view, req, &primary, |l| view.l1_norm(l) as f64)?;
+        let backup = lsr_backup(view, req, &primary, |l| view.l1_norm(l) as f64)?;
         let overhead = lsa_overhead(
             view.net().num_links(),
-            changed_links(&primary, &backups),
+            changed_links(&primary, Some(&backup)),
             PLSR_ENTRY_BYTES,
         );
         Ok(RoutePair {
             primary,
-            backups,
+            backup: Some(backup),
             dedicated_backup: false,
             overhead,
         })
@@ -91,9 +89,8 @@ impl RoutingScheme for PLsr {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-        existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
-        let backup = lsr_backup(view, req, primary, existing, |l| view.l1_norm(l) as f64)?;
+        let backup = lsr_backup(view, req, primary, |l| view.l1_norm(l) as f64)?;
         let overhead = lsa_overhead(view.net().num_links(), backup.len(), PLSR_ENTRY_BYTES);
         Ok((backup, overhead))
     }

@@ -56,7 +56,7 @@ impl Scripted {
     pub fn push(&mut self, primary: Route, backup: Option<Route>) -> &mut Self {
         self.pairs.push_back(RoutePair {
             primary,
-            backups: backup.into_iter().collect(),
+            backup,
             dedicated_backup: false,
             overhead: RoutingOverhead::ZERO,
         });
@@ -89,14 +89,11 @@ impl RoutingScheme for Scripted {
         _view: &ManagerView<'_>,
         req: &RouteRequest,
         _primary: &Route,
-        _existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
         let pair = self.pairs.pop_front().ok_or_else(|| {
             DrtpError::InvalidSelection(format!("script exhausted at {}", req.id))
         })?;
-        pair.backups
-            .into_iter()
-            .next()
+        pair.backup
             .map(|b| (b, pair.overhead))
             .ok_or(DrtpError::NoBackupRoute(req.id))
     }

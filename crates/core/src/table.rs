@@ -178,7 +178,7 @@ mod tests {
             ConnectionId::new(id),
             QosRequirement::bandwidth_only(Bandwidth::from_mbps(1 + id % 3)),
             route(&[0, 1]),
-            vec![route(&[0, 3, 2, 1])],
+            Some(route(&[0, 3, 2, 1])),
             false,
         )
     }
@@ -238,9 +238,9 @@ mod tests {
         // The slot is not up for reuse while its record is out.
         assert_eq!(t.next_slot(), 2);
         assert_eq!(t.slot_of(c(0)), Some(0));
-        borrowed.clear_backups();
+        borrowed.take_backup();
         t.put(0, borrowed);
-        assert!(t.at(0).backups().is_empty());
+        assert!(t.at(0).backup().is_none());
         t.check().unwrap();
     }
 

@@ -1,6 +1,8 @@
 //! A deliberately naive reference for the failure engine, written from the
 //! paper's definitions (PAPER.md §1) and nothing else:
 //!
+//! - a DR-connection is one primary channel plus one backup channel (or
+//!   none, when none was found or it was lost);
 //! - two backups *conflict* when they share a link and their primaries
 //!   share a link;
 //! - `a_{i,j}` counts the multiplexed backups through `L_i` whose primary
@@ -8,10 +10,9 @@
 //!   any one `a_{i,j}` (`max_j APLV_i[j]`);
 //! - a single failure is one directed link; a failure disables every
 //!   primary that crosses a failed link. The
-//!   disabled connections contend in a given order: each tries its backups
-//!   in priority order and activates the first that is alive and fits, on
-//!   every one of its links, in what the earlier winners left of the
-//!   link's pool (spare plus free);
+//!   disabled connections contend in a given order: each activates its
+//!   backup if that is alive and fits, on every one of its links, in what
+//!   the earlier winners left of the link's pool (spare plus free);
 //! - `P_act-bk` is activations over affected primaries.
 //!
 //! It reads the manager only through public accessors (`connections`,
@@ -37,23 +38,19 @@ pub struct Registration {
     bw: Bandwidth,
 }
 
-/// Every multiplexed backup of every connection carrying traffic. A
+/// The multiplexed backup of every connection carrying traffic. A
 /// dedicated backup holds a reservation of its own and shares nothing.
 pub fn registrations(mgr: &DrtpManager) -> Vec<Registration> {
-    let mut regs = Vec::new();
-    for c in mgr.connections() {
-        if !c.state().is_carrying_traffic() || c.backup_is_dedicated() {
-            continue;
-        }
-        for b in c.backups() {
-            regs.push(Registration {
-                backup: b.links().iter().copied().collect(),
+    mgr.connections()
+        .filter(|c| c.state().is_carrying_traffic() && !c.backup_is_dedicated())
+        .filter_map(|c| {
+            Some(Registration {
+                backup: c.backup()?.links().iter().copied().collect(),
                 primary: c.primary().links().iter().copied().collect(),
                 bw: c.qos().bandwidth,
-            });
-        }
-    }
-    regs
+            })
+        })
+        .collect()
 }
 
 /// Whether a backup over `backup` protecting a primary over `primary`
@@ -131,17 +128,18 @@ fn record(mgr: &DrtpManager, id: ConnectionId) -> &DrConnection {
         .expect("a contender is a known connection")
 }
 
-/// The backup each connection of `order` activates when `failed` fails,
-/// the connections contending in that order. A backup is alive when none
-/// of its links is failed or in `failed`. A dedicated backup activates on
-/// its own reservation. A multiplexed one activates when every link of its
-/// route still holds its bandwidth in the link's pool — spare plus free
-/// — and takes it from each.
+/// Whether each connection of `order` activates its backup when `failed`
+/// fails, the connections contending in that order. A connection without
+/// a backup loses. A backup is alive when none of its links is failed or
+/// in `failed`. A dedicated backup activates on its own reservation. A
+/// multiplexed one activates when every link of its route still holds its
+/// bandwidth in the link's pool — spare plus free — and takes it from
+/// each.
 pub fn winners(
     mgr: &DrtpManager,
     failed: &[LinkId],
     order: &[ConnectionId],
-) -> Vec<(ConnectionId, Option<usize>)> {
+) -> Vec<(ConnectionId, bool)> {
     let mut pool: Vec<Bandwidth> = mgr
         .net()
         .links()
@@ -154,27 +152,25 @@ pub fn winners(
     for &id in order {
         let c = record(mgr, id);
         let bw = c.qos().bandwidth;
-        let mut won = None;
-        for (idx, b) in c.backups().iter().enumerate() {
-            let links = b.links();
-            if links
+        let dead = |links: &[LinkId]| {
+            links
                 .iter()
                 .any(|l| mgr.is_failed(*l) || failed.contains(l))
-            {
-                continue;
-            }
-            if c.backup_is_dedicated() {
-                won = Some(idx);
-                break;
-            }
-            if links.iter().all(|l| pool[l.index()] >= bw) {
-                for l in links {
-                    pool[l.index()] -= bw;
+        };
+        let won = match c.backup().map(|b| b.links()) {
+            None => false,
+            Some(links) if dead(links) => false,
+            Some(_) if c.backup_is_dedicated() => true,
+            Some(links) => {
+                let fits = links.iter().all(|l| pool[l.index()] >= bw);
+                if fits {
+                    for l in links {
+                        pool[l.index()] -= bw;
+                    }
                 }
-                won = Some(idx);
-                break;
+                fits
             }
-        }
+        };
         decisions.push((id, won));
     }
     decisions
@@ -219,12 +215,12 @@ pub fn sweep(mgr: &DrtpManager, seed: u64, stream: &str) -> FailureSweep {
         let affected = out.details.len() as u32;
         let mut activated = 0;
         for &(id, won) in &out.details {
-            if won.is_some() {
+            if won {
                 activated += 1;
                 continue;
             }
             per_conn.entry(id).or_default().push(link);
-            if record(mgr, id).backups().is_empty() {
+            if record(mgr, id).backup().is_none() {
                 sweep.aggregate.degraded += 1;
             }
         }

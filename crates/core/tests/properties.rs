@@ -917,7 +917,7 @@ proptest! {
                     let pair = ids.live.first().and_then(|&id| mgr.connection(id)).map(|conn| {
                         drt_core::routing::RoutePair {
                             primary: conn.primary().clone(),
-                            backups: conn.backups().to_vec(),
+                            backup: conn.backup().cloned(),
                             dedicated_backup: false,
                             overhead: Default::default(),
                         }

@@ -505,7 +505,7 @@ proptest! {
                 if conn.state().is_carrying_traffic() && conn.backup().is_none() {
                     prop_assert!(orch.orphaned().contains(&conn.id()));
                 }
-                for b in conn.backups() {
+                if let Some(b) = conn.backup() {
                     prop_assert!(b.links().iter().all(|&l| !mgr.is_failed(l)));
                 }
             }

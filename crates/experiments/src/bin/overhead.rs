@@ -39,7 +39,7 @@ fn main() {
         .generate(cfg.nodes);
     let reports: Vec<_> = SchemeKind::paper_schemes()
         .iter()
-        .map(|&k| signalling::replay_signalling(&net, &scenario, k, &cfg))
+        .map(|&k| signalling::replay_signalling(&net, &scenario, k))
         .collect();
     println!("{}", signalling::render(&reports));
 }

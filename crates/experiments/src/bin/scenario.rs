@@ -7,10 +7,13 @@
 //!                   [--failures-per-hour R --mttr-min M]
 //! scenario info FILE
 //! scenario replay FILE [--scheme d-lsr|p-lsr|bf|spf|dedicated|nobackup]
-//!                      [--degree 3|4] [--backups K]
+//!                      [--degree 3|4]
 //! scenario topology --out FILE [--nodes 60] [--degree 3] [--seed 60]
 //! scenario topology-info FILE
 //! ```
+//!
+//! Every flag takes a value, and a flag the subcommand does not know is
+//! an error, never silently ignored.
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
@@ -45,6 +48,25 @@ fn main() -> ExitCode {
     }
 }
 
+/// Refuses the first `--flag` in `args` that is not in `known`; each known
+/// flag's value is skipped, so a value is never read as a flag.
+fn check_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
+            continue;
+        }
+        if !known.contains(&a.as_str()) {
+            return Err(match known {
+                [] => format!("unknown flag {a}: this subcommand takes no flags"),
+                _ => format!("unknown flag {a}: expected one of {}", known.join(", ")),
+            });
+        }
+        rest.next();
+    }
+    Ok(())
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -62,6 +84,20 @@ fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Resul
 }
 
 fn generate(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[
+            "--out",
+            "--lambda",
+            "--nodes",
+            "--minutes",
+            "--pattern",
+            "--seed",
+            "--degree",
+            "--failures-per-hour",
+            "--mttr-min",
+        ],
+    )?;
     let out = flag(args, "--out").ok_or("generate requires --out FILE")?;
     let lambda: f64 = parse(args, "--lambda", 0.4)?;
     let nodes: usize = parse(args, "--nodes", 60)?;
@@ -113,6 +149,7 @@ fn generate(args: &[String]) -> Result<(), String> {
 }
 
 fn topology_gen(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--out", "--nodes", "--degree", "--seed"])?;
     let out = flag(args, "--out").ok_or("topology requires --out FILE")?;
     let nodes: usize = parse(args, "--nodes", 60)?;
     let degree: f64 = parse(args, "--degree", 3.0)?;
@@ -127,6 +164,7 @@ fn topology_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn topology_info(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[])?;
     let path = args.first().ok_or("topology-info requires a FILE")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let net = drt_net::Network::from_text(&text).map_err(|e| e.to_string())?;
@@ -163,6 +201,7 @@ fn load(path: &str) -> Result<Scenario, String> {
 }
 
 fn info(args: &[String]) -> Result<(), String> {
+    check_flags(args, &[])?;
     let path = args.first().ok_or("info requires a FILE")?;
     let s = load(path)?;
     println!("{s}");
@@ -194,10 +233,10 @@ fn info(args: &[String]) -> Result<(), String> {
 }
 
 fn run_replay(args: &[String]) -> Result<(), String> {
+    check_flags(args, &["--scheme", "--degree"])?;
     let path = args.first().ok_or("replay requires a FILE")?;
     let scenario = load(path)?;
     let degree: f64 = parse(args, "--degree", 3.0)?;
-    let backups: u32 = parse(args, "--backups", 1)?;
     let kind = match flag(args, "--scheme")
         .as_deref()
         .map(str::to_lowercase)
@@ -212,7 +251,6 @@ fn run_replay(args: &[String]) -> Result<(), String> {
         Some(other) => return Err(format!("unknown scheme {other}")),
     };
     let mut cfg = ExperimentConfig::paper(degree);
-    cfg.backups_per_connection = backups;
     cfg.duration = scenario.duration();
     // Warm up over the first quarter, capped at the config's default.
     cfg.warmup = SimDuration::from_micros(scenario.duration().as_micros() / 4).min(cfg.warmup);

@@ -43,9 +43,9 @@ pub struct ExperimentConfig {
     pub topo_seed: u64,
     /// Scenario generator / probe master seed.
     pub seed: u64,
-    /// Backup channels requested per connection (the paper evaluates 1;
-    /// DRTP allows "one or more").
-    pub backups_per_connection: u32,
+    /// Nothing to set: a connection holds one backup (PAPER.md §1). Kept
+    /// only while `drt-benchmark` still reads it.
+    pub backups_per_connection: drt_core::routing::OneBackup,
 }
 
 impl ExperimentConfig {
@@ -63,7 +63,7 @@ impl ExperimentConfig {
             snapshots: 6,
             topo_seed: 60,
             seed: 2001,
-            backups_per_connection: 1,
+            backups_per_connection: drt_core::routing::OneBackup,
         }
     }
 

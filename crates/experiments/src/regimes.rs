@@ -539,8 +539,7 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
                     r.src,
                     r.dst,
                     scenario.bw_req(),
-                )
-                .with_backups(cfg.backups_per_connection);
+                );
                 if let Ok(admitted) = mgr.request_connection(&mut *scheme, req) {
                     established += 1;
                     if let Some(plane) = &mut plane {
@@ -801,7 +800,7 @@ impl ControlPlane {
     }
 
     /// Signals a connection the mirror just admitted. One the protocol
-    /// brings up unprotected loses its backups on the mirror too; one it
+    /// brings up unprotected loses its backup on the mirror too; one it
     /// rejects is released there.
     fn establish(&mut self, mgr: &mut DrtpManager, admitted: EstablishReport, bw: Bandwidth) {
         let conn = admitted.id;
@@ -883,15 +882,12 @@ impl ControlPlane {
             {
                 continue;
             }
-            let mirror_bare = mgr
-                .connection(c)
-                .is_some_and(|m| m.state().is_carrying_traffic() && m.backups().is_empty());
-            if !mirror_bare || mgr.reestablish_backup(scheme, c).is_err() {
+            if mgr.reestablish_backup(scheme, c).is_err() {
                 continue; // protected on the mirror, or no feasible backup now
             }
             let backup = mgr
                 .connection(c)
-                .and_then(|m| m.backups().last())
+                .and_then(|m| m.backup())
                 .expect("just reestablished")
                 .clone();
             assert!(self.sim.add_backup(c, backup), "sim conn is live");

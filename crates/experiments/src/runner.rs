@@ -223,8 +223,7 @@ pub fn replay(
                     requests += 1;
                 }
                 let req =
-                    RouteRequest::new(ConnectionId::new(rid.index() as u64), r.src, r.dst, bw)
-                        .with_backups(cfg.backups_per_connection);
+                    RouteRequest::new(ConnectionId::new(rid.index() as u64), r.src, r.dst, bw);
                 if let Ok(rep) = mgr.request_connection(scheme.as_mut(), req) {
                     if t <= end_at {
                         admitted += 1;

@@ -8,7 +8,6 @@
 //! chosen by a scheme against a mirrored centralized manager (the two are
 //! state-equivalent; see `drt-proto`'s equivalence suite).
 
-use crate::config::ExperimentConfig;
 use crate::runner::SchemeKind;
 use drt_core::{ConnectionId, DrtpManager};
 use drt_proto::{ProtocolConfig, ProtocolSim, TrafficCounters};
@@ -57,7 +56,6 @@ pub fn replay_signalling(
     net: &Arc<drt_net::Network>,
     scenario: &Scenario,
     kind: SchemeKind,
-    cfg: &ExperimentConfig,
 ) -> SignallingReport {
     let mut mirror = DrtpManager::new(Arc::clone(net));
     let mut scheme = kind.instantiate();
@@ -71,8 +69,7 @@ pub fn replay_signalling(
                 let r = scenario.request(rid).expect("valid id");
                 let conn = ConnectionId::new(rid.index() as u64);
                 let req =
-                    drt_core::routing::RouteRequest::new(conn, r.src, r.dst, scenario.bw_req())
-                        .with_backups(cfg.backups_per_connection);
+                    drt_core::routing::RouteRequest::new(conn, r.src, r.dst, scenario.bw_req());
                 // Mirror selection + admission; feed the same routes into
                 // the protocol.
                 let Ok(rep) = mirror.request_connection(scheme.as_mut(), req) else {
@@ -150,6 +147,7 @@ pub fn render(reports: &[SignallingReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExperimentConfig;
     use drt_sim::workload::TrafficPattern;
 
     #[test]
@@ -161,7 +159,7 @@ mod tests {
         let scenario = cfg
             .scenario_config(0.1, TrafficPattern::ut())
             .generate(cfg.nodes);
-        let report = replay_signalling(&net, &scenario, SchemeKind::DLsr, &cfg);
+        let report = replay_signalling(&net, &scenario, SchemeKind::DLsr);
         assert!(report.established > 0);
         assert_eq!(report.established, report.attempted);
         let (msgs, bytes) = report.counters.total();
@@ -172,20 +170,5 @@ mod tests {
         assert!(reg_bytes > setup_bytes);
         assert!(report.msgs_per_conn() > 0.0);
         assert!(report.bytes_per_conn() > 0.0);
-    }
-
-    #[test]
-    fn multi_backup_costs_more_signalling() {
-        let mut cfg = ExperimentConfig::quick(3.0);
-        cfg.nodes = 20;
-        cfg.duration = drt_sim::SimDuration::from_minutes(20);
-        let net = Arc::new(cfg.build_network().unwrap());
-        let scenario = cfg
-            .scenario_config(0.1, TrafficPattern::ut())
-            .generate(cfg.nodes);
-        let one = replay_signalling(&net, &scenario, SchemeKind::DLsr, &cfg);
-        cfg.backups_per_connection = 2;
-        let two = replay_signalling(&net, &scenario, SchemeKind::DLsr, &cfg);
-        assert!(two.bytes_per_conn() > one.bytes_per_conn());
     }
 }

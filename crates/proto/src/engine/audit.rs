@@ -301,7 +301,7 @@ mod tests {
         let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
         let primary = r(&net, &[0, 1]);
         let backup = r(&net, &[0, 3, 2, 1]);
-        sim.establish(ConnectionId::new(0), BW, primary.clone(), vec![backup]);
+        sim.establish(ConnectionId::new(0), BW, primary.clone(), Some(backup));
         while sim.step() {
             sim.check_invariants().unwrap();
         }
@@ -323,7 +323,7 @@ mod tests {
         let drive = |fail: bool| {
             let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
             let primary = r(&net, &[0, 1]);
-            sim.establish(ConnectionId::new(0), BW, primary.clone(), vec![]);
+            sim.establish(ConnectionId::new(0), BW, primary.clone(), None);
             sim.run_to_quiescence();
             if fail {
                 sim.fail_link(primary.links()[0]);

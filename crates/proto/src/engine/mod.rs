@@ -366,14 +366,34 @@ impl ProtocolSim {
             .filter(|m| m.phase.is_live())
     }
 
-    /// Begins establishing a connection: the source starts the primary
-    /// setup walk; backup register walks follow on success.
+    /// Begins establishing a DR-connection — one primary and, when given,
+    /// one backup: the source starts the primary setup walk; the backup
+    /// register walk follows on success.
+    ///
+    /// # Panics
+    ///
+    /// As [`ProtocolSim::establish_stacked`].
+    pub fn establish(
+        &mut self,
+        conn: ConnectionId,
+        bw: Bandwidth,
+        primary: Route,
+        backup: Option<Route>,
+    ) {
+        self.establish_stacked(conn, bw, primary, backup.into_iter().collect());
+    }
+
+    /// [`ProtocolSim::establish`] with any number of backups, registered
+    /// one after another in the given order once the primary is set up.
+    /// The routers keep one table entry per registration, so backups may
+    /// stack on a shared link; the model checker's stacked-backup
+    /// scenarios exercise exactly that.
     ///
     /// # Panics
     ///
     /// Panics if `conn` was already submitted, or a route's endpoints
     /// disagree with the primary's.
-    pub fn establish(
+    pub fn establish_stacked(
         &mut self,
         conn: ConnectionId,
         bw: Bandwidth,

@@ -342,7 +342,7 @@ mod tests {
         let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
         let primary = r(&net, &[3, 4, 5, 8]);
         let backup = r(&net, &[3, 6, 7, 8]);
-        sim.establish(ConnectionId::new(0), BW, primary, vec![backup.clone()]);
+        sim.establish(ConnectionId::new(0), BW, primary, Some(backup.clone()));
         sim.run_to_quiescence();
         assert_eq!(
             sim.outcome(ConnectionId::new(0)),
@@ -385,7 +385,7 @@ mod tests {
         );
         let primary = r(&net, &[0, 1]);
         let backup = r(&net, &[0, 3, 2, 1]);
-        sim.establish(ConnectionId::new(0), BW, primary.clone(), vec![backup]);
+        sim.establish(ConnectionId::new(0), BW, primary.clone(), Some(backup));
         sim.run_to_quiescence();
         sim.fail_link(primary.links()[0]);
         while sim.step() {
@@ -410,7 +410,7 @@ mod tests {
         let primary = r(&net, &[3, 4, 5]);
         let b1 = r(&net, &[3, 0, 1, 2, 5]);
         let b2 = r(&net, &[3, 6, 7, 8, 5]);
-        sim.establish(
+        sim.establish_stacked(
             ConnectionId::new(0),
             BW,
             primary.clone(),

@@ -230,7 +230,7 @@ mod tests {
             chaos,
         );
         let primary = r(&net, nodes);
-        sim.establish(ConnectionId::new(0), BW, primary.clone(), vec![]);
+        sim.establish(ConnectionId::new(0), BW, primary.clone(), None);
         sim.run_to_quiescence();
         let crashed_at = sim.now();
         sim.restart_router(NodeId::new(node), SimDuration::from_secs(1));

@@ -616,7 +616,7 @@ mod tests {
         let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
         let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
         let conn = ConnectionId::new(0);
-        sim.establish(conn, BW, r(&net, &[0, 1]), vec![]);
+        sim.establish(conn, BW, r(&net, &[0, 1]), None);
         assert!(sim.step(), "the launch starts transaction 1");
         let result = |op| Packet::WalkResult {
             op,
@@ -651,7 +651,7 @@ mod tests {
         let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
         let primary = r(&net, &[0, 1]);
         let backup = r(&net, &[0, 3, 2, 1]);
-        sim.establish(ConnectionId::new(0), BW, primary, vec![backup]);
+        sim.establish(ConnectionId::new(0), BW, primary, Some(backup));
         sim.run_to_quiescence();
         assert_eq!(
             sim.outcome(ConnectionId::new(0)),
@@ -676,7 +676,7 @@ mod tests {
         );
         let primary = r(&net, &[0, 1]);
         let backup = r(&net, &[0, 3, 2, 1]);
-        sim.establish(ConnectionId::new(0), BW, primary.clone(), vec![backup]);
+        sim.establish(ConnectionId::new(0), BW, primary.clone(), Some(backup));
         sim.run_to_quiescence();
         assert_eq!(
             sim.outcome(ConnectionId::new(0)),
@@ -701,7 +701,7 @@ mod tests {
             chaos,
         );
         let primary = r(&net, &[0, 1]);
-        sim.establish(ConnectionId::new(0), BW, primary, vec![]);
+        sim.establish(ConnectionId::new(0), BW, primary, None);
         sim.run_to_quiescence();
         // Not Pending: the transaction exhausted and the conn resolved.
         assert_eq!(
@@ -726,7 +726,7 @@ mod tests {
         sim.seed_bug(SeededBug::DoubleRegister);
         let primary = r(&net, &[0, 1]);
         let backup = r(&net, &[0, 3, 2, 1]);
-        sim.establish(ConnectionId::new(0), BW, primary, vec![backup]);
+        sim.establish(ConnectionId::new(0), BW, primary, Some(backup));
         let mut violated = false;
         while sim.step() {
             if sim.check_invariants().is_err() {

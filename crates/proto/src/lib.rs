@@ -87,7 +87,7 @@
 //!
 //! let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
 //! sim.establish(ConnectionId::new(0), Bandwidth::from_kbps(3_000),
-//!               primary, vec![backup]);
+//!               primary, Some(backup));
 //! sim.run_to_quiescence();
 //! assert!(sim.outcome(ConnectionId::new(0)).unwrap().is_established());
 //! # Ok(())

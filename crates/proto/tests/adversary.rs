@@ -73,7 +73,7 @@ fn ring_with(byzantine: Byzantine) -> Ring {
     let first_hop = primary.links()[0];
     let second_hop = primary.links()[1];
     let mut sim = sim_with(&net, byzantine);
-    sim.establish(CONN, BW, primary, vec![backup]);
+    sim.establish(CONN, BW, primary, Some(backup));
     sim.run_to_quiescence();
     assert_eq!(sim.outcome(CONN), Some(ConnOutcome::Established));
     Ring {
@@ -223,7 +223,7 @@ fn total_interception_degrades_instead_of_wedging() {
         ..Byzantine::default()
     };
     let mut sim = sim_with(&net, byzantine);
-    sim.establish(CONN, BW, primary, vec![backup]);
+    sim.establish(CONN, BW, primary, Some(backup));
     sim.run_to_quiescence();
     assert_eq!(
         sim.outcome(CONN),

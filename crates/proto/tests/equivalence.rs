@@ -19,25 +19,25 @@ const BW: Bandwidth = Bandwidth::from_kbps(3_000);
 /// equality. Commands run to quiescence before the next is issued, so
 /// the distributed side is race-free (race behaviour is tested
 /// separately).
-fn assert_equivalent(net: &Arc<Network>, ops: &[(u64, Route, Vec<Route>, bool)]) {
+fn assert_equivalent(net: &Arc<Network>, ops: &[(u64, Route, Option<Route>, bool)]) {
     let mut mgr = DrtpManager::new(Arc::clone(net));
     let mut sim = ProtocolSim::new(Arc::clone(net), ProtocolConfig::default());
     let mut live: Vec<ConnectionId> = Vec::new();
 
-    for (id, primary, backups, release_one) in ops {
+    for (id, primary, backup, release_one) in ops {
         let conn = ConnectionId::new(*id);
         // Centralized.
         let req = RouteRequest::new(conn, primary.source(), primary.dest(), BW);
         let pair = RoutePair {
             primary: primary.clone(),
-            backups: backups.clone(),
+            backup: backup.clone(),
             dedicated_backup: false,
             overhead: RoutingOverhead::ZERO,
         };
         let central = mgr.admit_routes(&req, pair);
 
         // Distributed.
-        sim.establish(conn, BW, primary.clone(), backups.clone());
+        sim.establish(conn, BW, primary.clone(), backup.clone());
         sim.run_to_quiescence();
         let distributed = sim.outcome(conn).expect("submitted");
 
@@ -83,15 +83,12 @@ fn simple_establish_release_matches() {
         Route::from_nodes(&net, &ids).unwrap()
     };
     let ops = vec![
-        (0, r(&[0, 1, 2]), vec![r(&[0, 3, 4, 5, 2])], false),
-        (1, r(&[6, 7, 8]), vec![r(&[6, 3, 4, 5, 8])], false),
-        (2, r(&[1, 2]), vec![r(&[1, 4, 5, 2])], true),
-        (
-            3,
-            r(&[3, 4, 5]),
-            vec![r(&[3, 0, 1, 2, 5]), r(&[3, 6, 7, 8, 5])],
-            true,
-        ),
+        (0, r(&[0, 1, 2]), Some(r(&[0, 3, 4, 5, 2])), false),
+        (1, r(&[6, 7, 8]), Some(r(&[6, 3, 4, 5, 8])), false),
+        (2, r(&[1, 2]), Some(r(&[1, 4, 5, 2])), true),
+        // Two connections on one primary, backed up either side of it.
+        (3, r(&[3, 4, 5]), Some(r(&[3, 0, 1, 2, 5])), true),
+        (4, r(&[3, 4, 5]), Some(r(&[3, 6, 7, 8, 5])), true),
     ];
     assert_equivalent(&net, &ops);
 }
@@ -105,8 +102,8 @@ fn saturating_setups_reject_identically() {
         let ids: Vec<NodeId> = nodes.iter().map(|&n| NodeId::new(n)).collect();
         Route::from_nodes(&net, &ids).unwrap()
     };
-    let ops: Vec<(u64, Route, Vec<Route>, bool)> = (0..5)
-        .map(|i| (i, r(&[0, 1]), vec![r(&[0, 3, 2, 1])], false))
+    let ops: Vec<(u64, Route, Option<Route>, bool)> = (0..5)
+        .map(|i| (i, r(&[0, 1]), Some(r(&[0, 3, 2, 1])), false))
         .collect();
     assert_equivalent(&net, &ops);
 }
@@ -135,9 +132,8 @@ proptest! {
             let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {
                 if primary.contains_link(l) { None } else { Some(1.0) }
             }).map(|(_, r)| r);
-            let backups = backup.into_iter().collect::<Vec<_>>();
             let release = rng.gen_bool(0.3);
-            ops.push((i as u64, primary, backups, release));
+            ops.push((i as u64, primary, backup, release));
         }
         assert_equivalent(&net, &ops);
     }
@@ -158,7 +154,7 @@ fn failure_switchover_matches_manager_semantics() {
 
     // Distributed.
     let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
-    sim.establish(conn, BW, primary.clone(), vec![backup.clone()]);
+    sim.establish(conn, BW, primary.clone(), Some(backup.clone()));
     sim.run_to_quiescence();
     let failed_link = primary.links()[1];
     sim.fail_link(failed_link);
@@ -172,7 +168,7 @@ fn failure_switchover_matches_manager_semantics() {
         &req,
         RoutePair {
             primary: primary.clone(),
-            backups: vec![backup.clone()],
+            backup: Some(backup.clone()),
             dedicated_backup: false,
             overhead: RoutingOverhead::ZERO,
         },
@@ -233,7 +229,7 @@ proptest! {
                 if primary.contains_link(l) { None } else { Some(1.0) }
             }).map(|(_, r)| r);
             let conn = ConnectionId::new(i as u64);
-            sim.establish(conn, BW, primary, backup.into_iter().collect());
+            sim.establish(conn, BW, primary, backup);
             submitted.push(conn);
             let _ = rng.gen::<u8>();
         }
@@ -281,7 +277,7 @@ fn second_failure_downs_a_switched_connection() {
     let backup = r(&[0, 3, 4, 5, 2]);
     let conn = ConnectionId::new(0);
     let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
-    sim.establish(conn, BW, primary.clone(), vec![backup.clone()]);
+    sim.establish(conn, BW, primary.clone(), Some(backup.clone()));
     sim.run_to_quiescence();
     sim.fail_link(primary.links()[0]);
     sim.run_to_quiescence();
@@ -309,8 +305,8 @@ fn racing_setups_never_over_reserve() {
     };
     let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
     // Same direct link 0->1 from both sides of the walk order.
-    sim.establish(ConnectionId::new(0), BW, r(&[0, 1]), vec![]);
-    sim.establish(ConnectionId::new(1), BW, r(&[3, 0, 1]), vec![]);
+    sim.establish(ConnectionId::new(0), BW, r(&[0, 1]), None);
+    sim.establish(ConnectionId::new(1), BW, r(&[3, 0, 1]), None);
     sim.run_to_quiescence();
     let ok0 = sim.outcome(ConnectionId::new(0)).unwrap().is_established();
     let ok1 = sim.outcome(ConnectionId::new(1)).unwrap().is_established();
@@ -333,7 +329,7 @@ fn racing_setups_never_over_reserve() {
 /// leave partial reservations behind.
 fn assert_chaotic_equivalent(
     net: &Arc<Network>,
-    ops: &[(u64, Route, Vec<Route>)],
+    ops: &[(u64, Route, Option<Route>)],
     chaos: drt_proto::ChaosConfig,
 ) {
     let retry = drt_proto::RetryConfig {
@@ -341,8 +337,8 @@ fn assert_chaotic_equivalent(
         ..drt_proto::RetryConfig::default()
     };
     let mut sim = ProtocolSim::with_chaos(Arc::clone(net), ProtocolConfig::default(), retry, chaos);
-    for (id, primary, backups) in ops {
-        sim.establish(ConnectionId::new(*id), BW, primary.clone(), backups.clone());
+    for (id, primary, backup) in ops {
+        sim.establish(ConnectionId::new(*id), BW, primary.clone(), backup.clone());
         sim.run_to_quiescence();
     }
 
@@ -357,9 +353,9 @@ fn assert_chaotic_equivalent(
         let req = RouteRequest::new(conn, primary.source(), primary.dest(), BW);
         let pair = RoutePair {
             primary: primary.clone(),
-            // Degraded connections keep only the backups whose
-            // registration survived; mirror exactly those.
-            backups: sim.registered_backups(conn),
+            // A degraded connection's backup registration did not
+            // survive; mirror exactly what did.
+            backup: sim.registered_backups(conn).pop(),
             dedicated_backup: false,
             overhead: RoutingOverhead::ZERO,
         };
@@ -392,14 +388,12 @@ fn chaotic_establishes_converge_to_the_lossless_ledger() {
         Route::from_nodes(&net, &ids).unwrap()
     };
     let ops = vec![
-        (0, r(&[0, 1, 2]), vec![r(&[0, 3, 4, 5, 2])]),
-        (1, r(&[6, 7, 8]), vec![r(&[6, 3, 4, 5, 8])]),
-        (2, r(&[1, 2]), vec![r(&[1, 4, 5, 2])]),
-        (
-            3,
-            r(&[3, 4, 5]),
-            vec![r(&[3, 0, 1, 2, 5]), r(&[3, 6, 7, 8, 5])],
-        ),
+        (0, r(&[0, 1, 2]), Some(r(&[0, 3, 4, 5, 2]))),
+        (1, r(&[6, 7, 8]), Some(r(&[6, 3, 4, 5, 8]))),
+        (2, r(&[1, 2]), Some(r(&[1, 4, 5, 2]))),
+        // Two connections on one primary, backed up either side of it.
+        (3, r(&[3, 4, 5]), Some(r(&[3, 0, 1, 2, 5]))),
+        (4, r(&[3, 4, 5]), Some(r(&[3, 6, 7, 8, 5]))),
     ];
     let chaos = drt_proto::ChaosConfig {
         dup_prob: 0.03,
@@ -430,7 +424,7 @@ proptest! {
             let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {
                 if primary.contains_link(l) { None } else { Some(1.0) }
             }).map(|(_, r)| r);
-            ops.push((i, primary, backup.into_iter().collect::<Vec<_>>()));
+            ops.push((i, primary, backup));
         }
         let chaos = drt_proto::ChaosConfig {
             dup_prob: 0.02,

@@ -117,7 +117,7 @@ proptest! {
         let b2 = route(&net, &[3, 6, 7, 8, 5]);
         for i in 0..conns {
             for engine in [&mut sim, &mut twin] {
-                engine.establish(
+                engine.establish_stacked(
                     ConnectionId::new(i as u64),
                     BW,
                     primary.clone(),
@@ -181,7 +181,7 @@ proptest! {
         let primary = route(&net, &[0, 1, 2]);
         let backup = route(&net, &[0, 3, 2]);
         for i in 0..40u64 {
-            sim.establish(ConnectionId::new(i), BW, primary.clone(), vec![backup.clone()]);
+            sim.establish(ConnectionId::new(i), BW, primary.clone(), Some(backup.clone()));
             sim.run_to_quiescence();
             if i % 2 == 0 {
                 sim.release(ConnectionId::new(i));

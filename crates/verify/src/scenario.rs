@@ -149,7 +149,7 @@ impl Scenario {
             } => {
                 let primary = route(&self.net, primary);
                 let backups = backups.iter().map(|b| route(&self.net, b)).collect();
-                sim.establish(*conn, *bw, primary, backups);
+                sim.establish_stacked(*conn, *bw, primary, backups);
             }
             Op::FailLink { link } => sim.fail_link(*link),
             Op::FailLinks { links } => {

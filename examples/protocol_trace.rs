@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         conn,
         Bandwidth::from_kbps(3_000),
         primary.clone(),
-        vec![backup.clone()],
+        Some(backup.clone()),
     );
     sim.run_to_quiescence();
     println!(

@@ -55,16 +55,18 @@ fn main() -> Result<(), Box<dyn Error>> {
         for (idx, link) in mgr.net().links().map(|l| l.id()).enumerate() {
             let mut prng = drt_sim::rng::indexed_stream(23, "latency-probe", idx as u64);
             let outcome = mgr.probe_single_failure(link, &mut prng);
-            for (id, won) in &outcome.details {
-                let Some(backup_idx) = won else { continue };
-                let conn = mgr.connection(*id).expect("probed connection");
+            for &(id, won) in &outcome.details {
+                if !won {
+                    continue;
+                }
+                let conn = mgr.connection(id).expect("probed connection");
                 let latency = model
-                    .switchover_latency(conn, link, *backup_idx)
-                    .expect("winner implies failed on primary and valid backup");
+                    .switchover_latency(conn, link)
+                    .expect("winner implies failed on primary and a backup");
                 let ms = latency.as_secs_f64() * 1e3;
                 stats.push(ms);
                 samples.push(ms);
-                hops.push(conn.backups()[*backup_idx].len() as f64);
+                hops.push(conn.backup().expect("a winner holds its backup").len() as f64);
             }
         }
         samples.sort_by(f64::total_cmp);

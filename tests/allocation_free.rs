@@ -119,10 +119,9 @@ fn spf_searches_allocate_only_their_routes() {
     }
 }
 
-/// What a selection returns: each route's link `Vec` and `Arc<[LinkId]>`,
-/// and the backups `Vec` when it holds any.
+/// What a selection returns: each route's link `Vec` and `Arc<[LinkId]>`.
 fn pair_allocs(pair: &RoutePair) -> u64 {
-    2 + u64::from(!pair.backups.is_empty()) + 2 * pair.backups.len() as u64
+    2 + 2 * u64::from(pair.backup.is_some())
 }
 
 #[test]
@@ -170,7 +169,7 @@ fn lsr_selections_allocate_only_their_routes() {
                 }
             }
             for (req, primary) in &live {
-                let (backup, n) = counted(|| dlsr.select_backup(&view, req, primary, &[]));
+                let (backup, n) = counted(|| dlsr.select_backup(&view, req, primary));
                 let want = if backup.is_ok() { 2 } else { 0 };
                 assert!(
                     warm || n == want,

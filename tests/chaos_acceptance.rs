@@ -48,7 +48,7 @@ fn hundred_connections_at_ten_percent_drop_never_wedge() {
         .map(|(_, r)| r);
         let conn = ConnectionId::new(id);
         id += 1;
-        sim.establish(conn, bw, primary, backup.into_iter().collect());
+        sim.establish(conn, bw, primary, backup);
         submitted.push(conn);
     }
     sim.run_to_quiescence();

@@ -290,7 +290,12 @@ fn reestablish_backup_under_contention_is_best_effort_until_it_clears() {
         mgr.connection(ConnectionId::new(1)).unwrap().state(),
         ConnectionState::Protected
     );
-    let contended = mgr.connection(ConnectionId::new(1)).unwrap().backups()[0].clone();
+    let contended = mgr
+        .connection(ConnectionId::new(1))
+        .unwrap()
+        .backup()
+        .cloned()
+        .unwrap();
     assert!(
         contended
             .links()
@@ -319,7 +324,12 @@ fn reestablish_backup_under_contention_is_best_effort_until_it_clears() {
     mgr.drop_backups(ConnectionId::new(1)).unwrap();
     mgr.reestablish_backup(&mut dlsr, ConnectionId::new(1))
         .unwrap();
-    let backup = mgr.connection(ConnectionId::new(1)).unwrap().backups()[0].clone();
+    let backup = mgr
+        .connection(ConnectionId::new(1))
+        .unwrap()
+        .backup()
+        .cloned()
+        .unwrap();
     assert!(
         backup
             .links()

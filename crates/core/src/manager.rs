@@ -650,7 +650,9 @@ impl DrtpManager {
     /// [`DrtpError::UnknownConnection`] for unknown ids,
     /// [`DrtpError::InvalidSelection`] when the connection already has a
     /// backup or is failed (no scheme runs and nothing changes),
-    /// [`DrtpError::NoBackupRoute`] when the scheme finds none.
+    /// [`DrtpError::NoBackupRoute`] when the scheme finds none,
+    /// [`DrtpError::InsufficientBandwidth`] when a link refuses the
+    /// dedicated reservation the scheme asks for (nothing changes).
     pub fn reestablish_backup(
         &mut self,
         scheme: &mut dyn RoutingScheme,
@@ -689,19 +691,19 @@ impl DrtpManager {
             }
             Cow::Owned(masked)
         };
-        let (backup, overhead) =
+        let (backup, dedicated, overhead) =
             scheme.select_backup(&self.view_over(&failed), &req, conn.primary())?;
         if backup.links().iter().any(|l| avoid.contains(l)) {
             // Defense against schemes that route without consulting
             // `alive()`: a quarantined link must never enter a new backup.
             return Err(DrtpError::NoBackupRoute(id));
         }
-        self.install_checked(slot, &req, backup)?;
+        self.install_checked(slot, &req, backup, dedicated)?;
         Ok(overhead)
     }
 
-    /// Registers a caller-supplied backup route for a carrying connection
-    /// that holds none. The counterpart of [`DrtpManager::drop_backups`]
+    /// Registers a caller-supplied backup route, multiplexed, for a
+    /// carrying connection that holds none. The counterpart of [`DrtpManager::drop_backups`]
     /// for restoring or installing specific routes, e.g. rolling back a
     /// failed re-optimisation.
     ///
@@ -720,7 +722,7 @@ impl DrtpManager {
     ) -> Result<(), DrtpError> {
         let (slot, conn) = self.unprotected(id)?;
         let req = Self::backup_request(conn);
-        self.install_checked(slot, &req, backup)
+        self.install_checked(slot, &req, backup, false)
     }
 
     /// Looks up a connection that must still be carrying traffic,
@@ -762,29 +764,34 @@ impl DrtpManager {
     }
 
     /// The shared tail of backup installation: validates `backup` against
-    /// the live state and `req`'s hop cap, registers it (multiplexed) and
-    /// installs it in connection `req.id`'s record, which lives in `slot`.
+    /// the live state and `req`'s hop cap, registers it — a hard
+    /// reservation when `dedicated`, else multiplexed — and installs it in
+    /// connection `req.id`'s record, which lives in `slot`.
     fn install_checked(
         &mut self,
         slot: u32,
         req: &RouteRequest,
         backup: Route,
+        dedicated: bool,
     ) -> Result<(), DrtpError> {
         self.validate_route(req, &backup)?;
         // The record is taken out of the table for the duration so its
         // primary can be walked by reference while the backup registers.
         let mut conn = self.conns.take(slot);
-        self.attach_backup(
+        let attached = self.attach_backup(
             IndexEntry::new(req.id, slot),
             &backup,
             conn.primary().links(),
             req.bandwidth(),
-            false,
-        )
-        .expect("only a dedicated reservation can be refused");
-        conn.install_backup(backup, false);
+            dedicated,
+        );
+        if attached.is_ok() {
+            conn.install_backup(backup, dedicated);
+        }
         self.conns.put(slot, conn);
-        Ok(())
+        attached
+            .map(|_| ())
+            .map_err(DrtpError::InsufficientBandwidth)
     }
 
     /// Drops the backup registration of a carrying connection, leaving it
@@ -1376,6 +1383,37 @@ mod tests {
             mgr.install_backup_route(ConnectionId::new(0), bogus),
             Err(DrtpError::InvalidSelection(_))
         ));
+    }
+
+    #[test]
+    fn a_refused_dedicated_backup_is_a_typed_error() {
+        // Mesh 0 -> 1 -> 2 over 3 -> 4 -> 5: a hog fills 0 -> 3, so a
+        // dedicated backup through it is refused, and nothing changes.
+        let mut mgr = mesh_manager();
+        let route = |nodes: &[u32]| {
+            let ids: Vec<NodeId> = nodes.iter().map(|&n| NodeId::new(n)).collect();
+            drt_net::Route::from_nodes(mgr.net(), &ids).unwrap()
+        };
+        let (primary, backup, hog) = (route(&[0, 1, 2]), route(&[0, 3, 4, 5, 2]), route(&[0, 3]));
+        let mut script = crate::routing::Scripted::new();
+        script.push(primary, None).push(hog, None);
+        mgr.request_connection(&mut script, req(0, 0, 2)).unwrap();
+        let full = RouteRequest::new(
+            ConnectionId::new(1),
+            NodeId::new(0),
+            NodeId::new(3),
+            Bandwidth::from_mbps(10),
+        );
+        mgr.request_connection(&mut script, full).unwrap();
+        let before = mgr.fingerprint();
+        let (slot, conn) = mgr.unprotected(ConnectionId::new(0)).unwrap();
+        let req = DrtpManager::backup_request(conn);
+        assert_eq!(
+            mgr.install_checked(slot, &req, backup.clone(), true),
+            Err(DrtpError::InsufficientBandwidth(backup.links()[0]))
+        );
+        assert_eq!(mgr.fingerprint(), before);
+        mgr.assert_invariants();
     }
 
     #[test]

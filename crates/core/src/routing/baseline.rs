@@ -51,7 +51,7 @@ impl RoutingScheme for PrimaryOnly {
         _view: &ManagerView<'_>,
         req: &RouteRequest,
         _primary: &Route,
-    ) -> Result<(Route, RoutingOverhead), DrtpError> {
+    ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
         Err(DrtpError::NoBackupRoute(req.id))
     }
 }
@@ -126,10 +126,10 @@ impl RoutingScheme for SpfBackup {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-    ) -> Result<(Route, RoutingOverhead), DrtpError> {
+    ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
         let backup = Self::backup_route(view, req, primary)?;
         let overhead = lsa_overhead(view.net().num_links(), backup.len(), 8);
-        Ok((backup, overhead))
+        Ok((backup, false, overhead))
     }
 }
 
@@ -194,7 +194,7 @@ impl RoutingScheme for DedicatedDisjoint {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-    ) -> Result<(Route, RoutingOverhead), DrtpError> {
+    ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
         let bw = req.bandwidth();
         let backup = shortest_path(view.net(), req.src, req.dst, |l| {
             (view.usable_for_primary(l, bw) && !primary.contains_link(l)).then_some(1.0)
@@ -202,7 +202,7 @@ impl RoutingScheme for DedicatedDisjoint {
         .map(|(_, r)| r)
         .ok_or(DrtpError::NoBackupRoute(req.id))?;
         let overhead = lsa_overhead(view.net().num_links(), backup.len(), 8);
-        Ok((backup, overhead))
+        Ok((backup, true, overhead))
     }
 }
 
@@ -265,6 +265,29 @@ mod tests {
             mgr.total_prime(),
             BW.times((rep.primary.len() + backup.len()) as u64),
             "backup holds hard reservations"
+        );
+        assert_eq!(mgr.total_spare(), Bandwidth::ZERO);
+        mgr.assert_invariants();
+    }
+
+    #[test]
+    fn dedicated_reprotection_reserves_a_dedicated_backup() {
+        let net = Arc::new(topology::mesh(4, 4, Bandwidth::from_mbps(10)).unwrap());
+        let mut mgr = DrtpManager::new(net);
+        let mut scheme = DedicatedDisjoint::new();
+        let rep = mgr.request_connection(&mut scheme, req(0, 5, 10)).unwrap();
+        let id = ConnectionId::new(0);
+        let mut rng = drt_sim::rng::stream(1, "dedicated");
+        mgr.inject_failure(rep.primary.links()[0], &mut rng)
+            .unwrap();
+        mgr.reestablish_backup(&mut scheme, id).unwrap();
+        let conn = mgr.connection(id).unwrap();
+        assert!(conn.backup_is_dedicated());
+        let (primary, backup) = (conn.primary(), conn.backup().unwrap());
+        assert_eq!(
+            mgr.total_prime(),
+            BW.times((primary.len() + backup.len()) as u64),
+            "the new backup holds hard reservations"
         );
         assert_eq!(mgr.total_spare(), Bandwidth::ZERO);
         mgr.assert_invariants();

@@ -91,14 +91,14 @@ impl RoutingScheme for DLsr {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-    ) -> Result<(Route, RoutingOverhead), DrtpError> {
+    ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
         let backup = lsr_backup(view, req, primary, self.conflict_terms(view, primary))?;
         let overhead = lsa_overhead(
             view.net().num_links(),
             backup.len(),
             Self::entry_bytes(view.net().num_links()),
         );
-        Ok((backup, overhead))
+        Ok((backup, false, overhead))
     }
 }
 

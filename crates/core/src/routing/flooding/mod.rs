@@ -141,11 +141,11 @@ impl RoutingScheme for BoundedFlooding {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-    ) -> Result<(Route, RoutingOverhead), DrtpError> {
+    ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
         let outcome = flood(view, req, FloodingParams::paper());
         let backup = Self::pick_backup(&outcome.candidates, primary)
             .ok_or(DrtpError::NoBackupRoute(req.id))?;
-        Ok((backup, outcome.overhead))
+        Ok((backup, false, outcome.overhead))
     }
 }
 

@@ -161,7 +161,9 @@ pub trait RoutingScheme {
 
     /// Selects a backup for an existing primary whose connection holds
     /// none — resource reconfiguration after a recovery or a lost backup
-    /// (step 4 of DRTP).
+    /// (step 4 of DRTP). Returns `(backup, dedicated, overhead)`, where
+    /// `dedicated` is what [`RoutePair::dedicated_backup`] says at
+    /// admission: the backup holds a hard reservation.
     ///
     /// # Errors
     ///
@@ -171,7 +173,7 @@ pub trait RoutingScheme {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-    ) -> Result<(Route, RoutingOverhead), DrtpError>;
+    ) -> Result<(Route, bool, RoutingOverhead), DrtpError>;
 }
 
 #[cfg(test)]

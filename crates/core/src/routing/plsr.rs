@@ -89,10 +89,10 @@ impl RoutingScheme for PLsr {
         view: &ManagerView<'_>,
         req: &RouteRequest,
         primary: &Route,
-    ) -> Result<(Route, RoutingOverhead), DrtpError> {
+    ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
         let backup = lsr_backup(view, req, primary, |l| view.l1_norm(l) as f64)?;
         let overhead = lsa_overhead(view.net().num_links(), backup.len(), PLSR_ENTRY_BYTES);
-        Ok((backup, overhead))
+        Ok((backup, false, overhead))
     }
 }
 

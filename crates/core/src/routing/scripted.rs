@@ -89,12 +89,12 @@ impl RoutingScheme for Scripted {
         _view: &ManagerView<'_>,
         req: &RouteRequest,
         _primary: &Route,
-    ) -> Result<(Route, RoutingOverhead), DrtpError> {
+    ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
         let pair = self.pairs.pop_front().ok_or_else(|| {
             DrtpError::InvalidSelection(format!("script exhausted at {}", req.id))
         })?;
         pair.backup
-            .map(|b| (b, pair.overhead))
+            .map(|b| (b, pair.dedicated_backup, pair.overhead))
             .ok_or(DrtpError::NoBackupRoute(req.id))
     }
 }

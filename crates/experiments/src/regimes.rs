@@ -878,7 +878,7 @@ impl ControlPlane {
 
         for &c in &self.live {
             if !self.sim.outcome(c).expect("tracked").is_established()
-                || !self.sim.registered_backups(c).is_empty()
+                || self.sim.registered_backup(c).is_some()
             {
                 continue;
             }

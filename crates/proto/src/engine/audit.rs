@@ -15,9 +15,8 @@ impl ProtocolSim {
     /// * **always-on** — hold in every reachable state, even mid-walk:
     ///   per-link ledger conservation (`prime + spare ≤ capacity`), spare
     ///   bounded by the APLV requirement, APLV ↔ backup-channel-table
-    ///   consistency, ledger `prime` ↔ primary-channel-table consistency,
-    ///   and the backup-entry count bounded by the backups the source
-    ///   actually submitted;
+    ///   consistency, and ledger `prime` ↔ primary-channel-table
+    ///   consistency;
     /// * **quiescent** — additionally hold once [`Self::is_quiescent`]:
     ///   no connection still `Pending`, no registration surviving a
     ///   concluded connection, and — when no router crash lost state and
@@ -66,9 +65,9 @@ impl ProtocolSim {
                 }
                 let expected = invariants::expected_aplv(
                     router
-                        .backup_entries()
-                        .filter(|e| e.out_link == l)
-                        .map(|e| (e.primary_lset.as_slice(), e.bw)),
+                        .backups()
+                        .filter(|(_, e)| e.out_link == l)
+                        .map(|(_, e)| (e.primary_lset.as_slice(), e.bw)),
                 );
                 if !invariants::aplv_matches(aplv, &expected) {
                     return Err(Violation {
@@ -95,20 +94,6 @@ impl ProtocolSim {
                     });
                 }
             }
-            for (conn, l, n) in router.backup_entry_counts() {
-                let bound = self.state.conns.get(&conn).map_or(0, |m| {
-                    m.backups.iter().filter(|b| b.contains_link(l)).count()
-                });
-                if n > bound {
-                    return Err(Violation {
-                        rule: "backup-entry-overcount",
-                        detail: format!(
-                            "router {}, link {l}: {n} entries for {conn}, source submitted {bound}",
-                            router.id()
-                        ),
-                    });
-                }
-            }
         }
         Ok(())
     }
@@ -121,7 +106,7 @@ impl ProtocolSim {
                     detail: format!("connection {conn} still pending with nothing in flight"),
                 });
             }
-            if !meta.phase.is_live() && meta.registered.iter().any(|&r| r) {
+            if !meta.phase.is_live() && meta.registered {
                 return Err(Violation {
                     rule: "stale-registration",
                     detail: format!("concluded connection {conn} still marks a backup registered"),
@@ -143,9 +128,9 @@ impl ProtocolSim {
                     if self.state.down[at.index()] {
                         continue;
                     }
-                    if self.state.routers[at.index()]
-                        .primary_entry(*conn)
-                        .is_none()
+                    if !self.state.routers[at.index()]
+                        .primary_entries(*conn)
+                        .any(|e| e.out_link == l && e.route == meta.primary)
                     {
                         return Err(Violation {
                             rule: "rejoin-restores-primaries",
@@ -197,14 +182,12 @@ impl ProtocolSim {
             for &l in meta.primary.links() {
                 *expected_prime.entry(l).or_insert(Bandwidth::ZERO) += meta.bw;
             }
-            for (b, &reg) in meta.backups.iter().zip(&meta.registered) {
-                if reg {
-                    for &l in b.links() {
-                        expected_regs
-                            .entry(l)
-                            .or_default()
-                            .push((meta.primary.links(), meta.bw));
-                    }
+            if let Some(b) = meta.backup.as_ref().filter(|_| meta.registered) {
+                for &l in b.links() {
+                    expected_regs
+                        .entry(l)
+                        .or_default()
+                        .push((meta.primary.links(), meta.bw));
                 }
             }
         }

@@ -69,10 +69,11 @@ impl Default for RetryConfig {
 pub enum ConnOutcome {
     /// Signalling in progress.
     Pending,
-    /// Primary reserved and every backup registered.
+    /// Primary reserved and the backup, if any, registered.
     Established,
-    /// Primary reserved but a backup registration exhausted its retries:
-    /// the connection carries traffic without (full) protection.
+    /// Primary reserved but the backup registration exhausted its
+    /// retries, or the backup was retired: the connection carries traffic
+    /// without protection.
     Degraded,
     /// Primary setup failed (bandwidth taken while signalling, or the
     /// setup transaction exhausted its retries).
@@ -101,18 +102,16 @@ impl ConnOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     SettingUpPrimary,
-    RegisteringBackup(usize),
+    RegisteringBackup,
     Established,
-    /// A backup-register transaction exhausted its retries: live but not
-    /// (fully) protected.
+    /// The backup-register transaction exhausted its retries, or the
+    /// backup was retired: live but not protected.
     Degraded,
     /// A failure report arrived while a register walk was outstanding;
     /// teardown waits for that transaction to conclude so release walks
     /// cannot overtake it.
     FailingDuringSetup,
-    Switching {
-        chosen: usize,
-    },
+    Switching,
     Switched,
     Lost,
     Rejected,
@@ -123,9 +122,9 @@ impl Phase {
     fn outcome(self) -> ConnOutcome {
         match self {
             Phase::SettingUpPrimary
-            | Phase::RegisteringBackup(_)
+            | Phase::RegisteringBackup
             | Phase::FailingDuringSetup
-            | Phase::Switching { .. } => ConnOutcome::Pending,
+            | Phase::Switching => ConnOutcome::Pending,
             Phase::Established => ConnOutcome::Established,
             Phase::Degraded => ConnOutcome::Degraded,
             Phase::Rejected => ConnOutcome::Rejected,
@@ -146,9 +145,10 @@ impl Phase {
 struct ConnMeta {
     bw: Bandwidth,
     primary: Route,
-    backups: Vec<Route>,
-    /// Which backups currently hold registrations along their full route.
-    registered: Vec<bool>,
+    /// The one backup: being registered, registered, or being activated.
+    backup: Option<Route>,
+    /// Whether the backup holds registrations along its full route.
+    registered: bool,
     /// Every link reported failed for this connection so far. Under
     /// correlated failures (node crashes, SRLGs) several incident links
     /// fail together and both endpoints may report: the set dedups
@@ -158,17 +158,14 @@ struct ConnMeta {
 }
 
 impl ConnMeta {
-    /// Unmarks every registered backup `pred` selects and returns their
-    /// routes, in index order — the release walks the caller now owes.
-    fn take_registered(&mut self, mut pred: impl FnMut(&Route) -> bool) -> Vec<Route> {
-        let mut taken = Vec::new();
-        for (b, reg) in self.backups.iter().zip(&mut self.registered) {
-            if *reg && pred(b) {
-                *reg = false;
-                taken.push(b.clone());
-            }
+    /// Takes the backup if it is registered and `pred` selects it — the
+    /// release walk the caller now owes.
+    fn take_registered(&mut self, pred: impl FnOnce(&Route) -> bool) -> Option<Route> {
+        if !self.registered || !self.backup.as_ref().is_some_and(pred) {
+            return None;
         }
-        taken
+        self.registered = false;
+        self.backup.take()
     }
 }
 
@@ -195,7 +192,6 @@ enum Event {
     Launch {
         conn: ConnectionId,
         op: WalkOp,
-        index: usize,
         route: Route,
     },
     RetryTimer {
@@ -348,13 +344,8 @@ impl ProtocolSim {
 
     /// Queues the start of an `op` walk for `conn` along `route` at the
     /// current instant (see [`Event::Launch`]).
-    fn launch(&mut self, conn: ConnectionId, op: WalkOp, index: usize, route: Route) {
-        let launch = Event::Launch {
-            conn,
-            op,
-            index,
-            route,
-        };
+    fn launch(&mut self, conn: ConnectionId, op: WalkOp, route: Route) {
+        let launch = Event::Launch { conn, op, route };
         self.sim.schedule_at(self.sim.now(), launch);
     }
 
@@ -372,7 +363,8 @@ impl ProtocolSim {
     ///
     /// # Panics
     ///
-    /// As [`ProtocolSim::establish_stacked`].
+    /// Panics if `conn` was already submitted, or the backup's endpoints
+    /// disagree with the primary's.
     pub fn establish(
         &mut self,
         conn: ConnectionId,
@@ -380,108 +372,85 @@ impl ProtocolSim {
         primary: Route,
         backup: Option<Route>,
     ) {
-        self.establish_stacked(conn, bw, primary, backup.into_iter().collect());
-    }
-
-    /// [`ProtocolSim::establish`] with any number of backups, registered
-    /// one after another in the given order once the primary is set up.
-    /// The routers keep one table entry per registration, so backups may
-    /// stack on a shared link; the model checker's stacked-backup
-    /// scenarios exercise exactly that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conn` was already submitted, or a route's endpoints
-    /// disagree with the primary's.
-    pub fn establish_stacked(
-        &mut self,
-        conn: ConnectionId,
-        bw: Bandwidth,
-        primary: Route,
-        backups: Vec<Route>,
-    ) {
         assert!(
             !self.state.conns.contains_key(&conn),
             "connection {conn} already submitted"
         );
-        for b in &backups {
+        if let Some(b) = &backup {
             assert_eq!(b.source(), primary.source(), "backup source mismatch");
             assert_eq!(b.dest(), primary.dest(), "backup dest mismatch");
         }
-        let registered = vec![false; backups.len()];
         self.state.conns.insert(
             conn,
             ConnMeta {
                 bw,
                 primary: primary.clone(),
-                backups,
-                registered,
+                backup,
+                registered: false,
                 reported: BTreeSet::new(),
                 phase: Phase::SettingUpPrimary,
             },
         );
-        self.launch(conn, WalkOp::PrimarySetup, 0, primary);
+        self.launch(conn, WalkOp::PrimarySetup, primary);
     }
 
-    /// Registers an additional backup on a live connection — DRTP's
-    /// resource-reconfiguration step (re-protect after a switchover or a
-    /// degraded establishment). On success the connection returns to
-    /// [`ConnOutcome::Established`]; if the registration exhausts its
-    /// retries the connection keeps its current outcome.
+    /// Registers a backup on a live connection that holds none — DRTP's
+    /// resource-reconfiguration step (re-protect after a switchover, a
+    /// retirement or a degraded establishment). On success the connection
+    /// returns to [`ConnOutcome::Established`]; if the registration
+    /// exhausts its retries the connection keeps its current outcome.
     ///
-    /// Returns `false` when the connection is not live or the route's
-    /// endpoints do not match the primary's.
+    /// Returns `false`, changing nothing, when the connection is not live,
+    /// already holds a backup, or the route's endpoints do not match the
+    /// primary's.
     pub fn add_backup(&mut self, conn: ConnectionId, backup: Route) -> bool {
         let Some(meta) = self.live_mut(conn) else {
             return false;
         };
-        if backup.source() != meta.primary.source() || backup.dest() != meta.primary.dest() {
+        if meta.backup.is_some()
+            || backup.source() != meta.primary.source()
+            || backup.dest() != meta.primary.dest()
+        {
             return false;
         }
-        meta.backups.push(backup.clone());
-        meta.registered.push(false);
-        let index = meta.backups.len() - 1;
-        self.launch(conn, WalkOp::BackupRegister, index, backup);
+        meta.backup = Some(backup.clone());
+        self.launch(conn, WalkOp::BackupRegister, backup);
         true
     }
 
-    /// Retires every *registered* backup of a live connection that
-    /// crosses `link`, sending reliable release walks — the source
-    /// learned (e.g. from the routing plane) that those backups can never
-    /// activate. A connection left with no registered backup degrades.
-    /// Returns how many backups were retired.
+    /// Retires the *registered* backup of a live connection if it crosses
+    /// `link`, sending a reliable release walk — the source learned (e.g.
+    /// from the routing plane) that the backup can never activate. An
+    /// established connection left unprotected degrades. Returns how many
+    /// backups were retired (0 or 1).
     pub fn retire_backups_crossing(&mut self, conn: ConnectionId, link: LinkId) -> usize {
         let Some(meta) = self.live_mut(conn) else {
             return 0;
         };
-        let retired = meta.take_registered(|b| b.contains_link(link));
-        if !retired.is_empty()
-            && meta.phase == Phase::Established
-            && meta.registered.iter().all(|r| !r)
-        {
+        let Some(retired) = meta.take_registered(|b| b.contains_link(link)) else {
+            return 0;
+        };
+        if meta.phase == Phase::Established {
             meta.phase = Phase::Degraded;
         }
-        let n = retired.len();
-        for b in retired {
-            self.launch(conn, WalkOp::BackupRelease, 0, b);
-        }
-        n
+        self.launch(conn, WalkOp::BackupRelease, retired);
+        1
     }
 
     /// Terminates a live connection (established, degraded, or switched):
     /// release transactions are launched along the current primary and
-    /// every registered backup. Returns `false` when the connection is
-    /// not in a releasable state.
+    /// the registered backup. Returns `false` when the connection is not
+    /// in a releasable state.
     pub fn release(&mut self, conn: ConnectionId) -> bool {
         let Some(meta) = self.live_mut(conn) else {
             return false;
         };
         meta.phase = Phase::Released;
         let primary = meta.primary.clone();
-        let backups = meta.take_registered(|_| true);
-        self.launch(conn, WalkOp::PrimaryRelease, 0, primary);
-        for b in backups {
-            self.launch(conn, WalkOp::BackupRelease, 0, b);
+        let backup = meta.take_registered(|_| true);
+        self.launch(conn, WalkOp::PrimaryRelease, primary);
+        if let Some(b) = backup {
+            self.launch(conn, WalkOp::BackupRelease, b);
         }
         true
     }
@@ -580,21 +549,16 @@ impl ProtocolSim {
         &self.state.counters
     }
 
-    /// The backups of `conn` whose registrations are currently in place
-    /// end to end (source-side view). Empty for unknown connections.
+    /// The backup of `conn` whose registration is in place end to end
+    /// (source-side view); `None` for unknown connections.
+    pub fn registered_backup(&self, conn: ConnectionId) -> Option<&Route> {
+        let meta = self.state.conns.get(&conn)?;
+        meta.backup.as_ref().filter(|_| meta.registered)
+    }
+
+    /// [`ProtocolSim::registered_backup`] as a list of zero or one.
     pub fn registered_backups(&self, conn: ConnectionId) -> Vec<Route> {
-        self.state
-            .conns
-            .get(&conn)
-            .map(|m| {
-                m.backups
-                    .iter()
-                    .zip(&m.registered)
-                    .filter(|&(_, &reg)| reg)
-                    .map(|(r, _)| r.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.registered_backup(conn).cloned().into_iter().collect()
     }
 
     /// Completed recovery episodes, in resolution order.
@@ -654,14 +618,9 @@ impl State {
             }
             Event::Detected { at, link } => self.on_detected(sched, at, link),
             Event::NodeFails { node } => self.on_node_fails(sched, node),
-            Event::Launch {
-                conn,
-                op,
-                index,
-                route,
-            } => {
+            Event::Launch { conn, op, route } => {
                 if self.conns.contains_key(&conn) {
-                    self.start_walk(sched, conn, op, index, route);
+                    self.start_walk(sched, conn, op, route);
                 }
             }
             Event::RetryTimer { seq, attempt } => self.on_retry_timer(sched, seq, attempt),

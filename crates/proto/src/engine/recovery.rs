@@ -10,26 +10,21 @@ use drt_net::{LinkId, NodeId, Route};
 use drt_sim::{Scheduler, SimTime};
 
 impl ConnMeta {
-    /// Claims the first registered backup that avoids *every* link
+    /// Claims the backup if it is registered and avoids *every* link
     /// reported dead so far — its registration is consumed by activation —
-    /// and moves to [`Phase::Switching`]; with none left the connection is
+    /// and moves to [`Phase::Switching`]; otherwise the connection is
     /// [`Phase::Lost`].
-    fn next_switch(&mut self) -> Option<(usize, Route)> {
-        let found = (0..self.backups.len()).find(|&i| {
-            self.registered[i]
-                && !self
-                    .reported
-                    .iter()
-                    .any(|&l| self.backups[i].contains_link(l))
-        });
-        match found {
-            Some(i) => {
-                self.phase = Phase::Switching { chosen: i };
-                self.registered[i] = false;
-            }
-            None => self.phase = Phase::Lost,
+    fn next_switch(&mut self) -> Option<Route> {
+        let reported = &self.reported;
+        let usable = |b: &Route| !reported.iter().any(|&l| b.contains_link(l));
+        if self.registered && self.backup.as_ref().is_some_and(usable) {
+            self.phase = Phase::Switching;
+            self.registered = false;
+            self.backup.clone()
+        } else {
+            self.phase = Phase::Lost;
+            None
         }
-        found.map(|i| (i, self.backups[i].clone()))
     }
 }
 
@@ -68,17 +63,13 @@ impl State {
         // be either endpoint (after a router crash the survivor reports),
         // so affected connections are found by route membership, not
         // ledger ownership.
-        for conn in self.routers[at.index()].primaries_crossing(link) {
-            let Some(entry) = self.routers[at.index()].primary_entry(conn) else {
-                continue;
-            };
-            let src = entry.route.source();
-            let pos = entry
-                .route
+        for (conn, route) in self.routers[at.index()].primaries_crossing(link) {
+            let src = route.source();
+            let pos = route
                 .links()
                 .iter()
                 .position(|&l| l == link)
-                .unwrap_or(entry.route.len());
+                .unwrap_or(route.len());
             let hops = self.report_hops(link, at, pos).max(1);
             let template = Packet::FailureReport {
                 conn,
@@ -119,18 +110,18 @@ impl State {
         }
     }
 
-    /// Release walks over a dead or abandoned primary and the backups
+    /// Release walks over a dead or abandoned primary and the backup
     /// taken with it.
     fn release_all(
         &mut self,
         sched: &mut Scheduler<'_, Event>,
         conn: ConnectionId,
         primary: Route,
-        backups: Vec<Route>,
+        backup: Option<Route>,
     ) {
-        self.start_walk(sched, conn, WalkOp::PrimaryRelease, 0, primary);
-        for b in backups {
-            self.start_walk(sched, conn, WalkOp::BackupRelease, 0, b);
+        self.start_walk(sched, conn, WalkOp::PrimaryRelease, primary);
+        if let Some(b) = backup {
+            self.start_walk(sched, conn, WalkOp::BackupRelease, b);
         }
     }
 
@@ -189,15 +180,18 @@ impl State {
         match meta.phase {
             Phase::Established | Phase::Degraded => {
                 let old_primary = meta.primary.clone();
-                // Switch to the first registered backup clear of every
-                // reported link; release the others.
+                // Switch to the backup if it is registered and clear of
+                // every reported link; otherwise release it.
                 let next = meta.next_switch();
-                let others = meta.take_registered(|_| true);
+                let unusable = meta.take_registered(|_| true);
                 self.begin_recovery(conn, link, now);
-                self.release_all(sched, conn, old_primary, others);
-                self.launch_switch(sched, conn, next);
+                self.release_all(sched, conn, old_primary, unusable);
+                match next {
+                    Some(route) => self.start_walk(sched, conn, WalkOp::ChannelSwitch, route),
+                    None => self.resolve_recovery(conn, now, false),
+                }
             }
-            // A switched connection has no backups left — but only a
+            // A switched connection has no backup registered — but only a
             // failure on its *current* (promoted) primary downs it. A
             // report for some other link (e.g. the old primary's second
             // link after a node crash) is recorded and absorbed.
@@ -209,12 +203,12 @@ impl State {
                 let route = meta.primary.clone();
                 self.begin_recovery(conn, link, now);
                 self.resolve_recovery(conn, now, false);
-                self.start_walk(sched, conn, WalkOp::PrimaryRelease, 0, route);
+                self.start_walk(sched, conn, WalkOp::PrimaryRelease, route);
             }
             // The primary died while a register walk is outstanding:
             // defer teardown until that transaction concludes, so release
             // walks cannot overtake register packets under jitter.
-            Phase::RegisteringBackup(_) => {
+            Phase::RegisteringBackup => {
                 meta.phase = Phase::FailingDuringSetup;
                 self.begin_recovery(conn, link, now);
             }
@@ -231,71 +225,50 @@ impl State {
         self.suspicion.get(&reporter).copied().unwrap_or(0) >= SUSPICION_THRESHOLD
     }
 
-    /// Launches the activation [`ConnMeta::next_switch`] chose, or — it
-    /// chose none — records the connection as lost.
-    fn launch_switch(
-        &mut self,
-        sched: &mut Scheduler<'_, Event>,
-        conn: ConnectionId,
-        next: Option<(usize, Route)>,
-    ) {
-        match next {
-            Some((i, route)) => self.start_walk(sched, conn, WalkOp::ChannelSwitch, i, route),
-            None => self.resolve_recovery(conn, sched.now(), false),
-        }
-    }
-
-    /// Picks the next registered backup avoiding the reported links and
-    /// launches its activation, or declares the connection lost.
-    fn try_next_switch(&mut self, sched: &mut Scheduler<'_, Event>, conn: ConnectionId) {
-        let Some(meta) = self.conns.get_mut(&conn) else {
-            debug_assert!(false, "switching a never-submitted connection {conn}");
-            return;
-        };
-        let next = meta.next_switch();
-        self.launch_switch(sched, conn, next);
-    }
-
+    /// The activation of `route` concluded: the backup is the primary
+    /// now, or the activation lost the race mid-route.
     pub(super) fn on_switch_result(
         &mut self,
         sched: &mut Scheduler<'_, Event>,
         conn: ConnectionId,
-        index: usize,
+        route: Route,
         ok: bool,
     ) {
         let now = sched.now();
         let Some(meta) = self.conns.get_mut(&conn) else {
             return;
         };
-        if meta.phase != (Phase::Switching { chosen: index }) {
+        if meta.phase != Phase::Switching {
             return;
         }
-        let route = meta.backups[index].clone();
         if ok {
             meta.primary = route;
+            meta.backup = None;
             meta.phase = Phase::Switched;
             self.resolve_recovery(conn, now, true);
         } else {
-            // Activation lost the race mid-route.
-            self.abandon_switch(sched, conn, index, route);
+            self.abandon_switch(sched, conn, route);
         }
     }
 
-    /// Activation of backup `index` was nacked or exhausted its retries:
-    /// reliably scrub the partial activation and the leftover
-    /// registrations along `route`, then — if the connection is still
-    /// waiting on it — try the next candidate.
+    /// Activation of the backup `route` was nacked or exhausted its
+    /// retries: reliably scrub the partial activation and the leftover
+    /// registrations along `route`; a connection still waiting on it is
+    /// lost.
     pub(super) fn abandon_switch(
         &mut self,
         sched: &mut Scheduler<'_, Event>,
         conn: ConnectionId,
-        index: usize,
         route: Route,
     ) {
-        self.release_all(sched, conn, route.clone(), vec![route]);
-        let waiting = Phase::Switching { chosen: index };
-        if self.conns.get(&conn).map(|m| m.phase) == Some(waiting) {
-            self.try_next_switch(sched, conn);
+        self.release_all(sched, conn, route.clone(), Some(route));
+        let Some(meta) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        if meta.phase == Phase::Switching {
+            meta.phase = Phase::Lost;
+            meta.backup = None;
+            self.resolve_recovery(conn, sched.now(), false);
         }
     }
 
@@ -313,9 +286,9 @@ impl State {
         };
         meta.phase = Phase::Lost;
         let primary = meta.primary.clone();
-        let backups = meta.take_registered(|_| true);
+        let backup = meta.take_registered(|_| true);
         self.resolve_recovery(conn, sched.now(), false);
-        self.release_all(sched, conn, primary, backups);
+        self.release_all(sched, conn, primary, backup);
     }
 }
 
@@ -326,7 +299,7 @@ mod tests {
     use crate::engine::{ConnOutcome, ProtocolConfig, ProtocolSim, RetryConfig};
     use crate::fate::{Fate, ScriptedFates};
     use drt_core::ConnectionId;
-    use drt_net::{topology, Bandwidth, NodeId};
+    use drt_net::{topology, Bandwidth, NetworkBuilder, NodeId};
     use drt_sim::SimDuration;
     use std::sync::Arc;
 
@@ -409,13 +382,7 @@ mod tests {
         let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
         let primary = r(&net, &[3, 4, 5]);
         let b1 = r(&net, &[3, 0, 1, 2, 5]);
-        let b2 = r(&net, &[3, 6, 7, 8, 5]);
-        sim.establish_stacked(
-            ConnectionId::new(0),
-            BW,
-            primary.clone(),
-            vec![b1.clone(), b2],
-        );
+        sim.establish(ConnectionId::new(0), BW, primary.clone(), Some(b1.clone()));
         sim.run_to_quiescence();
 
         sim.fail_link(primary.links()[0]);
@@ -429,8 +396,7 @@ mod tests {
         while sim.step() {
             sim.check_invariants().unwrap();
         }
-        // DRTP releases the other backups when switching starts, so with
-        // the chosen backup dead the connection is lost — but cleanly:
+        // With its one backup dead the connection is lost — but cleanly:
         // the quiescent invariants above verified every ledger is exact.
         assert_eq!(sim.outcome(ConnectionId::new(0)), Some(ConnOutcome::Lost));
         assert_eq!(sim.recovery_log().len(), 1);
@@ -440,5 +406,40 @@ mod tests {
             Bandwidth::ZERO,
             "partial activation scrubbed"
         );
+    }
+
+    #[test]
+    fn a_backup_through_a_primary_router_switches_over_cleanly() {
+        // The switchover race, lossless and fault-free: the backup
+        // 0 -> 2 -> 4 -> 3 revisits router 2 of the primary 0 -> 1 -> 2 -> 3.
+        // When 1 -> 2 (or 2 -> 3) fails, the activation reaches router 2
+        // one hop before the old primary's release walk. Each walk must
+        // remove only its own channel's entry there.
+        let cap = Bandwidth::from_mbps(10);
+        let mut b = NetworkBuilder::with_nodes(5);
+        for (from, to) in [(0, 1), (1, 2), (2, 3), (0, 2), (2, 4), (4, 3)] {
+            b.add_link(NodeId::new(from), NodeId::new(to), cap).unwrap();
+        }
+        let net = Arc::new(b.build());
+        let primary = r(&net, &[0, 1, 2, 3]);
+        let backup = r(&net, &[0, 2, 4, 3]);
+        for failed in [primary.links()[1], primary.links()[2]] {
+            let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
+            let conn = ConnectionId::new(0);
+            sim.establish(conn, BW, primary.clone(), Some(backup.clone()));
+            sim.run_to_quiescence();
+            sim.fail_link(failed);
+            while sim.step() {
+                assert_eq!(sim.check_invariants(), Ok(()), "{failed} failed");
+            }
+            assert_eq!(sim.outcome(conn), Some(ConnOutcome::Switched));
+            let router2 = sim.router(NodeId::new(2));
+            let held: Vec<_> = router2.primaries().map(|(_, e)| &e.route).collect();
+            assert_eq!(held, [&backup], "{failed} failed");
+            assert_eq!(
+                sim.link_resources(primary.links()[2]).prime(),
+                Bandwidth::ZERO
+            );
+        }
     }
 }

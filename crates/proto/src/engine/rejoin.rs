@@ -5,7 +5,6 @@
 use super::{Event, State, TxnKind};
 use crate::message::{Packet, ResyncEntry};
 use crate::router::Router;
-use crate::JournalRecord;
 use drt_core::failure::RestartMode;
 use drt_net::{LinkId, NodeId};
 use drt_sim::Scheduler;
@@ -179,15 +178,7 @@ impl State {
                 // down: release whatever stale state replay resurrected
                 // (through the choke point, so a later crash replays the
                 // repair too).
-                let conn = e.conn;
-                let mut repairs = Vec::new();
-                if router.primary_entry(conn).is_some() {
-                    repairs.push(JournalRecord::ReleasePrimary { conn });
-                }
-                for (out_link, n) in router.backup_links(conn) {
-                    repairs
-                        .extend((0..n).map(|_| JournalRecord::UnregisterBackup { conn, out_link }));
-                }
+                let repairs = router.release_records(e.conn);
                 if repairs.is_empty() {
                     self.stats.resync_consistent += 1;
                 } else {

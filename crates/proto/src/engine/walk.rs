@@ -44,11 +44,8 @@ use std::collections::btree_map::Entry;
 /// What a source-side transaction was trying to accomplish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum TxnKind {
-    /// A walk; `index` is the backup it registers or activates (0 for
-    /// the ops that have none to tell apart).
     Walk {
         op: WalkOp,
-        index: usize,
     },
     FailureReport,
     /// Post-restart state reconciliation with one neighbour.
@@ -82,10 +79,6 @@ pub enum SeededBug {
     /// The correct engine.
     #[default]
     None,
-    /// A duplicate backup-release delivery re-applies the release instead
-    /// of respecting the dedup gate — with two backups stacked on one
-    /// link, the second release pops the *other* backup's registration.
-    DoubleRelease,
     /// A duplicate backup-register delivery re-applies the registration,
     /// double-counting the backup in the APLV and channel table.
     DoubleRegister,
@@ -99,11 +92,7 @@ impl SeededBug {
     /// Whether this variant re-applies `op` on a duplicate delivery
     /// instead of respecting the dedup gate.
     fn reapplies(self, op: WalkOp) -> bool {
-        matches!(
-            (self, op),
-            (SeededBug::DoubleRegister, WalkOp::BackupRegister)
-                | (SeededBug::DoubleRelease, WalkOp::BackupRelease)
-        )
+        self == SeededBug::DoubleRegister && op == WalkOp::BackupRegister
     }
 }
 
@@ -194,15 +183,12 @@ impl State {
         sched.schedule_in(timeout, Event::RetryTimer { seq, attempt: 1 });
     }
 
-    /// Starts the reliable `op` walk for `conn` along `route`; `index` is
-    /// the backup the walk registers or activates (0 where the op has
-    /// none to tell apart).
+    /// Starts the reliable `op` walk for `conn` along `route`.
     pub(super) fn start_walk(
         &mut self,
         sched: &mut Scheduler<'_, Event>,
         conn: ConnectionId,
         op: WalkOp,
-        index: usize,
         route: Route,
     ) {
         let Some(meta) = self.conns.get(&conn) else {
@@ -226,7 +212,7 @@ impl State {
             seq: self.alloc_seq(),
             attempt: 1,
         });
-        let kind = TxnKind::Walk { op, index };
+        let kind = TxnKind::Walk { op };
         self.start_txn(sched, kind, template, to, SimDuration::ZERO, hops);
     }
 
@@ -242,8 +228,7 @@ impl State {
             WalkGate::Stale => return,
             WalkGate::AlreadyApplied => {
                 if self.bug.reapplies(w.op) {
-                    // Seeded fault: ignore the dedup verdict and re-apply
-                    // (a stacked release pops *another* backup's entry).
+                    // Seeded fault: ignore the dedup verdict and re-apply.
                     // Journaled too, so replay reproduces the bug.
                     self.apply_walk(to, &w);
                 }
@@ -298,8 +283,16 @@ impl State {
                 primary_lset: w.primary_lset.clone(),
                 bw,
             },
-            WalkOp::PrimaryRelease => JournalRecord::ReleasePrimary { conn },
-            WalkOp::BackupRelease => JournalRecord::UnregisterBackup { conn, out_link },
+            WalkOp::PrimaryRelease => JournalRecord::ReleasePrimary {
+                conn,
+                route: w.route.clone(),
+                out_link,
+            },
+            WalkOp::BackupRelease => JournalRecord::UnregisterBackup {
+                conn,
+                route: w.route.clone(),
+                out_link,
+            },
             WalkOp::ChannelSwitch => JournalRecord::ActivateBackup {
                 conn,
                 route: w.route.clone(),
@@ -336,18 +329,17 @@ impl State {
         let Entry::Occupied(txn) = self.txns.entry(seq) else {
             return;
         };
-        let TxnKind::Walk { op: started, index } = txn.get().kind else {
-            return;
-        };
-        if started != op {
+        if txn.get().kind != (TxnKind::Walk { op }) {
             return;
         }
         debug_assert_eq!(txn.get().template.conn(), conn);
-        txn.remove();
+        let Packet::Walk(w) = txn.remove().template else {
+            return;
+        };
         match op {
             WalkOp::PrimarySetup => self.on_primary_result(sched, conn, ok),
-            WalkOp::BackupRegister => self.on_register_result(sched, conn, index),
-            WalkOp::ChannelSwitch => self.on_switch_result(sched, conn, index, ok),
+            WalkOp::BackupRegister => self.on_register_result(sched, conn, w.route),
+            WalkOp::ChannelSwitch => self.on_switch_result(sched, conn, w.route, ok),
             WalkOp::PrimaryRelease | WalkOp::BackupRelease => {}
         }
     }
@@ -364,63 +356,46 @@ impl State {
         if meta.phase != Phase::SettingUpPrimary {
             return;
         }
-        if ok {
-            self.register_from(sched, conn, 0);
-        } else {
+        if !ok {
             meta.phase = Phase::Rejected;
             let route = meta.primary.clone();
             // Reliable cleanup of the hops the walk did reserve.
-            self.start_walk(sched, conn, WalkOp::PrimaryRelease, 0, route);
+            self.start_walk(sched, conn, WalkOp::PrimaryRelease, route);
+        } else if let Some(route) = meta.backup.clone() {
+            meta.phase = Phase::RegisteringBackup;
+            self.start_walk(sched, conn, WalkOp::BackupRegister, route);
+        } else {
+            meta.phase = Phase::Established;
         }
     }
 
-    /// Starts registering backup `i` — or, past the last one, declares
-    /// the connection established.
-    fn register_from(&mut self, sched: &mut Scheduler<'_, Event>, conn: ConnectionId, i: usize) {
-        let Some(meta) = self.conns.get_mut(&conn) else {
-            return;
-        };
-        match meta.backups.get(i).cloned() {
-            Some(route) => {
-                meta.phase = Phase::RegisteringBackup(i);
-                self.start_walk(sched, conn, WalkOp::BackupRegister, i, route);
-            }
-            None => meta.phase = Phase::Established,
-        }
-    }
-
+    /// The backup `route` is registered end to end.
     fn on_register_result(
         &mut self,
         sched: &mut Scheduler<'_, Event>,
         conn: ConnectionId,
-        index: usize,
+        route: Route,
     ) {
         let Some(meta) = self.conns.get_mut(&conn) else {
             return;
         };
         match meta.phase {
-            Phase::RegisteringBackup(i) if i == index => {
-                meta.registered[i] = true;
-                self.register_from(sched, conn, i + 1);
-            }
             Phase::FailingDuringSetup => {
-                meta.registered[index] = true;
+                meta.registered = true;
                 self.resolve_failing_setup(sched, conn);
             }
-            // A reconfiguration register ([`crate::ProtocolSim::add_backup`])
-            // completed on a live connection: it is protected again.
-            phase if phase.is_live() => {
-                meta.registered[index] = true;
+            // The setup's register, or a reconfiguration register
+            // ([`crate::ProtocolSim::add_backup`]) on a live connection:
+            // protected (again).
+            Phase::RegisteringBackup | Phase::Established | Phase::Degraded | Phase::Switched => {
+                meta.registered = true;
                 meta.phase = Phase::Established;
             }
-            Phase::SettingUpPrimary | Phase::RegisteringBackup(_) => {}
+            Phase::SettingUpPrimary => {}
             // The connection moved on (switching, lost, released,
             // rejected) while this late registration completed end to
             // end: scrub it reliably.
-            _ => {
-                let route = meta.backups[index].clone();
-                self.start_walk(sched, conn, WalkOp::BackupRelease, 0, route);
-            }
+            _ => self.start_walk(sched, conn, WalkOp::BackupRelease, route),
         }
     }
 
@@ -456,8 +431,8 @@ impl State {
     fn on_txn_exhausted(&mut self, sched: &mut Scheduler<'_, Event>, txn: Txn) {
         *self.exhausted.entry(txn.template.kind()).or_insert(0) += 1;
         let conn = txn.template.conn();
-        let (op, index, route) = match (txn.kind, txn.template) {
-            (TxnKind::Walk { op, index }, Packet::Walk(w)) => (op, index, w.route),
+        let (op, route) = match (txn.kind, txn.template) {
+            (TxnKind::Walk { op }, Packet::Walk(w)) => (op, w.route),
             // The neighbour never answered: rejoin without its digest is
             // unsafe, so degrade to the detection path.
             (TxnKind::Resync { .. }, _) => return self.degrade_rejoin(),
@@ -472,23 +447,22 @@ impl State {
                     }
                 }
                 // Scrub whatever hops the abandoned walk reserved.
-                self.start_walk(sched, conn, WalkOp::PrimaryRelease, 0, route);
+                self.start_walk(sched, conn, WalkOp::PrimaryRelease, route);
             }
             WalkOp::BackupRegister => {
-                self.start_walk(sched, conn, WalkOp::BackupRelease, 0, route);
-                match self.conns.get_mut(&conn) {
-                    // Give up on protection, keep the live channel (and
-                    // any earlier registered backups).
-                    Some(meta) if meta.phase == Phase::RegisteringBackup(index) => {
-                        meta.phase = Phase::Degraded;
-                    }
-                    Some(meta) if meta.phase == Phase::FailingDuringSetup => {
-                        self.resolve_failing_setup(sched, conn);
-                    }
+                self.start_walk(sched, conn, WalkOp::BackupRelease, route);
+                let Some(meta) = self.conns.get_mut(&conn) else {
+                    return;
+                };
+                // Give up on protection, keep the live channel.
+                meta.backup = None;
+                match meta.phase {
+                    Phase::RegisteringBackup => meta.phase = Phase::Degraded,
+                    Phase::FailingDuringSetup => self.resolve_failing_setup(sched, conn),
                     _ => {}
                 }
             }
-            WalkOp::ChannelSwitch => self.abandon_switch(sched, conn, index, route),
+            WalkOp::ChannelSwitch => self.abandon_switch(sched, conn, route),
             // Give up: the leak (if any) is bounded and counted in
             // `exhausted` — under total partition nothing more can be
             // done from here.
@@ -631,6 +605,29 @@ mod tests {
         deliver(&mut sim, NodeId::new(0), result(WalkOp::PrimarySetup));
         assert!(sim.state.txns.is_empty());
         assert_eq!(sim.outcome(conn), Some(ConnOutcome::Established));
+    }
+
+    #[test]
+    fn add_backup_refuses_a_connection_that_holds_one() {
+        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
+        let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
+        let conn = ConnectionId::new(0);
+        let backup = r(&net, &[0, 3, 2, 1]);
+        sim.establish(conn, BW, r(&net, &[0, 1]), Some(backup.clone()));
+        sim.run_to_quiescence();
+        let before = sim.fingerprint();
+        assert!(!sim.add_backup(conn, backup.clone()));
+        assert_eq!(sim.fingerprint(), before, "a refusal changes nothing");
+        assert_eq!(sim.registered_backup(conn), Some(&backup));
+        // Once the backup is retired, the connection takes one again.
+        assert_eq!(sim.retire_backups_crossing(conn, backup.links()[1]), 1);
+        sim.run_to_quiescence();
+        assert_eq!(sim.outcome(conn), Some(ConnOutcome::Degraded));
+        assert!(sim.add_backup(conn, backup.clone()));
+        sim.run_to_quiescence();
+        assert_eq!(sim.outcome(conn), Some(ConnOutcome::Established));
+        assert_eq!(sim.link_resources(backup.links()[0]).spare(), BW);
+        sim.check_invariants().unwrap();
     }
 
     #[test]

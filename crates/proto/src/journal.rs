@@ -75,10 +75,14 @@ pub enum JournalRecord {
         /// Per-link bandwidth.
         bw: Bandwidth,
     },
-    /// The primary reservation was released.
+    /// The primary reservation for `route` on `out_link` was released.
     ReleasePrimary {
         /// Connection being released.
         conn: ConnectionId,
+        /// The released channel's route (only its entry is removed).
+        route: Route,
+        /// The released outgoing link.
+        out_link: LinkId,
     },
     /// A backup was registered on `out_link`.
     RegisterBackup {
@@ -93,10 +97,12 @@ pub enum JournalRecord {
         /// Per-link bandwidth.
         bw: Bandwidth,
     },
-    /// One backup entry was unregistered from `out_link`.
+    /// The backup entry for `route` was unregistered from `out_link`.
     UnregisterBackup {
         /// Connection being unprotected.
         conn: ConnectionId,
+        /// The unregistered backup's route (only its entry is removed).
+        route: Route,
         /// The registered outgoing link.
         out_link: LinkId,
     },
@@ -142,7 +148,11 @@ fn apply(router: &mut Router, rec: &JournalRecord) -> WalkGate {
             out_link,
             bw,
         } => return verdict(router.reserve_primary(*conn, route, *out_link, *bw)),
-        JournalRecord::ReleasePrimary { conn } => router.release_primary(*conn),
+        JournalRecord::ReleasePrimary {
+            conn,
+            route,
+            out_link,
+        } => router.release_primary(*conn, route, *out_link),
         JournalRecord::RegisterBackup {
             conn,
             route,
@@ -150,9 +160,11 @@ fn apply(router: &mut Router, rec: &JournalRecord) -> WalkGate {
             primary_lset,
             bw,
         } => router.register_backup(*conn, route, *out_link, primary_lset, *bw),
-        JournalRecord::UnregisterBackup { conn, out_link } => {
-            router.unregister_backup(*conn, *out_link);
-        }
+        JournalRecord::UnregisterBackup {
+            conn,
+            route,
+            out_link,
+        } => router.unregister_backup(*conn, route, *out_link),
         JournalRecord::ActivateBackup {
             conn,
             route,
@@ -386,7 +398,11 @@ mod tests {
                 out_link,
                 bw,
             },
-            4 => JournalRecord::ReleasePrimary { conn },
+            4 => JournalRecord::ReleasePrimary {
+                conn,
+                route,
+                out_link,
+            },
             5 => JournalRecord::RegisterBackup {
                 conn,
                 route,
@@ -394,7 +410,11 @@ mod tests {
                 primary_lset: lset.to_vec(),
                 bw,
             },
-            6 => JournalRecord::UnregisterBackup { conn, out_link },
+            6 => JournalRecord::UnregisterBackup {
+                conn,
+                route,
+                out_link,
+            },
             _ => JournalRecord::ActivateBackup {
                 conn,
                 route,
@@ -498,8 +518,8 @@ mod tests {
 
     /// Commits the record `kind % 8` selects, on an outgoing link of `at`
     /// (the raw mutators debug-assert own links). Small id ranges make
-    /// calls collide: refused reservations, stacked backups, unregisters
-    /// of nothing.
+    /// calls collide: refused reservations, stacked entries, releases and
+    /// unregisters of nothing.
     fn drive(
         js: &mut Journals,
         routers: &mut [Router],

@@ -115,4 +115,4 @@ pub use engine::{
 pub use fate::{ChaosFates, Decision, DeliveryFate, Fate, FateLog, FateSource, ScriptedFates};
 pub use message::{Packet, ResyncEntry, Walk, WalkOp, RESYNC_CONN};
 pub use router::journal::{Journal, JournalRecord};
-pub use router::{BackupEntry, PrimaryEntry, Router, WalkGate};
+pub use router::{ChannelEntry, Router, WalkGate};

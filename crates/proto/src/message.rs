@@ -32,8 +32,8 @@ pub struct ResyncEntry {
 /// |----|---------------------|----------|-------------|
 /// | `PrimarySetup` | reserve primary bandwidth | yes (pool short, link dead) | `setup-result` |
 /// | `BackupRegister` | register the backup, update the APLV from the LSET | no | `setup-result` |
-/// | `PrimaryRelease` | release the primary reservation | no | `release-result` |
-/// | `BackupRelease` | unregister one backup entry | no | `release-result` |
+/// | `PrimaryRelease` | release this route's primary entry and reservation | no | `release-result` |
+/// | `BackupRelease` | unregister this route's backup entry | no | `release-result` |
 /// | `ChannelSwitch` | activate the backup: spare/free → primary | yes (pools short, link dead) | `switch-result` |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkOp {

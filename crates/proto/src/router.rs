@@ -12,32 +12,69 @@ use crate::message::ResyncEntry;
 use drt_core::ConnectionId;
 use drt_core::{Aplv, LinkResources};
 use drt_net::{Bandwidth, LinkId, Network, NodeId, Route};
+use journal::JournalRecord;
 use std::collections::BTreeMap;
 
-/// A primary-channel entry in a router's channel table: this router has
-/// reserved `bw` on `out_link` for the connection.
+/// A channel-table entry: this router holds `bw` on `out_link` for one
+/// channel of a connection — reserved for a primary, registered for a
+/// backup.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PrimaryEntry {
-    /// The full primary route (needed for failure reporting).
+pub struct ChannelEntry {
+    /// The channel's full route: what a failure report is addressed
+    /// along, and what a release must match to remove the entry.
     pub route: Route,
-    /// This router's reserved outgoing link (one link of `route`).
+    /// This router's outgoing link (one link of `route`).
     pub out_link: LinkId,
+    /// For a backup, the primary route's link set its register packet
+    /// carried (for APLV maintenance); empty for a primary.
+    pub primary_lset: Vec<LinkId>,
     /// Per-link bandwidth.
     pub bw: Bandwidth,
 }
 
-/// A backup-channel entry: this router multiplexes the backup on
-/// `out_link` and keeps the primary's LSET for APLV maintenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackupEntry {
-    /// The full backup route.
-    pub route: Route,
-    /// This router's registered outgoing link.
-    pub out_link: LinkId,
-    /// The primary route's link set carried by the register packet.
-    pub primary_lset: Vec<LinkId>,
-    /// Per-link bandwidth.
-    pub bw: Bandwidth,
+/// A channel table, keyed by `(conn, out_link)`. Two channels of one
+/// connection can hold the same key — a promoted backup and the old
+/// primary whose release walk has not arrived yet — so entries stack (the
+/// key's third part is the entry's place in the stack), and only a walk
+/// over an entry's own route removes it: whichever walk arrives first, it
+/// never takes another channel's entry.
+#[derive(Debug, Clone, Default)]
+struct ChannelTable(BTreeMap<(ConnectionId, LinkId, u32), ChannelEntry>);
+
+impl ChannelTable {
+    fn file(&mut self, conn: ConnectionId, entry: ChannelEntry) {
+        let l = entry.out_link;
+        let stacked = self.0.range((conn, l, 0)..=(conn, l, u32::MAX)).next_back();
+        let place = stacked.map_or(0, |(&(_, _, k), _)| k + 1);
+        self.0.insert((conn, l, place), entry);
+    }
+
+    /// Removes `conn`'s entry for `route` on `out_link`, if one is held.
+    fn take(
+        &mut self,
+        conn: ConnectionId,
+        out_link: LinkId,
+        route: &Route,
+    ) -> Option<ChannelEntry> {
+        let (&key, _) = self
+            .0
+            .range((conn, out_link, 0)..=(conn, out_link, u32::MAX))
+            .find(|(_, e)| e.route == *route)?;
+        self.0.remove(&key)
+    }
+
+    /// Every entry, in key order.
+    fn entries(&self) -> impl Iterator<Item = (ConnectionId, &ChannelEntry)> {
+        self.0.iter().map(|(&(conn, _, _), e)| (conn, e))
+    }
+
+    /// The entries of `conn`, in link order.
+    fn of(&self, conn: ConnectionId) -> impl Iterator<Item = &ChannelEntry> {
+        let (first, last) = (LinkId::new(0), LinkId::new(u32::MAX));
+        self.0
+            .range((conn, first, 0)..=(conn, last, u32::MAX))
+            .map(|(_, e)| e)
+    }
 }
 
 /// How a router should treat an arriving walk packet, as decided by the
@@ -77,12 +114,10 @@ pub struct Router {
     links: BTreeMap<LinkId, LinkResources>,
     /// APLV per outgoing link.
     aplvs: BTreeMap<LinkId, Aplv>,
-    /// Primary channel table (connections with a reservation here).
-    primaries: BTreeMap<ConnectionId, PrimaryEntry>,
-    /// Backup channel table. A connection can hold several backups — and
-    /// two backups of one connection may even share an outgoing link — so
-    /// entries are stacked per `(conn, out_link)` key.
-    backups: BTreeMap<(ConnectionId, LinkId), Vec<BackupEntry>>,
+    /// Primary channel table (reservations held here).
+    primaries: ChannelTable,
+    /// Backup channel table (registrations held here).
+    backups: ChannelTable,
     /// Walk-transaction dedup ledger, keyed by `(conn, seq)`. Makes every
     /// handler idempotent under the lossy control plane's duplicates and
     /// the source's retransmissions.
@@ -102,8 +137,8 @@ impl Router {
             id,
             links,
             aplvs,
-            primaries: BTreeMap::new(),
-            backups: BTreeMap::new(),
+            primaries: ChannelTable::default(),
+            backups: ChannelTable::default(),
             walks: BTreeMap::new(),
         }
     }
@@ -180,9 +215,9 @@ impl Router {
         &self.aplvs[&l]
     }
 
-    /// Primary-channel table entries held here.
-    pub fn primaries(&self) -> impl Iterator<Item = (&ConnectionId, &PrimaryEntry)> {
-        self.primaries.iter()
+    /// Primary-channel table entries held here, in key order.
+    pub fn primaries(&self) -> impl Iterator<Item = (ConnectionId, &ChannelEntry)> {
+        self.primaries.entries()
     }
 
     /// Ledger and APLV of every outgoing link, in link order — the full
@@ -194,23 +229,14 @@ impl Router {
         })
     }
 
-    /// Every backup-channel table entry held here, in key order.
-    pub fn backup_entries(&self) -> impl Iterator<Item = &BackupEntry> {
-        self.backups.values().flatten()
-    }
-
-    /// Backup-entry counts per `(connection, outgoing link)`, in key
-    /// order — lets a checker bound the table against what each source
-    /// actually submitted.
-    pub fn backup_entry_counts(&self) -> impl Iterator<Item = (ConnectionId, LinkId, usize)> + '_ {
-        self.backups
-            .iter()
-            .map(|(&(conn, l), entries)| (conn, l, entries.len()))
+    /// Backup-channel table entries held here, in key order.
+    pub fn backups(&self) -> impl Iterator<Item = (ConnectionId, &ChannelEntry)> {
+        self.backups.entries()
     }
 
     /// Backup-channel table size (the paper worries about its memory).
     pub fn backup_table_len(&self) -> usize {
-        self.backups.values().map(Vec::len).sum()
+        self.backups.entries().count()
     }
 
     /// Attempts to reserve primary bandwidth on `out_link` for `conn`.
@@ -229,27 +255,22 @@ impl Router {
         if ledger.admit_primary(bw).is_err() {
             return false;
         }
-        self.primaries.insert(
-            conn,
-            PrimaryEntry {
-                route: route.clone(),
-                out_link,
-                bw,
-            },
-        );
+        self.primaries
+            .file(conn, channel(route, out_link, Vec::new(), bw));
         true
     }
 
-    /// Releases `conn`'s primary reservation here, if any.
-    fn release_primary(&mut self, conn: ConnectionId) {
-        if let Some(e) = self.primaries.remove(&conn) {
-            debug_assert!(
-                self.links.contains_key(&e.out_link),
-                "entry points at own link"
-            );
-            if let Some(ledger) = self.links.get_mut(&e.out_link) {
-                ledger.release_primary(e.bw);
-            }
+    /// Releases `conn`'s reservation for `route` on `out_link`, if held.
+    fn release_primary(&mut self, conn: ConnectionId, route: &Route, out_link: LinkId) {
+        let Some(e) = self.primaries.take(conn, out_link, route) else {
+            return;
+        };
+        debug_assert!(
+            self.links.contains_key(&out_link),
+            "entry points at own link"
+        );
+        if let Some(ledger) = self.links.get_mut(&out_link) {
+            ledger.release_primary(e.bw);
         }
     }
 
@@ -273,28 +294,17 @@ impl Router {
         if let Some(ledger) = self.links.get_mut(&out_link) {
             ledger.grow_spare_toward(required);
         }
-        self.backups
-            .entry((conn, out_link))
-            .or_default()
-            .push(BackupEntry {
-                route: route.clone(),
-                out_link,
-                primary_lset: primary_lset.to_vec(),
-                bw,
-            });
+        let entry = channel(route, out_link, primary_lset.to_vec(), bw);
+        self.backups.file(conn, entry);
     }
 
-    /// Unregisters one backup entry from `out_link`, shrinking the spare
-    /// pool to the remaining requirement. No-op when no entry exists
-    /// (release crossing a teardown in flight).
-    fn unregister_backup(&mut self, conn: ConnectionId, out_link: LinkId) {
-        let Some(entries) = self.backups.get_mut(&(conn, out_link)) else {
+    /// Unregisters `conn`'s backup entry for `route` from `out_link`,
+    /// shrinking the spare pool to the remaining requirement. No-op when
+    /// no such entry is held (a release crossing a teardown in flight).
+    fn unregister_backup(&mut self, conn: ConnectionId, route: &Route, out_link: LinkId) {
+        let Some(e) = self.backups.take(conn, out_link, route) else {
             return;
         };
-        let Some(e) = entries.pop() else { return };
-        if entries.is_empty() {
-            self.backups.remove(&(conn, out_link));
-        }
         let Some(aplv) = self.aplvs.get_mut(&out_link) else {
             debug_assert!(false, "backup entry points at own link");
             return;
@@ -318,7 +328,7 @@ impl Router {
         out_link: LinkId,
         bw: Bandwidth,
     ) -> bool {
-        self.unregister_backup(conn, out_link);
+        self.unregister_backup(conn, route, out_link);
         let Some(ledger) = self.links.get_mut(&out_link) else {
             debug_assert!(false, "switch walks only this router's links");
             return false;
@@ -326,33 +336,30 @@ impl Router {
         if ledger.promote_from_pools(bw).is_err() {
             return false;
         }
-        self.primaries.insert(
-            conn,
-            PrimaryEntry {
-                route: route.clone(),
-                out_link,
-                bw,
-            },
-        );
+        self.primaries
+            .file(conn, channel(route, out_link, Vec::new(), bw));
         true
     }
 
     /// The connections whose primary *route* crosses `link`, regardless of
-    /// which hop this router holds. A crashed router cannot report its own
+    /// which hop this router holds, once each with the route of their
+    /// first such entry. A crashed router cannot report its own
     /// outgoing links, so the surviving downstream neighbour — which holds
     /// the next hop's entry and the full route — identifies the affected
     /// connections through this view.
-    pub fn primaries_crossing(&self, link: LinkId) -> Vec<ConnectionId> {
-        self.primaries
-            .iter()
-            .filter(|(_, e)| e.route.contains_link(link))
-            .map(|(c, _)| *c)
-            .collect()
+    pub fn primaries_crossing(&self, link: LinkId) -> Vec<(ConnectionId, Route)> {
+        let mut found: Vec<(ConnectionId, Route)> = Vec::new();
+        for (conn, e) in self.primaries.entries() {
+            if e.route.contains_link(link) && found.last().is_none_or(|(c, _)| *c != conn) {
+                found.push((conn, e.route.clone()));
+            }
+        }
+        found
     }
 
-    /// The route of `conn`'s primary entry here, if any.
-    pub fn primary_entry(&self, conn: ConnectionId) -> Option<&PrimaryEntry> {
-        self.primaries.get(&conn)
+    /// The primary entries held here for `conn`, in link order.
+    pub fn primary_entries(&self, conn: ConnectionId) -> impl Iterator<Item = &ChannelEntry> {
+        self.primaries.of(conn)
     }
 
     /// The highest walk-transaction sequence number gated here for
@@ -367,13 +374,27 @@ impl Router {
             .map(|((_, seq), _)| *seq)
     }
 
-    /// The backup out-links held for `conn` with their stacked entry
-    /// counts, in link order (what a resync repair must unregister).
-    pub fn backup_links(&self, conn: ConnectionId) -> Vec<(LinkId, usize)> {
-        self.backups
-            .range((conn, LinkId::new(0))..=(conn, LinkId::new(u32::MAX)))
-            .map(|(&(_, l), entries)| (l, entries.len()))
-            .collect()
+    /// The records that remove every channel entry held here for
+    /// `conn`, primaries first, each matched by its route (what a resync
+    /// repair commits).
+    pub(crate) fn release_records(&self, conn: ConnectionId) -> Vec<JournalRecord> {
+        let primaries = self
+            .primaries
+            .of(conn)
+            .map(|e| JournalRecord::ReleasePrimary {
+                conn,
+                route: e.route.clone(),
+                out_link: e.out_link,
+            });
+        let backups = self
+            .backups
+            .of(conn)
+            .map(|e| JournalRecord::UnregisterBackup {
+                conn,
+                route: e.route.clone(),
+                out_link: e.out_link,
+            });
+        primaries.chain(backups).collect()
     }
 
     /// The per-connection digest a neighbour answers a resync request
@@ -391,10 +412,25 @@ impl Router {
             .map(|(conn, version)| ResyncEntry {
                 conn,
                 version,
-                has_primary: self.primaries.contains_key(&conn),
-                backup_entries: self.backup_links(conn).iter().map(|&(_, n)| n as u32).sum(),
+                has_primary: self.primaries.of(conn).next().is_some(),
+                backup_entries: self.backups.of(conn).count() as u32,
             })
             .collect()
+    }
+}
+
+/// The entry `route`'s hop on `out_link` files.
+fn channel(
+    route: &Route,
+    out_link: LinkId,
+    primary_lset: Vec<LinkId>,
+    bw: Bandwidth,
+) -> ChannelEntry {
+    ChannelEntry {
+        route: route.clone(),
+        out_link,
+        primary_lset,
+        bw,
     }
 }
 
@@ -416,15 +452,16 @@ mod tests {
     fn reserve_and_release_primary() {
         let (_, mut r, route) = setup();
         let link = route.links()[0];
-        assert!(r.reserve_primary(ConnectionId::new(1), &route, link, BW));
+        let conn = ConnectionId::new(1);
+        assert!(r.reserve_primary(conn, &route, link, BW));
         assert_eq!(r.link(link).prime(), BW);
-        let entry = r.primary_entry(ConnectionId::new(1)).expect("reserved");
+        let entry = r.primary_entries(conn).next().expect("reserved");
         assert_eq!((entry.out_link, entry.bw), (link, BW));
-        r.release_primary(ConnectionId::new(1));
+        r.release_primary(conn, &route, link);
         assert_eq!(r.link(link).prime(), Bandwidth::ZERO);
-        assert!(r.primary_entry(ConnectionId::new(1)).is_none());
+        assert!(r.primary_entries(conn).next().is_none());
         // Releasing again is a no-op.
-        r.release_primary(ConnectionId::new(1));
+        r.release_primary(conn, &route, link);
     }
 
     #[test]
@@ -447,29 +484,36 @@ mod tests {
         assert_eq!(r.aplv(link).l1_norm(), 2);
         assert_eq!(r.backup_table_len(), 1);
 
-        r.unregister_backup(ConnectionId::new(1), link);
+        r.unregister_backup(ConnectionId::new(1), &route, link);
         assert_eq!(r.link(link).spare(), Bandwidth::ZERO);
         assert!(r.aplv(link).is_empty());
         // Unknown unregister is tolerated (messages can cross).
-        r.unregister_backup(ConnectionId::new(9), link);
+        r.unregister_backup(ConnectionId::new(9), &route, link);
     }
 
     #[test]
-    fn two_backups_of_one_connection_may_share_a_link() {
-        // Regression: entries must stack, not overwrite, or one APLV
-        // registration leaks forever.
-        let (_, mut r, route) = setup();
-        let link = route.links()[0];
-        r.register_backup(ConnectionId::new(1), &route, link, &[LinkId::new(5)], BW);
-        r.register_backup(ConnectionId::new(1), &route, link, &[LinkId::new(5)], BW);
-        assert_eq!(r.backup_table_len(), 2);
-        assert_eq!(r.aplv(link).count(LinkId::new(5)), 2);
-        r.unregister_backup(ConnectionId::new(1), link);
-        assert_eq!(r.backup_table_len(), 1);
-        assert_eq!(r.aplv(link).count(LinkId::new(5)), 1);
-        r.unregister_backup(ConnectionId::new(1), link);
-        assert!(r.aplv(link).is_empty());
-        assert_eq!(r.link(link).spare(), Bandwidth::ZERO);
+    fn a_release_removes_only_the_channel_it_walks() {
+        // Regression for the switchover race: the promoted backup shares
+        // this router's outgoing link with the old primary, and its
+        // activation lands before the old primary's release walk. The
+        // release must take the old primary's entry, not the promoted one.
+        let (net, mut r, primary) = setup();
+        let link = primary.links()[0];
+        let backup = Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1), NodeId::new(2)])
+            .expect("ring route");
+        let conn = ConnectionId::new(1);
+        assert!(r.reserve_primary(conn, &primary, link, BW));
+        r.register_backup(conn, &backup, link, primary.links(), BW);
+        assert!(r.activate_backup(conn, &backup, link, BW));
+        assert_eq!(r.link(link).prime(), BW + BW);
+        r.release_primary(conn, &primary, link);
+        let held: Vec<_> = r.primary_entries(conn).map(|e| &e.route).collect();
+        assert_eq!(held, [&backup]);
+        assert_eq!(r.link(link).prime(), BW);
+        // The backup's release walk finds no registration left to remove.
+        r.unregister_backup(conn, &backup, link);
+        assert_eq!(r.link(link).prime(), BW);
+        assert_eq!(r.backup_table_len(), 0);
     }
 
     #[test]
@@ -506,6 +550,6 @@ mod tests {
         assert!(r.activate_backup(ConnectionId::new(1), &route, link, BW));
         assert_eq!(r.link(link).prime(), BW);
         assert_eq!(r.link(link).spare(), Bandwidth::ZERO);
-        assert!(r.primary_entry(ConnectionId::new(1)).is_some());
+        assert_eq!(r.primary_entries(ConnectionId::new(1)).count(), 1);
     }
 }

@@ -56,7 +56,8 @@ fn assert_twins_agree(sim: &ProtocolSim, twin: &ProtocolSim, conns: usize) {
 }
 
 /// Steps `sim` and `twin` in lockstep until both quiesce, checking
-/// journal replay and twin agreement every `check_every` steps.
+/// journal replay and twin agreement every `check_every` steps, and the
+/// engine's invariants once quiescent.
 fn drain_in_lockstep(
     sim: &mut ProtocolSim,
     twin: &mut ProtocolSim,
@@ -81,6 +82,7 @@ fn drain_in_lockstep(
     }
     assert_replay_equals_live(sim, net);
     assert_twins_agree(sim, twin, conns);
+    assert_eq!(sim.check_invariants(), Ok(()));
 }
 
 proptest! {
@@ -112,16 +114,24 @@ proptest! {
         );
         let (mut sim, mut twin) = (engine(), engine());
         twin.seed_bug(SeededBug::TrustReports);
-        let primary = route(&net, &[3, 4, 5]);
-        let b1 = route(&net, &[3, 0, 1, 2, 5]);
-        let b2 = route(&net, &[3, 6, 7, 8, 5]);
+        // One primary and three backups: disjoint from it, through its
+        // router 4 on another link, and through router 4 on its own link
+        // 4 -> 5. The last two reach router 4 one hop from the source, the
+        // primary three hops, so on the switchover below the activation
+        // gets there before the old primary's release walk does.
+        let primary = route(&net, &[3, 0, 1, 4, 5]);
+        let backups = [
+            route(&net, &[3, 6, 7, 8, 5]),
+            route(&net, &[3, 4, 7, 8, 5]),
+            route(&net, &[3, 4, 5]),
+        ];
         for i in 0..conns {
             for engine in [&mut sim, &mut twin] {
-                engine.establish_stacked(
+                engine.establish(
                     ConnectionId::new(i as u64),
                     BW,
                     primary.clone(),
-                    vec![b1.clone(), b2.clone()],
+                    Some(backups[i % backups.len()].clone()),
                 );
             }
         }
@@ -133,7 +143,7 @@ proptest! {
         // A failure mid-life exercises switch/release/poison records;
         // releasing half the connections exercises teardown records.
         for engine in [&mut sim, &mut twin] {
-            engine.fail_link(primary.links()[0]);
+            engine.fail_link(primary.links()[1]);
             for i in 0..conns / 2 {
                 engine.release(ConnectionId::new(i as u64));
             }

@@ -57,7 +57,6 @@ fn parse_args() -> Result<Args, String> {
             "--bug" => {
                 args.bug = match value("--bug")?.as_str() {
                     "none" => SeededBug::None,
-                    "double-release" => SeededBug::DoubleRelease,
                     "double-register" => SeededBug::DoubleRegister,
                     "trust-reports" => SeededBug::TrustReports,
                     other => return Err(format!("unknown bug {other:?}")),

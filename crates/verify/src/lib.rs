@@ -4,7 +4,7 @@
 //!
 //! Randomized chaos runs sample the space of delivery schedules; the
 //! checker *enumerates* it. A [`scenario::Scenario`] is a small scripted
-//! workload (establish, fail a link, retire backups, release) on a
+//! workload (establish, fail links, crash or restart a router, release) on a
 //! hand-built topology. Every multi-hop control-packet delivery in a run
 //! is a *decision point*; the checker explores every assignment of
 //! [`drt_proto::Fate`] (drop / duplicate / delay) to the first `depth`

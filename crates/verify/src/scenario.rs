@@ -2,8 +2,8 @@
 //!
 //! A [`Scenario`] is a small, fully deterministic workload on a
 //! hand-built topology: a sequence of source-level operations
-//! (establish, fail a link, retire backups crossing a link, release),
-//! each drained to quiescence before the next begins. All
+//! (establish, fail links, crash or restart a router, spoof a report,
+//! release), each drained to quiescence before the next begins. All
 //! nondeterminism in a run comes from the fate script the checker
 //! supplies, so a `(scenario, script)` pair identifies a run exactly.
 
@@ -22,8 +22,8 @@ use drt_sim::SimDuration;
 /// One source-level operation in a scenario script.
 #[derive(Debug, Clone)]
 pub enum Op {
-    /// Establish a connection with a primary route and backup routes,
-    /// all given as node paths.
+    /// Establish a connection with a primary route and at most one
+    /// backup route, both given as node paths.
     Establish {
         /// Connection id.
         conn: ConnectionId,
@@ -31,8 +31,8 @@ pub enum Op {
         bw: Bandwidth,
         /// Primary route as a node path.
         primary: Vec<NodeId>,
-        /// Backup routes as node paths.
-        backups: Vec<Vec<NodeId>>,
+        /// Backup route as a node path.
+        backup: Option<Vec<NodeId>>,
     },
     /// Fail a link (triggers detection, reporting, and failover).
     FailLink {
@@ -40,7 +40,7 @@ pub enum Op {
         link: LinkId,
     },
     /// Fail several links at the same instant — a correlated burst (an
-    /// SRLG cut severing a primary and one of its backups at once), so
+    /// SRLG cut severing a primary and its backup at once), so
     /// their detections, reports, and the resulting recovery walks are
     /// all in flight together instead of draining one failure at a time.
     FailLinks {
@@ -76,14 +76,6 @@ pub enum Op {
         node: NodeId,
         /// Outage duration before the restart.
         down_for: SimDuration,
-    },
-    /// Retire every backup of `conn` crossing `link` — the paper's
-    /// resource-reconfiguration step.
-    RetireCrossing {
-        /// Connection whose backups are retired.
-        conn: ConnectionId,
-        /// Backups crossing this link are released.
-        link: LinkId,
     },
     /// Tear the connection down.
     Release {
@@ -145,11 +137,11 @@ impl Scenario {
                 conn,
                 bw,
                 primary,
-                backups,
+                backup,
             } => {
                 let primary = route(&self.net, primary);
-                let backups = backups.iter().map(|b| route(&self.net, b)).collect();
-                sim.establish_stacked(*conn, *bw, primary, backups);
+                let backup = backup.as_ref().map(|b| route(&self.net, b));
+                sim.establish(*conn, *bw, primary, backup);
             }
             Op::FailLink { link } => sim.fail_link(*link),
             Op::FailLinks { links } => {
@@ -161,9 +153,6 @@ impl Scenario {
             Op::RestartRouter { node, down_for } => sim.restart_router(*node, *down_for),
             Op::SpoofReport { reporter, link } => {
                 sim.spoof_failure_report(*reporter, *link);
-            }
-            Op::RetireCrossing { conn, link } => {
-                sim.retire_backups_crossing(*conn, *link);
             }
             Op::Release { conn } => {
                 sim.release(*conn);
@@ -199,7 +188,7 @@ pub fn three_node_failover() -> Scenario {
                 conn: ConnectionId::new(0),
                 bw: Bandwidth::from_kbps(1_000),
                 primary: vec![n(0), n(1)],
-                backups: vec![vec![n(0), n(2), n(1)]],
+                backup: Some(vec![n(0), n(2), n(1)]),
             },
             Op::FailLink { link: l01 },
         ],
@@ -209,56 +198,18 @@ pub fn three_node_failover() -> Scenario {
     }
 }
 
-/// Two backups stacked on a shared first hop (`0 -> 2`), then the
-/// backups crossing `2 -> 1` are retired. Only one of the two stacked
-/// registrations must be released at the shared hop — the scenario the
-/// seeded double-release bug corrupts when a release walk is
-/// retransmitted.
-pub fn stacked_backup_retire() -> Scenario {
-    let cap = Bandwidth::from_mbps(10);
-    let mut b = NetworkBuilder::with_nodes(4);
-    b.add_link(n(0), n(1), cap).expect("0->1");
-    b.add_link(n(0), n(2), cap).expect("0->2");
-    let l21 = b.add_link(n(2), n(1), cap).expect("2->1");
-    b.add_link(n(2), n(3), cap).expect("2->3");
-    b.add_link(n(3), n(1), cap).expect("3->1");
-    let net = Arc::new(b.build());
-    Scenario {
-        name: "stacked-backup-retire",
-        net,
-        ops: vec![
-            Op::Establish {
-                conn: ConnectionId::new(0),
-                bw: Bandwidth::from_kbps(1_000),
-                primary: vec![n(0), n(1)],
-                backups: vec![vec![n(0), n(2), n(1)], vec![n(0), n(2), n(3), n(1)]],
-            },
-            Op::RetireCrossing {
-                conn: ConnectionId::new(0),
-                link: l21,
-            },
-        ],
-        late_by: SimDuration::from_millis(2),
-        restart_mode: RestartMode::Amnesia,
-        journal_fault: JournalFault::None,
-    }
-}
-
-/// A correlated burst severing the primary *and* the first backup in
-/// the same instant: primary `0 -> 1`, backups `0 -> 2 -> 1` and
-/// `0 -> 3 -> 1`, then `0 -> 1` and `2 -> 1` fail together. The source
-/// learns only of the primary's failure (no primary crosses `2 -> 1`),
-/// switches onto the dead first backup, loses the activation mid-walk,
-/// and must scrub the partial activation — with the second backup
-/// already released by the switchover — without corrupting any ledger.
+/// A correlated burst severing the primary *and* its backup in the same
+/// instant: primary `0 -> 1`, backup `0 -> 2 -> 1`, then `0 -> 1` and
+/// `2 -> 1` fail together. The source learns only of the primary's
+/// failure (no primary crosses `2 -> 1`), switches onto the dead backup,
+/// loses the activation mid-walk, and must scrub the partial activation
+/// and lose the connection without corrupting any ledger.
 pub fn overlapping_burst_switch() -> Scenario {
     let cap = Bandwidth::from_mbps(10);
-    let mut b = NetworkBuilder::with_nodes(4);
+    let mut b = NetworkBuilder::with_nodes(3);
     let l01 = b.add_link(n(0), n(1), cap).expect("0->1");
     b.add_link(n(0), n(2), cap).expect("0->2");
     let l21 = b.add_link(n(2), n(1), cap).expect("2->1");
-    b.add_link(n(0), n(3), cap).expect("0->3");
-    b.add_link(n(3), n(1), cap).expect("3->1");
     let net = Arc::new(b.build());
     Scenario {
         name: "overlapping-burst-switch",
@@ -268,11 +219,47 @@ pub fn overlapping_burst_switch() -> Scenario {
                 conn: ConnectionId::new(0),
                 bw: Bandwidth::from_kbps(1_000),
                 primary: vec![n(0), n(1)],
-                backups: vec![vec![n(0), n(2), n(1)], vec![n(0), n(3), n(1)]],
+                backup: Some(vec![n(0), n(2), n(1)]),
             },
             Op::FailLinks {
                 links: vec![l01, l21],
             },
+        ],
+        late_by: SimDuration::from_millis(2),
+        restart_mode: RestartMode::Amnesia,
+        journal_fault: JournalFault::None,
+    }
+}
+
+/// The smallest graph on which a backup crosses a router of its own
+/// primary: primary `0 -> 1 -> 2 -> 3`, backup `0 -> 2 -> 4 -> 3`, then
+/// `1 -> 2` fails. The switch walk reaches router `2` one hop before the
+/// old primary's release walk does, so router `2` holds both channels'
+/// reservations at once and each walk must remove only its own entry. An
+/// engine that keeps one primary entry per connection lets the release
+/// take the promoted entry and strands the old reservation on `2 -> 3`
+/// (`prime-table-divergence`) on the *fault-free* root run.
+pub fn switchover_revisits_primary_router() -> Scenario {
+    let cap = Bandwidth::from_mbps(10);
+    let mut b = NetworkBuilder::with_nodes(5);
+    b.add_link(n(0), n(1), cap).expect("0->1");
+    let l12 = b.add_link(n(1), n(2), cap).expect("1->2");
+    b.add_link(n(2), n(3), cap).expect("2->3");
+    b.add_link(n(0), n(2), cap).expect("0->2");
+    b.add_link(n(2), n(4), cap).expect("2->4");
+    b.add_link(n(4), n(3), cap).expect("4->3");
+    let net = Arc::new(b.build());
+    Scenario {
+        name: "switchover-revisits-primary-router",
+        net,
+        ops: vec![
+            Op::Establish {
+                conn: ConnectionId::new(0),
+                bw: Bandwidth::from_kbps(1_000),
+                primary: vec![n(0), n(1), n(2), n(3)],
+                backup: Some(vec![n(0), n(2), n(4), n(3)]),
+            },
+            Op::FailLink { link: l12 },
         ],
         late_by: SimDuration::from_millis(2),
         restart_mode: RestartMode::Amnesia,
@@ -304,7 +291,7 @@ pub fn node_crash_fanin() -> Scenario {
                 conn: ConnectionId::new(0),
                 bw: Bandwidth::from_kbps(1_000),
                 primary: vec![n(0), n(1), n(2), n(3)],
-                backups: vec![vec![n(0), n(4), n(5), n(3)]],
+                backup: Some(vec![n(0), n(4), n(5), n(3)]),
             },
             Op::CrashNode { node: n(1) },
         ],
@@ -342,7 +329,7 @@ pub fn byzantine_false_report() -> Scenario {
                 conn: ConnectionId::new(0),
                 bw: Bandwidth::from_kbps(1_000),
                 primary: vec![n(0), n(1), n(2)],
-                backups: vec![vec![n(0), n(3), n(2)]],
+                backup: Some(vec![n(0), n(3), n(2)]),
             },
             Op::SpoofReport {
                 reporter: n(1),
@@ -387,7 +374,7 @@ pub fn restart_rejoin(journaled: bool) -> Scenario {
                 conn: ConnectionId::new(0),
                 bw: Bandwidth::from_kbps(1_000),
                 primary: vec![n(0), n(1), n(2)],
-                backups: vec![vec![n(0), n(3), n(2)]],
+                backup: Some(vec![n(0), n(3), n(2)]),
             },
             Op::RestartRouter {
                 node: n(1),
@@ -428,8 +415,8 @@ pub fn restart_torn_journal() -> Scenario {
 pub fn all() -> Vec<Scenario> {
     vec![
         three_node_failover(),
-        stacked_backup_retire(),
         overlapping_burst_switch(),
+        switchover_revisits_primary_router(),
         node_crash_fanin(),
         byzantine_false_report(),
         restart_rejoin(true),

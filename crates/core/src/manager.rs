@@ -239,17 +239,24 @@ impl<'a> ManagerView<'a> {
     }
 
     /// Hop count of every node's shortest route **to** `dst` over links
-    /// that are not failed (`None` = unreachable) — the column `D(·, dst)`
-    /// of the paper's distance tables (§4.1), measured on request by one
-    /// breadth-first search ([`drt_net::algo::bfs_hops_to`], O(N + L))
+    /// that are not failed (`None` = unreachable), written into `dist` —
+    /// the column `D(·, dst)` of the paper's distance tables (§4.1),
+    /// measured on request by one breadth-first search
+    /// ([`drt_net::algo::bfs_hops_to_in`], O(N + L), `queue` its scratch)
     /// instead of read from a maintained table.
     ///
     /// Distances are over the manager's (or snapshot's) own failed mask:
     /// neither a [`ViewDistortion`] nor the extra links
     /// [`DrtpManager::reestablish_backup_avoiding`] hides from
     /// [`ManagerView::alive`] change them.
-    pub fn hops_to(&self, dst: drt_net::NodeId) -> Vec<Option<u32>> {
-        drt_net::algo::bfs_hops_to(self.net, dst, |l| !self.hop_mask[l.index()])
+    pub fn hops_to(
+        &self,
+        dst: drt_net::NodeId,
+        dist: &mut Vec<Option<u32>>,
+        queue: &mut Vec<drt_net::NodeId>,
+    ) {
+        let usable = |l: LinkId| !self.hop_mask[l.index()];
+        drt_net::algo::bfs_hops_to_in(self.net, dst, usable, dist, queue);
     }
 
     /// Returns `true` when the link is not failed — or when its byzantine

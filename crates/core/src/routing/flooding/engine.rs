@@ -1,10 +1,20 @@
 //! The flooding engine: simulates one CDP flood at message granularity.
+//!
+//! A flood runs in the calling thread's [`FloodWorkspace`]. Every copy it
+//! sends is one fixed-size [`Cdp`] record appended to an arena, whose
+//! [`Cdp::parent`] links it to the copy it was forwarded from; the FIFO
+//! message queue is a cursor over that arena (copies are delivered in the
+//! order they were sent), the loop-freedom test walks a copy's parent
+//! chain, and the destination's candidate-route table holds arena
+//! indices. Only the routes a caller keeps are built, so a warmed flood
+//! allocates nothing.
 
 use crate::routing::flooding::{Candidate, Cdp, FloodingParams};
 use crate::routing::{RouteRequest, RoutingOverhead};
 use crate::ManagerView;
-use drt_net::{NodeId, Route};
-use std::collections::VecDeque;
+use drt_net::{LinkId, Network, NodeId, Route};
+use std::cell::RefCell;
+use std::cmp::Ordering;
 
 /// Result of one bounded flood.
 #[derive(Debug, Clone)]
@@ -27,103 +37,302 @@ pub struct FloodOutcome {
 ///   **distance test** (`hc_curr + D_{dst,k} + 1 ≤ hc_limit`, reading
 ///   the distance-table column of `dst`, which [`ManagerView::hops_to`]
 ///   measures once per flood), the
-///   **loop-freedom test** (`k ∉ list`), and the **bandwidth test**
-///   (`bw_req ≤ total − prime` on the link taken);
+///   **loop-freedom test** (`k` is not on the copy's trail), and the
+///   **bandwidth test** (`bw_req ≤ total − prime` on the link taken);
 /// * a node that has already seen a copy of this connection's CDP applies
 ///   the **valid-detour test** `hc_curr ≤ α·min_dist + β` to incoming
 ///   copies first (its pending-connection-table entry holds `min_dist`);
 /// * the destination records every arriving copy in its CRT (capped at
-///   [`FloodingParams::max_candidates`]).
+///   [`FloodingParams::max_candidates`]);
+/// * a copy that passes every test but would be message number
+///   [`FloodingParams::max_messages`]` + 1` is not sent: the flood stops
+///   there, copies still in flight included, and is `truncated`.
 ///
 /// Messages are processed in FIFO order, which makes the flood — and thus
-/// the whole scheme — deterministic.
+/// the whole scheme — deterministic. Every candidate's route is built
+/// here; [`crate::routing::BoundedFlooding`] runs the same flood and
+/// builds only the routes it picks.
 pub fn flood(view: &ManagerView<'_>, req: &RouteRequest, params: FloodingParams) -> FloodOutcome {
-    let net = view.net();
-    let mut outcome = FloodOutcome {
-        candidates: Vec::new(),
-        overhead: RoutingOverhead::ZERO,
-        truncated: false,
-    };
-    if req.src == req.dst {
-        return outcome;
-    }
-    let to_dst = view.hops_to(req.dst);
-    let Some(min_dist) = to_dst[req.src.index()] else {
-        return outcome; // destination unreachable
-    };
-    let hc_limit = (params.rho * min_dist as f64).ceil() as u32 + params.rho_offset;
-    let bw = req.bandwidth();
-
-    // Pending-connection-table state: min_dist per node for this flood.
-    let mut pct_min: Vec<Option<u32>> = vec![None; net.num_nodes()];
-    let mut queue: VecDeque<(NodeId, Cdp)> = VecDeque::new();
-
-    // Forward all admissible copies out of `holder`.
-    let forward =
-        |holder: NodeId, m: &Cdp, queue: &mut VecDeque<(NodeId, Cdp)>, out: &mut FloodOutcome| {
-            for &lid in net.out_links(holder) {
-                let k = net.link(lid).dst();
-                // Bandwidth test (includes liveness): the link must offer
-                // backup headroom.
-                if !view.usable_for_backup(lid, bw) {
-                    continue;
-                }
-                // Loop-freedom test.
-                if k == m.src || m.list.contains(&k) {
-                    continue;
-                }
-                // Distance test: can the CDP still reach the destination
-                // within the limit after taking this hop?
-                let Some(rest) = to_dst[k.index()] else {
-                    continue;
-                };
-                if m.hc_curr + 1 + rest > m.hc_limit {
-                    continue;
-                }
-                let child = m.forwarded(holder, lid, bw <= view.free(lid));
-                out.overhead.messages += 1;
-                out.overhead.bytes += child.wire_bytes();
-                queue.push_back((k, child));
-            }
-        };
-
-    // Source action (Section 4.2).
-    let initial = Cdp::initial(req.id, req.src, req.dst, hc_limit, bw);
-    forward(req.src, &initial, &mut queue, &mut outcome);
-    pct_min[req.src.index()] = Some(0);
-
-    // Message loop.
-    while let Some((node, m)) = queue.pop_front() {
-        if node == m.dst {
-            // Destination action (Section 4.4): fill the CRT.
-            if outcome.candidates.len() < params.max_candidates {
-                if let Ok(route) = Route::new(net, m.path.clone()) {
-                    outcome.candidates.push(Candidate {
-                        route,
-                        primary_flag: m.primary_flag,
-                        hops: m.hc_curr,
-                    });
-                }
-            }
-            continue;
+    with_flood_scratch(|ws| {
+        let (overhead, truncated) = ws.flood(view, req, params);
+        let candidates = ws
+            .crt
+            .iter()
+            .filter_map(|&at| {
+                let copy = ws.copies[at as usize];
+                Some(Candidate {
+                    route: ws.route(view.net(), at)?,
+                    primary_flag: copy.primary_flag,
+                    hops: copy.hc_curr,
+                })
+            })
+            .collect();
+        FloodOutcome {
+            candidates,
+            overhead,
+            truncated,
         }
-        // Valid-detour test (Section 4.3) against this node's PCT entry.
-        if let Some(best) = pct_min[node.index()] {
-            if m.hc_curr as f64 > params.alpha * best as f64 + params.beta as f64 {
+    })
+}
+
+/// Reusable scratch state of one flood: the distance column, the
+/// pending-connection table, the copy arena and the candidate-route
+/// table. Every buffer is overwritten when a flood starts and keeps its
+/// capacity, so a warmed flood allocates nothing.
+///
+/// Every flood runs in the calling thread's instance
+/// ([`with_flood_scratch`]).
+#[derive(Debug, Default)]
+pub(super) struct FloodWorkspace {
+    /// `D(·, dst)` of the flood's destination.
+    to_dst: Vec<Option<u32>>,
+    /// The backward search's queue.
+    bfs_queue: Vec<NodeId>,
+    /// Pending-connection table: `min_dist` per node that has seen a copy.
+    pct: Vec<Option<u32>>,
+    /// Every copy sent, in send order.
+    copies: Vec<Cdp>,
+    /// The candidate-route table: arena indices of the copies the
+    /// destination recorded, in arrival order.
+    crt: Vec<u32>,
+}
+
+/// What one flood holds fixed while it runs.
+struct Request<'v, 'a> {
+    view: &'v ManagerView<'a>,
+    src: NodeId,
+    hc_limit: u32,
+    bw: drt_net::Bandwidth,
+    max_messages: u64,
+}
+
+impl FloodWorkspace {
+    /// Floods `req` and fills the candidate-route table; returns the
+    /// messages and bytes sent and whether the message cap cut the flood
+    /// short.
+    pub(super) fn flood(
+        &mut self,
+        view: &ManagerView<'_>,
+        req: &RouteRequest,
+        params: FloodingParams,
+    ) -> (RoutingOverhead, bool) {
+        self.copies.clear();
+        self.crt.clear();
+        let mut overhead = RoutingOverhead::ZERO;
+        if req.src == req.dst {
+            return (overhead, false);
+        }
+        view.hops_to(req.dst, &mut self.to_dst, &mut self.bfs_queue);
+        let Some(min_dist) = self.to_dst[req.src.index()] else {
+            return (overhead, false); // destination unreachable
+        };
+        let flood = Request {
+            view,
+            src: req.src,
+            hc_limit: (params.rho * min_dist as f64).ceil() as u32 + params.rho_offset,
+            bw: req.bandwidth(),
+            max_messages: params.max_messages,
+        };
+        self.pct.clear();
+        self.pct.resize(view.net().num_nodes(), None);
+
+        // Source action (Section 4.2).
+        if !self.forward(&flood, req.src, None, &mut overhead) {
+            return (overhead, true);
+        }
+        self.pct[req.src.index()] = Some(0);
+
+        // Message loop: the queue is the arena from `next` on.
+        let mut next = 0;
+        while let Some(&m) = self.copies.get(next) {
+            let at = next as u32;
+            next += 1;
+            if m.node == req.dst {
+                // Destination action (Section 4.4): fill the CRT.
+                if self.crt.len() < params.max_candidates {
+                    self.crt.push(at);
+                }
                 continue;
             }
-            pct_min[node.index()] = Some(best.min(m.hc_curr));
-        } else {
-            pct_min[node.index()] = Some(m.hc_curr);
+            // Valid-detour test (Section 4.3) against this node's PCT entry.
+            let entry = &mut self.pct[m.node.index()];
+            if let Some(best) = *entry {
+                if m.hc_curr as f64 > params.alpha * best as f64 + params.beta as f64 {
+                    continue;
+                }
+                *entry = Some(best.min(m.hc_curr));
+            } else {
+                *entry = Some(m.hc_curr);
+            }
+            if !self.forward(&flood, m.node, Some(at), &mut overhead) {
+                return (overhead, true);
+            }
         }
-        if outcome.overhead.messages >= params.max_messages {
-            outcome.truncated = true;
-            break;
-        }
-        forward(node, &m, &mut queue, &mut outcome);
+        (overhead, false)
     }
 
-    outcome
+    /// Sends every admissible copy out of `holder`, which holds the copy
+    /// at arena index `from` (`None`: the source's own packet). Returns
+    /// `false` when the message cap stopped it.
+    fn forward(
+        &mut self,
+        flood: &Request<'_, '_>,
+        holder: NodeId,
+        from: Option<u32>,
+        overhead: &mut RoutingOverhead,
+    ) -> bool {
+        let view = flood.view;
+        let net = view.net();
+        let (hc_curr, primary_flag) = match from {
+            Some(at) => {
+                let m = self.copies[at as usize];
+                (m.hc_curr, m.primary_flag)
+            }
+            None => (0, true),
+        };
+        for &lid in net.out_links(holder) {
+            let k = net.link(lid).dst();
+            // Distance test: can the CDP still reach the destination
+            // within the limit after taking this hop?
+            let Some(rest) = self.to_dst[k.index()] else {
+                continue;
+            };
+            if hc_curr + 1 + rest > flood.hc_limit {
+                continue;
+            }
+            // Bandwidth test (includes liveness): the link must offer
+            // backup headroom.
+            if !view.usable_for_backup(lid, flood.bw) {
+                continue;
+            }
+            // Loop-freedom test.
+            if k == flood.src || self.on_trail(from, k) {
+                continue;
+            }
+            if overhead.messages >= flood.max_messages {
+                return false;
+            }
+            let copy = Cdp {
+                node: k,
+                parent: from,
+                link: lid,
+                hc_curr: hc_curr + 1,
+                primary_flag: primary_flag & (flood.bw <= view.free(lid)),
+            };
+            overhead.messages += 1;
+            overhead.bytes += copy.wire_bytes();
+            self.copies.push(copy);
+        }
+        true
+    }
+
+    /// Whether the copy at `at` or one of its ancestors was sent to
+    /// `node`: the trail of the copy, past the source.
+    fn on_trail(&self, mut at: Option<u32>, node: NodeId) -> bool {
+        while let Some(i) = at {
+            let c = &self.copies[i as usize];
+            if c.node == node {
+                return true;
+            }
+            at = c.parent;
+        }
+        false
+    }
+
+    /// The links of the copy at `at`'s trail, last hop first.
+    fn trail(&self, mut at: Option<u32>) -> impl Iterator<Item = LinkId> + '_ {
+        std::iter::from_fn(move || {
+            let c = &self.copies[at? as usize];
+            at = c.parent;
+            Some(c.link)
+        })
+    }
+
+    /// The route the copy at `at` took.
+    pub(super) fn route(&self, net: &Network, at: u32) -> Option<Route> {
+        let mut links: Vec<LinkId> = Vec::with_capacity(self.copies[at as usize].hc_curr as usize);
+        links.extend(self.trail(Some(at)));
+        links.reverse();
+        Route::new(net, links).ok()
+    }
+
+    /// Compares the routes of two copies with equal hop counts
+    /// lexicographically by link id. Every copy's trail is a distinct
+    /// route (a holder forwards each copy once, over distinct links), so
+    /// two trails agree up to their nearest common ancestor copy and
+    /// first differ in the links the two copies below it took.
+    fn cmp_routes(&self, a: u32, b: u32) -> Ordering {
+        let (mut a, mut b) = (&self.copies[a as usize], &self.copies[b as usize]);
+        debug_assert_eq!(a.hc_curr, b.hc_curr);
+        loop {
+            match (a.parent, b.parent) {
+                (Some(p), Some(q)) if p != q => {
+                    a = &self.copies[p as usize];
+                    b = &self.copies[q as usize];
+                }
+                _ => return a.link.cmp(&b.link),
+            }
+        }
+    }
+
+    /// The CRT entry with the least `key` (entries it maps to `None` are
+    /// ineligible), ties broken by the lexicographically least route: the
+    /// destination's selection rule of both kinds of channel.
+    fn least<K: Ord>(&self, key: impl Fn(u32, &Cdp) -> Option<K>) -> Option<u32> {
+        let mut best: Option<(K, u32)> = None;
+        for &at in &self.crt {
+            let Some(k) = key(at, &self.copies[at as usize]) else {
+                continue;
+            };
+            let better = match &best {
+                None => true,
+                Some((bk, b)) => match k.cmp(bk) {
+                    Ordering::Less => true,
+                    Ordering::Equal => self.cmp_routes(at, *b) == Ordering::Less,
+                    Ordering::Greater => false,
+                },
+            };
+            if better {
+                best = Some((k, at));
+            }
+        }
+        best.map(|(_, at)| at)
+    }
+
+    /// The shortest candidate whose `primary_flag` is set.
+    pub(super) fn shortest_primary(&self) -> Option<u32> {
+        self.least(|_, c| c.primary_flag.then_some(c.hc_curr))
+    }
+
+    /// The candidate sharing the fewest links with `primary`, then the
+    /// shortest; a candidate over `primary`'s own links is ineligible.
+    pub(super) fn least_overlapping(&self, primary: &[LinkId]) -> Option<u32> {
+        self.least(|at, c| {
+            let hops = c.hc_curr as usize;
+            let same_route =
+                hops == primary.len() && self.trail(Some(at)).eq(primary.iter().rev().copied());
+            if same_route {
+                return None;
+            }
+            let overlap = self.trail(Some(at)).filter(|l| primary.contains(l)).count();
+            Some((overlap, c.hc_curr))
+        })
+    }
+}
+
+thread_local! {
+    /// Per-thread flood scratch: parallel campaign workers each get their
+    /// own workspace.
+    static SCRATCH: RefCell<FloodWorkspace> = RefCell::new(FloodWorkspace::default());
+}
+
+/// Runs `f` with the thread-local [`FloodWorkspace`]. Falls back to a
+/// fresh workspace under re-entrancy instead of panicking on the RefCell.
+pub(super) fn with_flood_scratch<R>(f: impl FnOnce(&mut FloodWorkspace) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut ws) => f(&mut ws),
+        Err(_) => f(&mut FloodWorkspace::default()),
+    })
 }
 
 #[cfg(test)]
@@ -218,16 +427,30 @@ mod tests {
     #[test]
     fn message_cap_truncates() {
         let mgr = mesh_manager(5, 5);
-        let out = flood(
-            &mgr.view(),
-            &request(0, 24),
-            FloodingParams {
-                max_messages: 10,
+        let capped = |max_messages| {
+            let params = FloodingParams {
+                max_messages,
                 ..FloodingParams::paper()
-            },
-        );
-        assert!(out.truncated);
-        assert!(out.overhead.messages <= 11);
+            };
+            flood(&mgr.view(), &request(0, 24), params)
+        };
+        // The cap holds from the source's first forward on: node 0 has two
+        // neighbours, and a cap of 1 sends one copy.
+        for cap in [0, 1, 10] {
+            let out = capped(cap);
+            assert!(out.truncated, "cap {cap}");
+            assert_eq!(out.overhead.messages, cap);
+        }
+        // A flood that needs exactly the cap is not cut short.
+        let full = capped(FloodingParams::paper().max_messages);
+        assert!(!full.truncated);
+        let exact = capped(full.overhead.messages);
+        assert!(!exact.truncated);
+        assert_eq!(exact.overhead, full.overhead);
+        assert_eq!(exact.candidates, full.candidates);
+        let short = capped(full.overhead.messages - 1);
+        assert!(short.truncated);
+        assert_eq!(short.overhead.messages, full.overhead.messages - 1);
     }
 
     #[test]

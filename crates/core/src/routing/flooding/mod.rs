@@ -15,6 +15,8 @@ mod engine;
 pub use cdp::{Candidate, Cdp};
 pub use engine::{flood, FloodOutcome};
 
+use engine::with_flood_scratch;
+
 use crate::routing::{RoutePair, RouteRequest, RoutingOverhead, RoutingScheme};
 use crate::{DrtpError, ManagerView};
 use drt_net::Route;
@@ -44,7 +46,8 @@ pub struct FloodingParams {
     pub alpha: f64,
     /// Additive slack in the valid-detour test (`β ≥ 0`).
     pub beta: u32,
-    /// Hard cap on forwarded CDPs per request (defensive; floods at the
+    /// Hard cap on forwarded CDPs per request: a flood sends at most this
+    /// many and stops at the first copy past it (defensive; floods at the
     /// paper's parameters stay far below it).
     pub max_messages: u64,
     /// Cap on candidate routes retained at the destination.
@@ -75,16 +78,20 @@ impl Default for FloodingParams {
 
 /// The bounded-flooding routing scheme (`BF` in the evaluation).
 ///
-/// Per request, [`flood`] simulates the CDP exchange and the scheme then
-/// performs the destination's selection (Section 4.4):
+/// Per request, [`flood`]'s engine simulates the CDP exchange and the
+/// scheme then performs the destination's selection (Section 4.4):
 ///
 /// * **primary** — the shortest candidate with `primary_flag = 1` (enough
-///   *free* bandwidth on every hop);
+///   *free* bandwidth on every hop), then the lexicographically least
+///   route for determinism;
 /// * **backup** — among the remaining candidates, the one that minimally
-///   overlaps the primary, shortest first.
+///   overlaps the primary, then shortest, then lexicographic. The
+///   primary's own route is ineligible.
 ///
-/// Its [`RoutingOverhead`] counts actual CDP forwards — the on-demand cost
-/// profile that contrasts with the link-state schemes' dissemination cost.
+/// Candidates are compared where the flood left them, and only the two
+/// routes picked are built. Its [`RoutingOverhead`] counts actual CDP
+/// forwards — the on-demand cost profile that contrasts with the
+/// link-state schemes' dissemination cost.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BoundedFlooding;
 
@@ -92,17 +99,6 @@ impl BoundedFlooding {
     /// Creates the scheme; it floods with the paper's parameters.
     pub fn new() -> Self {
         BoundedFlooding
-    }
-
-    /// Destination-side backup selection: minimal overlap with the
-    /// primary, then shortest, then lexicographic for determinism. The
-    /// primary's own route is ineligible.
-    fn pick_backup(candidates: &[Candidate], primary: &Route) -> Option<Route> {
-        candidates
-            .iter()
-            .filter(|c| c.route.links() != primary.links())
-            .min_by_key(|c| (c.route.overlap(primary), c.hops, c.route.links().to_vec()))
-            .map(|c| c.route.clone())
     }
 }
 
@@ -116,23 +112,24 @@ impl RoutingScheme for BoundedFlooding {
         view: &ManagerView<'_>,
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
-        let outcome = flood(view, req, FloodingParams::paper());
-        let primary = outcome
-            .candidates
-            .iter()
-            .filter(|c| c.primary_flag)
-            .min_by_key(|c| (c.hops, c.route.links().to_vec()))
-            .map(|c| c.route.clone())
-            .ok_or(DrtpError::NoPrimaryRoute(req.src, req.dst))?;
-        // A lone candidate means no backup exists inside the flooded
-        // region; the connection is then proposed unprotected (the manager
-        // decides whether that is admissible).
-        let backup = Self::pick_backup(&outcome.candidates, &primary);
-        Ok(RoutePair {
-            primary,
-            backup,
-            dedicated_backup: false,
-            overhead: outcome.overhead,
+        with_flood_scratch(|ws| {
+            let (overhead, _) = ws.flood(view, req, FloodingParams::paper());
+            let primary = ws
+                .shortest_primary()
+                .and_then(|at| ws.route(view.net(), at))
+                .ok_or(DrtpError::NoPrimaryRoute(req.src, req.dst))?;
+            // A lone candidate means no backup exists inside the flooded
+            // region; the connection is then proposed unprotected (the
+            // manager decides whether that is admissible).
+            let backup = ws
+                .least_overlapping(primary.links())
+                .and_then(|at| ws.route(view.net(), at));
+            Ok(RoutePair {
+                primary,
+                backup,
+                dedicated_backup: false,
+                overhead,
+            })
         })
     }
 
@@ -142,10 +139,14 @@ impl RoutingScheme for BoundedFlooding {
         req: &RouteRequest,
         primary: &Route,
     ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
-        let outcome = flood(view, req, FloodingParams::paper());
-        let backup = Self::pick_backup(&outcome.candidates, primary)
-            .ok_or(DrtpError::NoBackupRoute(req.id))?;
-        Ok((backup, false, outcome.overhead))
+        with_flood_scratch(|ws| {
+            let (overhead, _) = ws.flood(view, req, FloodingParams::paper());
+            let backup = ws
+                .least_overlapping(primary.links())
+                .and_then(|at| ws.route(view.net(), at))
+                .ok_or(DrtpError::NoBackupRoute(req.id))?;
+            Ok((backup, false, overhead))
+        })
     }
 }
 

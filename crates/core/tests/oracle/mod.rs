@@ -22,6 +22,11 @@
 //! code and no `Aplv` method; from `drt_core::failure` it names only the
 //! data types it is compared through.
 
+//!
+//! [`flooding`] is the same kind of reference for bounded flooding.
+
+pub mod flooding;
+
 use drt_core::failure::{FailureEvent, FailureSweep, LinkImpact, ProbeOutcome};
 use drt_core::{ConnectionId, DrConnection, DrtpManager};
 use drt_net::{Bandwidth, LinkId};

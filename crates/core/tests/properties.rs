@@ -2,11 +2,15 @@
 //! sequences under every scheme must preserve all bookkeeping invariants.
 
 use drt_core::failure::FailureEvent;
-use drt_core::routing::{BoundedFlooding, DLsr, PLsr, RouteRequest, RoutingScheme, SpfBackup};
-use drt_core::{Aplv, ConflictVector, ConnectionId, DrtpManager, ViewDistortion};
+use drt_core::routing::flooding::flood;
+use drt_core::routing::{
+    BoundedFlooding, DLsr, FloodingParams, PLsr, RouteRequest, RoutingScheme, SpfBackup,
+};
+use drt_core::{Aplv, ConflictVector, ConnectionId, DrtpError, DrtpManager, ViewDistortion};
 use drt_net::algo::bfs_hops_filtered;
 use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, SrlgId};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
 
 mod oracle;
@@ -78,6 +82,71 @@ fn cut(net: &Network, link: u32) -> FailureEvent {
     FailureEvent::Batch(pair)
 }
 
+/// Applies one operation of a random trace to `mgr`, routing under
+/// `scheme`: fresh connections take ids from `next_id`, and `live` holds
+/// those admitted and not yet released.
+fn apply_op(
+    mgr: &mut DrtpManager,
+    scheme: &mut dyn RoutingScheme,
+    rng: &mut rand::rngs::StdRng,
+    op: Op,
+    next_id: &mut u64,
+    live: &mut Vec<ConnectionId>,
+) {
+    let (nodes, links) = (mgr.net().num_nodes() as u32, mgr.net().num_links() as u32);
+    match op {
+        Op::Establish { src, dst, mbps, .. } => {
+            if src == dst {
+                return;
+            }
+            let req = RouteRequest::new(
+                ConnectionId::new(*next_id),
+                NodeId::new(src),
+                NodeId::new(dst),
+                Bandwidth::from_mbps(mbps),
+            );
+            if mgr.request_connection(scheme, req).is_ok() {
+                live.push(ConnectionId::new(*next_id));
+            }
+            *next_id += 1;
+        }
+        Op::Release { victim } => {
+            if live.is_empty() {
+                return;
+            }
+            let id = live.remove(victim % live.len());
+            mgr.release(id).unwrap();
+        }
+        Op::Fail { link } => {
+            let _ = mgr.inject_failure(LinkId::new(link % links), rng);
+        }
+        Op::Crash { node } => {
+            let _ = mgr.inject_event(&FailureEvent::Node(NodeId::new(node % nodes)), rng);
+        }
+        Op::Batch { a, b } => {
+            let ev = FailureEvent::Batch(vec![
+                FailureEvent::Link(LinkId::new(a % links)),
+                FailureEvent::Link(LinkId::new(b % links)),
+            ]);
+            let _ = mgr.inject_event(&ev, rng);
+        }
+        Op::Cut { link } => {
+            let ev = cut(mgr.net(), link);
+            let _ = mgr.inject_event(&ev, rng);
+        }
+        Op::Repair { link } => {
+            let _ = mgr.repair_link(LinkId::new(link % links));
+        }
+        Op::Reestablish { victim } => {
+            if live.is_empty() {
+                return;
+            }
+            let id = live[victim % live.len()];
+            let _ = mgr.reestablish_backup(scheme, id);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -100,51 +169,7 @@ proptest! {
         let mut live: Vec<ConnectionId> = Vec::new();
 
         for op in ops {
-            match op {
-                Op::Establish { src, dst, mbps, .. } => {
-                    if src == dst { continue; }
-                    let req = RouteRequest::new(
-                        ConnectionId::new(next_id), NodeId::new(src), NodeId::new(dst),
-                        Bandwidth::from_mbps(mbps),
-                    );
-                    if mgr.request_connection(scheme.as_mut(), req).is_ok() {
-                        live.push(ConnectionId::new(next_id));
-                    }
-                    next_id += 1;
-                }
-                Op::Release { victim } => {
-                    if live.is_empty() { continue; }
-                    let id = live.remove(victim % live.len());
-                    mgr.release(id).unwrap();
-                }
-                Op::Fail { link } => {
-                    let l = LinkId::new(link % net.num_links() as u32);
-                    let _ = mgr.inject_failure(l, &mut rng);
-                }
-                Op::Crash { node } => {
-                    let n = NodeId::new(node % net.num_nodes() as u32);
-                    let _ = mgr.inject_event(&FailureEvent::Node(n), &mut rng);
-                }
-                Op::Batch { a, b } => {
-                    let ev = FailureEvent::Batch(vec![
-                        FailureEvent::Link(LinkId::new(a % net.num_links() as u32)),
-                        FailureEvent::Link(LinkId::new(b % net.num_links() as u32)),
-                    ]);
-                    let _ = mgr.inject_event(&ev, &mut rng);
-                }
-                Op::Cut { link } => {
-                    let _ = mgr.inject_event(&cut(&net, link), &mut rng);
-                }
-                Op::Repair { link } => {
-                    let l = LinkId::new(link % net.num_links() as u32);
-                    let _ = mgr.repair_link(l);
-                }
-                Op::Reestablish { victim } => {
-                    if live.is_empty() { continue; }
-                    let id = live[victim % live.len()];
-                    let _ = mgr.reestablish_backup(scheme.as_mut(), id);
-                }
-            }
+            apply_op(&mut mgr, scheme.as_mut(), &mut rng, op, &mut next_id, &mut live);
             mgr.assert_invariants();
         }
 
@@ -417,7 +442,6 @@ proptest! {
         let net = Arc::new(
             topology::random_connected(12, 17, Bandwidth::from_mbps(12), seed).unwrap()
         );
-        let n = net.num_links();
         let mut mgr = DrtpManager::new(Arc::clone(&net));
         let mut scheme = scheme_by_index(scheme_idx);
         let mut rng = drt_sim::rng::stream(seed, "maint-trace");
@@ -425,56 +449,21 @@ proptest! {
         let mut live: Vec<ConnectionId> = Vec::new();
 
         for op in ops {
-            match op {
-                Op::Establish { src, dst, mbps, .. } => {
-                    if src == dst { continue; }
-                    let req = RouteRequest::new(
-                        ConnectionId::new(next_id),
-                        NodeId::new(src),
-                        NodeId::new(dst),
-                        Bandwidth::from_mbps(mbps),
-                    );
-                    if mgr.request_connection(scheme.as_mut(), req).is_ok() {
-                        live.push(ConnectionId::new(next_id));
-                    }
-                    next_id += 1;
-                }
-                Op::Release { victim } => {
-                    if live.is_empty() { continue; }
-                    let id = live.remove(victim % live.len());
-                    mgr.release(id).unwrap();
-                }
-                Op::Fail { link } => {
-                    let _ = mgr.inject_failure(LinkId::new(link % n as u32), &mut rng);
-                }
-                Op::Crash { node } => {
-                    let ev = FailureEvent::Node(NodeId::new(node % net.num_nodes() as u32));
-                    let _ = mgr.inject_event(&ev, &mut rng);
-                }
-                Op::Batch { a, b } => {
-                    let ev = FailureEvent::Batch(vec![
-                        FailureEvent::Link(LinkId::new(a % n as u32)),
-                        FailureEvent::Link(LinkId::new(b % n as u32)),
-                    ]);
-                    let _ = mgr.inject_event(&ev, &mut rng);
-                }
-                Op::Cut { link } => {
-                    let _ = mgr.inject_event(&cut(&net, link), &mut rng);
-                }
-                Op::Repair { link } => {
-                    let _ = mgr.repair_link(LinkId::new(link % n as u32));
-                }
-                Op::Reestablish { victim } => {
-                    if live.is_empty() { continue; }
-                    let id = live[victim % live.len()];
-                    let _ = mgr.reestablish_backup(scheme.as_mut(), id);
-                }
-            }
+            apply_op(&mut mgr, scheme.as_mut(), &mut rng, op, &mut next_id, &mut live);
             // Includes the per-link ledger rules (`free` is what `prime`
             // and `spare` leave of the capacity, so conservation is the
             // capacity rule).
             mgr.assert_invariants();
-            let to: Vec<_> = net.nodes().map(|dst| mgr.view().hops_to(dst)).collect();
+            // One pair of buffers for every column: each search starts
+            // from the previous one's leftovers.
+            let (mut column, mut queue) = (Vec::new(), Vec::new());
+            let to: Vec<_> = net
+                .nodes()
+                .map(|dst| {
+                    mgr.view().hops_to(dst, &mut column, &mut queue);
+                    column.clone()
+                })
+                .collect();
             for src in net.nodes() {
                 let from = bfs_hops_filtered(&net, src, |l| !mgr.is_failed(l));
                 for dst in net.nodes() {
@@ -659,6 +648,162 @@ proptest! {
             drt_core::analysis::vulnerability(&mgr, seed),
             oracle::sweep(&mgr, seed, "vulnerability")
         );
+    }
+}
+
+/// Bounded flooding against the literal flood of `oracle/flooding.rs` on
+/// the manager's current view: the candidate-route table (routes, flags,
+/// hops, in arrival order), messages, bytes and `truncated` of
+/// [`flood`] at the drawn parameters; and, at the paper's, the pair
+/// `select_routes` picks for each probe and the backup `select_backup`
+/// picks for the oracle's primary and for up to four live connections.
+fn flooding_agrees(
+    mgr: &DrtpManager,
+    probes: &[(u32, u32, u64)],
+    params: FloodingParams,
+) -> Result<(), TestCaseError> {
+    let view = mgr.view();
+    let mut bf = BoundedFlooding::new();
+    let paper = FloodingParams::paper();
+    for (i, &(src, dst, mbps)) in probes.iter().enumerate() {
+        let req = RouteRequest::new(
+            ConnectionId::new(1 << 40 | i as u64),
+            NodeId::new(src),
+            NodeId::new(dst),
+            Bandwidth::from_mbps(mbps),
+        );
+        let got = flood(&view, &req, params);
+        let want = oracle::flooding::flood(mgr, &req, params);
+        let crt: Vec<oracle::flooding::Entry> = got
+            .candidates
+            .iter()
+            .map(|c| (c.route.clone(), c.primary_flag, c.hops))
+            .collect();
+        prop_assert_eq!(
+            &crt,
+            &want.crt,
+            "CRT of {:?} under {:?}: {:?} vs {:?}",
+            req,
+            params,
+            crt,
+            want.crt
+        );
+        prop_assert_eq!(
+            (got.overhead.messages, got.overhead.bytes, got.truncated),
+            (want.messages, want.bytes, want.truncated),
+            "cost of {:?} under {:?}",
+            req,
+            params
+        );
+
+        let want = oracle::flooding::flood(mgr, &req, paper);
+        let want_primary = oracle::flooding::primary(&want.crt);
+        match (bf.select_routes(&view, &req), &want_primary) {
+            (Ok(pair), Some(primary)) => {
+                prop_assert_eq!(&pair.primary, primary, "primary of {:?}", req);
+                let backup = oracle::flooding::backup(&want.crt, primary);
+                prop_assert_eq!(&pair.backup, &backup, "backup of {:?}", req);
+                prop_assert!(!pair.dedicated_backup);
+                prop_assert_eq!(
+                    (pair.overhead.messages, pair.overhead.bytes),
+                    (want.messages, want.bytes)
+                );
+                let got = bf.select_backup(&view, &req, primary).ok().map(|b| b.0);
+                prop_assert_eq!(got, backup, "select_backup of {:?}", req);
+            }
+            (Err(e), None) => {
+                prop_assert_eq!(e, DrtpError::NoPrimaryRoute(req.src, req.dst));
+            }
+            (got, want) => {
+                prop_assert!(false, "{:?}: scheme {:?}, oracle {:?}", req, got, want);
+            }
+        }
+    }
+    for c in mgr.connections().take(4) {
+        let primary = c.primary();
+        let req = RouteRequest::new(c.id(), primary.source(), primary.dest(), c.qos().bandwidth);
+        let want = oracle::flooding::flood(mgr, &req, paper);
+        let want = oracle::flooding::backup(&want.crt, primary);
+        let got = bf.select_backup(&view, &req, primary);
+        match (got, want) {
+            (Ok((got, dedicated, _)), Some(want)) => {
+                prop_assert_eq!(got, want, "backup for {}", c.id());
+                prop_assert!(!dedicated);
+            }
+            (Err(e), None) => prop_assert_eq!(e, DrtpError::NoBackupRoute(c.id())),
+            (got, want) => {
+                prop_assert!(
+                    false,
+                    "backup for {}: scheme {:?}, oracle {:?}",
+                    c.id(),
+                    got,
+                    want
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Bounded flooding floods and selects what the paper's §4 defines.
+    /// After every step of a random establish / release / fail / crash /
+    /// batch / cut / repair / re-establish trace (the operations of
+    /// `protocol_trace_preserves_invariants`), under every scheme, the
+    /// engine agrees with the literal flood of `oracle/flooding.rs` —
+    /// one owned trail per copy, a `VecDeque`, selection over owned
+    /// routes — on a few probe requests and live connections
+    /// ([`flooding_agrees`]), on the true view and again under a
+    /// byzantine distortion of up to two routers.
+    ///
+    /// Links carry 6 Mb/s against 1–3 Mb/s demands, so the bandwidth test
+    /// prunes links and the primary flag clears on links whose free pool
+    /// a spare reservation has taken. The flood's own parameters are
+    /// drawn too: the detour slack `β` and bound offset `ρ₀`, and the
+    /// message and candidate caps either at the paper's values or low
+    /// enough to cut floods short.
+    #[test]
+    fn bounded_flooding_matches_paper_oracle(
+        seed in any::<u64>(),
+        scheme_idx in 0usize..4,
+        ops in prop::collection::vec(arb_op(12, 34), 1..30),
+        probes in prop::collection::vec((0u32..12, 0u32..12, 1u64..=3), 1..4),
+        byzantine in prop::collection::vec(0u32..12, 1..3),
+        beta in 0u32..3,
+        rho_offset in 0u32..4,
+        message_cap in 0u64..80,
+        candidate_cap in 1usize..10,
+    ) {
+        let net = Arc::new(
+            topology::random_connected(12, 17, Bandwidth::from_mbps(6), seed).unwrap()
+        );
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let mut scheme = scheme_by_index(scheme_idx);
+        let mut rng = drt_sim::rng::stream(seed, "flood-trace");
+        // Half the draws keep each cap at the paper's value; the other
+        // half set it low enough to bind.
+        let paper = FloodingParams::paper();
+        let params = FloodingParams {
+            beta,
+            rho_offset,
+            max_messages: if message_cap < 40 { message_cap } else { paper.max_messages },
+            max_candidates: if candidate_cap < 5 { candidate_cap } else { paper.max_candidates },
+            ..paper
+        };
+        let byz: Vec<NodeId> = byzantine.iter().copied().map(NodeId::new).collect();
+        let lies = ViewDistortion::for_nodes(net.num_nodes(), &byz);
+        let mut next_id = 0u64;
+        let mut live: Vec<ConnectionId> = Vec::new();
+
+        for op in ops {
+            apply_op(&mut mgr, scheme.as_mut(), &mut rng, op, &mut next_id, &mut live);
+            flooding_agrees(&mgr, &probes, params)?;
+            mgr.set_view_distortion(Some(lies.clone()));
+            flooding_agrees(&mgr, &probes, params)?;
+            mgr.set_view_distortion(None);
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! `D^j_{i,k}`, the minimum hop count from `i` to `j` via neighbour `k`,
 //! "updated only upon change of the network topology". `D^j_{i,k}` is
 //! `1 + hops(k, j)`, so one matrix of hop counts holds every node's table;
-//! a flood reads one column of it, which [`crate::algo::bfs_hops_to`]
+//! a flood reads one column of it, which [`crate::algo::bfs_hops_to_in`]
 //! measures on demand.
 //!
 //! The matrix is built by one level-synchronous sweep of N-bit target

@@ -44,20 +44,38 @@ pub fn bfs_hops_filtered(
 /// [`bfs_hops_filtered`], searching backwards over [`Network::in_links`]:
 /// the two differ as soon as one direction of a duplex pair is masked.
 /// One column of the paper's distance tables (§4.1), which is all a
-/// bounded flood towards `dst` reads.
+/// bounded flood towards `dst` reads. A fresh-buffer shorthand for
+/// [`bfs_hops_to_in`].
 pub fn bfs_hops_to(
     net: &Network,
     dst: NodeId,
-    mut usable: impl FnMut(crate::LinkId) -> bool,
+    usable: impl FnMut(crate::LinkId) -> bool,
 ) -> Vec<Option<u32>> {
-    let mut dist = vec![None; net.num_nodes()];
+    let mut dist = Vec::new();
+    bfs_hops_to_in(net, dst, usable, &mut dist, &mut Vec::new());
+    dist
+}
+
+/// [`bfs_hops_to`] into caller-owned buffers: `dist` is overwritten with
+/// the column (one entry per node) and `queue` is scratch. A caller that
+/// keeps both across searches allocates nothing once they have grown to
+/// the network's size.
+pub fn bfs_hops_to_in(
+    net: &Network,
+    dst: NodeId,
+    mut usable: impl FnMut(crate::LinkId) -> bool,
+    dist: &mut Vec<Option<u32>>,
+    queue: &mut Vec<NodeId>,
+) {
+    dist.clear();
+    dist.resize(net.num_nodes(), None);
     if dst.index() >= net.num_nodes() {
-        return dist;
+        return;
     }
     dist[dst.index()] = Some(0);
     // Every node is queued at most once, so a vector read from `head`
     // is the whole queue.
-    let mut queue = Vec::with_capacity(net.num_nodes());
+    queue.clear();
     queue.push(dst);
     let mut head = 0;
     while let Some(&node) = queue.get(head) {
@@ -74,7 +92,6 @@ pub fn bfs_hops_to(
             }
         }
     }
-    dist
 }
 
 /// The set of nodes reachable from `src` along directed links (including
@@ -210,6 +227,21 @@ mod tests {
             let forward = bfs_hops_filtered(&net, node, |l| l != down);
             assert_eq!(to[node.index()], forward[dst.index()], "from {node}");
         }
+    }
+
+    #[test]
+    fn hops_to_in_overwrites_reused_buffers() {
+        let big = topology::mesh(4, 4, CAP).unwrap();
+        let ring = topology::ring(6, CAP).unwrap();
+        let (mut dist, mut queue) = (Vec::new(), Vec::new());
+        bfs_hops_to_in(&big, NodeId::new(15), |_| true, &mut dist, &mut queue);
+        assert_eq!(dist.len(), 16);
+        for dst in ring.nodes() {
+            bfs_hops_to_in(&ring, dst, |_| true, &mut dist, &mut queue);
+            assert_eq!(dist, bfs_hops(&ring, dst), "to {dst}");
+        }
+        bfs_hops_to_in(&ring, NodeId::new(9), |_| true, &mut dist, &mut queue);
+        assert_eq!(dist, vec![None; 6]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   against (`dijkstra_and_bellman_ford_agree`);
 //! * [`AllPairsHops`] — every node's `D^j_{i,k}` table of the
 //!   bounded-flooding scheme in one matrix, kept as the reference and for
-//!   topology reports; a flood reads one column, [`bfs_hops_to`];
+//!   topology reports; a flood reads one column, [`bfs_hops_to_in`];
 //! * [`k_shortest_paths`] — Yen's algorithm. No scheme calls it either:
 //!   it is the brute-force enumeration [`suurballe`]'s optimality is
 //!   checked against (`suurballe_total_cost_is_minimal_on_mesh`);
@@ -43,7 +43,8 @@ mod yen;
 pub use all_pairs_hops::AllPairsHops;
 pub use bellman_ford::{bellman_ford, BellmanFordOutcome};
 pub use connectivity::{
-    bfs_hops, bfs_hops_filtered, bfs_hops_to, bridges, is_strongly_connected, reachable_from,
+    bfs_hops, bfs_hops_filtered, bfs_hops_to, bfs_hops_to_in, bridges, is_strongly_connected,
+    reachable_from,
 };
 pub use dijkstra::{
     shortest_path, shortest_path_in, shortest_path_tree, shortest_path_with_floor,

@@ -1,6 +1,6 @@
 //! A warmed call allocates only what it returns: route searches, the
-//! link-state schemes' selections, probes and sweeps reuse their
-//! workspaces and buffers.
+//! link-state and bounded-flooding schemes' selections, probes and sweeps
+//! reuse their workspaces and buffers.
 //! Allocations are counted per thread, so the harness's other test
 //! threads never reach a count and each `parallel_map` worker counts its own.
 
@@ -9,7 +9,9 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use drt_core::failure::{FailureSweep, LinkImpact};
-use drt_core::routing::{DLsr, PLsr, PrimaryOnly, RoutePair, RouteRequest, RoutingScheme};
+use drt_core::routing::{
+    BoundedFlooding, DLsr, PLsr, PrimaryOnly, RoutePair, RouteRequest, RoutingScheme,
+};
 use drt_core::{ConnectionId, DrtpManager};
 use drt_experiments::par::parallel_map;
 use drt_net::algo::{shortest_path_in, DynamicSpt, SpfWorkspace};
@@ -124,34 +126,44 @@ fn pair_allocs(pair: &RoutePair) -> u64 {
     2 + 2 * u64::from(pair.backup.is_some())
 }
 
+/// Forty fresh requests on `mgr`, and forty live connections each as
+/// re-protection asks for one more backup: its request and its primary.
+fn selection_calls(
+    mgr: &DrtpManager,
+    nodes: usize,
+    seed: u64,
+) -> (Vec<RouteRequest>, Vec<(RouteRequest, Route)>) {
+    let mut rng = drt_sim::rng::stream(seed, "selections");
+    let pattern = drt_sim::workload::TrafficPattern::ut();
+    let reqs = (0..40)
+        .map(|i| {
+            let (src, dst) = pattern.sample_pair(nodes, &mut rng);
+            RouteRequest::new(
+                ConnectionId::new(1 << 40 | i),
+                src,
+                dst,
+                Bandwidth::from_kbps(3_000),
+            )
+        })
+        .collect();
+    let live = mgr
+        .connections()
+        .take(40)
+        .map(|c| {
+            let p = c.primary().clone();
+            let req = RouteRequest::new(c.id(), p.source(), p.dest(), c.qos().bandwidth);
+            (req, p)
+        })
+        .collect();
+    (reqs, live)
+}
+
 #[test]
 fn lsr_selections_allocate_only_their_routes() {
     for (nodes, requests, seed) in [(60, 400, 8), (300, 600, 9)] {
         let mgr = loaded(nodes, requests, seed);
         let view = mgr.view();
-        let mut rng = drt_sim::rng::stream(seed, "selections");
-        let pattern = drt_sim::workload::TrafficPattern::ut();
-        let reqs: Vec<RouteRequest> = (0..40)
-            .map(|i| {
-                let (src, dst) = pattern.sample_pair(nodes, &mut rng);
-                RouteRequest::new(
-                    ConnectionId::new(1 << 40 | i),
-                    src,
-                    dst,
-                    Bandwidth::from_kbps(3_000),
-                )
-            })
-            .collect();
-        // Re-protection's call: one more backup for a live primary.
-        let live: Vec<(RouteRequest, Route)> = mgr
-            .connections()
-            .take(40)
-            .map(|c| {
-                let p = c.primary().clone();
-                let req = RouteRequest::new(c.id(), p.source(), p.dest(), c.qos().bandwidth);
-                (req, p)
-            })
-            .collect();
+        let (reqs, live) = selection_calls(&mgr, nodes, seed);
         let (mut dlsr, mut plsr) = (DLsr::new(), PLsr::new());
         let mut selected = 0;
         for warm in [true, false] {
@@ -181,6 +193,42 @@ fn lsr_selections_allocate_only_their_routes() {
         assert!(
             selected > 40,
             "only {selected} selections succeeded on {nodes} nodes"
+        );
+    }
+}
+
+/// A flood runs in the thread's flood workspace (copy arena, distance
+/// column, pending-connection and candidate tables), so a warmed bounded
+/// flooding selection builds its chosen routes and nothing else.
+#[test]
+fn bf_selections_allocate_only_their_routes() {
+    for (nodes, requests, seed) in [(60, 400, 10), (300, 600, 11)] {
+        let mgr = loaded(nodes, requests, seed);
+        let view = mgr.view();
+        let (reqs, live) = selection_calls(&mgr, nodes, seed);
+        let mut bf = BoundedFlooding::new();
+        let (mut selected, mut protected) = (0, 0);
+        for warm in [true, false] {
+            for req in &reqs {
+                let (pair, n) = counted(|| bf.select_routes(&view, req));
+                let want = pair.as_ref().map_or(0, pair_allocs);
+                assert!(warm || n == want, "BF {req:?} on {nodes} nodes: {n}");
+                selected += u32::from(pair.is_ok());
+            }
+            for (req, primary) in &live {
+                let (backup, n) = counted(|| bf.select_backup(&view, req, primary));
+                let want = if backup.is_ok() { 2 } else { 0 };
+                assert!(
+                    warm || n == want,
+                    "BF backup for {} on {nodes} nodes: {n}",
+                    req.id
+                );
+                protected += u32::from(backup.is_ok());
+            }
+        }
+        assert!(
+            selected > 40 && protected > 40,
+            "only {selected} selections and {protected} backups succeeded on {nodes} nodes"
         );
     }
 }

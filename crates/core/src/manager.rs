@@ -211,6 +211,11 @@ pub enum BackupFit {
 /// per-link available bandwidths plus the scheme-specific APLV digest
 /// (`‖APLV‖₁` for P-LSR, conflict vectors for D-LSR), and the distance
 /// table column a bounded flood consults ([`ManagerView::hops_to`]).
+///
+/// The per-link readers are the route searches' hot path and index
+/// unchecked: each panics on a link outside the view's network (its
+/// `# Panics` section). The public [`DrtpManager`] methods check every id
+/// they are given before a scheme sees it.
 #[derive(Debug, Clone, Copy)]
 pub struct ManagerView<'a> {
     net: &'a Network,
@@ -261,37 +266,72 @@ impl<'a> ManagerView<'a> {
 
     /// Returns `true` when the link is not failed — or when its byzantine
     /// owner advertises it as up regardless ([`ViewDistortion`]).
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn alive(&self, l: LinkId) -> bool {
         self.lie(l) || !self.failed[l.index()]
     }
 
     /// Unreserved bandwidth of `l` (`total − prime − spare`).
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn free(&self, l: LinkId) -> Bandwidth {
         self.links[l.index()].free()
     }
 
     /// Bandwidth a backup may count on at `l` (`total − prime`).
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn backup_headroom(&self, l: LinkId) -> Bandwidth {
         self.links[l.index()].backup_headroom()
     }
 
     /// The spare pool currently reserved on `l`.
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn spare(&self, l: LinkId) -> Bandwidth {
         self.links[l.index()].spare()
     }
 
     /// Total capacity of `l`.
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn capacity(&self, l: LinkId) -> Bandwidth {
         self.links[l.index()].capacity()
     }
 
     /// The APLV of `l`.
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn aplv(&self, l: LinkId) -> &'a Aplv {
         &self.aplvs[l.index()]
     }
 
     /// `‖APLV_l‖₁` — P-LSR's advertised scalar. A byzantine owner
     /// advertises 0.
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn l1_norm(&self, l: LinkId) -> u64 {
         if self.lie(l) {
             return 0;
@@ -325,6 +365,11 @@ impl<'a> ManagerView<'a> {
     /// `true` when `l` is alive and can admit a primary of size `bw` from
     /// its free pool. A byzantine owner claims any `bw` up to the raw
     /// capacity fits, dead or not.
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn usable_for_primary(&self, l: LinkId, bw: Bandwidth) -> bool {
         if self.lie(l) {
             return bw <= self.capacity(l);
@@ -337,6 +382,11 @@ impl<'a> ManagerView<'a> {
     /// them (alive with full capacity under a byzantine owner), with the
     /// link's [`ViewDistortion`] resolved once: the backup cost closures
     /// ask both questions of every link they price.
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn backup_fit(&self, l: LinkId, bw: Bandwidth) -> BackupFit {
         let lie = self.lie(l);
         if self.failed[l.index()] && !lie {
@@ -356,6 +406,11 @@ impl<'a> ManagerView<'a> {
 
     /// `true` when `l` is alive and offers at least `bw` of backup
     /// headroom (full capacity under a byzantine owner).
+    ///
+    /// # Panics
+    ///
+    /// If `l` is not a link of [`ManagerView::net`]: a scheme is handed
+    /// only links of the view's own network.
     pub fn usable_for_backup(&self, l: LinkId, bw: Bandwidth) -> bool {
         self.backup_fit(l, bw) == BackupFit::Fits
     }

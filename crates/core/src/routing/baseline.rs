@@ -1,8 +1,8 @@
 //! Baseline schemes the evaluation compares against.
 
-use crate::routing::costs::{lsa_overhead, min_hop_primary, Q};
+use crate::routing::costs::{lsa_overhead, lsr_backup, min_hop_primary};
 use crate::routing::{RoutePair, RouteRequest, RoutingOverhead, RoutingScheme};
-use crate::{BackupFit, DrtpError, ManagerView};
+use crate::{DrtpError, ManagerView};
 use drt_net::algo::{shortest_path, suurballe};
 use drt_net::Route;
 
@@ -57,8 +57,8 @@ impl RoutingScheme for PrimaryOnly {
 }
 
 /// Conflict-oblivious backup routing: the backup is simply the shortest
-/// bandwidth-feasible route that avoids the primary's links. No APLV, no
-/// conflict vectors.
+/// bandwidth-feasible route that avoids the primary's links — the LSR
+/// backup search with a conflict term of 0. No APLV, no conflict vectors.
 ///
 /// This isolates the value of conflict awareness: the scheme reserves
 /// multiplexed spare exactly like P-LSR/D-LSR but routes blindly, so the
@@ -75,24 +75,6 @@ impl SpfBackup {
     pub fn new() -> Self {
         SpfBackup::default()
     }
-
-    fn backup_route(
-        view: &ManagerView<'_>,
-        req: &RouteRequest,
-        primary: &Route,
-    ) -> Result<Route, DrtpError> {
-        let bw = req.bandwidth();
-        shortest_path(view.net(), req.src, req.dst, |l| {
-            let q = match view.backup_fit(l, bw) {
-                BackupFit::Dead => return None,
-                BackupFit::Fits if !primary.contains_link(l) => 0.0,
-                BackupFit::Fits | BackupFit::Short => Q,
-            };
-            Some(q + 1.0)
-        })
-        .map(|(_, r)| r)
-        .ok_or(DrtpError::NoBackupRoute(req.id))
-    }
 }
 
 impl RoutingScheme for SpfBackup {
@@ -106,7 +88,7 @@ impl RoutingScheme for SpfBackup {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
-        let backup = Self::backup_route(view, req, &primary)?;
+        let backup = lsr_backup(view, req, &primary, |_| 0)?;
         // Available-bandwidth-only link state (8-byte entries).
         let overhead = lsa_overhead(
             view.net().num_links(),
@@ -127,7 +109,7 @@ impl RoutingScheme for SpfBackup {
         req: &RouteRequest,
         primary: &Route,
     ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
-        let backup = Self::backup_route(view, req, primary)?;
+        let backup = lsr_backup(view, req, primary, |_| 0)?;
         let overhead = lsa_overhead(view.net().num_links(), backup.len(), 8);
         Ok((backup, false, overhead))
     }
@@ -167,7 +149,7 @@ impl RoutingScheme for DedicatedDisjoint {
         let bw = req.bandwidth();
         // Both routes hold hard reservations, so both need free bandwidth.
         let pair = suurballe(view.net(), req.src, req.dst, |l| {
-            view.usable_for_primary(l, bw).then_some(1.0)
+            view.usable_for_primary(l, bw).then_some(1)
         });
         let Some(pair) = pair else {
             // Distinguish "no route at all" from "no disjoint pair".
@@ -197,7 +179,7 @@ impl RoutingScheme for DedicatedDisjoint {
     ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
         let bw = req.bandwidth();
         let backup = shortest_path(view.net(), req.src, req.dst, |l| {
-            (view.usable_for_primary(l, bw) && !primary.contains_link(l)).then_some(1.0)
+            (view.usable_for_primary(l, bw) && !primary.contains_link(l)).then_some(1)
         })
         .map(|(_, r)| r)
         .ok_or(DrtpError::NoBackupRoute(req.id))?;

@@ -9,23 +9,53 @@
 //!   no alternative exists at all.
 //! * `ε` — "a small positive constant (< 1), used to select the shortest
 //!   route … if there are several candidate routes with the same degree of
-//!   channel overlapping". We use `ε = 1/(N+1)` so that even a full-length
-//!   path accumulates less than one unit of ε-cost: hop count can break
-//!   ties but can never outweigh a single conflict.
+//!   channel overlapping".
+//!
+//! With `Q` above any conflict sum and `ε` below one conflict, the cost
+//! orders routes lexicographically: fewest `Q`-links, then the least
+//! conflict, then the fewest hops. [`backup_key`] builds that order as one
+//! exact integer per link, with a fourth, last field that the paper leaves
+//! open: a fixed per-link tie weight, so that equally short routes are
+//! told apart by a rule rather than by the search's visiting order.
 
 use crate::routing::RoutingOverhead;
 use crate::{BackupFit, DrtpError, ManagerView};
 use drt_net::algo::{min_hop_route, shortest_path_with_floor};
 use drt_net::{LinkId, Route};
 
-/// The paper's "very large constant" `Q`. Any path containing a `Q`-link
-/// costs more than any path free of them (`Q` exceeds the largest possible
-/// conflict sum by many orders of magnitude).
-pub const Q: f64 = 1e9;
+/// One hop in [`backup_key`]: the least step any link costs, so the
+/// search's floor.
+const HOP: u128 = 1 << 36;
 
-/// The tie-breaking constant `ε` for a network with `num_links` links.
-pub fn epsilon(num_links: usize) -> f64 {
-    1.0 / (num_links as f64 + 1.0)
+/// The backup search's step cost of link `l`, as the integer
+/// `q << 84 | conflict << 48 | 1 << 36 | tie(l)`, fields high to low:
+///
+/// | bits   | field         | per link    |
+/// |--------|---------------|-------------|
+/// | 84..96 | `Q`-links     | `q`: 0 or 1 |
+/// | 48..84 | conflict term | `< 2^24`    |
+/// | 36..48 | hops          | 1           |
+/// | 0..36  | tie weight    | `< 2^24`    |
+///
+/// A route's cost is the sum of its links' keys. On a route of fewer than
+/// `2^12` links each field's sum stays below its width, so the sum is the
+/// four field sums side by side, below the `2^96` the search allows, and
+/// comparing two sums compares (`Q`-links, conflict, hops, tie)
+/// lexicographically. A simple route in a network of at most 4 096 nodes
+/// has fewer links than that, so the order is exact there. A conflict
+/// term above `2^24 − 1` counts as `2^24 − 1`.
+///
+/// The tie weight is SplitMix64's finaliser of the link index, top 24
+/// bits: fixed per link, with no seed. Two routes that tie on the first
+/// three fields differ in it unless their weights sum to the same value,
+/// so the cheapest route is a function of the state, whichever exact
+/// search finds it.
+fn backup_key(q: bool, conflict: u64, l: LinkId) -> u128 {
+    let mut x = l.index() as u64;
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    let tie = (x ^ (x >> 31)) >> 40;
+    u128::from(q) << 84 | u128::from(conflict.min((1 << 24) - 1)) << 48 | HOP | u128::from(tie)
 }
 
 /// Selects the minimum-hop primary route among links that are alive and
@@ -41,26 +71,24 @@ pub(crate) fn min_hop_primary(
         .ok_or(DrtpError::NoPrimaryRoute(src, dst))
 }
 
-/// Selects a backup route by Dijkstra under the LSR cost model:
-/// failed links are excluded outright; links on the primary or with
-/// insufficient backup headroom cost `Q`; every link additionally costs
-/// `conflict_term(l) + ε`.
+/// Selects a backup route by Dijkstra over [`backup_key`]: failed links
+/// are excluded outright; links on the primary or with insufficient
+/// backup headroom are `Q`-links; `conflict_term(l)` is the scheme's
+/// conflict field.
 pub(crate) fn lsr_backup(
     view: &ManagerView<'_>,
     req: &crate::routing::RouteRequest,
     primary: &Route,
-    conflict_term: impl Fn(LinkId) -> f64,
+    conflict_term: impl Fn(LinkId) -> u64,
 ) -> Result<Route, DrtpError> {
-    let eps = epsilon(view.net().num_links());
     let bw = req.bandwidth();
-    // `q` and the conflict term are non-negative, so every step is ≥ ε.
-    shortest_path_with_floor(view.net(), req.src, req.dst, eps, |l| {
+    shortest_path_with_floor(view.net(), req.src, req.dst, HOP, |l| {
         let q = match view.backup_fit(l, bw) {
             BackupFit::Dead => return None,
-            BackupFit::Fits if !primary.contains_link(l) => 0.0,
-            BackupFit::Fits | BackupFit::Short => Q,
+            BackupFit::Fits => primary.contains_link(l),
+            BackupFit::Short => true,
         };
-        Some(q + conflict_term(l) + eps)
+        Some(backup_key(q, conflict_term(l), l))
     })
     .map(|(_, r)| r)
     .ok_or(DrtpError::NoBackupRoute(req.id))
@@ -110,20 +138,66 @@ pub(crate) fn changed_links(primary: &Route, backup: Option<&Route>) -> usize {
 mod tests {
     use super::*;
 
+    /// The four fields of a key or of a sum of keys, high to low.
+    fn fields(key: u128) -> [u128; 4] {
+        let field = |shift: u32, bits: u32| key >> shift & ((1 << bits) - 1);
+        [key >> 84, field(48, 36), field(36, 12), field(0, 36)]
+    }
+
     #[test]
-    fn epsilon_never_outweighs_a_conflict() {
-        for n in [1usize, 10, 180, 240, 10_000] {
-            // Even a path using every link accumulates < 1 of ε-cost.
-            assert!(epsilon(n) * (n as f64) < 1.0);
+    fn key_sums_are_field_sums_in_lexicographic_order() {
+        // Routes of up to 2^12 − 1 links (a simple route in a network of
+        // 4 096 nodes): every field's sum stays in its field, and the
+        // whole sum within the search's bound.
+        let longest = (1u128 << 12) - 1;
+        let top = backup_key(true, (1 << 24) - 1, LinkId::new(7));
+        assert_eq!(fields(top), [1, (1 << 24) - 1, 1, fields(top)[3]]);
+        assert_eq!(fields(top * longest), fields(top).map(|f| f * longest));
+        assert!(top * longest <= drt_net::algo::MAX_ROUTE_COST);
+        // A conflict term past the field's per-link width saturates.
+        assert_eq!(backup_key(false, u64::MAX, LinkId::new(7)), top - (1 << 84));
+
+        // Random routes of mixed links: a sum of keys is the field-wise
+        // sum, and sums order as their field tuples do.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let mut routes: Vec<(u128, [u128; 4])> = Vec::new();
+        for len in [1u64, 2, 3, 5, 8, 64, 4_095] {
+            for _ in 0..8 {
+                let (mut sum, mut want) = (0u128, [0u128; 4]);
+                for _ in 0..len {
+                    let (q, conflict) = (draw(4) == 0, draw(3) * draw(1 << 24));
+                    let key = backup_key(q, conflict, LinkId::new(draw(1 << 20) as u32));
+                    sum += key;
+                    for (w, f) in want.iter_mut().zip(fields(key)) {
+                        *w += f;
+                    }
+                }
+                assert_eq!(fields(sum), want);
+                routes.push((sum, want));
+            }
+        }
+        for (a, fa) in &routes {
+            for (b, fb) in &routes {
+                assert_eq!(a.cmp(b), fa.cmp(fb));
+            }
         }
     }
 
     #[test]
-    fn q_dominates_conflicts() {
-        // The largest plausible conflict sum (every connection conflicting
-        // on every link) stays far below Q.
-        let worst_conflict_sum = 1e6;
-        assert!(Q > worst_conflict_sum * 100.0);
+    fn tie_weights_are_fixed_and_below_one_hop() {
+        let tie = |i| fields(backup_key(false, 0, LinkId::new(i)))[3];
+        let ties: Vec<u128> = (0..1000).map(tie).collect();
+        assert!(ties.iter().all(|&t| t < 1 << 24));
+        // SplitMix64's finaliser of indices 0 and 1, top 24 bits.
+        assert_eq!(ties[..2], [0, 0x56_9216]);
+        let distinct: std::collections::BTreeSet<_> = ties.iter().collect();
+        assert!(distinct.len() > 990, "{} distinct", distinct.len());
     }
 
     #[test]

@@ -13,7 +13,8 @@ use drt_net::{LinkId, Route};
 /// cost of using `L_i` for the backup is the number of `P_x`'s links that
 /// would deterministically conflict there:
 ///
-/// `C_i = Q_i + Σ_{L_j ∈ LSET_{P_x}} c_{i,j} + ε`.
+/// `C_i = Q_i + Σ_{L_j ∈ LSET_{P_x}} c_{i,j} + ε`, built as an exact
+/// integer key whose conflict field is that sum (see `routing/costs.rs`).
 ///
 /// Compared with P-LSR's scalar norm, the conflict vector tells the router
 /// *where* the conflicts lie, so two equally-loaded links can be told apart
@@ -28,8 +29,9 @@ use drt_net::{LinkId, Route};
 /// the primary is fixed before the backup search starts, so the scheme
 /// adds up the manager's conflict columns of its |LSET| links into one
 /// dense count per link ([`ManagerView::conflict_counts`]) and prices a
-/// link `l` as `q + counts[l] + ε`. The count buffer is kept across
-/// requests, so a warmed search allocates only the routes it returns.
+/// link `l` with `counts[l]` as its conflict field. The count buffer is
+/// kept across requests, so a warmed search allocates only the routes it
+/// returns.
 #[derive(Debug, Clone, Default)]
 pub struct DLsr {
     /// `Σ_{L_j ∈ LSET_P} c_{l,j}` per link `l`, for the primary in hand.
@@ -54,10 +56,10 @@ impl DLsr {
         &'s mut self,
         view: &ManagerView<'_>,
         primary: &Route,
-    ) -> impl Fn(LinkId) -> f64 + 's {
+    ) -> impl Fn(LinkId) -> u64 + 's {
         view.conflict_counts(primary.links(), &mut self.counts);
         let counts = &self.counts;
-        move |l| f64::from(counts[l.index()])
+        move |l| u64::from(counts[l.index()])
     }
 }
 

@@ -27,7 +27,6 @@ mod plsr;
 mod scripted;
 
 pub use baseline::{DedicatedDisjoint, PrimaryOnly, SpfBackup};
-pub use costs::{epsilon, Q};
 pub use dlsr::DLsr;
 pub use flooding::{BoundedFlooding, FloodingParams};
 pub use plsr::PLsr;

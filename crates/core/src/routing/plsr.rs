@@ -14,8 +14,8 @@ use drt_net::Route;
 /// `q_{B,i} = M^{‖APLV_i‖₁}`, `M = (N − |LSET_P|)/N < 1`,
 /// is equivalent to finding the route minimising `Σ_i ‖APLV_i‖₁` — a plain
 /// shortest-path problem with `‖APLV_i‖₁` as the link cost. The full link
-/// cost is `C_i = Q_i + ‖APLV_i‖₁ + ε` (see [`crate::routing::Q`] and the
-/// `ε` tie-break).
+/// cost is `C_i = Q_i + ‖APLV_i‖₁ + ε`, built as an exact integer key whose
+/// conflict field is `‖APLV_i‖₁` (see `routing/costs.rs`).
 ///
 /// P-LSR needs the least link-state of the conflict-aware schemes — one
 /// integer per link — but cannot tell *where* the conflicts of two
@@ -70,7 +70,7 @@ impl RoutingScheme for PLsr {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
-        let backup = lsr_backup(view, req, &primary, |l| view.l1_norm(l) as f64)?;
+        let backup = lsr_backup(view, req, &primary, |l| view.l1_norm(l))?;
         let overhead = lsa_overhead(
             view.net().num_links(),
             changed_links(&primary, Some(&backup)),
@@ -90,7 +90,7 @@ impl RoutingScheme for PLsr {
         req: &RouteRequest,
         primary: &Route,
     ) -> Result<(Route, bool, RoutingOverhead), DrtpError> {
-        let backup = lsr_backup(view, req, primary, |l| view.l1_norm(l) as f64)?;
+        let backup = lsr_backup(view, req, primary, |l| view.l1_norm(l))?;
         let overhead = lsa_overhead(view.net().num_links(), backup.len(), PLSR_ENTRY_BYTES);
         Ok((backup, false, overhead))
     }

@@ -26,6 +26,7 @@
 //! [`flooding`] is the same kind of reference for bounded flooding.
 
 pub mod flooding;
+pub mod routes;
 
 use drt_core::failure::{FailureEvent, FailureSweep, LinkImpact, ProbeOutcome};
 use drt_core::{ConnectionId, DrConnection, DrtpManager};

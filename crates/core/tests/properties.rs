@@ -8,7 +8,7 @@ use drt_core::routing::{
 };
 use drt_core::{Aplv, ConflictVector, ConnectionId, DrtpError, DrtpManager, ViewDistortion};
 use drt_net::algo::bfs_hops_filtered;
-use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, SrlgId};
+use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, Route, SrlgId};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
@@ -804,6 +804,142 @@ proptest! {
             flooding_agrees(&mgr, &probes, params)?;
             mgr.set_view_distortion(None);
         }
+    }
+}
+
+/// A backup the manager installed, against the route oracle of
+/// `oracle/routes.rs` on the state before the request: for D-LSR, P-LSR
+/// and SPF the oracle's cheapest route, or, where another route has the
+/// same whole key (a collision, counted in `collisions`), that key; for
+/// bounded flooding, a route the oracle finds feasible within the flood's
+/// hop bound.
+fn backup_matches_oracle(
+    mgr: &DrtpManager,
+    before: &oracle::routes::RouteOracle,
+    scheme: &str,
+    primary: &Route,
+    backup: &Route,
+    bw: Bandwidth,
+    collisions: &mut u64,
+) -> Result<(), TestCaseError> {
+    use oracle::routes::Conflict;
+    let ends = (primary.source(), primary.dest());
+    let conflict = match scheme {
+        "D-LSR" => Conflict::Vector,
+        "P-LSR" => Conflict::Norm,
+        "SPF" => Conflict::Blind,
+        _ => {
+            let paper = FloodingParams::paper();
+            let d = bfs_hops_filtered(mgr.net(), ends.0, |l| !before.fails(l))[ends.1.index()];
+            let d = d.expect("a flood found a route");
+            let hc_limit = (paper.rho * f64::from(d)).ceil() as usize + paper.rho_offset as usize;
+            prop_assert!(
+                backup.len() <= hc_limit,
+                "{} hops over a bound of {}",
+                backup.len(),
+                hc_limit
+            );
+            prop_assert!(
+                backup.links().iter().all(|&l| before.fits(l, bw)),
+                "{}",
+                backup
+            );
+            return Ok(());
+        }
+    };
+    let best = before
+        .best(mgr.net(), conflict, primary, bw, ends)
+        .expect("the oracle reaches what the scheme reached");
+    let got = before.route_key(conflict, primary, bw, backup);
+    prop_assert_eq!(
+        got,
+        Some(best.key),
+        "{} backup {} against the oracle's {}",
+        scheme,
+        backup,
+        best.route
+    );
+    if best.routes == 1 {
+        prop_assert_eq!(backup, &best.route, "{} with primary {}", scheme, primary);
+    } else {
+        *collisions += 1;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The link-state schemes choose the backup PAPER.md §3 defines. Over
+    /// the random establish / release / fail / crash / batch / cut /
+    /// repair / re-establish traces of `protocol_trace_preserves_invariants`,
+    /// every backup installed at admission and at re-protection is the
+    /// one [`backup_matches_oracle`] expects, under every scheme; and so is
+    /// the backup the re-protection search (`select_backup`) picks for
+    /// every live connection after every step.
+    ///
+    /// Links carry 6 or 12 Mb/s against 1–3 Mb/s demands, so backup
+    /// headroom runs short and `Q` prices links off the primary too.
+    #[test]
+    fn lsr_backups_match_route_oracle(
+        seed in any::<u64>(),
+        scheme_idx in 0usize..4,
+        ops in prop::collection::vec(arb_op(12, 34), 1..60),
+        cap in 0usize..2,
+    ) {
+        let cap = Bandwidth::from_mbps([6, 12][cap]);
+        let net = Arc::new(topology::random_connected(12, 17, cap, seed).unwrap());
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let mut scheme = scheme_by_index(scheme_idx);
+        let name = scheme.name();
+        let mut rng = drt_sim::rng::stream(seed, "route-trace");
+        let (mut next_id, mut live, mut collisions) = (0u64, Vec::new(), 0u64);
+        // The state every search of a step reads: taken before the step,
+        // and again after it for the live connections.
+        let mut before = oracle::routes::RouteOracle::new(&mgr);
+
+        for op in ops {
+            match op {
+                Op::Establish { src, dst, mbps, .. } if src != dst => {
+                    let id = ConnectionId::new(next_id);
+                    next_id += 1;
+                    let bw = Bandwidth::from_mbps(mbps);
+                    let req = RouteRequest::new(id, NodeId::new(src), NodeId::new(dst), bw);
+                    if let Ok(report) = mgr.request_connection(scheme.as_mut(), req) {
+                        live.push(id);
+                        // Bounded flooding admits a connection unprotected
+                        // when its flood finds no second route.
+                        if let Some(backup) = report.backup() {
+                            backup_matches_oracle(&mgr, &before, name, &report.primary, backup, bw, &mut collisions)?;
+                        }
+                    }
+                }
+                Op::Reestablish { victim } if !live.is_empty() => {
+                    let id = live[victim % live.len()];
+                    if mgr.reestablish_backup(scheme.as_mut(), id).is_ok() {
+                        let conn = mgr.connection(id).expect("live");
+                        let backup = conn.backup().expect("re-protected");
+                        let bw = conn.qos().bandwidth;
+                        backup_matches_oracle(&mgr, &before, name, conn.primary(), backup, bw, &mut collisions)?;
+                    }
+                }
+                op => apply_op(&mut mgr, scheme.as_mut(), &mut rng, op, &mut next_id, &mut live),
+            }
+            // The re-protection search itself, for every live connection,
+            // on the state the step left.
+            before = oracle::routes::RouteOracle::new(&mgr);
+            for &id in &live {
+                let conn = mgr.connection(id).expect("live");
+                let (primary, bw) = (conn.primary(), conn.qos().bandwidth);
+                let req = RouteRequest::new(id, primary.source(), primary.dest(), bw);
+                if let Ok((backup, _, _)) = scheme.select_backup(&mgr.view(), &req, primary) {
+                    backup_matches_oracle(&mgr, &before, name, primary, &backup, bw, &mut collisions)?;
+                }
+            }
+        }
+        // 24-bit tie weights make a whole-key collision rare, not
+        // impossible; each is checked by its key and counted here.
+        prop_assert!(collisions <= 1, "{} full-key collisions in one trace", collisions);
     }
 }
 

@@ -4,6 +4,8 @@
 //! calculated using the Dijkstra's algorithm or the Bellman–Ford
 //! distance-vector algorithm"; this module provides the latter, and the
 //! test-suite cross-checks the two implementations against each other.
+//! Costs are unsigned integers, as in Dijkstra, so the two agree exactly
+//! and no cycle can be negative.
 
 use crate::{LinkId, Network, NodeId, Route};
 
@@ -11,9 +13,8 @@ use crate::{LinkId, Network, NodeId, Route};
 #[derive(Debug, Clone)]
 pub struct BellmanFordOutcome {
     source: NodeId,
-    dist: Vec<Option<f64>>,
+    dist: Vec<Option<u128>>,
     parent_link: Vec<Option<LinkId>>,
-    negative_cycle: bool,
 }
 
 impl BellmanFordOutcome {
@@ -23,67 +24,44 @@ impl BellmanFordOutcome {
     }
 
     /// Cost of the cheapest route to `node`, or `None` if unreachable.
-    ///
-    /// Distances are meaningless when [`BellmanFordOutcome::has_negative_cycle`]
-    /// is `true`.
-    pub fn distance(&self, node: NodeId) -> Option<f64> {
+    pub fn distance(&self, node: NodeId) -> Option<u128> {
         self.dist.get(node.index()).copied().flatten()
-    }
-
-    /// Returns `true` when a negative-cost cycle reachable from the source
-    /// was detected.
-    pub fn has_negative_cycle(&self) -> bool {
-        self.negative_cycle
     }
 
     /// Reconstructs the cheapest route to `dest` (see
     /// [`crate::algo::ShortestPathTree::route_to`] for semantics).
     pub fn route_to(&self, net: &Network, dest: NodeId) -> Option<Route> {
-        if self.negative_cycle || dest == self.source {
+        if dest == self.source {
             return None;
         }
-        self.dist.get(dest.index()).copied().flatten()?;
-        let mut links = Vec::new();
-        let mut cur = dest;
-        while cur != self.source {
-            let link = self.parent_link[cur.index()]?;
-            links.push(link);
-            cur = net.link(link).src();
-            if links.len() > net.num_links() {
-                return None; // defensive: malformed parent chain
-            }
-        }
-        links.reverse();
-        Route::new(net, links).ok()
+        self.distance(dest)?;
+        super::dijkstra::walk_back(net, self.source, dest, |i| self.parent_link[i])
     }
 }
 
-/// Runs Bellman–Ford from `src`. Unlike Dijkstra, negative link costs are
-/// allowed; a reachable negative cycle is reported through
-/// [`BellmanFordOutcome::has_negative_cycle`].
+/// Runs Bellman–Ford from `src`, relaxing every link until no label
+/// falls. A label falls only on a strictly cheaper route, so the parent
+/// links form a tree.
 ///
 /// Links for which `cost` returns `None` are excluded.
 pub fn bellman_ford(
     net: &Network,
     src: NodeId,
-    mut cost: impl FnMut(LinkId) -> Option<f64>,
+    mut cost: impl FnMut(LinkId) -> Option<u128>,
 ) -> BellmanFordOutcome {
     let n = net.num_nodes();
-    let mut dist: Vec<Option<f64>> = vec![None; n];
+    let mut dist: Vec<Option<u128>> = vec![None; n];
     let mut parent_link: Vec<Option<LinkId>> = vec![None; n];
     if src.index() < n {
-        dist[src.index()] = Some(0.0);
+        dist[src.index()] = Some(0);
     }
 
     // Pre-resolve costs once: the closure may be stateful, and Bellman–Ford
     // relaxes each link many times.
-    let costs: Vec<Option<f64>> = net.links().map(|l| cost(l.id())).collect();
+    let costs: Vec<Option<u128>> = net.links().map(|l| cost(l.id())).collect();
 
     let mut changed = true;
-    for _round in 0..n.saturating_sub(1) {
-        if !changed {
-            break;
-        }
+    while changed {
         changed = false;
         for link in net.links() {
             let Some(c) = costs[link.id().index()] else {
@@ -93,33 +71,10 @@ pub fn bellman_ford(
                 continue;
             };
             let cand = du + c;
-            let better = match dist[link.dst().index()] {
-                None => true,
-                Some(cur) => cand < cur - 1e-12,
-            };
-            if better {
+            if dist[link.dst().index()].is_none_or(|cur| cand < cur) {
                 dist[link.dst().index()] = Some(cand);
                 parent_link[link.dst().index()] = Some(link.id());
                 changed = true;
-            }
-        }
-    }
-
-    // One more pass detects negative cycles.
-    let mut negative_cycle = false;
-    if changed {
-        for link in net.links() {
-            let Some(c) = costs[link.id().index()] else {
-                continue;
-            };
-            let Some(du) = dist[link.src().index()] else {
-                continue;
-            };
-            if let Some(dv) = dist[link.dst().index()] {
-                if du + c < dv - 1e-9 {
-                    negative_cycle = true;
-                    break;
-                }
             }
         }
     }
@@ -128,7 +83,6 @@ pub fn bellman_ford(
         source: src,
         dist,
         parent_link,
-        negative_cycle,
     }
 }
 
@@ -136,53 +90,24 @@ pub fn bellman_ford(
 mod tests {
     use super::*;
     use crate::algo::shortest_path_tree;
-    use crate::{topology, Bandwidth, NetworkBuilder};
+    use crate::{topology, Bandwidth};
 
     const CAP: Bandwidth = Bandwidth::from_mbps(10);
 
     #[test]
     fn agrees_with_dijkstra_on_unit_costs() {
         let net = topology::mesh(4, 5, CAP).unwrap();
-        let bf = bellman_ford(&net, NodeId::new(0), |_| Some(1.0));
+        let bf = bellman_ford(&net, NodeId::new(0), |_| Some(1));
         let dj = shortest_path_tree(&net, NodeId::new(0), |_| Some(1.0));
         for node in net.nodes() {
             assert_eq!(bf.distance(node), dj.distance(node), "node {node}");
         }
-        assert!(!bf.has_negative_cycle());
-    }
-
-    #[test]
-    fn handles_negative_costs_without_cycle() {
-        // 0 -> 1 -> 2 with a negative middle edge; plain directed line.
-        let mut b = NetworkBuilder::with_nodes(3);
-        let l01 = b.add_link(NodeId::new(0), NodeId::new(1), CAP).unwrap();
-        let l12 = b.add_link(NodeId::new(1), NodeId::new(2), CAP).unwrap();
-        let net = b.build();
-        let bf = bellman_ford(&net, NodeId::new(0), |l| {
-            Some(if l == l01 {
-                2.0
-            } else if l == l12 {
-                -1.0
-            } else {
-                1.0
-            })
-        });
-        assert_eq!(bf.distance(NodeId::new(2)), Some(1.0));
-        assert!(!bf.has_negative_cycle());
-    }
-
-    #[test]
-    fn detects_negative_cycle() {
-        let net = topology::ring(3, CAP).unwrap();
-        let bf = bellman_ford(&net, NodeId::new(0), |_| Some(-1.0));
-        assert!(bf.has_negative_cycle());
-        assert!(bf.route_to(&net, NodeId::new(1)).is_none());
     }
 
     #[test]
     fn route_reconstruction() {
         let net = topology::ring(5, CAP).unwrap();
-        let bf = bellman_ford(&net, NodeId::new(0), |_| Some(1.0));
+        let bf = bellman_ford(&net, NodeId::new(0), |_| Some(1));
         let r = bf.route_to(&net, NodeId::new(2)).unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.dest(), NodeId::new(2));

@@ -1,4 +1,4 @@
-//! Dijkstra shortest paths with closure-supplied link costs.
+//! Dijkstra shortest paths with closure-supplied integer link costs.
 //!
 //! All searches run inside a reusable [`SpfWorkspace`] whose per-node label
 //! records are generation-stamped: starting a new search bumps a generation
@@ -8,28 +8,51 @@
 //! including Yen spur searches and Suurballe pass 1 — is allocation-free on
 //! the hot path without signature changes; the `_in` variants accept an
 //! explicit workspace for callers that manage their own.
+//!
+//! Costs are unsigned integers, so labels are exact sums and every
+//! comparison is exact. A caller keeps the cost of every simple route
+//! below `2^96` ([`MAX_ROUTE_COST`]): a heap entry packs the label above
+//! the node id into one `u128`, and a search panics on a costlier label
+//! rather than wrap.
 
 use crate::{LinkId, Network, NodeId, Route};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A min-heap entry: the label's bit pattern above the node index, compared
-/// as one integer. Labels are sums of steps clamped to `≥ +0.0` starting
-/// from `+0.0`, so they are never negative, `-0.0` (`+0.0 + -0.0` is
-/// `+0.0`) or NaN, and over that range the IEEE-754 bit pattern orders
-/// exactly as the number does. Ties pop the lower node id first, for
-/// determinism.
+/// The bound on the cost of a route that every search assumes: a label
+/// is at most 96 bits.
+pub const MAX_ROUTE_COST: u128 = (1 << 96) - 1;
+
+/// A min-heap entry: the label above the node id, compared as one
+/// integer, so ties pop the lower node id first, for determinism.
 type HeapEntry = Reverse<u128>;
 
-fn heap_entry(label: f64, node: NodeId) -> HeapEntry {
-    debug_assert!(label >= 0.0 && label.is_sign_positive(), "label {label}");
-    Reverse(u128::from(label.to_bits()) << 32 | u128::from(node.as_u32()))
+/// # Panics
+///
+/// If `label` exceeds [`MAX_ROUTE_COST`].
+fn heap_entry(label: u128, node: NodeId) -> HeapEntry {
+    assert!(
+        label <= MAX_ROUTE_COST,
+        "route cost {label} exceeds 2^96 - 1"
+    );
+    Reverse(label << 32 | u128::from(node.as_u32()))
 }
 
-/// The `(label, node)` a [`heap_entry`] was made from.
-fn heap_entry_parts(Reverse(key): HeapEntry) -> (f64, NodeId) {
-    (f64::from_bits((key >> 32) as u64), NodeId::new(key as u32))
+/// A whole-number `f64` step as the integer cost it names: the boundary of
+/// the entry points that still take `f64` steps ([`shortest_path_tree`]
+/// and [`super::DynamicSpt`]).
+///
+/// # Panics
+///
+/// If `step` is negative, fractional, not finite or above `2^53`, where
+/// an `f64` stops naming every integer.
+pub(crate) fn whole_step(step: f64) -> u128 {
+    assert!(
+        (0.0..=9_007_199_254_740_992.0).contains(&step) && step.fract() == 0.0,
+        "step {step} is not a whole number in [0, 2^53]"
+    );
+    step as u128
 }
 
 /// Walks parent links back from `dest` to `source` and returns the route
@@ -63,7 +86,7 @@ pub(super) fn walk_back(
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
     source: NodeId,
-    dist: Vec<Option<f64>>,
+    dist: Vec<Option<u128>>,
     parent_link: Vec<Option<LinkId>>,
 }
 
@@ -74,7 +97,7 @@ impl ShortestPathTree {
     }
 
     /// Cost of the cheapest route to `node`, or `None` if unreachable.
-    pub fn distance(&self, node: NodeId) -> Option<f64> {
+    pub fn distance(&self, node: NodeId) -> Option<u128> {
         self.dist.get(node.index()).copied().flatten()
     }
 
@@ -93,7 +116,7 @@ impl ShortestPathTree {
 /// workspace's current generation.
 #[derive(Debug, Clone, Copy)]
 struct Label {
-    dist: f64,
+    dist: u128,
     stamp: u32,
     parent_link: Option<LinkId>,
     /// Settled: `dist` and `parent_link` are final.
@@ -136,7 +159,7 @@ impl SpfWorkspace {
     fn begin(&mut self, n: usize, src: NodeId) {
         if self.labels.len() < n {
             let unseen = Label {
-                dist: 0.0,
+                dist: 0,
                 stamp: 0,
                 parent_link: None,
                 done: false,
@@ -161,16 +184,12 @@ impl SpfWorkspace {
     /// every node reachable from `src`.
     ///
     /// Links for which `cost` returns `None` are excluded from the search.
-    /// Negative costs are treated as zero (Dijkstra's invariant requires
-    /// non-negative costs; the routing schemes of the paper only produce
-    /// non-negative ones).
-    pub fn run(&mut self, net: &Network, src: NodeId, cost: impl FnMut(LinkId) -> Option<f64>) {
-        self.search(net, src, None, 0.0, cost);
+    pub fn run(&mut self, net: &Network, src: NodeId, cost: impl FnMut(LinkId) -> Option<u128>) {
+        self.search(net, src, None, 0, cost);
     }
 
     /// The one Dijkstra loop. `floor` is a lower bound the caller
-    /// guarantees on every step `cost` returns (`0.0` always holds, steps
-    /// being clamped to it). Floating-point addition is monotone, so once
+    /// guarantees on every step `cost` returns (`0` always holds). Once
     /// a node is popped at `d`, no step from it or from any later pop can
     /// produce a candidate below `reach = d + floor`, and a label `≤ reach`
     /// can no longer be *strictly* lowered — which is the only way labels
@@ -192,8 +211,8 @@ impl SpfWorkspace {
         net: &Network,
         src: NodeId,
         target: Option<NodeId>,
-        floor: f64,
-        mut cost: impl FnMut(LinkId) -> Option<f64>,
+        floor: u128,
+        mut cost: impl FnMut(LinkId) -> Option<u128>,
     ) {
         let n = net.num_nodes();
         self.begin(n, src);
@@ -202,16 +221,16 @@ impl SpfWorkspace {
         let target = target.map(NodeId::index).filter(|&t| t < n);
         if let Some(label) = labels.get_mut(src.index()) {
             *label = Label {
-                dist: 0.0,
+                dist: 0,
                 stamp: gen,
                 parent_link: None,
                 done: false,
             };
-            self.heap.push(heap_entry(0.0, src));
+            self.heap.push(heap_entry(0, src));
         }
 
-        while let Some(entry) = self.heap.pop() {
-            let (d, node) = heap_entry_parts(entry);
+        while let Some(Reverse(entry)) = self.heap.pop() {
+            let (d, node) = (entry >> 32, NodeId::new(entry as u32));
             let here = &mut labels[node.index()];
             if here.done {
                 continue;
@@ -233,9 +252,8 @@ impl SpfWorkspace {
                     continue;
                 }
                 let Some(step) = cost(lid) else { continue };
-                let step = step.max(0.0);
                 debug_assert!(step >= floor, "step {step} on {lid} below floor {floor}");
-                let cand = d + step;
+                let cand = d.saturating_add(step);
                 if !seen || cand < label.dist {
                     *label = Label {
                         dist: cand,
@@ -264,7 +282,7 @@ impl SpfWorkspace {
 
     /// Cost of the cheapest route to `node` in the current search, or
     /// `None` if unreachable (or not settled before the search stopped).
-    pub fn distance(&self, node: NodeId) -> Option<f64> {
+    pub fn distance(&self, node: NodeId) -> Option<u128> {
         self.settled(node.index()).map(|l| l.dist)
     }
 
@@ -290,7 +308,7 @@ impl SpfWorkspace {
     /// Copies the current search out as an owned [`ShortestPathTree`] for
     /// callers that hold the result across later searches.
     fn extract_tree(&self, n: usize) -> ShortestPathTree {
-        let mut dist: Vec<Option<f64>> = vec![None; n];
+        let mut dist: Vec<Option<u128>> = vec![None; n];
         let mut parent_link: Vec<Option<LinkId>> = vec![None; n];
         for i in 0..n {
             if let Some(label) = self.settled(i) {
@@ -325,16 +343,18 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SpfWorkspace) -> R) -> R {
 /// an owned tree.
 ///
 /// Links for which `cost` returns `None` are excluded from the search.
-/// Negative costs are treated as zero (Dijkstra's invariant requires
-/// non-negative costs; the routing schemes of the paper only produce
-/// non-negative ones).
+/// Steps are whole-number `f64`s, each taken as the integer it names.
+///
+/// # Panics
+///
+/// If `cost` returns a step that is negative, fractional or above `2^53`.
 pub fn shortest_path_tree(
     net: &Network,
     src: NodeId,
-    cost: impl FnMut(LinkId) -> Option<f64>,
+    mut cost: impl FnMut(LinkId) -> Option<f64>,
 ) -> ShortestPathTree {
     with_scratch(|ws| {
-        ws.run(net, src, cost);
+        ws.run(net, src, |l| cost(l).map(whole_step));
         ws.extract_tree(net.num_nodes())
     })
 }
@@ -349,8 +369,8 @@ pub fn shortest_path_tree(
 ///
 /// let net = topology::ring(5, Bandwidth::from_mbps(10))?;
 /// let (cost, route) =
-///     algo::shortest_path(&net, NodeId::new(0), NodeId::new(2), |_| Some(1.0)).unwrap();
-/// assert_eq!(cost, 2.0);
+///     algo::shortest_path(&net, NodeId::new(0), NodeId::new(2), |_| Some(1)).unwrap();
+/// assert_eq!(cost, 2);
 /// assert_eq!(route.len(), 2);
 /// # Ok::<(), drt_net::NetError>(())
 /// ```
@@ -358,26 +378,26 @@ pub fn shortest_path(
     net: &Network,
     src: NodeId,
     dst: NodeId,
-    cost: impl FnMut(LinkId) -> Option<f64>,
-) -> Option<(f64, Route)> {
-    shortest_path_with_floor(net, src, dst, 0.0, cost)
+    cost: impl FnMut(LinkId) -> Option<u128>,
+) -> Option<(u128, Route)> {
+    shortest_path_with_floor(net, src, dst, 0, cost)
 }
 
 /// [`shortest_path`] for a caller that can state a `floor`: a lower bound
-/// on every `Some(step)` its `cost` returns (`1.0` for unit hops, the
-/// tie-breaking `ε` for the LSR backup costs). The result is the same
+/// on every `Some(step)` its `cost` returns (`1` for unit hops, one hop's
+/// key for the LSR backup costs). The result is the same
 /// `(total_cost, route)`, tie-breaks included; the search only stops
 /// earlier and prices fewer links, because a label within `floor` of the
 /// frontier can no longer be lowered. A `cost` that returns less than its
 /// stated floor is a caller bug (a debug assertion in the loop) and may
-/// yield a costlier route; `0.0` is always safe.
+/// yield a costlier route; `0` is always safe.
 pub fn shortest_path_with_floor(
     net: &Network,
     src: NodeId,
     dst: NodeId,
-    floor: f64,
-    cost: impl FnMut(LinkId) -> Option<f64>,
-) -> Option<(f64, Route)> {
+    floor: u128,
+    cost: impl FnMut(LinkId) -> Option<u128>,
+) -> Option<(u128, Route)> {
     with_scratch(|ws| shortest_path_in(ws, net, src, dst, floor, cost))
 }
 
@@ -391,9 +411,9 @@ pub fn shortest_path_in(
     net: &Network,
     src: NodeId,
     dst: NodeId,
-    floor: f64,
-    cost: impl FnMut(LinkId) -> Option<f64>,
-) -> Option<(f64, Route)> {
+    floor: u128,
+    cost: impl FnMut(LinkId) -> Option<u128>,
+) -> Option<(u128, Route)> {
     ws.search(net, src, Some(dst), floor, cost);
     let d = ws.distance(dst)?;
     let route = ws.route_to(net, dst)?;
@@ -411,9 +431,9 @@ mod tests {
     fn ring_hop_counts() {
         let net = topology::ring(6, CAP).unwrap();
         let tree = shortest_path_tree(&net, NodeId::new(0), |_| Some(1.0));
-        assert_eq!(tree.distance(NodeId::new(0)), Some(0.0));
-        assert_eq!(tree.distance(NodeId::new(3)), Some(3.0));
-        assert_eq!(tree.distance(NodeId::new(5)), Some(1.0));
+        assert_eq!(tree.distance(NodeId::new(0)), Some(0));
+        assert_eq!(tree.distance(NodeId::new(3)), Some(3));
+        assert_eq!(tree.distance(NodeId::new(5)), Some(1));
         assert_eq!(tree.source(), NodeId::new(0));
     }
 
@@ -426,11 +446,11 @@ mod tests {
             if l == l01 {
                 None
             } else {
-                Some(1.0)
+                Some(1)
             }
         })
         .unwrap();
-        assert_eq!(cost, 3.0);
+        assert_eq!(cost, 3);
         assert!(!route.contains_link(l01));
     }
 
@@ -441,52 +461,54 @@ mod tests {
         // Make the direct hop expensive but not excluded.
         let (cost, route) = shortest_path(&net, NodeId::new(0), NodeId::new(1), |l| {
             if l == l01 {
-                Some(10.0)
+                Some(10)
             } else {
-                Some(1.0)
+                Some(1)
             }
         })
         .unwrap();
-        assert_eq!(cost, 3.0);
+        assert_eq!(cost, 3);
         assert_eq!(route.len(), 3);
     }
 
     #[test]
-    fn negative_costs_clamped_to_zero() {
-        let net = topology::ring(4, CAP).unwrap();
-        // Every label stays +0.0 — the one zero the integer heap keys order.
-        for step in [-5.0, -0.0, f64::NEG_INFINITY, f64::NAN] {
-            let (cost, route) =
-                shortest_path(&net, NodeId::new(0), NodeId::new(2), |_| Some(step)).unwrap();
-            assert_eq!(cost.to_bits(), 0.0f64.to_bits(), "step {step}");
-            assert_eq!(route.len(), 2);
+    fn whole_steps_cross_the_f64_boundary_exactly() {
+        for (step, want) in [(0.0, 0), (-0.0, 0), (1.0, 1), (1e9 + 1.0, 1_000_000_001)] {
+            assert_eq!(whole_step(step), want);
+        }
+        assert_eq!(whole_step(9_007_199_254_740_992.0), 1 << 53);
+        for bad in [0.5, -1.0, f64::NAN, f64::INFINITY, 18_014_398_509_481_984.0] {
+            assert!(
+                std::panic::catch_unwind(|| whole_step(bad)).is_err(),
+                "{bad}"
+            );
         }
     }
 
     #[test]
     fn heap_entries_order_by_cost_then_node() {
-        let eps = 1.0 / 3001.0;
-        let costs = [
-            0.0,
-            f64::from_bits(1), // smallest subnormal
-            eps,
-            1.0,
-            1e9,
-            1e9 + eps,
-            f64::INFINITY,
-        ];
-        let entries: Vec<(f64, NodeId)> = costs
-            .into_iter()
-            .flat_map(|c| [0u32, 1, 7].map(|n| (c, NodeId::new(n))))
-            .collect();
-        for &(a, m) in &entries {
-            for &(b, n) in &entries {
-                // A max-heap popping the least (cost, node) first.
-                let want = a.partial_cmp(&b).unwrap().then(m.cmp(&n)).reverse();
-                assert_eq!(heap_entry(a, m).cmp(&heap_entry(b, n)), want, "{a} {b}");
-                assert_eq!(heap_entry_parts(heap_entry(a, m)), (a, m));
+        let costs = [0, 1, 1 << 36, 1 << 84, MAX_ROUTE_COST - 1, MAX_ROUTE_COST];
+        let nodes = [0, 1, u32::MAX].map(NodeId::new);
+        for a in costs {
+            for b in costs {
+                for m in nodes {
+                    for n in nodes {
+                        // A max-heap popping the least (cost, node) first.
+                        let want = (a, m).cmp(&(b, n)).reverse();
+                        assert_eq!(heap_entry(a, m).cmp(&heap_entry(b, n)), want);
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 2^96")]
+    fn a_route_cost_past_the_bound_panics() {
+        let net = topology::ring(4, CAP).unwrap();
+        shortest_path(&net, NodeId::new(0), NodeId::new(2), |_| {
+            Some(MAX_ROUTE_COST)
+        });
     }
 
     #[test]
@@ -498,28 +520,28 @@ mod tests {
         let mut ws = SpfWorkspace::new();
         ws.run(&net, NodeId::new(0), |_| {
             priced += 1;
-            Some(1.0)
+            Some(1)
         });
         assert_eq!(priced, 3);
         for i in 0..4u32 {
-            assert_eq!(ws.distance(NodeId::new(i)), Some(f64::from(i)));
+            assert_eq!(ws.distance(NodeId::new(i)), Some(u128::from(i)));
         }
         assert_eq!(ws.route_to(&net, NodeId::new(3)).unwrap().len(), 3);
     }
 
     #[test]
     fn floor_prices_each_reached_node_once() {
-        // Unit steps with floor 1.0: when a node is popped at d, every
+        // Unit steps with floor 1: when a node is popped at d, every
         // labelled neighbour already sits at ≤ d + 1, so only links into
         // unlabelled nodes are priced — once per reached node, not once
-        // per link out of the frontier (floor 0.0 prices 4's second way in).
+        // per link out of the frontier (floor 0 prices 4's second way in).
         let net = topology::mesh(3, 3, CAP).unwrap();
-        let count = |floor: f64| {
+        let count = |floor: u128| {
             let mut priced = vec![0u32; net.num_nodes()];
             let mut ws = SpfWorkspace::new();
             ws.search(&net, NodeId::new(0), None, floor, |l| {
                 priced[net.link(l).dst().index()] += 1;
-                Some(1.0)
+                Some(1)
             });
             let hops = shortest_path_tree(&net, NodeId::new(0), |_| Some(1.0));
             for node in net.nodes() {
@@ -528,8 +550,8 @@ mod tests {
             }
             priced
         };
-        assert_eq!(count(1.0), [0, 1, 1, 1, 1, 1, 1, 1, 1]);
-        assert!(count(0.0).iter().sum::<u32>() > 8);
+        assert_eq!(count(1), [0, 1, 1, 1, 1, 1, 1, 1, 1]);
+        assert!(count(0).iter().sum::<u32>() > 8);
     }
 
     #[test]
@@ -537,7 +559,7 @@ mod tests {
     #[should_panic(expected = "below floor")]
     fn step_below_stated_floor_panics_in_debug() {
         let net = topology::ring(4, CAP).unwrap();
-        shortest_path_with_floor(&net, NodeId::new(0), NodeId::new(2), 1.0, |_| Some(0.5));
+        shortest_path_with_floor(&net, NodeId::new(0), NodeId::new(2), 2, |_| Some(1));
     }
 
     #[test]
@@ -552,11 +574,11 @@ mod tests {
             for (net, dst) in [(&small, 3), (&big, 15)] {
                 let src = NodeId::new(round % 2);
                 let dst = NodeId::new(dst);
-                let got = shortest_path_in(&mut ws, net, src, dst, 1.0, |_| Some(1.0));
-                let fresh = shortest_path(net, src, dst, |_| Some(1.0));
+                let got = shortest_path_in(&mut ws, net, src, dst, 1, |_| Some(1));
+                let fresh = shortest_path(net, src, dst, |_| Some(1));
                 assert_eq!(got, fresh);
 
-                ws.run(net, src, |_| Some(1.0));
+                ws.run(net, src, |_| Some(1));
                 let tree = shortest_path_tree(net, src, |_| Some(1.0));
                 for node in net.nodes() {
                     assert_eq!(ws.distance(node), tree.distance(node));
@@ -575,13 +597,13 @@ mod tests {
         let net = topology::ring(6, CAP).unwrap();
         let mut ws = SpfWorkspace::new();
         let (cost, route) =
-            shortest_path_in(&mut ws, &net, NodeId::new(0), NodeId::new(1), 0.0, |_| {
-                Some(1.0)
+            shortest_path_in(&mut ws, &net, NodeId::new(0), NodeId::new(1), 0, |_| {
+                Some(1)
             })
             .unwrap();
-        assert_eq!((cost, route.len()), (1.0, 1));
-        assert_eq!(ws.distance(NodeId::new(0)), Some(0.0));
-        assert_eq!(ws.distance(NodeId::new(1)), Some(1.0));
+        assert_eq!((cost, route.len()), (1, 1));
+        assert_eq!(ws.distance(NodeId::new(0)), Some(0));
+        assert_eq!(ws.distance(NodeId::new(1)), Some(1));
         let tree = ws.extract_tree(net.num_nodes());
         for i in 2..6u32 {
             let node = NodeId::new(i);
@@ -592,23 +614,23 @@ mod tests {
             assert!(tree.route_to(&net, node).is_none());
         }
         // The full run through the same workspace settles it.
-        ws.run(&net, NodeId::new(0), |_| Some(1.0));
-        assert_eq!(ws.distance(NodeId::new(5)), Some(1.0));
+        ws.run(&net, NodeId::new(0), |_| Some(1));
+        assert_eq!(ws.distance(NodeId::new(5)), Some(1));
     }
 
     #[test]
     fn stop_before_target_is_popped_hides_unsettled_labels() {
-        // 0 -> 4 (the centre of a 3 x 3 mesh) with floor 1.0: node 1 labels
-        // 2 and 4 at 2.0; popping node 3 at 1.0 then reaches no lower than
-        // 2.0, so the search stops with 4 settled but never popped and 2
+        // 0 -> 4 (the centre of a 3 x 3 mesh) with floor 1: node 1 labels
+        // 2 and 4 at 2; popping node 3 at 1 then reaches no lower than
+        // 2, so the search stops with 4 settled but never popped and 2
         // left tentative in the heap.
         let net = topology::mesh(3, 3, CAP).unwrap();
         let mut ws = SpfWorkspace::new();
         let mut priced = 0;
         let (cost, route) =
-            shortest_path_in(&mut ws, &net, NodeId::new(0), NodeId::new(4), 1.0, |_| {
+            shortest_path_in(&mut ws, &net, NodeId::new(0), NodeId::new(4), 1, |_| {
                 priced += 1;
-                Some(1.0)
+                Some(1)
             })
             .unwrap();
         assert_eq!(Some((cost, route.clone())), {
@@ -618,8 +640,8 @@ mod tests {
         });
         assert_eq!(route.nodes(&net)[1], NodeId::new(1));
         assert_eq!(priced, 4); // 0->1, 0->3, 1->2, 1->4
-        assert_eq!(ws.distance(NodeId::new(3)), Some(1.0));
-        assert_eq!(ws.distance(NodeId::new(4)), Some(2.0));
+        assert_eq!(ws.distance(NodeId::new(3)), Some(1));
+        assert_eq!(ws.distance(NodeId::new(4)), Some(2));
         let tree = ws.extract_tree(net.num_nodes());
         for i in [2u32, 5, 6, 7, 8] {
             let node = NodeId::new(i);
@@ -628,8 +650,8 @@ mod tests {
             assert!(ws.route_to(&net, node).is_none());
             assert_eq!(tree.distance(node), None);
         }
-        ws.run(&net, NodeId::new(0), |_| Some(1.0));
-        assert_eq!(ws.distance(NodeId::new(2)), Some(2.0));
+        ws.run(&net, NodeId::new(0), |_| Some(1));
+        assert_eq!(ws.distance(NodeId::new(2)), Some(2));
     }
 
     #[test]
@@ -638,13 +660,13 @@ mod tests {
         // few: the second must not see the first's distances.
         let net = topology::mesh(4, 4, CAP).unwrap();
         let mut ws = SpfWorkspace::new();
-        ws.run(&net, NodeId::new(0), |_| Some(1.0));
+        ws.run(&net, NodeId::new(0), |_| Some(1));
         assert!(ws.distance(NodeId::new(15)).is_some());
         let l01 = net.find_link(NodeId::new(0), NodeId::new(1)).unwrap();
         // Now exclude everything: only the source is reachable.
-        ws.run(&net, NodeId::new(1), |_| None::<f64>);
+        ws.run(&net, NodeId::new(1), |_| None);
         assert_eq!(ws.source(), NodeId::new(1));
-        assert_eq!(ws.distance(NodeId::new(1)), Some(0.0));
+        assert_eq!(ws.distance(NodeId::new(1)), Some(0));
         for i in [0u32, 2, 5, 15] {
             assert_eq!(ws.distance(NodeId::new(i)), None, "stale dist at {i}");
         }
@@ -656,7 +678,7 @@ mod tests {
     fn extract_tree_matches_workspace_queries() {
         let net = topology::mesh(3, 3, CAP).unwrap();
         let mut ws = SpfWorkspace::new();
-        ws.run(&net, NodeId::new(0), |_| Some(1.0));
+        ws.run(&net, NodeId::new(0), |_| Some(1));
         let tree = ws.extract_tree(net.num_nodes());
         for i in 0..9u32 {
             let node = NodeId::new(i);

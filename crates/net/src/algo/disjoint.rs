@@ -11,18 +11,18 @@
 
 use crate::algo::SpfWorkspace;
 use crate::{LinkId, Network, NodeId, Route};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
 /// A pair of link-disjoint routes with the same endpoints.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DisjointPair {
     /// The (typically shorter) route intended as the primary channel.
     pub primary: Route,
     /// The link-disjoint route intended as the backup channel.
     pub backup: Route,
     /// Sum of both routes' costs under the cost function used to find them.
-    pub total_cost: f64,
+    pub total_cost: u128,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,34 +33,12 @@ enum ModEdge {
     RevP1(LinkId),
 }
 
-#[derive(Debug, PartialEq)]
-struct ModHeapEntry {
-    cost: f64,
-    node: NodeId,
-}
-
-impl Eq for ModHeapEntry {}
-impl Ord for ModHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.index().cmp(&self.node.index()))
-    }
-}
-impl PartialOrd for ModHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// A min-heap entry of pass 2: the label, then the node id.
+type ModHeapEntry = Reverse<(u128, NodeId)>;
 
 /// Finds the minimum-total-cost pair of link-disjoint routes from `src` to
 /// `dst` (Suurballe's algorithm with Bhandari's edge reversal). Returns
 /// `None` when no two link-disjoint routes exist.
-///
-/// Costs must be non-negative (as produced by all the paper's schemes);
-/// negative values are clamped to zero.
 ///
 /// # Example
 ///
@@ -68,16 +46,16 @@ impl PartialOrd for ModHeapEntry {
 /// use drt_net::{algo, topology, Bandwidth, NodeId};
 ///
 /// let net = topology::ring(6, Bandwidth::from_mbps(10))?;
-/// let pair = algo::suurballe(&net, NodeId::new(0), NodeId::new(3), |_| Some(1.0)).unwrap();
+/// let pair = algo::suurballe(&net, NodeId::new(0), NodeId::new(3), |_| Some(1)).unwrap();
 /// assert!(pair.primary.is_link_disjoint(&pair.backup));
-/// assert_eq!(pair.total_cost, 6.0); // 3 hops each way around the ring
+/// assert_eq!(pair.total_cost, 6); // 3 hops each way around the ring
 /// # Ok::<(), drt_net::NetError>(())
 /// ```
 pub fn suurballe(
     net: &Network,
     src: NodeId,
     dst: NodeId,
-    cost: impl Fn(LinkId) -> Option<f64>,
+    cost: impl Fn(LinkId) -> Option<u128>,
 ) -> Option<DisjointPair> {
     if src == dst {
         return None;
@@ -86,7 +64,7 @@ pub fn suurballe(
     // a workspace whose distances serve as the reduced-cost potentials of
     // pass 2 (borrowed immutably there — no owned-tree copy needed).
     let mut ws = SpfWorkspace::new();
-    ws.run(net, src, |l| cost(l).map(|c| c.max(0.0)));
+    ws.run(net, src, &cost);
     ws.distance(dst)?;
     let p1 = ws.route_to(net, dst)?;
     let p1_links: BTreeSet<LinkId> = p1.links().iter().copied().collect();
@@ -96,25 +74,24 @@ pub fn suurballe(
     // parent type doesn't fit SpfWorkspace, and dedicated-baseline setup is
     // not a steady-state hot path, so this pass keeps its own scratch.
     let n = net.num_nodes();
-    let mut dist: Vec<Option<f64>> = vec![None; n];
+    let mut dist: Vec<Option<u128>> = vec![None; n];
     let mut parent: Vec<Option<(ModEdge, NodeId)>> = vec![None; n];
     let mut done = vec![false; n];
     let mut heap = BinaryHeap::new();
-    dist[src.index()] = Some(0.0);
-    heap.push(ModHeapEntry {
-        cost: 0.0,
-        node: src,
-    });
+    dist[src.index()] = Some(0);
+    heap.push(Reverse((0, src)));
 
-    let reduced = |l: LinkId| -> Option<f64> {
-        let c = cost(l)?.max(0.0);
+    // Non-negative: pass 1's distances are exact, so `dv ≤ du + c` on
+    // every link it could take.
+    let reduced = |l: LinkId| -> Option<u128> {
+        let c = cost(l)?;
         let link = net.link(l);
         let du = ws.distance(link.src())?;
         let dv = ws.distance(link.dst())?;
-        Some((c + du - dv).max(0.0))
+        Some(c + du - dv)
     };
 
-    while let Some(ModHeapEntry { cost: d, node }) = heap.pop() {
+    while let Some(Reverse((d, node))) = heap.pop() {
         if done[node.index()] {
             continue;
         }
@@ -193,12 +170,7 @@ pub fn suurballe(
     // In degenerate zero-cost-tie cases the union may additionally contain
     // cost-zero cycles; they are simply not part of either returned route.
 
-    let route_cost = |r: &Route| -> f64 {
-        r.links()
-            .iter()
-            .map(|&l| cost(l).unwrap_or(0.0).max(0.0))
-            .sum()
-    };
+    let route_cost = |r: &Route| -> u128 { r.links().iter().filter_map(|&l| cost(l)).sum() };
     let (ca, cb) = (route_cost(&first), route_cost(&second));
     let (primary, backup, total) = if ca <= cb {
         (first, second, ca + cb)
@@ -214,29 +186,22 @@ pub fn suurballe(
 
 #[allow(clippy::too_many_arguments)]
 fn relax(
-    dist: &mut [Option<f64>],
+    dist: &mut [Option<u128>],
     parent: &mut [Option<(ModEdge, NodeId)>],
     heap: &mut BinaryHeap<ModHeapEntry>,
     done: &[bool],
     from: NodeId,
     to: NodeId,
-    cand: f64,
+    cand: u128,
     edge: ModEdge,
 ) {
     if done[to.index()] {
         return;
     }
-    let better = match dist[to.index()] {
-        None => true,
-        Some(cur) => cand < cur,
-    };
-    if better {
+    if dist[to.index()].is_none_or(|cur| cand < cur) {
         dist[to.index()] = Some(cand);
         parent[to.index()] = Some((edge, from));
-        heap.push(ModHeapEntry {
-            cost: cand,
-            node: to,
-        });
+        heap.push(Reverse((cand, to)));
     }
 }
 
@@ -275,13 +240,13 @@ mod tests {
         net: &Network,
         src: NodeId,
         dst: NodeId,
-        cost: impl Fn(LinkId) -> Option<f64>,
+        cost: impl Fn(LinkId) -> Option<u128>,
     ) -> Option<DisjointPair> {
         // Both searches share one workspace: the second bumps the generation
         // and reuses the first's arrays and heap.
         let mut ws = SpfWorkspace::new();
-        let (c1, primary) = shortest_path_in(&mut ws, net, src, dst, 0.0, &cost)?;
-        let (c2, backup) = shortest_path_in(&mut ws, net, src, dst, 0.0, |l| {
+        let (c1, primary) = shortest_path_in(&mut ws, net, src, dst, 0, &cost)?;
+        let (c2, backup) = shortest_path_in(&mut ws, net, src, dst, 0, |l| {
             if primary.contains_link(l) {
                 None
             } else {
@@ -299,10 +264,10 @@ mod tests {
     fn ring_pair_goes_both_ways() {
         let net = topology::ring(6, CAP).unwrap();
         for f in [two_step_disjoint_pair, suurballe] {
-            let pair = f(&net, NodeId::new(0), NodeId::new(2), &|_| Some(1.0)).unwrap();
+            let pair = f(&net, NodeId::new(0), NodeId::new(2), &|_| Some(1)).unwrap();
             assert!(pair.primary.is_link_disjoint(&pair.backup));
             assert_eq!(pair.primary.len() + pair.backup.len(), 6);
-            assert_eq!(pair.total_cost, 6.0);
+            assert_eq!(pair.total_cost, 6);
         }
     }
 
@@ -332,16 +297,16 @@ mod tests {
         let ad = b.add_link(a, d, CAP).unwrap();
         let dt = b.add_link(d, t, CAP).unwrap();
         let net = b.build();
-        let costs = move |l: LinkId| -> Option<f64> {
+        let costs = move |l: LinkId| -> Option<u128> {
             Some(match l {
-                x if x == sa => 1.0,
-                x if x == ab => 1.0,
-                x if x == bt => 1.0,
-                x if x == sc => 2.0,
-                x if x == cb => 2.0,
-                x if x == ad => 2.0,
-                x if x == dt => 2.0,
-                _ => 1.0,
+                x if x == sa => 1,
+                x if x == ab => 1,
+                x if x == bt => 1,
+                x if x == sc => 2,
+                x if x == cb => 2,
+                x if x == ad => 2,
+                x if x == dt => 2,
+                _ => 1,
             })
         };
         // Greedy takes s-a-b-t, leaving no second path through a or b's
@@ -351,7 +316,7 @@ mod tests {
         // ...while Suurballe reroutes: s-a-d-t and s-c-b-t.
         let pair = suurballe(&net, s, t, costs).unwrap();
         assert!(pair.primary.is_link_disjoint(&pair.backup));
-        assert_eq!(pair.total_cost, 10.0);
+        assert_eq!(pair.total_cost, 10);
         let mut all: Vec<LinkId> = pair
             .primary
             .links()
@@ -374,9 +339,9 @@ mod tests {
         b.add_duplex_link(NodeId::new(1), NodeId::new(2), CAP)
             .unwrap();
         let net = b.build();
-        assert!(suurballe(&net, NodeId::new(0), NodeId::new(2), |_| Some(1.0)).is_none());
+        assert!(suurballe(&net, NodeId::new(0), NodeId::new(2), |_| Some(1)).is_none());
         assert!(
-            two_step_disjoint_pair(&net, NodeId::new(0), NodeId::new(2), |_| Some(1.0)).is_none()
+            two_step_disjoint_pair(&net, NodeId::new(0), NodeId::new(2), |_| Some(1)).is_none()
         );
     }
 
@@ -386,9 +351,9 @@ mod tests {
         let net = topology::mesh(3, 3, CAP).unwrap();
         let src = NodeId::new(0);
         let dst = NodeId::new(8);
-        let pair = suurballe(&net, src, dst, |_| Some(1.0)).unwrap();
-        let routes = crate::algo::k_shortest_paths(&net, src, dst, 50, |_| Some(1.0));
-        let mut best = f64::INFINITY;
+        let pair = suurballe(&net, src, dst, |_| Some(1)).unwrap();
+        let routes = crate::algo::k_shortest_paths(&net, src, dst, 50, |_| Some(1));
+        let mut best = u128::MAX;
         for (ci, ri) in &routes {
             for (cj, rj) in &routes {
                 if ri.is_link_disjoint(rj) && ri.links() != rj.links() {
@@ -402,6 +367,6 @@ mod tests {
     #[test]
     fn same_endpoints_rejected() {
         let net = topology::ring(4, CAP).unwrap();
-        assert!(suurballe(&net, NodeId::new(1), NodeId::new(1), |_| Some(1.0)).is_none());
+        assert!(suurballe(&net, NodeId::new(1), NodeId::new(1), |_| Some(1)).is_none());
     }
 }

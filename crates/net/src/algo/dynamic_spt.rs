@@ -27,57 +27,39 @@
 //! §16). The only caller left is the `net.spt_repair_ns` probe of
 //! `drt-benchmark`.
 //!
+//! Its costs are whole-number `f64` steps, each taken as the integer it
+//! names, as [`crate::algo::shortest_path_tree`] takes them: distances are
+//! exact integer sums, so a tree link is tight exactly when
+//! `dist[src] + w = dist[dst]`.
+//!
 //! The full recompute survives as [`DynamicSpt::rebuild_baseline`]
 //! (running on the generation-stamped [`SpfWorkspace`] scratch), and the
 //! delta-trace property tests prove the repaired tree bit-for-bit equal
 //! to it: identical reachable sets, identical distances, and a parent
 //! structure that certifies those distances.
 
-use crate::algo::dijkstra::with_scratch;
+use crate::algo::dijkstra::{whole_step, with_scratch};
 use crate::{LinkId, Network, NodeId, Route};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A min-heap entry of the repair frontier, ordered by cost with ties
-/// broken by node id then link id so the repair is deterministic.
-#[derive(Debug, Clone, PartialEq)]
-struct RepairEntry {
-    cost: f64,
-    node: NodeId,
-    via: LinkId,
-}
+/// A min-heap entry of the repair frontier, `(cost, node, via)`: ties are
+/// broken by node id then link id, so the repair is deterministic.
+type RepairEntry = Reverse<(u128, NodeId, LinkId)>;
 
-impl Eq for RepairEntry {}
-
-impl Ord for RepairEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; costs are finite by construction.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.index().cmp(&self.node.index()))
-            .then_with(|| other.via.index().cmp(&self.via.index()))
-    }
-}
-
-impl PartialOrd for RepairEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// The distance of a node the tree does not reach.
+const UNREACHED: u128 = u128::MAX;
 
 /// A repairable single-source shortest-path tree.
 ///
 /// Unlike the transient [`SpfWorkspace`](super::SpfWorkspace) search this struct *owns* its
 /// distances and parent links, so it can be held for the lifetime of a
 /// topology and patched with [`DynamicSpt::update_links`] as links fail,
-/// restore, or change cost. Unreachable nodes carry an infinite
-/// distance.
+/// restore, or change cost.
 #[derive(Debug, Clone)]
 pub struct DynamicSpt {
     source: NodeId,
-    dist: Vec<f64>,
+    dist: Vec<u128>,
     parent_link: Vec<Option<LinkId>>,
     // Repair scratch, persistent so updates are allocation-free.
     heap: BinaryHeap<RepairEntry>,
@@ -89,13 +71,17 @@ pub struct DynamicSpt {
 impl DynamicSpt {
     /// Builds the tree with a full Dijkstra run from `src` (through the
     /// thread-local [`SpfWorkspace`](super::SpfWorkspace) scratch). Links for which `cost`
-    /// returns `None` are excluded; negative costs are clamped to zero,
-    /// as in every search of this module.
+    /// returns `None` are excluded.
+    ///
+    /// # Panics
+    ///
+    /// If `cost` returns a step that is negative, fractional or above
+    /// `2^53`; so do the other methods that take a `cost`.
     pub fn build(net: &Network, src: NodeId, cost: impl FnMut(LinkId) -> Option<f64>) -> Self {
         let n = net.num_nodes();
         let mut spt = DynamicSpt {
             source: src,
-            dist: vec![f64::INFINITY; n],
+            dist: vec![UNREACHED; n],
             parent_link: vec![None; n],
             heap: BinaryHeap::new(),
             detached: vec![false; n],
@@ -109,10 +95,10 @@ impl DynamicSpt {
     /// Recomputes the whole tree from scratch — the reference the
     /// incremental repair is proven bit-for-bit equivalent to by the
     /// delta-trace property tests.
-    pub fn rebuild_baseline(&mut self, net: &Network, cost: impl FnMut(LinkId) -> Option<f64>) {
+    pub fn rebuild_baseline(&mut self, net: &Network, mut cost: impl FnMut(LinkId) -> Option<f64>) {
         let n = net.num_nodes();
         with_scratch(|ws| {
-            ws.run(net, self.source, cost);
+            ws.run(net, self.source, |l| cost(l).map(whole_step));
             for i in 0..n {
                 let node = NodeId::new(i as u32);
                 match ws.distance(node) {
@@ -121,7 +107,7 @@ impl DynamicSpt {
                         self.parent_link[i] = ws.parent_link(node);
                     }
                     None => {
-                        self.dist[i] = f64::INFINITY;
+                        self.dist[i] = UNREACHED;
                         self.parent_link[i] = None;
                     }
                 }
@@ -135,9 +121,9 @@ impl DynamicSpt {
     }
 
     /// Cost of the cheapest route to `node`, or `None` if unreachable.
-    pub fn distance(&self, node: NodeId) -> Option<f64> {
+    pub fn distance(&self, node: NodeId) -> Option<u128> {
         let d = self.dist[node.index()];
-        d.is_finite().then_some(d)
+        (d != UNREACHED).then_some(d)
     }
 
     /// The tree link reaching `node`; `None` for the source and
@@ -176,6 +162,7 @@ impl DynamicSpt {
         changed: &[LinkId],
         mut cost: impl FnMut(LinkId) -> Option<f64>,
     ) -> bool {
+        let mut cost = |l: LinkId| cost(l).map(whole_step);
         // Phase 1: find the detach roots — changed tree links that no
         // longer support the distance of the node they reach.
         self.work.clear();
@@ -186,15 +173,7 @@ impl DynamicSpt {
                 continue;
             }
             let u = net.link(l).src();
-            #[expect(
-                clippy::float_cmp,
-                reason = "a tree link stays tight only at exact equality: the same sum built the distance"
-            )]
-            let supported = match cost(l) {
-                Some(w) => self.dist[u.index()] + w.max(0.0) == self.dist[v.index()],
-                None => false,
-            };
-            if !supported {
+            if cost(l).is_none_or(|w| self.dist[u.index()] + w != self.dist[v.index()]) {
                 self.work.push(v);
             }
         }
@@ -214,7 +193,7 @@ impl DynamicSpt {
             }
         }
         for &x in &self.torn {
-            self.dist[x.index()] = f64::INFINITY;
+            self.dist[x.index()] = UNREACHED;
             self.parent_link[x.index()] = None;
         }
 
@@ -225,38 +204,30 @@ impl DynamicSpt {
         for &x in &self.torn {
             for &e in net.in_links(x) {
                 let u = net.link(e).src();
-                if self.detached[u.index()] || !self.dist[u.index()].is_finite() {
+                if self.detached[u.index()] || self.dist[u.index()] == UNREACHED {
                     continue;
                 }
                 if let Some(w) = cost(e) {
-                    self.heap.push(RepairEntry {
-                        cost: self.dist[u.index()] + w.max(0.0),
-                        node: x,
-                        via: e,
-                    });
+                    self.heap.push(Reverse((self.dist[u.index()] + w, x, e)));
                 }
             }
         }
         for &l in changed {
             let u = net.link(l).src();
-            if self.detached[u.index()] || !self.dist[u.index()].is_finite() {
+            if self.detached[u.index()] || self.dist[u.index()] == UNREACHED {
                 continue;
             }
             if let Some(w) = cost(l) {
-                let cand = self.dist[u.index()] + w.max(0.0);
+                let cand = self.dist[u.index()] + w;
                 if cand < self.dist[net.link(l).dst().index()] {
-                    self.heap.push(RepairEntry {
-                        cost: cand,
-                        node: net.link(l).dst(),
-                        via: l,
-                    });
+                    self.heap.push(Reverse((cand, net.link(l).dst(), l)));
                 }
             }
         }
 
         // Phase 3: lazy-deletion relaxation until the frontier drains.
         let mut moved = !self.torn.is_empty();
-        while let Some(RepairEntry { cost: d, node, via }) = self.heap.pop() {
+        while let Some(Reverse((d, node, via))) = self.heap.pop() {
             let i = node.index();
             if d >= self.dist[i] {
                 continue;
@@ -266,13 +237,9 @@ impl DynamicSpt {
             moved = true;
             for &e in net.out_links(node) {
                 if let Some(w) = cost(e) {
-                    let cand = d + w.max(0.0);
+                    let cand = d + w;
                     if cand < self.dist[net.link(e).dst().index()] {
-                        self.heap.push(RepairEntry {
-                            cost: cand,
-                            node: net.link(e).dst(),
-                            via: e,
-                        });
+                        self.heap.push(Reverse((cand, net.link(e).dst(), e)));
                     }
                 }
             }
@@ -285,7 +252,7 @@ impl DynamicSpt {
 
     /// First node where this tree's *distances* diverge from `other`'s
     /// (different reachability or a different cost), or `None` when the
-    /// two agree bit-for-bit. Parent links are deliberately not compared:
+    /// two agree exactly. Parent links are deliberately not compared:
     /// equal-cost ties may resolve differently between a repair and a
     /// fresh run, and either certificate is a valid shortest-path tree —
     /// which [`DynamicSpt::certify`] checks structurally.
@@ -294,10 +261,7 @@ impl DynamicSpt {
             return Some(self.source);
         }
         (0..self.dist.len().min(other.dist.len()))
-            .find(|&i| {
-                let (a, b) = (self.dist[i], other.dist[i]);
-                a.is_finite() != b.is_finite() || (a.is_finite() && a.to_bits() != b.to_bits())
-            })
+            .find(|&i| self.dist[i] != other.dist[i])
             .map(|i| NodeId::new(i as u32))
     }
 
@@ -314,8 +278,7 @@ impl DynamicSpt {
         for i in 0..self.dist.len() {
             let node = NodeId::new(i as u32);
             if node == self.source {
-                // Exactly +0.0 (all-zero bits), never a parent.
-                if self.dist[i].to_bits() != 0 || self.parent_link[i].is_some() {
+                if self.dist[i] != 0 || self.parent_link[i].is_some() {
                     return Some(node);
                 }
                 continue;
@@ -323,18 +286,14 @@ impl DynamicSpt {
             match self.parent_link[i] {
                 Some(l) => {
                     let u = net.link(l).src();
-                    #[expect(
-                        clippy::float_cmp,
-                        reason = "the certificate is exact: the same sum built the distance"
-                    )]
                     let ok = net.link(l).dst() == node
-                        && matches!(cost(l), Some(w) if self.dist[u.index()] + w.max(0.0) == self.dist[i]);
+                        && matches!(cost(l), Some(w) if self.dist[u.index()].checked_add(whole_step(w)) == Some(self.dist[i]));
                     if !ok {
                         return Some(node);
                     }
                 }
                 None => {
-                    if self.dist[i].is_finite() {
+                    if self.dist[i] != UNREACHED {
                         return Some(node);
                     }
                 }
@@ -402,7 +361,7 @@ mod tests {
             alive[l.index()] = false;
         }
         assert!(spt.update_links(&net, &out, unit_if(&alive)));
-        assert_eq!(spt.distance(NodeId::new(0)), Some(0.0));
+        assert_eq!(spt.distance(NodeId::new(0)), Some(0));
         for i in 1..6 {
             assert_eq!(spt.distance(NodeId::new(i)), None, "node {i}");
             assert!(spt.route_to(&net, NodeId::new(i)).is_none());
@@ -438,13 +397,13 @@ mod tests {
         let l54 = net.find_link(NodeId::new(5), NodeId::new(4)).unwrap();
         let l43 = net.find_link(NodeId::new(4), NodeId::new(3)).unwrap();
         let cheap = [l05, l54, l43];
-        let weight = |l: LinkId| Some(if cheap.contains(&l) { 0.25 } else { 1.0 });
-        let mut spt = DynamicSpt::build(&net, NodeId::new(0), |_| Some(1.0));
-        assert_eq!(spt.distance(NodeId::new(3)), Some(3.0));
+        let weight = |l: LinkId| Some(if cheap.contains(&l) { 1.0 } else { 4.0 });
+        let mut spt = DynamicSpt::build(&net, NodeId::new(0), |_| Some(4.0));
+        assert_eq!(spt.distance(NodeId::new(3)), Some(12));
         assert!(spt.update_links(&net, &cheap, weight));
         let fresh = DynamicSpt::build(&net, NodeId::new(0), weight);
         assert_eq!(spt.first_divergence(&fresh), None);
-        assert_eq!(spt.distance(NodeId::new(3)), Some(0.75));
+        assert_eq!(spt.distance(NodeId::new(3)), Some(3));
         assert!(spt.certify(&net, weight).is_none());
     }
 

@@ -218,7 +218,7 @@ mod tests {
                 for d in 8..12u32 {
                     let k = edge_connectivity(&net, NodeId::new(s), NodeId::new(d));
                     let pair =
-                        crate::algo::suurballe(&net, NodeId::new(s), NodeId::new(d), |_| Some(1.0));
+                        crate::algo::suurballe(&net, NodeId::new(s), NodeId::new(d), |_| Some(1));
                     assert_eq!(k >= 2, pair.is_some(), "seed {seed} {s}->{d} k={k}");
                 }
             }

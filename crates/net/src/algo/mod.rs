@@ -1,14 +1,17 @@
 //! Path algorithms over [`crate::Network`].
 //!
 //! All search functions take the link cost as a closure
-//! `Fn(LinkId) -> Option<f64>`: returning `None` excludes the link entirely
+//! `Fn(LinkId) -> Option<u128>` of exact integer steps, every route
+//! costing at most [`MAX_ROUTE_COST`] ([`shortest_path_tree`] and
+//! [`DynamicSpt`] take whole-number `f64` steps and convert each):
+//! returning `None` excludes the link entirely
 //! (used for bandwidth-infeasible or failed links), mirroring how the
 //! paper's routing schemes assign the large constant `Q` — except that an
 //! explicit exclusion is available for *hard* constraints while `Q` remains
 //! available for *soft* ones, as the schemes require.
 //!
-//! * [`shortest_path`] / [`shortest_path_tree`] — Dijkstra (non-negative
-//!   costs), the workhorse of both link-state schemes' backup searches;
+//! * [`shortest_path`] / [`shortest_path_tree`] — Dijkstra, the workhorse
+//!   of both link-state schemes' backup searches;
 //! * [`min_hop_route`] / [`shortest_path_hops`] — the minimum-hop route
 //!   by a level-synchronous breadth-first search that chooses exactly what
 //!   a unit-step Dijkstra chooses; every scheme's primary;
@@ -48,7 +51,7 @@ pub use connectivity::{
 };
 pub use dijkstra::{
     shortest_path, shortest_path_in, shortest_path_tree, shortest_path_with_floor,
-    ShortestPathTree, SpfWorkspace,
+    ShortestPathTree, SpfWorkspace, MAX_ROUTE_COST,
 };
 pub use disjoint::{suurballe, DisjointPair};
 pub use dynamic_spt::DynamicSpt;

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 /// use drt_net::{algo, topology, Bandwidth, NodeId};
 ///
 /// let net = topology::ring(5, Bandwidth::from_mbps(10))?;
-/// let routes = algo::k_shortest_paths(&net, NodeId::new(0), NodeId::new(2), 2, |_| Some(1.0));
+/// let routes = algo::k_shortest_paths(&net, NodeId::new(0), NodeId::new(2), 2, |_| Some(1));
 /// assert_eq!(routes.len(), 2);
 /// assert_eq!(routes[0].1.len(), 2); // clockwise
 /// assert_eq!(routes[1].1.len(), 3); // counter-clockwise
@@ -31,22 +31,22 @@ pub fn k_shortest_paths(
     src: NodeId,
     dst: NodeId,
     k: usize,
-    cost: impl Fn(LinkId) -> Option<f64>,
-) -> Vec<(f64, Route)> {
-    let mut accepted: Vec<(f64, Route)> = Vec::new();
+    cost: impl Fn(LinkId) -> Option<u128>,
+) -> Vec<(u128, Route)> {
+    let mut accepted: Vec<(u128, Route)> = Vec::new();
     if k == 0 || src == dst {
         return accepted;
     }
     // One workspace for the whole enumeration: the initial search plus
     // every spur search reuse the same stamped arrays and heap.
     let mut ws = SpfWorkspace::new();
-    let Some(first) = shortest_path_in(&mut ws, net, src, dst, 0.0, &cost) else {
+    let Some(first) = shortest_path_in(&mut ws, net, src, dst, 0, &cost) else {
         return accepted;
     };
     accepted.push(first);
 
     // Candidate pool of (cost, route), deduplicated by link sequence.
-    let mut candidates: Vec<(f64, Route)> = Vec::new();
+    let mut candidates: Vec<(u128, Route)> = Vec::new();
     let mut seen: BTreeSet<Vec<LinkId>> = BTreeSet::new();
     seen.insert(accepted[0].1.links().to_vec());
 
@@ -70,7 +70,7 @@ pub fn k_shortest_paths(
             // keep paths simple.
             let banned_nodes: BTreeSet<NodeId> = prev_nodes[..i].iter().copied().collect();
 
-            let spur = shortest_path_in(&mut ws, net, spur_node, dst, 0.0, |l| {
+            let spur = shortest_path_in(&mut ws, net, spur_node, dst, 0, |l| {
                 if banned_links.contains(&l) {
                     return None;
                 }
@@ -92,14 +92,10 @@ pub fn k_shortest_paths(
             let Ok(route) = Route::new(net, links) else {
                 continue;
             };
-            let total: f64 = route
-                .links()
-                .iter()
-                .map(|&l| cost(l).unwrap_or(f64::INFINITY))
-                .sum();
-            if total.is_finite() {
-                candidates.push((total, route));
-            }
+            // Every link of the route passed `cost`: the root's as links of
+            // an accepted route, the spur's in its search.
+            let total = route.links().iter().filter_map(|&l| cost(l)).sum();
+            candidates.push((total, route));
         }
 
         if candidates.is_empty() {
@@ -109,11 +105,7 @@ pub fn k_shortest_paths(
         let best = candidates
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.1.links().cmp(b.1.links()))
-            })
+            .min_by(|(_, a), (_, b)| a.0.cmp(&b.0).then_with(|| a.1.links().cmp(b.1.links())))
             .map(|(i, _)| i)
             .expect("candidates is nonempty");
         accepted.push(candidates.swap_remove(best));
@@ -132,7 +124,7 @@ mod tests {
     #[test]
     fn ring_has_exactly_two_simple_paths() {
         let net = topology::ring(6, CAP).unwrap();
-        let routes = k_shortest_paths(&net, NodeId::new(0), NodeId::new(2), 10, |_| Some(1.0));
+        let routes = k_shortest_paths(&net, NodeId::new(0), NodeId::new(2), 10, |_| Some(1));
         assert_eq!(routes.len(), 2);
         assert_eq!(routes[0].1.len(), 2);
         assert_eq!(routes[1].1.len(), 4);
@@ -142,17 +134,17 @@ mod tests {
     #[test]
     fn costs_are_nondecreasing() {
         let net = topology::mesh(3, 3, CAP).unwrap();
-        let routes = k_shortest_paths(&net, NodeId::new(0), NodeId::new(8), 8, |_| Some(1.0));
+        let routes = k_shortest_paths(&net, NodeId::new(0), NodeId::new(8), 8, |_| Some(1));
         assert!(routes.len() >= 6); // many monotone staircase paths exist
         for w in routes.windows(2) {
-            assert!(w[0].0 <= w[1].0 + 1e-12);
+            assert!(w[0].0 <= w[1].0);
         }
     }
 
     #[test]
     fn all_paths_simple_and_distinct() {
         let net = topology::mesh(3, 3, CAP).unwrap();
-        let routes = k_shortest_paths(&net, NodeId::new(0), NodeId::new(8), 12, |_| Some(1.0));
+        let routes = k_shortest_paths(&net, NodeId::new(0), NodeId::new(8), 12, |_| Some(1));
         let mut seen = BTreeSet::new();
         for (_, r) in &routes {
             assert!(r.is_simple(&net), "{r}");
@@ -165,12 +157,8 @@ mod tests {
     #[test]
     fn k_zero_and_same_endpoints() {
         let net = topology::ring(4, CAP).unwrap();
-        assert!(
-            k_shortest_paths(&net, NodeId::new(0), NodeId::new(1), 0, |_| Some(1.0)).is_empty()
-        );
-        assert!(
-            k_shortest_paths(&net, NodeId::new(1), NodeId::new(1), 3, |_| Some(1.0)).is_empty()
-        );
+        assert!(k_shortest_paths(&net, NodeId::new(0), NodeId::new(1), 0, |_| Some(1)).is_empty());
+        assert!(k_shortest_paths(&net, NodeId::new(1), NodeId::new(1), 3, |_| Some(1)).is_empty());
     }
 
     #[test]
@@ -178,7 +166,7 @@ mod tests {
         let net = topology::ring(4, CAP).unwrap();
         let l01 = net.find_link(NodeId::new(0), NodeId::new(1)).unwrap();
         let routes = k_shortest_paths(&net, NodeId::new(0), NodeId::new(1), 5, |l| {
-            (l != l01).then_some(1.0)
+            (l != l01).then_some(1)
         });
         assert_eq!(routes.len(), 1);
         assert!(!routes[0].1.contains_link(l01));

@@ -96,21 +96,30 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A step in the top field of a packed lexicographic key, as the LSR
+/// backup key puts its `Q`-links at bit 84.
+const TOP: u128 = 1 << 84;
+
 /// One cost class per link, cycled over the link ids, every step at or
-/// above `floor`: excluded, the floor itself (free under floor 0.0), small
-/// multiples of it (of 0.5 under floor 0.0) that tie often, Q-scale
-/// penalties, and 2^53, where a step of 0.5 or 1.0 is below one ulp of the
-/// sum and `d + floor` rounds back to `d`.
-fn cost_of(classes: &[u8], floor: f64, l: LinkId) -> Option<f64> {
+/// above `floor`: excluded, the floor itself (free under floor 0), small
+/// multiples of it (of 1 under floor 0) that tie often, top-field steps
+/// alone and with a low-field step beside them, and steps near `2^90`,
+/// whose sums over a 20-node route carry through every field below the
+/// top and stay within the searches' bound of `2^96`.
+fn cost_of(classes: &[u8], floor: u128, l: LinkId) -> Option<u128> {
     match classes[l.index() % classes.len()] {
         0 => None,
         1 | 2 => Some(floor),
-        3 => Some(1e9),
-        4 => Some(1e9 + 1.0),
-        5 => Some(9_007_199_254_740_992.0),
-        c => Some(f64::from(c % 4 + 1) * floor.max(0.5)),
+        3 => Some(TOP),
+        4 => Some(TOP + floor.max(1)),
+        5 => Some((1 << 90) - 1),
+        c => Some(u128::from(c % 4 + 1) * floor.max(1)),
     }
 }
+
+/// The floors the searches are run at: none, a unit hop, and one hop of a
+/// packed key whose tie field sits below bit 36.
+const FLOORS: [u128; 3] = [0, 1, 1 << 36];
 
 /// One SPT delta: fail, restore, or reweight a single link.
 #[derive(Debug, Clone)]
@@ -157,24 +166,22 @@ proptest! {
     ) {
         // One workspace serves every targeted and full search of the case.
         let mut ws = SpfWorkspace::new();
-        for floor in [0.0, 0.5, 1.0] {
+        // The full search of every source, in a workspace of its own.
+        let mut full = SpfWorkspace::new();
+        for floor in FLOORS {
             let cost = |l| cost_of(&classes, floor, l);
             for net in [&connected, &any_net] {
                 for src in net.nodes() {
-                    let full = shortest_path_tree(net, src, cost);
+                    full.run(net, src, cost);
                     for dst in net.nodes() {
                         let got = shortest_path_in(&mut ws, net, src, dst, floor, cost);
                         let want = full.distance(dst).zip(full.route_to(net, dst));
-                        prop_assert_eq!(
-                            got.as_ref().map(|(c, r)| (c.to_bits(), r.links())),
-                            want.as_ref().map(|(c, r)| (c.to_bits(), r.links())),
-                            "floor {} {} -> {}", floor, src, dst
-                        );
+                        prop_assert_eq!(&got, &want, "floor {} {} -> {}", floor, src, dst);
                         // Whatever the floor stop left settled is final —
                         // `dst` itself included when it was never popped.
                         for node in net.nodes() {
                             if let Some(d) = ws.distance(node) {
-                                prop_assert_eq!(Some(d.to_bits()), full.distance(node).map(f64::to_bits));
+                                prop_assert_eq!(Some(d), full.distance(node));
                                 prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
                             }
                         }
@@ -209,14 +216,14 @@ proptest! {
                 for dst in ids.clone() {
                     let bfs = min_hop_route(net, src, dst, usable);
                     let dijkstra =
-                        shortest_path_with_floor(net, src, dst, 1.0, |l| usable(l).then_some(1.0));
+                        shortest_path_with_floor(net, src, dst, 1, |l| usable(l).then_some(1));
                     prop_assert_eq!(
                         bfs.as_ref().map(Route::links),
                         dijkstra.as_ref().map(|(_, r)| r.links()),
                         "{} -> {}", src, dst
                     );
                     if let Some((hops, route)) = &dijkstra {
-                        prop_assert_eq!(*hops, route.len() as f64);
+                        prop_assert_eq!(*hops, route.len() as u128);
                     }
                 }
             }
@@ -228,14 +235,27 @@ proptest! {
         prop_assert!(net.is_connected());
     }
 
+    /// Exactly, on the cost classes of `targeted_search_equals_full_search`:
+    /// the same distance everywhere, and a route of that cost.
     #[test]
-    fn dijkstra_and_bellman_ford_agree(net in arb_connected_net(), src in 0u32..4) {
-        let src = NodeId::new(src);
-        let dj = shortest_path_tree(&net, src, |_| Some(1.0));
-        let bf = bellman_ford(&net, src, |_| Some(1.0));
-        prop_assert!(!bf.has_negative_cycle());
-        for node in net.nodes() {
-            prop_assert_eq!(dj.distance(node), bf.distance(node));
+    fn dijkstra_and_bellman_ford_agree(
+        net in arb_any_net(),
+        src in 0u32..4,
+        classes in prop::collection::vec(0u8..12, 1..=40),
+    ) {
+        let src = NodeId::new(src % net.num_nodes() as u32);
+        for floor in FLOORS {
+            let cost = |l| cost_of(&classes, floor, l);
+            let mut dj = SpfWorkspace::new();
+            dj.run(&net, src, cost);
+            let bf = bellman_ford(&net, src, cost);
+            for node in net.nodes() {
+                prop_assert_eq!(dj.distance(node), bf.distance(node));
+                if let Some(route) = bf.route_to(&net, node) {
+                    let sum: u128 = route.links().iter().filter_map(|&l| cost(l)).sum();
+                    prop_assert_eq!(Some(sum), dj.distance(node));
+                }
+            }
         }
     }
 
@@ -298,16 +318,16 @@ proptest! {
     fn yen_paths_sorted_simple_distinct(net in arb_connected_net(), k in 1usize..6) {
         let src = NodeId::new(0);
         let dst = NodeId::new((net.num_nodes() - 1) as u32);
-        let routes = k_shortest_paths(&net, src, dst, k, |_| Some(1.0));
+        let routes = k_shortest_paths(&net, src, dst, k, |_| Some(1));
         prop_assert!(!routes.is_empty());
         prop_assert!(routes.len() <= k);
         let mut seen = std::collections::BTreeSet::new();
         for w in routes.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0 + 1e-9);
+            prop_assert!(w[0].0 <= w[1].0);
         }
         for (c, r) in &routes {
             prop_assert!(r.is_simple(&net));
-            prop_assert_eq!(*c, r.len() as f64);
+            prop_assert_eq!(*c, r.len() as u128);
             prop_assert!(seen.insert(r.links().to_vec()));
         }
     }
@@ -316,7 +336,7 @@ proptest! {
     fn suurballe_pair_is_disjoint_when_found(net in arb_connected_net()) {
         let src = NodeId::new(0);
         let dst = NodeId::new((net.num_nodes() - 1) as u32);
-        if let Some(pair) = suurballe(&net, src, dst, |_| Some(1.0)) {
+        if let Some(pair) = suurballe(&net, src, dst, |_| Some(1)) {
             prop_assert!(pair.primary.is_link_disjoint(&pair.backup));
             prop_assert_eq!(pair.primary.source(), src);
             prop_assert_eq!(pair.backup.source(), src);
@@ -325,8 +345,8 @@ proptest! {
             // Primary never longer than backup under unit costs.
             prop_assert!(pair.primary.len() <= pair.backup.len());
             // Total never better than twice the single shortest path.
-            let single = shortest_path_hops(&net, src, dst).unwrap().len() as f64;
-            prop_assert!(pair.total_cost >= 2.0 * single - 1e-9);
+            let single = shortest_path_hops(&net, src, dst).unwrap().len() as u128;
+            prop_assert!(pair.total_cost >= 2 * single);
         }
     }
 
@@ -342,7 +362,7 @@ proptest! {
         prop_assert!(k >= 1, "connected graphs have a path");
         prop_assert!(k <= out_deg.min(in_deg));
         // Suurballe feasibility coincides with k >= 2.
-        let pair = suurballe(&net, src, dst, |_| Some(1.0));
+        let pair = suurballe(&net, src, dst, |_| Some(1));
         prop_assert_eq!(k >= 2, pair.is_some());
         // A bridge-free graph (should the generator produce one) gives
         // k >= 2 for every pair — spot-check with node 1.

@@ -130,7 +130,7 @@ proptest! {
                 continue;
             };
             let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {
-                if primary.contains_link(l) { None } else { Some(1.0) }
+                if primary.contains_link(l) { None } else { Some(1) }
             }).map(|(_, r)| r);
             let release = rng.gen_bool(0.3);
             ops.push((i as u64, primary, backup, release));
@@ -226,7 +226,7 @@ proptest! {
                 continue;
             };
             let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {
-                if primary.contains_link(l) { None } else { Some(1.0) }
+                if primary.contains_link(l) { None } else { Some(1) }
             }).map(|(_, r)| r);
             let conn = ConnectionId::new(i as u64);
             sim.establish(conn, BW, primary, backup);
@@ -422,7 +422,7 @@ proptest! {
                 continue;
             };
             let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {
-                if primary.contains_link(l) { None } else { Some(1.0) }
+                if primary.contains_link(l) { None } else { Some(1) }
             }).map(|(_, r)| r);
             ops.push((i, primary, backup));
         }

@@ -56,9 +56,10 @@ fn waxman(nodes: usize, seed: u64) -> Arc<Network> {
     Arc::new(cfg.seed(seed).build().expect("waxman topology"))
 }
 
-/// Unequal link costs, so searches break ties and take detours.
-fn cost(l: LinkId) -> Option<f64> {
-    Some(1.0 + (l.index() % 7) as f64 / 8.0)
+/// Unequal link costs, none below 8, so searches break ties and take
+/// detours.
+fn cost(l: LinkId) -> Option<u128> {
+    Some(8 + (l.index() % 7) as u128)
 }
 
 /// A D-LSR manager after `requests` uniform connection requests.
@@ -113,7 +114,7 @@ fn spf_searches_allocate_only_their_routes() {
                 let ((), n) = counted(|| ws.run(&net, src, cost));
                 assert!(warm || n == 0, "run from {src} on {nodes} nodes: {n}");
                 // A route is its link `Vec` and the `Arc<[LinkId]>` it keeps.
-                let (route, n) = counted(|| shortest_path_in(&mut ws, &net, src, dst, 1.0, cost));
+                let (route, n) = counted(|| shortest_path_in(&mut ws, &net, src, dst, 8, cost));
                 let want = if route.is_some() { 2 } else { 0 };
                 assert!(warm || n == want, "{src} -> {dst} on {nodes} nodes: {n}");
             }
@@ -236,6 +237,8 @@ fn bf_selections_allocate_only_their_routes() {
 #[test]
 fn dynamic_spt_repairs_allocate_nothing_once_warm() {
     let net = waxman(300, 3);
+    // The tree takes whole-number `f64` steps.
+    let cost = |l| cost(l).map(|c| c as f64);
     let mut spt = DynamicSpt::build(&net, NodeId::new(0), cost);
     let tree: Vec<LinkId> = net
         .nodes()

@@ -42,7 +42,7 @@ fn hundred_connections_at_ten_percent_drop_never_wedge() {
             if primary.contains_link(l) {
                 None
             } else {
-                Some(1.0)
+                Some(1)
             }
         })
         .map(|(_, r)| r);

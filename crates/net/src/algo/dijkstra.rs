@@ -9,6 +9,12 @@
 //! the hot path without signature changes; the `_in` variants accept an
 //! explicit workspace for callers that manage their own.
 //!
+//! Every search is one-directional except [`shortest_path_with_floor`],
+//! which meets a forward search from the source with a backward one from
+//! the target in the same workspace. It returns the exact least cost and
+//! a cheapest route, the same route as any exact search wherever the
+//! cheapest route is unique; the LSR backup key makes it unique.
+//!
 //! Costs are unsigned integers, so labels are exact sums and every
 //! comparison is exact. A caller keeps the cost of every simple route
 //! below `2^96` ([`MAX_ROUTE_COST`]): a heap entry packs the label above
@@ -32,11 +38,17 @@ type HeapEntry = Reverse<u128>;
 ///
 /// If `label` exceeds [`MAX_ROUTE_COST`].
 fn heap_entry(label: u128, node: NodeId) -> HeapEntry {
-    assert!(
-        label <= MAX_ROUTE_COST,
-        "route cost {label} exceeds 2^96 - 1"
-    );
-    Reverse(label << 32 | u128::from(node.as_u32()))
+    Reverse(bounded(label) << 32 | u128::from(node.as_u32()))
+}
+
+/// `cost`, checked against [`MAX_ROUTE_COST`].
+///
+/// # Panics
+///
+/// If `cost` exceeds [`MAX_ROUTE_COST`].
+fn bounded(cost: u128) -> u128 {
+    assert!(cost <= MAX_ROUTE_COST, "route cost {cost} exceeds 2^96 - 1");
+    cost
 }
 
 /// A whole-number `f64` step as the integer cost it names: the boundary of
@@ -112,30 +124,156 @@ impl ShortestPathTree {
     }
 }
 
-/// One node's search state. Meaningful only while `stamp` equals the
-/// workspace's current generation.
+/// One node's search state on one side. Meaningful only while `stamp`
+/// equals the workspace's current generation.
 #[derive(Debug, Clone, Copy)]
 struct Label {
     dist: u128,
     stamp: u32,
+    /// The link towards this side's root: into the node on the forward
+    /// side, out of it on the backward side.
     parent_link: Option<LinkId>,
     /// Settled: `dist` and `parent_link` are final.
     done: bool,
 }
 
-/// Reusable single-source shortest-path scratch state.
+impl Label {
+    const UNSEEN: Label = Label {
+        dist: 0,
+        stamp: 0,
+        parent_link: None,
+        done: false,
+    };
+}
+
+/// One search direction: per-node labels and the heap of tentative ones.
+/// The forward side's labels are costs from its root over out-links, the
+/// backward side's costs to its root over in-links.
+#[derive(Debug, Default)]
+struct Side {
+    labels: Vec<Label>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl Side {
+    /// Labels `root` at cost 0 and queues it.
+    fn start(&mut self, gen: u32, root: NodeId) {
+        self.labels[root.index()] = Label {
+            stamp: gen,
+            ..Label::UNSEEN
+        };
+        self.heap.push(heap_entry(0, root));
+    }
+
+    /// The least label queued for a node this side has not settled,
+    /// dropping the stale entries above it: a lower bound on every label
+    /// this side has yet to settle.
+    fn top(&mut self) -> Option<u128> {
+        while let Some(&Reverse(entry)) = self.heap.peek() {
+            if !self.labels[entry as u32 as usize].done {
+                return Some(entry >> 32);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Pops entries until one names a node this side has not settled,
+    /// settles it, and returns its label and id.
+    fn settle_next(&mut self) -> Option<(u128, NodeId)> {
+        while let Some(Reverse(entry)) = self.heap.pop() {
+            let (d, node) = (entry >> 32, NodeId::new(entry as u32));
+            let label = &mut self.labels[node.index()];
+            if !label.done {
+                label.done = true;
+                return Some((d, node));
+            }
+        }
+        None
+    }
+
+    /// Relaxes the links of `node`, just settled at `d`: its out-links on
+    /// the forward side, its in-links on the backward side. A link into a
+    /// settled node, or into one already labelled within `d + floor`, is
+    /// skipped unpriced (see [`SpfWorkspace::search`]). `lowered` hears of
+    /// every label the pass lowers, with its new cost.
+    fn relax<const FORWARD: bool>(
+        &mut self,
+        gen: u32,
+        net: &Network,
+        (d, node): (u128, NodeId),
+        floor: u128,
+        cost: &mut impl FnMut(LinkId) -> Option<u128>,
+        mut lowered: impl FnMut(usize, u128),
+    ) {
+        let reach = d + floor;
+        let links = if FORWARD {
+            net.out_links(node)
+        } else {
+            net.in_links(node)
+        };
+        for &lid in links {
+            let link = net.link(lid);
+            let next = if FORWARD { link.dst() } else { link.src() };
+            let label = &mut self.labels[next.index()];
+            let seen = label.stamp == gen;
+            if seen && (label.done || label.dist <= reach) {
+                continue;
+            }
+            let Some(step) = cost(lid) else { continue };
+            debug_assert!(step >= floor, "step {step} on {lid} below floor {floor}");
+            let cand = d.saturating_add(step);
+            if !seen || cand < label.dist {
+                *label = Label {
+                    dist: cand,
+                    stamp: gen,
+                    parent_link: Some(lid),
+                    done: false,
+                };
+                self.heap.push(heap_entry(cand, next));
+                lowered(next.index(), cand);
+            }
+        }
+    }
+
+    /// The links of the parent chain from node index `from` to `root`,
+    /// `from`'s own parent link first.
+    fn chain<'a>(
+        &'a self,
+        net: &'a Network,
+        from: usize,
+        root: NodeId,
+        forward: bool,
+    ) -> impl Iterator<Item = LinkId> + 'a {
+        let mut cur = from;
+        std::iter::from_fn(move || {
+            if cur == root.index() {
+                return None;
+            }
+            let lid = self.labels[cur].parent_link?;
+            let link = net.link(lid);
+            cur = if forward { link.src() } else { link.dst() }.index();
+            Some(lid)
+        })
+    }
+}
+
+/// Reusable shortest-path scratch state.
 ///
 /// The labels are *generation-stamped*: one is meaningful only when its
 /// stamp equals the workspace's current generation, so starting a new
-/// search is O(1) — bump the generation, clear the heap (capacity kept).
+/// search is O(1) — bump the generation, clear the heaps (capacity kept).
 /// One workspace serves searches over networks of any size; the label
-/// array grows monotonically to the largest node count seen.
+/// arrays grow monotonically to the largest node count seen. A search
+/// from one source uses the forward side; the bidirectional search of
+/// [`shortest_path_with_floor`] uses the backward side as well, under the
+/// same generation.
 #[derive(Debug)]
 pub struct SpfWorkspace {
     gen: u32,
     source: NodeId,
-    labels: Vec<Label>,
-    heap: BinaryHeap<HeapEntry>,
+    fwd: Side,
+    back: Side,
 }
 
 impl Default for SpfWorkspace {
@@ -150,32 +288,30 @@ impl SpfWorkspace {
         SpfWorkspace {
             gen: 0,
             source: NodeId::new(0),
-            labels: Vec::new(),
-            heap: BinaryHeap::new(),
+            fwd: Side::default(),
+            back: Side::default(),
         }
     }
 
     /// Starts a new generation sized for `n` nodes.
     fn begin(&mut self, n: usize, src: NodeId) {
-        if self.labels.len() < n {
-            let unseen = Label {
-                dist: 0,
-                stamp: 0,
-                parent_link: None,
-                done: false,
-            };
-            self.labels.resize(n, unseen);
+        for side in [&mut self.fwd, &mut self.back] {
+            if side.labels.len() < n {
+                side.labels.resize(n, Label::UNSEEN);
+            }
+            side.heap.clear();
         }
         self.gen = match self.gen.checked_add(1) {
             Some(g) => g,
             None => {
                 // Generation counter wrapped: stale stamps could collide,
                 // so clear them once every 2^32 searches.
-                self.labels.iter_mut().for_each(|l| l.stamp = 0);
+                for side in [&mut self.fwd, &mut self.back] {
+                    side.labels.iter_mut().for_each(|l| l.stamp = 0);
+                }
                 1
             }
         };
-        self.heap.clear();
         self.source = src;
     }
 
@@ -188,12 +324,12 @@ impl SpfWorkspace {
         self.search(net, src, None, 0, cost);
     }
 
-    /// The one Dijkstra loop. `floor` is a lower bound the caller
-    /// guarantees on every step `cost` returns (`0` always holds). Once
-    /// a node is popped at `d`, no step from it or from any later pop can
-    /// produce a candidate below `reach = d + floor`, and a label `≤ reach`
-    /// can no longer be *strictly* lowered — which is the only way labels
-    /// change. Two things follow:
+    /// The one-directional Dijkstra loop. `floor` is a lower bound the
+    /// caller guarantees on every step `cost` returns (`0` always holds).
+    /// Once a node is popped at `d`, no step from it or from any later pop
+    /// can produce a candidate below `reach = d + floor`, and a label
+    /// `≤ reach` can no longer be *strictly* lowered — which is the only
+    /// way labels change. Two things follow:
     ///
     /// * a link into a node whose tentative label is `≤ reach` is skipped
     ///   unpriced, like a link into a settled node;
@@ -217,54 +353,119 @@ impl SpfWorkspace {
         let n = net.num_nodes();
         self.begin(n, src);
         let gen = self.gen;
-        let labels = &mut self.labels[..n];
         let target = target.map(NodeId::index).filter(|&t| t < n);
-        if let Some(label) = labels.get_mut(src.index()) {
-            *label = Label {
-                dist: 0,
-                stamp: gen,
-                parent_link: None,
-                done: false,
-            };
-            self.heap.push(heap_entry(0, src));
+        if src.index() < n {
+            self.fwd.start(gen, src);
         }
-
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            let (d, node) = (entry >> 32, NodeId::new(entry as u32));
-            let here = &mut labels[node.index()];
-            if here.done {
-                continue;
-            }
-            here.done = true;
-            let reach = d + floor;
+        while let Some((d, node)) = self.fwd.settle_next() {
             if let Some(t) = target {
-                let goal = &mut labels[t];
-                if goal.stamp == gen && goal.dist <= reach {
+                let goal = &mut self.fwd.labels[t];
+                if goal.stamp == gen && goal.dist <= d + floor {
                     goal.done = true;
                     break;
                 }
             }
-            for &lid in net.out_links(node) {
-                let next = net.link(lid).dst();
-                let label = &mut labels[next.index()];
-                let seen = label.stamp == gen;
-                if seen && (label.done || label.dist <= reach) {
-                    continue;
+            self.fwd
+                .relax::<true>(gen, net, (d, node), floor, &mut cost, |_, _| {});
+        }
+    }
+
+    /// The bidirectional search of [`shortest_path_with_floor`]: a forward
+    /// side from `src` over out-links and a backward side from `dst` over
+    /// in-links, each the loop of [`SpfWorkspace::search`] with its `floor`
+    /// skip, under the same `cost`.
+    ///
+    /// * `μ` is the least `df(v) + db(v)` over the nodes both sides have
+    ///   labelled, updated whenever either side lowers a label the other
+    ///   side holds, so it never exceeds the current sum at any such node.
+    /// * Each step expands the side with fewer heap entries, on a tie the
+    ///   one with the lower top, then the forward side. (Expanding the
+    ///   lower top alone lets a side whose frontier sits behind costly
+    ///   links hold back while the other floods its cheap region.)
+    /// * It stops when `top_f + top_b + floor ≥ μ`, the tops being each
+    ///   side's least unsettled label, or when either side runs out. Take
+    ///   a route cheaper than `μ`, and on it `v`, the first node the
+    ///   forward side has not settled, and `z`, the last one the backward
+    ///   side has not; each is labelled at its true distance. If `v` is
+    ///   `z` or comes after it, some node of the route is labelled on both
+    ///   sides at its true distances, and `μ` would not exceed the route's
+    ///   cost. If `v` comes first, at least one link lies between them,
+    ///   so the route costs at least `top_f + floor + top_b`.
+    ///
+    /// The route is the forward parent chain to the meeting node, then
+    /// the backward one on to `dst`.
+    ///
+    /// # Panics
+    ///
+    /// If `μ` exceeds [`MAX_ROUTE_COST`].
+    fn meet(
+        &mut self,
+        net: &Network,
+        src: NodeId,
+        dst: NodeId,
+        floor: u128,
+        mut cost: impl FnMut(LinkId) -> Option<u128>,
+    ) -> Option<(u128, Route)> {
+        let n = net.num_nodes();
+        if src == dst || src.index() >= n || dst.index() >= n {
+            return None;
+        }
+        self.begin(n, src);
+        let gen = self.gen;
+        self.fwd.start(gen, src);
+        self.back.start(gen, dst);
+        let (mut mu, mut meet) = (u128::MAX, None);
+        while let (Some(top_f), Some(top_b)) = (self.fwd.top(), self.back.top()) {
+            if top_f + top_b + floor >= mu {
+                break;
+            }
+            let forward = (self.fwd.heap.len(), top_f) <= (self.back.heap.len(), top_b);
+            let (side, other) = if forward {
+                (&mut self.fwd, &self.back)
+            } else {
+                (&mut self.back, &self.fwd)
+            };
+            let Some(at) = side.settle_next() else {
+                break;
+            };
+            debug_assert!(
+                !(other.labels[at.1.index()].stamp == gen && other.labels[at.1.index()].done),
+                "{} settled on both sides",
+                at.1
+            );
+            let met = |v: usize, dist: u128| {
+                let there = &other.labels[v];
+                if there.stamp == gen && dist + there.dist < mu {
+                    (mu, meet) = (dist + there.dist, Some(v));
                 }
-                let Some(step) = cost(lid) else { continue };
-                debug_assert!(step >= floor, "step {step} on {lid} below floor {floor}");
-                let cand = d.saturating_add(step);
-                if !seen || cand < label.dist {
-                    *label = Label {
-                        dist: cand,
-                        stamp: gen,
-                        parent_link: Some(lid),
-                        done: false,
-                    };
-                    self.heap.push(heap_entry(cand, next));
-                }
+            };
+            if forward {
+                side.relax::<true>(gen, net, at, floor, &mut cost, met);
+            } else {
+                side.relax::<false>(gen, net, at, floor, &mut cost, met);
             }
         }
+        let meet = meet?;
+        Some((bounded(mu), self.meeting_route(net, src, dst, meet)?))
+    }
+
+    /// The route through node index `meet`: the forward parent chain to
+    /// it, then the backward one on to `dst`, in one allocation.
+    ///
+    /// It is simple even with zero-cost steps. Every node of the two
+    /// chains but `meet` is settled on its side, and no node is settled on
+    /// both: once a side's top is a node the other side has settled, the
+    /// two tops sum to at least that node's two labels, which `μ` does not
+    /// exceed, so the search has stopped.
+    fn meeting_route(&self, net: &Network, src: NodeId, dst: NodeId, meet: usize) -> Option<Route> {
+        let (fwd, back) = (&self.fwd, &self.back);
+        let hops =
+            fwd.chain(net, meet, src, true).count() + back.chain(net, meet, dst, false).count();
+        let mut links = Vec::with_capacity(hops);
+        links.extend(fwd.chain(net, meet, src, true));
+        links.reverse();
+        links.extend(back.chain(net, meet, dst, false));
+        Route::new(net, links).ok()
     }
 
     /// The label of node index `i` if the current search settled it
@@ -272,7 +473,10 @@ impl SpfWorkspace {
     /// [`SpfWorkspace::run`] that is every reached node; after a search
     /// that stopped for its target it excludes the nodes left in the heap.
     fn settled(&self, i: usize) -> Option<&Label> {
-        self.labels.get(i).filter(|l| l.stamp == self.gen && l.done)
+        self.fwd
+            .labels
+            .get(i)
+            .filter(|l| l.stamp == self.gen && l.done)
     }
 
     /// The source of the workspace's current search.
@@ -293,7 +497,7 @@ impl SpfWorkspace {
             return None;
         }
         self.settled(dest.index())?;
-        walk_back(net, self.source, dest, |i| self.labels[i].parent_link)
+        walk_back(net, self.source, dest, |i| self.fwd.labels[i].parent_link)
     }
 
     /// The tree link that reaches `node` in the current search, or `None`
@@ -362,6 +566,11 @@ pub fn shortest_path_tree(
 /// Finds the cheapest route from `src` to `dst` under `cost`, returning
 /// `(total_cost, route)`, or `None` when unreachable or `src == dst`.
 ///
+/// This is [`shortest_path_in`] at floor `0` in the thread's scratch
+/// workspace: one-directional, so among equally cheap routes it returns
+/// the one in the full search's tree, whose ties pop the lower node id
+/// first.
+///
 /// # Example
 ///
 /// ```
@@ -380,17 +589,38 @@ pub fn shortest_path(
     dst: NodeId,
     cost: impl FnMut(LinkId) -> Option<u128>,
 ) -> Option<(u128, Route)> {
-    shortest_path_with_floor(net, src, dst, 0, cost)
+    with_scratch(|ws| shortest_path_in(ws, net, src, dst, 0, cost))
 }
 
-/// [`shortest_path`] for a caller that can state a `floor`: a lower bound
-/// on every `Some(step)` its `cost` returns (`1` for unit hops, one hop's
-/// key for the LSR backup costs). The result is the same
-/// `(total_cost, route)`, tie-breaks included; the search only stops
-/// earlier and prices fewer links, because a label within `floor` of the
-/// frontier can no longer be lowered. A `cost` that returns less than its
-/// stated floor is a caller bug (a debug assertion in the loop) and may
-/// yield a costlier route; `0` is always safe.
+/// The cheapest route from `src` to `dst` under `cost` by a
+/// bidirectional search, for a caller that can state a `floor`: a lower
+/// bound on every `Some(step)` its `cost` returns (`1` for unit hops, one
+/// hop's key for the LSR backup costs; `0` is always safe). Returns
+/// `(total_cost, route)`, or `None` when unreachable or `src == dst`.
+///
+/// A forward search from `src` and a backward one from `dst` over
+/// in-links, under the same `cost`, each skip the links that
+/// [`shortest_path_in`]'s floor skips, and stop once no route through a
+/// node neither has settled can undercut the cheapest route met so far
+/// (see `SpfWorkspace::meet`). The thread's scratch workspace serves
+/// both, so once warm the returned route is the only allocation.
+///
+/// The contract, against the one-directional [`shortest_path_in`]:
+///
+/// * the cost is exact, the least of any route;
+/// * the route is simple and of that cost. When the cheapest route is
+///   unique it is *the* cheapest route, the one every exact search
+///   returns; among several equally cheap routes it is one of them,
+///   not necessarily the one a one-directional search's visiting order
+///   picks.
+///
+/// A `cost` that returns less than its stated floor is a caller bug (a
+/// debug assertion in the loop) and may yield a costlier route.
+///
+/// # Panics
+///
+/// If the route's cost, or any label on the way to it, exceeds
+/// [`MAX_ROUTE_COST`].
 pub fn shortest_path_with_floor(
     net: &Network,
     src: NodeId,
@@ -398,14 +628,18 @@ pub fn shortest_path_with_floor(
     floor: u128,
     cost: impl FnMut(LinkId) -> Option<u128>,
 ) -> Option<(u128, Route)> {
-    with_scratch(|ws| shortest_path_in(ws, net, src, dst, floor, cost))
+    with_scratch(|ws| ws.meet(net, src, dst, floor, cost))
 }
 
-/// [`shortest_path_with_floor`] into a caller-managed [`SpfWorkspace`] —
-/// the zero-allocation variant threaded through Yen spur searches and the
-/// disjoint-pair algorithms. The search stops once `dst`'s label is final,
-/// so afterwards the workspace answers only for the nodes settled up to
-/// then.
+/// The one-directional targeted search, into a caller-managed
+/// [`SpfWorkspace`] — the zero-allocation variant threaded through Yen spur
+/// searches and the disjoint-pair algorithms. `floor` is as for
+/// [`shortest_path_with_floor`]: the result is that of the full search
+/// from `src` (tie-breaks included, ties popping the lower node id first);
+/// the search only stops earlier and prices fewer links, because a label
+/// within `floor` of the frontier can no longer be lowered. It stops once
+/// `dst`'s label is final, so afterwards the workspace answers only for
+/// the nodes settled up to then.
 pub fn shortest_path_in(
     ws: &mut SpfWorkspace,
     net: &Network,
@@ -509,6 +743,69 @@ mod tests {
         shortest_path(&net, NodeId::new(0), NodeId::new(2), |_| {
             Some(MAX_ROUTE_COST)
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 2^96")]
+    fn a_meeting_cost_past_the_bound_panics() {
+        // Every label is within the bound; the two that meet are not.
+        let net = topology::ring(4, CAP).unwrap();
+        shortest_path_with_floor(&net, NodeId::new(0), NodeId::new(2), 0, |_| {
+            Some(MAX_ROUTE_COST)
+        });
+    }
+
+    #[test]
+    fn the_two_sides_meet_halfway() {
+        // A 9-node duplex path, 0 -> 8 with unit steps: the heaps hold one
+        // entry each throughout, so the lower top decides and the sides
+        // take turns. They settle 0..=3 and 5..=8, meet at 4, and price
+        // each of the route's links once.
+        let net = topology::mesh(1, 9, CAP).unwrap();
+        let mut priced = vec![0u32; net.num_links()];
+        let mut ws = SpfWorkspace::new();
+        let (cost, route) = ws
+            .meet(&net, NodeId::new(0), NodeId::new(8), 1, |l| {
+                priced[l.index()] += 1;
+                Some(1)
+            })
+            .unwrap();
+        assert_eq!(cost, 8);
+        let ids: Vec<u32> = route.nodes(&net).iter().map(|v| v.as_u32()).collect();
+        assert_eq!(ids, (0..9).collect::<Vec<_>>());
+        let settled = |side: &Side| {
+            let done = |i: usize| side.labels[i].stamp == ws.gen && side.labels[i].done;
+            (0..9).filter(|&i| done(i)).collect::<Vec<_>>()
+        };
+        assert_eq!(settled(&ws.fwd), [0, 1, 2, 3]);
+        assert_eq!(settled(&ws.back), [5, 6, 7, 8]);
+        assert!(priced.iter().all(|&p| p <= 1), "{priced:?}");
+    }
+
+    #[test]
+    fn the_meeting_search_answers_what_the_one_sided_search_does() {
+        // Unreachable, one-way, equal and out-of-range endpoints, and a
+        // detour forced by an excluded link, through one workspace.
+        let mut b = crate::NetworkBuilder::with_nodes(4);
+        let n = NodeId::new;
+        b.add_link(n(0), n(1), CAP).unwrap();
+        b.add_link(n(1), n(2), CAP).unwrap();
+        b.add_duplex_link(n(0), n(2), CAP).unwrap();
+        let net = b.build();
+        let l02 = net.find_link(n(0), n(2)).unwrap();
+        let mut ws = SpfWorkspace::new();
+        let cost = |l| (l != l02).then_some(1);
+        for src in 0..6 {
+            for dst in 0..6 {
+                let (src, dst) = (n(src), n(dst));
+                let want = shortest_path(&net, src, dst, cost);
+                assert_eq!(ws.meet(&net, src, dst, 1, cost), want, "{src} -> {dst}");
+            }
+        }
+        let (c, route) = ws.meet(&net, n(0), n(2), 1, cost).unwrap();
+        assert_eq!((c, route.len()), (2, 2));
+        assert!(ws.meet(&net, n(1), n(0), 1, cost).is_some());
+        assert!(ws.meet(&net, n(3), n(0), 1, cost).is_none());
     }
 
     #[test]

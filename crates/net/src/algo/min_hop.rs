@@ -95,9 +95,9 @@ thread_local! {
 /// `usable` returns `true`, or `None` when there is none, when
 /// `src == dst`, or when either id is out of range.
 ///
-/// The route is the one [`super::shortest_path_with_floor`] returns for
-/// unit steps (`Some(1)` where `usable`, `None` elsewhere, floor `1`),
-/// tie-breaks included (see the module docs). `usable` is asked only about
+/// The route is the one the one-directional [`super::shortest_path_in`]
+/// returns for unit steps (`Some(1)` where `usable`, `None` elsewhere,
+/// floor `1`), tie-breaks included (see the module docs). `usable` is asked only about
 /// links into nodes not yet reached, as the Dijkstra loop prices only
 /// those.
 pub fn min_hop_route(
@@ -191,7 +191,8 @@ mod tests {
         let net = topology::mesh(3, 3, CAP).unwrap();
         let (src, dst) = (NodeId::new(0), NodeId::new(8));
         let bfs = shortest_path_hops(&net, src, dst).unwrap();
-        let dijkstra = super::super::shortest_path_with_floor(&net, src, dst, 1, |_| Some(1));
+        let mut ws = super::super::SpfWorkspace::new();
+        let dijkstra = super::super::shortest_path_in(&mut ws, &net, src, dst, 1, |_| Some(1));
         assert_eq!(Some(&bfs), dijkstra.as_ref().map(|(_, r)| r));
         let ids: Vec<u32> = bfs.nodes(&net).iter().map(|v| v.as_u32()).collect();
         assert_eq!(ids, [0, 1, 2, 5, 8]);

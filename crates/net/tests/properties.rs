@@ -121,6 +121,44 @@ fn cost_of(classes: &[u8], floor: u128, l: LinkId) -> Option<u128> {
 /// packed key whose tie field sits below bit 36.
 const FLOORS: [u128; 3] = [0, 1, 1 << 36];
 
+/// The classes of [`cost_of`] at a hop of `1 << 36`, with a fixed tie
+/// field below the hop as the LSR backup key has: the top 36 bits of
+/// [`mix`] of the link index. Routes that tie on the classes differ in
+/// it, so the cheapest route is unique unless two tie sums collide.
+/// Every step is at least one hop, so each of [`FLOORS`] is a floor.
+fn keyed_cost(classes: &[u8], l: LinkId) -> Option<u128> {
+    let tie = u128::from(mix(l.index() as u64) >> 28);
+    cost_of(classes, 1 << 36, l).map(|step| step + tie)
+}
+
+/// The number of cheapest routes from the source of `full`, a finished
+/// search under `cost`, to each node, capped at 2. Steps are positive, so
+/// the links that are tight under `full`'s distances form a DAG in
+/// distance order.
+fn cheapest_route_counts(
+    net: &drt_net::Network,
+    full: &SpfWorkspace,
+    cost: impl Fn(LinkId) -> Option<u128>,
+) -> Vec<u8> {
+    let mut counts = vec![0u8; net.num_nodes()];
+    counts[full.source().index()] = 1;
+    let mut order: Vec<NodeId> = net
+        .nodes()
+        .filter(|&v| full.distance(v).is_some())
+        .collect();
+    order.sort_by_key(|&v| full.distance(v));
+    for v in order {
+        for &l in net.in_links(v) {
+            let u = net.link(l).src();
+            let tight = full.distance(u).zip(cost(l)).map(|(d, c)| d + c);
+            if tight.is_some() && tight == full.distance(v) {
+                counts[v.index()] = (counts[v.index()] + counts[u.index()]).min(2);
+            }
+        }
+    }
+    counts
+}
+
 /// One SPT delta: fail, restore, or reweight a single link.
 #[derive(Debug, Clone)]
 enum Delta {
@@ -185,8 +223,23 @@ proptest! {
                                 prop_assert_eq!(ws.route_to(net, node), full.route_to(net, node));
                             }
                         }
-                        // The scratch-workspace entry point is the same search.
-                        prop_assert_eq!(shortest_path_with_floor(net, src, dst, floor, cost), got);
+                        // The bidirectional search: the same least cost, and
+                        // a simple route of that cost. (Which of several
+                        // cheapest routes it returns is its own;
+                        // `bidirectional_search_returns_the_unique_least_route`
+                        // holds the route where there is one.)
+                        let both = shortest_path_with_floor(net, src, dst, floor, cost);
+                        prop_assert_eq!(
+                            both.as_ref().map(|(c, _)| *c),
+                            got.as_ref().map(|(c, _)| *c),
+                            "floor {} {} -> {}", floor, src, dst
+                        );
+                        if let Some((c, route)) = &both {
+                            prop_assert_eq!((route.source(), route.dest()), (src, dst));
+                            prop_assert!(route.is_simple(net), "{:?}", route);
+                            let sum = route.links().iter().map(|&l| cost(l)).sum();
+                            prop_assert_eq!(Some(*c), sum);
+                        }
                     }
                     ws.run(net, src, cost);
                     for node in net.nodes() {
@@ -198,10 +251,11 @@ proptest! {
         }
     }
 
-    /// The breadth-first minimum-hop route is the unit-step Dijkstra route
-    /// link for link, under random usable masks, for every ordered pair —
-    /// `src == dst`, unreachable pairs and ids past the last node included,
-    /// which both answer `None` without panicking.
+    /// The breadth-first minimum-hop route is the one-directional
+    /// unit-step Dijkstra route link for link, under random usable masks,
+    /// for every ordered pair — `src == dst`, unreachable pairs and ids
+    /// past the last node included, which both answer `None` without
+    /// panicking.
     #[test]
     fn min_hop_route_equals_unit_dijkstra(
         directed in arb_directed_net(),
@@ -209,6 +263,7 @@ proptest! {
         // One class in five is masked out.
         mask in prop::collection::vec(0u8..5, 1..=40),
     ) {
+        let mut ws = SpfWorkspace::new();
         for net in [&directed, &any_net] {
             let usable = |l: LinkId| mask[l.index() % mask.len()] > 0;
             let ids = (0..net.num_nodes() as u32 + 2).map(NodeId::new);
@@ -216,7 +271,7 @@ proptest! {
                 for dst in ids.clone() {
                     let bfs = min_hop_route(net, src, dst, usable);
                     let dijkstra =
-                        shortest_path_with_floor(net, src, dst, 1, |l| usable(l).then_some(1));
+                        shortest_path_in(&mut ws, net, src, dst, 1, |l| usable(l).then_some(1));
                     prop_assert_eq!(
                         bfs.as_ref().map(Route::links),
                         dijkstra.as_ref().map(|(_, r)| r.links()),
@@ -224,6 +279,36 @@ proptest! {
                     );
                     if let Some((hops, route)) = &dijkstra {
                         prop_assert_eq!(*hops, route.len() as u128);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where the cheapest route is unique, the bidirectional search
+    /// returns it, link for link the one-directional search's route, at
+    /// every floor: on one-way links, duplex pairs, several components,
+    /// and steps whose sums carry through every field.
+    #[test]
+    fn bidirectional_search_returns_the_unique_least_route(
+        directed in arb_directed_net(),
+        any_net in arb_any_net(),
+        connected in arb_connected_net(),
+        classes in prop::collection::vec(0u8..12, 1..=40),
+    ) {
+        let cost = |l| keyed_cost(&classes, l);
+        let mut ws = SpfWorkspace::new();
+        let mut full = SpfWorkspace::new();
+        for net in [&directed, &any_net, &connected] {
+            for src in net.nodes() {
+                full.run(net, src, cost);
+                let counts = cheapest_route_counts(net, &full, cost);
+                for dst in net.nodes() {
+                    prop_assert!(counts[dst.index()] < 2, "tie sums collide: {} -> {}", src, dst);
+                    let want = shortest_path_in(&mut ws, net, src, dst, 0, cost);
+                    for floor in FLOORS {
+                        let got = shortest_path_with_floor(net, src, dst, floor, cost);
+                        prop_assert_eq!(&got, &want, "floor {} {} -> {}", floor, src, dst);
                     }
                 }
             }

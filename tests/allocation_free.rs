@@ -14,7 +14,7 @@ use drt_core::routing::{
 };
 use drt_core::{ConnectionId, DrtpManager};
 use drt_experiments::par::parallel_map;
-use drt_net::algo::{shortest_path_in, DynamicSpt, SpfWorkspace};
+use drt_net::algo::{shortest_path_in, shortest_path_with_floor, DynamicSpt, SpfWorkspace};
 use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, Route};
 
 thread_local! {
@@ -117,6 +117,10 @@ fn spf_searches_allocate_only_their_routes() {
                 let (route, n) = counted(|| shortest_path_in(&mut ws, &net, src, dst, 8, cost));
                 let want = if route.is_some() { 2 } else { 0 };
                 assert!(warm || n == want, "{src} -> {dst} on {nodes} nodes: {n}");
+                // The bidirectional search, in the thread's scratch workspace.
+                let (route, n) = counted(|| shortest_path_with_floor(&net, src, dst, 8, cost));
+                let want = if route.is_some() { 2 } else { 0 };
+                assert!(warm || n == want, "{src} <-> {dst} on {nodes} nodes: {n}");
             }
         }
     }

@@ -87,6 +87,11 @@ pub fn render(metrics: &[RunMetrics], cfg: &ExperimentConfig) -> String {
     )
 }
 
+/// How far, in percentage points, a measured Figure-5 overhead may pass
+/// the paper's bound and still count as reproduced. The claim line prints
+/// it beside the bound.
+const TOLERANCE_PP: f64 = 3.0;
+
 /// Checks the paper's qualitative Figure-5 claims.
 pub fn expectations(metrics: &[RunMetrics], lambdas: &[f64]) -> Vec<(String, bool)> {
     let mut out = Vec::new();
@@ -100,8 +105,10 @@ pub fn expectations(metrics: &[RunMetrics], lambdas: &[f64]) -> Vec<(String, boo
             .flatten()
             .fold(0.0, f64::max);
         out.push((
-            format!("overhead ≤ {bound}% ({pattern}), measured max {max_over:.1}%"),
-            max_over <= bound + 3.0, // small tolerance around the bound
+            format!(
+                "overhead ≤ {bound}% ({pattern}) within {TOLERANCE_PP} pp, measured max {max_over:.1}%"
+            ),
+            max_over <= bound + TOLERANCE_PP,
         ));
     }
     out

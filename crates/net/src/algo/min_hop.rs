@@ -97,9 +97,9 @@ thread_local! {
 ///
 /// The route is the one the one-directional [`super::shortest_path_in`]
 /// returns for unit steps (`Some(1)` where `usable`, `None` elsewhere,
-/// floor `1`), tie-breaks included (see the module docs). `usable` is asked only about
-/// links into nodes not yet reached, as the Dijkstra loop prices only
-/// those.
+/// floor `1`), tie-breaks included (see the module docs). `usable` is
+/// asked only about links into nodes not yet reached, as the Dijkstra
+/// loop prices only those.
 pub fn min_hop_route(
     net: &Network,
     src: NodeId,

@@ -13,21 +13,25 @@
 //!
 //! With `Q` above any conflict sum and `ε` below one conflict, the cost
 //! orders routes lexicographically: fewest `Q`-links, then the least
-//! conflict, then the fewest hops. [`backup_key`] builds that order as one
+//! conflict, then the fewest hops. [`link_key`] builds that order as one
 //! exact integer per link, with a fourth, last field that the paper leaves
 //! open: a fixed per-link tie weight, so that equally short routes are
 //! told apart by a rule rather than by the search's visiting order.
+//!
+//! The primary is "the minimum-hop route" (Section 3), priced by the same
+//! key with no `Q` and no conflict: fewest hops, then the least tie sum.
+//! One search serves both channels.
 
 use crate::routing::RoutingOverhead;
 use crate::{BackupFit, DrtpError, ManagerView};
-use drt_net::algo::{min_hop_route, shortest_path_with_floor};
+use drt_net::algo::shortest_path_with_floor;
 use drt_net::{LinkId, Route};
 
-/// One hop in [`backup_key`]: the least step any link costs, so the
+/// One hop in [`link_key`]: the least step any link costs, so the
 /// search's floor.
 const HOP: u128 = 1 << 36;
 
-/// The backup search's step cost of link `l`, as the integer
+/// The route searches' step cost of link `l`, as the integer
 /// `q << 84 | conflict << 48 | 1 << 36 | tie(l)`, fields high to low:
 ///
 /// | bits   | field         | per link    |
@@ -49,8 +53,8 @@ const HOP: u128 = 1 << 36;
 /// bits: fixed per link, with no seed. Two routes that tie on the first
 /// three fields differ in it unless their weights sum to the same value,
 /// so the cheapest route is a function of the state, whichever exact
-/// search finds it.
-fn backup_key(q: bool, conflict: u64, l: LinkId) -> u128 {
+/// search finds it. A primary's key is `link_key(false, 0, l)`.
+fn link_key(q: bool, conflict: u64, l: LinkId) -> u128 {
     let mut x = l.index() as u64;
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -59,19 +63,24 @@ fn backup_key(q: bool, conflict: u64, l: LinkId) -> u128 {
 }
 
 /// Selects the minimum-hop primary route among links that are alive and
-/// can admit `bw` from their free pool: one breadth-first search
-/// ([`min_hop_route`]), which picks what a unit-step Dijkstra picks.
+/// can admit `bw` from their free pool, by Dijkstra over [`link_key`]
+/// with no `Q` and no conflict: of the routes with the fewest hops, the
+/// one with the least tie sum.
 pub(crate) fn min_hop_primary(
     view: &ManagerView<'_>,
     src: drt_net::NodeId,
     dst: drt_net::NodeId,
     bw: drt_net::Bandwidth,
 ) -> Result<Route, DrtpError> {
-    min_hop_route(view.net(), src, dst, |l| view.usable_for_primary(l, bw))
-        .ok_or(DrtpError::NoPrimaryRoute(src, dst))
+    shortest_path_with_floor(view.net(), src, dst, HOP, |l| {
+        view.usable_for_primary(l, bw)
+            .then(|| link_key(false, 0, l))
+    })
+    .map(|(_, r)| r)
+    .ok_or(DrtpError::NoPrimaryRoute(src, dst))
 }
 
-/// Selects a backup route by Dijkstra over [`backup_key`]: failed links
+/// Selects a backup route by Dijkstra over [`link_key`]: failed links
 /// are excluded outright; links on the primary or with insufficient
 /// backup headroom are `Q`-links; `conflict_term(l)` is the scheme's
 /// conflict field.
@@ -88,7 +97,7 @@ pub(crate) fn lsr_backup(
             BackupFit::Fits => primary.contains_link(l),
             BackupFit::Short => true,
         };
-        Some(backup_key(q, conflict_term(l), l))
+        Some(link_key(q, conflict_term(l), l))
     })
     .map(|(_, r)| r)
     .ok_or(DrtpError::NoBackupRoute(req.id))
@@ -150,12 +159,12 @@ mod tests {
         // 4 096 nodes): every field's sum stays in its field, and the
         // whole sum within the search's bound.
         let longest = (1u128 << 12) - 1;
-        let top = backup_key(true, (1 << 24) - 1, LinkId::new(7));
+        let top = link_key(true, (1 << 24) - 1, LinkId::new(7));
         assert_eq!(fields(top), [1, (1 << 24) - 1, 1, fields(top)[3]]);
         assert_eq!(fields(top * longest), fields(top).map(|f| f * longest));
         assert!(top * longest <= drt_net::algo::MAX_ROUTE_COST);
         // A conflict term past the field's per-link width saturates.
-        assert_eq!(backup_key(false, u64::MAX, LinkId::new(7)), top - (1 << 84));
+        assert_eq!(link_key(false, u64::MAX, LinkId::new(7)), top - (1 << 84));
 
         // Random routes of mixed links: a sum of keys is the field-wise
         // sum, and sums order as their field tuples do.
@@ -172,7 +181,7 @@ mod tests {
                 let (mut sum, mut want) = (0u128, [0u128; 4]);
                 for _ in 0..len {
                     let (q, conflict) = (draw(4) == 0, draw(3) * draw(1 << 24));
-                    let key = backup_key(q, conflict, LinkId::new(draw(1 << 20) as u32));
+                    let key = link_key(q, conflict, LinkId::new(draw(1 << 20) as u32));
                     sum += key;
                     for (w, f) in want.iter_mut().zip(fields(key)) {
                         *w += f;
@@ -191,7 +200,7 @@ mod tests {
 
     #[test]
     fn tie_weights_are_fixed_and_below_one_hop() {
-        let tie = |i| fields(backup_key(false, 0, LinkId::new(i)))[3];
+        let tie = |i| fields(link_key(false, 0, LinkId::new(i)))[3];
         let ties: Vec<u128> = (0..1000).map(tie).collect();
         assert!(ties.iter().all(|&t| t < 1 << 24));
         // SplitMix64's finaliser of indices 0 and 1, top 24 bits.

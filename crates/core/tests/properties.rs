@@ -4,7 +4,8 @@
 use drt_core::failure::FailureEvent;
 use drt_core::routing::flooding::flood;
 use drt_core::routing::{
-    BoundedFlooding, DLsr, FloodingParams, PLsr, RouteRequest, RoutingScheme, SpfBackup,
+    BoundedFlooding, DLsr, FloodingParams, PLsr, PrimaryOnly, RouteRequest, RoutingScheme,
+    SpfBackup,
 };
 use drt_core::{Aplv, ConflictVector, ConnectionId, DrtpError, DrtpManager, ViewDistortion};
 use drt_net::algo::bfs_hops_filtered;
@@ -807,6 +808,53 @@ proptest! {
     }
 }
 
+/// The primary a scheme picked for a request of `bw` between `ends`
+/// (`None` when it found none), against the route oracle of
+/// `oracle/routes.rs` on the state before the request: for D-LSR, P-LSR,
+/// SPF and primary-only admission the oracle's cheapest primary (fewest
+/// hops, then the least tie sum, over the links whose free pool admits
+/// `bw`), or, where another route has the same whole key (a collision,
+/// counted in `collisions`), that key. Bounded flooding's primary is the
+/// flood's own and is checked by `bounded_flooding_matches_paper_oracle`.
+fn primary_matches_oracle(
+    mgr: &DrtpManager,
+    before: &oracle::routes::RouteOracle,
+    scheme: &str,
+    (ends, bw): ((NodeId, NodeId), Bandwidth),
+    primary: Option<&Route>,
+    collisions: &mut u64,
+) -> Result<(), TestCaseError> {
+    if scheme == "BF" {
+        return Ok(());
+    }
+    let best = before.best_primary(mgr.net(), bw, ends);
+    let (Some(primary), Some(best)) = (primary, &best) else {
+        prop_assert_eq!(
+            primary.is_some(),
+            best.is_some(),
+            "{} primary {:?} against the oracle's {:?}",
+            scheme,
+            primary.map(ToString::to_string),
+            best.as_ref().map(|b| b.route.to_string())
+        );
+        return Ok(());
+    };
+    prop_assert_eq!(
+        before.primary_route_key(bw, primary),
+        Some(best.key),
+        "{} primary {} against the oracle's {}",
+        scheme,
+        primary,
+        best.route
+    );
+    if best.routes == 1 {
+        prop_assert_eq!(primary, &best.route, "{} primary", scheme);
+    } else {
+        *collisions += 1;
+    }
+    Ok(())
+}
+
 /// A backup the manager installed, against the route oracle of
 /// `oracle/routes.rs` on the state before the request: for D-LSR, P-LSR
 /// and SPF the oracle's cheapest route, or, where another route has the
@@ -870,27 +918,34 @@ fn backup_matches_oracle(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The link-state schemes choose the backup PAPER.md §3 defines. Over
-    /// the random establish / release / fail / crash / batch / cut /
-    /// repair / re-establish traces of `protocol_trace_preserves_invariants`,
-    /// every backup installed at admission and at re-protection is the
-    /// one [`backup_matches_oracle`] expects, under every scheme; and so is
-    /// the backup the re-protection search (`select_backup`) picks for
-    /// every live connection after every step.
+    /// The link-state schemes choose the primary and the backup PAPER.md
+    /// §3 defines. Over the random establish / release / fail / crash /
+    /// batch / cut / repair / re-establish traces of
+    /// `protocol_trace_preserves_invariants`, every request's primary (or
+    /// its refusal for want of one) is the one [`primary_matches_oracle`]
+    /// expects, and every backup installed at admission and at
+    /// re-protection the one [`backup_matches_oracle`] expects, under
+    /// every scheme and primary-only admission; and so is the backup the
+    /// re-protection search (`select_backup`) picks for every live
+    /// connection after every step.
     ///
-    /// Links carry 6 or 12 Mb/s against 1–3 Mb/s demands, so backup
-    /// headroom runs short and `Q` prices links off the primary too.
+    /// Links carry 6 or 12 Mb/s against 1–3 Mb/s demands, so free pools
+    /// and backup headroom run short, primaries detour and `Q` prices
+    /// links off the primary too.
     #[test]
-    fn lsr_backups_match_route_oracle(
+    fn lsr_routes_match_route_oracle(
         seed in any::<u64>(),
-        scheme_idx in 0usize..4,
+        scheme_idx in 0usize..5,
         ops in prop::collection::vec(arb_op(12, 34), 1..60),
         cap in 0usize..2,
     ) {
         let cap = Bandwidth::from_mbps([6, 12][cap]);
         let net = Arc::new(topology::random_connected(12, 17, cap, seed).unwrap());
         let mut mgr = DrtpManager::new(Arc::clone(&net));
-        let mut scheme = scheme_by_index(scheme_idx);
+        let mut scheme = match scheme_idx {
+            4 => Box::new(PrimaryOnly::new()),
+            i => scheme_by_index(i),
+        };
         let name = scheme.name();
         let mut rng = drt_sim::rng::stream(seed, "route-trace");
         let (mut next_id, mut live, mut collisions) = (0u64, Vec::new(), 0u64);
@@ -904,8 +959,18 @@ proptest! {
                     let id = ConnectionId::new(next_id);
                     next_id += 1;
                     let bw = Bandwidth::from_mbps(mbps);
-                    let req = RouteRequest::new(id, NodeId::new(src), NodeId::new(dst), bw);
-                    if let Ok(report) = mgr.request_connection(scheme.as_mut(), req) {
+                    let ends = (NodeId::new(src), NodeId::new(dst));
+                    let req = RouteRequest::new(id, ends.0, ends.1, bw);
+                    let outcome = mgr.request_connection(scheme.as_mut(), req);
+                    let primary = match &outcome {
+                        Ok(report) => Some(Some(&report.primary)),
+                        Err(DrtpError::NoPrimaryRoute(..)) => Some(None),
+                        Err(_) => None,
+                    };
+                    if let Some(primary) = primary {
+                        primary_matches_oracle(&mgr, &before, name, (ends, bw), primary, &mut collisions)?;
+                    }
+                    if let Ok(report) = outcome {
                         live.push(id);
                         // Bounded flooding admits a connection unprotected
                         // when its flood finds no second route.

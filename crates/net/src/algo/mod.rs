@@ -10,11 +10,11 @@
 //! explicit exclusion is available for *hard* constraints while `Q` remains
 //! available for *soft* ones, as the schemes require.
 //!
-//! * [`shortest_path`] / [`shortest_path_tree`] — Dijkstra, the workhorse
-//!   of both link-state schemes' backup searches;
-//! * [`min_hop_route`] / [`shortest_path_hops`] — the minimum-hop route
-//!   by a level-synchronous breadth-first search that chooses exactly what
-//!   a unit-step Dijkstra chooses; every scheme's primary;
+//! * [`shortest_path_with_floor`] — a bidirectional Dijkstra, the one
+//!   route search of the link-state schemes: every primary and every
+//!   backup. [`shortest_path`] / [`shortest_path_in`] /
+//!   [`shortest_path_tree`] are the one-directional Dijkstra, its
+//!   reference, and serve Yen and Suurballe;
 //! * [`DynamicSpt`] — a materialised Dijkstra tree repaired incrementally
 //!   after link fail/restore/reweight deltas instead of recomputed (no
 //!   caller in `crates/`; see its module docs);
@@ -40,7 +40,6 @@ mod dijkstra;
 mod disjoint;
 mod dynamic_spt;
 mod flow;
-mod min_hop;
 mod yen;
 
 pub use all_pairs_hops::AllPairsHops;
@@ -56,5 +55,4 @@ pub use dijkstra::{
 pub use disjoint::{suurballe, DisjointPair};
 pub use dynamic_spt::DynamicSpt;
 pub use flow::{edge_connectivity, max_flow, MaxFlow};
-pub use min_hop::{min_hop_route, shortest_path_hops};
 pub use yen::k_shortest_paths;

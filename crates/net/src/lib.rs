@@ -31,10 +31,10 @@
 //!     .build()?;
 //! assert!(net.is_connected());
 //!
-//! // Min-hop route between two nodes.
-//! let route = algo::shortest_path_hops(&net, NodeId::new(0), NodeId::new(59))
+//! // Min-hop route between two nodes: every link one step.
+//! let (hops, route) = algo::shortest_path(&net, NodeId::new(0), NodeId::new(59), |_| Some(1))
 //!     .expect("connected graph has a route");
-//! assert!(route.len() >= 1);
+//! assert_eq!(hops, route.len() as u128);
 //! # Ok(())
 //! # }
 //! ```

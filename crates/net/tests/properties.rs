@@ -1,11 +1,11 @@
 //! Property-based tests for the network substrate.
 
 use drt_net::algo::{
-    bellman_ford, bfs_hops_filtered, k_shortest_paths, min_hop_route, shortest_path_hops,
-    shortest_path_in, shortest_path_tree, shortest_path_with_floor, suurballe, AllPairsHops,
-    DynamicSpt, SpfWorkspace,
+    bellman_ford, bfs_hops_filtered, k_shortest_paths, shortest_path, shortest_path_in,
+    shortest_path_tree, shortest_path_with_floor, suurballe, AllPairsHops, DynamicSpt,
+    SpfWorkspace,
 };
-use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId, Route};
+use drt_net::{topology, Bandwidth, LinkId, NetworkBuilder, NodeId};
 use proptest::prelude::*;
 
 const CAP: Bandwidth = Bandwidth::from_mbps(100);
@@ -251,40 +251,6 @@ proptest! {
         }
     }
 
-    /// The breadth-first minimum-hop route is the one-directional
-    /// unit-step Dijkstra route link for link, under random usable masks,
-    /// for every ordered pair — `src == dst`, unreachable pairs and ids
-    /// past the last node included, which both answer `None` without
-    /// panicking.
-    #[test]
-    fn min_hop_route_equals_unit_dijkstra(
-        directed in arb_directed_net(),
-        any_net in arb_any_net(),
-        // One class in five is masked out.
-        mask in prop::collection::vec(0u8..5, 1..=40),
-    ) {
-        let mut ws = SpfWorkspace::new();
-        for net in [&directed, &any_net] {
-            let usable = |l: LinkId| mask[l.index() % mask.len()] > 0;
-            let ids = (0..net.num_nodes() as u32 + 2).map(NodeId::new);
-            for src in ids.clone() {
-                for dst in ids.clone() {
-                    let bfs = min_hop_route(net, src, dst, usable);
-                    let dijkstra =
-                        shortest_path_in(&mut ws, net, src, dst, 1, |l| usable(l).then_some(1));
-                    prop_assert_eq!(
-                        bfs.as_ref().map(Route::links),
-                        dijkstra.as_ref().map(|(_, r)| r.links()),
-                        "{} -> {}", src, dst
-                    );
-                    if let Some((hops, route)) = &dijkstra {
-                        prop_assert_eq!(*hops, route.len() as u128);
-                    }
-                }
-            }
-        }
-    }
-
     /// Where the cheapest route is unique, the bidirectional search
     /// returns it, link for link the one-directional search's route, at
     /// every floor: on one-way links, duplex pairs, several components,
@@ -391,7 +357,7 @@ proptest! {
         let src = NodeId::new(0);
         let hops = AllPairsHops::compute(&net);
         for dst in net.nodes().skip(1) {
-            let route = shortest_path_hops(&net, src, dst).expect("connected");
+            let (_, route) = shortest_path(&net, src, dst, |_| Some(1)).expect("connected");
             prop_assert_eq!(route.source(), src);
             prop_assert_eq!(route.dest(), dst);
             prop_assert!(route.is_simple(&net));
@@ -430,7 +396,7 @@ proptest! {
             // Primary never longer than backup under unit costs.
             prop_assert!(pair.primary.len() <= pair.backup.len());
             // Total never better than twice the single shortest path.
-            let single = shortest_path_hops(&net, src, dst).unwrap().len() as u128;
+            let (single, _) = shortest_path(&net, src, dst, |_| Some(1)).unwrap();
             prop_assert!(pair.total_cost >= 2 * single);
         }
     }

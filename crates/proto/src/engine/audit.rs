@@ -256,6 +256,7 @@ impl ProtocolSim {
         let h = &mut sink.0;
         state.failed.hash(h);
         state.down.hash(h);
+        state.dead.hash(h);
         state.next_seq.hash(h);
         state.restarted.hash(h);
         state.rejoin_degraded.hash(h);

@@ -225,6 +225,9 @@ struct State {
     failed: Vec<bool>,
     /// Routers currently crashed (deliveries to them are dropped).
     down: Vec<bool>,
+    /// Routers failed for good ([`Event::NodeFails`]): down, and no
+    /// restart revives them.
+    dead: Vec<bool>,
     /// Whether any router ever lost state for good (an amnesia restart,
     /// a degraded rejoin or a permanent [`Event::NodeFails`]) — state
     /// loss forfeits the quiescent exact-equality claims.
@@ -273,6 +276,9 @@ struct State {
 pub struct ProtocolSim {
     sim: Simulator<Event>,
     state: State,
+    /// Fault commands refused for naming no link or router of the
+    /// network (see [`ProtocolSim::refused_commands`]).
+    refused: u64,
 }
 
 impl ProtocolSim {
@@ -313,6 +319,7 @@ impl ProtocolSim {
         let journals = Journals::new(Arc::clone(&net));
         let failed = vec![false; net.num_links()];
         let down = vec![false; net.num_nodes()];
+        let dead = down.clone();
         ProtocolSim {
             sim: Simulator::new(),
             state: State {
@@ -327,6 +334,7 @@ impl ProtocolSim {
                 journals,
                 failed,
                 down,
+                dead,
                 node_crashed: false,
                 restarted: false,
                 rejoin_degraded: false,
@@ -339,7 +347,19 @@ impl ProtocolSim {
                 recovery_log: Vec::new(),
                 pending_recovery: BTreeMap::new(),
             },
+            refused: 0,
         }
+    }
+
+    /// Whether `link` and `node` (where given) belong to the network.
+    /// Counts a refused command when one does not: its event would index
+    /// past the router and link tables when handled.
+    fn admits(&mut self, link: Option<LinkId>, node: Option<NodeId>) -> bool {
+        let net = &self.state.net;
+        let ok = link.is_none_or(|l| l.index() < net.num_links())
+            && node.is_none_or(|n| n.index() < net.num_nodes());
+        self.refused += u64::from(!ok);
+        ok
     }
 
     /// Queues the start of an `op` walk for `conn` along `route` at the
@@ -456,8 +476,13 @@ impl ProtocolSim {
     }
 
     /// Fails a unidirectional link; the adjacent router detects it after
-    /// the detection delay and reports to every affected source.
+    /// the detection delay and reports to every affected source. A `link`
+    /// outside the network is refused: nothing is scheduled, and
+    /// [`ProtocolSim::refused_commands`] counts it.
     pub fn fail_link(&mut self, link: LinkId) {
+        if !self.admits(Some(link), None) {
+            return;
+        }
         self.sim
             .schedule_at(self.sim.now(), Event::LinkFails { link });
     }
@@ -467,8 +492,13 @@ impl ProtocolSim {
     /// detect or report anything — the *surviving* endpoint of each
     /// incident link detects after the detection delay and reports
     /// upstream, so one crash fans out into failure reports for all
-    /// incident links at once.
+    /// incident links at once. A router down for a restart fails for good
+    /// all the same, and no restart revives it. A `node` outside the
+    /// network is refused as [`ProtocolSim::fail_link`] refuses a link.
     pub fn crash_router(&mut self, node: NodeId) {
+        if !self.admits(None, Some(node)) {
+            return;
+        }
         self.sim
             .schedule_at(self.sim.now(), Event::NodeFails { node });
     }
@@ -477,8 +507,14 @@ impl ProtocolSim {
     /// state is lost and deliveries to it are dropped while it is down.
     /// What the restart recovers follows [`ChaosConfig::restart_mode`];
     /// under [`crate::RestartMode::Journaled`] the rejoin replays the
-    /// journal and resyncs with every neighbour.
+    /// journal and resyncs with every neighbour. A router that
+    /// [`ProtocolSim::crash_router`] failed for good stays down. A `node`
+    /// outside the network is refused as [`ProtocolSim::fail_link`]
+    /// refuses a link.
     pub fn restart_router(&mut self, node: NodeId, down_for: SimDuration) {
+        if !self.admits(None, Some(node)) {
+            return;
+        }
         let now = self.sim.now();
         self.sim.schedule_at(now, Event::RouterCrash { node });
         self.sim
@@ -497,6 +533,14 @@ impl ProtocolSim {
     pub fn step(&mut self) -> bool {
         let state = &mut self.state;
         self.sim.step(|sched, ev| state.handle(sched, ev))
+    }
+
+    /// How many fault commands ([`ProtocolSim::fail_link`],
+    /// [`ProtocolSim::crash_router`], [`ProtocolSim::restart_router`],
+    /// [`ProtocolSim::spoof_failure_report`]) were refused for naming a
+    /// link or router outside the network.
+    pub fn refused_commands(&self) -> u64 {
+        self.refused
     }
 
     /// Number of events still pending in the queue.
@@ -598,9 +642,11 @@ impl ProtocolSim {
     /// scheduled for later is this call made at that time.
     ///
     /// Returns `false`, scheduling nothing, when `link` has already
-    /// failed: a report of a real failure is no lie.
+    /// failed: a report of a real failure is no lie. So it does, counted
+    /// as [`ProtocolSim::fail_link`] counts a refusal, when `reporter` or
+    /// `link` lies outside the network.
     pub fn spoof_failure_report(&mut self, reporter: NodeId, link: LinkId) -> bool {
-        if self.state.failed[link.index()] {
+        if !self.admits(Some(link), Some(reporter)) || self.state.failed[link.index()] {
             return false;
         }
         self.sim

@@ -15,9 +15,11 @@ impl State {
     /// A router fails permanently: state wiped, every incident link dead,
     /// surviving neighbours detect after the detection delay.
     pub(super) fn on_node_fails(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId) {
-        if self.down[node.index()] {
+        // A router down for a restart fails for good all the same.
+        if self.dead[node.index()] {
             return;
         }
+        self.dead[node.index()] = true;
         self.down[node.index()] = true;
         self.node_crashed = true;
         // State loss, as with an amnesia restart — but permanent: the
@@ -61,7 +63,7 @@ impl State {
     }
 
     pub(super) fn on_router_restart(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId) {
-        if !self.down[node.index()] {
+        if !self.down[node.index()] || self.dead[node.index()] {
             return;
         }
         self.down[node.index()] = false;
@@ -228,6 +230,25 @@ mod tests {
         sim.run_to_quiescence();
         assert!(sim.now() >= crashed_at + SimDuration::from_secs(1));
         (sim, primary)
+    }
+
+    #[test]
+    fn a_router_failed_for_good_stays_down() {
+        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
+        let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
+        let (conn, node) = (ConnectionId::new(0), NodeId::new(1));
+        sim.establish(conn, BW, r(&net, &[0, 1, 2]), Some(r(&net, &[0, 3, 2])));
+        sim.run_to_quiescence();
+        // Failed for good while down for a restart: the restart does not
+        // bring it back, and the primary through it switches over.
+        sim.restart_router(node, SimDuration::from_secs(1));
+        sim.crash_router(node);
+        sim.run_to_quiescence();
+        assert_eq!(sim.outcome(conn), Some(ConnOutcome::Switched));
+        // Nor does a later restart.
+        sim.restart_router(node, SimDuration::from_secs(1));
+        sim.run_to_quiescence();
+        assert_eq!(sim.journal_stats().restarts, 0);
     }
 
     #[test]

@@ -126,7 +126,7 @@ proptest! {
             let (src, dst) = pattern.sample_pair(10, &mut rng);
             // Route via shortest path; backup via exclusion (may fail on
             // sparse graphs — skip those pairs).
-            let Some(primary) = drt_net::algo::shortest_path_hops(&net, src, dst) else {
+            let Some((_, primary)) = drt_net::algo::shortest_path(&net, src, dst, |_| Some(1)) else {
                 continue;
             };
             let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {
@@ -222,7 +222,7 @@ proptest! {
         for i in 0..n_conns {
             use rand::Rng;
             let (src, dst) = pattern.sample_pair(8, &mut rng);
-            let Some(primary) = drt_net::algo::shortest_path_hops(&net, src, dst) else {
+            let Some((_, primary)) = drt_net::algo::shortest_path(&net, src, dst, |_| Some(1)) else {
                 continue;
             };
             let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {
@@ -418,7 +418,7 @@ proptest! {
         let mut ops = Vec::new();
         for i in 0..8u64 {
             let (src, dst) = pattern.sample_pair(10, &mut rng);
-            let Some(primary) = drt_net::algo::shortest_path_hops(&net, src, dst) else {
+            let Some((_, primary)) = drt_net::algo::shortest_path(&net, src, dst, |_| Some(1)) else {
                 continue;
             };
             let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {

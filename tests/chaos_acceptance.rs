@@ -35,7 +35,7 @@ fn hundred_connections_at_ten_percent_drop_never_wedge() {
     let mut id = 0u64;
     while submitted.len() < 100 {
         let (src, dst) = pattern.sample_pair(net.num_nodes(), &mut rng);
-        let Some(primary) = drt_net::algo::shortest_path_hops(&net, src, dst) else {
+        let Some((_, primary)) = drt_net::algo::shortest_path(&net, src, dst, |_| Some(1)) else {
             continue;
         };
         let backup = drt_net::algo::shortest_path(&net, src, dst, |l| {

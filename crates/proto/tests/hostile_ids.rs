@@ -53,7 +53,7 @@ fn pick<T: Copy>(list: &[T], raw: u32, fallback: T) -> T {
     }
 }
 
-/// What the driver knows of the run: every connection submitted with its
+/// What the test knows of the run: every connection submitted with its
 /// routes, and the ids each kind resolves to.
 #[derive(Default)]
 struct Ids {

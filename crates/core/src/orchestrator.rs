@@ -2,25 +2,27 @@
 //!
 //! DRTP's switchover is instantaneous (the backup is pre-established), but
 //! *re-protection* — finding a fresh backup for a connection that switched
-//! or lost its backup — is a routing operation that can fail transiently:
-//! the topology just lost links, spare pools are in flux, and another
-//! failure may land mid-recovery. [`RecoveryOrchestrator`] turns
-//! re-protection into a managed process:
+//! or lost its backup — is a routing operation that can fail: the
+//! topology just lost links, spare pools are in flux, and another failure
+//! may land mid-recovery. [`RecoveryOrchestrator`] turns re-protection
+//! into a managed process:
 //!
-//! * a **retry queue** with exponential backoff — a connection whose
-//!   re-establishment fails waits `BASE_DELAY · 2^(attempt-1)` before
-//!   the next try, so a cluster of failures does not hammer the route
-//!   selector while the network is still degraded;
+//! * a **re-protection queue** — every connection that lost protection is
+//!   tried once, one detection delay after the loss. A retry would search
+//!   the same topology again, since nothing fails or repairs while a
+//!   batch drains; only the batch's own re-protections change the state
+//!   in between, and in the chaos campaign that rescued 2 of 2 257
+//!   connections (DESIGN.md §10);
 //! * **flap damping** — a link that fails repeatedly within a window is
 //!   quarantined: still usable by established traffic, but excluded from
 //!   *new* backup routes (via
 //!   [`DrtpManager::reestablish_backup_avoiding`]) until the quarantine
 //!   expires, because a backup over a flapping link is protection in name
 //!   only;
-//! * **graceful degradation accounting** — a connection that exhausts its
-//!   retries is *orphaned*: it keeps carrying traffic unprotected, stops
-//!   consuming retry work, and is reported so experiments can quantify how
-//!   much protection each failure regime permanently destroys;
+//! * **graceful degradation accounting** — a connection whose attempt
+//!   fails is *orphaned*: it keeps carrying traffic unprotected, is never
+//!   queued again, and is reported so experiments can quantify how much
+//!   protection each failure regime permanently destroys;
 //! * **repair-time re-optimisation** — after a repair,
 //!   [`RecoveryOrchestrator::reoptimize`] replaces every backup that was
 //!   forced to overlap its own primary, and keeps the old one when the
@@ -49,10 +51,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// report verification alike.
 pub const SUSPICION_THRESHOLD: u32 = 3;
 
-/// Re-establishment attempts per connection before it is orphaned.
-const MAX_ATTEMPTS: u32 = 5;
-
-/// Delay before the first attempt; doubles per failed attempt.
+/// Delay from the loss of protection to the one re-establishment attempt
+/// (the signalling round that discovers the loss). It also spaces storm
+/// rounds: see `third_strike_at_the_window_end_quarantines`.
 const BASE_DELAY: SimDuration = SimDuration::from_millis(100);
 
 /// Failures of one link within `FLAP_WINDOW` (60 s) that quarantine it
@@ -65,30 +66,13 @@ const FLAP_WINDOW: SimDuration = SimDuration::from_secs(60);
 /// How long a flapping link stays quarantined from new backup routes.
 pub const QUARANTINE: SimDuration = SimDuration::from_minutes(5);
 
-/// The backoff delay before attempt number `attempt` (1-based):
-/// [`BASE_DELAY`] doubled per earlier failure. At most 1.6 s, since
-/// `attempt` never exceeds [`MAX_ATTEMPTS`].
-fn backoff(attempt: u32) -> SimDuration {
-    BASE_DELAY.times(1 << (attempt - 1))
-}
-
-/// One connection waiting in the retry queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PendingRetry {
-    /// When the protection was lost (for recovery-latency accounting).
-    lost_at: SimTime,
-    /// When the next attempt is due.
-    due: SimTime,
-    /// 1-based number of the next attempt.
-    attempt: u32,
-}
-
-/// Drives re-establishment of lost protection as a retry queue with
-/// exponential backoff, flap damping, and orphan accounting. See the
-/// module docs for the model.
+/// Drives re-establishment of lost protection: one attempt per loss,
+/// flap damping, and orphan accounting. See the module docs for the
+/// model.
 #[derive(Debug, Clone)]
 pub struct RecoveryOrchestrator {
-    queue: BTreeMap<ConnectionId, PendingRetry>,
+    /// Connections awaiting their attempt, with when they lost protection.
+    queue: BTreeMap<ConnectionId, SimTime>,
     /// Recent failure instants per link, pruned to the flap window.
     fail_history: Vec<Vec<SimTime>>,
     quarantined_until: Vec<Option<SimTime>>,
@@ -151,17 +135,13 @@ impl RecoveryOrchestrator {
     }
 
     /// Queues `conn` for re-protection if it is not already queued or
-    /// orphaned. The first attempt is due after one base delay (modelling
-    /// the signalling round that discovers the loss of protection).
+    /// orphaned. Its attempt is due after one base delay (modelling the
+    /// signalling round that discovers the loss of protection).
     pub fn enqueue(&mut self, now: SimTime, conn: ConnectionId) {
         if self.orphaned.contains(&conn) {
             return;
         }
-        self.queue.entry(conn).or_insert(PendingRetry {
-            lost_at: now,
-            due: now + BASE_DELAY,
-            attempt: 1,
-        });
+        self.queue.entry(conn).or_insert(now);
     }
 
     fn record_link_failure(&mut self, now: SimTime, link: LinkId) {
@@ -234,9 +214,8 @@ impl RecoveryOrchestrator {
         ReportVerdict::Rejected
     }
 
-    /// The orchestrator's telemetry: recovery-latency and orphan-duration
-    /// histograms, retry/orphan counters, quarantine and report-vetting
-    /// counters.
+    /// The orchestrator's telemetry: re-protection, orphan, quarantine
+    /// and report-vetting counters.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -259,104 +238,51 @@ impl RecoveryOrchestrator {
             .collect()
     }
 
-    /// Connections waiting in the retry queue.
+    /// Connections awaiting their re-establishment attempt.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    /// The earliest due time in the queue, if any.
-    fn next_due(&self) -> Option<SimTime> {
-        self.queue.values().map(|p| p.due).min()
-    }
-
-    /// Connections that exhausted their retries and now run permanently
+    /// Connections whose attempt failed and that now run permanently
     /// unprotected (until an operator intervenes).
     pub fn orphaned(&self) -> &BTreeSet<ConnectionId> {
         &self.orphaned
     }
 
-    /// Runs every attempt due at or before `now`. Connections released or
-    /// torn down since they were queued, and connections that regained a
-    /// backup by other means, leave the queue and are recorded nowhere;
-    /// the rest go through [`DrtpManager::reestablish_backup_avoiding`]
-    /// with the currently quarantined links excluded. A success counts as
-    /// `recovery.reprotected`, with its time since the loss of protection
-    /// in `recovery.latency_us`; a failure backs off as `recovery.retries`,
-    /// or, at [`MAX_ATTEMPTS`], orphans the connection as
-    /// `recovery.orphaned`, its wait in `recovery.orphan_wait_us`.
-    fn tick(&mut self, now: SimTime, mgr: &mut DrtpManager, scheme: &mut dyn RoutingScheme) {
-        let due: Vec<ConnectionId> = self
-            .queue
-            .iter()
-            .filter(|(_, p)| p.due <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        let avoid = self.quarantined_links(now);
-        for id in due {
-            let entry = self.queue[&id];
-            let eligible = match mgr.connection(id) {
-                Some(c) if c.state() == ConnectionState::Failed => false,
-                Some(c) => {
-                    if c.backup().is_some() {
-                        // Protection restored out-of-band; nothing to do.
-                        self.queue.remove(&id);
-                        continue;
-                    }
-                    true
-                }
-                None => false,
-            };
-            if !eligible {
-                self.queue.remove(&id);
-                continue;
-            }
-            match mgr.reestablish_backup_avoiding(scheme, id, &avoid) {
-                Ok(_) => {
-                    self.queue.remove(&id);
-                    self.telemetry.incr("recovery.reprotected");
-                    self.telemetry.observe_duration(
-                        "recovery.latency_us",
-                        now.saturating_since(entry.lost_at),
-                    );
-                }
-                Err(_) => {
-                    if entry.attempt >= MAX_ATTEMPTS {
-                        self.queue.remove(&id);
-                        self.orphaned.insert(id);
-                        self.telemetry.incr("recovery.orphaned");
-                        self.telemetry.observe_duration(
-                            "recovery.orphan_wait_us",
-                            now.saturating_since(entry.lost_at),
-                        );
-                    } else {
-                        let next = entry.attempt + 1;
-                        self.queue.insert(
-                            id,
-                            PendingRetry {
-                                lost_at: entry.lost_at,
-                                due: now + backoff(next),
-                                attempt: next,
-                            },
-                        );
-                        self.telemetry.incr("recovery.retries");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Advances virtual time through the retry queue until it drains:
-    /// every queued connection either re-protects or orphans. Returns the
-    /// time at which the queue became empty (= `now` when it already was).
+    /// Drains the queue: every queued connection gets its one attempt,
+    /// in id order, at one base delay after the latest loss it holds.
+    /// Connections released or torn down since they were queued, and
+    /// connections that regained a backup by other means, leave the queue
+    /// and are recorded nowhere; the rest go through
+    /// [`DrtpManager::reestablish_backup_avoiding`] with the links
+    /// quarantined at that instant excluded. A success counts as
+    /// `recovery.reprotected`; a failure orphans the connection as
+    /// `recovery.orphaned`. Returns the instant of the attempts (`now`
+    /// when the queue was empty).
     pub fn run_to_quiescence(
         &mut self,
-        mut now: SimTime,
+        now: SimTime,
         mgr: &mut DrtpManager,
         scheme: &mut dyn RoutingScheme,
     ) -> SimTime {
-        while let Some(due) = self.next_due() {
-            now = now.max(due);
-            self.tick(now, mgr, scheme);
+        let Some(&last_loss) = self.queue.values().max() else {
+            return now;
+        };
+        let now = now.max(last_loss + BASE_DELAY);
+        let avoid = self.quarantined_links(now);
+        for id in std::mem::take(&mut self.queue).into_keys() {
+            let needs_backup = mgr
+                .connection(id)
+                .is_some_and(|c| c.state() != ConnectionState::Failed && c.backup().is_none());
+            if !needs_backup {
+                continue;
+            }
+            if mgr.reestablish_backup_avoiding(scheme, id, &avoid).is_ok() {
+                self.telemetry.incr("recovery.reprotected");
+            } else {
+                self.orphaned.insert(id);
+                self.telemetry.incr("recovery.orphaned");
+            }
         }
         now
     }
@@ -365,7 +291,7 @@ impl RecoveryOrchestrator {
     /// them better alternatives: every carrying connection whose backup
     /// overlaps its own primary drops it and re-establishes one through
     /// [`DrtpManager::reestablish_backup_avoiding`], the quarantined links
-    /// excluded as in its retry attempts.
+    /// excluded as in its re-protection attempts.
     /// It never downgrades: when the scheme finds nothing, the old backup
     /// is reinstalled. Outcomes count as `recovery.reoptimized` and
     /// `recovery.reoptimize_failed`.
@@ -425,15 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_and_caps() {
-        let ladder: Vec<u64> = (1..=MAX_ATTEMPTS)
-            .map(|a| backoff(a).as_micros() / 1_000)
-            .collect();
-        assert_eq!(ladder, [100, 200, 400, 800, 1_600]);
-    }
-
-    #[test]
-    fn switchover_is_reprotected_via_retry_queue() {
+    fn switchover_is_reprotected_via_the_queue() {
         let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
         let mut mgr = DrtpManager::new(net);
         let mut scheme = DLsr::new();
@@ -451,7 +369,6 @@ mod tests {
         assert!(orch.orphaned().is_empty());
         let t = orch.telemetry();
         assert_eq!(t.counter("recovery.reprotected"), 1);
-        assert_eq!(t.counter("recovery.retries"), 0, "first attempt");
         assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(100));
         assert_eq!(
             mgr.connection(ConnectionId::new(0)).unwrap().state(),
@@ -461,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_orphan_the_connection() {
+    fn a_failed_attempt_orphans_the_connection() {
         // A scripted scheme with an exhausted script models a routing
         // scheme that cannot find any new backup (the LSR schemes treat
         // primary overlap as a soft penalty, so on a live connection they
@@ -483,7 +400,7 @@ mod tests {
         let mut scheme = Scripted::new();
         scheme.push(primary, Some(long_way));
         let rep = mgr.request_connection(&mut scheme, req(0, 0, 1)).unwrap();
-        assert_eq!(scheme.remaining(), 0, "every retry will now fail");
+        assert_eq!(scheme.remaining(), 0, "the attempt will now fail");
         let mut orch = RecoveryOrchestrator::new(mgr.net().num_links());
 
         let failure = mgr
@@ -493,11 +410,11 @@ mod tests {
         let end = orch.run_to_quiescence(SimTime::ZERO, &mut mgr, &mut scheme);
 
         assert_eq!(orch.pending(), 0);
-        // Orphaned at the fifth attempt, after the whole 3.1 s ladder.
-        assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(3_100));
+        // Orphaned at its one attempt, one base delay after the loss.
+        assert_eq!(end, SimTime::ZERO + BASE_DELAY);
         let t = orch.telemetry();
-        assert_eq!(t.counter("recovery.retries"), u64::from(MAX_ATTEMPTS - 1));
         assert_eq!(t.counter("recovery.orphaned"), 1);
+        assert_eq!(t.counter("recovery.reprotected"), 0);
         assert_eq!(
             orch.orphaned().iter().copied().collect::<Vec<_>>(),
             vec![ConnectionId::new(0)]
@@ -551,6 +468,29 @@ mod tests {
         mgr.assert_invariants();
     }
 
+    /// The flap window includes its end: a third strike exactly
+    /// [`FLAP_WINDOW`] after the first quarantines the link, one 1 µs later
+    /// does not. `regional-storm` rests on this edge: its rounds r and
+    /// r + 2 fail the same links 60 s apart, and the [`BASE_DELAY`] each
+    /// drained round adds is what pushes the third strike past the window.
+    /// With that delay at 0 the regime's `quar` column moved (D-LSR r2
+    /// 0 → 2, P-LSR r2 0 → 6, P-LSR r4 8 → 32, BF r4 10 → 34) and the
+    /// campaign's `quarantine.links_entered` went 122 → 178.
+    #[test]
+    fn third_strike_at_the_window_end_quarantines() {
+        let l = LinkId::new(0);
+        let strikes = |third: SimTime| {
+            let mut orch = RecoveryOrchestrator::new(1);
+            for t in [SimTime::ZERO, SimTime::from_secs(30), third] {
+                orch.observe_churn(t, l);
+            }
+            orch.is_quarantined(l, third)
+        };
+        let edge = SimTime::ZERO + FLAP_WINDOW;
+        assert!(strikes(edge), "the window includes its end");
+        assert!(!strikes(edge + SimDuration::from_micros(1)));
+    }
+
     #[test]
     fn uncorroborated_reports_quarantine_the_reporter() {
         let mut orch = RecoveryOrchestrator::new(8);
@@ -599,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn node_crash_during_pending_retries_is_absorbed() {
+    fn node_crash_during_pending_reprotection_is_absorbed() {
         let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
         let mut mgr = DrtpManager::new(net);
         let mut scheme = DLsr::new();
@@ -611,9 +551,9 @@ mod tests {
             .inject_failure(rep.primary.links()[0], &mut rng())
             .unwrap();
         orch.observe_failure(SimTime::ZERO, &first);
-        assert!(orch.pending() > 0, "retries are pending");
+        assert!(orch.pending() > 0, "re-protections are pending");
 
-        // A router crash lands before the first retry fires.
+        // A router crash lands before the attempts run.
         let crash = mgr
             .inject_event(&FailureEvent::Node(NodeId::new(4)), &mut rng())
             .unwrap();

@@ -1,12 +1,12 @@
 //! Full recovery-cycle integration test: correlated failure events
-//! landing on an orchestrator that already has retries in flight.
+//! landing on an orchestrator that already has re-protections queued.
 //!
-//! The unit tests in `orchestrator.rs` pin individual mechanisms (backoff
-//! arithmetic, flap damping, orphan bookkeeping). This test drives the
+//! The unit tests in `orchestrator.rs` pin individual mechanisms (the one
+//! attempt, flap damping, orphan bookkeeping). This test drives the
 //! whole cycle the multi-failure experiments rely on — establish a
 //! population, fail a link, re-protect, then land a correlated burst and
-//! a router crash while the retry queue is non-empty — and checks the
-//! global accounting that no single mechanism can guarantee alone.
+//! a router crash while the queue is non-empty — and checks the global
+//! accounting that no single mechanism can guarantee alone.
 
 use drt_core::failure::FailureEvent;
 use drt_core::orchestrator::{RecoveryOrchestrator, QUARANTINE};
@@ -52,7 +52,7 @@ fn establish(mgr: &mut DrtpManager, scheme: &mut DLsr) -> Vec<ConnectionId> {
 }
 
 #[test]
-fn node_crash_during_pending_batch_retries_reaches_closed_quiescence() {
+fn node_crash_during_pending_batch_reprotection_reaches_closed_quiescence() {
     let net = Arc::new(topology::mesh(4, 4, Bandwidth::from_mbps(10)).unwrap());
     let mut mgr = DrtpManager::new(Arc::clone(&net));
     let mut scheme = DLsr::new();
@@ -87,11 +87,11 @@ fn node_crash_during_pending_batch_retries_reaches_closed_quiescence() {
         "a batch must resolve in a single activation pass"
     );
     orch.observe_failure(t1, &burst);
-    assert!(orch.pending() > 0, "burst leaves retries in flight");
+    assert!(orch.pending() > 0, "burst leaves re-protections queued");
 
-    // Phase C: before any retry fires, a router crashes. Pick an interior
+    // Phase C: before any attempt runs, a router crashes. Pick an interior
     // router of a *pending* connection's current primary so the crash
-    // lands on exactly the state the retry queue is about to touch.
+    // lands on exactly the state the queue is about to touch.
     let victim = burst
         .switched
         .iter()
@@ -254,25 +254,23 @@ fn bounded_flooding_measures_distance_through_quarantined_links() {
     assert_eq!(backup, None);
 }
 
-/// Quarantine expiry end to end: a flap-damped link is re-admitted into
-/// new backup routes once its quarantine elapses, and a retry that was
-/// pending across the expiry drains to quiescence *through* the
-/// re-admitted link.
+/// Quarantine expiry end to end: a loss inside a link's quarantine
+/// orphans at its one attempt, and a loss after the expiry re-protects
+/// across the re-admitted link.
 ///
-/// Ring of 4, connection 0→1: primary is the direct link, the only
-/// backup is the long way round (0→3→2→1). The scripted scheme returns
-/// exactly that backup, so while `0→3` is quarantined every retry fails
-/// (the selection crosses the avoided link) and the pending entry backs
-/// off across the expiry boundary; afterwards the same selection is
-/// accepted.
+/// Ring of 4, connections 0→1: the primary is the direct link, the only
+/// backup the long way round (0→3→2→1). The scripted scheme returns
+/// exactly that backup, so while `0→3` is quarantined the attempt fails
+/// (the selection crosses the avoided link), and afterwards the same
+/// selection is accepted.
 ///
 /// Advertisement churn at 0, 1 and 2 s quarantines `0→3` until 302 s.
-/// The link then fails for real 3 s before the expiry, taking the backup
-/// with it, and is repaired at once. The retry ladder puts the attempts
-/// at +0.1, +0.3, +0.7 and +1.5 s, all inside the quarantine, and the
-/// fifth and last at +3.1 s, just past the expiry.
+/// The link fails for real at 299 s, taking connection 0's backup, and
+/// is repaired at once; the attempt at 299.1 s is inside the quarantine.
+/// Connection 1, admitted afterwards, loses its backup to the same link
+/// at 303 s, past the expiry, and its attempt at 303.1 s succeeds.
 #[test]
-fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
+fn quarantine_expiry_readmits_link_for_a_later_loss() {
     let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
     let primary = Route::from_nodes(&net, &[NodeId::new(0), NodeId::new(1)]).unwrap();
     let long_way = Route::from_nodes(
@@ -288,9 +286,9 @@ fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
     let flappy = long_way.links()[0]; // 0→3, first hop of the only backup
     let mut mgr = DrtpManager::new(Arc::clone(&net));
     let mut scheme = Scripted::new();
+    let req = |id| RouteRequest::new(ConnectionId::new(id), NodeId::new(0), NodeId::new(1), BW);
     scheme.push(primary.clone(), Some(long_way.clone()));
-    let req = RouteRequest::new(ConnectionId::new(0), NodeId::new(0), NodeId::new(1), BW);
-    mgr.request_connection(&mut scheme, req).unwrap();
+    mgr.request_connection(&mut scheme, req(0)).unwrap();
     let mut orch = RecoveryOrchestrator::new(net.num_links());
     let mut rng = drt_sim::rng::stream(31, "quarantine-expiry");
 
@@ -301,32 +299,44 @@ fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
     let expiry = SimTime::from_secs(2) + QUARANTINE;
     assert_eq!(orch.pending(), 0);
 
-    // The physical failure drops the backup and enqueues a re-protection.
+    // Fails `flappy` at `at` and repairs it at once; the loss of
+    // protection is queued and drained.
+    let mut flap = |mgr: &mut DrtpManager, orch: &mut RecoveryOrchestrator, at: SimTime| {
+        let report = mgr
+            .inject_event(&FailureEvent::Link(flappy), &mut rng)
+            .unwrap();
+        orch.observe_failure(at, &report);
+        mgr.repair_link(flappy).unwrap();
+        orch.observe_repair(at, flappy);
+        assert_eq!(orch.pending(), 1, "re-protection is pending");
+        scheme.push(primary.clone(), Some(long_way.clone()));
+        orch.run_to_quiescence(at, mgr, &mut scheme)
+    };
+
+    // Inside the quarantine: the scripted backup crosses the avoided
+    // link, the one attempt fails, and connection 0 is orphaned.
     let lost_at = SimTime::ZERO + (QUARANTINE - SimDuration::from_secs(1));
     assert_eq!(lost_at + SimDuration::from_secs(3), expiry);
     assert!(orch.is_quarantined(flappy, lost_at), "damping engaged");
-    let report = mgr
-        .inject_event(&FailureEvent::Link(flappy), &mut rng)
-        .unwrap();
-    orch.observe_failure(lost_at, &report);
-    mgr.repair_link(flappy).unwrap();
-    orch.observe_repair(lost_at, flappy);
-    assert_eq!(orch.pending(), 1, "re-protection is pending");
+    let end = flap(&mut mgr, &mut orch, lost_at);
+    assert_eq!(end, lost_at + SimDuration::from_millis(100));
+    assert!(orch.is_quarantined(flappy, end));
+    assert_eq!(orch.pending(), 0);
+    assert_eq!(
+        orch.orphaned().iter().copied().collect::<Vec<_>>(),
+        vec![ConnectionId::new(0)]
+    );
 
-    // Every attempt inside the quarantine fails: the scripted backup
-    // crosses the avoided link. Afterwards the same selection succeeds.
-    for _ in 0..5 {
-        scheme.push(primary.clone(), Some(long_way.clone()));
-    }
-    let end = orch.run_to_quiescence(lost_at, &mut mgr, &mut scheme);
-
-    // The fifth attempt, the first one after the expiry, succeeds.
-    assert_eq!(end, lost_at + SimDuration::from_millis(3_100));
+    // Past the expiry: the same selection is accepted for connection 1.
+    let mut admit = Scripted::new();
+    admit.push(primary.clone(), Some(long_way.clone()));
+    mgr.request_connection(&mut admit, req(1)).unwrap();
+    let lost_at = expiry + SimDuration::from_secs(1);
+    let end = flap(&mut mgr, &mut orch, lost_at);
     assert!(end > expiry && !orch.is_quarantined(flappy, end));
-    assert_eq!(orch.pending(), 0, "pending retry drained to quiescence");
-    assert!(orch.orphaned().is_empty(), "re-admission beat orphaning");
+    assert_eq!(orch.pending(), 0);
     let backup = mgr
-        .connection(ConnectionId::new(0))
+        .connection(ConnectionId::new(1))
         .unwrap()
         .backup()
         .expect("re-protected")
@@ -335,8 +345,8 @@ fn quarantine_expiry_readmits_link_and_drains_pending_retry() {
         backup.contains_link(flappy),
         "the re-admitted link carries the new backup"
     );
-    assert_eq!(orch.telemetry().counter("recovery.retries"), 4);
     assert_eq!(orch.telemetry().counter("recovery.reprotected"), 1);
+    assert_eq!(orch.telemetry().counter("recovery.orphaned"), 1);
     mgr.assert_invariants();
 }
 
@@ -405,7 +415,7 @@ fn crash_of_a_connection_endpoint_drops_it_without_enqueueing() {
 
     // Crash node 15 — the *destination* of connection 0. That connection
     // cannot be re-protected (its endpoint is gone); it must land in
-    // `lost`, never in the retry queue.
+    // `lost`, never in the re-protection queue.
     let crash = mgr
         .inject_event(&FailureEvent::Node(NodeId::new(15)), &mut rng)
         .unwrap();
@@ -455,9 +465,8 @@ proptest! {
 
     /// Closed accounting on random traces: after every step, and the
     /// orchestrator run to quiescence, nothing is pending, every
-    /// unprotected survivor is an orphan, no backup crosses a failed link,
-    /// and every orphan waited out the whole retry ladder,
-    /// 0.1 + 0.2 + 0.4 + 0.8 + 1.6 = 3.1 s.
+    /// unprotected survivor is an orphan, and no backup crosses a failed
+    /// link.
     #[test]
     fn random_failure_traces_close_the_accounting(
         seed in any::<u64>(),
@@ -510,10 +519,6 @@ proptest! {
                 }
             }
             mgr.assert_invariants();
-            if let Some(h) = orch.telemetry().hist("recovery.orphan_wait_us") {
-                prop_assert_eq!(h.max(), 3_100_000);
-                prop_assert_eq!(h.sum(), h.count() * 3_100_000);
-            }
         }
     }
 }

@@ -143,10 +143,11 @@ fn main() {
                 "reading guide: each event fails its whole correlated set at once\n\
                  (`links` counts the members) and all affected backups contend in\n\
                  one activation pass. Survivors re-protect through the recovery\n\
-                 orchestrator: retries with exponential backoff, flapping links\n\
-                 quarantined (`quar`) from new backups, and connections whose\n\
-                 retries exhaust counted as `orphan` — protection the regime\n\
-                 permanently destroyed. `P_act-bk` is probed on the final state.\n\
+                 orchestrator: one attempt per loss of protection (`reprot`),\n\
+                 flapping links quarantined (`quar`) from new backups, and\n\
+                 connections whose attempt fails counted as `orphan` — protection\n\
+                 the regime permanently destroyed. `P_act-bk` is probed on the\n\
+                 final state.\n\
                  Rows share the workload substream, so regimes are comparable and\n\
                  the table is deterministic per seed.\n"
             ),
@@ -157,11 +158,10 @@ fn main() {
                      `f-rr` the spurious switchovers they caused, `vetoed` the lies\n\
                      report verification rejected, and `quar` the routers + links the\n\
                      countermeasures quarantined. `orphan` counts connections whose\n\
-                     re-protection exhausted its retries; `rec-p50`/`rec-p95` are\n\
-                     recovery-latency percentiles from the telemetry histogram, and\n\
-                     `P_act-bk` is probed on the post-campaign state. Every column is\n\
-                     a projection of the merged telemetry below; the table is\n\
-                     deterministic per seed and byte-identical for every --jobs.\n"
+                     one re-protection attempt failed, and `P_act-bk` is probed on\n\
+                     the post-campaign state. Every column is a projection of the\n\
+                     merged telemetry below; the table is deterministic per seed\n\
+                     and byte-identical for every --jobs.\n"
                 );
                 println!("campaign telemetry (merged across cells):");
                 for line in merged_telemetry(&rows).snapshot().lines() {
@@ -175,8 +175,9 @@ fn main() {
                  a restarted terminal `lost`), `journal` restarts replay the\n\
                  write-ahead journal and resync with their neighbours (`recov`\n\
                  table entries recovered, nothing else moves). The orchestrator\n\
-                 re-protects whatever each restart disturbed before the next\n\
-                 wave member goes down. `P_act-bk` probes the survivors; `P_eff`\n\
+                 tries once to re-protect whatever each restart disturbed before\n\
+                 the next wave member goes down (`reprot`; a failed attempt is\n\
+                 an `orphan`). `P_act-bk` probes the survivors; `P_eff`\n\
                  scales it by storm survival, pricing destroyed connections.\n\
                  The table is deterministic per seed and byte-identical for\n\
                  every --jobs.\n"

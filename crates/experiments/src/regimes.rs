@@ -26,7 +26,7 @@
 //!   seeded shuffle), `node-crashes` one transit router with every
 //!   incident link. Backups of all simultaneously hit primaries contend
 //!   in **one** activation pass ([`DrtpManager::inject_event`]);
-//!   connections whose re-protection exhausts its retries are orphaned —
+//!   connections whose one re-protection attempt fails are orphaned —
 //!   protection the regime permanently destroyed.
 //! * **adversaries** — `byzantine-lsa`: `strength` routers poison the
 //!   link-state view ([`ViewDistortion`]); admission still validates
@@ -76,7 +76,7 @@
 //! count.
 
 use crate::config::ExperimentConfig;
-use crate::report::{fmt_us, loaded_links, pick_from, pick_loaded_link};
+use crate::report::{loaded_links, pick_from, pick_loaded_link};
 use crate::runner::{replay, SchemeKind};
 use drt_core::failure::{FailureEvent, LinkImpact, RestartMode};
 use drt_core::orchestrator::{RecoveryOrchestrator, ReportVerdict, FLAP_THRESHOLD};
@@ -409,12 +409,6 @@ impl Row {
     fn static_p(&self) -> Option<f64> {
         let t = &self.telemetry;
         ratio(t.counter("static.activated"), t.counter("static.affected"))
-    }
-
-    fn recovery_us(&self, pct: u32) -> u64 {
-        self.telemetry
-            .hist("recovery.latency_us")
-            .map_or(0, |h| h.percentile(pct))
     }
 }
 
@@ -1157,7 +1151,7 @@ fn render_correlated(net: &Network, rows: &[Row]) -> String {
         net.num_srlgs()
     );
     out.push_str(&format!(
-        "{:<12} {:>6} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>5} {:>9} {:>9} {:>9}\n",
+        "{:<12} {:>6} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>5} {:>9}\n",
         "regime",
         "estab",
         "events",
@@ -1168,18 +1162,12 @@ fn render_correlated(net: &Network, rows: &[Row]) -> String {
         "reprot",
         "orphan",
         "quar",
-        "mean-rec",
-        "max-rec",
         "P_act-bk"
     ));
     for r in rows {
         let t = &r.telemetry;
-        let rec = t.hist("recovery.latency_us");
-        let secs = |us: Option<u64>| {
-            us.map_or_else(|| "-".into(), |us| format!("{:.2}s", us as f64 / 1e6))
-        };
         out.push_str(&format!(
-            "{:<12} {:>6} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>5} {:>9} {:>9} {:>9}\n",
+            "{:<12} {:>6} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>5} {:>9}\n",
             r.cell.regime.label(),
             t.counter("establish.accepted"),
             t.counter("inject.events"),
@@ -1190,8 +1178,6 @@ fn render_correlated(net: &Network, rows: &[Row]) -> String {
             t.counter("recovery.reprotected"),
             t.counter("recovery.orphaned"),
             r.quarantined,
-            secs(rec.map(|h| h.mean())),
-            secs(rec.map(|h| h.max())),
             fmt_p(ratio(
                 t.counter("sweep.activated"),
                 t.counter("sweep.affected")
@@ -1215,7 +1201,7 @@ fn render_adversarial(net: &Network, rows: &[Row]) -> String {
         net.num_links()
     );
     out.push_str(&format!(
-        "{:<15} {:<6} {:>3} {:>4} {:>6} {:>4} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9}\n",
+        "{:<15} {:<6} {:>3} {:>4} {:>6} {:>4} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>6} {:>9}\n",
         "regime",
         "scheme",
         "str",
@@ -1230,14 +1216,12 @@ fn render_adversarial(net: &Network, rows: &[Row]) -> String {
         "vetoed",
         "quar",
         "orphan",
-        "rec-p50",
-        "rec-p95",
         "P_act-bk"
     ));
     for r in rows {
         let t = &r.telemetry;
         out.push_str(&format!(
-            "{:<15} {:<6} {:>3} {:>4} {:>6} {:>4} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9}\n",
+            "{:<15} {:<6} {:>3} {:>4} {:>6} {:>4} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>6} {:>9}\n",
             r.cell.regime.label(),
             r.cell.scheme.label(),
             r.cell.strength,
@@ -1252,8 +1236,6 @@ fn render_adversarial(net: &Network, rows: &[Row]) -> String {
             t.counter("reports.rejected") + t.counter("reports.rejected_quarantined"),
             t.counter("quarantine.routers_entered") + t.counter("quarantine.links_entered"),
             t.counter("recovery.orphaned"),
-            fmt_us(r.recovery_us(50)),
-            fmt_us(r.recovery_us(95)),
             fmt_ppm(r.p_act_bk_ppm()),
         ));
     }
@@ -1268,7 +1250,7 @@ fn render_restart(net: &Network, rows: &[Row]) -> String {
         net.num_links()
     );
     out.push_str(&format!(
-        "{:<15} {:<6} {:>4} {:>8} {:>6} {:>5} {:>6} {:>7} {:>5} {:>7} {:>7} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
+        "{:<15} {:<6} {:>4} {:>8} {:>6} {:>5} {:>6} {:>7} {:>5} {:>7} {:>7} {:>6} {:>9} {:>9}\n",
         "regime",
         "scheme",
         "rstr",
@@ -1281,15 +1263,13 @@ fn render_restart(net: &Network, rows: &[Row]) -> String {
         "reg-lst",
         "reprot",
         "orphan",
-        "rec-p50",
-        "rec-p95",
         "P_act-bk",
         "P_eff"
     ));
     for r in rows {
         let t = &r.telemetry;
         out.push_str(&format!(
-            "{:<15} {:<6} {:>4} {:>8} {:>6} {:>5} {:>6} {:>7} {:>5} {:>7} {:>7} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
+            "{:<15} {:<6} {:>4} {:>8} {:>6} {:>5} {:>6} {:>7} {:>5} {:>7} {:>7} {:>6} {:>9} {:>9}\n",
             r.cell.regime.label(),
             r.cell.scheme.label(),
             t.counter("restart.events"),
@@ -1302,8 +1282,6 @@ fn render_restart(net: &Network, rows: &[Row]) -> String {
             t.counter("restart.registrations_lost"),
             t.counter("recovery.reprotected"),
             t.counter("recovery.orphaned"),
-            fmt_us(r.recovery_us(50)),
-            fmt_us(r.recovery_us(95)),
             fmt_ppm(r.p_act_bk_ppm()),
             fmt_ppm(r.p_eff_ppm()),
         ));
@@ -1556,16 +1534,6 @@ mod tests {
                     outcomes > 0,
                     "{label}: lost protection but no orchestrator outcome"
                 );
-            }
-            // One latency sample per re-protection: the table's mean-rec
-            // and max-rec are this histogram's.
-            let rec = t.hist("recovery.latency_us");
-            assert_eq!(
-                rec.map_or(0, |h| h.count()),
-                t.counter("recovery.reprotected")
-            );
-            if let Some(h) = rec {
-                assert!(h.mean() <= h.max());
             }
         }
     }

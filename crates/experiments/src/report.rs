@@ -103,18 +103,6 @@ pub fn verdict(label: &str, holds: bool) -> String {
     )
 }
 
-/// Renders a latency given in microseconds: `-` for none, milliseconds
-/// below one second, seconds above.
-pub(crate) fn fmt_us(us: u64) -> String {
-    if us == 0 {
-        "-".into()
-    } else if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else {
-        format!("{:.1}ms", us as f64 / 1e3)
-    }
-}
-
 /// The healthy links currently carrying at least one primary, in id
 /// order — where a failure is guaranteed to hit traffic.
 pub(crate) fn loaded_links(mgr: &DrtpManager) -> Vec<LinkId> {

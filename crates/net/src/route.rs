@@ -113,6 +113,15 @@ impl Route {
         self.links.contains(&link)
     }
 
+    /// Returns `true` when this route is a walk of `net`: every link
+    /// exists there, each starts where the previous one ends, and the walk
+    /// runs between the route's own endpoints. A route built on another
+    /// network may fail this.
+    pub fn is_walk_of(&self, net: &Network) -> bool {
+        net.validate_walk(&self.links)
+            .is_ok_and(|ends| ends == (self.src, self.dst))
+    }
+
     /// The ordered node sequence of the route (`len() + 1` nodes).
     pub fn nodes(&self, net: &Network) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.links.len() + 1);

@@ -276,8 +276,8 @@ struct State {
 pub struct ProtocolSim {
     sim: Simulator<Event>,
     state: State,
-    /// Fault commands refused for naming no link or router of the
-    /// network (see [`ProtocolSim::refused_commands`]).
+    /// Commands refused before they scheduled anything (see
+    /// [`ProtocolSim::refused_commands`]).
     refused: u64,
 }
 
@@ -381,10 +381,11 @@ impl ProtocolSim {
     /// one backup: the source starts the primary setup walk; the backup
     /// register walk follows on success.
     ///
-    /// # Panics
-    ///
-    /// Panics if `conn` was already submitted, or the backup's endpoints
-    /// disagree with the primary's.
+    /// Refused — nothing scheduled, any existing connection untouched, and
+    /// counted by [`ProtocolSim::refused_commands`] — when `conn` was
+    /// already submitted (live, released or lost alike), a route is not a
+    /// walk of the network ([`Route::is_walk_of`]), or the backup's
+    /// endpoints differ from the primary's.
     pub fn establish(
         &mut self,
         conn: ConnectionId,
@@ -392,13 +393,15 @@ impl ProtocolSim {
         primary: Route,
         backup: Option<Route>,
     ) {
-        assert!(
-            !self.state.conns.contains_key(&conn),
-            "connection {conn} already submitted"
-        );
-        if let Some(b) = &backup {
-            assert_eq!(b.source(), primary.source(), "backup source mismatch");
-            assert_eq!(b.dest(), primary.dest(), "backup dest mismatch");
+        let net = &self.state.net;
+        let ok = !self.state.conns.contains_key(&conn)
+            && primary.is_walk_of(net)
+            && backup.as_ref().is_none_or(|b| {
+                b.is_walk_of(net) && b.source() == primary.source() && b.dest() == primary.dest()
+            });
+        if !ok {
+            self.refused += 1;
+            return;
         }
         self.state.conns.insert(
             conn,
@@ -421,9 +424,12 @@ impl ProtocolSim {
     /// exhausts its retries the connection keeps its current outcome.
     ///
     /// Returns `false`, changing nothing, when the connection is not live,
-    /// already holds a backup, or the route's endpoints do not match the
-    /// primary's.
+    /// already holds a backup, the route is not a walk of the network, or
+    /// its endpoints do not match the primary's.
     pub fn add_backup(&mut self, conn: ConnectionId, backup: Route) -> bool {
+        if !backup.is_walk_of(&self.state.net) {
+            return false;
+        }
         let Some(meta) = self.live_mut(conn) else {
             return false;
         };
@@ -535,10 +541,13 @@ impl ProtocolSim {
         self.sim.step(|sched, ev| state.handle(sched, ev))
     }
 
-    /// How many fault commands ([`ProtocolSim::fail_link`],
-    /// [`ProtocolSim::crash_router`], [`ProtocolSim::restart_router`],
-    /// [`ProtocolSim::spoof_failure_report`]) were refused for naming a
-    /// link or router outside the network.
+    /// How many commands were refused: fault commands
+    /// ([`ProtocolSim::fail_link`], [`ProtocolSim::crash_router`],
+    /// [`ProtocolSim::restart_router`],
+    /// [`ProtocolSim::spoof_failure_report`]) naming a link or router
+    /// outside the network, and establishments
+    /// ([`ProtocolSim::establish`]) of an id already submitted or of
+    /// routes the network cannot carry.
     pub fn refused_commands(&self) -> u64 {
         self.refused
     }
@@ -572,20 +581,34 @@ impl ProtocolSim {
     }
 
     /// The router at `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` is outside the network.
     pub fn router(&self, node: NodeId) -> &Router {
         &self.state.routers[node.index()]
     }
 
-    /// The resource ledger of `link`, held by its source router.
+    /// The resource ledger of `link`, held by its source router (a
+    /// zero-capacity ledger for a link outside the network).
     pub fn link_resources(&self, link: LinkId) -> &LinkResources {
-        let owner = self.state.net.link(link).src();
-        self.state.routers[owner.index()].link(link)
+        static NO_LINK: LinkResources = LinkResources::new(Bandwidth::ZERO);
+        self.owner(link)
+            .map_or(&NO_LINK, |router| router.link(link))
     }
 
-    /// The APLV of `link`, held by its source router.
+    /// The APLV of `link`, held by its source router (an empty one for a
+    /// link outside the network).
     pub fn aplv(&self, link: LinkId) -> &Aplv {
-        let owner = self.state.net.link(link).src();
-        self.state.routers[owner.index()].aplv(link)
+        static NO_LINK: Aplv = Aplv::new();
+        self.owner(link)
+            .map_or(&NO_LINK, |router| router.aplv(link))
+    }
+
+    /// The source router of `link`; `None` for a link outside the network.
+    fn owner(&self, link: LinkId) -> Option<&Router> {
+        let net = &self.state.net;
+        (link.index() < net.num_links()).then(|| self.router(net.link(link).src()))
     }
 
     /// Control-traffic counters.
@@ -631,6 +654,10 @@ impl ProtocolSim {
     }
 
     /// The write-ahead journal of `node`'s router.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` is outside the network.
     pub fn journal(&self, node: NodeId) -> &Journal {
         self.state.journals.journal(node)
     }

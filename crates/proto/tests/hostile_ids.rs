@@ -1,14 +1,17 @@
 //! Hostile ids at every `ProtocolSim` command: a link or router id one of
 //! the network's, past its end, failed (or crashed) or on a released
 //! connection's route (or restarted), and connection ids live, unknown,
-//! lost or released. Each command either acts or refuses; none panics,
-//! at the call or later inside the event loop, and the engine's audit
-//! stays clean at quiescence after every call.
+//! lost or released — re-submitted to `establish` too — plus
+//! establishments whose backup joins other endpoints, and establishments
+//! and added backups whose routes run over links outside the network.
+//! Each command either acts or refuses; none panics, at the call or later
+//! inside the event loop, and the engine's audit stays clean at
+//! quiescence after every call.
 
 use drt_core::failure::RestartMode;
 use drt_core::ConnectionId;
 use drt_net::algo::shortest_path;
-use drt_net::{topology, Bandwidth, LinkId, NodeId, Route};
+use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, Route};
 use drt_proto::{ChaosConfig, ConnOutcome, ProtocolConfig, ProtocolSim, RetryConfig};
 use drt_sim::SimDuration;
 use proptest::prelude::*;
@@ -120,9 +123,44 @@ impl Ids {
     }
 }
 
+/// The first link id [`outside`] may name.
+const OUTSIDE_FROM: usize = 60;
+
+/// A route over links 60 to 77 of a 40-node ring, past the end of the
+/// test network's links.
+fn outside(raw: u32) -> Route {
+    let ring = topology::ring(40, Bandwidth::from_mbps(10)).unwrap();
+    let from = 30 + raw % 9;
+    let nodes = [from, from + 1].map(NodeId::new);
+    Route::from_nodes(&ring, &nodes).unwrap()
+}
+
+/// Routes `establish` must refuse on a fresh id: a backup that joins
+/// other endpoints than its primary, a primary over links outside the
+/// network (with a backup or without), or such a backup.
+fn refusable(net: &Network, raw: u32) -> Option<(Route, Option<Route>)> {
+    let pair = |raw: u32| {
+        route_pair(
+            net,
+            NodeId::new(raw % 10),
+            NodeId::new(raw.rotate_left(16) % 10),
+        )
+    };
+    let (primary, backup) = pair(raw)?;
+    match raw % 3 {
+        0 => {
+            let (other, _) = pair(raw.rotate_left(8))?;
+            let ends = |r: &Route| (r.source(), r.dest());
+            (ends(&other) != ends(&primary)).then_some((primary, Some(other)))
+        }
+        1 => Some((outside(raw), Some(backup).filter(|_| raw.is_multiple_of(2)))),
+        _ => Some((primary, Some(outside(raw)))),
+    }
+}
+
 /// A unit-step primary from `src` to `dst` and a backup avoiding its
 /// links, when there are both.
-fn route_pair(net: &drt_net::Network, src: NodeId, dst: NodeId) -> Option<(Route, Route)> {
+fn route_pair(net: &Network, src: NodeId, dst: NodeId) -> Option<(Route, Route)> {
     let (_, primary) = shortest_path(net, src, dst, |_| Some(1))?;
     let (_, backup) = shortest_path(net, src, dst, |l| (!primary.contains_link(l)).then_some(1))?;
     Some((primary, backup))
@@ -135,10 +173,11 @@ proptest! {
     fn hostile_ids_are_refused_or_handled(
         seed in any::<u64>(),
         pairs in prop::collection::vec((0u32..10, 0u32..10), 4..12),
-        calls in prop::collection::vec((0u32..8, arb_hostile(), any::<u32>(), arb_hostile()), 1..30),
+        calls in prop::collection::vec((0u32..10, arb_hostile(), any::<u32>(), arb_hostile()), 1..30),
     ) {
         let net = Arc::new(topology::random_connected(10, 14, Bandwidth::from_mbps(10), seed).unwrap());
         let (num_nodes, num_links) = (net.num_nodes(), net.num_links());
+        prop_assert!(num_links <= OUTSIDE_FROM);
         // Journaled restarts: an amnesia restart loses primaries by design,
         // and the audit says so.
         let chaos = ChaosConfig { restart_mode: RestartMode::Journaled, ..ChaosConfig::default() };
@@ -164,7 +203,12 @@ proptest! {
             let l = ids.link(&sim, num_links, kind, raw);
             let v = ids.node(num_nodes, other, raw.rotate_left(16));
             let c = ids.conn(&sim, kind, raw);
-            let outside = l.index() >= num_links || v.index() >= num_nodes;
+            let outside_ids = l.index() >= num_links || v.index() >= num_nodes;
+            // Readers answer an empty ledger for a link outside the network.
+            if l.index() >= num_links {
+                prop_assert_eq!(sim.link_resources(l).capacity(), Bandwidth::ZERO);
+                prop_assert!(sim.aplv(l).is_empty());
+            }
             match call {
                 0 => {
                     sim.fail_link(l);
@@ -189,21 +233,47 @@ proptest! {
                 }
                 3 => {
                     let spoofed = sim.spoof_failure_report(v, l);
-                    refused += u64::from(outside);
-                    prop_assert!(!(spoofed && outside));
+                    refused += u64::from(outside_ids);
+                    prop_assert!(!(spoofed && outside_ids));
                 }
                 4 => {
                     let _ = sim.release(c);
                 }
                 5 => {
-                    if let Some(backup) = ids.backup(c) {
+                    if raw.is_multiple_of(4) {
+                        prop_assert!(!sim.add_backup(c, outside(raw)));
+                    } else if let Some(backup) = ids.backup(c) {
                         let _ = sim.add_backup(c, backup);
                     }
                 }
                 6 => {
                     prop_assert!(sim.retire_backups_crossing(c, l) <= 1);
                 }
-                _ => establish(&mut sim, &mut ids, (raw % 10, raw.rotate_left(16) % 10)),
+                7 => establish(&mut sim, &mut ids, (raw % 10, raw.rotate_left(16) % 10)),
+                8 => {
+                    // Re-submit a live, lost or released id: refused, and
+                    // the connection it names is untouched.
+                    let Some((_, primary, backup)) = ids.conns.iter().find(|(k, ..)| *k == c)
+                    else {
+                        continue;
+                    };
+                    let (before, queued) = (sim.outcome(c), sim.pending());
+                    sim.establish(c, BW, primary.clone(), Some(backup.clone()));
+                    refused += 1;
+                    prop_assert_eq!(sim.outcome(c), before);
+                    prop_assert_eq!(sim.pending(), queued);
+                }
+                _ => {
+                    let Some((primary, backup)) = refusable(&net, raw) else {
+                        continue;
+                    };
+                    let fresh = ConnectionId::new(ids.conns.len() as u64);
+                    let queued = sim.pending();
+                    sim.establish(fresh, BW, primary, backup);
+                    refused += 1;
+                    prop_assert_eq!(sim.outcome(fresh), None);
+                    prop_assert_eq!(sim.pending(), queued);
+                }
             }
             sim.run_to_quiescence();
             prop_assert!(sim.is_quiescent());

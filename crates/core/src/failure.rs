@@ -397,10 +397,10 @@ pub enum RestartMode {
     /// crashed-router detection path mops up the orphans.
     #[default]
     Amnesia,
-    /// The write-ahead journal survives the crash: the router replays it,
-    /// then reconciles per-connection state with each neighbour (a
-    /// `ResyncRequest` / `ResyncDigest` handshake in the message-level
-    /// engine). Every table entry is recovered and no switchover fires.
+    /// The write-ahead journal survives the crash and the router replays
+    /// it. Every table entry is recovered and no switchover fires; in the
+    /// message-level engine a walk dropped while the router was down
+    /// reaches it again by the source's retransmission.
     Journaled,
 }
 
@@ -412,7 +412,7 @@ pub struct RestartReport {
     /// Recovery fidelity of this restart.
     pub mode: RestartMode,
     /// Table entries (primary hops plus backup registrations) the
-    /// restarted router recovered via replay and resync. Zero under
+    /// restarted router recovered by journal replay. Zero under
     /// amnesia — that is the state the restart destroyed.
     pub recovered_entries: u64,
     /// Spurious switchovers: connections that switched off a router that
@@ -834,9 +834,8 @@ impl DrtpManager {
     /// recovery fidelity set by `mode`.
     ///
     /// Under [`RestartMode::Journaled`] the restart is invisible to the
-    /// connection tables: replay plus neighbour resync recover every
-    /// entry the router held, and the report only counts what was
-    /// recovered. Under [`RestartMode::Amnesia`] the outage is a real
+    /// connection tables: journal replay recovers every entry the router
+    /// held, and the report only counts what was recovered. Under [`RestartMode::Amnesia`] the outage is a real
     /// node failure while it lasts — switchovers, losses, and dropped
     /// backup registrations all land exactly as
     /// [`DrtpManager::inject_event`] would inflict them — but the

@@ -173,11 +173,11 @@ fn main() {
                  all router state (spurious switchovers `spur-sw`, forgotten\n\
                  backup registrations `reg-lst`, connections dropped outright by\n\
                  a restarted terminal `lost`), `journal` restarts replay the\n\
-                 write-ahead journal and resync with their neighbours (`recov`\n\
-                 table entries recovered, nothing else moves). The orchestrator\n\
-                 tries once to re-protect whatever each restart disturbed before\n\
-                 the next wave member goes down (`reprot`; a failed attempt is\n\
-                 an `orphan`). `P_act-bk` probes the survivors; `P_eff`\n\
+                 write-ahead journal (`recov` table entries recovered, nothing\n\
+                 else moves). The orchestrator tries once to re-protect\n\
+                 whatever each restart disturbed before the next wave member\n\
+                 goes down (`reprot`; a failed attempt is an `orphan`).\n\
+                 `P_act-bk` probes the survivors; `P_eff`\n\
                  scales it by storm survival, pricing destroyed connections.\n\
                  The table is deterministic per seed and byte-identical for\n\
                  every --jobs.\n"

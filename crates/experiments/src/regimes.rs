@@ -49,7 +49,7 @@
 //!   router forgets every table entry ([`RestartMode::Amnesia`]):
 //!   spurious switchovers off a router that is back a moment later,
 //!   forgotten backup registrations, connections its terminals drop.
-//!   Defended, it replays its write-ahead journal and resyncs
+//!   Defended, it replays its write-ahead journal
 //!   ([`RestartMode::Journaled`]), so no switchover fires at all.
 //! * **dynamic availability** — `availability` plays no rounds: its
 //!   timeline loop replays the whole scenario, departures and a recorded
@@ -1653,7 +1653,7 @@ mod tests {
         assert_eq!(journaled.survivors, j.counter("establish.accepted"));
         assert!(
             j.counter("restart.recovered_entries") > 0,
-            "replay+resync recovered state"
+            "journal replay recovered state"
         );
         assert_eq!(j.counter("restart.journaled_rejoins"), 6);
 

@@ -54,7 +54,7 @@ pub struct ChaosConfig {
     /// which reorders packets that share a path.
     pub max_jitter: SimDuration,
     /// What a router restarted through `ProtocolSim::restart_router`
-    /// recovers (amnesia vs journal replay + resync).
+    /// recovers (amnesia vs journal replay).
     pub restart_mode: RestartMode,
     /// Storage corruption injected into the journal at crash time.
     pub journal_fault: JournalFault,

@@ -118,7 +118,7 @@ impl ProtocolSim {
         // connection's primary hops (on routers that are back up) hold an
         // entry. An amnesia restart violates this with zero additional
         // faults — the minimal counterexample the verify suite exhibits.
-        if self.state.restarted && !self.state.rejoin_degraded {
+        if self.state.restarted && self.state.stats.degraded_rejoins == 0 {
             for (conn, meta) in &self.state.conns {
                 if !meta.phase.is_live() {
                     continue;
@@ -145,7 +145,7 @@ impl ProtocolSim {
         // Amnesia crashes lose state wholesale and exhausted transactions
         // leave bounded, counted leaks: exact ledger equality is only
         // claimable without either. A journaled restart is *not* a
-        // forfeit — replay plus resync is expected to restore exactness.
+        // forfeit — replay is expected to restore exactness.
         if self.state.node_crashed || !self.state.exhausted.is_empty() {
             return Ok(());
         }
@@ -259,7 +259,7 @@ impl ProtocolSim {
         state.dead.hash(h);
         state.next_seq.hash(h);
         state.restarted.hash(h);
-        state.rejoin_degraded.hash(h);
+        (state.stats.degraded_rejoins > 0).hash(h);
         let mut pending: Vec<String> = self
             .sim
             .pending_events()

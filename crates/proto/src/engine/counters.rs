@@ -110,8 +110,8 @@ impl RecoveryRecord {
     }
 }
 
-/// Crash-recovery observability: restart counts, journal replay volume,
-/// and the resync verdict tally. Returned by
+/// Crash-recovery observability: restart counts, journal replay volume
+/// and degraded rejoins. Returned by
 /// [`crate::ProtocolSim::journal_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalStats {
@@ -119,26 +119,9 @@ pub struct JournalStats {
     pub restarts: u64,
     /// Journal tail records replayed across all journaled restarts.
     pub replayed_records: u64,
-    /// Journaled restarts whose replay hit a corrupted journal.
-    pub corrupt_replays: u64,
-    /// Resync entries whose local and peer versions agreed.
-    pub resync_consistent: u64,
-    /// Resync entries where the replayed local state was *newer* than
-    /// the peer's view (the peer catches up through normal operation).
-    pub resync_local_newer: u64,
-    /// Resync entries repaired locally: the peer's newer digest showed
-    /// the connection concluded, so stale local state was released.
-    pub resync_repaired: u64,
-    /// Resync entries with an unreconcilable version conflict (the peer
-    /// is newer *and* still holds state) — degrades the rejoin.
-    pub resync_conflicts: u64,
-    /// Rejoins that fell back to the crashed-router detection path
-    /// (corrupted journal, resync exhaustion, conflict, or quarantined
-    /// peer).
+    /// Journaled rejoins that fell back to the crashed-router detection
+    /// path because their replay hit a corrupted journal.
     pub degraded_rejoins: u64,
-    /// Resync handshakes abandoned because the answering peer was
-    /// quarantined under report verification.
-    pub quarantined_peers: u64,
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! One file per handler family, all `impl State` behind the `Journals`
 //! choke point: `walk` (the hop-by-hop packet walk, transactions, retry,
 //! exhaustion), `recovery` (failure report, switchover), `rejoin` (crash,
-//! restart, resync), `audit` (invariants, fingerprint) and `counters`.
+//! restart, journal replay), `audit` (invariants, fingerprint) and
+//! `counters`.
 //! This file holds the configuration, the connection state, the public
 //! [`ProtocolSim`] API and the event dispatch.
 
@@ -17,7 +18,7 @@ mod walk;
 pub use counters::{JournalStats, RecoveryRecord, TrafficCounters};
 pub use walk::SeededBug;
 
-use walk::{Txn, TxnKind};
+use walk::Txn;
 
 use crate::chaos::ChaosConfig;
 use crate::fate::{ChaosFates, FateSource};
@@ -235,9 +236,6 @@ struct State {
     /// Whether any router ever completed a restart (either mode) — arms
     /// the `rejoin-restores-primaries` quiescent check.
     restarted: bool,
-    /// A journaled rejoin fell back to the crashed-router detection path
-    /// (corruption, conflict, exhaustion, or quarantined peer).
-    rejoin_degraded: bool,
     /// Crash-recovery counters (see [`JournalStats`]).
     stats: JournalStats,
     conns: BTreeMap<ConnectionId, ConnMeta>,
@@ -337,7 +335,6 @@ impl ProtocolSim {
                 dead,
                 node_crashed: false,
                 restarted: false,
-                rejoin_degraded: false,
                 stats: JournalStats::default(),
                 conns: BTreeMap::new(),
                 counters: TrafficCounters::default(),
@@ -513,7 +510,8 @@ impl ProtocolSim {
     /// state is lost and deliveries to it are dropped while it is down.
     /// What the restart recovers follows [`ChaosConfig::restart_mode`];
     /// under [`crate::RestartMode::Journaled`] the rejoin replays the
-    /// journal and resyncs with every neighbour. A router that
+    /// journal, and walks dropped while the router was down reach it
+    /// again by retransmission. A router that
     /// [`ProtocolSim::crash_router`] failed for good stays down. A `node`
     /// outside the network is refused as [`ProtocolSim::fail_link`]
     /// refuses a link.
@@ -647,8 +645,8 @@ impl ProtocolSim {
         self.state.suspicion.get(&reporter).copied().unwrap_or(0)
     }
 
-    /// Crash-recovery statistics: restarts, journal replay volume, and
-    /// the resync verdict tally.
+    /// Crash-recovery statistics: restarts, journal replay volume and
+    /// degraded rejoins.
     pub fn journal_stats(&self) -> JournalStats {
         self.state.stats
     }
@@ -698,7 +696,7 @@ impl State {
             }
             Event::RetryTimer { seq, attempt } => self.on_retry_timer(sched, seq, attempt),
             Event::RouterCrash { node } => self.on_router_crash(node),
-            Event::RouterRestart { node } => self.on_router_restart(sched, node),
+            Event::RouterRestart { node } => self.on_router_restart(node),
             Event::Deliver { to, pkt } => self.deliver(sched, to, pkt),
         }
     }
@@ -721,14 +719,6 @@ impl State {
             } => self.on_failure_report(sched, conn, link, reporter, seq),
             Packet::ReportAck { conn: _, seq } => {
                 self.txns.remove(&seq);
-            }
-            Packet::ResyncRequest {
-                node,
-                seq,
-                attempt: _,
-            } => self.on_resync_request(sched, to, node, seq),
-            Packet::ResyncDigest { node, entries, seq } => {
-                self.on_resync_digest(to, node, &entries, seq);
             }
         }
     }

@@ -2,7 +2,7 @@
 //! switching"): detection, the report to each affected source, report
 //! verification, and the source-side switchover state machine.
 
-use super::{ConnMeta, Event, Phase, RecoveryRecord, SeededBug, State, TxnKind};
+use super::{ConnMeta, Event, Phase, RecoveryRecord, SeededBug, State};
 use crate::message::{Packet, WalkOp};
 use drt_core::orchestrator::SUSPICION_THRESHOLD;
 use drt_core::ConnectionId;
@@ -79,7 +79,7 @@ impl State {
                 attempt: 1,
             };
             let delay = self.hop_delay(hops);
-            self.start_txn(sched, TxnKind::FailureReport, template, src, delay, hops);
+            self.start_txn(sched, template, src, delay, hops);
         }
     }
 

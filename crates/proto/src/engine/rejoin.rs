@@ -1,15 +1,13 @@
-//! Router crashes and what comes back afterwards: state loss, journal
-//! replay, and the resync handshake that reconciles a restarted router
-//! with its neighbours.
+//! Router crashes and what comes back afterwards: state loss and journal
+//! replay. A journaled router rejoins on its replayed journal alone; a
+//! walk dropped while it was down reaches it again by the source's
+//! retransmission, gated and served by the replayed tables.
 
-use super::{Event, State, TxnKind};
-use crate::message::{Packet, ResyncEntry};
+use super::{Event, State};
 use crate::router::Router;
 use drt_core::failure::RestartMode;
 use drt_net::{LinkId, NodeId};
 use drt_sim::Scheduler;
-use std::cmp::Ordering;
-use std::collections::BTreeSet;
 
 impl State {
     /// A router fails permanently: state wiped, every incident link dead,
@@ -62,7 +60,7 @@ impl State {
         }
     }
 
-    pub(super) fn on_router_restart(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId) {
+    pub(super) fn on_router_restart(&mut self, node: NodeId) {
         if !self.down[node.index()] || self.dead[node.index()] {
             return;
         }
@@ -76,127 +74,12 @@ impl State {
         self.routers[node.index()] = router;
         self.stats.replayed_records += replayed;
         if corrupt {
-            self.stats.corrupt_replays += 1;
-            self.degrade_rejoin();
-        }
-        // Resync with every neighbour, in node order: a `ResyncRequest`
-        // retransmitted until the neighbour's digest returns. Peers
-        // currently down drop the request; retransmission rides out short
-        // outages, exhaustion degrades the rejoin.
-        let peers: BTreeSet<NodeId> = self
-            .net
-            .incident_links(node)
-            .filter_map(|l| self.net.link(l).opposite(node))
-            .collect();
-        for peer in peers {
-            let template = Packet::ResyncRequest {
-                node,
-                seq: self.alloc_seq(),
-                attempt: 1,
-            };
-            let kind = TxnKind::Resync { peer };
-            let delay = self.hop_delay(1);
-            self.start_txn(sched, kind, template, peer, delay, 1);
-        }
-    }
-
-    /// Neighbour `to` answers restarted `node`'s resync request.
-    pub(super) fn on_resync_request(
-        &mut self,
-        sched: &mut Scheduler<'_, Event>,
-        to: NodeId,
-        node: NodeId,
-        seq: u64,
-    ) {
-        // Answer unconditionally: the digest regenerates from current
-        // state, so duplicates and retransmissions are harmless — the
-        // requester's transaction table absorbs late copies.
-        let digest = Packet::ResyncDigest {
-            node: to,
-            entries: self.routers[to.index()].resync_entries(),
-            seq,
-        };
-        let delay = self.hop_delay(1);
-        self.send(sched, node, digest, delay, false);
-    }
-
-    /// Restarted `to` receives `peer`'s digest and reconciles against it.
-    pub(super) fn on_resync_digest(
-        &mut self,
-        to: NodeId,
-        peer: NodeId,
-        entries: &[ResyncEntry],
-        seq: u64,
-    ) {
-        let Some(TxnKind::Resync { peer: asked }) = self.txns.get(&seq).map(|t| t.kind) else {
-            return; // duplicate or stale digest
-        };
-        debug_assert_eq!(asked, peer);
-        self.txns.remove(&seq);
-        // A quarantined peer's digest is untrusted evidence: rejoining on
-        // it would let a byzantine neighbour plant state — degrade to the
-        // detection path instead.
-        if self.quarantined(peer) {
-            self.stats.quarantined_peers += 1;
-            self.degrade_rejoin();
-            return;
-        }
-        for e in entries {
-            self.reconcile(to, e);
-        }
-    }
-
-    /// The rejoin falls back to the crashed-router detection path: the
-    /// surviving machinery (failure detection, source-driven teardown)
-    /// mops up, and the quiescent exact-equality claims are forfeited
-    /// exactly as for an amnesia crash.
-    pub(super) fn degrade_rejoin(&mut self) {
-        if !self.rejoin_degraded {
-            self.rejoin_degraded = true;
+            // The rejoin falls back to the crashed-router detection path:
+            // the surviving machinery (failure detection, source-driven
+            // teardown) mops up, and the quiescent exact-equality claims
+            // are forfeited exactly as for an amnesia crash.
             self.stats.degraded_rejoins += 1;
-        }
-        self.node_crashed = true;
-    }
-
-    /// Reconciles one digest entry against restarted `node`'s replayed
-    /// state. Sequence numbers are allocated monotonically at one
-    /// source per connection, so version order is causal order.
-    fn reconcile(&mut self, node: NodeId, e: &ResyncEntry) {
-        let router = &self.routers[node.index()];
-        let Some(local) = router.conn_version(e.conn) else {
-            // The peer holds state for a connection this router never
-            // gated — some other path's business, nothing of ours to
-            // reconcile.
-            return;
-        };
-        match local.cmp(&e.version) {
-            Ordering::Equal => self.stats.resync_consistent += 1,
-            // The journal preserved walks the peer never saw (e.g. it was
-            // crashed itself): our state is ahead, the peer catches up
-            // through normal retransmission.
-            Ordering::Greater => self.stats.resync_local_newer += 1,
-            Ordering::Less if !e.has_primary && e.backup_entries == 0 => {
-                // The peer watched the connection conclude while we were
-                // down: release whatever stale state replay resurrected
-                // (through the choke point, so a later crash replays the
-                // repair too).
-                let repairs = router.release_records(e.conn);
-                if repairs.is_empty() {
-                    self.stats.resync_consistent += 1;
-                } else {
-                    self.stats.resync_repaired += 1;
-                }
-                for rec in repairs {
-                    self.journals.commit(&mut self.routers, node, rec);
-                }
-            }
-            Ordering::Less => {
-                // The peer is ahead *and* still holds state we have no
-                // record of — irreconcilable from here; degrade to the
-                // detection path rather than guess.
-                self.stats.resync_conflicts += 1;
-                self.degrade_rejoin();
-            }
+            self.node_crashed = true;
         }
     }
 }
@@ -208,13 +91,17 @@ mod tests {
     use crate::engine::{ConnOutcome, ProtocolConfig, ProtocolSim, RetryConfig};
     use drt_core::failure::RestartMode;
     use drt_core::ConnectionId;
-    use drt_net::{topology, Bandwidth, NodeId, Route};
+    use drt_net::{topology, Bandwidth, Network, NetworkBuilder, NodeId, Route};
     use drt_sim::SimDuration;
     use std::sync::Arc;
 
     /// Establishes connection 0 along `nodes` of a 4-ring under `chaos`,
     /// then crashes `node` and restarts it a second later, draining both.
-    fn restart_after_setup(chaos: ChaosConfig, nodes: &[u32], node: u32) -> (ProtocolSim, Route) {
+    fn restart_after_setup(
+        chaos: ChaosConfig,
+        nodes: &[u32],
+        node: u32,
+    ) -> (ProtocolSim, Arc<Network>, Route) {
         let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
         let mut sim = ProtocolSim::with_chaos(
             Arc::clone(&net),
@@ -229,7 +116,7 @@ mod tests {
         sim.restart_router(NodeId::new(node), SimDuration::from_secs(1));
         sim.run_to_quiescence();
         assert!(sim.now() >= crashed_at + SimDuration::from_secs(1));
-        (sim, primary)
+        (sim, net, primary)
     }
 
     #[test]
@@ -255,7 +142,7 @@ mod tests {
     fn crashed_router_loses_state_and_drops_packets() {
         // Setup completes within milliseconds, then the amnesia restart
         // wipes router 1's ledger for good.
-        let (sim, primary) = restart_after_setup(ChaosConfig::default(), &[1, 2], 1);
+        let (sim, _, primary) = restart_after_setup(ChaosConfig::default(), &[1, 2], 1);
         assert_eq!(
             sim.outcome(ConnectionId::new(0)),
             Some(ConnOutcome::Established)
@@ -267,32 +154,81 @@ mod tests {
     }
 
     #[test]
-    fn journaled_restart_replays_state_and_resyncs_cleanly() {
+    fn journaled_restart_replays_state_and_serves_the_release() {
         // Same outage as the amnesia test above, but journaled: the
-        // restarted router replays its journal, resyncs with both
-        // neighbours, and hands back the primary entry — the quiescent
-        // exact-equality invariants (no longer forfeited) prove it.
+        // restarted router rejoins on its replayed journal alone and hands
+        // back the primary entry — the quiescent exact-equality invariants
+        // (no longer forfeited) prove it. A release then walks through
+        // the restarted router and leaves every ledger empty.
         let chaos = ChaosConfig {
             restart_mode: RestartMode::Journaled,
             ..ChaosConfig::default()
         };
-        let (sim, primary) = restart_after_setup(chaos, &[1, 2, 3], 2);
+        let (mut sim, net, primary) = restart_after_setup(chaos, &[1, 2, 3], 2);
         sim.check_invariants().unwrap();
-        assert_eq!(
-            sim.outcome(ConnectionId::new(0)),
-            Some(ConnOutcome::Established)
-        );
+        let conn = ConnectionId::new(0);
+        assert_eq!(sim.outcome(conn), Some(ConnOutcome::Established));
         // Router 2's reservation on its outgoing hop survived the crash.
         assert_eq!(sim.link_resources(primary.links()[1]).prime(), BW);
         let stats = sim.journal_stats();
         assert_eq!(stats.restarts, 1);
         assert!(stats.replayed_records >= 3, "gate + reserve + applied");
         assert_eq!(stats.degraded_rejoins, 0);
-        assert_eq!(stats.resync_conflicts, 0);
-        assert_eq!(
-            stats.resync_consistent, 1,
-            "the upstream neighbour's digest confirms the connection"
+
+        assert!(sim.release(conn));
+        sim.run_to_quiescence();
+        sim.check_invariants().unwrap();
+        assert_eq!(sim.outcome(conn), Some(ConnOutcome::Released));
+        for link in net.links() {
+            let ledger = sim.link_resources(link.id());
+            assert_eq!(
+                (ledger.prime(), ledger.spare()),
+                (Bandwidth::ZERO, Bandwidth::ZERO)
+            );
+        }
+    }
+
+    #[test]
+    fn a_neighbour_that_retired_a_backup_leaves_the_primary_alone() {
+        // Primary 0→1→2→4, backup 0→3→4, and an unused link 2–3 that
+        // makes router 3 a neighbour of router 2. Retiring the backup
+        // leaves router 3 having gated a newer walk of the connection than
+        // router 2 ever saw, and holding nothing for it. That is no sign
+        // the connection concluded: the live primary's hop at router 2
+        // must survive router 2's journaled restart.
+        let mut b = NetworkBuilder::with_nodes(5);
+        for (x, y) in [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (2, 3)] {
+            b.add_duplex_link(NodeId::new(x), NodeId::new(y), Bandwidth::from_mbps(10))
+                .unwrap();
+        }
+        let net = Arc::new(b.build());
+        let chaos = ChaosConfig {
+            restart_mode: RestartMode::Journaled,
+            ..ChaosConfig::default()
+        };
+        let mut sim = ProtocolSim::with_chaos(
+            Arc::clone(&net),
+            ProtocolConfig::default(),
+            RetryConfig::default(),
+            chaos,
         );
+        let conn = ConnectionId::new(0);
+        let (primary, backup) = (r(&net, &[0, 1, 2, 4]), r(&net, &[0, 3, 4]));
+        sim.establish(conn, BW, primary.clone(), Some(backup.clone()));
+        sim.run_to_quiescence();
+        assert_eq!(sim.retire_backups_crossing(conn, backup.links()[1]), 1);
+        sim.run_to_quiescence();
+
+        sim.restart_router(NodeId::new(2), SimDuration::from_millis(50));
+        sim.run_to_quiescence();
+        sim.check_invariants().unwrap();
+        let hop = primary.links()[2];
+        assert!(sim
+            .router(NodeId::new(2))
+            .primary_entries(conn)
+            .any(|e| e.out_link == hop && e.route == primary));
+        assert_eq!(sim.link_resources(hop).prime(), BW);
+        assert_eq!(sim.outcome(conn), Some(ConnOutcome::Degraded));
     }
 
     #[test]
@@ -305,14 +241,13 @@ mod tests {
             journal_fault: JournalFault::TornTail(64),
             ..ChaosConfig::default()
         };
-        let (sim, primary) = restart_after_setup(chaos, &[1, 2, 3], 2);
+        let (sim, _, primary) = restart_after_setup(chaos, &[1, 2, 3], 2);
         sim.check_invariants().unwrap(); // degraded rejoin forfeits exactness
         assert_eq!(
             sim.link_resources(primary.links()[1]).prime(),
             Bandwidth::ZERO
         );
         let stats = sim.journal_stats();
-        assert_eq!(stats.corrupt_replays, 1);
         assert_eq!(stats.degraded_rejoins, 1);
     }
 }

@@ -5,7 +5,7 @@
 //! Every source-initiated operation is a [`Walk`] whose [`WalkOp`] names
 //! the only per-hop difference (`State::apply_walk`); gating, journaling,
 //! forwarding and replying are shared (`State::on_walk`). Every reliable
-//! exchange — walk, failure report, resync — is a [`Txn`] started by
+//! exchange — walk or failure report — is a [`Txn`] started by
 //! `State::start_txn` and driven by `State::on_retry_timer`.
 //!
 //! # Reliability under a lossy control plane
@@ -41,24 +41,11 @@ use drt_net::{NodeId, Route};
 use drt_sim::{Scheduler, SimDuration};
 use std::collections::btree_map::Entry;
 
-/// What a source-side transaction was trying to accomplish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum TxnKind {
-    Walk {
-        op: WalkOp,
-    },
-    FailureReport,
-    /// Post-restart state reconciliation with one neighbour.
-    Resync {
-        peer: NodeId,
-    },
-}
-
 /// An outstanding reliable operation awaiting its result/ack.
 #[derive(Debug, Clone)]
 pub(super) struct Txn {
-    pub(super) kind: TxnKind,
-    /// The packet to retransmit (attempt re-stamped per retry).
+    /// The packet to retransmit (attempt re-stamped per retry): a walk
+    /// or a failure report, which also says what the transaction is for.
     pub(super) template: Packet,
     /// First delivery target.
     pub(super) to: NodeId,
@@ -154,13 +141,12 @@ impl State {
     /// Starts a reliable transaction: `template` (already stamped with
     /// its sequence number and attempt 1) goes to `to` after `delay` —
     /// zero for walks (local handoff to the source's own router),
-    /// multi-hop for reports and resyncs — and is retransmitted until the
+    /// multi-hop for reports — and is retransmitted until the
     /// matching answer concludes the transaction or it exhausts. `hops`
     /// sizes the retransmission timeout.
     pub(super) fn start_txn(
         &mut self,
         sched: &mut Scheduler<'_, Event>,
-        kind: TxnKind,
         template: Packet,
         to: NodeId,
         delay: SimDuration,
@@ -171,7 +157,6 @@ impl State {
         self.txns.insert(
             seq,
             Txn {
-                kind,
                 template: template.clone(),
                 to,
                 delay,
@@ -212,8 +197,7 @@ impl State {
             seq: self.alloc_seq(),
             attempt: 1,
         });
-        let kind = TxnKind::Walk { op };
-        self.start_txn(sched, kind, template, to, SimDuration::ZERO, hops);
+        self.start_txn(sched, template, to, SimDuration::ZERO, hops);
     }
 
     /// One hop of a walk, whatever its op: gate once, apply, then forward
@@ -329,7 +313,7 @@ impl State {
         let Entry::Occupied(txn) = self.txns.entry(seq) else {
             return;
         };
-        if txn.get().kind != (TxnKind::Walk { op }) {
+        if !matches!(&txn.get().template, Packet::Walk(w) if w.op == op) {
             return;
         }
         debug_assert_eq!(txn.get().template.conn(), conn);
@@ -431,13 +415,9 @@ impl State {
     fn on_txn_exhausted(&mut self, sched: &mut Scheduler<'_, Event>, txn: Txn) {
         *self.exhausted.entry(txn.template.kind()).or_insert(0) += 1;
         let conn = txn.template.conn();
-        let (op, route) = match (txn.kind, txn.template) {
-            (TxnKind::Walk { op }, Packet::Walk(w)) => (op, w.route),
-            // The neighbour never answered: rejoin without its digest is
-            // unsafe, so degrade to the detection path.
-            (TxnKind::Resync { .. }, _) => return self.degrade_rejoin(),
-            // A report nobody acked: give up, as for the releases below.
-            _ => return,
+        // A report nobody acked: give up, as for the releases below.
+        let Packet::Walk(Walk { op, route, .. }) = txn.template else {
+            return;
         };
         match op {
             WalkOp::PrimarySetup => {

@@ -53,6 +53,12 @@
 //! [`ConnOutcome::Degraded`] instead of wedging in
 //! [`ConnOutcome::Pending`].
 //!
+//! The same retransmission is what a journaled restart rests on: the
+//! restarted router replays its journal and rejoins on it alone, and a
+//! walk dropped while it was down reaches it again from the source, gated
+//! and served by the replayed tables. Only a replay that reports a
+//! corrupted journal degrades the rejoin.
+//!
 //! # Byzantine adversaries
 //!
 //! A hostile router needs no extra machinery: a fabricated failure
@@ -64,7 +70,7 @@
 //! failed-link mask shows dead, scores a strike against the reporter of
 //! any other, and quarantines a router at
 //! [`drt_core::orchestrator::SUSPICION_THRESHOLD`] strikes (its reports,
-//! true or not, and its resync digests are ignored from then on). An
+//! true or not, are ignored from then on). An
 //! honest detector reports only a failed link, so verification never
 //! changes an honest run. The undefended engine, which acts on every
 //! report, exists only as [`SeededBug::TrustReports`].
@@ -113,6 +119,6 @@ pub use engine::{
     TrafficCounters,
 };
 pub use fate::{ChaosFates, Decision, DeliveryFate, Fate, FateLog, FateSource, ScriptedFates};
-pub use message::{Packet, ResyncEntry, Walk, WalkOp, RESYNC_CONN};
+pub use message::{Packet, Walk, WalkOp};
 pub use router::journal::{Journal, JournalRecord};
 pub use router::{ChannelEntry, Router, WalkGate};

@@ -4,27 +4,6 @@ use drt_core::ConnectionId;
 use drt_net::{Bandwidth, LinkId, NodeId, Route};
 use std::fmt;
 
-/// Sentinel connection id carried by the resync packets, which concern a
-/// *router* rather than one connection ([`Packet::conn`] stays total).
-pub const RESYNC_CONN: ConnectionId = ConnectionId::new(u64::MAX);
-
-/// One connection's worth of a neighbour's resync digest: the highest
-/// walk-transaction sequence number the neighbour gated for the
-/// connection (its version), plus whether it still holds state for it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResyncEntry {
-    /// The connection the entry describes.
-    pub conn: ConnectionId,
-    /// Highest walk sequence number the neighbour gated for `conn` —
-    /// sequence numbers are allocated monotonically at the source, so
-    /// this orders the two routers' views of the connection.
-    pub version: u64,
-    /// Whether the neighbour still holds a primary entry for `conn`.
-    pub has_primary: bool,
-    /// How many backup entries the neighbour still holds for `conn`.
-    pub backup_entries: u32,
-}
-
 /// What a walk packet does at each hop of its route — the only thing
 /// that distinguishes the five path-walking operations of DRTP.
 ///
@@ -162,40 +141,16 @@ pub enum Packet {
         /// Sequence of the report being acknowledged.
         seq: u64,
     },
-    /// Resync handshake opener from a freshly-restarted router to one
-    /// neighbour (journaled restart only): asks for the neighbour's
-    /// per-connection digest. Retransmitted until the digest returns.
-    ResyncRequest {
-        /// The restarted router.
-        node: NodeId,
-        /// Transaction sequence number.
-        seq: u64,
-        /// Retransmission attempt (1 = first transmission).
-        attempt: u32,
-    },
-    /// The neighbour's answer: its per-connection versions and held
-    /// state, regenerated for every (duplicate) request exactly like a
-    /// result packet.
-    ResyncDigest {
-        /// The restarted router the digest returns to.
-        node: NodeId,
-        /// Per-connection digest entries, in connection order.
-        entries: Vec<ResyncEntry>,
-        /// Sequence of the request being answered.
-        seq: u64,
-    },
 }
 
 impl Packet {
-    /// The connection this packet concerns. Resync packets concern a
-    /// router, not a connection, and answer the [`RESYNC_CONN`] sentinel.
+    /// The connection this packet concerns.
     pub fn conn(&self) -> ConnectionId {
         match self {
             Packet::Walk(Walk { conn, .. })
             | Packet::WalkResult { conn, .. }
             | Packet::FailureReport { conn, .. }
             | Packet::ReportAck { conn, .. } => *conn,
-            Packet::ResyncRequest { .. } | Packet::ResyncDigest { .. } => RESYNC_CONN,
         }
     }
 
@@ -205,9 +160,7 @@ impl Packet {
             Packet::Walk(Walk { seq, .. })
             | Packet::WalkResult { seq, .. }
             | Packet::FailureReport { seq, .. }
-            | Packet::ReportAck { seq, .. }
-            | Packet::ResyncRequest { seq, .. }
-            | Packet::ResyncDigest { seq, .. } => *seq,
+            | Packet::ReportAck { seq, .. } => *seq,
         }
     }
 
@@ -215,10 +168,10 @@ impl Packet {
     /// for results and acks (they are regenerated, not retransmitted).
     pub fn set_attempt(&mut self, a: u32) {
         match self {
-            Packet::Walk(Walk { attempt, .. })
-            | Packet::FailureReport { attempt, .. }
-            | Packet::ResyncRequest { attempt, .. } => *attempt = a,
-            Packet::WalkResult { .. } | Packet::ReportAck { .. } | Packet::ResyncDigest { .. } => {}
+            Packet::Walk(Walk { attempt, .. }) | Packet::FailureReport { attempt, .. } => {
+                *attempt = a
+            }
+            Packet::WalkResult { .. } | Packet::ReportAck { .. } => {}
         }
     }
 
@@ -229,9 +182,6 @@ impl Packet {
         const HEADER: u64 = 24;
         match self {
             Packet::Walk(w) => HEADER + 4 * (w.route.len() + w.primary_lset.len()) as u64,
-            // Each digest entry carries a connection id, a version, and
-            // the packed state flags.
-            Packet::ResyncDigest { entries, .. } => HEADER + 16 * entries.len() as u64,
             _ => HEADER,
         }
     }
@@ -243,8 +193,6 @@ impl Packet {
             Packet::WalkResult { op, .. } => op.result_kind(),
             Packet::FailureReport { .. } => "failure-report",
             Packet::ReportAck { .. } => "report-ack",
-            Packet::ResyncRequest { .. } => "resync-request",
-            Packet::ResyncDigest { .. } => "resync-digest",
         }
     }
 }

@@ -8,11 +8,9 @@
 #[path = "journal.rs"]
 pub(crate) mod journal;
 
-use crate::message::ResyncEntry;
 use drt_core::ConnectionId;
 use drt_core::{Aplv, LinkResources};
 use drt_net::{Bandwidth, LinkId, Network, NodeId, Route};
-use journal::JournalRecord;
 use std::collections::BTreeMap;
 
 /// A channel-table entry: this router holds `bw` on `out_link` for one
@@ -360,62 +358,6 @@ impl Router {
     /// The primary entries held here for `conn`, in link order.
     pub fn primary_entries(&self, conn: ConnectionId) -> impl Iterator<Item = &ChannelEntry> {
         self.primaries.of(conn)
-    }
-
-    /// The highest walk-transaction sequence number gated here for
-    /// `conn`, or `None` when this router never saw the connection.
-    /// Sequence numbers are allocated monotonically at the source, so
-    /// this versions the router's view of the connection — the ordering
-    /// the resync handshake reconciles on.
-    pub fn conn_version(&self, conn: ConnectionId) -> Option<u64> {
-        self.walks
-            .range((conn, 0)..=(conn, u64::MAX))
-            .next_back()
-            .map(|((_, seq), _)| *seq)
-    }
-
-    /// The records that remove every channel entry held here for
-    /// `conn`, primaries first, each matched by its route (what a resync
-    /// repair commits).
-    pub(crate) fn release_records(&self, conn: ConnectionId) -> Vec<JournalRecord> {
-        let primaries = self
-            .primaries
-            .of(conn)
-            .map(|e| JournalRecord::ReleasePrimary {
-                conn,
-                route: e.route.clone(),
-                out_link: e.out_link,
-            });
-        let backups = self
-            .backups
-            .of(conn)
-            .map(|e| JournalRecord::UnregisterBackup {
-                conn,
-                route: e.route.clone(),
-                out_link: e.out_link,
-            });
-        primaries.chain(backups).collect()
-    }
-
-    /// The per-connection digest a neighbour answers a resync request
-    /// with: every connection this router ever gated a walk for, its
-    /// version, and whether state is still held. Deterministic order
-    /// (connection id).
-    pub fn resync_entries(&self) -> Vec<ResyncEntry> {
-        let mut versions: BTreeMap<ConnectionId, u64> = BTreeMap::new();
-        for &(conn, seq) in self.walks.keys() {
-            let v = versions.entry(conn).or_insert(0);
-            *v = (*v).max(seq);
-        }
-        versions
-            .into_iter()
-            .map(|(conn, version)| ResyncEntry {
-                conn,
-                version,
-                has_primary: self.primaries.of(conn).next().is_some(),
-                backup_entries: self.backups.of(conn).count() as u32,
-            })
-            .collect()
     }
 }
 

@@ -150,10 +150,9 @@ proptest! {
         }
         drain_in_lockstep(&mut sim, &mut twin, &net, conns, check_every, &mut steps, 400_000);
 
-        // A journaled restart of `restarted`: replay plus resync, whose
-        // digests the verifier would refuse from a quarantined peer. While
-        // the router is down its journal and its (wiped) live state differ,
-        // so only the twins are compared until both quiesce.
+        // A journaled restart of `restarted`, which rejoins by replay.
+        // While the router is down its journal and its (wiped) live state
+        // differ, so only the twins are compared until both quiesce.
         for engine in [&mut sim, &mut twin] {
             engine.restart_router(NodeId::new(restarted), SimDuration::from_millis(50));
         }

@@ -56,12 +56,11 @@ use crate::scenario::Scenario;
 /// Delivery kinds whose duplicate copy is provably absorbed by
 /// transaction gating (`txns.remove` then return): duplicating them is
 /// state-equivalent to delivering them once.
-pub const ABSORBED_KINDS: [&str; 5] = [
+pub const ABSORBED_KINDS: [&str; 4] = [
     "setup-result",
     "release-result",
     "switch-result",
     "report-ack",
-    "resync-digest",
 ];
 
 /// The three injectable faults, tried in this order at each position.

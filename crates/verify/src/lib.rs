@@ -4,9 +4,10 @@
 //!
 //! Randomized chaos runs sample the space of delivery schedules; the
 //! checker *enumerates* it. A [`scenario::Scenario`] is a small scripted
-//! workload (establish, fail links, crash or restart a router, release) on a
-//! hand-built topology. Every multi-hop control-packet delivery in a run
-//! is a *decision point*; the checker explores every assignment of
+//! workload (establish, retire a backup, fail links, crash or restart a
+//! router, release) on a hand-built topology. Every multi-hop
+//! control-packet delivery in a run is a *decision point*; the checker
+//! explores every assignment of
 //! [`drt_proto::Fate`] (drop / duplicate / delay) to the first `depth`
 //! decision points, bounded by a fault budget, and asserts the engine's
 //! ledger / spare-pool / dedup invariants in **every** intermediate

@@ -2,10 +2,11 @@
 //!
 //! A [`Scenario`] is a small, fully deterministic workload on a
 //! hand-built topology: a sequence of source-level operations
-//! (establish, fail links, crash or restart a router, spoof a report,
-//! release), each drained to quiescence before the next begins. All
-//! nondeterminism in a run comes from the fate script the checker
-//! supplies, so a `(scenario, script)` pair identifies a run exactly.
+//! (establish, retire a backup, fail links, crash or restart a router,
+//! spoof a report, release), each drained to quiescence before the next
+//! begins. All nondeterminism in a run comes from the fate script the
+//! checker supplies, so a `(scenario, script)` pair identifies a run
+//! exactly.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -69,13 +70,20 @@ pub enum Op {
     /// Crash a router and restart it after `down_for`. What the restart
     /// recovers follows the scenario's [`Scenario::restart_mode`]:
     /// amnesia loses every channel table and dedup record, journaled
-    /// mode replays the write-ahead journal and resyncs with each
-    /// neighbour before rejoining.
+    /// mode replays the write-ahead journal and rejoins on it.
     RestartRouter {
         /// The router that crashes and restarts.
         node: NodeId,
         /// Outage duration before the restart.
         down_for: SimDuration,
+    },
+    /// Retire the connection's registered backup if it crosses `link`
+    /// (its release walk is the source's only signalling).
+    RetireBackup {
+        /// Connection whose backup is retired.
+        conn: ConnectionId,
+        /// A link of the backup.
+        link: LinkId,
     },
     /// Tear the connection down.
     Release {
@@ -97,7 +105,7 @@ pub struct Scenario {
     /// timeout is told about it via [`ChaosConfig::max_jitter`].
     pub late_by: SimDuration,
     /// What an [`Op::RestartRouter`] restart recovers: amnesia (the
-    /// historical model) or journal replay plus neighbour resync.
+    /// historical model) or journal replay.
     pub restart_mode: RestartMode,
     /// Storage corruption injected into the journal at crash time (only
     /// meaningful under [`RestartMode::Journaled`]).
@@ -153,6 +161,9 @@ impl Scenario {
             Op::RestartRouter { node, down_for } => sim.restart_router(*node, *down_for),
             Op::SpoofReport { reporter, link } => {
                 sim.spoof_failure_report(*reporter, *link);
+            }
+            Op::RetireBackup { conn, link } => {
+                sim.retire_backups_crossing(*conn, *link);
             }
             Op::Release { conn } => {
                 sim.release(*conn);
@@ -344,16 +355,16 @@ pub fn byzantine_false_report() -> Scenario {
 
 /// A router on the primary path crashes and restarts mid-life: primary
 /// `0 -> 1 -> 2`, backup `0 -> 3 -> 2`, then router `1` restarts after a
-/// 50 ms outage.
+/// 50 ms outage, and the connection is released through it.
 ///
 /// With `journaled = false` the restarted router comes back with empty
 /// channel tables — the connection's primary hop at router `1` is simply
 /// gone, and the `rejoin-restores-primaries` invariant is violated on
 /// the *fault-free* root run: the minimal counterexample is the restart
 /// itself, no chaos needed. With `journaled = true` the router replays
-/// its write-ahead journal, resyncs with each neighbour, and the same
-/// script checks clean at full depth: every surviving primary hop is
-/// back, no spurious switchover fires.
+/// its write-ahead journal and rejoins on it, and the same script checks
+/// clean at full depth: every surviving primary hop is back, no spurious
+/// switchover fires, and the release walks through the replayed tables.
 pub fn restart_rejoin(journaled: bool) -> Scenario {
     let cap = Bandwidth::from_mbps(10);
     let mut b = NetworkBuilder::with_nodes(4);
@@ -380,6 +391,9 @@ pub fn restart_rejoin(journaled: bool) -> Scenario {
                 node: n(1),
                 down_for: SimDuration::from_millis(50),
             },
+            Op::Release {
+                conn: ConnectionId::new(0),
+            },
         ],
         late_by: SimDuration::from_millis(2),
         restart_mode: if journaled {
@@ -394,7 +408,7 @@ pub fn restart_rejoin(journaled: bool) -> Scenario {
 /// The journaled restart of [`restart_rejoin`] with a torn journal
 /// tail: the crash truncates the last 64 records, replay detects the
 /// corruption, and the router degrades its rejoin (honest
-/// crashed-router detection) instead of resyncing on bad state. The
+/// crashed-router detection) instead of rejoining on bad state. The
 /// degraded rejoin forfeits exact quiescent checks, so the scenario is
 /// clean at full depth — the graceful-degradation ladder, checked.
 pub fn restart_torn_journal() -> Scenario {
@@ -405,7 +419,50 @@ pub fn restart_torn_journal() -> Scenario {
     }
 }
 
-/// Every built-in scenario, in checking order: the seven the check
+/// A journaled restart next to a router that has seen a newer walk of the
+/// connection than the restarted one: primary `0 -> 1 -> 2 -> 4`, backup
+/// `0 -> 3 -> 4`, an unused duplex link `2 - 3` that makes routers `2`
+/// and `3` neighbours, the backup retired, then router `2` restarts after
+/// a 50 ms outage. Router `3` gated the backup's release walk, which
+/// router `2` never saw, and holds nothing for the connection. A rejoin
+/// that inferred "the connection concluded" from a neighbour's empty
+/// tables would release the live primary's hop `2 -> 4` and violate
+/// `rejoin-restores-primaries` on the *fault-free* root run; a rejoin on
+/// the journal alone keeps it.
+pub fn retired_backup_rejoin() -> Scenario {
+    let cap = Bandwidth::from_mbps(10);
+    let mut b = NetworkBuilder::with_nodes(5);
+    for (x, y) in [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4), (2, 3)] {
+        b.add_duplex_link(n(x), n(y), cap).expect("duplex link");
+    }
+    let net = Arc::new(b.build());
+    let l34 = net.find_link(n(3), n(4)).expect("3->4");
+    Scenario {
+        name: "retired-backup-rejoin",
+        net,
+        ops: vec![
+            Op::Establish {
+                conn: ConnectionId::new(0),
+                bw: Bandwidth::from_kbps(1_000),
+                primary: vec![n(0), n(1), n(2), n(4)],
+                backup: Some(vec![n(0), n(3), n(4)]),
+            },
+            Op::RetireBackup {
+                conn: ConnectionId::new(0),
+                link: l34,
+            },
+            Op::RestartRouter {
+                node: n(2),
+                down_for: SimDuration::from_millis(50),
+            },
+        ],
+        late_by: SimDuration::from_millis(2),
+        restart_mode: RestartMode::Journaled,
+        journal_fault: JournalFault::None,
+    }
+}
+
+/// Every built-in scenario, in checking order: the eight the check
 /// binary requires to be clean. The *amnesia* restart twin of
 /// [`restart_rejoin`] violates an invariant by construction, so it is not
 /// here; neither is a second byzantine scenario, because the engine
@@ -421,5 +478,6 @@ pub fn all() -> Vec<Scenario> {
         byzantine_false_report(),
         restart_rejoin(true),
         restart_torn_journal(),
+        retired_backup_rejoin(),
     ]
 }

@@ -47,8 +47,9 @@ fn journaled_restart_checks_clean_at_full_depth() {
     let report = check(&scenario, SeededBug::None, &CheckConfig::default());
     assert!(
         report.ok(),
-        "journal replay plus neighbour resync must restore every \
-         surviving primary hop under every delivery schedule: {:?}",
+        "journal replay must restore every surviving primary hop, and \
+         the release through it must drain, under every delivery \
+         schedule: {:?}",
         report.counterexample.map(|cx| cx.violation)
     );
     assert!(report.stats.runs > 1, "the space was actually explored");
@@ -61,7 +62,7 @@ fn torn_journal_degrades_instead_of_violating() {
     assert!(
         report.ok(),
         "a corrupt journal must degrade the rejoin (crashed-router \
-         detection), never resync on bad state: {:?}",
+         detection), never rejoin on bad state: {:?}",
         report.counterexample.map(|cx| cx.violation)
     );
 }

@@ -124,75 +124,11 @@ fn main() {
         );
         let rows = run(&cfg, &scfg, jobs);
         println!("{}", table.render(&net, &rows));
-        match table {
-            Table::ControlLoss => println!(
-                "reading guide: every control packet crosses a chaotic plane that\n\
-                 drops each hop with probability `loss%` (plus 2% duplication and\n\
-                 200us jitter). Retransmission with exponential backoff keeps the\n\
-                 signalling live: `retx` counts retries, `exh` counts transactions\n\
-                 that ran out of attempts, and `degr` the connections that came up\n\
-                 unprotected as a result. Between failures DRTP's reconfiguration\n\
-                 step re-establishes backups (`reprot`); `P_act-bk` is then probed\n\
-                 on the post-campaign state, with `probeD` of the shortfall due to\n\
-                 degradation rather than activation contention. `inv` counts the\n\
-                 quiesced states (after establishment, after every round) that\n\
-                 fail the protocol engine's own invariant audit. The table is\n\
-                 deterministic per seed.\n"
-            ),
-            Table::Correlated => println!(
-                "reading guide: each event fails its whole correlated set at once\n\
-                 (`links` counts the members) and all affected backups contend in\n\
-                 one activation pass. Survivors re-protect through the recovery\n\
-                 orchestrator: one attempt per loss of protection (`reprot`),\n\
-                 flapping links quarantined (`quar`) from new backups, and\n\
-                 connections whose attempt fails counted as `orphan` — protection\n\
-                 the regime permanently destroyed. `P_act-bk` is probed on the\n\
-                 final state.\n\
-                 Rows share the workload substream, so regimes are comparable and\n\
-                 the table is deterministic per seed.\n"
-            ),
-            Table::Adversarial => {
-                println!(
-                    "reading guide: byzantine regimes run one undefended and one\n\
-                     defended arm per cell (`def`). `f-rep` counts the lies fired,\n\
-                     `f-rr` the spurious switchovers they caused, `vetoed` the lies\n\
-                     report verification rejected, and `quar` the routers + links the\n\
-                     countermeasures quarantined. `orphan` counts connections whose\n\
-                     one re-protection attempt failed, and `P_act-bk` is probed on\n\
-                     the post-campaign state. Every column is a projection of the\n\
-                     merged telemetry below; the table is deterministic per seed\n\
-                     and byte-identical for every --jobs.\n"
-                );
-                println!("campaign telemetry (merged across cells):");
-                for line in merged_telemetry(&rows).snapshot().lines() {
-                    println!("  {line}");
-                }
+        if table == Table::Adversarial {
+            println!("campaign telemetry (merged across cells):");
+            for line in merged_telemetry(&rows).snapshot().lines() {
+                println!("  {line}");
             }
-            Table::Restart => println!(
-                "reading guide: every cell runs twice — `amnesia` restarts lose\n\
-                 all router state (spurious switchovers `spur-sw`, forgotten\n\
-                 backup registrations `reg-lst`, connections dropped outright by\n\
-                 a restarted terminal `lost`), `journal` restarts replay the\n\
-                 write-ahead journal (`recov` table entries recovered, nothing\n\
-                 else moves). The orchestrator tries once to re-protect\n\
-                 whatever each restart disturbed before the next wave member\n\
-                 goes down (`reprot`; a failed attempt is an `orphan`).\n\
-                 `P_act-bk` probes the survivors; `P_eff`\n\
-                 scales it by storm survival, pricing destroyed connections.\n\
-                 The table is deterministic per seed and byte-identical for\n\
-                 every --jobs.\n"
-            ),
-            Table::Availability => println!(
-                "reading guide: each cell replays the whole scenario under its\n\
-                 recorded link failure/repair process (`fail/h`). `static-P` is\n\
-                 Figure 4's estimator on the same scenario; `dynamic-P` is what the\n\
-                 live process achieves (switchovers / primaries hit). With\n\
-                 `reconfig` on, the orchestrator re-protects after every failure\n\
-                 (`reprot`) and re-optimises backups that overlap their primary\n\
-                 after every repair (`reopt`); off, protection decays as failures\n\
-                 consume backups and `lost` grows. The table is deterministic per\n\
-                 seed and byte-identical for every --jobs.\n"
-            ),
         }
     }
 }

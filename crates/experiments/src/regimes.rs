@@ -14,12 +14,12 @@
 //! * **control-plane loss** — `control-loss` signals every admission,
 //!   failure and re-protection through the distributed engine
 //!   ([`ProtocolSim`]) over a control plane that drops `strength` ‰ of
-//!   the packets on every hop (plus duplication and jitter). The manager
-//!   is the engine's mirror: routes are selected on it, and after every
-//!   step it is reconciled to what the protocol concluded. Each round
-//!   fails one loaded link on the protocol; re-protection is DRTP's own
-//!   reconfiguration step, signalled hop by hop, so the orchestrator
-//!   stays idle.
+//!   the packets on every hop (plus duplication and jitter). After every
+//!   quiescence the manager is the protocol's projection
+//!   ([`ProtocolSim::project`]): routes are selected and `P_act-bk`
+//!   probed on what the routers hold. Each round fails one loaded link
+//!   on the protocol; re-protection is DRTP's own reconfiguration step,
+//!   signalled hop by hop, so the orchestrator stays idle.
 //! * **correlated failures** — `indep-links` fails one loaded link per
 //!   event (the paper's model, as the baseline row), `srlg-bursts` one
 //!   shared-risk group whole (conduits partitioned from the links by a
@@ -607,7 +607,7 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
                     break; // nothing loaded left to fail
                 };
                 let plane = plane.as_mut().expect("control-loss cells run a plane");
-                plane.fail(&mut mgr, &mut *scheme, link, &mut inject_rng);
+                plane.fail(&mut mgr, &mut *scheme, link);
             }
             Regime::IndepLinks | Regime::SrlgBursts | Regime::NodeCrashes => {
                 let Some(event) = pick_event(cell.regime, &mgr, &mut pick_rng) else {
@@ -761,14 +761,12 @@ fn run_cell(cfg: &ExperimentConfig, scfg: &SweepConfig, net: Arc<Network>, cell:
     }
 }
 
-/// The distributed engine a `control-loss` cell signals through. The
-/// manager is its mirror: routes are selected there, every walk crosses
-/// the lossy plane, and where the two disagree the protocol's outcome is
-/// authoritative and the mirror is reconciled to it.
+/// The distributed engine a `control-loss` cell signals through. After
+/// every quiescence the cell's manager is [`ProtocolSim::project`]'s, so
+/// routes are selected on, links picked from and `P_act-bk` probed on
+/// what the routers hold.
 struct ControlPlane {
     sim: ProtocolSim,
-    /// Connections the protocol carries, in admission order.
-    live: Vec<ConnectionId>,
     /// The protocol's outcomes (`control.*`), merged into the row.
     telemetry: Telemetry,
 }
@@ -788,59 +786,44 @@ impl ControlPlane {
         };
         ControlPlane {
             sim: ProtocolSim::with_chaos(net, ProtocolConfig::default(), retry, chaos),
-            live: Vec::new(),
             telemetry: Telemetry::new(),
         }
     }
 
-    /// Signals a connection the mirror just admitted. One the protocol
-    /// brings up unprotected loses its backup on the mirror too; one it
-    /// rejects is released there.
+    /// Runs the protocol to quiescence; `mgr` becomes its projection.
+    fn settle(&mut self, mgr: &mut DrtpManager) {
+        self.sim.run_to_quiescence();
+        *mgr = self.sim.project().0;
+    }
+
+    /// Signals a connection `mgr` just admitted and settles.
     fn establish(&mut self, mgr: &mut DrtpManager, admitted: EstablishReport, bw: Bandwidth) {
         let conn = admitted.id;
         self.sim
             .establish(conn, bw, admitted.primary, admitted.backups);
-        self.sim.run_to_quiescence();
-        match self.sim.outcome(conn).expect("submitted") {
-            ConnOutcome::Established => {
-                self.telemetry.incr("control.established");
-                self.live.push(conn);
-            }
-            ConnOutcome::Degraded => {
-                self.telemetry.incr("control.degraded");
-                mgr.drop_backups(conn).expect("mirror holds the conn");
-                self.live.push(conn);
-            }
-            ConnOutcome::Rejected => {
-                self.telemetry.incr("control.rejected");
-                mgr.release(conn).expect("mirror holds the conn");
-            }
+        self.settle(mgr);
+        let key = match self.sim.outcome(conn).expect("submitted") {
+            ConnOutcome::Established => "control.established",
+            ConnOutcome::Degraded => "control.degraded",
+            ConnOutcome::Rejected => "control.rejected",
             other => panic!("establishment cannot end in {other:?}"),
-        }
+        };
+        self.telemetry.incr(key);
     }
 
     /// One round: `link` fails on the protocol, which recovers on its
-    /// own; the mirror replays the failure and is reconciled; backups
-    /// crossing the link are retired; then survivors left unprotected
-    /// re-protect through DRTP's reconfiguration step, the route chosen
-    /// on the mirror and registered hop by hop.
-    fn fail(
-        &mut self,
-        mgr: &mut DrtpManager,
-        scheme: &mut dyn RoutingScheme,
-        link: LinkId,
-        inject_rng: &mut StdRng,
-    ) {
+    /// own; backups crossing the link are retired; then survivors left
+    /// unprotected re-protect through DRTP's reconfiguration step, the
+    /// route chosen on the projection and registered hop by hop.
+    fn fail(&mut self, mgr: &mut DrtpManager, scheme: &mut dyn RoutingScheme, link: LinkId) {
         let log_before = self.sim.recovery_log().len();
         #[expect(
             clippy::disallowed_methods,
-            reason = "the control-loss regime replays this failure on the mirror just below"
+            reason = "the control-loss regime's one failure command; the cell's manager is its projection"
         )]
         self.sim.fail_link(link);
         self.sim.run_to_quiescence();
-        let report = mgr
-            .inject_event(&FailureEvent::Link(link), inject_rng)
-            .expect("picked link is healthy");
+        self.telemetry.incr("control.failures");
         for rec in &self.sim.recovery_log()[log_before..] {
             if rec.recovered {
                 self.telemetry.incr("control.switched");
@@ -848,58 +831,40 @@ impl ControlPlane {
                     .observe_duration("control.recovery_us", rec.latency());
             } else {
                 self.telemetry.incr("control.lost");
-                self.live.retain(|&c| c != rec.conn);
-            }
-        }
-        for &id in report.switched.iter().chain(&report.lost) {
-            let sim_says = self.sim.outcome(id).expect("mirror conns exist in the sim");
-            if !sim_says.is_established()
-                && mgr
-                    .connection(id)
-                    .is_some_and(|c| c.state().is_carrying_traffic())
-            {
-                // Chaos downed what the mirror recovered (switch retries
-                // exhausted): free the mirror's promoted route too.
-                mgr.release(id).expect("carrying above");
             }
         }
         // Registered backups that cross the failed link can never
-        // activate: retire them on the sources that still hold them.
-        for &c in &self.live {
+        // activate: retire them on the sources that still hold them (the
+        // connections `mgr`, projected before the failure, carries).
+        let live: Vec<ConnectionId> = mgr.connections().map(|c| c.id()).collect();
+        for &c in &live {
             self.sim.retire_backups_crossing(c, link);
         }
-        self.sim.run_to_quiescence();
+        self.settle(mgr);
 
-        for &c in &self.live {
-            if !self.sim.outcome(c).expect("tracked").is_established()
-                || self.sim.registered_backup(c).is_some()
+        for c in live {
+            if self.sim.registered_backup(c).is_some() || mgr.reestablish_backup(scheme, c).is_err()
             {
-                continue;
+                continue; // protected, not projected, or no feasible backup now
             }
-            if mgr.reestablish_backup(scheme, c).is_err() {
-                continue; // protected on the mirror, or no feasible backup now
-            }
-            let backup = mgr
-                .connection(c)
-                .and_then(|m| m.backup())
-                .expect("just reestablished")
-                .clone();
-            assert!(self.sim.add_backup(c, backup), "sim conn is live");
-            self.sim.run_to_quiescence();
-            if self.sim.outcome(c) == Some(ConnOutcome::Established) {
+            let backup = mgr.connection(c).and_then(|m| m.backup()).cloned();
+            assert!(
+                self.sim.add_backup(c, backup.expect("reestablished")),
+                "conn is live"
+            );
+            self.settle(mgr);
+            // Unregistered when the registration exhausted its retries.
+            if self.sim.registered_backup(c).is_some() {
                 self.telemetry.incr("control.reprotected");
-            } else {
-                // Registration exhausted its retries under chaos.
-                mgr.drop_backups(c).expect("carrying above");
             }
         }
         self.audit();
     }
 
-    /// Runs the engine's own invariant audit on its quiesced state; a
-    /// violation is a counted outcome, not a panic.
+    /// Audits the quiesced protocol: its own invariants, and a projection
+    /// that admits every live channel. A violation is counted, not fatal.
     fn audit(&mut self) {
-        if self.sim.check_invariants().is_err() {
+        if self.sim.check_invariants().is_err() || !self.sim.project().1.is_empty() {
             self.telemetry.incr("control.invariant_violations");
         }
     }
@@ -1120,7 +1085,7 @@ fn render_control_loss(net: &Network, rows: &[Row]) -> String {
             t.counter("control.established"),
             t.counter("control.degraded"),
             t.counter("control.rejected"),
-            t.counter("inject.events"),
+            t.counter("control.failures"),
             t.counter("control.switched"),
             t.counter("control.lost"),
             t.counter("control.reprotected"),
@@ -1140,6 +1105,21 @@ fn render_control_loss(net: &Network, rows: &[Row]) -> String {
             ranked(&r.worst_links)
         ));
     }
+    out.push_str(
+        "\nreading guide: every control packet crosses a chaotic plane that\n\
+         drops each hop with probability `loss%` (plus 2% duplication and\n\
+         200us jitter). Retransmission with exponential backoff keeps the\n\
+         signalling live: `retx` counts retries, `exh` counts transactions\n\
+         that ran out of attempts, and `degr` the connections that came up\n\
+         unprotected as a result. Between failures DRTP's reconfiguration\n\
+         step re-establishes backups (`reprot`); `P_act-bk` is then probed\n\
+         on the post-campaign state, with `probeD` of the shortfall due to\n\
+         degradation rather than activation contention. `inv` counts the\n\
+         quiesced states (after establishment, after every round) that\n\
+         fail the protocol engine's own invariant audit, or that hold a\n\
+         live connection the projection cannot admit. The table is\n\
+         deterministic per seed.\n",
+    );
     out
 }
 
@@ -1191,6 +1171,18 @@ fn render_correlated(net: &Network, rows: &[Row]) -> String {
             ranked(&r.worst_links)
         ));
     }
+    out.push_str(
+        "\nreading guide: each event fails its whole correlated set at once\n\
+         (`links` counts the members) and all affected backups contend in\n\
+         one activation pass. Survivors re-protect through the recovery\n\
+         orchestrator: one attempt per loss of protection (`reprot`),\n\
+         flapping links quarantined (`quar`) from new backups, and\n\
+         connections whose attempt fails counted as `orphan` — protection\n\
+         the regime permanently destroyed. `P_act-bk` is probed on the\n\
+         final state.\n\
+         Rows share the workload substream, so regimes are comparable and\n\
+         the table is deterministic per seed.\n",
+    );
     out
 }
 
@@ -1240,6 +1232,17 @@ fn render_adversarial(net: &Network, rows: &[Row]) -> String {
         ));
     }
     push_strength_meanings(&mut out, "strength", rows);
+    out.push_str(
+        "\nreading guide: byzantine regimes run one undefended and one\n\
+         defended arm per cell (`def`). `f-rep` counts the lies fired,\n\
+         `f-rr` the spurious switchovers they caused, `vetoed` the lies\n\
+         report verification rejected, and `quar` the routers + links the\n\
+         countermeasures quarantined. `orphan` counts connections whose\n\
+         one re-protection attempt failed, and `P_act-bk` is probed on\n\
+         the post-campaign state. Every column is a projection of the\n\
+         merged telemetry below; the table is deterministic per seed\n\
+         and byte-identical for every --jobs.\n",
+    );
     out
 }
 
@@ -1291,6 +1294,20 @@ fn render_restart(net: &Network, rows: &[Row]) -> String {
         "  P_act-bk probes the storm's survivors; P_eff scales it by storm\n\
          \x20 survival, pricing the connections amnesia destroyed outright\n",
     );
+    out.push_str(
+        "\nreading guide: every cell runs twice — `amnesia` restarts lose\n\
+         all router state (spurious switchovers `spur-sw`, forgotten\n\
+         backup registrations `reg-lst`, connections dropped outright by\n\
+         a restarted terminal `lost`), `journal` restarts replay the\n\
+         write-ahead journal (`recov` table entries recovered, nothing\n\
+         else moves). The orchestrator tries once to re-protect\n\
+         whatever each restart disturbed before the next wave member\n\
+         goes down (`reprot`; a failed attempt is an `orphan`).\n\
+         `P_act-bk` probes the survivors; `P_eff`\n\
+         scales it by storm survival, pricing destroyed connections.\n\
+         The table is deterministic per seed and byte-identical for\n\
+         every --jobs.\n",
+    );
     out
 }
 
@@ -1328,6 +1345,17 @@ fn render_availability(net: &Network, rows: &[Row]) -> String {
             t.counter("inject.events"),
         ));
     }
+    out.push_str(
+        "\nreading guide: each cell replays the whole scenario under its\n\
+         recorded link failure/repair process (`fail/h`). `static-P` is\n\
+         Figure 4's estimator on the same scenario; `dynamic-P` is what the\n\
+         live process achieves (switchovers / primaries hit). With\n\
+         `reconfig` on, the orchestrator re-protects after every failure\n\
+         (`reprot`) and re-optimises backups that overlap their primary\n\
+         after every repair (`reopt`); off, protection decays as failures\n\
+         consume backups and `lost` grows. The table is deterministic per\n\
+         seed and byte-identical for every --jobs.\n",
+    );
     out
 }
 
@@ -1458,7 +1486,7 @@ mod tests {
         assert_eq!(quiet.counter("control.retransmissions"), 0);
         assert_eq!(quiet.counter("control.exhausted"), 0);
         assert!(quiet.counter("control.established") > 0);
-        assert_eq!(quiet.counter("inject.events"), 3);
+        assert_eq!(quiet.counter("control.failures"), 3);
         // Recovery latency is detection + report + switch walk: > 10 ms.
         if let Some(h) = quiet.hist("control.recovery_us") {
             assert!(h.mean() > 10_000);
@@ -1467,6 +1495,81 @@ mod tests {
             rows[1].telemetry.counter("control.retransmissions") > 0,
             "a lossy plane retransmits"
         );
+    }
+
+    /// A failure report that no source acks exhausts its retries and
+    /// leaves the source established on a dead primary. The engine's
+    /// audit forgives an exhausted transaction; the projection does not.
+    #[test]
+    fn a_dead_primary_the_projection_refuses_counts_as_a_violation() {
+        use drt_core::routing::{RoutePair, RouteRequest, RoutingOverhead};
+        use drt_net::{topology, Route};
+        use drt_proto::{DeliveryFate, FateSource, Packet};
+
+        #[derive(Debug)]
+        struct SwallowsReports;
+        impl FateSource for SwallowsReports {
+            fn decide(&mut self, pkt: &Packet, _hops: u64) -> DeliveryFate {
+                if matches!(pkt, Packet::FailureReport { .. }) {
+                    DeliveryFate::dropped()
+                } else {
+                    DeliveryFate::clean()
+                }
+            }
+        }
+
+        let net = Arc::new(topology::ring(4, Bandwidth::from_mbps(10)).unwrap());
+        let sim = ProtocolSim::with_fates(
+            Arc::clone(&net),
+            ProtocolConfig::default(),
+            RetryConfig::default(),
+            ChaosConfig::default(),
+            Box::new(SwallowsReports),
+        );
+        let mut plane = ControlPlane {
+            sim,
+            telemetry: Telemetry::new(),
+        };
+        let mut mgr = DrtpManager::new(Arc::clone(&net));
+        let route = |nodes: &[u32]| {
+            let ids: Vec<NodeId> = nodes.iter().map(|&n| NodeId::new(n)).collect();
+            Route::from_nodes(&net, &ids).unwrap()
+        };
+        let bw = Bandwidth::from_kbps(3_000);
+        // The victim 0→1→2's primary dies at 1→2, reported by node 1; the
+        // bystander 2→3→0 crosses nothing that fails.
+        let channels = [([0, 1, 2], [0, 3, 2]), ([2, 3, 0], [2, 1, 0])];
+        for (id, (primary, backup)) in channels.iter().enumerate() {
+            let (primary, backup) = (route(primary), route(backup));
+            let id = ConnectionId::new(id as u64);
+            let req = RouteRequest::new(id, primary.source(), primary.dest(), bw);
+            let pair = RoutePair {
+                primary,
+                backup: Some(backup),
+                dedicated_backup: false,
+                overhead: RoutingOverhead::ZERO,
+            };
+            let admitted = mgr.admit_routes(&req, pair).unwrap();
+            plane.establish(&mut mgr, admitted, bw);
+        }
+        plane.audit();
+        assert_eq!(plane.telemetry.counter("control.invariant_violations"), 0);
+
+        let (victim, bystander) = (ConnectionId::new(0), ConnectionId::new(1));
+        let mut scheme = SchemeKind::DLsr.instantiate();
+        plane.fail(&mut mgr, &mut *scheme, route(&[1, 2]).links()[0]);
+        assert_eq!(plane.sim.outcome(victim), Some(ConnOutcome::Established));
+        assert!(plane
+            .sim
+            .exhausted()
+            .any(|(kind, _)| kind == "failure-report"));
+        assert!(plane.sim.check_invariants().is_ok());
+        assert_eq!(plane.sim.project().1, vec![victim]);
+        assert!(mgr.connection(victim).is_none());
+        assert!(mgr.connection(bystander).is_some());
+        assert_eq!(plane.telemetry.counter("control.invariant_violations"), 1);
+        let guide = Table::ControlLoss.render(&net, &[]).replace('\n', " ");
+        assert!(guide.contains("a live connection the projection cannot admit"));
     }
 
     #[test]

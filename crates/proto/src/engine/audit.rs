@@ -1,12 +1,47 @@
-//! What must hold of the protocol state, and the digest the model checker
-//! tells states apart by. Read-only: nothing here mutates the simulation.
+//! What must hold of the protocol state, the centralized manager it
+//! projects to, and the digest the model checker tells states apart by.
+//! Read-only: nothing here mutates the simulation.
 
 use super::{ConnOutcome, ProtocolSim};
+use drt_core::failure::FailureEvent;
 use drt_core::invariants::{self, Violation};
+use drt_core::routing::{RoutePair, RouteRequest, RoutingOverhead};
+use drt_core::{ConnectionId, DrtpManager, Telemetry};
 use drt_net::{Bandwidth, LinkId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 impl ProtocolSim {
+    /// The [`DrtpManager`] this state is the distributed form of: the
+    /// failed links fail, then every live connection is admitted in id
+    /// order through [`DrtpManager::admit_routes`] with its primary and its
+    /// *registered* backup. Returns it, telemetry empty, with the live
+    /// connections it refused. At quiescence, with none refused, `prime`
+    /// and APLV equal the routers' on every link; `spare` is a fresh
+    /// admission's, which a promotion can leave the routers' below.
+    pub fn project(&self) -> (DrtpManager, Vec<ConnectionId>) {
+        let (net, failed) = (&self.state.net, &self.state.failed);
+        let mut mgr = DrtpManager::new(Arc::clone(net));
+        let dead = net.links().map(|l| l.id()).filter(|l| failed[l.index()]);
+        let event = FailureEvent::Batch(dead.map(FailureEvent::Link).collect());
+        // Infallible; nothing is admitted yet to contend, so nothing draws.
+        let _ = mgr.inject_event(&event, &mut drt_sim::rng::stream(0, "projection"));
+        *mgr.telemetry_mut() = Telemetry::new();
+        let live = self.state.conns.iter().filter(|(_, m)| m.phase.is_live());
+        let refused = live.filter_map(|(&conn, m)| {
+            let req = RouteRequest::new(conn, m.primary.source(), m.primary.dest(), m.bw);
+            let pair = RoutePair {
+                primary: m.primary.clone(),
+                backup: m.backup.clone().filter(|_| m.registered),
+                dedicated_backup: false,
+                overhead: RoutingOverhead::ZERO,
+            };
+            mgr.admit_routes(&req, pair).is_err().then_some(conn)
+        });
+        let refused = refused.collect();
+        (mgr, refused)
+    }
+
     /// Checks every machine-checkable protocol invariant against the
     /// current state, returning the first violation found.
     ///

@@ -4,11 +4,12 @@
 //! state". This suite proves it: after any establish/release command
 //! sequence reaches quiescence, every link's `prime`, `spare`, and APLV in
 //! the message-level simulation equal the centralized manager's for the
-//! same routes.
+//! same routes. The chaotic cases compare the routers to
+//! `ProtocolSim::project`, the manager the `control-loss` campaign reads.
 
 use drt_core::routing::{RoutePair, RouteRequest, RoutingOverhead};
 use drt_core::{ConnectionId, DrtpManager};
-use drt_net::{topology, Bandwidth, Network, NodeId, Route};
+use drt_net::{topology, Bandwidth, LinkId, Network, NodeId, Route};
 use drt_proto::{ConnOutcome, ProtocolConfig, ProtocolSim};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -321,17 +322,20 @@ fn racing_setups_never_over_reserve() {
 }
 
 /// Drives `ops` through a *chaotic* protocol sim (drop/dup/jitter) with a
-/// generous retry budget, then mirrors whatever survived into a lossless
-/// centralized manager. Chaos may legitimately reject or
-/// degrade a connection (retries are bounded), but the quiescent ledger
-/// of the survivors must be bit-identical to a clean admission of exactly
-/// those routes: retransmission, duplication and reordering must never
-/// leave partial reservations behind.
+/// generous retry budget, fails `fail` if given, and projects what
+/// survived onto a centralized manager ([`ProtocolSim::project`]). Chaos
+/// may legitimately reject or degrade a connection (retries are bounded),
+/// but the projection must admit every live channel and hold the routers'
+/// channels, `prime` and APLV: retransmission, duplication and reordering
+/// must never leave partial reservations behind. Without a failure the
+/// `spare` pools match too; a promotion draws on spare that a fresh
+/// admission sizes anew, so after one they are not compared.
 fn assert_chaotic_equivalent(
     net: &Arc<Network>,
     ops: &[(u64, Route, Option<Route>)],
     chaos: drt_proto::ChaosConfig,
-) {
+    fail: Option<LinkId>,
+) -> ProtocolSim {
     let retry = drt_proto::RetryConfig {
         max_attempts: 16,
         ..drt_proto::RetryConfig::default()
@@ -341,27 +345,49 @@ fn assert_chaotic_equivalent(
         sim.establish(ConnectionId::new(*id), BW, primary.clone(), backup.clone());
         sim.run_to_quiescence();
     }
-
-    let mut mgr = DrtpManager::new(Arc::clone(net));
-    for (id, primary, _) in ops {
-        let conn = ConnectionId::new(*id);
-        let outcome = sim.outcome(conn).expect("submitted");
-        assert_ne!(outcome, ConnOutcome::Pending, "{conn} wedged");
-        if !outcome.is_established() {
-            continue;
+    if let Some(link) = fail {
+        sim.fail_link(link);
+        sim.run_to_quiescence();
+        // A registered backup across the dead link can never activate,
+        // and the projection would refuse it: its source retires it.
+        for (id, ..) in ops {
+            sim.retire_backups_crossing(ConnectionId::new(*id), link);
         }
-        let req = RouteRequest::new(conn, primary.source(), primary.dest(), BW);
-        let pair = RoutePair {
-            primary: primary.clone(),
-            // A degraded connection's backup registration did not
-            // survive; mirror exactly what did.
-            backup: sim.registered_backups(conn).pop(),
-            dedicated_backup: false,
-            overhead: RoutingOverhead::ZERO,
-        };
-        mgr.admit_routes(&req, pair)
-            .expect("the chaotic sim admitted this; the mirror must too");
+        sim.run_to_quiescence();
     }
+    for (id, ..) in ops {
+        let outcome = sim.outcome(ConnectionId::new(*id)).expect("submitted");
+        assert_ne!(outcome, ConnOutcome::Pending, "{id} wedged");
+    }
+
+    let (mgr, refused) = sim.project();
+    assert!(refused.is_empty(), "the projection refused {refused:?}");
+    // Channels: per link, every primary (`true`) and backup (`false`) by
+    // connection and route, as the projection holds them and as the
+    // routers' channel tables do.
+    let mut projected = Vec::new();
+    for c in mgr.connections() {
+        for (route, primary) in [(Some(c.primary()), true), (c.backup(), false)] {
+            if let Some(r) = route {
+                projected.extend(r.links().iter().map(|&l| (l, c.id(), primary, r.clone())));
+            }
+        }
+    }
+    let mut held = Vec::new();
+    for node in net.nodes() {
+        let r = sim.router(node);
+        let primaries = r
+            .primaries()
+            .map(|(id, e)| (e.out_link, id, true, e.route.clone()));
+        let backups = r
+            .backups()
+            .map(|(id, e)| (e.out_link, id, false, e.route.clone()));
+        held.extend(primaries.chain(backups));
+    }
+    for side in [&mut projected, &mut held] {
+        side.sort_by_key(|&(l, id, primary, _)| (l, id, primary));
+    }
+    assert_eq!(projected, held, "channels differ");
 
     for link in net.links() {
         let l = link.id();
@@ -370,14 +396,17 @@ fn assert_chaotic_equivalent(
             sim.link_resources(l).prime(),
             "prime mismatch on {l}"
         );
-        assert_eq!(
-            mgr.link_resources(l).spare(),
-            sim.link_resources(l).spare(),
-            "spare mismatch on {l}"
-        );
+        if fail.is_none() {
+            assert_eq!(
+                mgr.link_resources(l).spare(),
+                sim.link_resources(l).spare(),
+                "spare mismatch on {l}"
+            );
+        }
         assert_eq!(mgr.aplv(l), sim.aplv(l), "aplv mismatch on {l}");
     }
     mgr.assert_invariants();
+    sim
 }
 
 #[test]
@@ -400,7 +429,59 @@ fn chaotic_establishes_converge_to_the_lossless_ledger() {
         max_jitter: drt_sim::SimDuration::from_micros(150),
         ..drt_proto::ChaosConfig::lossy(0.10, 42)
     };
-    assert_chaotic_equivalent(&net, &ops, chaos);
+    assert_chaotic_equivalent(&net, &ops, chaos, None);
+
+    // Lossless, and 0→1 fails: connection 0 switches onto its backup,
+    // and connection 3's backup, which crosses 0→1, retires.
+    let failed = r(&[0, 1]).links()[0];
+    let chaos = drt_proto::ChaosConfig::default();
+    let sim = assert_chaotic_equivalent(&net, &ops, chaos, Some(failed));
+    let outcome = |id| sim.outcome(ConnectionId::new(id));
+    assert_eq!(outcome(0), Some(ConnOutcome::Switched));
+    assert_eq!(outcome(3), Some(ConnOutcome::Degraded));
+}
+
+#[test]
+fn a_promotion_that_drains_a_registered_backups_spare_is_refused() {
+    // The first four connections of the mesh above, lossless. 1→2 fails
+    // and connections 0 and 2 both switch onto 4→5, drawing its spare
+    // pool to 0 while connection 1's backup stays registered there with
+    // 3 Mb/s required; free (1 Mb/s) could not cover that even if spare
+    // were re-grown. No fresh admission reaches the state, so the
+    // projection names the connection it cannot fit (DESIGN.md §5,
+    // item 10).
+    let net = Arc::new(topology::mesh(3, 3, Bandwidth::from_mbps(10)).unwrap());
+    let r = |nodes: &[u32]| {
+        let ids: Vec<NodeId> = nodes.iter().map(|&n| NodeId::new(n)).collect();
+        Route::from_nodes(&net, &ids).unwrap()
+    };
+    let mut sim = ProtocolSim::new(Arc::clone(&net), ProtocolConfig::default());
+    let ops = [
+        (r(&[0, 1, 2]), r(&[0, 3, 4, 5, 2])),
+        (r(&[6, 7, 8]), r(&[6, 3, 4, 5, 8])),
+        (r(&[1, 2]), r(&[1, 4, 5, 2])),
+        (r(&[3, 4, 5]), r(&[3, 0, 1, 2, 5])),
+    ];
+    for (id, (primary, backup)) in ops.into_iter().enumerate() {
+        sim.establish(ConnectionId::new(id as u64), BW, primary, Some(backup));
+        sim.run_to_quiescence();
+    }
+    let failed = r(&[1, 2]).links()[0];
+    sim.fail_link(failed);
+    sim.run_to_quiescence();
+    assert!(sim.retire_backups_crossing(ConnectionId::new(3), failed) == 1);
+    sim.run_to_quiescence();
+    for id in [0, 2] {
+        assert_eq!(
+            sim.outcome(ConnectionId::new(id)),
+            Some(ConnOutcome::Switched)
+        );
+    }
+    let drained = r(&[4, 5]).links()[0];
+    assert_eq!(sim.link_resources(drained).spare(), Bandwidth::ZERO);
+    assert_eq!(sim.aplv(drained).required_spare(), BW);
+    sim.check_invariants().unwrap();
+    assert_eq!(sim.project().1, vec![ConnectionId::new(3)]);
 }
 
 proptest! {
@@ -431,6 +512,6 @@ proptest! {
             max_jitter: drt_sim::SimDuration::from_micros(200),
             ..drt_proto::ChaosConfig::lossy(f64::from(drop_pm) / 1000.0, seed ^ 0x5eed)
         };
-        assert_chaotic_equivalent(&net, &ops, chaos);
+        assert_chaotic_equivalent(&net, &ops, chaos, None);
     }
 }
